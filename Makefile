@@ -3,7 +3,7 @@
 #   make test           tier-1 gate: build everything, run every test
 #   make check          static analysis + race detector over the concurrent
 #                       packages (pool, la, compress, paramserver, storage,
-#                       ooc, opt, metrics, dml, experiments, factorized,
+#                       ooc, opt, core, metrics, dml, experiments, factorized,
 #                       modeldb, sketch, serve)
 #   make vet-engine     dmmlvet: the engine-specific analyzer suite (scratch
 #                       pairing, span pairing, instrument registration,
@@ -12,6 +12,10 @@
 #   make ci             exactly what .github/workflows/ci.yml runs, in order —
 #                       keep the two in lockstep so CI and local verification
 #                       cannot drift
+#   make bench-module   vet + test the benchmark's own Go module (bench/),
+#                       which the root ./... patterns never load — catches a
+#                       PR that deletes engine API the benchmark compiles
+#                       against
 #   make fuzz-smoke     15s native-fuzzing passes over the DML fusion
 #                       properties (fused vs unfused, compiled vs interpreted)
 #                       and the serving wire protocol (decode/round-trip)
@@ -45,19 +49,20 @@ BENCH_COUNT ?= 6
 
 # Packages with real concurrency — the ones worth the race detector's 10x
 # slowdown. metrics is lock-striped and must stay race-clean; ooc runs the
-# async block prefetcher against the buffer pool; dml drives the
+# async block prefetcher against the buffer pool, and core's paged plan
+# drives that prefetcher from inside gradient descent; dml drives the
 # parallel fused templates, experiments and factorized fan work out through
 # the pool, modeldb and sketch are exercised concurrently by the serving and
 # streaming paths.
 RACE_PKGS := ./internal/pool/... ./internal/la/... ./internal/compress/... \
 	./internal/paramserver/... ./internal/storage/... ./internal/ooc/... \
-	./internal/opt/... \
+	./internal/opt/... ./internal/core/... \
 	./internal/metrics/... ./internal/dml/... ./internal/experiments/... \
 	./internal/factorized/... ./internal/modeldb/... ./internal/sketch/... \
 	./internal/serve/...
 
 .PHONY: test check ci vet vet-engine race bench bench-guard bench-guard-strict \
-	cover fuzz-nightly lint-examples fuzz-smoke serve-smoke
+	cover fuzz-nightly lint-examples fuzz-smoke serve-smoke bench-module
 
 test:
 	$(GO) build ./...
@@ -65,9 +70,14 @@ test:
 
 check: vet vet-engine race
 
-# Mirror of the blocking CI jobs (build-test, vet, vet-engine, race,
-# fuzz-smoke, serve-smoke, lint-examples).
-ci: test vet vet-engine race fuzz-smoke serve-smoke lint-examples
+# Mirror of the blocking CI jobs (build-test, bench-module, vet, vet-engine,
+# race, fuzz-smoke, serve-smoke, lint-examples).
+ci: test bench-module vet vet-engine race fuzz-smoke serve-smoke lint-examples
+
+# bench/ is its own module (replace dmml => ../), so `go build ./...` and
+# `go test ./...` at the root never compile it.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

@@ -177,7 +177,7 @@ func BenchmarkKernelFactorizedMatVec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	design, err := factorized.NewDesign(s.FactX, s.FKs, s.DimX)
+	design, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,16 +32,12 @@ func runLint(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	inputs := map[string]dml.Shape{}
-	for _, bind := range csvs {
-		name, path, _ := strings.Cut(bind, "=")
-		m, err := loadMatrixCSV(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "dmml: loading %s: %v\n", bind, err)
-			return 2
-		}
-		inputs[name] = dml.ShapesFromEnv(dml.Env{name: dml.Matrix(m)})[name]
+	env, err := csvs.load()
+	if err != nil {
+		fmt.Fprintf(stderr, "dmml: %v\n", err)
+		return 2
 	}
+	inputs := dml.ShapesFromEnv(env)
 
 	exit := 0
 	for _, path := range fs.Args() {

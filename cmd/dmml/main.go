@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"dmml/internal/dml"
-	"dmml/internal/la"
 	"dmml/internal/metrics"
 	"dmml/internal/storage"
 )
@@ -62,6 +61,20 @@ func (c *csvBindings) Set(v string) error {
 	}
 	*c = append(*c, v)
 	return nil
+}
+
+// load reads every name=path binding as a dense matrix variable.
+func (c csvBindings) load() (dml.Env, error) {
+	env := dml.Env{}
+	for _, bind := range c {
+		name, path, _ := strings.Cut(bind, "=")
+		m, err := storage.ReadMatrixCSVFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("loading %s: %w", bind, err)
+		}
+		env[name] = dml.Matrix(m)
+	}
+	return env, nil
 }
 
 func main() {
@@ -151,14 +164,9 @@ func run() int {
 		src = string(data)
 	}
 
-	env := dml.Env{}
-	for _, bind := range csvs {
-		name, path, _ := strings.Cut(bind, "=")
-		m, err := loadMatrixCSV(path)
-		if err != nil {
-			return fail(fmt.Errorf("loading %s: %w", bind, err))
-		}
-		env[name] = dml.Matrix(m)
+	env, err := csvs.load()
+	if err != nil {
+		return fail(err)
 	}
 
 	prog, err := dml.Parse(src)
@@ -197,41 +205,4 @@ func run() int {
 		printOpStats(os.Stderr, elapsed, *statsTop)
 	}
 	return 0
-}
-
-// loadMatrixCSV reads a headerless all-numeric CSV as a dense matrix.
-func loadMatrixCSV(path string) (*la.Dense, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	// Sniff the column count from the first line.
-	head := make([]byte, 64*1024)
-	n, _ := fh.Read(head)
-	first := string(head[:n])
-	if i := strings.IndexByte(first, '\n'); i >= 0 {
-		first = first[:i]
-	}
-	cols := len(strings.Split(strings.TrimSpace(first), ","))
-	if _, err := fh.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	fields := make([]storage.Field, cols)
-	for j := range fields {
-		fields[j] = storage.Field{Name: fmt.Sprintf("c%d", j), Type: storage.Float64}
-	}
-	schema, err := storage.NewSchema(fields...)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := storage.ReadCSV(fh, schema, false)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, cols)
-	for j := range names {
-		names[j] = fields[j].Name
-	}
-	return storage.ToMatrix(tbl, names)
 }

@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dmml/internal/dml"
+	"dmml/internal/la"
+	"dmml/internal/storage"
 )
 
 func writeFile(t *testing.T, path, content string) {
@@ -78,6 +83,73 @@ func TestLintExampleScripts(t *testing.T) {
 		code, out := lint(t, "-strict", s)
 		if code != 0 {
 			t.Errorf("%s: exit %d:\n%s", s, code, out)
+		}
+	}
+}
+
+// One numeric-CSV parser serves -csv, dense read() and out-of-core read():
+// padded fields and a first row far wider than any sniffing window must load
+// to the same matrix through all three.
+func TestCSVLoadsIdenticallyThroughEveryPath(t *testing.T) {
+	wide := make([]string, 8000)
+	wideWant := la.NewDense(1, len(wide))
+	for j := range wide {
+		wideWant.Set(0, j, float64(j)+0.125)
+		wide[j] = fmt.Sprintf("%.3f", wideWant.At(0, j))
+	}
+	padded, _ := la.FromRows([][]float64{{1, 2.5}, {-3, 4e2}})
+	files := []struct {
+		name, content string
+		want          *la.Dense
+	}{
+		{"padded.csv", "1, 2.5\n -3 ,4e2 \n", padded},
+		{"wide.csv", strings.Join(wide, ",") + "\n", wideWant},
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		path := filepath.Join(dir, f.name)
+		writeFile(t, path, f.content)
+		script := fmt.Sprintf("read(%q)", path)
+		prog, err := dml.Parse(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		env, err := csvBindings{"X=" + path}.load()
+		if err != nil {
+			t.Fatalf("%s via -csv: %v", f.name, err)
+		}
+		if !env["X"].M.Equal(f.want, 0) {
+			t.Fatalf("%s via -csv = %v, want %v", f.name, env["X"].M, f.want)
+		}
+
+		dense, _, err := prog.Run(dml.Env{})
+		if err != nil {
+			t.Fatalf("%s via dense read(): %v", f.name, err)
+		}
+		if dense.M == nil || !dense.M.Equal(f.want, 0) {
+			t.Fatalf("%s via dense read() = %v, want %v", f.name, dense, f.want)
+		}
+
+		bp, err := storage.NewBufferPoolBytes(1<<20, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dml.SetReadConfig(dml.ReadConfig{Pool: bp, Budget: 1}) // every file is over budget
+		paged, _, err := prog.Run(dml.Env{})
+		dml.SetReadConfig(dml.ReadConfig{})
+		if err != nil {
+			t.Fatalf("%s via out-of-core read(): %v", f.name, err)
+		}
+		if paged.O == nil {
+			t.Fatalf("%s: read() over budget did not go out of core", f.name)
+		}
+		back, err := paged.O.ToDense()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Equal(f.want, 0) {
+			t.Fatalf("%s via out-of-core read() = %v, want %v", f.name, back, f.want)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func main() {
 		time.Since(start).Round(time.Millisecond), joined.NumRows())
 
 	// --- Path 2: factorized learning --------------------------------------
-	design, err := factorized.NewDesign(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,26 +1,31 @@
 // Package core is dmml's synthesis of the paper's survey: a cost-based
 // planner for declarative ML training over data. Given a training task over
-// either a joined (dense) matrix or a normalized star schema, it enumerates
-// the physical plans the surveyed systems embody —
+// either a joined (dense) matrix or a normalized acyclic join tree, it
+// enumerates the physical plans the surveyed systems embody —
 //
 //   - access path: materialize the join vs. factorized learning (Orion/F),
-//   - representation: dense vs. compressed linear algebra (CLA),
+//   - representation: dense vs. compressed linear algebra (CLA) vs.
+//     out-of-core block paging,
 //   - solver: direct normal equations vs. iterative gradient descent,
 //
 // costs each with a flops/bytes model, picks the cheapest that fits the
-// memory budget, and executes it. Explain output exposes the whole plan
-// table so the choice is auditable.
+// memory budget, and executes it. Every representation is handed to the
+// solvers through the one opt.BulkData contract its engine already
+// implements. Explain output exposes the whole plan table so the choice is
+// auditable.
 package core
 
 import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"dmml/internal/compress"
 	"dmml/internal/factorized"
 	"dmml/internal/la"
+	"dmml/internal/ooc"
 	"dmml/internal/opt"
 	"dmml/internal/storage"
 )
@@ -118,28 +123,75 @@ type Result struct {
 	Explain []PlanCost
 }
 
-// choose marks the cheapest (or forced) plan and sorts the table.
-func choose(plans []PlanCost, force string) (string, []PlanCost, error) {
-	if len(plans) == 0 {
-		return "", nil, fmt.Errorf("core: no feasible plans")
+// plan is one row of the plan table: the cost estimate Explain reports plus
+// the execution that produces the weights if the row is picked.
+type plan struct {
+	PlanCost
+	run func() ([]float64, error)
+}
+
+// planner enumerates and executes plans for one training request. Every
+// plan's execution bottoms out in one of its two solvers over an
+// opt.BulkData source or its Gram matrix, so representations differ only in
+// which source they hand over.
+type planner struct {
+	y     []float64
+	task  Task
+	o     Options
+	plans []plan
+}
+
+// add enumerates a plan with its modeled compute cost and working set.
+func (p *planner) add(name string, flops float64, workingSet int64, run func() ([]float64, error)) {
+	p.plans = append(p.plans, plan{
+		PlanCost: PlanCost{Name: name, EstFlops: spillAdjust(flops, workingSet, p.o), WorkingSetBytes: workingSet},
+		run:      run,
+	})
+}
+
+// iterative is the solver of every "+iterative" plan: batch gradient descent
+// over whatever representation the plan built.
+func (p *planner) iterative(data opt.BulkData) ([]float64, error) {
+	res, err := opt.GradientDescent(data, p.y, p.task.lossFn(),
+		opt.GDConfig{Step: p.task.Step, L2: p.task.L2, MaxIter: p.task.MaxIter, Tol: 1e-9, Backtracking: true})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(plans, func(i, j int) bool { return plans[i].EstFlops < plans[j].EstFlops })
-	pick := -1
-	if force != "" {
-		for i := range plans {
-			if plans[i].Name == force {
-				pick = i
-				break
-			}
-		}
+	return res.W, nil
+}
+
+// direct is the solver of every "+direct" plan: ridge normal equations over
+// the plan's Gram matrix g = XᵀX (modified in place) and c = Xᵀy.
+func (p *planner) direct(g *la.Dense, c []float64) ([]float64, error) {
+	for j := range c {
+		g.Set(j, j, g.At(j, j)+p.task.L2)
+	}
+	return la.SolveSPD(g, c)
+}
+
+// execute sorts the table cheapest first, runs the cheapest (or forced) plan
+// and reports its loss over ref, the request's own representation.
+func (p *planner) execute(ref opt.BulkData) (*Result, error) {
+	sort.Slice(p.plans, func(i, j int) bool { return p.plans[i].EstFlops < p.plans[j].EstFlops })
+	pick := 0
+	if p.o.ForcePlan != "" {
+		pick = slices.IndexFunc(p.plans, func(c plan) bool { return c.Name == p.o.ForcePlan })
 		if pick < 0 {
-			return "", nil, fmt.Errorf("core: forced plan %q is not a candidate", force)
+			return nil, fmt.Errorf("core: forced plan %q is not a candidate", p.o.ForcePlan)
 		}
-	} else {
-		pick = 0
 	}
-	plans[pick].Chosen = true
-	return plans[pick].Name, plans, nil
+	chosen := &p.plans[pick]
+	chosen.Chosen = true
+	w, err := chosen.run()
+	if err != nil {
+		return nil, fmt.Errorf("core: plan %s: %w", chosen.Name, err)
+	}
+	explain := make([]PlanCost, len(p.plans))
+	for i := range p.plans {
+		explain[i] = p.plans[i].PlanCost
+	}
+	loss, _ := opt.LossAndGradient(ref, p.y, w, p.task.lossFn(), 0)
+	return &Result{W: w, Plan: chosen.Name, FinalLoss: loss, Explain: explain}, nil
 }
 
 // spillAdjust inflates cost when the working set exceeds the budget.
@@ -152,8 +204,8 @@ func spillAdjust(flops float64, workingSet int64, o Options) float64 {
 }
 
 // TrainJoined plans and trains over an already-joined dense design matrix,
-// choosing representation (dense vs. CLA-compressed) and solver (direct
-// vs. iterative).
+// choosing representation (dense vs. CLA-compressed vs. out-of-core paged)
+// and solver (direct vs. iterative).
 func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error) {
 	task = task.withDefaults()
 	o = o.withDefaults()
@@ -175,101 +227,76 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 	iters := float64(task.MaxIter)
 	matvecPair := 4 * float64(n) * float64(d) // X·w plus xᵀ·X per iteration
 
-	var plans []PlanCost
-	addPlan := func(name string, flops float64, ws int64) {
-		plans = append(plans, PlanCost{Name: name, EstFlops: spillAdjust(flops, ws, o), WorkingSetBytes: ws})
-	}
+	p := &planner{y: y, task: task, o: o}
 	if task.Loss == SquaredLoss {
-		direct := float64(n)*float64(d)*float64(d) + float64(d*d*d)/3
-		addPlan("dense+direct", direct, denseBytes)
+		p.add("dense+direct", float64(n)*float64(d)*float64(d)+float64(d*d*d)/3, denseBytes, func() ([]float64, error) {
+			return p.direct(la.Gram(x), la.XtY(x, y))
+		})
 	}
-	addPlan("dense+iterative", iters*matvecPair, denseBytes)
+	p.add("dense+iterative", iters*matvecPair, denseBytes, func() ([]float64, error) {
+		return p.iterative(opt.DenseData{M: x})
+	})
 	// Compressed iterative: per-op compute is comparable to dense (dictionary
 	// lookups replace multiplies, at a small indirection premium), plus a
 	// one-time compression pass; the win
 	// is the smaller working set, which avoids the spill penalty — CLA's
 	// actual value proposition.
 	compressSetup := 4 * float64(n) * float64(d)
-	addPlan("compressed+iterative", iters*matvecPair*1.05+compressSetup, comprBytes)
-	// Paged iterative: stream pages through a buffer pool sized to the
-	// budget. Sequential page I/O per iteration is modeled as cheaper than
+	p.add("compressed+iterative", iters*matvecPair*1.05+compressSetup, comprBytes, func() ([]float64, error) {
+		return p.iterative(compress.Compress(x, compress.Options{CoCode: true}))
+	})
+	// Paged iterative: stream blocks through a buffer pool sized to the
+	// budget. Sequential block I/O per iteration is modeled as cheaper than
 	// the random-access thrash the dense plan would suffer, so this is the
 	// fallback when the data neither fits nor compresses.
 	if o.MemBudgetBytes > 0 && denseBytes > o.MemBudgetBytes {
 		excess := float64(denseBytes-o.MemBudgetBytes) / float64(denseBytes)
 		ioCost := iters * matvecPair * excess * o.SpillPenalty * 0.5
-		plans = append(plans, PlanCost{
-			Name:            "paged+iterative",
-			EstFlops:        iters*matvecPair + ioCost,
-			WorkingSetBytes: o.MemBudgetBytes,
+		p.add("paged+iterative", iters*matvecPair+ioCost, o.MemBudgetBytes, func() ([]float64, error) {
+			return p.paged(x)
 		})
 	}
+	return p.execute(opt.DenseData{M: x})
+}
 
-	name, explained, err := choose(plans, o.ForcePlan)
+// poolBlocks is how many blocks of the paged plan fit its buffer pool: enough
+// that the two the prefetcher pins never exhaust it, few enough that each
+// block amortizes its pin.
+const poolBlocks = 8
+
+// newSpillPool builds the paged plan's buffer pool; a variable so tests can
+// inject spill I/O failures.
+var newSpillPool = storage.NewBufferPoolBytes
+
+// paged runs the out-of-core plan: x streams as row blocks (CLA-compressed
+// where that pays, raw otherwise) through a buffer pool bounded by the
+// memory budget, spilling to a temp directory that lives for the call.
+func (p *planner) paged(x *la.Dense) ([]float64, error) {
+	n, d := x.Dims()
+	dir, err := os.MkdirTemp("", "dmml-core-paged-*")
 	if err != nil {
 		return nil, err
 	}
-
-	var w []float64
-	switch name {
-	case "dense+direct":
-		g := la.Gram(x)
-		for j := 0; j < d; j++ {
-			g.Set(j, j, g.At(j, j)+task.L2)
-		}
-		w, err = la.SolveSPD(g, la.XtY(x, y))
-		if err != nil {
-			return nil, fmt.Errorf("core: direct solve: %w", err)
-		}
-	case "dense+iterative":
-		res, gerr := opt.GradientDescent(opt.DenseData{M: x}, y, task.lossFn(),
-			opt.GDConfig{Step: task.Step, L2: task.L2, MaxIter: task.MaxIter, Tol: 1e-9, Backtracking: true})
-		if gerr != nil {
-			return nil, gerr
-		}
-		w = res.W
-	case "compressed+iterative":
-		cm := compress.Compress(x, compress.Options{CoCode: true})
-		res, gerr := opt.GradientDescent(compressedData{cm}, y, task.lossFn(),
-			opt.GDConfig{Step: task.Step, L2: task.L2, MaxIter: task.MaxIter, Tol: 1e-9, Backtracking: true})
-		if gerr != nil {
-			return nil, gerr
-		}
-		w = res.W
-	case "paged+iterative":
-		w, err = trainPaged(x, y, task, o)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown plan %q", name)
+	defer os.RemoveAll(dir)
+	bp, err := newSpillPool(p.o.MemBudgetBytes, dir)
+	if err != nil {
+		return nil, err
 	}
-	loss, _ := opt.LossAndGradient(opt.DenseData{M: x}, y, w, task.lossFn(), 0)
-	return &Result{W: w, Plan: name, FinalLoss: loss, Explain: explained}, nil
+	blockRows := min(max(int(p.o.MemBudgetBytes/int64(8*d))/poolBlocks, 1), n)
+	m, err := ooc.FromDense(bp, x, ooc.Options{BlockRows: blockRows, Prefetch: true})
+	if err != nil {
+		return nil, err
+	}
+	return p.iterative(m)
 }
 
-// compressedData adapts a compressed matrix to opt.BulkData.
-type compressedData struct{ m *compress.Matrix }
-
-// Rows implements opt.BulkData.
-func (c compressedData) Rows() int { return c.m.Rows() }
-
-// Cols implements opt.BulkData.
-func (c compressedData) Cols() int { return c.m.Cols() }
-
-// MatVec implements opt.BulkData.
-func (c compressedData) MatVec(v []float64) []float64 { return c.m.MatVec(v) }
-
-// VecMat implements opt.BulkData.
-func (c compressedData) VecMat(x []float64) []float64 { return c.m.VecMat(x) }
-
-// TrainNormalized plans and trains over a normalized star schema, choosing
-// between factorized learning and materialize-then-train, and between the
-// direct and iterative solvers.
-func TrainNormalized(design *factorized.Design, y []float64, task Task, o Options) (*Result, error) {
+// TrainNormalized plans and trains over a normalized acyclic join tree (a
+// star or any snowflake), choosing between factorized learning and
+// materialize-then-train, and between the direct and iterative solvers.
+func TrainNormalized(tree *factorized.JoinTree, y []float64, task Task, o Options) (*Result, error) {
 	task = task.withDefaults()
 	o = o.withDefaults()
-	n, d := design.Rows(), design.Cols()
+	n, d := tree.Rows(), tree.Cols()
 	if len(y) != n {
 		return nil, fmt.Errorf("core: %d labels for %d rows", len(y), n)
 	}
@@ -277,67 +304,30 @@ func TrainNormalized(design *factorized.Design, y []float64, task Task, o Option
 	iters := float64(task.MaxIter)
 	// FlopsPerMatVec already models the full X·w plus xᵀ·X pair per
 	// iteration, including cache-aware gather penalties along each edge.
-	factIter := design.FlopsPerMatVec()
-	matIter := design.FlopsPerMatVecMaterialized()
+	factIter := tree.FlopsPerMatVec()
+	matIter := tree.FlopsPerMatVecMaterialized()
 	materializeCost := 2 * float64(n) * float64(d) // write + first touch
 	matBytes := int64(8 * n * d)
-	factBytes := design.ResidentBytes()
+	factBytes := tree.ResidentBytes()
 
-	var plans []PlanCost
-	addPlan := func(name string, flops float64, ws int64) {
-		plans = append(plans, PlanCost{Name: name, EstFlops: spillAdjust(flops, ws, o), WorkingSetBytes: ws})
-	}
-	addPlan("factorized+iterative", iters*factIter, factBytes)
-	addPlan("materialized+iterative", materializeCost+iters*matIter, matBytes)
+	p := &planner{y: y, task: task, o: o}
+	p.add("factorized+iterative", iters*factIter, factBytes, func() ([]float64, error) {
+		return p.iterative(tree)
+	})
+	p.add("materialized+iterative", materializeCost+iters*matIter, matBytes, func() ([]float64, error) {
+		return p.iterative(opt.DenseData{M: tree.Materialize()})
+	})
 	if task.Loss == SquaredLoss {
 		// F-style factorized normal equations vs. materialized ones.
-		addPlan("factorized+direct", design.FlopsPerGram()+float64(d*d*d)/3, factBytes)
-		addPlan("materialized+direct", materializeCost+float64(n)*float64(d)*float64(d)+float64(d*d*d)/3, matBytes)
+		p.add("factorized+direct", tree.FlopsPerGram()+float64(d*d*d)/3, factBytes, func() ([]float64, error) {
+			return p.direct(tree.Gram(), tree.XtY(y))
+		})
+		p.add("materialized+direct", materializeCost+float64(n)*float64(d)*float64(d)+float64(d*d*d)/3, matBytes, func() ([]float64, error) {
+			m := tree.Materialize()
+			return p.direct(la.Gram(m), la.XtY(m, y))
+		})
 	}
-	name, explained, err := choose(plans, o.ForcePlan)
-	if err != nil {
-		return nil, err
-	}
-
-	var w []float64
-	solveDirect := func(g *la.Dense, c []float64) ([]float64, error) {
-		for j := 0; j < d; j++ {
-			g.Set(j, j, g.At(j, j)+task.L2)
-		}
-		return la.SolveSPD(g, c)
-	}
-	switch name {
-	case "factorized+iterative":
-		res, gerr := opt.GradientDescent(design, y, task.lossFn(),
-			opt.GDConfig{Step: task.Step, L2: task.L2, MaxIter: task.MaxIter, Tol: 1e-9, Backtracking: true})
-		if gerr != nil {
-			return nil, gerr
-		}
-		w = res.W
-	case "materialized+iterative":
-		m := design.Materialize()
-		res, gerr := opt.GradientDescent(opt.DenseData{M: m}, y, task.lossFn(),
-			opt.GDConfig{Step: task.Step, L2: task.L2, MaxIter: task.MaxIter, Tol: 1e-9, Backtracking: true})
-		if gerr != nil {
-			return nil, gerr
-		}
-		w = res.W
-	case "factorized+direct":
-		w, err = solveDirect(design.Gram(), design.XtY(y))
-		if err != nil {
-			return nil, fmt.Errorf("core: factorized direct solve: %w", err)
-		}
-	case "materialized+direct":
-		m := design.Materialize()
-		w, err = solveDirect(la.Gram(m), la.XtY(m, y))
-		if err != nil {
-			return nil, fmt.Errorf("core: materialized direct solve: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown plan %q", name)
-	}
-	loss, _ := opt.LossAndGradient(design, y, w, task.lossFn(), 0)
-	return &Result{W: w, Plan: name, FinalLoss: loss, Explain: explained}, nil
+	return p.execute(tree)
 }
 
 // ExplainString renders a plan table.
@@ -349,86 +339,6 @@ func ExplainString(plans []PlanCost) string {
 			mark = "*"
 		}
 		out += fmt.Sprintf("%s %-24s est=%.3g flops ws=%d bytes\n", mark, p.Name, p.EstFlops, p.WorkingSetBytes)
-	}
-	return out
-}
-
-// trainPaged runs batch GD streaming the design matrix through a buffer pool
-// bounded by the memory budget — the out-of-core execution plan.
-func trainPaged(x *la.Dense, y []float64, task Task, o Options) ([]float64, error) {
-	n, d := x.Dims()
-	rowBytes := int64(8 * d)
-	budgetRows := o.MemBudgetBytes / rowBytes
-	if budgetRows < 1 {
-		budgetRows = 1
-	}
-	// Size pages so that the pool holds a handful of them within budget.
-	const targetPoolPages = 8
-	pageRows := int(budgetRows / targetPoolPages)
-	if pageRows < 1 {
-		pageRows = 1
-	}
-	if pageRows > n {
-		pageRows = n
-	}
-	dir, err := os.MkdirTemp("", "dmml-core-paged-*")
-	if err != nil {
-		return nil, fmt.Errorf("core: paged plan: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	pool, err := storage.NewBufferPool(targetPoolPages, dir)
-	if err != nil {
-		return nil, fmt.Errorf("core: paged plan: %w", err)
-	}
-	pm, err := storage.NewPagedMatrix(pool, n, d, pageRows)
-	if err != nil {
-		return nil, fmt.Errorf("core: paged plan: %w", err)
-	}
-	if err := pm.FromDense(x); err != nil {
-		return nil, fmt.Errorf("core: paged plan: %w", err)
-	}
-	pd := &pagedData{pm: pm, rows: n, cols: d}
-	res, err := opt.GradientDescent(pd, y, task.lossFn(),
-		opt.GDConfig{Step: task.Step, L2: task.L2, MaxIter: task.MaxIter, Tol: 1e-9, Backtracking: true})
-	if err != nil {
-		return nil, err
-	}
-	if pd.err != nil {
-		return nil, fmt.Errorf("core: paged plan I/O: %w", pd.err)
-	}
-	return res.W, nil
-}
-
-// pagedData adapts a PagedMatrix to opt.BulkData, capturing I/O errors for
-// the caller to surface after the optimizer returns.
-type pagedData struct {
-	pm         *storage.PagedMatrix
-	rows, cols int
-	err        error
-}
-
-// Rows implements opt.BulkData.
-func (p *pagedData) Rows() int { return p.rows }
-
-// Cols implements opt.BulkData.
-func (p *pagedData) Cols() int { return p.cols }
-
-// MatVec implements opt.BulkData.
-func (p *pagedData) MatVec(v []float64) []float64 {
-	out, err := p.pm.MatVec(v)
-	if err != nil {
-		p.err = err
-		return make([]float64, p.rows)
-	}
-	return out
-}
-
-// VecMat implements opt.BulkData.
-func (p *pagedData) VecMat(x []float64) []float64 {
-	out, err := p.pm.VecMat(x)
-	if err != nil {
-		p.err = err
-		return make([]float64, p.cols)
 	}
 	return out
 }

@@ -22,7 +22,7 @@ func ExampleTrainNormalized() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := factorized.NewDesign(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,17 +1,10 @@
 package dml
 
 import (
-	"bufio"
-	"encoding/csv"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 
-	"dmml/internal/la"
 	"dmml/internal/ooc"
 	"dmml/internal/storage"
 )
@@ -79,48 +72,9 @@ func readMatrix(path string) (Value, error) {
 		}
 		return OOC(m), nil
 	}
-	m, err := readDenseCSV(path)
+	m, err := storage.ReadMatrixCSVFile(path)
 	if err != nil {
 		return Value{}, err
 	}
 	return Matrix(m), nil
-}
-
-// readDenseCSV parses a whole CSV file of float64 cells into a dense matrix.
-func readDenseCSV(path string) (*la.Dense, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rd := csv.NewReader(bufio.NewReaderSize(f, 1<<16))
-	rd.ReuseRecord = true
-	var data []float64
-	rows, cols := 0, 0
-	for {
-		rec, err := rd.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if cols == 0 {
-			cols = len(rec)
-		} else if len(rec) != cols {
-			return nil, fmt.Errorf("row %d has %d fields, want %d", rows+1, len(rec), cols)
-		}
-		for j, field := range rec {
-			v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return nil, fmt.Errorf("row %d field %d: %w", rows+1, j+1, err)
-			}
-			data = append(data, v)
-		}
-		rows++
-	}
-	if rows == 0 {
-		return nil, fmt.Errorf("empty CSV input")
-	}
-	return la.NewDenseData(rows, cols, data)
 }

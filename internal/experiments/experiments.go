@@ -105,7 +105,7 @@ func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		design, err := factorized.NewDesign(s.FactX, s.FKs, s.DimX)
+		design, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
 		if err != nil {
 			return t, err
 		}
@@ -384,7 +384,7 @@ func E13PlannerChoice(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		design, err := factorized.NewDesign(s.FactX, s.FKs, s.DimX)
+		design, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
 		if err != nil {
 			return t, err
 		}

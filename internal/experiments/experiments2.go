@@ -9,6 +9,7 @@ import (
 	"dmml/internal/featureng"
 	"dmml/internal/la"
 	"dmml/internal/modelsel"
+	"dmml/internal/ooc"
 	"dmml/internal/opt"
 	"dmml/internal/paramserver"
 	"dmml/internal/storage"
@@ -253,8 +254,9 @@ func E9ParamServer(quick bool) (Table, error) {
 	return t, nil
 }
 
-// E11BufferPool reproduces the out-of-core shape: iterative access through a
-// shrinking buffer pool degrades gracefully until the working set thrashes.
+// E11BufferPool reproduces the out-of-core shape: iterative access to raw
+// (uncompressed) row blocks through a shrinking buffer-pool byte budget
+// degrades gracefully until the working set thrashes.
 func E11BufferPool(quick bool) (Table, error) {
 	t := Table{
 		ID:     "E11",
@@ -272,32 +274,29 @@ func E11BufferPool(quick bool) (Table, error) {
 		v[i] = r.NormFloat64()
 	}
 	passes := 5
-	for _, capacity := range []int{64, 16, 4} {
-		bp, err := storage.NewBufferPool(capacity, tmpDir())
+	pageBytes := int64(8 * pageRows * cols)
+	for _, capacity := range []int64{64, 16, 4} {
+		bp, err := storage.NewBufferPoolBytes(capacity*pageBytes, tmpDir())
 		if err != nil {
 			return t, err
 		}
-		pm, err := storage.NewPagedMatrix(bp, rows, cols, pageRows)
+		m, err := ooc.FromDense(bp, x, ooc.Options{BlockRows: pageRows, NoCompress: true})
 		if err != nil {
-			return t, err
-		}
-		if err := pm.FromDense(x); err != nil {
 			return t, err
 		}
 		bp.ResetStats()
+		out := make([]float64, rows)
 		start := time.Now()
 		for p := 0; p < passes; p++ {
-			if _, err := pm.MatVec(v); err != nil {
-				return t, err
-			}
+			m.MatVecInto(out, v)
 		}
 		elapsed := time.Since(start)
 		st := bp.Stats()
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(capacity), fmt.Sprint(pm.NumPages()), d(elapsed),
+			fmt.Sprint(capacity), fmt.Sprint(m.NumBlocks()), d(elapsed),
 			fmt.Sprint(st.Hits), fmt.Sprint(st.Misses), fmt.Sprint(st.SpillReads),
 		})
-		if err := pm.Drop(); err != nil {
+		if err := m.Drop(); err != nil {
 			return t, err
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // A two-row dimension table joined into a four-row fact table: the
 // factorized design computes X·w without ever building the joined matrix.
-func ExampleNewDesign() {
+func ExampleNewStar() {
 	fact, err := la.FromRows([][]float64{{1}, {2}, {3}, {4}})
 	if err != nil {
 		log.Fatal(err)
@@ -20,7 +20,7 @@ func ExampleNewDesign() {
 		log.Fatal(err)
 	}
 	fks := [][]int{{0, 1, 0, 1}} // fact rows 0,2 join dim row 0; rows 1,3 join dim row 1
-	design, err := factorized.NewDesign(fact, fks, []*la.Dense{dim})
+	design, err := factorized.NewStar(fact, fks, []*la.Dense{dim})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,52 +15,19 @@ import (
 	"dmml/internal/la"
 )
 
-// Design is a normalized design matrix over a one-level star schema: fact
-// table features plus K foreign-key-linked dimension tables. It is the
-// single-depth special case of JoinTree (which it embeds), kept as the
-// star-shaped constructor the planner and experiments speak.
-type Design struct {
-	*JoinTree
-	fact *la.Dense
-	fks  [][]int
-	dims []*la.Dense
-}
-
-// NewDesign validates and assembles a factorized star design. Every fks[k]
-// must have one entry per fact row, in range for dims[k].
-func NewDesign(fact *la.Dense, fks [][]int, dims []*la.Dense) (*Design, error) {
-	if fact == nil {
-		return nil, fmt.Errorf("factorized: nil fact matrix")
-	}
+// NewStar assembles the one-level special case of a join tree: a fact table
+// plus K foreign-key-linked dimension tables, fks[k][i] being the dims[k] row
+// that fact row i joins. Shapes and key ranges are validated by NewJoinTree.
+func NewStar(fact *la.Dense, fks [][]int, dims []*la.Dense) (*JoinTree, error) {
 	if len(fks) != len(dims) {
 		return nil, fmt.Errorf("factorized: %d fk columns for %d dimension tables", len(fks), len(dims))
 	}
-	n := fact.Rows()
 	nodes := make([]Node, 1, 1+len(dims))
 	nodes[0] = Node{X: fact}
-	edges := make([]Edge, 0, len(dims))
-	for k := range dims {
-		if dims[k] == nil {
-			return nil, fmt.Errorf("factorized: nil dimension table %d", k)
-		}
-		if len(fks[k]) != n {
-			return nil, fmt.Errorf("factorized: fk column %d has %d entries for %d fact rows", k, len(fks[k]), n)
-		}
-		nk := dims[k].Rows()
-		for i, r := range fks[k] {
-			if r < 0 || r >= nk {
-				return nil, fmt.Errorf("factorized: fk %d row %d references dim row %d (table has %d)", k, i, r, nk)
-			}
-		}
-		nodes = append(nodes, Node{X: dims[k]})
-		edges = append(edges, Edge{Parent: 0, Child: k + 1, FK: fks[k]})
+	edges := make([]Edge, len(dims))
+	for k, dim := range dims {
+		nodes = append(nodes, Node{X: dim})
+		edges[k] = Edge{Parent: 0, Child: k + 1, FK: fks[k]}
 	}
-	t, err := NewJoinTree(nodes, edges)
-	if err != nil {
-		return nil, err
-	}
-	return &Design{JoinTree: t, fact: fact, fks: fks, dims: dims}, nil
+	return NewJoinTree(nodes, edges)
 }
-
-// NumDims returns the number of dimension tables.
-func (d *Design) NumDims() int { return len(d.dims) }

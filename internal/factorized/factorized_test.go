@@ -11,7 +11,7 @@ import (
 	"dmml/internal/workload"
 )
 
-func testStar(t *testing.T, seed int64, factRows int, dimRows []int) *Design {
+func testStar(t *testing.T, seed int64, factRows int, dimRows []int) *JoinTree {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	dimFeats := make([]int, len(dimRows))
@@ -29,34 +29,34 @@ func testStar(t *testing.T, seed int64, factRows int, dimRows []int) *Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDesign(s.FactX, s.FKs, s.DimX)
+	d, err := NewStar(s.FactX, s.FKs, s.DimX)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-func TestNewDesignValidation(t *testing.T) {
+func TestNewStarValidation(t *testing.T) {
 	fact := la.NewDense(4, 2)
 	dim := la.NewDense(3, 2)
-	if _, err := NewDesign(nil, nil, nil); err == nil {
+	if _, err := NewStar(nil, nil, nil); err == nil {
 		t.Fatal("want nil fact error")
 	}
-	if _, err := NewDesign(fact, [][]int{{0, 1, 2, 0}}, nil); err == nil {
+	if _, err := NewStar(fact, [][]int{{0, 1, 2, 0}}, nil); err == nil {
 		t.Fatal("want fk/dim count mismatch error")
 	}
-	if _, err := NewDesign(fact, [][]int{{0, 1}}, []*la.Dense{dim}); err == nil {
+	if _, err := NewStar(fact, [][]int{{0, 1}}, []*la.Dense{dim}); err == nil {
 		t.Fatal("want fk length error")
 	}
-	if _, err := NewDesign(fact, [][]int{{0, 1, 3, 0}}, []*la.Dense{dim}); err == nil {
+	if _, err := NewStar(fact, [][]int{{0, 1, 3, 0}}, []*la.Dense{dim}); err == nil {
 		t.Fatal("want fk out-of-range error")
 	}
-	d, err := NewDesign(fact, [][]int{{0, 1, 2, 0}}, []*la.Dense{dim})
+	d, err := NewStar(fact, [][]int{{0, 1, 2, 0}}, []*la.Dense{dim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Rows() != 4 || d.Cols() != 4 || d.NumDims() != 1 {
-		t.Fatalf("dims: rows=%d cols=%d k=%d", d.Rows(), d.Cols(), d.NumDims())
+	if d.Rows() != 4 || d.Cols() != 4 || d.NumNodes() != 2 {
+		t.Fatalf("dims: rows=%d cols=%d nodes=%d", d.Rows(), d.Cols(), d.NumNodes())
 	}
 }
 
@@ -202,7 +202,7 @@ func TestFactorizedEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := NewDesign(s.FactX, s.FKs, s.DimX)
+		d, err := NewStar(s.FactX, s.FKs, s.DimX)
 		if err != nil {
 			return false
 		}

@@ -15,7 +15,6 @@ import (
 // The join tree is the zero-alloc bulk source the optimizer trains over.
 var (
 	_ opt.BulkDataInto = (*JoinTree)(nil)
-	_ opt.BulkDataInto = (*Design)(nil)
 )
 
 // treeFromSnowflake converts a generated workload schema into engine form.
@@ -192,7 +191,7 @@ func TestJoinsOrderingInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := NewDesign(s.FactX, s.FKs, s.DimX)
+	d1, err := NewStar(s.FactX, s.FKs, s.DimX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestJoinsOrderingInvariance(t *testing.T) {
 		fks2[k] = s.FKs[p]
 		dims2[k] = s.DimX[p]
 	}
-	d2, err := NewDesign(s.FactX, fks2, dims2)
+	d2, err := NewStar(s.FactX, fks2, dims2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestFactorizedThroughSearchAndCV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	design, err := factorized.NewDesign(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package ooc
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"dmml/internal/la"
 	"dmml/internal/storage"
@@ -18,14 +16,11 @@ import (
 // how large the file is.
 func ReadCSV(bp *storage.BufferPool, r io.Reader, opts Options) (*Matrix, error) {
 	opts = opts.withDefaults()
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
 	var (
 		b     *Builder
 		cols  int
 		buf   []float64 // block accumulation buffer, opts.BlockRows*cols
 		nrows int       // rows currently in buf
-		row   int       // absolute row, for errors
 	)
 	flush := func() error {
 		if nrows == 0 {
@@ -35,46 +30,24 @@ func ReadCSV(bp *storage.BufferPool, r io.Reader, opts Options) (*Matrix, error)
 		if err != nil {
 			return err
 		}
-		if err := b.AppendBlock(d); err != nil {
-			return err
-		}
 		nrows = 0
-		return nil
+		return b.AppendBlock(d)
 	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ooc: csv read: %w", err)
-		}
+	err := storage.ScanMatrixCSV(r, func(vals []float64) error {
 		if b == nil {
-			cols = len(rec)
+			cols = len(vals)
 			b = NewBuilder(bp, cols, opts)
 			buf = make([]float64, opts.BlockRows*cols)
 		}
-		if len(rec) != cols {
-			return nil, fmt.Errorf("ooc: csv row %d has %d fields, want %d", row, len(rec), cols)
-		}
-		dst := buf[nrows*cols : (nrows+1)*cols]
-		for j, field := range rec {
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ooc: csv row %d col %d: %w", row, j, err)
-			}
-			dst[j] = v
-		}
+		copy(buf[nrows*cols:], vals)
 		nrows++
-		row++
 		if nrows == opts.BlockRows {
-			if err := flush(); err != nil {
-				return nil, err
-			}
+			return flush()
 		}
-	}
-	if b == nil {
-		return nil, fmt.Errorf("ooc: csv input is empty")
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := flush(); err != nil {
 		return nil, err

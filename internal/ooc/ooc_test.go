@@ -62,15 +62,26 @@ func TestFromDenseRoundTrip(t *testing.T) {
 func TestOpsMatchDense(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	src := testMatrix(r, 900, 5)
-	// Budget far below the matrix size so ops must stream through spill.
-	bp := newPool(t, 8*1024)
-	m, err := FromDense(bp, src, Options{BlockRows: 100})
-	if err != nil {
-		t.Fatal(err)
+	for _, raw := range []bool{false, true} {
+		// Budget far below the matrix size so ops must stream through spill,
+		// in both the compressed and the raw page layout.
+		bp := newPool(t, 8*1024)
+		m, err := FromDense(bp, src, Options{BlockRows: 100, NoCompress: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw != (m.CompressedBlocks() == 0) {
+			t.Fatalf("NoCompress=%v but %d blocks compressed", raw, m.CompressedBlocks())
+		}
+		opsMatchDense(t, r, m, src)
+		if bp.Stats().SpillReads == 0 {
+			t.Fatalf("NoCompress=%v: ops never reloaded a spilled block; test is vacuous", raw)
+		}
 	}
-	if m.CompressedBlocks() == 0 {
-		t.Fatal("no block compressed; test data should be compressible")
-	}
+}
+
+func opsMatchDense(t *testing.T, r *rand.Rand, m *Matrix, src *la.Dense) {
+	t.Helper()
 	for _, prefetch := range []bool{false, true} {
 		m.SetPrefetch(prefetch)
 		v := make([]float64, 5)

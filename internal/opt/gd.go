@@ -83,16 +83,23 @@ func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (floa
 	grad := make([]float64, data.Cols())
 	margins := pool.GetF64(data.Rows())
 	derivs := pool.GetF64(data.Rows())
-	v := lossAndGradientInto(data, y, w, loss, l2, margins, derivs, grad)
+	v, err := lossAndGradientInto(data, y, w, loss, l2, margins, derivs, grad)
 	pool.PutF64(margins)
 	pool.PutF64(derivs)
+	if err != nil {
+		// This signature has no error path; solvers that do (GradientDescent)
+		// call lossAndGradientInto and return the failure instead.
+		panic(err.Error())
+	}
 	return v, grad
 }
 
 // lossAndGradientInto is LossAndGradient with caller-owned buffers: margins
 // and derivs have length Rows, grad length Cols. When data implements
-// BulkDataInto the whole evaluation is allocation-free.
-func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) float64 {
+// BulkDataInto the whole evaluation is allocation-free. The error is a
+// BlockData source failing mid-pass (e.g. a spill read); in-memory sources
+// never return one.
+func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
 	if len(y) != n {
 		panic(fmt.Sprintf("opt: %d labels for %d rows", len(y), n))
@@ -122,7 +129,7 @@ func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, m
 	for j := range grad {
 		grad[j] = grad[j]*invN + l2*w[j]
 	}
-	return total*invN + 0.5*l2*la.Dot(w, w)
+	return total*invN + 0.5*l2*la.Dot(w, w), nil
 }
 
 // GDConfig configures full-batch gradient descent.
@@ -178,7 +185,10 @@ func GradientDescent(data BulkData, y []float64, loss Loss, cfg GDConfig) (*GDRe
 	defer pool.PutF64(derivs)
 	res := &GDResult{}
 	step := cfg.Step
-	prev := lossAndGradientInto(data, y, w, loss, cfg.L2, margins, derivs, grad)
+	prev, err := lossAndGradientInto(data, y, w, loss, cfg.L2, margins, derivs, grad)
+	if err != nil {
+		return nil, err
+	}
 	for it := 0; it < cfg.MaxIter; it++ {
 		epochSW := mGDEpochTimer.Start()
 		mGDEpochs.Inc()
@@ -186,14 +196,16 @@ func GradientDescent(data BulkData, y []float64, loss Loss, cfg GDConfig) (*GDRe
 		res.History = append(res.History, prev)
 		copy(cand, w)
 		la.Axpy(-step, grad, cand)
-		cur := lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
-		if cfg.Backtracking {
-			for cur > prev && step > 1e-12 {
-				step /= 2
-				copy(cand, w)
-				la.Axpy(-step, grad, cand)
-				cur = lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
-			}
+		cur, err := lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
+		for err == nil && cfg.Backtracking && cur > prev && step > 1e-12 {
+			step /= 2
+			copy(cand, w)
+			la.Axpy(-step, grad, cand)
+			cur, err = lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
+		}
+		if err != nil {
+			epochSW.Stop()
+			return nil, err
 		}
 		w, cand = cand, w
 		grad, candGrad = candGrad, grad

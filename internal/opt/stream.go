@@ -43,7 +43,7 @@ type BlockData interface {
 // gradient accumulation per block. A single pass suffices because the loss
 // derivative at row i depends only on that row's margin — the block's
 // contribution to the gradient is complete the moment its margins are.
-func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) float64 {
+func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
 	if len(y) != n {
 		panic(fmt.Sprintf("opt: %d labels for %d rows", len(y), n))
@@ -65,15 +65,13 @@ func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64
 		return nil
 	})
 	if err != nil {
-		// Solver iteration loops have no error path; a block source failing
-		// mid-pass means its backing storage is gone, which is fatal.
-		panic(fmt.Sprintf("opt: block stream failed: %v", err))
+		return 0, fmt.Errorf("opt: block stream failed: %w", err)
 	}
 	invN := 1 / float64(n)
 	for j := range grad {
 		grad[j] = grad[j]*invN + l2*w[j]
 	}
-	return total*invN + 0.5*l2*la.Dot(w, w)
+	return total*invN + 0.5*l2*la.Dot(w, w), nil
 }
 
 // StreamConfig configures block-streaming SGD.

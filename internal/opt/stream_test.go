@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dmml/internal/la"
@@ -15,6 +16,7 @@ type fakeBlocks struct {
 	m         *la.Dense
 	blockRows int
 	failAt    int // block index to fail at, -1 for never
+	okPasses  int // full passes that succeed before failAt takes effect
 }
 
 func (f *fakeBlocks) Rows() int { return f.m.Rows() }
@@ -30,8 +32,9 @@ func (f *fakeBlocks) NumBlocks() int {
 }
 
 func (f *fakeBlocks) ForEachBlock(fn func(RowBlock) error) error {
+	f.okPasses--
 	for i := 0; i < f.NumBlocks(); i++ {
-		if i == f.failAt {
+		if i == f.failAt && f.okPasses < 0 {
 			return fmt.Errorf("injected block failure at %d", i)
 		}
 		r0 := i * f.blockRows
@@ -113,10 +116,19 @@ func TestStreamLossAndGradient(t *testing.T) {
 	}
 }
 
-func TestStreamBlockFailurePanics(t *testing.T) {
+// A block source failing mid-pass is an error from the solvers that can
+// return one; only the error-less LossAndGradient signature still panics.
+func TestStreamBlockFailure(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	m, y := randProblem(r, 200, 4)
 	w := make([]float64, 4)
+	for okPasses := 0; okPasses < 3; okPasses++ { // initial evaluation, then inside the loop
+		_, err := GradientDescent(&fakeBlocks{m: m, blockRows: 50, failAt: 2, okPasses: okPasses}, y, Logistic{},
+			GDConfig{Step: 0.1, MaxIter: 3, Backtracking: true})
+		if err == nil || !strings.Contains(err.Error(), "injected block failure at 2") {
+			t.Fatalf("after %d good passes GradientDescent err = %v, want the block failure", okPasses, err)
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on mid-stream block failure")

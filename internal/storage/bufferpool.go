@@ -13,8 +13,8 @@ import (
 	"sync"
 )
 
-// PageID identifies a page: Owner scopes pages to one paged object (e.g. a
-// PagedMatrix) and Index is the page number within the owner.
+// PageID identifies a page: Owner scopes pages to one paged object (e.g. an
+// ooc.Matrix) and Index is the page number within the owner.
 type PageID struct {
 	Owner int
 	Index int
@@ -29,19 +29,14 @@ type PoolStats struct {
 	SpillReads  int64
 }
 
-// BufferPool caches fixed-role float64 pages in memory up to a capacity,
+// BufferPool caches fixed-role float64 pages in memory up to a byte budget,
 // evicting least-recently-used unpinned pages to disk. It is safe for
-// concurrent use.
-//
-// Capacity comes in two flavors: a page-count budget (NewBufferPool — every
-// page counts as one slot regardless of size) or a byte budget
-// (NewBufferPoolBytes — pages of different sizes share one memory budget,
-// the mode the out-of-core datapath uses since compressed pages are smaller
-// than dense ones).
+// concurrent use. Pages of different sizes share the one budget (compressed
+// pages are smaller than dense ones); a pool of k uniform pages is the budget
+// k·pageBytes.
 type BufferPool struct {
 	mu       sync.Mutex
-	capacity int   // max resident pages (page-count mode; 0 in byte mode)
-	byteCap  int64 // max resident bytes (byte mode; 0 in page-count mode)
+	byteCap  int64 // max resident bytes
 	resBytes int64 // current resident bytes
 	dir      string
 	resident map[PageID]*page
@@ -61,23 +56,6 @@ type page struct {
 	dirty    bool
 	pinned   int
 	lastUsed uint64
-}
-
-// NewBufferPool creates a pool holding at most capacity pages in memory,
-// spilling to dir (created if needed).
-func NewBufferPool(capacity int, dir string) (*BufferPool, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("storage: buffer pool capacity %d < 1", capacity)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: buffer pool dir: %w", err)
-	}
-	return &BufferPool{
-		capacity: capacity,
-		dir:      dir,
-		resident: make(map[PageID]*page),
-		onDisk:   make(map[PageID]int),
-	}, nil
 }
 
 // NewBufferPoolBytes creates a pool holding at most budget bytes of page data
@@ -271,17 +249,10 @@ func (bp *BufferPool) ResidentBytes() int64 {
 }
 
 // makeRoomLocked evicts LRU unpinned pages until a page of `need` floats fits
-// under the pool's budget (one slot in page-count mode, 8*need bytes in byte
-// mode). In byte mode a page larger than the whole budget is admitted once the
-// pool is empty, per the NewBufferPoolBytes contract.
+// under the byte budget. A page larger than the whole budget is admitted once
+// the pool is empty, per the NewBufferPoolBytes contract.
 func (bp *BufferPool) makeRoomLocked(need int) error {
-	full := func() bool {
-		if bp.capacity > 0 {
-			return len(bp.resident) >= bp.capacity
-		}
-		return len(bp.resident) > 0 && bp.resBytes+8*int64(need) > bp.byteCap
-	}
-	for full() {
+	for len(bp.resident) > 0 && bp.resBytes+8*int64(need) > bp.byteCap {
 		var victim *page
 		for _, p := range bp.resident {
 			if p.pinned > 0 {
@@ -292,9 +263,6 @@ func (bp *BufferPool) makeRoomLocked(need int) error {
 			}
 		}
 		if victim == nil {
-			if bp.capacity > 0 {
-				return fmt.Errorf("storage: buffer pool exhausted: all %d pages pinned", bp.capacity)
-			}
 			return fmt.Errorf("storage: buffer pool exhausted: all %d resident bytes pinned, need %d more", bp.resBytes, 8*int64(need))
 		}
 		if victim.dirty {

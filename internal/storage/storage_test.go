@@ -162,7 +162,7 @@ func TestToMatrix(t *testing.T) {
 }
 
 func TestBufferPoolBasics(t *testing.T) {
-	bp, err := NewBufferPool(2, t.TempDir())
+	bp, err := NewBufferPoolBytes(2*4*8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestBufferPoolBasics(t *testing.T) {
 }
 
 func TestBufferPoolEvictionAndReload(t *testing.T) {
-	bp, err := NewBufferPool(2, t.TempDir())
+	bp, err := NewBufferPoolBytes(2*3*8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestBufferPoolEvictionAndReload(t *testing.T) {
 }
 
 func TestBufferPoolAllPinned(t *testing.T) {
-	bp, _ := NewBufferPool(1, t.TempDir())
+	bp, _ := NewBufferPoolBytes(1*2*8, t.TempDir())
 	if _, err := bp.Pin(PageID{1, 0}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestBufferPoolAllPinned(t *testing.T) {
 }
 
 func TestBufferPoolFailureInjection(t *testing.T) {
-	bp, _ := NewBufferPool(1, t.TempDir())
+	bp, _ := NewBufferPoolBytes(1*2*8, t.TempDir())
 	injected := errors.New("disk on fire")
 	bp.SetFailureHooks(nil, func(PageID) error { return injected })
 	d, _ := bp.Pin(PageID{1, 0}, 2)
@@ -251,116 +251,103 @@ func TestBufferPoolFailureInjection(t *testing.T) {
 	}
 }
 
-func TestPagedMatrixRoundTrip(t *testing.T) {
-	bp, _ := NewBufferPool(3, t.TempDir())
-	r := rand.New(rand.NewSource(50))
-	d := la.NewDense(37, 5)
-	for i := 0; i < 37; i++ {
-		for j := 0; j < 5; j++ {
-			d.Set(i, j, r.NormFloat64())
+// The numeric-CSV parser numbers rows and columns from 1 in every error and
+// rejects ragged, non-numeric and empty input.
+func TestScanMatrixCSVErrors(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"", "empty"},
+		{"1,2\n3\n", "row 2 has 1 fields, want 2"},
+		{"1,2\n3,nope\n", "row 2 col 2"},
+		{"1,\"2\n", "csv read"},
+	}
+	for _, c := range cases {
+		err := ScanMatrixCSV(strings.NewReader(c.in), func([]float64) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("ScanMatrixCSV(%q) err = %v, want %q", c.in, err, c.want)
 		}
 	}
-	pm, err := NewPagedMatrix(bp, 37, 5, 8) // 5 pages through a 3-page pool
-	if err != nil {
-		t.Fatal(err)
+	stop := errors.New("stop")
+	if err := ScanMatrixCSV(strings.NewReader("1\n2\n"), func([]float64) error { return stop }); err != stop {
+		t.Fatalf("callback error = %v, want it returned as is", err)
 	}
-	if err := pm.FromDense(d); err != nil {
-		t.Fatal(err)
+	if _, err := ReadMatrixCSVFile("/nonexistent/x.csv"); err == nil {
+		t.Fatal("want open error")
 	}
-	got, err := pm.ToDense()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(d, 0) {
-		t.Fatal("paged round trip mismatch")
+}
+
+// Dirty pages written through a pool smaller than the page set must spill on
+// eviction and reload with their content intact.
+func TestBufferPoolDirtySpillRoundTrip(t *testing.T) {
+	const pages, pageFloats = 5, 40
+	bp, _ := NewBufferPoolBytes(3*pageFloats*8, t.TempDir())
+	r := rand.New(rand.NewSource(50))
+	want := make([][]float64, pages)
+	for i := range want {
+		data, err := bp.Pin(PageID{1, i}, pageFloats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range data {
+			data[k] = r.NormFloat64()
+		}
+		want[i] = append([]float64(nil), data...)
+		bp.Unpin(PageID{1, i}, true)
 	}
 	if bp.Stats().SpillWrites == 0 {
-		t.Fatal("expected spills with 5 pages through 3-page pool")
+		t.Fatal("expected spills with 5 pages through a 3-page budget")
+	}
+	for i := range want {
+		data, err := bp.Pin(PageID{1, i}, pageFloats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range data {
+			if data[k] != want[i][k] {
+				t.Fatalf("page %d float %d = %v after spill, want %v", i, k, data[k], want[i][k])
+			}
+		}
+		bp.Unpin(PageID{1, i}, false)
+	}
+	if bp.Stats().SpillReads == 0 {
+		t.Fatal("expected spill reads on the second pass")
 	}
 }
 
-func TestPagedMatrixOps(t *testing.T) {
-	bp, _ := NewBufferPool(2, t.TempDir())
-	r := rand.New(rand.NewSource(51))
-	d := la.NewDense(50, 4)
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 4; j++ {
-			d.Set(i, j, r.NormFloat64())
-		}
-	}
-	pm, _ := NewPagedMatrix(bp, 50, 4, 7)
-	if err := pm.FromDense(d); err != nil {
-		t.Fatal(err)
-	}
-	v := []float64{1, -2, 0.5, 3}
-	got, err := pm.MatVec(v)
+// DropOwner must refuse while any of the owner's pages is pinned, and once
+// they are released forget them in memory and on disk.
+func TestDropOwnerWhilePinned(t *testing.T) {
+	bp, _ := NewBufferPoolBytes(2*2*8, t.TempDir())
+	id := PageID{1, 0}
+	d, err := bp.Pin(id, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := la.MatVec(d, v)
-	for i := range got {
-		if diff := got[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("MatVec[%d] = %v, want %v", i, got[i], want[i])
-		}
+	d[0] = 7
+	if err := bp.DropOwner(1); err == nil || !strings.Contains(err.Error(), "still pinned") {
+		t.Fatalf("err = %v, want still-pinned error", err)
 	}
-	x := make([]float64, 50)
-	for i := range x {
-		x[i] = r.NormFloat64()
+	bp.Unpin(id, true)
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
 	}
-	gotV, err := pm.VecMat(x)
+	if err := bp.DropOwner(1); err != nil {
+		t.Fatal(err)
+	}
+	if bp.ResidentPages() != 0 || bp.ResidentBytes() != 0 {
+		t.Fatalf("resident after drop: %d pages, %d bytes", bp.ResidentPages(), bp.ResidentBytes())
+	}
+	if _, err := os.Stat(bp.pagePath(id)); !os.IsNotExist(err) {
+		t.Fatalf("spill file survived DropOwner: %v", err)
+	}
+	// A fresh pin of the same id is a new zeroed page, not the dropped one.
+	d, err = bp.Pin(id, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantV := la.VecMat(x, d)
-	for j := range gotV {
-		if diff := gotV[j] - wantV[j]; diff > 1e-10 || diff < -1e-10 {
-			t.Fatalf("VecMat[%d] = %v, want %v", j, gotV[j], wantV[j])
-		}
+	if d[0] != 0 {
+		t.Fatalf("dropped page content resurfaced: %v", d[0])
 	}
-	g, err := pm.Gram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(la.Gram(d), 1e-10) {
-		t.Fatal("paged Gram mismatch")
-	}
-	// Row access.
-	row := make([]float64, 4)
-	if err := pm.Row(33, row); err != nil {
-		t.Fatal(err)
-	}
-	for j := range row {
-		if row[j] != d.At(33, j) {
-			t.Fatalf("Row(33) = %v", row)
-		}
-	}
-	if err := pm.SetRow(33, []float64{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	_ = pm.Row(33, row)
-	if row[0] != 9 {
-		t.Fatal("SetRow did not stick")
-	}
-	if err := pm.Drop(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPagedMatrixValidation(t *testing.T) {
-	bp, _ := NewBufferPool(2, t.TempDir())
-	if _, err := NewPagedMatrix(bp, 0, 3, 2); err == nil {
-		t.Fatal("want dims error")
-	}
-	pm, _ := NewPagedMatrix(bp, 10, 3, 4)
-	if err := pm.SetRow(10, make([]float64, 3)); err == nil {
-		t.Fatal("want range error")
-	}
-	if err := pm.SetRow(0, make([]float64, 2)); err == nil {
-		t.Fatal("want length error")
-	}
-	if _, err := pm.MatVec(make([]float64, 2)); err == nil {
-		t.Fatal("want MatVec length error")
-	}
+	bp.Unpin(id, false)
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -482,7 +469,7 @@ func TestMustSchemaPanics(t *testing.T) {
 }
 
 func TestFlushAllAndResidentPages(t *testing.T) {
-	bp, _ := NewBufferPool(4, t.TempDir())
+	bp, _ := NewBufferPoolBytes(4*2*8, t.TempDir())
 	for i := 0; i < 3; i++ {
 		d, err := bp.Pin(PageID{1, i}, 2)
 		if err != nil {
@@ -532,17 +519,6 @@ func TestCSVFileHelpers(t *testing.T) {
 	}
 	if err := WriteCSVFile("/nonexistent/dir/x.csv", tb); err == nil {
 		t.Fatal("want create error")
-	}
-}
-
-func TestPagedMatrixDims(t *testing.T) {
-	bp, _ := NewBufferPool(2, t.TempDir())
-	pm, _ := NewPagedMatrix(bp, 10, 3, 4)
-	if r, c := pm.Dims(); r != 10 || c != 3 {
-		t.Fatalf("Dims = %d,%d", r, c)
-	}
-	if pm.NumPages() != 3 {
-		t.Fatalf("NumPages = %d", pm.NumPages())
 	}
 }
 
@@ -615,7 +591,7 @@ func tablesEqual(a, b *Table) bool {
 // page's fixed length (resident or spilled) must fail descriptively instead
 // of silently handing back a slice of unexpected length.
 func TestBufferPoolPinSizeMismatch(t *testing.T) {
-	bp, err := NewBufferPool(1, t.TempDir())
+	bp, err := NewBufferPoolBytes(1*4*8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +628,7 @@ func TestBufferPoolPinSizeMismatch(t *testing.T) {
 // Satellite regression: DropOwner must report spill files it failed to
 // remove instead of silently leaking them.
 func TestDropOwnerReportsRemoveFailures(t *testing.T) {
-	bp, err := NewBufferPool(1, t.TempDir())
+	bp, err := NewBufferPoolBytes(1*2*8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
