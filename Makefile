@@ -23,15 +23,16 @@
 #                       dmmlserve + loadtest closed loop, fails below
 #                       20k predictions/s or on any request error
 #   make bench          benchstat-compatible timings for the perf-tracked
-#                       experiments (E4, E5, E6, E10, E15, E16, E17, and the E14
-#                       fault-injection scenario) — run before and after a kernel
-#                       change and feed both logs to benchstat
-#   make bench-guard    the non-blocking CI bench job: run E4/E5/E15/E16/E17 at
-#                       full scale with -snapshot/-metrics and diff against the
-#                       BENCH_baseline.json snapshot pins
+#                       experiments (E4, E5, E6, E10, E15, E16, E17, E18, and the
+#                       E14 fault-injection scenario) — run before and after a
+#                       kernel change and feed both logs to benchstat
+#   make bench-guard    the non-blocking CI bench job: run E4/E5/E15/E16/E17/E18
+#                       at full scale with -snapshot/-metrics and diff against
+#                       the BENCH_baseline.json snapshot pins
 #   make cover          the CI coverage job: per-package statement coverage over
 #                       ./internal/... with an HTML report (coverage.html) and
-#                       hard floors on the storage and compress packages
+#                       hard floors on the storage, compress, factorized, dml
+#                       and opt packages
 #   make fuzz-nightly   the nightly extended fuzzing pass: 5 minutes per fuzz
 #                       target instead of fuzz-smoke's 15 seconds
 #   make bench-guard-strict  nightly bench guard: same run as bench-guard but
@@ -123,12 +124,15 @@ bench-guard-strict:
 
 # Per-package statement coverage with an HTML report, plus hard floors on the
 # packages that own the out-of-core datapath's correctness — the buffer pool
-# (storage) and the page codec (compress) — and on the join-tree pushdown
-# engine (factorized). The floor check parses go test's
+# (storage) and the page codec (compress) — on the join-tree pushdown
+# engine (factorized), and on the two ends of the source contract: the
+# solvers (opt) and the DML evaluator (dml). The floor check parses go test's
 # own per-package coverage lines, so it cannot drift from the profile.
 COVER_FLOOR_STORAGE ?= 85
 COVER_FLOOR_COMPRESS ?= 82
 COVER_FLOOR_FACTORIZED ?= 80
+COVER_FLOOR_DML ?= 88
+COVER_FLOOR_OPT ?= 87
 
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./internal/... | tee coverage.txt
@@ -143,7 +147,9 @@ cover:
 	}; \
 	check storage $(COVER_FLOOR_STORAGE); \
 	check compress $(COVER_FLOOR_COMPRESS); \
-	check factorized $(COVER_FLOOR_FACTORIZED)
+	check factorized $(COVER_FLOOR_FACTORIZED); \
+	check dml $(COVER_FLOOR_DML); \
+	check opt $(COVER_FLOOR_OPT)
 
 # Nightly extended fuzzing: the same three properties fuzz-smoke touches for
 # 15s each get 5 minutes each.

@@ -103,24 +103,11 @@ func (c *Matrix) MatVecInto(dst, v []float64) []float64 {
 		}
 		return dst
 	}
-	partials := make([][]float64, pool.Workers())
-	partials[0] = dst
-	pool.Do(len(c.groups), 1, func(slot, lo, hi int) {
-		acc := partials[slot]
-		if acc == nil {
-			acc = pool.GetF64Zeroed(c.rows)
-			partials[slot] = acc
-		}
+	pool.ReduceInto(dst, len(c.groups), 1, func(acc []float64, lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			c.groups[gi].MatVecAccum(acc, v)
 		}
 	})
-	for _, p := range partials[1:] {
-		if p != nil {
-			la.Axpy(1, p, dst)
-			pool.PutF64(p)
-		}
-	}
 	return dst
 }
 

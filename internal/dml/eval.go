@@ -41,14 +41,6 @@ func (v Value) String() string {
 	return v.M.String()
 }
 
-// oocUnsupported reports an operation that would need the whole matrix
-// resident. Out-of-core matrices support exactly the streaming access paths:
-// size queries, column aggregates, and the mat-vec/Gram product patterns.
-func oocUnsupported(op string) error {
-	return fmt.Errorf("%s is not supported on an out-of-core matrix; "+
-		"supported: nrow, ncol, sum, mean, colSums, X %%*%% v, t(X) %%*%% v, t(X) %%*%% X", op)
-}
-
 // Env binds variable names to values.
 type Env map[string]Value
 
@@ -186,6 +178,17 @@ func (e *evaluator) allocCells(rows, cols int) {
 	e.stats.CellsAllocated += int64(rows) * int64(cols)
 }
 
+// vector wraps a kernel's result slice as a rows×cols matrix Value without
+// copying it.
+func (e *evaluator) vector(rows, cols int, data []float64) (Value, error) {
+	m, err := la.NewDenseData(rows, cols, data)
+	if err != nil {
+		return Value{}, err
+	}
+	e.allocCells(rows, cols)
+	return Matrix(m), nil
+}
+
 func (e *evaluator) eval(n Node) (Value, error) {
 	// CSE: identical matrix subtrees inside one statement evaluate once.
 	key := ""
@@ -245,10 +248,11 @@ func (e *evaluator) evalRaw(n Node) (Value, error) {
 		if v.IsScalar {
 			return Scalar(-v.S), nil
 		}
-		if v.O != nil {
-			return Value{}, oocUnsupported("unary minus")
+		m, err := e.dense(v, "unary minus")
+		if err != nil {
+			return Value{}, err
 		}
-		out := v.M.Clone().Scale(-1)
+		out := m.Clone().Scale(-1)
 		e.allocCells(out.Rows(), out.Cols())
 		return Matrix(out), nil
 	case *BinOp:
@@ -276,8 +280,14 @@ func (e *evaluator) evalBinOp(n *BinOp) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if l.O != nil || r.O != nil {
-		return Value{}, oocUnsupported(fmt.Sprintf("element-wise %s", n.Op))
+	op := "element-wise " + n.Op
+	lm, err := e.dense(l, op)
+	if err != nil {
+		return Value{}, err
+	}
+	rm, err := e.dense(r, op)
+	if err != nil {
+		return Value{}, err
 	}
 	if compareOps[n.Op] {
 		if !l.IsScalar || !r.IsScalar {
@@ -305,7 +315,7 @@ func (e *evaluator) evalBinOp(n *BinOp) (Value, error) {
 		v, err := apply(l.S, r.S)
 		return Scalar(v), err
 	case l.IsScalar:
-		out := r.M.Clone()
+		out := rm.Clone()
 		e.allocCells(out.Rows(), out.Cols())
 		var ferr error
 		out.Apply(func(x float64) float64 {
@@ -317,7 +327,7 @@ func (e *evaluator) evalBinOp(n *BinOp) (Value, error) {
 		})
 		return Matrix(out), ferr
 	case r.IsScalar:
-		out := l.M.Clone()
+		out := lm.Clone()
 		e.allocCells(out.Rows(), out.Cols())
 		var ferr error
 		out.Apply(func(x float64) float64 {
@@ -329,14 +339,14 @@ func (e *evaluator) evalBinOp(n *BinOp) (Value, error) {
 		})
 		return Matrix(out), ferr
 	default:
-		lr, lc := l.M.Dims()
-		rr, rc := r.M.Dims()
+		lr, lc := lm.Dims()
+		rr, rc := rm.Dims()
 		if lr != rr || lc != rc {
 			return Value{}, fmt.Errorf("element-wise %s on %dx%d and %dx%d", n.Op, lr, lc, rr, rc)
 		}
-		out := l.M.Clone()
+		out := lm.Clone()
 		e.allocCells(lr, lc)
-		ld, rd := out.RawData(), r.M.RawData()
+		ld, rd := out.RawData(), rm.RawData()
 		for i := range ld {
 			v, err := apply(ld[i], rd[i])
 			if err != nil {
@@ -349,80 +359,19 @@ func (e *evaluator) evalBinOp(n *BinOp) (Value, error) {
 }
 
 // evalMatMul executes %*% with physical-operator selection: t(X) %*% X maps
-// to the fused Gram kernel, products against thin right-hand sides map to
+// to the Gram kernel, products against thin right-hand sides map to
 // matrix–vector kernels, and t(X) %*% y avoids materializing the transpose.
+// Those three run over either representation (see the branch points in
+// ooc.go); everything else needs its operands dense.
 func (e *evaluator) evalMatMul(n *BinOp) (Value, error) {
-	// t(A) %*% A → Gram(A) without materializing the transpose.
 	if lt, ok := n.Left.(*Call); ok && lt.Fn == "t" {
-		if lt.Args[0].String() == n.Right.String() {
-			inner, err := e.eval(lt.Args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			if !inner.IsScalar {
-				if inner.O != nil {
-					rows, cols := inner.O.Dims()
-					g, err := inner.O.Gram()
-					if err != nil {
-						return Value{}, err
-					}
-					e.stats.Flops += float64(rows) * float64(cols) * float64(cols)
-					e.allocCells(cols, cols)
-					return Matrix(g), nil
-				}
-				rows, cols := inner.M.Dims()
-				e.stats.Flops += float64(rows) * float64(cols) * float64(cols)
-				e.allocCells(cols, cols)
-				return Matrix(la.Gram(inner.M)), nil
-			}
-		}
-		// t(A) %*% B with thin B → per-column VecMat on A (no transpose).
-		innerV, err := e.eval(lt.Args[0])
+		inner, err := e.eval(lt.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		rv, err := e.eval(n.Right)
-		if err != nil {
-			return Value{}, err
+		if !inner.IsScalar { // t(scalar) is the generic path's error to report
+			return e.transposeMatMul(inner, lt.Args[0].String() == n.Right.String(), n.Right)
 		}
-		if rv.O != nil {
-			return Value{}, oocUnsupported("%*% with an out-of-core right operand")
-		}
-		if !innerV.IsScalar && !rv.IsScalar && rv.M.Cols() == 1 {
-			// t(X) %*% y with out-of-core X streams blocks through VecMat.
-			if innerV.O != nil {
-				if innerV.O.Rows() != rv.M.Rows() {
-					return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d",
-						innerV.O.Cols(), innerV.O.Rows(), rv.M.Rows(), rv.M.Cols())
-				}
-				res := innerV.O.VecMat(rv.M.Col(0))
-				e.stats.Flops += 2 * float64(innerV.O.Rows()) * float64(innerV.O.Cols())
-				e.allocCells(len(res), 1)
-				out, err := la.NewDenseData(len(res), 1, res)
-				if err != nil {
-					return Value{}, err
-				}
-				return Matrix(out), nil
-			}
-			a := innerV.M
-			if a.Rows() != rv.M.Rows() {
-				return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", a.Cols(), a.Rows(), rv.M.Rows(), rv.M.Cols())
-			}
-			col := rv.M.Col(0)
-			res := la.VecMat(col, a)
-			e.stats.Flops += 2 * float64(a.Rows()) * float64(a.Cols())
-			e.allocCells(len(res), 1)
-			out := la.NewDense(len(res), 1)
-			for i, v := range res {
-				out.Set(i, 0, v)
-			}
-			return Matrix(out), nil
-		}
-		if innerV.O != nil {
-			return Value{}, oocUnsupported("t(X) %*% B with a wide right operand")
-		}
-		// Fall through: generic path with materialized operands.
-		return e.genericMatMul(Value{M: innerV.M.T()}, rv)
 	}
 	l, err := e.eval(n.Left)
 	if err != nil {
@@ -435,47 +384,76 @@ func (e *evaluator) evalMatMul(n *BinOp) (Value, error) {
 	return e.genericMatMul(l, r)
 }
 
+// transposeMatMul is t(A) %*% right for a matrix A; isGram says right is A
+// itself.
+func (e *evaluator) transposeMatMul(inner Value, isGram bool, right Node) (Value, error) {
+	rows, cols := inner.dims()
+	// t(A) %*% A → Gram(A) without materializing the transpose.
+	if isGram {
+		g, err := inner.gram()
+		if err != nil {
+			return Value{}, err
+		}
+		e.stats.Flops += float64(rows) * float64(cols) * float64(cols)
+		e.allocCells(cols, cols)
+		return Matrix(g), nil
+	}
+	rv, err := e.eval(right)
+	if err != nil {
+		return Value{}, err
+	}
+	b, err := e.dense(rv, "%*% with an out-of-core right operand")
+	if err != nil {
+		return Value{}, err
+	}
+	// t(A) %*% y with a column y → VecMat on A (no transpose).
+	if !rv.IsScalar && b.Cols() == 1 {
+		if rows != b.Rows() {
+			return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", cols, rows, b.Rows(), b.Cols())
+		}
+		res, err := inner.vecMat(b.Col(0))
+		if err != nil {
+			return Value{}, err
+		}
+		e.stats.Flops += 2 * float64(rows) * float64(cols)
+		return e.vector(cols, 1, res)
+	}
+	a, err := e.dense(inner, "t(X) %*% B with a wide right operand")
+	if err != nil {
+		return Value{}, err
+	}
+	// Generic path with the transpose materialized.
+	return e.genericMatMul(Matrix(a.T()), rv)
+}
+
 func (e *evaluator) genericMatMul(l, r Value) (Value, error) {
 	if l.IsScalar || r.IsScalar {
 		return Value{}, fmt.Errorf("%%*%% needs matrices on both sides")
 	}
-	if r.O != nil {
-		return Value{}, oocUnsupported("%*% with an out-of-core right operand")
+	b, err := e.dense(r, "%*% with an out-of-core right operand")
+	if err != nil {
+		return Value{}, err
 	}
-	if l.O != nil {
-		// X %*% v with out-of-core X streams blocks through MatVec.
-		rr, rc := r.M.Dims()
-		if l.O.Cols() != rr {
-			return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", l.O.Rows(), l.O.Cols(), rr, rc)
-		}
-		if rc != 1 {
-			return Value{}, oocUnsupported("X %*% B with a wide right operand")
-		}
-		res := l.O.MatVec(r.M.Col(0))
-		e.stats.Flops += 2 * float64(l.O.Rows()) * float64(l.O.Cols())
-		e.allocCells(len(res), 1)
-		out, err := la.NewDenseData(len(res), 1, res)
-		if err != nil {
-			return Value{}, err
-		}
-		return Matrix(out), nil
-	}
-	lr, lc := l.M.Dims()
-	rr, rc := r.M.Dims()
+	lr, lc := l.dims()
+	rr, rc := b.Dims()
 	if lc != rr {
 		return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", lr, lc, rr, rc)
 	}
+	if rc == 1 {
+		res, err := l.matVec(b.Col(0))
+		if err != nil {
+			return Value{}, err
+		}
+		e.stats.Flops += 2 * float64(lr) * float64(lc)
+		return e.vector(lr, 1, res)
+	}
+	a, err := e.dense(l, "X %*% B with a wide right operand")
+	if err != nil {
+		return Value{}, err
+	}
 	e.stats.Flops += 2 * float64(lr) * float64(lc) * float64(rc)
 	e.allocCells(lr, rc)
-	if rc == 1 {
-		res := la.MatVec(l.M, r.M.Col(0))
-		out := la.NewDense(lr, 1)
-		for i, v := range res {
-			out.Set(i, 0, v)
-		}
-		return Matrix(out), nil
-	}
-	return Matrix(la.MatMul(l.M, r.M)), nil
+	return Matrix(la.MatMul(a, b)), nil
 }
 
 // evalFused executes a fused region: inputs evaluate through the normal
@@ -496,16 +474,17 @@ func (e *evaluator) evalFused(n *Fused) (Value, error) {
 			ins[i] = la.ScalarInput(v.S)
 			continue
 		}
-		if v.O != nil {
-			return Value{}, oocUnsupported("fused element-wise region")
+		m, err := e.dense(v, "fused element-wise region")
+		if err != nil {
+			return Value{}, err
 		}
-		r, c := v.M.Dims()
+		r, c := m.Dims()
 		if rows < 0 {
 			rows, cols = r, c
 		} else if r != rows || c != cols {
 			return Value{}, fmt.Errorf("element-wise op on %dx%d and %dx%d in fused region", rows, cols, r, c)
 		}
-		ins[i] = la.DenseInput(v.M)
+		ins[i] = la.DenseInput(m)
 	}
 	if rows < 0 {
 		// Every input turned out scalar at runtime; the region was fused on
@@ -546,16 +525,17 @@ func (e *evaluator) evalFused(n *Fused) (Value, error) {
 		if v.IsScalar {
 			return Value{}, fmt.Errorf("%%*%% needs matrices on both sides")
 		}
-		if v.O != nil {
-			return Value{}, oocUnsupported("%*% with an out-of-core right operand")
+		vm, err := e.dense(v, "%*% with an out-of-core right operand")
+		if err != nil {
+			return Value{}, err
 		}
-		vr, vc := v.M.Dims()
+		vr, vc := vm.Dims()
 		if vc != 1 || vr != cols {
 			return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", rows, cols, vr, vc)
 		}
 		e.stats.Flops += 2 * float64(cells)
 		out := la.NewDense(rows, 1)
-		la.FusedMatVecInto(out.RawData(), prog, ins, rows, cols, v.M.RawData())
+		la.FusedMatVecInto(out.RawData(), prog, ins, rows, cols, vm.RawData())
 		e.allocCells(rows, 1)
 		return Matrix(out), nil
 	default: // aggSum
@@ -588,33 +568,39 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 		if v.IsScalar {
 			return Scalar(v.S * v.S), nil
 		}
-		if v.O != nil {
-			return Value{}, oocUnsupported("sum(X^2)")
+		m, err := e.dense(v, "sum(X^2)")
+		if err != nil {
+			return Value{}, err
 		}
-		e.stats.Flops += 2 * float64(v.M.Rows()) * float64(v.M.Cols())
-		return Scalar(v.M.SumSq()), nil
+		e.stats.Flops += 2 * float64(m.Rows()) * float64(m.Cols())
+		return Scalar(m.SumSq()), nil
 	case "__tracemm":
-		a, err := e.eval(n.Args[0])
+		av, err := e.eval(n.Args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		b, err := e.eval(n.Args[1])
+		bv, err := e.eval(n.Args[1])
 		if err != nil {
 			return Value{}, err
 		}
-		if a.IsScalar || b.IsScalar {
+		if av.IsScalar || bv.IsScalar {
 			return Value{}, fmt.Errorf("__tracemm needs matrices")
 		}
-		if a.O != nil || b.O != nil {
-			return Value{}, oocUnsupported("trace(A %*% B)")
+		a, err := e.dense(av, "trace(A %*% B)")
+		if err != nil {
+			return Value{}, err
 		}
-		ar, ac := a.M.Dims()
-		br, bc := b.M.Dims()
+		b, err := e.dense(bv, "trace(A %*% B)")
+		if err != nil {
+			return Value{}, err
+		}
+		ar, ac := a.Dims()
+		br, bc := b.Dims()
 		if ac != br || ar != bc {
 			return Value{}, fmt.Errorf("trace(A %%*%% B) on %dx%d and %dx%d", ar, ac, br, bc)
 		}
 		e.stats.Flops += 2 * float64(ar) * float64(ac)
-		return Scalar(la.TraceMatMul(a.M, b.M)), nil
+		return Scalar(la.TraceMatMul(a, b)), nil
 	}
 
 	args := make([]Value, len(n.Args))
@@ -625,32 +611,30 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 		}
 		args[i] = v
 	}
-	needMatrix := func(i int) (*la.Dense, error) {
+	// anyMatrix admits either representation (the streaming builtins);
+	// needMatrix demands the dense one.
+	anyMatrix := func(i int) (Value, error) {
 		if args[i].IsScalar {
-			return nil, fmt.Errorf("%s: argument %d must be a matrix", n.Fn, i+1)
+			return Value{}, fmt.Errorf("%s: argument %d must be a matrix", n.Fn, i+1)
 		}
-		if args[i].O != nil {
-			return nil, oocUnsupported(n.Fn)
-		}
-		return args[i].M, nil
+		return args[i], nil
 	}
-	// oocColSums streams per-column sums for aggregate builtins over
-	// out-of-core operands.
-	oocColSums := func(m *ooc.Matrix) ([]float64, error) {
-		sums, err := m.ColSums()
+	needMatrix := func(i int) (*la.Dense, error) {
+		v, err := anyMatrix(i)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", n.Fn, err)
+			return nil, err
 		}
-		return sums, nil
+		return e.dense(v, n.Fn)
 	}
 	elementwise := func(f func(float64) float64) (Value, error) {
 		if args[0].IsScalar {
 			return Scalar(f(args[0].S)), nil
 		}
-		if args[0].O != nil {
-			return Value{}, oocUnsupported(n.Fn)
+		m, err := e.dense(args[0], n.Fn)
+		if err != nil {
+			return Value{}, err
 		}
-		out := args[0].M.Clone().Apply(f)
+		out := m.Clone().Apply(f)
 		e.allocCells(out.Rows(), out.Cols())
 		return Matrix(out), nil
 	}
@@ -666,34 +650,24 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 		if args[0].IsScalar {
 			return args[0], nil
 		}
-		var total float64
-		var cells float64
-		if o := args[0].O; o != nil {
-			sums, err := oocColSums(o)
-			if err != nil {
-				return Value{}, err
-			}
-			for _, v := range sums {
-				total += v
-			}
-			cells = float64(o.Rows()) * float64(o.Cols())
-		} else {
-			m := args[0].M
-			total = m.Sum()
-			cells = float64(m.Rows()) * float64(m.Cols())
+		total, err := args[0].sum(n.Fn)
+		if err != nil {
+			return Value{}, err
 		}
 		if n.Fn == "mean" {
-			return Scalar(total / cells), nil
+			rows, cols := args[0].dims()
+			return Scalar(total / (float64(rows) * float64(cols))), nil
 		}
 		return Scalar(total), nil
 	case "min", "max":
 		if args[0].IsScalar {
 			return args[0], nil
 		}
-		if args[0].O != nil {
-			return Value{}, oocUnsupported(n.Fn)
+		m, err := e.dense(args[0], n.Fn)
+		if err != nil {
+			return Value{}, err
 		}
-		data := args[0].M.RawData()
+		data := m.RawData()
 		best := data[0]
 		for _, v := range data[1:] {
 			if (n.Fn == "min" && v < best) || (n.Fn == "max" && v > best) {
@@ -710,60 +684,32 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 			return Value{}, fmt.Errorf("trace of non-square %dx%d", m.Rows(), m.Cols())
 		}
 		return Scalar(la.Trace(m)), nil
-	case "nrow":
-		if o := args[0].O; o != nil {
-			return Scalar(float64(o.Rows())), nil
-		}
-		m, err := needMatrix(0)
+	case "nrow", "ncol":
+		v, err := anyMatrix(0)
 		if err != nil {
 			return Value{}, err
 		}
-		return Scalar(float64(m.Rows())), nil
-	case "ncol":
-		if o := args[0].O; o != nil {
-			return Scalar(float64(o.Cols())), nil
+		rows, cols := v.dims()
+		if n.Fn == "nrow" {
+			return Scalar(float64(rows)), nil
 		}
-		m, err := needMatrix(0)
-		if err != nil {
-			return Value{}, err
-		}
-		return Scalar(float64(m.Cols())), nil
+		return Scalar(float64(cols)), nil
 	case "rowSums":
 		m, err := needMatrix(0)
 		if err != nil {
 			return Value{}, err
 		}
-		sums := m.RowSums()
-		out := la.NewDense(len(sums), 1)
-		for i, v := range sums {
-			out.Set(i, 0, v)
-		}
-		e.allocCells(len(sums), 1)
-		return Matrix(out), nil
+		return e.vector(m.Rows(), 1, m.RowSums())
 	case "colSums":
-		if o := args[0].O; o != nil {
-			sums, err := oocColSums(o)
-			if err != nil {
-				return Value{}, err
-			}
-			out, err := la.NewDenseData(1, len(sums), sums)
-			if err != nil {
-				return Value{}, err
-			}
-			e.allocCells(1, len(sums))
-			return Matrix(out), nil
-		}
-		m, err := needMatrix(0)
+		v, err := anyMatrix(0)
 		if err != nil {
 			return Value{}, err
 		}
-		sums := m.ColSums()
-		out := la.NewDense(1, len(sums))
-		for j, v := range sums {
-			out.Set(0, j, v)
+		sums, err := v.colSums(n.Fn)
+		if err != nil {
+			return Value{}, err
 		}
-		e.allocCells(1, len(sums))
-		return Matrix(out), nil
+		return e.vector(1, len(sums), sums)
 	case "exp":
 		return elementwise(math.Exp)
 	case "log":
@@ -829,12 +775,7 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 			}
 		}
 		e.stats.Flops += float64(a.Rows()) * float64(a.Rows()) * float64(a.Rows()) / 3
-		out := la.NewDense(len(x), 1)
-		for i, v := range x {
-			out.Set(i, 0, v)
-		}
-		e.allocCells(len(x), 1)
-		return Matrix(out), nil
+		return e.vector(len(x), 1, x)
 	default:
 		return Value{}, fmt.Errorf("unknown function %q", n.Fn)
 	}
@@ -873,10 +814,11 @@ func (e *evaluator) evalIndex(n *Index) (Value, error) {
 	if base.IsScalar {
 		return Value{}, fmt.Errorf("cannot index a scalar")
 	}
-	if base.O != nil {
-		return Value{}, oocUnsupported("indexing")
+	m, err := e.dense(base, "indexing")
+	if err != nil {
+		return Value{}, err
 	}
-	rows, cols := base.M.Dims()
+	rows, cols := m.Dims()
 	r0, r1, err := e.resolveSpec(n.Row, rows, "row")
 	if err != nil {
 		return Value{}, err
@@ -886,9 +828,9 @@ func (e *evaluator) evalIndex(n *Index) (Value, error) {
 		return Value{}, err
 	}
 	if r0 == r1-1 && c0 == c1-1 {
-		return Scalar(base.M.At(r0, c0)), nil
+		return Scalar(m.At(r0, c0)), nil
 	}
-	out := base.M.Slice(r0, r1, c0, c1)
+	out := m.Slice(r0, r1, c0, c1)
 	e.allocCells(out.Rows(), out.Cols())
 	return Matrix(out), nil
 }

@@ -1,6 +1,7 @@
 package dml
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"dmml/internal/la"
+	"dmml/internal/ooc"
 	"dmml/internal/storage"
 )
 
@@ -147,8 +149,9 @@ func TestReadErrors(t *testing.T) {
 }
 
 // oocEnvForFile installs a read config whose budget is far below the file
-// size, so read() goes out-of-core, and restores the default on cleanup.
-func oocEnvForFile(t *testing.T, budget int64, blockRows int, prefetch bool) {
+// size, so read() goes out-of-core, and restores the default on cleanup. It
+// returns the pool behind read().
+func oocEnvForFile(t *testing.T, budget int64, blockRows int, prefetch bool) *storage.BufferPool {
 	t.Helper()
 	bp, err := storage.NewBufferPoolBytes(budget, t.TempDir())
 	if err != nil {
@@ -156,6 +159,7 @@ func oocEnvForFile(t *testing.T, budget int64, blockRows int, prefetch bool) {
 	}
 	SetReadConfig(ReadConfig{Pool: bp, Budget: budget / 4, BlockRows: blockRows, Prefetch: prefetch})
 	t.Cleanup(func() { SetReadConfig(ReadConfig{}) })
+	return bp
 }
 
 func TestReadOutOfCoreMatchesDense(t *testing.T) {
@@ -210,6 +214,54 @@ func TestReadOutOfCoreMatchesDense(t *testing.T) {
 		}
 		if v.O.NumBlocks() < 2 {
 			t.Fatalf("prefetch=%v: want multiple blocks, got %d", prefetch, v.O.NumBlocks())
+		}
+	}
+
+	// Both block layouts behind the same probes: read() compresses whatever
+	// compresses, so the raw layout is bound directly.
+	bp := oocEnvForFile(t, 16*1024, 128, false)
+	for _, noCompress := range []bool{false, true} {
+		m, err := ooc.FromDense(bp, dense.M, ooc.Options{BlockRows: 128, NoCompress: noCompress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (m.CompressedBlocks() == 0) != noCompress {
+			t.Fatalf("NoCompress=%v: %d of %d blocks compressed", noCompress, m.CompressedBlocks(), m.NumBlocks())
+		}
+		for i, probe := range probes {
+			v := runProg(t, probe, Env{"X": OOC(m), "w": wm, "y": ym})
+			if math.Abs(v.S-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("NoCompress=%v probe %q = %v, want %v", noCompress, probe, v.S, want[i])
+			}
+		}
+	}
+}
+
+// A spill read failing under a streaming op is that op's error, not a panic.
+func TestOutOfCoreSpillReadFailure(t *testing.T) {
+	path := writeCSV(t, 600, 5)
+	bp := oocEnvForFile(t, 4*1024, 64, false) // one or two of ten blocks resident
+	wm, _ := newColumn(make([]float64, 5))
+	ym, _ := newColumn(make([]float64, 600))
+	env := Env{"w": wm, "y": ym}
+	runProg(t, fmt.Sprintf("X = read(%q)", path), env)
+	injected := errors.New("disk on fire")
+	bp.SetFailureHooks(func(storage.PageID) error { return injected }, nil)
+	for _, c := range []struct{ probe, op string }{
+		{"sum(X)", "sum"},
+		{"mean(X)", "mean"},
+		{"colSums(X)", "colSums"},
+		{"X %*% w", "X %*% v"},
+		{"t(X) %*% y", "t(X) %*% v"},
+		{"t(X) %*% X", "t(X) %*% X"},
+	} {
+		p, err := Parse(c.probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = p.Run(env)
+		if !errors.Is(err, injected) || !strings.Contains(err.Error(), c.op+": ooc: ") {
+			t.Fatalf("probe %q: err = %v, want the injected read failure under %q", c.probe, err, c.op)
 		}
 	}
 }

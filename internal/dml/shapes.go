@@ -23,14 +23,10 @@ func (s Shape) isMatrix() bool { return s.Known && !s.Scalar }
 func ShapesFromEnv(env Env) map[string]Shape {
 	out := make(map[string]Shape, len(env))
 	for name, v := range env {
-		switch {
-		case v.IsScalar:
+		if v.IsScalar {
 			out[name] = scalarShape()
-		case v.O != nil:
-			out[name] = matShape(v.O.Rows(), v.O.Cols())
-		default:
-			r, c := v.M.Dims()
-			out[name] = matShape(r, c)
+		} else {
+			out[name] = matShape(v.dims())
 		}
 	}
 	return out

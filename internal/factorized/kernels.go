@@ -17,10 +17,15 @@ const pushCutoff = 1 << 16
 const gramParCutoff = 1 << 18
 
 // MatVecInto computes the joined X·w into dst (length Rows) and returns dst,
-// implementing opt.BulkDataInto. Aggregates flow bottom-up: each relation's
+// implementing opt.BulkData. Aggregates flow bottom-up: each relation's
 // partial products X_v·w_v are computed at that relation's granularity, each
 // child's table is gathered into its parent through the edge fk, and only
 // the root pass runs at fact granularity. Steady state allocates nothing.
+//
+// A relation's buffer is parked in the accs table until its parent's
+// iteration folds and releases it — a pairing by tree topology, not by path.
+//
+//dmml:owns-scratch
 func (t *JoinTree) MatVecInto(dst, w []float64) []float64 {
 	if len(w) != t.total {
 		panic(fmt.Sprintf("factorized: MatVec weight length %d, want %d", len(w), t.total))
@@ -61,10 +66,15 @@ func (t *JoinTree) MatVecInto(dst, w []float64) []float64 {
 }
 
 // VecMatInto computes xᵀ·X into dst (length Cols) and returns dst,
-// implementing opt.BulkDataInto. Aggregates flow top-down: x is group-summed
+// implementing opt.BulkData. Aggregates flow top-down: x is group-summed
 // through each edge so every relation sees a vector at its own granularity,
 // finished by one |R_v|-sized vector–matrix product per relation. Steady
 // state allocates nothing.
+//
+// A child's group-sum is parked in the groups table by its parent's iteration
+// and released by its own — a pairing by tree topology, not by path.
+//
+//dmml:owns-scratch
 func (t *JoinTree) VecMatInto(dst, x []float64) []float64 {
 	if len(x) != t.nodes[0].rows {
 		panic(fmt.Sprintf("factorized: VecMat length %d, want %d rows", len(x), t.nodes[0].rows))
@@ -147,14 +157,7 @@ func (t *JoinTree) GramInto(out *la.Dense) *la.Dense {
 	mFlopsMaterialized.Add(int64(t.FlopsPerGramMaterialized()))
 	out.Zero()
 
-	// Join multiplicities at every relation; cnts[0] stays nil (all ones).
-	cnts := t.getAccs()
-	for _, v := range t.order[1:] {
-		nd := &t.nodes[v]
-		c := pool.GetF64Zeroed(nd.rows)
-		cnts[v] = c
-		countScatterAccum(c, cnts[nd.parent], nd.fk, 0, t.nodes[nd.parent].rows)
-	}
+	cnts := t.joinCounts()
 
 	// Diagonal blocks: count-weighted syrk per relation.
 	for v := range t.nodes {
@@ -187,6 +190,22 @@ func (t *JoinTree) GramInto(out *la.Dense) *la.Dense {
 		}
 	}
 	return out
+}
+
+// joinCounts pushes the join multiplicities top-down to every relation:
+// cnts[v][r] is how many fact rows join row r of relation v, and cnts[0]
+// stays nil (all ones). The caller releases every non-root cnts[v] and then
+// the table.
+//
+//dmml:owns-scratch
+func (t *JoinTree) joinCounts() [][]float64 {
+	cnts := t.getAccs()
+	for _, v := range t.order[1:] {
+		nd := &t.nodes[v]
+		cnts[v] = pool.GetF64Zeroed(nd.rows)
+		countScatterAccum(cnts[v], cnts[nd.parent], nd.fk, 0, t.nodes[nd.parent].rows)
+	}
+	return cnts
 }
 
 // crossBlockInto computes one off-diagonal block per its precomputed plan
@@ -296,22 +315,9 @@ func scatterAdd(dst, src []float64, fk []int) {
 		scatterAddAccum(dst, src, fk, 0, n)
 		return
 	}
-	partials := make([][]float64, pool.Workers())
-	partials[0] = dst
-	pool.Do(n, pool.Grain(n, 2), func(slot, lo, hi int) {
-		acc := partials[slot]
-		if acc == nil {
-			acc = pool.GetF64Zeroed(len(dst))
-			partials[slot] = acc
-		}
+	pool.ReduceInto(dst, n, pool.Grain(n, 2), func(acc []float64, lo, hi int) {
 		scatterAddAccum(acc, src, fk, lo, hi)
 	})
-	for _, p := range partials[1:] {
-		if p != nil {
-			la.Axpy(1, p, dst)
-			pool.PutF64(p)
-		}
-	}
 }
 
 // gramWeighted accumulates the upper triangle of XᵀDX (D = diag(wts), nil =
@@ -323,22 +329,9 @@ func gramWeighted(x *la.Dense, wts []float64, acc []float64) {
 		gramWeightedAccum(x, wts, acc, 0, n)
 		return
 	}
-	partials := make([][]float64, pool.Workers())
-	partials[0] = acc
-	pool.Do(n, pool.Grain(n, d*d), func(slot, lo, hi int) {
-		p := partials[slot]
-		if p == nil {
-			p = pool.GetF64Zeroed(d * d)
-			partials[slot] = p
-		}
-		gramWeightedAccum(x, wts, p, lo, hi)
+	pool.ReduceInto(acc, n, pool.Grain(n, d*d), func(part []float64, lo, hi int) {
+		gramWeightedAccum(x, wts, part, lo, hi)
 	})
-	for _, p := range partials[1:] {
-		if p != nil {
-			la.Axpy(1, p, acc)
-			pool.PutF64(p)
-		}
-	}
 }
 
 // zeroF64 clears a buffer.

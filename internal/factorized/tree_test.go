@@ -14,7 +14,7 @@ import (
 
 // The join tree is the zero-alloc bulk source the optimizer trains over.
 var (
-	_ opt.BulkDataInto = (*JoinTree)(nil)
+	_ opt.BulkData = (*JoinTree)(nil)
 )
 
 // treeFromSnowflake converts a generated workload schema into engine form.
@@ -381,7 +381,7 @@ func TestJoinTreeEquivalenceProperty(t *testing.T) {
 }
 
 // GD over a snowflake JoinTree must trace the same trajectory as GD over the
-// materialized join — the tree engine is a drop-in opt.BulkDataInto source.
+// materialized join — the tree engine is a drop-in opt.BulkData source.
 func TestGradientDescentOverJoinTree(t *testing.T) {
 	s := testSnowflake(t, 250, 350)
 	tr := treeFromSnowflake(t, s)

@@ -657,22 +657,9 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 		p.release(sv)
 		return dst
 	}
-	partials := make([][]float64, pool.Workers())
-	partials[0] = dst
-	pool.Do(rows, pool.Grain(rows, cols*(p.arith+1)), func(slot, r0, r1 int) {
-		acc := partials[slot]
-		if acc == nil {
-			acc = pool.GetF64Zeroed(cols)
-			partials[slot] = acc
-		}
+	pool.ReduceInto(dst, rows, pool.Grain(rows, cols*(p.arith+1)), func(acc []float64, r0, r1 int) {
 		fusedColSumsRange(p, k, ins, sv, cols, acc, r0, r1)
 	})
-	for _, part := range partials[1:] {
-		if part != nil {
-			Axpy(1, part, dst)
-			pool.PutF64(part)
-		}
-	}
 	p.release(sv)
 	return dst
 }

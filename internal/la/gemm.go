@@ -83,23 +83,9 @@ func gemmKSplit(a, b, out *Dense) {
 		gemmKAccum(a, b, out.data, 0, k)
 		return
 	}
-	outLen := a.rows * n
-	partials := make([][]float64, pool.Workers())
-	partials[0] = out.data
-	pool.Do(k, pool.Grain(k, a.rows*n), func(slot, lo, hi int) {
-		acc := partials[slot]
-		if acc == nil {
-			acc = pool.GetF64Zeroed(outLen)
-			partials[slot] = acc
-		}
+	pool.ReduceInto(out.data, k, pool.Grain(k, a.rows*n), func(acc []float64, lo, hi int) {
 		gemmKAccum(a, b, acc, lo, hi)
 	})
-	for _, p := range partials[1:] {
-		if p != nil {
-			Axpy(1, p, out.data)
-			pool.PutF64(p)
-		}
-	}
 }
 
 // packA writes the mc×kc slab of a at (i0,k0) into dst as column-major

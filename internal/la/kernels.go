@@ -136,22 +136,9 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 		vecMatAccum(dst, x, m, 0, m.rows)
 		return dst
 	}
-	partials := make([][]float64, pool.Workers())
-	partials[0] = dst
-	pool.Do(m.rows, pool.Grain(m.rows, m.cols), func(slot, lo, hi int) {
-		acc := partials[slot]
-		if acc == nil {
-			acc = pool.GetF64Zeroed(m.cols)
-			partials[slot] = acc
-		}
+	pool.ReduceInto(dst, m.rows, pool.Grain(m.rows, m.cols), func(acc []float64, lo, hi int) {
 		vecMatAccum(acc, x, m, lo, hi)
 	})
-	for _, p := range partials[1:] {
-		if p != nil {
-			Axpy(1, p, dst)
-			pool.PutF64(p)
-		}
-	}
 	return dst
 }
 
@@ -209,22 +196,9 @@ func GramInto(out *Dense, x *Dense) *Dense {
 	if work < parallelThreshold || x.rows < 2 || pool.SerialNow() {
 		gramAccum(x, out.data, 0, x.rows)
 	} else {
-		partials := make([][]float64, pool.Workers())
-		partials[0] = out.data
-		pool.Do(x.rows, pool.Grain(x.rows, d*d), func(slot, lo, hi int) {
-			acc := partials[slot]
-			if acc == nil {
-				acc = pool.GetF64Zeroed(d * d)
-				partials[slot] = acc
-			}
+		pool.ReduceInto(out.data, x.rows, pool.Grain(x.rows, d*d), func(acc []float64, lo, hi int) {
 			gramAccum(x, acc, lo, hi)
 		})
-		for _, p := range partials[1:] {
-			if p != nil {
-				Axpy(1, p, out.data)
-				pool.PutF64(p)
-			}
-		}
 	}
 	// Mirror the upper triangle into the lower triangle.
 	for i := 0; i < d; i++ {

@@ -8,7 +8,7 @@
 // data larger than RAM at near in-memory speed requires (a) bounded resident
 // memory with LRU spill, (b) compression so each disk/pool byte carries more
 // rows, and (c) operating directly on the compressed form so pinning a block
-// does not cost a decompression. ooc.Matrix implements opt.BulkDataInto and
+// does not cost a decompression. ooc.Matrix implements opt.BulkData and
 // opt.BlockData, so every bulk solver in internal/opt accepts one unchanged.
 package ooc
 
@@ -235,6 +235,6 @@ func (m *Matrix) ToDense() (*la.Dense, error) {
 }
 
 var (
-	_ opt.BulkDataInto = (*Matrix)(nil)
-	_ opt.BlockData    = (*Matrix)(nil)
+	_ opt.BulkData  = (*Matrix)(nil)
+	_ opt.BlockData = (*Matrix)(nil)
 )

@@ -92,13 +92,13 @@ func opsMatchDense(t *testing.T, r *rand.Rand, m *Matrix, src *la.Dense) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		mv, wantMV := m.MatVec(v), la.MatVec(src, v)
+		mv, wantMV := m.MatVecInto(make([]float64, m.Rows()), v), la.MatVec(src, v)
 		for i := range mv {
 			if math.Abs(mv[i]-wantMV[i]) > 1e-9 {
 				t.Fatalf("prefetch=%v MatVec[%d] = %v, want %v", prefetch, i, mv[i], wantMV[i])
 			}
 		}
-		vm, wantVM := m.VecMat(x), la.VecMat(x, src)
+		vm, wantVM := m.VecMatInto(make([]float64, m.Cols()), x), la.VecMat(x, src)
 		for j := range vm {
 			if math.Abs(vm[j]-wantVM[j]) > 1e-9 {
 				t.Fatalf("prefetch=%v VecMat[%d] = %v, want %v", prefetch, j, vm[j], wantVM[j])

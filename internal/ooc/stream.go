@@ -216,12 +216,9 @@ func (m *Matrix) ForEachBlock(f func(opt.RowBlock) error) error {
 	return nil
 }
 
-// MatVec implements opt.BulkData.
-func (m *Matrix) MatVec(v []float64) []float64 {
-	return m.MatVecInto(make([]float64, m.rows), v)
-}
-
-// MatVecInto implements opt.BulkDataInto by streaming blocks.
+// MatVecInto implements opt.BulkData by streaming blocks. The contract has no
+// error path, so a failed block read panics; callers that must survive one
+// stream through ForEachBlock (the opt solvers and the DML evaluator do).
 func (m *Matrix) MatVecInto(dst, v []float64) []float64 {
 	if len(dst) != m.rows || len(v) != m.cols {
 		panic(fmt.Sprintf("ooc: MatVecInto dst %d, v %d for %dx%d", len(dst), len(v), m.rows, m.cols))
@@ -236,12 +233,8 @@ func (m *Matrix) MatVecInto(dst, v []float64) []float64 {
 	return dst
 }
 
-// VecMat implements opt.BulkData.
-func (m *Matrix) VecMat(x []float64) []float64 {
-	return m.VecMatInto(make([]float64, m.cols), x)
-}
-
-// VecMatInto implements opt.BulkDataInto by streaming blocks.
+// VecMatInto implements opt.BulkData by streaming blocks; like MatVecInto it
+// panics on a failed block read.
 func (m *Matrix) VecMatInto(dst, x []float64) []float64 {
 	if len(dst) != m.cols || len(x) != m.rows {
 		panic(fmt.Sprintf("ooc: VecMatInto dst %d, x %d for %dx%d", len(dst), len(x), m.rows, m.cols))

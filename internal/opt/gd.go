@@ -7,22 +7,14 @@ import (
 	"dmml/internal/pool"
 )
 
-// BulkData abstracts the bulk linear-algebra access pattern needed by batch
-// gradient descent: X·v and xᵀ·X. la.Dense, la.CSR, compressed matrices and
-// factorized joins all satisfy it through thin adapters.
+// BulkData is the source contract of the bulk solvers: X·v and xᵀ·X computed
+// into caller-owned buffers, so an iteration reuses one set of buffers. Dense
+// and CSR matrices satisfy it through the two adapters below; compressed
+// matrices, out-of-core matrices and factorized join trees implement it
+// themselves.
 type BulkData interface {
 	Rows() int
 	Cols() int
-	MatVec(v []float64) []float64
-	VecMat(x []float64) []float64
-}
-
-// BulkDataInto is optionally implemented by BulkData sources that can compute
-// into caller-provided buffers. Iterative solvers probe for it so their inner
-// loops reuse one set of buffers across iterations instead of allocating
-// margin and gradient vectors on every pass.
-type BulkDataInto interface {
-	BulkData
 	// MatVecInto computes X·v into dst (length Rows) and returns dst.
 	MatVecInto(dst, v []float64) []float64
 	// VecMatInto computes xᵀ·X into dst (length Cols) and returns dst.
@@ -38,16 +30,10 @@ func (d DenseData) Rows() int { return d.M.Rows() }
 // Cols implements BulkData.
 func (d DenseData) Cols() int { return d.M.Cols() }
 
-// MatVec implements BulkData.
-func (d DenseData) MatVec(v []float64) []float64 { return la.MatVec(d.M, v) }
-
-// VecMat implements BulkData.
-func (d DenseData) VecMat(x []float64) []float64 { return la.VecMat(x, d.M) }
-
-// MatVecInto implements BulkDataInto.
+// MatVecInto implements BulkData.
 func (d DenseData) MatVecInto(dst, v []float64) []float64 { return la.MatVecInto(dst, d.M, v) }
 
-// VecMatInto implements BulkDataInto.
+// VecMatInto implements BulkData.
 func (d DenseData) VecMatInto(dst, x []float64) []float64 { return la.VecMatInto(dst, x, d.M) }
 
 // CSRData adapts *la.CSR to BulkData.
@@ -59,21 +45,15 @@ func (d CSRData) Rows() int { return d.M.Rows() }
 // Cols implements BulkData.
 func (d CSRData) Cols() int { return d.M.Cols() }
 
-// MatVec implements BulkData.
-func (d CSRData) MatVec(v []float64) []float64 { return d.M.MatVec(v) }
-
-// VecMat implements BulkData.
-func (d CSRData) VecMat(x []float64) []float64 { return d.M.VecMat(x) }
-
-// MatVecInto implements BulkDataInto.
+// MatVecInto implements BulkData.
 func (d CSRData) MatVecInto(dst, v []float64) []float64 { return d.M.MatVecInto(dst, v) }
 
-// VecMatInto implements BulkDataInto.
+// VecMatInto implements BulkData.
 func (d CSRData) VecMatInto(dst, x []float64) []float64 { return d.M.VecMatInto(dst, x) }
 
 var (
-	_ BulkDataInto = DenseData{}
-	_ BulkDataInto = CSRData{}
+	_ BulkData = DenseData{}
+	_ BulkData = CSRData{}
 )
 
 // LossAndGradient computes the mean loss and its gradient at w, including an
@@ -95,10 +75,9 @@ func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (floa
 }
 
 // lossAndGradientInto is LossAndGradient with caller-owned buffers: margins
-// and derivs have length Rows, grad length Cols. When data implements
-// BulkDataInto the whole evaluation is allocation-free. The error is a
-// BlockData source failing mid-pass (e.g. a spill read); in-memory sources
-// never return one.
+// and derivs have length Rows, grad length Cols, so the evaluation allocates
+// nothing. The error is a BlockData source failing mid-pass (e.g. a spill
+// read); in-memory sources never return one.
 func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
 	if len(y) != n {
@@ -109,22 +88,13 @@ func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, m
 		// resident memory, prefetch handled by the source.
 		return lossAndGradientStream(bd, y, w, loss, l2, margins, derivs, grad)
 	}
-	di, hasInto := data.(BulkDataInto)
-	if hasInto {
-		di.MatVecInto(margins, w)
-	} else {
-		copy(margins, data.MatVec(w))
-	}
+	data.MatVecInto(margins, w)
 	total := 0.0
 	for i, m := range margins {
 		total += loss.Value(m, y[i])
 		derivs[i] = loss.Deriv(m, y[i])
 	}
-	if hasInto {
-		di.VecMatInto(grad, derivs)
-	} else {
-		copy(grad, data.VecMat(derivs))
-	}
+	data.VecMatInto(grad, derivs)
 	invN := 1 / float64(n)
 	for j := range grad {
 		grad[j] = grad[j]*invN + l2*w[j]
@@ -165,7 +135,7 @@ func GradientDescent(data BulkData, y []float64, loss Loss, cfg GDConfig) (*GDRe
 	d := data.Cols()
 	n := data.Rows()
 	// Iteration state lives in scratch buffers reused across the whole run:
-	// with a BulkDataInto source the loop allocates nothing after warm-up.
+	// the loop allocates nothing after warm-up.
 	// Defer arguments are evaluated here, so each defer releases the buffer
 	// acquired on its own line even though the variables are swapped below —
 	// the swaps only permute the same six buffers among the six names. (The

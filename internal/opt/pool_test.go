@@ -33,7 +33,7 @@ func randProblem(r *rand.Rand, n, d int) (*la.Dense, []float64) {
 	return x, y
 }
 
-// TestLossAndGradientZeroAllocSteadyState: with a BulkDataInto source and
+// TestLossAndGradientZeroAllocSteadyState: with a BulkData source and
 // warm scratch, the GD inner-loop evaluation must not allocate.
 func TestLossAndGradientZeroAllocSteadyState(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)

@@ -25,12 +25,15 @@ type RowBlock interface {
 	VecMatAccum(out, x []float64)
 }
 
-// BlockData is implemented by out-of-core sources whose rows stream through
-// memory block-by-block (e.g. ooc.Matrix). Solvers that detect it switch to a
-// single-pass streaming evaluation that touches each block exactly once per
-// iteration, so the source can bound resident memory and prefetch ahead.
+// BlockData is the fallible streamed contract: sources whose rows pass
+// through memory block-by-block (e.g. ooc.Matrix), where delivering a block
+// can fail (a spill read). Solvers handed a BulkData that is also a BlockData
+// switch to a single-pass streaming evaluation that touches each block
+// exactly once per iteration, so the source can bound resident memory and
+// prefetch ahead, and a failed block surfaces as an error.
 type BlockData interface {
-	BulkData
+	Rows() int
+	Cols() int
 	// NumBlocks returns the number of row blocks.
 	NumBlocks() int
 	// ForEachBlock invokes f for every block in row order. It stops on the

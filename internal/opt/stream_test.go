@@ -10,25 +10,19 @@ import (
 	"dmml/internal/la"
 )
 
-// fakeBlocks adapts a dense matrix into an opt.BlockData with fixed-size row
-// blocks, for testing the streaming evaluation without the ooc machinery.
+// fakeBlocks serves a dense matrix as an opt.BlockData with fixed-size row
+// blocks, for testing the streaming evaluation without the ooc machinery. The
+// embedded DenseData makes it a BulkData too, as the solvers' signatures
+// require; they must still pick the block stream.
 type fakeBlocks struct {
-	m         *la.Dense
+	DenseData
 	blockRows int
 	failAt    int // block index to fail at, -1 for never
 	okPasses  int // full passes that succeed before failAt takes effect
 }
 
-func (f *fakeBlocks) Rows() int { return f.m.Rows() }
-func (f *fakeBlocks) Cols() int { return f.m.Cols() }
-func (f *fakeBlocks) MatVec(v []float64) []float64 {
-	return la.MatVec(f.m, v)
-}
-func (f *fakeBlocks) VecMat(x []float64) []float64 {
-	return la.VecMat(x, f.m)
-}
 func (f *fakeBlocks) NumBlocks() int {
-	return (f.m.Rows() + f.blockRows - 1) / f.blockRows
+	return (f.Rows() + f.blockRows - 1) / f.blockRows
 }
 
 func (f *fakeBlocks) ForEachBlock(fn func(RowBlock) error) error {
@@ -39,10 +33,10 @@ func (f *fakeBlocks) ForEachBlock(fn func(RowBlock) error) error {
 		}
 		r0 := i * f.blockRows
 		nb := f.blockRows
-		if r0+nb > f.m.Rows() {
-			nb = f.m.Rows() - r0
+		if r0+nb > f.Rows() {
+			nb = f.Rows() - r0
 		}
-		if err := fn(&fakeBlock{f.m, r0, nb}); err != nil {
+		if err := fn(&fakeBlock{f.M, r0, nb}); err != nil {
 			return err
 		}
 	}
@@ -84,7 +78,7 @@ func TestStreamMatchesBulk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, br := range []int{1, 64, 100, 500, 512} {
-		got, err := GradientDescent(&fakeBlocks{m: m, blockRows: br, failAt: -1}, y, Logistic{}, cfg)
+		got, err := GradientDescent(&fakeBlocks{DenseData: DenseData{m}, blockRows: br, failAt: -1}, y, Logistic{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +99,7 @@ func TestStreamLossAndGradient(t *testing.T) {
 		w[j] = r.NormFloat64()
 	}
 	wantL, wantG := LossAndGradient(DenseData{M: m}, y, w, Squared{}, 0.1)
-	gotL, gotG := LossAndGradient(&fakeBlocks{m: m, blockRows: 77, failAt: -1}, y, w, Squared{}, 0.1)
+	gotL, gotG := LossAndGradient(&fakeBlocks{DenseData: DenseData{m}, blockRows: 77, failAt: -1}, y, w, Squared{}, 0.1)
 	if math.Abs(gotL-wantL) > 1e-10 {
 		t.Fatalf("loss = %v, want %v", gotL, wantL)
 	}
@@ -123,7 +117,7 @@ func TestStreamBlockFailure(t *testing.T) {
 	m, y := randProblem(r, 200, 4)
 	w := make([]float64, 4)
 	for okPasses := 0; okPasses < 3; okPasses++ { // initial evaluation, then inside the loop
-		_, err := GradientDescent(&fakeBlocks{m: m, blockRows: 50, failAt: 2, okPasses: okPasses}, y, Logistic{},
+		_, err := GradientDescent(&fakeBlocks{DenseData: DenseData{m}, blockRows: 50, failAt: 2, okPasses: okPasses}, y, Logistic{},
 			GDConfig{Step: 0.1, MaxIter: 3, Backtracking: true})
 		if err == nil || !strings.Contains(err.Error(), "injected block failure at 2") {
 			t.Fatalf("after %d good passes GradientDescent err = %v, want the block failure", okPasses, err)
@@ -134,13 +128,13 @@ func TestStreamBlockFailure(t *testing.T) {
 			t.Fatal("want panic on mid-stream block failure")
 		}
 	}()
-	LossAndGradient(&fakeBlocks{m: m, blockRows: 50, failAt: 2}, y, w, Logistic{}, 0)
+	LossAndGradient(&fakeBlocks{DenseData: DenseData{m}, blockRows: 50, failAt: 2}, y, w, Logistic{}, 0)
 }
 
 func TestStreamingSGDValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	m, y := randProblem(r, 100, 3)
-	fb := &fakeBlocks{m: m, blockRows: 10, failAt: -1}
+	fb := &fakeBlocks{DenseData: DenseData{m}, blockRows: 10, failAt: -1}
 	if _, err := StreamingSGD(fb, y, Logistic{}, StreamConfig{Step: 0, Epochs: 1}); err == nil {
 		t.Fatal("want error for zero step")
 	}

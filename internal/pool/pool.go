@@ -181,6 +181,36 @@ func Do(n, grain int, fn func(slot, lo, hi int)) {
 	jobPool.Put(j)
 }
 
+// ReduceInto is the parallel-reduction form of Do: body accumulates the
+// contribution of items [lo,hi) into acc, a private accumulator the length of
+// dst, and the per-worker accumulators are summed into dst once every chunk
+// has run. Slot 0 accumulates straight into dst (which therefore must already
+// hold the value to add to, usually zeros); every other slot that claims a
+// chunk borrows a zeroed scratch buffer, which is added into dst in slot
+// order — so the result is bit-identical across runs at a fixed GOMAXPROCS —
+// and released. The slot table is the only allocation. Kernels keep their
+// serial fast path (small input or SerialNow) in front of the call.
+func ReduceInto(dst []float64, n, grain int, body func(acc []float64, lo, hi int)) {
+	partials := make([][]float64, Workers())
+	partials[0] = dst
+	Do(n, grain, func(slot, lo, hi int) {
+		acc := partials[slot]
+		if acc == nil {
+			acc = GetF64Zeroed(len(dst))
+			partials[slot] = acc
+		}
+		body(acc, lo, hi)
+	})
+	for _, p := range partials[1:] {
+		if p != nil {
+			for i, v := range p {
+				dst[i] += v
+			}
+			PutF64(p)
+		}
+	}
+}
+
 // SerialNow reports whether Do would currently run jobs serially
 // (GOMAXPROCS is 1). Kernels use it to skip setting up per-worker partial
 // accumulators that a serial run would never touch.

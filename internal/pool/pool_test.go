@@ -1,10 +1,12 @@
 package pool
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestDoCoversRange: every index in [0,n) is visited exactly once, for a
@@ -296,4 +298,88 @@ func TestIntScratchReuse(t *testing.T) {
 		t.Error("GetInt did not reuse the returned buffer")
 	}
 	PutInt(b)
+}
+
+// TestReduceInto: the parallel-reduction primitive gives the serial answer at
+// GOMAXPROCS 1 and N, hands concurrent slots private accumulators, allocates
+// nothing per call beyond its slot table and the closure it gives Do, and
+// returns every scratch accumulator it borrowed.
+func TestReduceInto(t *testing.T) {
+	const n, width, grain = 40_000, 300, 64
+	want := make([]float64, width)
+	for i := 0; i < n; i++ {
+		want[i%width] += float64(i) // integer-valued: exact in any order
+	}
+	var mu sync.Mutex
+	accs := map[*float64]bool{}
+	var holdForSecondSlot atomic.Bool
+	body := func(acc []float64, lo, hi int) {
+		mu.Lock()
+		accs[&acc[0]] = true
+		mu.Unlock()
+		for deadline := time.Now().Add(2 * time.Second); holdForSecondSlot.Load() && time.Now().Before(deadline); runtime.Gosched() {
+			mu.Lock()
+			joined := len(accs) > 1
+			mu.Unlock()
+			if joined {
+				break
+			}
+		}
+		for i := lo; i < hi; i++ {
+			acc[i%width] += float64(i)
+		}
+	}
+	dst := make([]float64, width)
+	run := func(when string) {
+		for j := range dst {
+			dst[j] = 0
+		}
+		ReduceInto(dst, n, grain, body)
+		for j := range want {
+			if dst[j] != want[j] {
+				t.Fatalf("%s: dst[%d] = %v, want %v", when, j, dst[j], want[j])
+			}
+		}
+	}
+	withProcs(t, 1, func() { run("GOMAXPROCS=1") })
+	if len(accs) != 1 {
+		t.Fatalf("serial run used %d accumulators, want dst alone", len(accs))
+	}
+	withProcs(t, 4, func() {
+		holdForSecondSlot.Store(true)
+		run("GOMAXPROCS=4")
+		holdForSecondSlot.Store(false)
+		if len(accs) < 2 {
+			t.Fatal("parallel run never handed a second slot its own accumulator")
+		}
+
+		// Steady state: a leaked accumulator would cost a fresh buffer per
+		// helper slot per call. (testing.AllocsPerRun pins GOMAXPROCS to 1,
+		// so the parallel regime is counted by hand.)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run("steady state")
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got > 2*runs+runs/2 {
+			t.Fatalf("%d allocations over %d calls, want the slot table and Do closure only", got, runs)
+		}
+
+		// Poison everything the reductions released: a slot handed back while
+		// still in use, or reused without zeroing, surfaces as NaN.
+		var grabbed [][]float64
+		for i := 0; i < 64; i++ {
+			buf := GetF64(width)
+			for j := range buf {
+				buf[j] = math.NaN()
+			}
+			grabbed = append(grabbed, buf)
+		}
+		for _, buf := range grabbed {
+			PutF64(buf)
+		}
+		run("after poisoning the pool")
+	})
 }

@@ -4,10 +4,9 @@ package vet
 // An "acquire" is a call returning an owned resource (a pooled buffer, a
 // span-end function, a running stopwatch). The binding scanner finds the
 // statement forms acquires appear in; the escape scanner classifies every
-// use of the bound variable as borrow (indexing, slicing, call argument),
-// sanctioned transfer (the slot-store idiom, see below), or escape (alias,
-// store, return, send) — only resources that never escape go through the
-// all-paths release proof in paths.go.
+// use of the bound variable as borrow (indexing, slicing, call argument) or
+// escape (alias, store, return, send) — only resources that never escape go
+// through the all-paths release proof in paths.go.
 
 import (
 	"go/ast"
@@ -127,22 +126,12 @@ func findAcquires(pass *Pass, body *ast.BlockStmt, isAcquire func(*ast.CallExpr)
 type escapeResult struct {
 	node ast.Node
 	desc string
-	// sanctioned: the slot-transfer idiom — the buffer is parked in an
-	// element of a slice that is itself a local variable, and the enclosing
-	// declaration contains a matching release call, so ownership moved to
-	// the enclosing merge loop (per-worker partials merged and PutF64'd
-	// after pool.Do returns).
-	sanctioned bool
 }
 
 // findEscape scans every use of obj in the context (including nested
 // function literals — a closure can store its capture) and returns the
-// first ownership-leaving use, or nil. declBody is the body of the
-// enclosing declared function, used by the slot-transfer rule.
-// releaseAnywhere reports whether a node contains a release call for ANY
-// resource of this analyzer's kind (used to sanction slot transfers).
-func findEscape(pass *Pass, body *ast.BlockStmt, obj types.Object, acquire *ast.CallExpr,
-	declBody *ast.BlockStmt, releaseAnywhere func(ast.Node) bool) *escapeResult {
+// first ownership-leaving use, or nil.
+func findEscape(pass *Pass, body *ast.BlockStmt, obj types.Object, acquire *ast.CallExpr) *escapeResult {
 
 	parents := buildParents(body)
 	var esc *escapeResult
@@ -154,7 +143,7 @@ func findEscape(pass *Pass, body *ast.BlockStmt, obj types.Object, acquire *ast.
 		if !ok || pass.Info.Uses[id] != obj {
 			return true
 		}
-		if r := classifyUse(pass, id, parents, obj, acquire, declBody, releaseAnywhere); r != nil {
+		if r := classifyUse(pass, id, parents, obj, acquire); r != nil {
 			esc = r
 			return false
 		}
@@ -166,7 +155,7 @@ func findEscape(pass *Pass, body *ast.BlockStmt, obj types.Object, acquire *ast.
 // classifyUse climbs from one identifier use to its enclosing statement,
 // deciding whether the use lets the resource escape.
 func classifyUse(pass *Pass, id *ast.Ident, parents map[ast.Node]ast.Node, obj types.Object,
-	acquire *ast.CallExpr, declBody *ast.BlockStmt, releaseAnywhere func(ast.Node) bool) *escapeResult {
+	acquire *ast.CallExpr) *escapeResult {
 
 	insideCallArgs := false
 	var prev ast.Node = id
@@ -220,9 +209,6 @@ func classifyUse(pass *Pass, id *ast.Ident, parents map[ast.Node]ast.Node, obj t
 					// this is not an ownership transfer. (The view itself is
 					// not tracked further: documented conservatism.)
 					return nil
-				}
-				if isLocalSlotStore(pass, lv) && declBody != nil && releaseAnywhere(declBody) {
-					return &escapeResult{node: id, desc: "", sanctioned: true}
 				}
 				return &escapeResult{node: id, desc: "assigned to " + types.ExprString(lv)}
 			}
@@ -292,26 +278,6 @@ func isViewBinding(pass *Pass, id *ast.Ident, rv, lv ast.Expr) bool {
 		e = ast.Unparen(se.X)
 	}
 	return e == id
-}
-
-// isLocalSlotStore reports whether lv is an index into a slice held by a
-// local (non-field, non-package-level) variable — the per-worker partials
-// idiom.
-func isLocalSlotStore(pass *Pass, lv ast.Expr) bool {
-	ix, ok := ast.Unparen(lv).(*ast.IndexExpr)
-	if !ok {
-		return false
-	}
-	base, ok := ast.Unparen(ix.X).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	v, ok := pass.Info.Uses[base].(*types.Var)
-	if !ok || v.IsField() {
-		return false
-	}
-	// Package-level slices are long-lived stores, not transfers.
-	return v.Parent() != pass.Types.Scope()
 }
 
 func lhsMentions(pass *Pass, a *ast.AssignStmt, obj types.Object) bool {

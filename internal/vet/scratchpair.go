@@ -45,23 +45,6 @@ func runScratchPair(pass *Pass) {
 		return // the allocator's own implementation
 	}
 	isAcquire := func(call *ast.CallExpr) bool { return isScratchAcquire(pass.Info, call) }
-	// releaseAnywhere: any pool.PutF64/PutInt call, regardless of argument —
-	// used only to sanction the slot-transfer idiom.
-	releaseAnywhere := func(n ast.Node) bool {
-		found := false
-		ast.Inspect(n, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok &&
-				(isPkgFunc(pass.Info, call, poolPkgPath, "PutF64") || isPkgFunc(pass.Info, call, poolPkgPath, "PutInt")) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
 
 	forEachFuncContext(pass.Package, func(fc funcContext) {
 		if funcDirectives(fc.decl)["owns-scratch"] {
@@ -78,18 +61,15 @@ func runScratchPair(pass *Pass) {
 			case b.obj == nil:
 				// Unresolvable binding (type error); nothing to prove.
 			default:
-				checkScratchObj(pass, fc, b, releaseAnywhere)
+				checkScratchObj(pass, fc, b)
 			}
 		}
 	})
 }
 
-func checkScratchObj(pass *Pass, fc funcContext, b acquireBinding, releaseAnywhere func(ast.Node) bool) {
+func checkScratchObj(pass *Pass, fc funcContext, b acquireBinding) {
 	obj := b.obj
-	if esc := findEscape(pass, fc.body, obj, b.call, fc.decl.Body, releaseAnywhere); esc != nil {
-		if esc.sanctioned {
-			return // slot-transfer: the enclosing merge loop releases it
-		}
+	if esc := findEscape(pass, fc.body, obj, b.call); esc != nil {
 		pass.Reportf(b.call.Pos(), "scratch buffer %q escapes (%s) without //dmml:owns-scratch on %s", obj.Name(), esc.desc, fc.decl.Name.Name)
 		return
 	}

@@ -33,8 +33,6 @@ func runSpanPair(pass *Pass) {
 	if pass.Types.Path() == metricsPkgPath {
 		return
 	}
-	noRelease := func(ast.Node) bool { return false } // spans have no slot-transfer idiom
-
 	isSpan := func(call *ast.CallExpr) bool {
 		return isPkgFunc(pass.Info, call, metricsPkgPath, "Span")
 	}
@@ -56,7 +54,7 @@ func runSpanPair(pass *Pass) {
 					// end() — calling the bound function value.
 					id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 					return ok && pass.Info.Uses[id] == b.obj
-				}, "metrics span end %q is not called on %s; call it on this path or defer it", noRelease)
+				}, "metrics span end %q is not called on %s; call it on this path or defer it")
 			}
 		}
 		for _, b := range findAcquires(pass, fc.body, isStart, 0) {
@@ -74,7 +72,7 @@ func runSpanPair(pass *Pass) {
 					}
 					id, ok := ast.Unparen(sel.X).(*ast.Ident)
 					return ok && pass.Info.Uses[id] == b.obj
-				}, "stopwatch %q is not stopped on %s; call Stop on this path or defer it", noRelease)
+				}, "stopwatch %q is not stopped on %s; call Stop on this path or defer it")
 			}
 		}
 	})
@@ -82,9 +80,9 @@ func runSpanPair(pass *Pass) {
 
 // checkPaired runs the escape scan and the all-paths release proof for one
 // bound span/stopwatch resource.
-func checkPaired(pass *Pass, fc funcContext, b acquireBinding, isRelease func(*ast.CallExpr) bool, msg string, releaseAnywhere func(ast.Node) bool) {
+func checkPaired(pass *Pass, fc funcContext, b acquireBinding, isRelease func(*ast.CallExpr) bool, msg string) {
 	obj := b.obj
-	if esc := findEscape(pass, fc.body, obj, b.call, fc.decl.Body, releaseAnywhere); esc != nil {
+	if esc := findEscape(pass, fc.body, obj, b.call); esc != nil {
 		return // ownership left the function; not provable here
 	}
 	t := &pairTracker{

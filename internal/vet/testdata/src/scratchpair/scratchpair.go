@@ -1,7 +1,7 @@
 // Package scratchpair is the golden diagnostic package for the scratchpair
 // analyzer: seeded leaks that must be reported, and every sanctioned idiom
 // from the engine tree that must NOT be (defer release, branch release,
-// swap, view binding, slot transfer, //dmml:owns-scratch).
+// swap, view binding, //dmml:owns-scratch).
 package scratchpair
 
 import "dmml/internal/pool"
@@ -60,6 +60,17 @@ var parked []float64
 func leakByEscape(n int) {
 	buf := pool.GetF64(n) // want `scratch buffer "buf" escapes \(assigned to parked\)`
 	parked = buf
+}
+
+// Seeded bug: parked in a local table — a release call elsewhere in the
+// function proves nothing about this buffer. (Regression pin: the analyzer
+// used to accept this as a "slot transfer"; pool.ReduceInto owns that idiom.)
+func leakBySlotStore(n int) {
+	table := make([][]float64, 2)
+	buf := pool.GetF64(n) // want `scratch buffer "buf" escapes \(assigned to table\[0\]\)`
+	table[0] = buf
+	other := pool.GetF64(n)
+	pool.PutF64(other)
 }
 
 // Seeded bug: returned to the caller without //dmml:owns-scratch.
@@ -133,31 +144,6 @@ func elementRead(n int) float64 {
 		s += buf[i]
 	}
 	pool.PutF64(buf)
-	return s
-}
-
-// Guard: the per-worker slot-transfer idiom — a closure parks its scratch in
-// a local partials slice; the enclosing merge loop releases every slot.
-func slotTransfer(n, workers int) float64 {
-	partials := make([][]float64, workers)
-	run := func(slot int) {
-		acc := partials[slot]
-		if acc == nil {
-			acc = pool.GetF64Zeroed(n)
-			partials[slot] = acc
-		}
-		acc[0]++
-	}
-	for w := 0; w < workers; w++ {
-		run(w)
-	}
-	var s float64
-	for _, p := range partials {
-		if p != nil {
-			s += p[0]
-			pool.PutF64(p)
-		}
-	}
 	return s
 }
 
