@@ -24,7 +24,8 @@
 #                       20k predictions/s or on any request error
 #   make bench          benchstat-compatible timings for the perf-tracked
 #                       experiments (E4, E5, E6, E10, E15, E16, E17, E18, and the
-#                       E14 fault-injection scenario) — run before and after a
+#                       E14 fault-injection scenario) and opt's batched loss
+#                       pass (BenchmarkLossPass*) — run before and after a
 #                       kernel change and feed both logs to benchstat
 #   make bench-guard    the non-blocking CI bench job: run E4/E5/E15/E16/E17/E18
 #                       at full scale with -snapshot/-metrics and diff against
@@ -96,6 +97,8 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkE(4CompressedMV|5Rewrites|6BismarckParallel|10SparseVsDense|14FaultTolerance|15Fusion|16CompiledFusion|17OutOfCoreTraining|18FactorizedSnowflake)$$' \
 		-benchmem -count=$(BENCH_COUNT) .
+	$(GO) test -run '^$$' -bench 'BenchmarkLossPass(Logistic|Squared|Hinge)$$' \
+		-benchmem -count=$(BENCH_COUNT) ./internal/opt
 
 # Short native-fuzzing smoke over the fusion equivalence property: random
 # expression trees, fused evaluation must match unfused bit-for-bit on cell

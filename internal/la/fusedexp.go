@@ -443,7 +443,7 @@ func probeExpMode() uint8 {
 //
 //dmml:noalloc
 func sigLane(m, e float64) float64 {
-	mask := uint64(int64(math.Float64bits(m)) >> 63)
+	mask := signMask(m)
 	num := math.Float64frombits(math.Float64bits(e)&mask | 0x3FF0000000000000&^mask)
 	return num / (1 + e)
 }

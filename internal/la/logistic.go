@@ -1,0 +1,127 @@
+package la
+
+import (
+	"fmt"
+	"math"
+)
+
+// Logistic loss log(1+exp(−z)), z = y·m, for opt's solvers. Value and
+// margin-derivative both come from the one exponential e = exp(−|z|) ∈ [0,1],
+// which neither overflows nor cancels for any z:
+//
+//	value = max(−z, 0) + log1p(e)
+//	deriv = −y · (z < 0 ? 1 : e) / (1 + e)
+//
+// The scalar pair below and the tile kernel finish every lane through the
+// same two functions, and the tile's exponentials are either math.Exp itself
+// or the 8-lane ports the init probe certified bit-equal to it (fusedexp.go),
+// so row-at-a-time SGD and the batched pass compute the same function to the
+// bit, whatever the probe decided.
+
+// signMask is all ones when z's sign bit is set, else zero.
+//
+//dmml:noalloc
+func signMask(z float64) uint64 {
+	return uint64(int64(math.Float64bits(z)) >> 63)
+}
+
+// logisticValue finishes the loss value from z and e = exp(−|z|),
+// branch-free: −z is added only where z is negative.
+//
+//dmml:noalloc
+func logisticValue(z, e float64) float64 {
+	return math.Log1p(e) + math.Float64frombits(math.Float64bits(-z)&signMask(z))
+}
+
+// logisticDeriv finishes ∂/∂m = −y·σ(−z) from z and e = exp(−|z|): the
+// numerator is 1 for z < 0 and e otherwise, selected by z's sign bit.
+//
+//dmml:noalloc
+func logisticDeriv(z, e, y float64) float64 {
+	mask := signMask(z)
+	num := math.Float64frombits(math.Float64bits(e)&^mask | 0x3FF0000000000000&mask)
+	return -y * num / (1 + e)
+}
+
+// LogisticValue returns log(1+exp(−y·m)).
+//
+//dmml:noalloc
+func LogisticValue(m, y float64) float64 {
+	z := y * m
+	return logisticValue(z, math.Exp(-math.Abs(z)))
+}
+
+// LogisticDeriv returns ∂/∂m log(1+exp(−y·m)).
+//
+//dmml:noalloc
+func LogisticDeriv(m, y float64) float64 {
+	z := y * m
+	return logisticDeriv(z, math.Exp(-math.Abs(z)), y)
+}
+
+// LogisticLossInto writes LogisticDeriv(margins[i], y[i]) into derivs[i] and
+// returns Σ LogisticValue(margins[i], y[i]), added in index order. Groups of
+// eight whose |z| all lie inside the probe's gate run their exponentials
+// through the software-pipelined lanes; any other group, the tail, and every
+// group when the probe failed call math.Exp — same bits, slower. derivs may
+// alias margins.
+//
+//dmml:noalloc
+func LogisticLossInto(derivs, margins, y []float64) float64 {
+	n := len(margins)
+	if len(derivs) != n || len(y) != n {
+		panic(fmt.Sprintf("la: LogisticLossInto %d margins, %d labels, %d derivs", n, len(y), len(derivs)))
+	}
+	mode := fuseExpMode
+	total := 0.0
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		y0, y1, y2, y3 := y[i], y[i+1], y[i+2], y[i+3]
+		y4, y5, y6, y7 := y[i+4], y[i+5], y[i+6], y[i+7]
+		z0, z1, z2, z3 := y0*margins[i], y1*margins[i+1], y2*margins[i+2], y3*margins[i+3]
+		z4, z5, z6, z7 := y4*margins[i+4], y5*margins[i+5], y6*margins[i+6], y7*margins[i+7]
+		a0, a1, a2, a3 := math.Abs(z0), math.Abs(z1), math.Abs(z2), math.Abs(z3)
+		a4, a5, a6, a7 := math.Abs(z4), math.Abs(z5), math.Abs(z6), math.Abs(z7)
+		var e0, e1, e2, e3, e4, e5, e6, e7 float64
+		switch {
+		case mode == 0 ||
+			!(a0 >= sigGateLo && a0 < sigGateHi &&
+				a1 >= sigGateLo && a1 < sigGateHi &&
+				a2 >= sigGateLo && a2 < sigGateHi &&
+				a3 >= sigGateLo && a3 < sigGateHi &&
+				a4 >= sigGateLo && a4 < sigGateHi &&
+				a5 >= sigGateLo && a5 < sigGateHi &&
+				a6 >= sigGateLo && a6 < sigGateHi &&
+				a7 >= sigGateLo && a7 < sigGateHi):
+			e0, e1, e2, e3 = math.Exp(-a0), math.Exp(-a1), math.Exp(-a2), math.Exp(-a3)
+			e4, e5, e6, e7 = math.Exp(-a4), math.Exp(-a5), math.Exp(-a6), math.Exp(-a7)
+		case mode == 1:
+			e0, e1, e2, e3, e4, e5, e6, e7 = exp8FMA(-a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7)
+		default:
+			e0, e1, e2, e3, e4, e5, e6, e7 = exp8NoFMA(-a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7)
+		}
+		total += logisticValue(z0, e0)
+		total += logisticValue(z1, e1)
+		total += logisticValue(z2, e2)
+		total += logisticValue(z3, e3)
+		total += logisticValue(z4, e4)
+		total += logisticValue(z5, e5)
+		total += logisticValue(z6, e6)
+		total += logisticValue(z7, e7)
+		derivs[i] = logisticDeriv(z0, e0, y0)
+		derivs[i+1] = logisticDeriv(z1, e1, y1)
+		derivs[i+2] = logisticDeriv(z2, e2, y2)
+		derivs[i+3] = logisticDeriv(z3, e3, y3)
+		derivs[i+4] = logisticDeriv(z4, e4, y4)
+		derivs[i+5] = logisticDeriv(z5, e5, y5)
+		derivs[i+6] = logisticDeriv(z6, e6, y6)
+		derivs[i+7] = logisticDeriv(z7, e7, y7)
+	}
+	for ; i < n; i++ {
+		z := y[i] * margins[i]
+		e := math.Exp(-math.Abs(z))
+		total += logisticValue(z, e)
+		derivs[i] = logisticDeriv(z, e, y[i])
+	}
+	return total
+}

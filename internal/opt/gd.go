@@ -67,8 +67,8 @@ func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (floa
 	pool.PutF64(margins)
 	pool.PutF64(derivs)
 	if err != nil {
-		// This signature has no error path; solvers that do (GradientDescent)
-		// call lossAndGradientInto and return the failure instead.
+		// This signature has no error path; solvers that do (GradientDescent,
+		// LBFGS) call lossAndGradientInto and return the failure instead.
 		panic(err.Error())
 	}
 	return v, grad
@@ -89,11 +89,7 @@ func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, m
 		return lossAndGradientStream(bd, y, w, loss, l2, margins, derivs, grad)
 	}
 	data.MatVecInto(margins, w)
-	total := 0.0
-	for i, m := range margins {
-		total += loss.Value(m, y[i])
-		derivs[i] = loss.Deriv(m, y[i])
-	}
+	total := loss.Batch(derivs, margins, y)
 	data.VecMatInto(grad, derivs)
 	invN := 1 / float64(n)
 	for j := range grad {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dmml/internal/la"
+	"dmml/internal/pool"
 )
 
 // LBFGSConfig configures the limited-memory BFGS optimizer.
@@ -45,14 +46,28 @@ func LBFGS(data BulkData, y []float64, loss Loss, cfg LBFGSConfig) (*LBFGSResult
 		tol = 1e-8
 	}
 	d := data.Cols()
-	w := make([]float64, d)
-	fw, grad := LossAndGradient(data, y, w, loss, cfg.L2)
+	// Every buffer is acquired once: an iteration, line-search probes
+	// included, allocates nothing but a correction pair until the memory is
+	// full, and then recycles the evicted one.
+	margins := pool.GetF64(data.Rows())
+	defer pool.PutF64(margins)
+	derivs := pool.GetF64(data.Rows())
+	defer pool.PutF64(derivs)
+	w, wNew := make([]float64, d), make([]float64, d)
+	grad, gNew := make([]float64, d), make([]float64, d)
+	dir := make([]float64, d)
+	alphas := make([]float64, mem)
+	fw, err := lossAndGradientInto(data, y, w, loss, cfg.L2, margins, derivs, grad)
+	if err != nil {
+		return nil, err
+	}
 
 	type pair struct {
 		s, yv []float64
 		rho   float64
 	}
-	var hist []pair
+	hist := make([]pair, 0, mem)
+	spare := pair{s: make([]float64, d), yv: make([]float64, d)}
 	res := &LBFGSResult{}
 	for it := 0; it < cfg.MaxIter; it++ {
 		res.History = append(res.History, fw)
@@ -61,27 +76,25 @@ func LBFGS(data BulkData, y []float64, loss Loss, cfg LBFGSConfig) (*LBFGSResult
 			break
 		}
 		// Two-loop recursion: dir = −H·grad.
-		q := la.CloneVec(grad)
-		alphas := make([]float64, len(hist))
+		copy(dir, grad)
 		for i := len(hist) - 1; i >= 0; i-- {
-			alphas[i] = hist[i].rho * la.Dot(hist[i].s, q)
-			la.Axpy(-alphas[i], hist[i].yv, q)
+			alphas[i] = hist[i].rho * la.Dot(hist[i].s, dir)
+			la.Axpy(-alphas[i], hist[i].yv, dir)
 		}
 		if n := len(hist); n > 0 {
 			// Initial Hessian scaling γ = sᵀy / yᵀy.
 			last := hist[n-1]
 			gamma := la.Dot(last.s, last.yv) / la.Dot(last.yv, last.yv)
-			la.ScaleVec(gamma, q)
+			la.ScaleVec(gamma, dir)
 		}
 		for i := range hist {
-			beta := hist[i].rho * la.Dot(hist[i].yv, q)
-			la.Axpy(alphas[i]-beta, hist[i].s, q)
+			beta := hist[i].rho * la.Dot(hist[i].yv, dir)
+			la.Axpy(alphas[i]-beta, hist[i].s, dir)
 		}
-		dir := q
 		la.ScaleVec(-1, dir)
 		// Ensure descent; fall back to steepest descent otherwise.
 		if la.Dot(dir, grad) >= 0 {
-			dir = la.CloneVec(grad)
+			copy(dir, grad)
 			la.ScaleVec(-1, dir)
 		}
 
@@ -89,13 +102,14 @@ func LBFGS(data BulkData, y []float64, loss Loss, cfg LBFGSConfig) (*LBFGSResult
 		step := 1.0
 		gd := la.Dot(grad, dir)
 		const c1 = 1e-4
-		var wNew []float64
 		var fNew float64
-		var gNew []float64
 		for {
-			wNew = la.CloneVec(w)
+			copy(wNew, w)
 			la.Axpy(step, dir, wNew)
-			fNew, gNew = LossAndGradient(data, y, wNew, loss, cfg.L2)
+			fNew, err = lossAndGradientInto(data, y, wNew, loss, cfg.L2, margins, derivs, gNew)
+			if err != nil {
+				return nil, err
+			}
 			if fNew <= fw+c1*step*gd || step < 1e-14 {
 				break
 			}
@@ -105,15 +119,25 @@ func LBFGS(data BulkData, y []float64, loss Loss, cfg LBFGSConfig) (*LBFGSResult
 			// No progress possible along this direction; converged enough.
 			break
 		}
-		s := la.SubVec(wNew, w)
-		yv := la.SubVec(gNew, grad)
-		if sy := la.Dot(s, yv); sy > 1e-12 {
-			hist = append(hist, pair{s: s, yv: yv, rho: 1 / sy})
-			if len(hist) > mem {
-				hist = hist[1:]
+		for j := range spare.s {
+			spare.s[j] = wNew[j] - w[j]
+			spare.yv[j] = gNew[j] - grad[j]
+		}
+		if sy := la.Dot(spare.s, spare.yv); sy > 1e-12 {
+			spare.rho = 1 / sy
+			if len(hist) < mem {
+				hist = append(hist, spare)
+				spare = pair{s: make([]float64, d), yv: make([]float64, d)}
+			} else {
+				oldest := hist[0]
+				copy(hist, hist[1:])
+				hist[mem-1] = spare
+				spare = oldest
 			}
 		}
-		w, fw, grad = wNew, fNew, gNew
+		w, wNew = wNew, w
+		grad, gNew = gNew, grad
+		fw = fNew
 	}
 	res.History = append(res.History, fw)
 	res.W = w

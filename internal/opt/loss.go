@@ -8,61 +8,107 @@
 // m = w·x; classification labels are −1/+1; regression targets are real.
 package opt
 
-import "math"
+import (
+	"fmt"
+	"math"
+
+	"dmml/internal/la"
+	"dmml/internal/pool"
+)
 
 // Loss is a margin-based loss: given the margin m = w·x and the label y it
 // yields the loss value and its derivative with respect to the margin.
+// Row-at-a-time methods (SGD, MeanLoss) call Value and Deriv; the bulk
+// solvers call Batch once per margin vector.
 type Loss interface {
 	// Value returns L(m, y).
 	Value(m, y float64) float64
 	// Deriv returns ∂L/∂m.
 	Deriv(m, y float64) float64
+	// Batch writes Deriv(margins[i], y[i]) into derivs[i] and returns
+	// Σ Value(margins[i], y[i]); all three slices have one length. The sum is
+	// taken over fixed lossChunk-row chunks, each added in row order and the
+	// chunk sums added in chunk order, so for given inputs sum and derivs are
+	// bit-identical across runs and across GOMAXPROCS. Batches of at most
+	// lossChunk rows run on the calling goroutine and allocate nothing.
+	Batch(derivs, margins, y []float64) float64
 	// Name identifies the loss in reports.
 	Name() string
+}
+
+// lossChunk is the fixed chunk of the batched loss pass, in rows: about la's
+// parallelThreshold (2¹⁸ scalar ops) of logistic work, below which a pool
+// dispatch costs more than it saves.
+const lossChunk = 8192
+
+// batchLoss is the one loss pass under every bulk solver: tile is a loss's
+// serial kernel, run over the whole batch when it fits one chunk and over the
+// pool's workers chunk by chunk otherwise.
+func batchLoss(derivs, margins, y []float64, tile func(derivs, margins, y []float64) float64) float64 {
+	n := len(margins)
+	if len(derivs) != n || len(y) != n {
+		panic(fmt.Sprintf("opt: loss batch of %d margins, %d labels, %d derivs", n, len(y), len(derivs)))
+	}
+	// The direct call keeps the closure below off the heap for small batches.
+	if n <= lossChunk {
+		return tile(derivs, margins, y)
+	}
+	return pool.SumChunks(n, lossChunk, func(lo, hi int) float64 {
+		return tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
+	})
 }
 
 // Squared is the squared-error loss ½(m−y)², for regression.
 type Squared struct{}
 
 // Value implements Loss.
+//
 //dmml:noalloc
 func (Squared) Value(m, y float64) float64 { d := m - y; return 0.5 * d * d }
 
 // Deriv implements Loss.
+//
 //dmml:noalloc
 func (Squared) Deriv(m, y float64) float64 { return m - y }
+
+// Batch implements Loss.
+func (Squared) Batch(derivs, margins, y []float64) float64 {
+	return batchLoss(derivs, margins, y, squaredTile)
+}
+
+//dmml:noalloc
+func squaredTile(derivs, margins, y []float64) float64 {
+	derivs, y = derivs[:len(margins)], y[:len(margins)]
+	total := 0.0
+	for i, m := range margins {
+		d := m - y[i]
+		derivs[i] = d
+		total += 0.5 * d * d
+	}
+	return total
+}
 
 // Name implements Loss.
 func (Squared) Name() string { return "squared" }
 
-// Logistic is the logistic loss log(1+exp(−y·m)), labels −1/+1.
+// Logistic is the logistic loss log(1+exp(−y·m)), labels −1/+1. All three
+// methods evaluate la's single-exponential form (la/logistic.go), so the
+// scalar pair and the batch agree to the bit.
 type Logistic struct{}
 
 // Value implements Loss.
+//
 //dmml:noalloc
-func (Logistic) Value(m, y float64) float64 {
-	z := y * m
-	if z > 35 {
-		return 0
-	}
-	if z < -35 {
-		return -z
-	}
-	return math.Log1p(math.Exp(-z))
-}
+func (Logistic) Value(m, y float64) float64 { return la.LogisticValue(m, y) }
 
 // Deriv implements Loss.
+//
 //dmml:noalloc
-func (Logistic) Deriv(m, y float64) float64 {
-	z := y * m
-	// −y·σ(−z)
-	if z > 35 {
-		return 0
-	}
-	if z < -35 {
-		return -y
-	}
-	return -y / (1 + math.Exp(z))
+func (Logistic) Deriv(m, y float64) float64 { return la.LogisticDeriv(m, y) }
+
+// Batch implements Loss.
+func (Logistic) Batch(derivs, margins, y []float64) float64 {
+	return batchLoss(derivs, margins, y, la.LogisticLossInto)
 }
 
 // Name implements Loss.
@@ -72,10 +118,12 @@ func (Logistic) Name() string { return "logistic" }
 type Hinge struct{}
 
 // Value implements Loss.
+//
 //dmml:noalloc
-func (Hinge) Value(m, y float64) float64 { return math.Max(0, 1-y*m) }
+func (Hinge) Value(m, y float64) float64 { return max(0, 1-y*m) }
 
 // Deriv implements Loss (a subgradient).
+//
 //dmml:noalloc
 func (Hinge) Deriv(m, y float64) float64 {
 	if y*m < 1 {
@@ -84,10 +132,32 @@ func (Hinge) Deriv(m, y float64) float64 {
 	return 0
 }
 
+// Batch implements Loss.
+func (Hinge) Batch(derivs, margins, y []float64) float64 {
+	return batchLoss(derivs, margins, y, hingeTile)
+}
+
+//dmml:noalloc
+func hingeTile(derivs, margins, y []float64) float64 {
+	derivs, y = derivs[:len(margins)], y[:len(margins)]
+	total := 0.0
+	for i, m := range margins {
+		z := y[i] * m
+		total += max(0, 1-z)
+		d := 0.0
+		if z < 1 {
+			d = -y[i]
+		}
+		derivs[i] = d
+	}
+	return total
+}
+
 // Name implements Loss.
 func (Hinge) Name() string { return "hinge" }
 
 // Sigmoid is the logistic link 1/(1+e^{−m}).
+//
 //dmml:noalloc
 func Sigmoid(m float64) float64 {
 	if m >= 0 {

@@ -129,28 +129,20 @@ type SGDResult struct {
 	EpochLoss []float64 // mean loss after each epoch
 }
 
-// MeanLoss computes the unregularized mean loss of w over the data. Large
-// inputs are evaluated in parallel on the worker pool with per-slot partial
-// sums.
+// MeanLoss computes the unregularized mean loss of w over the data. Rows are
+// summed in fixed chunks on the worker pool — about la's parallelThreshold of
+// work each, as lossChunk is for the bare loss — and the chunk sums added in
+// chunk order, so the result does not depend on GOMAXPROCS.
 func MeanLoss(data RowData, y []float64, w []float64, loss Loss) float64 {
 	n := data.Rows()
-	if n*data.Cols() < 1<<18 || pool.SerialNow() {
-		total := 0.0
-		for i := 0; i < n; i++ {
-			total += loss.Value(la.Dot(w, data.Row(i)), y[i])
-		}
-		return total / float64(n)
-	}
-	sums := pool.GetF64Zeroed(pool.Workers())
-	pool.Do(n, pool.Grain(n, data.Cols()), func(slot, lo, hi int) {
-		var t float64
+	chunk := max(1, lossChunk*32/max(data.Cols(), 32))
+	total := pool.SumChunks(n, chunk, func(lo, hi int) float64 {
+		t := 0.0
 		for i := lo; i < hi; i++ {
 			t += loss.Value(la.Dot(w, data.Row(i)), y[i])
 		}
-		sums[slot] += t
+		return t
 	})
-	total := la.SumVec(sums)
-	pool.PutF64(sums)
 	return total / float64(n)
 }
 

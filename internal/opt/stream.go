@@ -60,10 +60,7 @@ func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64
 		mb := margins[r0 : r0+nb]
 		db := derivs[r0 : r0+nb]
 		b.MatVecInto(mb, w)
-		for i, m := range mb {
-			total += loss.Value(m, y[r0+i])
-			db[i] = loss.Deriv(m, y[r0+i])
-		}
+		total += loss.Batch(db, mb, y[r0:r0+nb])
 		b.VecMatAccum(grad, db)
 		return nil
 	})
@@ -122,10 +119,7 @@ func StreamingSGD(data BlockData, y []float64, loss Loss, cfg StreamConfig) (*GD
 			mb := margins[r0 : r0+nb]
 			db := derivs[r0 : r0+nb]
 			b.MatVecInto(mb, w)
-			for i, m := range mb {
-				total += loss.Value(m, y[r0+i])
-				db[i] = loss.Deriv(m, y[r0+i])
-			}
+			total += loss.Batch(db, mb, y[r0:r0+nb])
 			for j := range gradB {
 				gradB[j] = 0
 			}

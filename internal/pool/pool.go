@@ -187,9 +187,11 @@ func Do(n, grain int, fn func(slot, lo, hi int)) {
 // has run. Slot 0 accumulates straight into dst (which therefore must already
 // hold the value to add to, usually zeros); every other slot that claims a
 // chunk borrows a zeroed scratch buffer, which is added into dst in slot
-// order — so the result is bit-identical across runs at a fixed GOMAXPROCS —
-// and released. The slot table is the only allocation. Kernels keep their
-// serial fast path (small input or SerialNow) in front of the call.
+// order and released. Chunks are claimed dynamically, so which slot sums
+// which chunk — and with it the last bits of dst — varies from run to run;
+// a reduction that must reproduce uses SumChunks. The slot table is the only
+// allocation. Kernels keep their serial fast path (small input or SerialNow)
+// in front of the call.
 func ReduceInto(dst []float64, n, grain int, body func(acc []float64, lo, hi int)) {
 	partials := make([][]float64, Workers())
 	partials[0] = dst
@@ -211,6 +213,30 @@ func ReduceInto(dst []float64, n, grain int, body func(acc []float64, lo, hi int
 	}
 }
 
+// SumChunks is the reproducible scalar reduction: body is evaluated on the
+// fixed chunks [0,chunk), [chunk,2·chunk), … of [0,n), in parallel, and the
+// results are added in chunk-index order. The chunking depends on n and chunk
+// alone — never on GOMAXPROCS, Workers or which worker claimed what — so for a
+// deterministic body the sum is bit-identical across runs and core counts.
+// The Do closure is the only allocation (none when n ≤ chunk).
+func SumChunks(n, chunk int, body func(lo, hi int) float64) float64 {
+	if n <= chunk {
+		return body(0, n)
+	}
+	partials := GetF64((n + chunk - 1) / chunk)
+	Do(len(partials), 1, func(_, c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			partials[c] = body(c*chunk, min((c+1)*chunk, n))
+		}
+	})
+	total := 0.0
+	for _, p := range partials {
+		total += p
+	}
+	PutF64(partials)
+	return total
+}
+
 // SerialNow reports whether Do would currently run jobs serially
 // (GOMAXPROCS is 1). Kernels use it to skip setting up per-worker partial
 // accumulators that a serial run would never touch.
@@ -222,6 +248,7 @@ func SerialNow() bool {
 // costs roughly itemWork scalar operations. It targets enough chunks per
 // worker for dynamic load balancing (so skewed items rebalance) while keeping
 // each chunk heavy enough to amortize the atomic claim and cache traffic.
+//
 //dmml:noalloc
 func Grain(n, itemWork int) int {
 	if n <= 0 {

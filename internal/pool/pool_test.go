@@ -383,3 +383,66 @@ func TestReduceInto(t *testing.T) {
 		run("after poisoning the pool")
 	})
 }
+
+// TestSumChunks: the reproducible reduction evaluates body on exactly the
+// fixed chunks of [0,n), adds the results in chunk order — values chosen so
+// that other associations round differently — and returns the same bits at
+// every core count and on every repeat.
+func TestSumChunks(t *testing.T) {
+	const chunk = 100
+	// 1, then many 2⁻⁵³s: added to 1 one at a time each is rounded away;
+	// added among themselves first they survive. Chunk-order summation of
+	// per-chunk sums gives one specific answer, computed serially here.
+	val := func(i int) float64 {
+		if i == 0 {
+			return 1
+		}
+		return 0x1p-53 * float64(1+i%3)
+	}
+	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 7*chunk + 13} {
+		want := 0.0
+		if n <= chunk {
+			for i := 0; i < n; i++ {
+				want += val(i)
+			}
+		} else {
+			for lo := 0; lo < n; lo += chunk {
+				part := 0.0
+				for i := lo; i < min(lo+chunk, n); i++ {
+					part += val(i)
+				}
+				want += part
+			}
+		}
+		for _, procs := range []int{1, 2, 4} {
+			withProcs(t, procs, func() {
+				for rep := 0; rep < 20; rep++ {
+					var mu sync.Mutex
+					seen := map[[2]int]bool{}
+					got := SumChunks(n, chunk, func(lo, hi int) float64 {
+						mu.Lock()
+						seen[[2]int{lo, hi}] = true
+						mu.Unlock()
+						part := 0.0
+						for i := lo; i < hi; i++ {
+							part += val(i)
+						}
+						return part
+					})
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d procs=%d rep=%d: sum %x, chunk-order sum %x", n, procs, rep, math.Float64bits(got), math.Float64bits(want))
+					}
+					wantChunks := max(1, (n+chunk-1)/chunk)
+					if len(seen) != wantChunks {
+						t.Fatalf("n=%d procs=%d: body saw %d distinct chunks, want %d", n, procs, len(seen), wantChunks)
+					}
+					for c := range seen {
+						if n > chunk && (c[0]%chunk != 0 || c[1] != min(c[0]+chunk, n)) {
+							t.Fatalf("n=%d: chunk [%d,%d) is not on the fixed grid", n, c[0], c[1])
+						}
+					}
+				}
+			})
+		}
+	}
+}
