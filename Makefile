@@ -17,17 +17,17 @@
 #                       PR that deletes engine API the benchmark compiles
 #                       against
 #   make fuzz-smoke     15s native-fuzzing passes over the DML fusion
-#                       properties (fused vs unfused, compiled vs interpreted)
-#                       and the serving wire protocol (decode/round-trip)
+#                       property (fused vs unfused), the serving wire
+#                       protocol (decode/round-trip) and the factorized Gram
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails below
 #                       20k predictions/s or on any request error
 #   make bench          benchstat-compatible timings for the perf-tracked
-#                       experiments (E4, E5, E6, E10, E15, E16, E17, E18, and the
+#                       experiments (E4, E5, E6, E10, E15, E17, E18, and the
 #                       E14 fault-injection scenario) and opt's batched loss
 #                       pass (BenchmarkLossPass*) — run before and after a
 #                       kernel change and feed both logs to benchstat
-#   make bench-guard    the non-blocking CI bench job: run E4/E5/E15/E16/E17/E18
+#   make bench-guard    the non-blocking CI bench job: run E4/E5/E15/E17/E18
 #                       at full scale with -snapshot/-metrics and diff against
 #                       the BENCH_baseline.json snapshot pins
 #   make cover          the CI coverage job: per-package statement coverage over
@@ -95,7 +95,7 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkE(4CompressedMV|5Rewrites|6BismarckParallel|10SparseVsDense|14FaultTolerance|15Fusion|16CompiledFusion|17OutOfCoreTraining|18FactorizedSnowflake)$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkE(4CompressedMV|5Rewrites|6BismarckParallel|10SparseVsDense|14FaultTolerance|15Fusion|17OutOfCoreTraining|18FactorizedSnowflake)$$' \
 		-benchmem -count=$(BENCH_COUNT) .
 	$(GO) test -run '^$$' -bench 'BenchmarkLossPass(Logistic|Squared|Hinge)$$' \
 		-benchmem -count=$(BENCH_COUNT) ./internal/opt
@@ -105,7 +105,6 @@ bench:
 # templates and to relative 1e-8 on reassociated reductions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
-	$(GO) test -run '^$$' -fuzz 'FuzzCompiledFusionSemantics$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime 15s ./internal/factorized
 
@@ -116,13 +115,13 @@ serve-smoke:
 	$(GO) run ./cmd/loadtest -selfserve -conns 8 -duration 2s -min-qps 20000
 
 bench-guard:
-	$(GO) run ./cmd/dmmlbench -exp E4,E5,E15,E16,E17,E18 -snapshot bench_current.json -metrics metrics_current.json
+	$(GO) run ./cmd/dmmlbench -exp E4,E5,E15,E17,E18 -snapshot bench_current.json -metrics metrics_current.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -current bench_current.json -metrics metrics_current.json
 
 # Nightly variant: identical measurement, but a regression past the warn
 # threshold fails the job instead of just warning.
 bench-guard-strict:
-	$(GO) run ./cmd/dmmlbench -exp E4,E5,E15,E16,E17,E18 -snapshot bench_current.json -metrics metrics_current.json
+	$(GO) run ./cmd/dmmlbench -exp E4,E5,E15,E17,E18 -snapshot bench_current.json -metrics metrics_current.json
 	$(GO) run ./cmd/benchguard -strict -baseline BENCH_baseline.json -current bench_current.json -metrics metrics_current.json
 
 # Per-package statement coverage with an HTML report, plus hard floors on the
@@ -160,7 +159,6 @@ FUZZ_NIGHTLY_TIME ?= 5m
 
 fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
-	$(GO) test -run '^$$' -fuzz 'FuzzCompiledFusionSemantics$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/factorized
 

@@ -90,10 +90,6 @@ func BenchmarkE15Fusion(b *testing.B) {
 	benchExperiment(b, experiments.E15Fusion)
 }
 
-func BenchmarkE16CompiledFusion(b *testing.B) {
-	benchExperiment(b, experiments.E16CompiledFusion)
-}
-
 func BenchmarkE17OutOfCoreTraining(b *testing.B) {
 	benchExperiment(b, experiments.E17OutOfCoreTraining)
 }

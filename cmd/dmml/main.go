@@ -90,7 +90,6 @@ func run() int {
 	expr := flag.String("e", "", "evaluate this expression instead of a file")
 	explain := flag.Bool("explain", false, "print the optimized program before running")
 	noOpt := flag.Bool("no-opt", false, "disable the rewrite optimizer")
-	fuse := flag.String("fuse", "compile", "fused-region backend: compile (closure kernels), interp (tile interpreter), off (no fusion)")
 	statsFlag := flag.Bool("stats", false, "collect engine metrics and print a per-operator time table")
 	statsTop := flag.Int("stats-top", 15, "rows in the -stats operator table (0 = all)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -154,7 +153,7 @@ func run() int {
 	src := *expr
 	if src == "" {
 		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: dmml [-e expr] [-explain] [-no-opt] [-fuse compile|interp|off] [-stats] [-csv name=path] [-ooc-budget size] [script.dml]")
+			fmt.Fprintln(os.Stderr, "usage: dmml [-e expr] [-explain] [-no-opt] [-stats] [-csv name=path] [-ooc-budget size] [script.dml]")
 			return 2
 		}
 		data, err := os.ReadFile(flag.Arg(0))
@@ -173,12 +172,8 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	fuseMode, err := dml.ParseFusionMode(*fuse)
-	if err != nil {
-		return fail(err)
-	}
 	if !*noOpt {
-		prog = prog.OptimizeFusion(dml.ShapesFromEnv(env), fuseMode)
+		prog = prog.Optimize(dml.ShapesFromEnv(env))
 	}
 	if *explain {
 		fmt.Println("# optimized program:")

@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"dmml/internal/dml"
 	"dmml/internal/experiments"
 	"dmml/internal/metrics"
 	"dmml/internal/storage"
@@ -52,7 +51,6 @@ func main() {
 func run() int {
 	quick := flag.Bool("quick", false, "run at ~1/10 workload scale")
 	expList := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	fuse := flag.String("fuse", "compile", "fused-region backend for experiments: compile, interp, or off")
 	snapshot := flag.String("snapshot", "", "write per-experiment wall times (ms) to this JSON file")
 	metricsOut := flag.String("metrics", "", "write the engine metrics registry as JSON to this file ('-' for stdout)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -101,12 +99,6 @@ func run() int {
 			}
 		}()
 	}
-	fuseMode, err := dml.ParseFusionMode(*fuse)
-	if err != nil {
-		return fail(err)
-	}
-	dml.SetDefaultFusion(fuseMode)
-
 	if *metricsOut != "" {
 		metrics.Reset()
 		metrics.Enable()
@@ -128,7 +120,6 @@ func run() int {
 		"E13":    experiments.E13PlannerChoice,
 		"E14":    experiments.E14FaultTolerance,
 		"E15":    experiments.E15Fusion,
-		"E16":    experiments.E16CompiledFusion,
 		"E17":    experiments.E17OutOfCoreTraining,
 		"E18":    experiments.E18FactorizedSnowflake,
 		"E-ABL1": experiments.EKMeansPruning,

@@ -8,7 +8,6 @@ import (
 	"dmml/internal/la"
 	"dmml/internal/metrics"
 	"dmml/internal/ooc"
-	"dmml/internal/opt"
 )
 
 // Value is a DML runtime value: a scalar, a dense matrix, or a block-paged
@@ -56,10 +55,6 @@ type EvalStats struct {
 	CSEHits int64
 	// FusedRegions counts fused-template executions (Cell and RowAgg).
 	FusedRegions int64
-	// FusedCompiled counts fused-template executions that ran through a
-	// compiled kernel rather than the tile interpreter (FusedCompiled ≤
-	// FusedRegions; the gap is interpreter fallbacks and -fuse=interp runs).
-	FusedCompiled int64
 	// CellsSaved counts the intermediate matrix cells fusion did NOT
 	// materialize — what an unfused plan would have added to CellsAllocated.
 	CellsSaved int64
@@ -495,9 +490,6 @@ func (e *evaluator) evalFused(n *Fused) (Value, error) {
 	prog := n.Prog
 	cells := int64(rows) * int64(cols)
 	e.stats.FusedRegions++
-	if compiled, _ := prog.CompileFusedKernel(ins); compiled {
-		e.stats.FusedCompiled++
-	}
 	e.stats.Flops += float64(prog.ArithOps()) * float64(cells)
 	if n.Kind == FuseCell {
 		out := la.FusedCell(prog, ins, rows, cols)
@@ -719,7 +711,7 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 	case "abs":
 		return elementwise(math.Abs)
 	case "sigmoid":
-		return elementwise(opt.Sigmoid)
+		return elementwise(la.Sigmoid)
 	case "eye":
 		if !args[0].IsScalar {
 			return Value{}, fmt.Errorf("eye: argument must be a scalar")

@@ -13,7 +13,7 @@ import (
 //     single pool-parallel sweep writing one scratch-backed output, instead
 //     of materializing a fresh matrix per operator.
 //   - RowAgg: an elementwise region feeding sum / rowSums / colSums / a
-//     matrix–vector product reduces with slot partials and materializes no
+//     matrix–vector product reduces inside the same pass and materializes no
 //     intermediate at all.
 //
 // Fusion is NOT applied to (a) multi-consumer intermediates — a subtree that

@@ -1,8 +1,10 @@
 package dml
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -383,7 +385,7 @@ mse = sum((X %*% w - y)^2) / nrow(X)`
 // unfused plan and stay sound under the analyzer for arbitrary generated
 // programs (CI runs this briefly with -fuzz=Fuzz on every pipeline).
 func FuzzFusionSemantics(f *testing.F) {
-	for _, seed := range []int64{1, 7, 42, 1234, 99999} {
+	for _, seed := range []int64{1, 7, 42, 1234, 99999, 2, 11, 64, 4096, 123456} {
 		f.Add(seed)
 	}
 	const rows, cols = 9, 5
@@ -423,6 +425,48 @@ func FuzzFusionSemantics(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A region with more distinct inputs than la.CompileFused accepts stays
+// unfused at its root — the compile error is the only refusal there is —
+// while its sub-regions still fuse, and the plan computes exactly what the
+// unfused one does.
+func TestFuseTooManyInputsStaysUnfused(t *testing.T) {
+	const rows, cols, n = 6, 4, 32
+	shapes := map[string]Shape{}
+	env := Env{}
+	r := rand.New(rand.NewSource(13))
+	terms := make([]string, n)
+	for i := range terms {
+		name := fmt.Sprintf("X%d", i)
+		terms[i] = name
+		shapes[name] = matShape(rows, cols)
+		env[name] = Matrix(randDense(r, rows, cols))
+	}
+	prog := mustParse(t, "Z = "+strings.Join(terms, " + "))
+	fused := prog.Optimize(shapes)
+	if _, ok := fused.Stmts[0].Expr.(*Fused); ok {
+		t.Fatalf("%d-input region fused at its root", n)
+	}
+	if fused.FusedRegionCount() == 0 {
+		t.Fatal("no sub-region fused")
+	}
+	fused.forEachFused(func(f *Fused) {
+		if len(f.Inputs) > n-1 {
+			t.Errorf("fused region with %d inputs", len(f.Inputs))
+		}
+	})
+	want, _, err := prog.OptimizeUnfused(shapes).Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := fused.Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !valueClose(want, got, 0) {
+		t.Fatalf("fused plan diverges from unfused: %v vs %v", want, got)
+	}
 }
 
 // The transcendental unary calls fuse too; exercised on data kept in their

@@ -15,11 +15,10 @@ import (
 // sizes that flow through constants, eye(n), nrow/ncol, and indexing — is
 // available to the size-aware rewrites.
 // After the algebraic rewrites, the operator-fusion pass (fuse.go) collapses
-// single-consumer elementwise regions into Cell and RowAgg templates, which
-// execute through the process-wide default fusion mode (compiled kernels
-// unless SetDefaultFusion picked the interpreter or disabled fusion).
+// single-consumer elementwise regions into Cell and RowAgg templates, each
+// executed by the compiled kernels of la's fused backend.
 func (p *Program) Optimize(vars map[string]Shape) *Program {
-	return p.OptimizeFusion(vars, DefaultFusion())
+	return p.optimize(vars, true)
 }
 
 // OptimizeUnfused applies every rewrite except operator fusion; the fusion

@@ -400,79 +400,9 @@ func E14FaultTolerance(quick bool) (Table, error) {
 	return t, nil
 }
 
-// E16CompiledFusion A/Bs the two fused-region backends: the per-op tile
-// interpreter against the compiled closure/flat kernels, on the same
-// workloads E15 uses. Both sides run the identical fused plan — only the
-// loop body differs — so the speedup column isolates the interpreter
-// dispatch tax (plus the vectorized sigmoid on templates that hit a flat
-// kernel). The stats columns pin that every region really ran compiled on
-// the compiled side and none did on the interpreter side.
-func E16CompiledFusion(quick bool) (Table, error) {
-	t := Table{
-		ID:     "E16",
-		Title:  "compiled fused kernels: closure/flat templates vs tile interpreter (SPOOF codegen)",
-		Header: []string{"expression", "t_interp", "t_compiled", "speedup", "regions", "compiled"},
-	}
-	n := scale(quick, 200000)
-	r := rand.New(rand.NewSource(16000))
-	x, _, _ := workload.Regression(r, n, 20, 0)
-	y, _, _ := workload.Regression(r, n, 20, 0)
-	w, _, _ := workload.Regression(r, 20, 1, 0)
-	env := dml.Env{"X": dml.Matrix(x), "Y": dml.Matrix(y), "w": dml.Matrix(w)}
-	cases := []string{
-		"sigmoid(X * 2 + 1) * X - X / 3",
-		"Y - 0.0001 * X",
-		"(X - Y) * 0.5",
-		"sum((X - Y) ^ 2)",
-		"rowSums(X * X + Y)",
-		"(X * 2 + Y) %*% w",
-	}
-	reps := 3
-	for _, src := range cases {
-		p, err := dml.Parse(src)
-		if err != nil {
-			return t, err
-		}
-		shapes := dml.ShapesFromEnv(env)
-		interp := p.OptimizeFusion(shapes, dml.FusionInterp)
-		compiled := p.OptimizeFusion(shapes, dml.FusionCompiled)
-
-		var inStats, coStats *dml.EvalStats
-		start := time.Now()
-		for k := 0; k < reps; k++ {
-			if _, inStats, err = interp.Run(env); err != nil {
-				return t, err
-			}
-		}
-		tIn := time.Since(start)
-		start = time.Now()
-		for k := 0; k < reps; k++ {
-			if _, coStats, err = compiled.Run(env); err != nil {
-				return t, err
-			}
-		}
-		tCo := time.Since(start)
-		if coStats.FusedRegions == 0 {
-			return t, fmt.Errorf("experiments: E16: %q compiled without fused regions", src)
-		}
-		if coStats.FusedCompiled != coStats.FusedRegions {
-			return t, fmt.Errorf("experiments: E16: %q ran %d of %d regions compiled", src, coStats.FusedCompiled, coStats.FusedRegions)
-		}
-		if inStats.FusedCompiled != 0 {
-			return t, fmt.Errorf("experiments: E16: %q interpreter side ran %d regions compiled", src, inStats.FusedCompiled)
-		}
-		t.Rows = append(t.Rows, []string{
-			src, d(tIn), d(tCo), f(float64(tIn) / float64(tCo)),
-			fmt.Sprint(coStats.FusedRegions), fmt.Sprint(coStats.FusedCompiled),
-		})
-	}
-	t.Notes = "same fused plan on both sides; compiled kernels replace per-op switch dispatch with one direct call chain, and template shapes drop to single-pass flat loops"
-	return t, nil
-}
-
 // Order lists experiment ids in EXPERIMENTS.md order.
 var Order = []string{
-	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E-ABL1", "E-ABL2",
+	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E17", "E18", "E-ABL1", "E-ABL2",
 }
 
 // All runs every experiment, returning tables in EXPERIMENTS.md order.
@@ -493,7 +423,6 @@ func All(quick bool) ([]Table, error) {
 		E13PlannerChoice,
 		E14FaultTolerance,
 		E15Fusion,
-		E16CompiledFusion,
 		E17OutOfCoreTraining,
 		E18FactorizedSnowflake,
 		EKMeansPruning,

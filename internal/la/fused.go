@@ -11,8 +11,9 @@ import (
 
 // Fused operator pipelines (SPOOF-lite). The DML compiler collapses
 // single-consumer elementwise regions into a postfix micro-op program; this
-// file interprets such programs over row tiles so a whole expression tree
-// makes one pass over its inputs and materializes (at most) one output:
+// file validates such programs and drives their compiled kernels (fusedc.go)
+// over row tiles, so a whole expression tree makes one pass over its inputs
+// and materializes (at most) one output:
 //
 //   - Cell template: FusedCellInto evaluates the program per element into a
 //     single dst matrix — no intermediate Dense per operator.
@@ -20,13 +21,12 @@ import (
 //     FusedMatVecInto reduce the program's virtual result without
 //     materializing it at all.
 //
-// The interpreter is a stack machine whose slots are either scalars or
-// tile-wide vectors. Vector slots live in one pool.GetF64 scratch block per
-// worker, so steady-state fused evaluation allocates nothing. Dense inputs
-// are loaded as zero-copy sub-slices; CSR inputs decompress a tile in
-// O(nnz) time (the zero run between stored entries is a memset, never a
-// per-element walk of the sparse structure), and fully zero-annihilating
-// single-sparse-input aggregations skip the zero cells outright.
+// Intermediate tiles live in one pool.GetF64 scratch block per worker, so
+// steady-state fused evaluation allocates nothing. Dense inputs are loaded
+// as zero-copy sub-slices; CSR inputs decompress a tile in O(nnz) time (the
+// zero run between stored entries is a memset, never a per-element walk of
+// the sparse structure), and fully zero-annihilating single-sparse-input
+// sums skip the zero cells outright.
 
 // FuseOpCode enumerates the micro-ops of a fused program.
 type FuseOpCode uint8
@@ -80,42 +80,44 @@ func CSRInput(c *CSR) FusedInput { return FusedInput{C: c} }
 
 const (
 	// fusedTileW is the tile width in elements: large enough to amortize
-	// the per-tile dispatch switch, small enough that depth·tile scratch
-	// (and the tile itself) stay L1/L2-resident.
+	// the per-tile closure calls, small enough that depth·tile scratch (and
+	// the tile itself) stay L1/L2-resident.
 	fusedTileW = 512
 	// fuseMaxDepth bounds the operand stack; expression trees deeper than
 	// this are rejected at compile time (the DML fuser never builds them).
 	fuseMaxDepth = 16
+	// fuseMaxInputs bounds the input list: the kernel cache packs one
+	// two-bit input kind per input under a sentinel bit into a uint64 key.
+	fuseMaxInputs = 31
+	// fusedSumWork is the scalar work in one FusedSum chunk (rounded to
+	// whole tiles): enough to amortize a chunk claim, small enough that a
+	// parallel-threshold sum still splits over several workers.
+	fusedSumWork = 1 << 16
 )
 
 // FuseProgram is a validated fused micro-op program ready for execution.
+// Every program CompileFused accepts runs on a compiled kernel, specialized
+// and cached once per input-kind signature (fusedc.go).
 type FuseProgram struct {
 	ops   []FusedOp
 	nin   int // number of inputs
 	depth int // maximum operand-stack depth
 	arith int // arithmetic ops per element (excludes loads/consts)
 
-	// backend selects interpretation vs compilation to closure kernels; the
-	// compiled path caches one kernel per input-kind signature (fusedc.go).
-	// Set the backend before first execution: kernelFor reads it unlocked.
-	backend FuseBackend
 	kmu     sync.Mutex
 	kernels atomic.Pointer[map[uint64]*fusedKernel]
 }
 
-// SetBackend selects the execution backend. Call before the program's first
-// execution; the dispatch path reads the field without synchronization.
-func (p *FuseProgram) SetBackend(b FuseBackend) { p.backend = b }
-
-// Backend reports the program's execution backend.
-func (p *FuseProgram) Backend() FuseBackend { return p.backend }
-
 // CompileFused validates a postfix program over nin inputs: every opcode
 // must be known, stack effects must balance to exactly one result, loads
-// must be in range, and the operand stack must fit the interpreter.
+// must be in range, and the input count and operand stack must fit the
+// kernel compiler.
 func CompileFused(ops []FusedOp, nin int) (*FuseProgram, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("la: CompileFused empty program")
+	}
+	if nin > fuseMaxInputs {
+		return nil, fmt.Errorf("la: CompileFused %d inputs exceed %d", nin, fuseMaxInputs)
 	}
 	depth, maxDepth, arith := 0, 0, 0
 	for i, op := range ops {
@@ -161,23 +163,16 @@ func (p *FuseProgram) NumInputs() int { return p.nin }
 // number of intermediate matrices a naive evaluation would materialize.
 func (p *FuseProgram) ArithOps() int { return p.arith }
 
-// fuseSlot is one stack slot: a tile-wide vector (vec != nil) or a scalar.
-type fuseSlot struct {
-	vec []float64
-	s   float64
-}
-
-// fuseCtx is the per-worker interpreter state. Contexts are recycled
-// through a sync.Pool and their vector scratch comes from pool.GetF64, so a
-// steady-state fused loop performs no heap allocation.
+// fuseCtx is the per-worker kernel state. Closure kernels capture no
+// per-call state, so the inputs, hoisted dynamic scalars, and logical column
+// count of the current call travel here, beside one tile of scratch per
+// stack slot. Contexts are recycled through a sync.Pool and their scratch
+// comes from pool.GetF64, so a steady-state fused loop performs no heap
+// allocation.
 type fuseCtx struct {
-	stack   [fuseMaxDepth]fuseSlot
 	scratch [fuseMaxDepth][]float64
 	buf     []float64
 
-	// Bindings for the compiled backend: closure kernels capture no per-call
-	// state, so the inputs, hoisted dynamic scalars, and logical column count
-	// of the current call travel through the pooled context instead.
 	ins  []FusedInput
 	sv   []float64
 	cols int
@@ -185,8 +180,8 @@ type fuseCtx struct {
 
 var fuseCtxPool = sync.Pool{New: func() any { return new(fuseCtx) }}
 
-// getFuseCtx hands out a per-worker interpreter context whose vector
-// scratch block deliberately outlives this call: putFuseCtx releases it.
+// getFuseCtx hands out a per-worker kernel context whose scratch block
+// deliberately outlives this call: putFuseCtx releases it.
 //
 //dmml:owns-scratch
 func getFuseCtx(depth int) *fuseCtx {
@@ -204,69 +199,14 @@ func putFuseCtx(ctx *fuseCtx) {
 	for i := range ctx.scratch {
 		ctx.scratch[i] = nil
 	}
-	for i := range ctx.stack {
-		ctx.stack[i] = fuseSlot{}
-	}
 	ctx.ins, ctx.sv, ctx.cols = nil, nil, 0
 	fuseCtxPool.Put(ctx)
-}
-
-// evalTile interprets the program over the flat element range [lo,hi) of
-// the logical rows×cols space (hi-lo ≤ fusedTileW). Results of arithmetic
-// ops are written into the scratch slice of their stack position, so a
-// caller may pre-bind scratch[0] to the destination tile and receive the
-// final vector in place.
-func (p *FuseProgram) evalTile(ctx *fuseCtx, ins []FusedInput, cols, lo, hi int) fuseSlot {
-	n := hi - lo
-	stack := &ctx.stack
-	sp := 0
-	for _, op := range p.ops {
-		switch op.Code {
-		case FuseConst:
-			stack[sp] = fuseSlot{s: op.Val}
-			sp++
-		case FuseLoad:
-			in := &ins[op.Arg]
-			switch {
-			case in.IsScalar:
-				stack[sp] = fuseSlot{s: in.S}
-			case in.D != nil:
-				stack[sp] = fuseSlot{vec: in.D.data[lo:hi]}
-			default:
-				dst := ctx.scratch[sp][:n]
-				csrLoadRange(in.C, dst, lo, cols)
-				stack[sp] = fuseSlot{vec: dst}
-			}
-			sp++
-		case FuseAdd, FuseSub, FuseMul, FuseDiv, FusePow:
-			b := stack[sp-1]
-			a := stack[sp-2]
-			sp -= 2
-			if a.vec == nil && b.vec == nil {
-				stack[sp] = fuseSlot{s: fuseScalarBin(op.Code, a.s, b.s)}
-			} else {
-				dst := ctx.scratch[sp][:n]
-				fuseBinInto(op.Code, dst, a, b)
-				stack[sp] = fuseSlot{vec: dst}
-			}
-			sp++
-		default: // unary
-			a := stack[sp-1]
-			if a.vec == nil {
-				stack[sp-1] = fuseSlot{s: fuseScalarUn(op.Code, a.s)}
-			} else {
-				dst := ctx.scratch[sp-1][:n]
-				fuseUnInto(op.Code, dst, a.vec)
-				stack[sp-1] = fuseSlot{vec: dst}
-			}
-		}
-	}
-	return stack[0]
 }
 
 // csrLoadRange decompresses the flat range [lo, lo+len(dst)) of a CSR
 // matrix into dst: one memset plus an O(nnz-in-range) scatter, so the zero
 // runs between stored entries cost a clear rather than per-element work.
+//
 //dmml:noalloc
 func csrLoadRange(c *CSR, dst []float64, lo, cols int) {
 	for i := range dst {
@@ -293,8 +233,8 @@ func csrLoadRange(c *CSR, dst []float64, lo, cols int) {
 // logical shape. Branch order matters: an ambiguous input that sets both D
 // and C must be rejected before the dense branch can win silently and
 // report a misleading dense-shape mismatch for what is really a malformed
-// operand — the compiled backend picks its load kernels by the same
-// kind test, so ambiguity has to die here.
+// operand — the kernel compiler picks its load closures by the same kind
+// test, so ambiguity has to die here.
 func fusedCheckInputs(p *FuseProgram, ins []FusedInput, rows, cols int) {
 	if len(ins) != p.nin {
 		panic(fmt.Sprintf("la: fused program wants %d inputs, got %d", p.nin, len(ins)))
@@ -325,22 +265,17 @@ func FusedCell(p *FuseProgram, ins []FusedInput, rows, cols int) *Dense {
 
 // FusedCellInto evaluates the program elementwise into out (overwriting it)
 // and returns out. The whole expression tree runs as one pass: each tile of
-// the output is produced by interpreting the micro-ops over stack scratch,
-// with the final operation writing straight into out's storage. Large
-// outputs split their tile sweep across the worker pool; the serial regime
-// allocates nothing.
+// the output is produced by the program's compiled kernel, with the root
+// writing straight into out's storage. Large outputs split their tile sweep
+// across the worker pool; the serial regime allocates nothing.
 func FusedCellInto(out *Dense, p *FuseProgram, ins []FusedInput) *Dense {
 	rows, cols := out.rows, out.cols
 	fusedCheckInputs(p, ins, rows, cols)
 	k, sv := p.prepare(ins)
-	t := mFusedCellTimer
-	if k != nil {
-		t = mFusedCellCTimer
-		if k.flatCell != nil {
-			mFusedFlat.Inc()
-		}
+	if k.flatCell != nil {
+		mFusedFlat.Inc()
 	}
-	sw := t.Start()
+	sw := mFusedCellTimer.Start()
 	defer sw.Stop()
 	mFusedCellCalls.Inc()
 	total := rows * cols
@@ -363,13 +298,10 @@ func FusedCellInto(out *Dense, p *FuseProgram, ins []FusedInput) *Dense {
 }
 
 func fusedCellRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv, dstAll []float64, cols, lo, hi int) {
-	if k != nil && k.flatCell != nil {
+	if k.flatCell != nil {
 		// Fully specialized template: one pass, no closure chain, no stack
-		// scratch — only the tile-wide buffer the sigmoid templates stage
-		// their affine argument in.
-		scr := pool.GetF64(fusedTileW)
-		k.flatCell(ins, sv, dstAll[lo:hi], scr, lo, hi)
-		pool.PutF64(scr)
+		// scratch.
+		k.flatCell(ins, sv, dstAll[lo:hi], lo, hi)
 		return
 	}
 	ctx := getFuseCtx(p.depth)
@@ -377,31 +309,14 @@ func fusedCellRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv, dstAll
 	for at := lo; at < hi; at += fusedTileW {
 		end := min(at+fusedTileW, hi)
 		dst := dstAll[at:end]
-		// Bind stack position 0 to the output tile: the final op of the
-		// program lands its vector there, so no copy-out pass is needed.
+		// Bind slot 0 to the output tile: the root lands its vector there,
+		// so no copy-out pass is needed.
 		ctx.scratch[0] = dst
-		res := fuseEvalTile(p, k, ctx, ins, cols, at, end)
-		switch {
-		case res.vec == nil:
-			for i := range dst {
-				dst[i] = res.s
-			}
-		case &res.vec[0] != &dst[0]:
-			copy(dst, res.vec) // pure-load program: result aliases an input
+		if res := k.root(ctx, at, end); &res[0] != &dst[0] {
+			copy(dst, res) // pure-load program: result aliases an input
 		}
 	}
 	putFuseCtx(ctx)
-}
-
-// fuseEvalTile produces the program's value over [lo,hi): one direct call
-// into the compiled closure tree when a kernel is bound, else a trip
-// through the micro-op interpreter. Compiled kernels always produce a
-// vector (scalar-rooted programs are refused at compile time).
-func fuseEvalTile(p *FuseProgram, k *fusedKernel, ctx *fuseCtx, ins []FusedInput, cols, lo, hi int) fuseSlot {
-	if k != nil {
-		return fuseSlot{vec: k.root(ctx, lo, hi)}
-	}
-	return p.evalTile(ctx, ins, cols, lo, hi)
 }
 
 // zeroAnnihilatingCSR reports whether the program has exactly one matrix
@@ -447,9 +362,12 @@ func zeroAnnihilatingCSR(p *FuseProgram, ins []FusedInput) (int, bool) {
 }
 
 // FusedSum reduces the program's virtual rows×cols result to its scalar sum
-// without materializing it. Parallel runs accumulate per-worker partials in
-// pooled scratch; a zero-annihilating program over a single CSR input skips
-// the zero cells entirely and only visits stored non-zeros.
+// without materializing it. The element range splits into fixed tile-aligned
+// chunks whose size depends on the program alone, summed in chunk order
+// through pool.SumChunks — and the serial regime walks the same chunks in
+// the same order — so the result is bit-identical across runs and
+// GOMAXPROCS. A zero-annihilating program over a single CSR input skips the
+// zero cells entirely and only visits stored non-zeros.
 func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	fusedCheckInputs(p, ins, rows, cols)
 	total := rows * cols
@@ -457,8 +375,8 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 		// Re-point the sparse input at a flat dense view of its stored
 		// values: the program runs over nnz elements instead of rows·cols,
 		// and the skipped zero cells contribute exactly 0 to the sum. The
-		// rewrite happens before kernel selection, so the compiled backend
-		// specializes for the dense shadow and still gets the skip.
+		// rewrite happens before kernel selection, so the kernel specializes
+		// for the dense shadow and still gets the skip.
 		c := ins[matIdx].C
 		if c.NNZ() == 0 {
 			return 0
@@ -470,57 +388,39 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 		ins, cols, total = shadow, c.NNZ(), c.NNZ()
 	}
 	k, sv := p.prepare(ins)
-	t := mFusedAggTimer
-	if k != nil {
-		t = mFusedAggCTimer
-		if k.flatSum != nil {
-			mFusedFlat.Inc()
-		}
+	if k.flatSum != nil {
+		mFusedFlat.Inc()
 	}
-	sw := t.Start()
+	sw := mFusedAggTimer.Start()
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(total))
-	work := total * (p.arith + 1)
-	if work < parallelThreshold || pool.SerialNow() {
-		s := fusedSumRange(p, k, ins, sv, cols, 0, total)
-		p.release(sv)
-		return s
-	}
-	// Per-slot scalar partials, stride 8 to keep workers off a shared line.
-	partials := pool.GetF64Zeroed(pool.Workers() * 8)
-	nt := (total + fusedTileW - 1) / fusedTileW
-	pool.Do(nt, pool.Grain(nt, fusedTileW*(p.arith+1)), func(slot, t0, t1 int) {
-		hi := t1 * fusedTileW
-		if hi > total {
-			hi = total
-		}
-		partials[slot*8] += fusedSumRange(p, k, ins, sv, cols, t0*fusedTileW, hi)
-	})
+	chunk := fusedTileW * max(1, fusedSumWork/(fusedTileW*(p.arith+1)))
 	var s float64
-	for i := 0; i < len(partials); i += 8 {
-		s += partials[i]
+	if total*(p.arith+1) < parallelThreshold || pool.SerialNow() {
+		// pool.SumChunks's chunks and merge order, run inline: no closure
+		// to allocate, same bits as the parallel regime.
+		for lo := 0; lo < total; lo += chunk {
+			s += fusedSumRange(p, k, ins, sv, cols, lo, min(lo+chunk, total))
+		}
+	} else {
+		s = pool.SumChunks(total, chunk, func(lo, hi int) float64 {
+			return fusedSumRange(p, k, ins, sv, cols, lo, hi)
+		})
 	}
-	pool.PutF64(partials)
 	p.release(sv)
 	return s
 }
 
 func fusedSumRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []float64, cols, lo, hi int) float64 {
-	if k != nil && k.flatSum != nil {
+	if k.flatSum != nil {
 		return k.flatSum(ins, sv, lo, hi)
 	}
 	ctx := getFuseCtx(p.depth)
 	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
 	var s float64
 	for at := lo; at < hi; at += fusedTileW {
-		end := min(at+fusedTileW, hi)
-		res := fuseEvalTile(p, k, ctx, ins, cols, at, end)
-		if res.vec == nil {
-			s += res.s * float64(end-at)
-		} else {
-			s += fuseSumVec(res.vec)
-		}
+		s += fuseSumVec(k.root(ctx, at, min(at+fusedTileW, hi)))
 	}
 	putFuseCtx(ctx)
 	return s
@@ -548,14 +448,10 @@ func fusedRowVec(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int
 		panic(fmt.Sprintf("la: fused row aggregate dst len %d for %d rows", len(dst), rows))
 	}
 	k, sv := p.prepare(ins)
-	t := mFusedAggTimer
-	if k != nil {
-		t = mFusedAggCTimer
-		if k.flatRow != nil {
-			mFusedFlat.Inc()
-		}
+	if k.flatRow != nil {
+		mFusedFlat.Inc()
 	}
-	sw := t.Start()
+	sw := mFusedAggTimer.Start()
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(rows) * int64(cols))
@@ -572,10 +468,10 @@ func fusedRowVec(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int
 }
 
 // fusedRowVecRange fills dst[r0:r1) with per-row sums (v == nil) or row·v
-// dot products. Narrow matrices batch several rows per interpreted tile so
-// dispatch overhead amortizes; wide rows chunk along columns instead.
+// dot products. Narrow matrices batch several rows per tile so the closure
+// calls amortize; wide rows chunk along columns instead.
 func fusedRowVecRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []float64, cols int, v, dst []float64, r0, r1 int) {
-	if k != nil && k.flatRow != nil {
+	if k.flatRow != nil {
 		k.flatRow(ins, sv, v, dst, cols, r0, r1)
 		return
 	}
@@ -583,28 +479,15 @@ func fusedRowVecRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []flo
 	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
 	if cols <= fusedTileW {
 		rowsPerTile := fusedTileW / cols
-		if rowsPerTile < 1 {
-			rowsPerTile = 1
-		}
 		for r := r0; r < r1; r += rowsPerTile {
 			rEnd := min(r+rowsPerTile, r1)
-			res := fuseEvalTile(p, k, ctx, ins, cols, r*cols, rEnd*cols)
-			if res.vec == nil {
-				base := res.s * float64(cols)
-				if v != nil {
-					base = res.s * fuseSumVec(v)
-				}
-				for i := r; i < rEnd; i++ {
-					dst[i] = base
-				}
-			} else {
-				for i := r; i < rEnd; i++ {
-					seg := res.vec[(i-r)*cols : (i-r+1)*cols]
-					if v == nil {
-						dst[i] = fuseSumVec(seg)
-					} else {
-						dst[i] = Dot(seg, v)
-					}
+			vec := k.root(ctx, r*cols, rEnd*cols)
+			for i := r; i < rEnd; i++ {
+				seg := vec[(i-r)*cols : (i-r+1)*cols]
+				if v == nil {
+					dst[i] = fuseSumVec(seg)
+				} else {
+					dst[i] = Dot(seg, v)
 				}
 			}
 		}
@@ -613,16 +496,11 @@ func fusedRowVecRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []flo
 			var s float64
 			for c0 := 0; c0 < cols; c0 += fusedTileW {
 				c1 := min(c0+fusedTileW, cols)
-				res := fuseEvalTile(p, k, ctx, ins, cols, i*cols+c0, i*cols+c1)
-				switch {
-				case res.vec == nil && v == nil:
-					s += res.s * float64(c1-c0)
-				case res.vec == nil:
-					s += res.s * fuseSumVec(v[c0:c1])
-				case v == nil:
-					s += fuseSumVec(res.vec)
-				default:
-					s += Dot(res.vec, v[c0:c1])
+				vec := k.root(ctx, i*cols+c0, i*cols+c1)
+				if v == nil {
+					s += fuseSumVec(vec)
+				} else {
+					s += Dot(vec, v[c0:c1])
 				}
 			}
 			dst[i] = s
@@ -640,11 +518,7 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 		panic(fmt.Sprintf("la: FusedColSumsInto dst len %d for %d cols", len(dst), cols))
 	}
 	k, sv := p.prepare(ins)
-	t := mFusedAggTimer
-	if k != nil {
-		t = mFusedAggCTimer
-	}
-	sw := t.Start()
+	sw := mFusedAggTimer.Start()
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(rows) * int64(cols))
@@ -669,35 +543,18 @@ func fusedColSumsRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []fl
 	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
 	if cols <= fusedTileW {
 		rowsPerTile := fusedTileW / cols
-		if rowsPerTile < 1 {
-			rowsPerTile = 1
-		}
 		for r := r0; r < r1; r += rowsPerTile {
 			rEnd := min(r+rowsPerTile, r1)
-			res := fuseEvalTile(p, k, ctx, ins, cols, r*cols, rEnd*cols)
-			if res.vec == nil {
-				add := res.s * float64(rEnd-r)
-				for j := range acc {
-					acc[j] += add
-				}
-			} else {
-				for i := 0; i < rEnd-r; i++ {
-					Axpy(1, res.vec[i*cols:(i+1)*cols], acc)
-				}
+			vec := k.root(ctx, r*cols, rEnd*cols)
+			for i := 0; i < rEnd-r; i++ {
+				Axpy(1, vec[i*cols:(i+1)*cols], acc)
 			}
 		}
 	} else {
 		for i := r0; i < r1; i++ {
 			for c0 := 0; c0 < cols; c0 += fusedTileW {
 				c1 := min(c0+fusedTileW, cols)
-				res := fuseEvalTile(p, k, ctx, ins, cols, i*cols+c0, i*cols+c1)
-				if res.vec == nil {
-					for j := c0; j < c1; j++ {
-						acc[j] += res.s
-					}
-				} else {
-					Axpy(1, res.vec, acc[c0:c1])
-				}
+				Axpy(1, k.root(ctx, i*cols+c0, i*cols+c1), acc[c0:c1])
 			}
 		}
 	}
@@ -705,6 +562,7 @@ func fusedColSumsRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []fl
 }
 
 // fuseSumVec sums a tile with a 4-way unrolled accumulator chain.
+//
 //dmml:noalloc
 func fuseSumVec(x []float64) float64 {
 	var s, s0, s1, s2, s3 float64
@@ -754,27 +612,16 @@ func fuseScalarUn(code FuseOpCode, a float64) float64 {
 	case FuseAbs:
 		return math.Abs(a)
 	default: // FuseSigmoid
-		return fuseSigmoid(a)
+		return Sigmoid(a)
 	}
-}
-
-// fuseSigmoid mirrors opt.Sigmoid's numerically stable form exactly so
-// fused and unfused evaluation agree bit for bit (la cannot import opt).
-//dmml:noalloc
-func fuseSigmoid(m float64) float64 {
-	if m >= 0 {
-		return 1 / (1 + math.Exp(-m))
-	}
-	e := math.Exp(m)
-	return e / (1 + e)
 }
 
 // Tile loop kernels. Each named function is one micro-op's inner loop over
-// a tile; the interpreter's fuseBinInto/fuseUnInto switches and the compiled
-// backend's closure constructors both dispatch to these, so the two
-// execution paths are bit-identical by construction. The hot vector-vector
-// and vector-scalar adds/subs/muls are 4-way unrolled like Dot; dst may
-// alias an operand (in-place update of the same stack position).
+// a tile, bound by the kernel compiler's closure constructors (fusedc.go);
+// each rounds exactly like the scalar op, so a fused tile equals the unfused
+// operator sequence bit for bit. The hot vector-vector and vector-scalar
+// adds/subs/muls are 4-way unrolled like Dot; dst may alias an operand
+// (in-place update of the same stack slot).
 
 //dmml:noalloc
 func vvAdd(dst, x, y []float64) {
@@ -983,81 +830,5 @@ func uAbs(dst, x []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = math.Abs(x[i])
-	}
-}
-
-//dmml:noalloc
-func uSigmoid(dst, x []float64) {
-	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] = fuseSigmoid(x[i])
-	}
-}
-
-// fuseBinInto applies a binary micro-op over a tile by dispatching to the
-// named loop kernels above.
-//dmml:noalloc
-func fuseBinInto(code FuseOpCode, dst []float64, a, b fuseSlot) {
-	switch {
-	case a.vec != nil && b.vec != nil:
-		switch code {
-		case FuseAdd:
-			vvAdd(dst, a.vec, b.vec)
-		case FuseSub:
-			vvSub(dst, a.vec, b.vec)
-		case FuseMul:
-			vvMul(dst, a.vec, b.vec)
-		case FuseDiv:
-			vvDiv(dst, a.vec, b.vec)
-		default: // FusePow
-			vvPow(dst, a.vec, b.vec)
-		}
-	case a.vec != nil:
-		switch code {
-		case FuseAdd:
-			vsAdd(dst, a.vec, b.s)
-		case FuseSub:
-			vsSub(dst, a.vec, b.s)
-		case FuseMul:
-			vsMul(dst, a.vec, b.s)
-		case FuseDiv:
-			vsDiv(dst, a.vec, b.s)
-		default: // FusePow
-			vsPow(dst, a.vec, b.s)
-		}
-	default: // scalar ∘ vector
-		switch code {
-		case FuseAdd:
-			svAdd(dst, a.s, b.vec)
-		case FuseSub:
-			svSub(dst, a.s, b.vec)
-		case FuseMul:
-			svMul(dst, a.s, b.vec)
-		case FuseDiv:
-			svDiv(dst, a.s, b.vec)
-		default: // FusePow
-			svPow(dst, a.s, b.vec)
-		}
-	}
-}
-
-// fuseUnInto applies a unary micro-op over a tile; dst may alias x.
-//dmml:noalloc
-func fuseUnInto(code FuseOpCode, dst, x []float64) {
-	switch code {
-	case FuseNeg:
-		uNeg(dst, x)
-	case FuseSq:
-		uSq(dst, x)
-	case FuseExp:
-		uExp(dst, x)
-	case FuseLog:
-		uLog(dst, x)
-	case FuseSqrt:
-		uSqrt(dst, x)
-	case FuseAbs:
-		uAbs(dst, x)
-	default: // FuseSigmoid
-		uSigmoid(dst, x)
 	}
 }

@@ -2,40 +2,26 @@ package la
 
 import "dmml/internal/pool"
 
-// Compiled backend for fused programs (fused.go holds the interpreter).
+// Kernel compiler for fused programs (fused.go holds the entry points).
 //
-// CompileFusedKernel lowers a validated FuseProgram into a tree of
+// compileFusedKernel lowers a validated FuseProgram into a tree of
 // specialized Go closures: one closure per vector-valued op node,
 // monomorphized at compile time over the opcode and the operand kinds
 // (dense slice / CSR tile / scalar), so a tile is evaluated by one direct
-// call chain instead of per-op switch dispatch through evalTile. Scalar
-// subtrees never reach the per-tile path at all — all-constant subtrees
-// fold at compile time, and subtrees over dynamic scalars (scalar matrix
-// inputs) are hoisted into a once-per-call prelude that writes a small
-// scratch vector. On top of the closure tree, a structural pattern matcher
-// recognizes the heavy-hitter template shapes (sigmoid chains, axpy cells,
-// rowagg-over-product; see fusedflat.go) and replaces the whole tree with a
-// single flat loop kernel.
+// call chain. Scalar subtrees never reach the per-tile path at all —
+// all-constant subtrees fold at compile time, and subtrees over dynamic
+// scalars (scalar matrix inputs) are hoisted into a once-per-call prelude
+// that writes a small scratch vector; a program whose root is scalar
+// broadcasts that value into its output tile. On top of the closure tree, a
+// structural pattern matcher recognizes the heavy-hitter template shapes
+// (sigmoid chains, axpy cells, rowagg-over-product; see fusedflat.go) and
+// replaces the whole tree with a single flat loop kernel.
 //
 // Kernels are compiled once per (program, input-kind signature) and cached
 // on the FuseProgram. Closures capture only compile-time constants — op
 // arguments, slot numbers, folded scalars — never per-call state: inputs
 // and hoisted scalars travel through the pooled fuseCtx, so the steady
-// state allocates nothing. Programs the compiler refuses (scalar-rooted,
-// more than 31 inputs) cache a nil kernel and run on the interpreter.
-
-// FuseBackend selects the execution strategy for a fused program.
-type FuseBackend uint8
-
-const (
-	// FuseBackendCompiled lowers the program to specialized closure kernels
-	// on first use (once per input-kind signature); the interpreter remains
-	// the fallback for shapes the compiler refuses.
-	FuseBackendCompiled FuseBackend = iota
-	// FuseBackendInterp forces the tile stack-machine interpreter — the
-	// -fuse=interp escape hatch and the reference for equivalence tests.
-	FuseBackendInterp
-)
+// state allocates nothing. Every program CompileFused accepts compiles.
 
 // fkVec evaluates one vector-valued node of the closure tree over the flat
 // element range [lo,hi), returning the node's tile (an input sub-slice or
@@ -46,9 +32,9 @@ type fkVec func(c *fuseCtx, lo, hi int) []float64
 // runs once per entry-point call, in dependency (postfix) order.
 type fusePreOp func(ins []FusedInput, sv []float64)
 
-// Flat template kernels (fusedflat.go). scr is a fusedTileW staging buffer
-// for the sigmoid templates; dst of flatCellFn is pre-sliced to [lo,hi).
-type flatCellFn func(ins []FusedInput, sv, dst, scr []float64, lo, hi int)
+// Flat template kernels (fusedflat.go); dst of flatCellFn is pre-sliced to
+// [lo,hi).
+type flatCellFn func(ins []FusedInput, sv, dst []float64, lo, hi int)
 type flatSumFn func(ins []FusedInput, sv []float64, lo, hi int) float64
 type flatRowFn func(ins []FusedInput, sv, v, dst []float64, cols, r0, r1 int)
 
@@ -108,12 +94,9 @@ const (
 	fkKindCSR    = 3
 )
 
-// fuseKindSig packs the input kinds into a cache key; false when the input
-// list is too long to pack (31 two-bit kinds under a leading sentinel).
-func fuseKindSig(ins []FusedInput) (uint64, bool) {
-	if len(ins) > 31 {
-		return 0, false
-	}
+// fuseKindSig packs the input kinds into a cache key: at most
+// fuseMaxInputs two-bit kinds under a leading sentinel bit.
+func fuseKindSig(ins []FusedInput) uint64 {
 	sig := uint64(1)
 	for i := range ins {
 		switch {
@@ -125,20 +108,13 @@ func fuseKindSig(ins []FusedInput) (uint64, bool) {
 			sig = sig<<2 | fkKindCSR
 		}
 	}
-	return sig, true
+	return sig
 }
 
 // kernelFor returns the compiled kernel specialized for this input-kind
-// mix, compiling and caching on first use; nil means the interpreter runs
-// (backend forced, unpackable input list, or compilation refused).
+// mix, compiling and caching on first use.
 func (p *FuseProgram) kernelFor(ins []FusedInput) *fusedKernel {
-	if p.backend != FuseBackendCompiled {
-		return nil
-	}
-	sig, ok := fuseKindSig(ins)
-	if !ok {
-		return nil
-	}
+	sig := fuseKindSig(ins)
 	if m := p.kernels.Load(); m != nil {
 		if k, hit := (*m)[sig]; hit {
 			return k
@@ -148,8 +124,7 @@ func (p *FuseProgram) kernelFor(ins []FusedInput) *fusedKernel {
 }
 
 // compileAndCache compiles under the program's lock and publishes a
-// copy-on-write cache map, so the hot path stays a single atomic load. A
-// refused compilation caches nil: the check runs once, not per call.
+// copy-on-write cache map, so the hot path stays a single atomic load.
 func (p *FuseProgram) compileAndCache(sig uint64, ins []FusedInput) *fusedKernel {
 	p.kmu.Lock()
 	defer p.kmu.Unlock()
@@ -173,18 +148,11 @@ func (p *FuseProgram) compileAndCache(sig uint64, ins []FusedInput) *fusedKernel
 }
 
 // prepare resolves the kernel for this call's inputs and runs its scalar
-// prelude into pooled scratch; the caller releases sv via release. The
-// dispatch counters live here so every entry point reports compiled vs
-// interpreted uniformly.
+// prelude into pooled scratch; the caller releases sv via release.
 //
 //dmml:owns-scratch
 func (p *FuseProgram) prepare(ins []FusedInput) (*fusedKernel, []float64) {
 	k := p.kernelFor(ins)
-	if k == nil {
-		mFusedInterp.Inc()
-		return nil, nil
-	}
-	mFusedCompiled.Inc()
 	var sv []float64
 	if k.nsv > 0 {
 		sv = pool.GetF64(k.nsv)
@@ -201,18 +169,6 @@ func (p *FuseProgram) release(sv []float64) {
 	}
 }
 
-// CompileFusedKernel forces compilation of the program for the given
-// input-kind mix and reports the outcome: whether a specialized kernel
-// backs this mix, and which flat template (if any) was matched. The kernel
-// is cached, so probing is free relative to the execution that follows.
-func (p *FuseProgram) CompileFusedKernel(ins []FusedInput) (compiled bool, flat string) {
-	k := p.kernelFor(ins)
-	if k == nil {
-		return false, ""
-	}
-	return true, k.flat
-}
-
 // fkVal is one compile-time stack slot: a vector node under construction
 // or a scalar reference, plus the structural node the pattern matcher
 // walks (nil beyond the shapes it understands, e.g. under CSR loads).
@@ -224,9 +180,9 @@ type fkVal struct {
 
 // compileFusedKernel lowers the program by symbolically executing its
 // postfix ops over a compile-time stack, emitting one closure per
-// vector-valued node. Slot numbers mirror the interpreter's stack
-// positions exactly, so the root lands in slot 0 and FusedCellInto's
-// bind-scratch[0]-to-dst trick keeps working. Uses only the KINDS of ins —
+// vector-valued node. Slot numbers are the postfix program's stack
+// positions, so the root lands in slot 0 and FusedCellInto's
+// bind-scratch[0]-to-dst trick works. Uses only the KINDS of ins —
 // closures must never capture the input values themselves.
 func compileFusedKernel(p *FuseProgram, ins []FusedInput) *fusedKernel {
 	k := &fusedKernel{}
@@ -262,13 +218,27 @@ func compileFusedKernel(p *FuseProgram, ins []FusedInput) *fusedKernel {
 	}
 	root := stack[0]
 	if root.vec == nil {
-		// Scalar-rooted program: the interpreter's broadcast paths handle
-		// it; compiling a constant fill buys nothing.
-		return nil
+		// Scalar-rooted program (no matrix input is loaded): the root
+		// broadcasts the folded or prelude scalar over its slot's tile.
+		k.root = fkFill(root.sref)
+		return k
 	}
 	k.root = root.vec
 	matchFlat(k, root.node)
 	return k
+}
+
+// fkFill emits the root of a scalar-rooted program: slot 0's tile filled
+// with the scalar.
+func fkFill(s fkSRef) fkVec {
+	return func(c *fuseCtx, lo, hi int) []float64 {
+		d := c.scratch[0][:hi-lo]
+		v := s.load(c)
+		for i := range d {
+			d[i] = v
+		}
+		return d
+	}
 }
 
 // lowerBin emits the closure for a binary node at the given result slot.
@@ -296,7 +266,7 @@ func (k *fusedKernel) lowerBin(code FuseOpCode, a, b fkVal, slot int) fkVal {
 // dynamic scalar×scalar node into the prelude.
 func (k *fusedKernel) lowerScalarBin(code FuseOpCode, a, b fkVal) fkVal {
 	if a.sref.kind == fkSConst && b.sref.kind == fkSConst {
-		// Same fold the interpreter applies at run time, so bit-exact.
+		// The scalar op itself, folded once: bit-exact.
 		r := fkConst(fuseScalarBin(code, a.sref.c, b.sref.c))
 		return fkVal{sref: r, node: &fkNode{scalar: true, sref: r}}
 	}
@@ -311,7 +281,7 @@ func (k *fusedKernel) lowerScalarBin(code FuseOpCode, a, b fkVal) fkVal {
 }
 
 // lowerUn emits the closure for a unary node (in place: result slot is the
-// operand's slot, matching the interpreter).
+// operand's slot).
 func (k *fusedKernel) lowerUn(code FuseOpCode, a fkVal, slot int) fkVal {
 	if a.vec == nil {
 		if a.sref.kind == fkSConst {
@@ -414,8 +384,8 @@ func uLoopC(code FuseOpCode) func(dst, x []float64) {
 	case FuseAbs:
 		return uAbs
 	default:
-		// Compiled specialization: the tile-vectorized sigmoid (bit-exact
-		// against fuseSigmoid; fusedexp.go) replaces the scalar loop.
+		// The tile-vectorized sigmoid (bit-exact against Sigmoid;
+		// fusedexp.go).
 		return sigmoidTile
 	}
 }

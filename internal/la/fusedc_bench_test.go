@@ -1,12 +1,12 @@
 package la
 
-// BenchmarkFusedDispatch: the interpreter dispatch tax, measured. One
-// fixed workload — the E15 6-op sigmoid chain sigmoid(x*2+1)*x - x/3 over
-// 200000×20 — evaluated by the tile interpreter, the compiled closure
-// tree, the flat template kernel, and a hand-written loop, all single-core
-// (pool forced serial via size-1 tiles staying under the parallel
-// threshold is not enough at this size, so GOMAXPROCS pins the comparison
-// instead). Run with -cpu=1:
+// BenchmarkFusedDispatch: the fused kernel against its rooflines. One fixed
+// workload — the E15 6-op sigmoid chain sigmoid(x*2+1)*x - x/3 over
+// 200000×20 — evaluated by the compiled kernel (flat template), a
+// hand-written loop with the tile-vectorized sigmoid, and a hand-written
+// loop with scalar math.Exp, all single-core (the pool's parallel threshold
+// is not enough at this size, so GOMAXPROCS pins the comparison instead).
+// Run with -cpu=1:
 //
 //	go test -run '^$' -bench BenchmarkFusedDispatch -cpu=1 ./internal/la
 
@@ -33,40 +33,10 @@ func fusedDispatchSetup(b *testing.B) (*FuseProgram, []FusedInput, *Dense) {
 	return p, []FusedInput{DenseInput(x)}, NewDense(rows, cols)
 }
 
-func BenchmarkFusedDispatchInterp(b *testing.B) {
-	p, ins, out := fusedDispatchSetup(b)
-	p.SetBackend(FuseBackendInterp)
-	defer p.SetBackend(FuseBackendCompiled)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FusedCellInto(out, p, ins)
-	}
-}
-
-// Compiled closure tree, flat template suppressed: isolates the win from
-// killing per-op dispatch alone.
-func BenchmarkFusedDispatchClosures(b *testing.B) {
-	p, ins, out := fusedDispatchSetup(b)
-	k := p.kernelFor(ins)
-	if k == nil || k.flatCell == nil {
-		b.Fatal("expected a flat-compiled kernel to strip")
-	}
-	stripped := *k
-	stripped.flatCell = nil
-	stripped.flat = ""
-	sig, _ := fuseKindSig(ins)
-	m := map[uint64]*fusedKernel{sig: &stripped}
-	p.kernels.Store(&m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FusedCellInto(out, p, ins)
-	}
-}
-
-// The full compiled path as dispatched in production: flat template.
+// The compiled path as dispatched in production: flat template.
 func BenchmarkFusedDispatchCompiled(b *testing.B) {
 	p, ins, out := fusedDispatchSetup(b)
-	if _, flat := p.CompileFusedKernel(ins); flat != "cell.sigchain" {
+	if flat := p.kernelFor(ins).flat; flat != "cell.sigchain" {
 		b.Fatalf("flat = %q, want cell.sigchain", flat)
 	}
 	b.ResetTimer()
@@ -79,15 +49,14 @@ func BenchmarkFusedDispatchCompiled(b *testing.B) {
 func BenchmarkFusedDispatchHandWritten(b *testing.B) {
 	_, ins, out := fusedDispatchSetup(b)
 	x := ins[0].D.data
-	scr := make([]float64, fusedTileW)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flatSigChain(out.data, scr, x, 2, 1, 3)
+		flatSigChain(out.data, x, 2, 1, 3)
 	}
 }
 
 // The pre-vectorization roofline: hand-written loop, scalar math.Exp — what
-// "hand-written" meant before the backend existed.
+// "hand-written" meant before the tile sigmoid existed.
 func BenchmarkFusedDispatchHandScalarExp(b *testing.B) {
 	_, ins, out := fusedDispatchSetup(b)
 	x := ins[0].D.data
@@ -96,7 +65,7 @@ func BenchmarkFusedDispatchHandScalarExp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := range dst {
 			m := x[j]*2 + 1
-			dst[j] = fuseSigmoid(m)*x[j] - x[j]/3
+			dst[j] = Sigmoid(m)*x[j] - x[j]/3
 		}
 	}
 }

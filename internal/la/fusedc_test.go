@@ -1,18 +1,17 @@
 package la
 
-// Compiled-backend properties: the closure kernels and flat templates must
-// agree with the tile interpreter — bit for bit on cell templates, to the
-// reduction tolerance on aggregates — across dense/CSR/scalar input mixes,
-// at GOMAXPROCS 1 and N; the flat matcher must fire on the template shapes
-// it advertises; the vectorized sigmoid must be bit-identical to the scalar
-// form; and the compiled entry points must hold the zero-alloc contract.
+// Kernel-compiler properties: every program CompileFused accepts compiles;
+// the flat matcher must fire on the template shapes it advertises and its
+// kernels agree with the materializing reference (bit for bit on cells, to
+// the reduction tolerance on aggregates); the vectorized sigmoid must be
+// bit-identical to the scalar form; and the compiled entry points must hold
+// the zero-alloc contract.
 
 import (
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func bitsEqual(a, b []float64) bool {
@@ -35,114 +34,20 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(b))
 }
 
-// runBothBackends evaluates f under the compiled backend and then the
-// interpreter, restoring the compiled default.
-func runBothBackends(p *FuseProgram, f func() []float64) (compiled, interp []float64) {
-	p.SetBackend(FuseBackendCompiled)
-	compiled = f()
-	p.SetBackend(FuseBackendInterp)
-	interp = f()
-	p.SetBackend(FuseBackendCompiled)
-	return
-}
-
-// TestCompiledMatchesInterpCell: random programs over random input mixes —
-// the compiled closure/flat kernels must reproduce the interpreter bit for
-// bit on element-wise outputs, serial and forced-parallel.
-func TestCompiledMatchesInterpCell(t *testing.T) {
-	oldThresh := parallelThreshold
-	parallelThreshold = 1
-	defer func() { parallelThreshold = oldThresh }()
-
-	r := rand.New(rand.NewSource(31))
-	prop := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		rows := 1 + rr.Intn(40)
-		cols := 1 + rr.Intn(40)
-		p, ins := genFusedCase(rr, rows, cols)
-		gotC, gotI := runBothBackends(p, func() []float64 {
-			return append([]float64(nil), FusedCell(p, ins, rows, cols).data...)
-		})
-		if !bitsEqual(gotC, gotI) {
-			t.Logf("compiled cell differs from interpreted at %dx%d, %d ops", rows, cols, len(p.ops))
-			return false
-		}
-		return true
-	}
-	eachProcs(func() {
-		if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: r}); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
-// TestCompiledMatchesInterpAgg: every aggregate entry point, compiled vs
-// interpreted, within the reduction tolerance the fused properties grant
-// (flat aggregates reassociate their accumulators).
-func TestCompiledMatchesInterpAgg(t *testing.T) {
-	oldThresh := parallelThreshold
-	parallelThreshold = 1
-	defer func() { parallelThreshold = oldThresh }()
-
-	r := rand.New(rand.NewSource(32))
-	prop := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		rows := 1 + rr.Intn(40)
-		cols := 1 + rr.Intn(40)
-		p, ins := genFusedCase(rr, rows, cols)
-		tol := 1e-8 * float64(p.arith+1)
-		v := make([]float64, cols)
-		for j := range v {
-			v[j] = rr.NormFloat64()
-		}
-		sumC, sumI := runBothBackends(p, func() []float64 {
-			return []float64{FusedSum(p, ins, rows, cols)}
-		})
-		if !relClose(sumC[0], sumI[0], tol) {
-			t.Logf("sum: compiled %g vs interp %g", sumC[0], sumI[0])
-			return false
-		}
-		for _, agg := range []struct {
-			name string
-			run  func() []float64
-		}{
-			{"rowSums", func() []float64 { return FusedRowSumsInto(make([]float64, rows), p, ins, rows, cols) }},
-			{"colSums", func() []float64 { return FusedColSumsInto(make([]float64, cols), p, ins, rows, cols) }},
-			{"matvec", func() []float64 { return FusedMatVecInto(make([]float64, rows), p, ins, rows, cols, v) }},
-		} {
-			gotC, gotI := runBothBackends(p, agg.run)
-			for i := range gotC {
-				if !relClose(gotC[i], gotI[i], tol) {
-					t.Logf("%s[%d]: compiled %g vs interp %g", agg.name, i, gotC[i], gotI[i])
-					return false
-				}
-			}
-		}
-		return true
-	}
-	eachProcs(func() {
-		if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: r}); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
 // ops builders for the template table.
 func opsLoad(i int) FusedOp      { return FusedOp{Code: FuseLoad, Arg: i} }
 func opsConst(v float64) FusedOp { return FusedOp{Code: FuseConst, Val: v} }
 func opsOp(c FuseOpCode) FusedOp { return FusedOp{Code: c} }
 
 // TestFlatTemplateMatch pins the pattern matcher: each template shape must
-// compile to its named flat kernel, execute bit-identically to the
-// interpreter (cells) or within reduction tolerance (aggregates), and the
-// CSR specialization of the same program must fall back to the closure
-// tree.
+// compile to its named flat kernel and agree with the materializing
+// reference — bit for bit on cells, within reduction tolerance on
+// aggregates — and a lone affine sigmoid must stay a closure tree.
 func TestFlatTemplateMatch(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	rows, cols := 37, 23
 	x := randMat(r, rows, cols, 0)
 	y := randMat(r, rows, cols, 0)
-	z := randMat(r, rows, cols, 0)
 
 	cases := []struct {
 		name string
@@ -162,14 +67,14 @@ func TestFlatTemplateMatch(t *testing.T) {
 		{
 			name: "sigmoid bare",
 			ops:  []FusedOp{opsLoad(0), opsOp(FuseSigmoid)},
-			nin:  1, ins: []FusedInput{DenseInput(x)}, flat: "cell.sigmoid", cell: true,
+			nin:  1, ins: []FusedInput{DenseInput(x)}, flat: "",
 		},
 		{
 			// Dynamic scalar slope: sigmoid(x*s + 0.5) with s an input.
 			name: "sigmoid dynamic affine",
 			ops: []FusedOp{opsLoad(0), opsLoad(1), opsOp(FuseMul), opsConst(0.5), opsOp(FuseAdd),
 				opsOp(FuseSigmoid)},
-			nin: 2, ins: []FusedInput{DenseInput(x), ScalarInput(1.7)}, flat: "cell.sigmoid", cell: true,
+			nin: 2, ins: []FusedInput{DenseInput(x), ScalarInput(1.7)}, flat: "",
 		},
 		{
 			name: "axpy add",
@@ -221,53 +126,47 @@ func TestFlatTemplateMatch(t *testing.T) {
 			nin:  2, ins: []FusedInput{DenseInput(x), DenseInput(y)}, flat: "cell.axpy",
 		},
 	}
-	_ = z
 	for _, tc := range cases {
 		p, err := CompileFused(tc.ops, tc.nin)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		compiled, flat := p.CompileFusedKernel(tc.ins)
-		if !compiled {
-			t.Errorf("%s: not compiled", tc.name)
-			continue
-		}
-		if flat != tc.flat {
-			t.Errorf("%s: flat %q, want %q", tc.name, flat, tc.flat)
-			continue
-		}
 		k := p.kernelFor(tc.ins)
+		if k.flat != tc.flat {
+			t.Errorf("%s: flat %q, want %q", tc.name, k.flat, tc.flat)
+			continue
+		}
 		if tc.cell && k.flatCell == nil {
 			t.Errorf("%s: flatCell not installed", tc.name)
 		}
-		if !tc.cell && (k.flatSum == nil || k.flatRow == nil) {
+		if !tc.cell && tc.flat != "" && (k.flatSum == nil || k.flatRow == nil) {
 			t.Errorf("%s: flat aggregate kernels not installed", tc.name)
 		}
 
-		// Execution agreement, flat vs interpreter.
-		gotC, gotI := runBothBackends(p, func() []float64 {
-			return append([]float64(nil), FusedCell(p, tc.ins, rows, cols).data...)
-		})
-		if !bitsEqual(gotC, gotI) {
-			t.Errorf("%s: compiled cell differs from interpreted", tc.name)
+		ref := refFused(p, tc.ins, rows, cols)
+		if got := FusedCell(p, tc.ins, rows, cols); !bitsEqual(got.data, ref) {
+			t.Errorf("%s: cell differs from the reference", tc.name)
 		}
 		v := make([]float64, cols)
 		for j := range v {
 			v[j] = r.NormFloat64()
 		}
 		tol := 1e-8 * float64(p.arith+1)
-		sumC, sumI := runBothBackends(p, func() []float64 {
-			return []float64{FusedSum(p, tc.ins, rows, cols)}
-		})
-		if !relClose(sumC[0], sumI[0], tol) {
-			t.Errorf("%s: compiled sum %g vs interp %g", tc.name, sumC[0], sumI[0])
+		var wantSum float64
+		wantMV := make([]float64, rows)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				wantSum += ref[i*cols+j]
+				wantMV[i] += ref[i*cols+j] * v[j]
+			}
 		}
-		rowC, rowI := runBothBackends(p, func() []float64 {
-			return FusedMatVecInto(make([]float64, rows), p, tc.ins, rows, cols, v)
-		})
-		for i := range rowC {
-			if !relClose(rowC[i], rowI[i], tol) {
-				t.Errorf("%s: compiled matvec[%d] %g vs interp %g", tc.name, i, rowC[i], rowI[i])
+		if got := FusedSum(p, tc.ins, rows, cols); !relClose(got, wantSum, tol) {
+			t.Errorf("%s: sum %g, reference %g", tc.name, got, wantSum)
+		}
+		gotMV := FusedMatVecInto(make([]float64, rows), p, tc.ins, rows, cols, v)
+		for i := range gotMV {
+			if !relClose(gotMV[i], wantMV[i], tol) {
+				t.Errorf("%s: matvec[%d] %g, reference %g", tc.name, i, gotMV[i], wantMV[i])
 				break
 			}
 		}
@@ -289,82 +188,80 @@ func TestCompiledCSRFallsBackToClosures(t *testing.T) {
 	}
 	dense := []FusedInput{DenseInput(xd), DenseInput(y)}
 	sparse := []FusedInput{CSRInput(CSRFromDense(xd)), DenseInput(y)}
-	if _, flat := p.CompileFusedKernel(dense); flat != "agg.sqdiff" {
+	if flat := p.kernelFor(dense).flat; flat != "agg.sqdiff" {
 		t.Errorf("dense specialization flat = %q, want agg.sqdiff", flat)
 	}
-	compiled, flat := p.CompileFusedKernel(sparse)
-	if !compiled {
-		t.Fatal("CSR specialization not compiled")
+	k := p.kernelFor(sparse)
+	if k.flat != "" || k.flatSum != nil || k.flatCell != nil {
+		t.Errorf("CSR specialization matched flat %q, want closure tree", k.flat)
 	}
-	if flat != "" {
-		t.Errorf("CSR specialization matched flat %q, want closure tree", flat)
+	var want float64
+	for _, v := range refFused(p, sparse, rows, cols) {
+		want += v
 	}
-	if k := p.kernelFor(sparse); k.flatSum != nil || k.flatCell != nil {
-		t.Error("CSR specialization installed flat kernels")
-	}
-	gotC, gotI := runBothBackends(p, func() []float64 {
-		return []float64{FusedSum(p, sparse, rows, cols)}
-	})
-	if !relClose(gotC[0], gotI[0], 1e-8*float64(p.arith+1)) {
-		t.Errorf("CSR compiled sum %g vs interp %g", gotC[0], gotI[0])
+	if got := FusedSum(p, sparse, rows, cols); !relClose(got, want, 1e-8*float64(p.arith+1)) {
+		t.Errorf("CSR sum %g, reference %g", got, want)
 	}
 }
 
-// TestCompileRefused: shapes the compiler declines — scalar-rooted
-// programs and input lists too long for the kind signature — run on the
-// interpreter, reported via CompileFusedKernel.
+// TestCompileRefused: CompileFused is the only place a program is refused
+// — what it accepts compiles for every input mix. An all-scalar program
+// broadcasts through the kernel, a 31-input program compiles, and a
+// 32-input program is an error up front.
 func TestCompileRefused(t *testing.T) {
-	// Scalar-rooted: constant fold to a broadcast.
-	p, err := CompileFused([]FusedOp{opsConst(2), opsConst(3), opsOp(FuseAdd)}, 0)
+	// Scalar-rooted: constant fold plus a dynamic scalar, broadcast.
+	p, err := CompileFused([]FusedOp{opsConst(2), opsConst(3), opsOp(FuseAdd), opsLoad(0), opsOp(FuseMul),
+		opsOp(FuseSigmoid)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compiled, _ := p.CompileFusedKernel(nil); compiled {
-		t.Error("scalar-rooted program compiled, want refusal")
+	ins := []FusedInput{ScalarInput(-0.25)}
+	if k := p.kernelFor(ins); k.root == nil {
+		t.Fatal("scalar-rooted program has no compiled root")
 	}
-	if got := FusedCell(p, nil, 2, 3); got.data[0] != 5 {
-		t.Errorf("scalar broadcast = %g, want 5", got.data[0])
+	want := refFused(p, ins, 2, 3)
+	if got := FusedCell(p, ins, 2, 3); !bitsEqual(got.data, want) || got.data[0] != Sigmoid(5*-0.25) {
+		t.Errorf("scalar broadcast = %v, want %v", got.data, want)
+	}
+	if got := FusedRowSumsInto(make([]float64, 2), p, ins, 2, 3); !relClose(got[1], 3*want[0], 1e-15) {
+		t.Errorf("scalar rowSums = %v, want %g", got, 3*want[0])
 	}
 
-	// 32 inputs: kind signature cannot pack, interpreter handles it.
-	nin := 32
-	var ops []FusedOp
-	ops = append(ops, opsLoad(0))
-	for i := 1; i < nin; i++ {
-		ops = append(ops, opsLoad(i), opsOp(FuseAdd))
-	}
-	p2, err := CompileFused(ops, nin)
-	if err != nil {
-		t.Fatal(err)
+	chain := func(nin int) []FusedOp {
+		ops := []FusedOp{opsLoad(0)}
+		for i := 1; i < nin; i++ {
+			ops = append(ops, opsLoad(i), opsOp(FuseAdd))
+		}
+		return ops
 	}
 	r := rand.New(rand.NewSource(35))
-	ins := make([]FusedInput, nin)
-	for i := range ins {
-		ins[i] = DenseInput(randMat(r, 3, 3, 0))
-	}
-	if compiled, _ := p2.CompileFusedKernel(ins); compiled {
-		t.Error("32-input program compiled, want refusal")
-	}
-	want := refFused(p2, ins, 3, 3)
-	if got := FusedCell(p2, ins, 3, 3); !closeSlices(got.data, want, 1e-9) {
-		t.Error("interpreter fallback wrong on 32-input program")
-	}
-
-	// Interp backend: the escape hatch never compiles.
-	p3, err := CompileFused([]FusedOp{opsLoad(0), opsOp(FuseSq)}, 1)
+	p31, err := CompileFused(chain(fuseMaxInputs), fuseMaxInputs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%d-input program refused: %v", fuseMaxInputs, err)
 	}
-	p3.SetBackend(FuseBackendInterp)
-	if compiled, _ := p3.CompileFusedKernel([]FusedInput{DenseInput(randMat(r, 2, 2, 0))}); compiled {
-		t.Error("interp backend compiled a kernel")
+	ins31 := make([]FusedInput, fuseMaxInputs)
+	for i := range ins31 {
+		switch i % 3 {
+		case 0:
+			ins31[i] = DenseInput(randMat(r, 3, 3, 0))
+		case 1:
+			ins31[i] = CSRInput(CSRFromDense(randMat(r, 3, 3, 0.5)))
+		default:
+			ins31[i] = ScalarInput(r.NormFloat64())
+		}
+	}
+	if got, want := FusedCell(p31, ins31, 3, 3), refFused(p31, ins31, 3, 3); !bitsEqual(got.data, want) {
+		t.Errorf("%d-input program: %v, reference %v", fuseMaxInputs, got.data, want)
+	}
+	if _, err := CompileFused(chain(fuseMaxInputs+1), fuseMaxInputs+1); err == nil {
+		t.Errorf("CompileFused(%d inputs) succeeded, want error", fuseMaxInputs+1)
 	}
 }
 
-// TestSigmoidTileBitExact: the vectorized sigmoid against the scalar form,
-// over specials (±0, ±Inf, NaN, denormal-adjacent, gate boundaries) and a
-// wide random sweep. This is the invariant that lets the compiled backend
-// replace the interpreter's sigmoid loop.
+// TestSigmoidTileBitExact: the vectorized sigmoid against the scalar
+// Sigmoid, over specials (±0, ±Inf, NaN, denormal-adjacent, gate
+// boundaries) and a wide random sweep. This is the invariant that lets the
+// fused kernels and the serving link agree with the unfused evaluator.
 func TestSigmoidTileBitExact(t *testing.T) {
 	t.Logf("fuseExpMode = %d", fuseExpMode)
 	xs := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5,
@@ -379,10 +276,10 @@ func TestSigmoidTileBitExact(t *testing.T) {
 	dst := make([]float64, len(xs))
 	sigmoidTile(dst, xs)
 	for i, x := range xs {
-		want := fuseSigmoid(x)
+		want := Sigmoid(x)
 		if math.Float64bits(dst[i]) != math.Float64bits(want) &&
 			!(math.IsNaN(dst[i]) && math.IsNaN(want)) {
-			t.Fatalf("sigmoidTile(%g) = %x, fuseSigmoid = %x", x,
+			t.Fatalf("sigmoidTile(%g) = %x, Sigmoid = %x", x,
 				math.Float64bits(dst[i]), math.Float64bits(want))
 		}
 	}
@@ -473,7 +370,7 @@ func TestCompiledZeroAllocSteadyState(t *testing.T) {
 		out := NewDense(rows, cols)
 		rowDst := make([]float64, rows)
 
-		// sigchain flat cell (stages through pooled scratch + sigmoidTile).
+		// sigchain flat cell.
 		chain, err := CompileFused([]FusedOp{opsLoad(0), opsConst(2), opsOp(FuseMul),
 			opsConst(1), opsOp(FuseAdd), opsOp(FuseSigmoid), opsLoad(0), opsOp(FuseMul),
 			opsLoad(0), opsConst(3), opsOp(FuseDiv), opsOp(FuseSub)}, 1)
@@ -481,8 +378,8 @@ func TestCompiledZeroAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 		xIn := []FusedInput{DenseInput(x)}
-		if compiled, flat := chain.CompileFusedKernel(xIn); !compiled || flat != "cell.sigchain" {
-			t.Fatalf("sigchain not flat-compiled: %v %q", compiled, flat)
+		if flat := chain.kernelFor(xIn).flat; flat != "cell.sigchain" {
+			t.Fatalf("sigchain not flat-compiled: %q", flat)
 		}
 		if a := testing.AllocsPerRun(50, func() { FusedCellInto(out, chain, xIn) }); a != 0 {
 			t.Errorf("compiled sigchain FusedCellInto allocates %v per run, want 0", a)
@@ -495,7 +392,6 @@ func TestCompiledZeroAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 		xyIn := []FusedInput{DenseInput(x), DenseInput(y)}
-		sa.CompileFusedKernel(xyIn)
 		if a := testing.AllocsPerRun(50, func() { FusedRowSumsInto(rowDst, sa, xyIn, rows, cols) }); a != 0 {
 			t.Errorf("compiled FusedRowSumsInto allocates %v per run, want 0", a)
 		}
@@ -507,8 +403,8 @@ func TestCompiledZeroAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 		dsIn := []FusedInput{DenseInput(x), DenseInput(y), ScalarInput(2.5), ScalarInput(0.8)}
-		if compiled, flat := ds.CompileFusedKernel(dsIn); !compiled || flat != "cell.scalebin" {
-			t.Fatalf("derived-scalar scalebin not flat-compiled: %v %q", compiled, flat)
+		if flat := ds.kernelFor(dsIn).flat; flat != "cell.scalebin" {
+			t.Fatalf("derived-scalar scalebin not flat-compiled: %q", flat)
 		}
 		if a := testing.AllocsPerRun(50, func() { FusedCellInto(out, ds, dsIn) }); a != 0 {
 			t.Errorf("compiled prelude FusedCellInto allocates %v per run, want 0", a)
@@ -518,7 +414,7 @@ func TestCompiledZeroAllocSteadyState(t *testing.T) {
 
 // TestCompiledConstantFolding: all-constant scalar subtrees fold at compile
 // time — the kernel for (x + (2*3+1)) must carry no prelude and still
-// match the interpreter bit for bit.
+// match the reference bit for bit.
 func TestCompiledConstantFolding(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	x := randMat(r, 7, 11, 0)
@@ -528,17 +424,10 @@ func TestCompiledConstantFolding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := []FusedInput{DenseInput(x)}
-	k := p.kernelFor(ins)
-	if k == nil {
-		t.Fatal("not compiled")
-	}
-	if k.nsv != 0 || len(k.pre) != 0 {
+	if k := p.kernelFor(ins); k.nsv != 0 || len(k.pre) != 0 {
 		t.Errorf("constant subtree hoisted to prelude (nsv=%d), want compile-time fold", k.nsv)
 	}
-	gotC, gotI := runBothBackends(p, func() []float64 {
-		return append([]float64(nil), FusedCell(p, ins, 7, 11).data...)
-	})
-	if !bitsEqual(gotC, gotI) {
-		t.Error("folded constants differ from interpreter")
+	if got := FusedCell(p, ins, 7, 11); !bitsEqual(got.data, refFused(p, ins, 7, 11)) {
+		t.Error("folded constants differ from the reference")
 	}
 }

@@ -2,12 +2,13 @@ package la
 
 import "math"
 
-// Tile-vectorized sigmoid for the compiled fusion backend.
+// Tile-vectorized sigmoid for the fused kernels, the serving link and the
+// logistic loss pass.
 //
-// The scalar interpreter path computes sigmoid via fuseSigmoid, whose cost
-// is one math.Exp call per element — on amd64 an assembly routine (SLEEF /
-// Shibata reduction) that the Go compiler cannot inline or pipeline across
-// loop iterations. The compiled backend replaces that loop with an 8-lane
+// The scalar Sigmoid costs one math.Exp call per element — on amd64 an
+// assembly routine (SLEEF / Shibata reduction) that the Go compiler cannot
+// inline or pipeline across loop iterations. The tile kernels replace that
+// loop with an 8-lane
 // software-pipelined port of the *same* algorithm, so eight exponentials are
 // in flight at once through the long FMA/divide dependency chains. Eight is
 // deliberate: the polynomial is a serial chain of ~4-cycle FMAs on hardware
@@ -15,8 +16,8 @@ import "math"
 // leave the FMA ports idle, and more than eight overflows the reorder
 // window (one 8-lane group is already ~240 uops).
 //
-// Bit-exactness is load-bearing, not best-effort: compiled≡interpreted is a
-// tested invariant, so the vector lanes must reproduce math.Exp exactly.
+// Bit-exactness is load-bearing, not best-effort: fused≡unfused is a tested
+// invariant, so the vector lanes must reproduce math.Exp exactly.
 // Two ports cover the two variants the assembly selects between at runtime:
 // exp8FMA uses math.FMA (exactly rounded everywhere, hardware or soft) and
 // matches the FMA path; exp8NoFMA uses plain ops and matches the pre-FMA
@@ -28,7 +29,7 @@ import "math"
 // The fast lanes are gated to |m| ∈ [2^-28, 700): arguments whose exp is
 // normal, finite, and away from the overflow/denormal tails — exactly the
 // range the probe certifies. Out-of-gate lanes (including NaN/Inf) take
-// fuseSigmoid scalar.
+// the scalar Sigmoid.
 
 const (
 	expLog2E = 1.4426950408889634073599246810018920                  // 1/ln(2)
@@ -439,7 +440,7 @@ func probeExpMode() uint8 {
 
 // sigLane finishes one in-gate sigmoid lane from m and e = exp(-|m|),
 // branch-free: the numerator is 1 for m ≥ 0 and e for m < 0, selected by
-// broadcasting m's sign bit. Matches fuseSigmoid's two branches exactly.
+// broadcasting m's sign bit. Matches Sigmoid's two branches exactly.
 //
 //dmml:noalloc
 func sigLane(m, e float64) float64 {
@@ -449,21 +450,21 @@ func sigLane(m, e float64) float64 {
 }
 
 // sigmoidTile applies the numerically stable sigmoid over a tile,
-// bit-identical to the interpreter's per-element fuseSigmoid loop. In-gate
-// quads run through the certified 4-lane exponential; anything else —
-// probe failed, tiny or huge magnitudes, NaN/Inf, the tail — takes the
-// scalar path. dst may alias x.
+// bit-identical to Sigmoid per element. In-gate groups of eight run through
+// the certified 8-lane exponential; anything else — probe failed, tiny or
+// huge magnitudes, NaN/Inf, the tail — takes the scalar Sigmoid. dst may
+// alias x.
 //
 //dmml:noalloc
 func sigmoidTile(dst, x []float64) {
 	mode := fuseExpMode
-	if mode == 0 {
-		uSigmoid(dst, x)
-		return
-	}
 	x = x[:len(dst)]
+	n8 := len(dst) &^ 7
+	if mode == 0 {
+		n8 = 0 // no certified lanes: the scalar loop takes every element
+	}
 	i := 0
-	for ; i+8 <= len(dst); i += 8 {
+	for ; i < n8; i += 8 {
 		m0, m1, m2, m3 := x[i], x[i+1], x[i+2], x[i+3]
 		m4, m5, m6, m7 := x[i+4], x[i+5], x[i+6], x[i+7]
 		a0, a1, a2, a3 := math.Abs(m0), math.Abs(m1), math.Abs(m2), math.Abs(m3)
@@ -491,17 +492,17 @@ func sigmoidTile(dst, x []float64) {
 			dst[i+6] = sigLane(m6, e6)
 			dst[i+7] = sigLane(m7, e7)
 		} else {
-			dst[i] = fuseSigmoid(m0)
-			dst[i+1] = fuseSigmoid(m1)
-			dst[i+2] = fuseSigmoid(m2)
-			dst[i+3] = fuseSigmoid(m3)
-			dst[i+4] = fuseSigmoid(m4)
-			dst[i+5] = fuseSigmoid(m5)
-			dst[i+6] = fuseSigmoid(m6)
-			dst[i+7] = fuseSigmoid(m7)
+			dst[i] = Sigmoid(m0)
+			dst[i+1] = Sigmoid(m1)
+			dst[i+2] = Sigmoid(m2)
+			dst[i+3] = Sigmoid(m3)
+			dst[i+4] = Sigmoid(m4)
+			dst[i+5] = Sigmoid(m5)
+			dst[i+6] = Sigmoid(m6)
+			dst[i+7] = Sigmoid(m7)
 		}
 	}
 	for ; i < len(dst); i++ {
-		dst[i] = fuseSigmoid(x[i])
+		dst[i] = Sigmoid(x[i])
 	}
 }

@@ -2,21 +2,24 @@ package la
 
 import "math"
 
-// Flat template kernels: the second tier of the compiled fusion backend.
-// The closure tree already removes the interpreter's per-op dispatch, but a
-// matched template goes further — one loop, no calls, no stack scratch.
-// The matcher runs at compile time over the structural tree the lowering
-// builds alongside the closures (fkNode; nil under any CSR load, so flats
-// are dense-only) and recognizes the shapes `dmml -stats` shows dominate
-// real scripts: sigmoid chains, axpy-like cells, scaled binary cells, and
-// the rowagg-over-product family.
+// Flat template kernels: the second tier of the fused kernel compiler,
+// chosen by program shape. The closure tree already makes one direct call
+// per op per tile, but a matched template goes further — one loop, no
+// calls, no stack scratch. The matcher runs at compile time over the
+// structural tree the lowering builds alongside the closures (fkNode; nil
+// under any CSR load, so flats are dense-only) and recognizes the shapes
+// `dmml -stats` shows dominate real scripts: sigmoid chains, axpy-like
+// cells, scaled binary cells, and the rowagg-over-product family. Each
+// template stays only while it measures faster than the closure tree it
+// replaces (DESIGN.md §4.5).
 //
-// Cell templates must be bit-identical to the interpreter: their loops
-// replicate the interpreted op sequence exactly, leaning only on identities
-// that hold bitwise (IEEE add/mul commute; x*1 ≡ x; a-b ≡ a+(-b); x+0 only
-// ever feeds sigmoid, where ±0 agree). Aggregate templates are covered by
-// the reduction tolerance the fused≡unfused property already grants
-// (relative 1e-8), so they reassociate freely with unrolled accumulators.
+// Cell templates must be bit-identical to the closure tree and the unfused
+// evaluator: their loops replicate the op sequence exactly, leaning only on
+// identities that hold bitwise (IEEE add/mul commute; x*1 ≡ x; a-b ≡
+// a+(-b); x+0 only ever feeds sigmoid, where ±0 agree). Aggregate templates
+// are covered by the reduction tolerance the fused≡unfused property already
+// grants (relative 1e-8), so they reassociate freely with unrolled
+// accumulators.
 
 // fkNode is the structural shadow of one compiled node: a dense load, a
 // scalar reference, or an operator over children. Pure compile-time data.
@@ -131,8 +134,8 @@ func matchFlatCell(k *fusedKernel, n *fkNode) {
 				if c, ok3 := n.r.r.scalarRef(); ok3 {
 					if aArg, aR, bR, ok4 := matchAffine(sig.l); ok4 && aArg == xArg {
 						arg := xArg
-						k.flatCell = func(ins []FusedInput, sv, dst, scr []float64, lo, hi int) {
-							flatSigChain(dst, scr, ins[arg].D.data[lo:hi],
+						k.flatCell = func(ins []FusedInput, sv, dst []float64, lo, hi int) {
+							flatSigChain(dst, ins[arg].D.data[lo:hi],
 								aR.loadIn(ins, sv), bR.loadIn(ins, sv), c.loadIn(ins, sv))
 						}
 						k.flat = "cell.sigchain"
@@ -142,17 +145,9 @@ func matchFlatCell(k *fusedKernel, n *fkNode) {
 			}
 		}
 	}
-	// sigmoid(X*a+b) on its own.
-	if n.is(FuseSigmoid) {
-		if arg, aR, bR, ok := matchAffine(n.l); ok {
-			k.flatCell = func(ins []FusedInput, sv, dst, scr []float64, lo, hi int) {
-				flatSigAffine(dst, scr, ins[arg].D.data[lo:hi],
-					aR.loadIn(ins, sv), bR.loadIn(ins, sv))
-			}
-			k.flat = "cell.sigmoid"
-			return
-		}
-	}
+	// A lone sigmoid(X*a+b) has no template: the closure tree makes the
+	// same passes, and a flat loop measured no faster.
+	//
 	// axpy: X ± Y*s in its four arrangements (add commutes bitwise, the
 	// two sub orders get distinct loops).
 	if n.is(FuseAdd) || n.is(FuseSub) {
@@ -218,7 +213,7 @@ func matchFlatAxpy(k *fusedKernel, n *fkNode) bool {
 }
 
 func setFlatAxpy(k *fusedKernel, loop func(dst, x, y []float64, s float64), xArg, yArg int, s fkSRef) {
-	k.flatCell = func(ins []FusedInput, sv, dst, scr []float64, lo, hi int) {
+	k.flatCell = func(ins []FusedInput, sv, dst []float64, lo, hi int) {
 		loop(dst, ins[xArg].D.data[lo:hi], ins[yArg].D.data[lo:hi], s.loadIn(ins, sv))
 	}
 	k.flat = "cell.axpy"
@@ -265,7 +260,7 @@ func matchFlatScaleBin(k *fusedKernel, n *fkNode) {
 	default:
 		return
 	}
-	k.flatCell = func(ins []FusedInput, sv, dst, scr []float64, lo, hi int) {
+	k.flatCell = func(ins []FusedInput, sv, dst []float64, lo, hi int) {
 		loop(dst, ins[xArg].D.data[lo:hi], ins[yArg].D.data[lo:hi], s.loadIn(ins, sv))
 	}
 	k.flat = "cell.scalebin"
@@ -411,13 +406,13 @@ func matchFlatAggAdd(k *fusedKernel, n *fkNode) bool {
 // --- cell template loops ---
 
 // flatSigChain computes dst = sigmoid(x*a+b)*x - x/c in a single register
-// pass: the affine argument feeds the 4-lane exponential directly and the
+// pass: the affine argument feeds the 8-lane exponential directly and the
 // chain tail consumes it without ever touching a staging buffer — x is
-// read once and dst written once per element. Bit-identical to the
-// interpreted op sequence. dst may alias x.
+// read once and dst written once per element. Bit-identical to the op
+// sequence. dst may alias x.
 //
 //dmml:noalloc
-func flatSigChain(dst, scr, x []float64, a, b, c float64) {
+func flatSigChain(dst, x []float64, a, b, c float64) {
 	mode := fuseExpMode
 	x = x[:len(dst)]
 	i := 0
@@ -470,36 +465,20 @@ func flatSigChain(dst, scr, x []float64, a, b, c float64) {
 				dst[i+6] = sigLane(m6, e6)*x6 - d6
 				dst[i+7] = sigLane(m7, e7)*x7 - d7
 			} else {
-				dst[i] = fuseSigmoid(m0)*x0 - d0
-				dst[i+1] = fuseSigmoid(m1)*x1 - d1
-				dst[i+2] = fuseSigmoid(m2)*x2 - d2
-				dst[i+3] = fuseSigmoid(m3)*x3 - d3
-				dst[i+4] = fuseSigmoid(m4)*x4 - d4
-				dst[i+5] = fuseSigmoid(m5)*x5 - d5
-				dst[i+6] = fuseSigmoid(m6)*x6 - d6
-				dst[i+7] = fuseSigmoid(m7)*x7 - d7
+				dst[i] = Sigmoid(m0)*x0 - d0
+				dst[i+1] = Sigmoid(m1)*x1 - d1
+				dst[i+2] = Sigmoid(m2)*x2 - d2
+				dst[i+3] = Sigmoid(m3)*x3 - d3
+				dst[i+4] = Sigmoid(m4)*x4 - d4
+				dst[i+5] = Sigmoid(m5)*x5 - d5
+				dst[i+6] = Sigmoid(m6)*x6 - d6
+				dst[i+7] = Sigmoid(m7)*x7 - d7
 			}
 		}
 	}
 	for ; i < len(dst); i++ {
 		m := x[i]*a + b
-		dst[i] = fuseSigmoid(m)*x[i] - x[i]/c
-	}
-}
-
-// flatSigAffine computes dst = sigmoid(x*a + b). dst may alias x.
-//
-//dmml:noalloc
-func flatSigAffine(dst, scr, x []float64, a, b float64) {
-	x = x[:len(dst)]
-	for at := 0; at < len(dst); at += fusedTileW {
-		end := min(at+fusedTileW, len(dst))
-		m := scr[:end-at]
-		xa := x[at:end]
-		for j := range m {
-			m[j] = xa[j]*a + b
-		}
-		sigmoidTile(dst[at:end], m)
+		dst[i] = Sigmoid(m)*x[i] - x[i]/c
 	}
 }
 

@@ -33,17 +33,10 @@ var (
 	mFusedCellTimer   = metrics.NewTimer("la.FusedCell")
 	mFusedAggTimer    = metrics.NewTimer("la.FusedRowAgg")
 
-	// Compiled-backend instruments (fusedc.go): the dispatch counters split
-	// every fused execution into compiled vs interpreted (with flat-template
-	// hits broken out), the compile timer prices the one-time lowering, and
-	// the compiled timers let `dmml -stats` show the two backends
-	// side by side.
-	mFusedCompiled     = metrics.NewCounter("la.fused.dispatch.compiled")
-	mFusedInterp       = metrics.NewCounter("la.fused.dispatch.interp")
+	// Kernel-compiler instruments (fusedc.go): flat-template hits among the
+	// fused executions, and the one-time lowering per input-kind signature.
 	mFusedFlat         = metrics.NewCounter("la.fused.dispatch.flat")
 	mFusedCompileTimer = metrics.NewTimer("la.FusedCompile")
-	mFusedCellCTimer   = metrics.NewTimer("la.FusedCellCompiled")
-	mFusedAggCTimer    = metrics.NewTimer("la.FusedRowAggCompiled")
 
 	// Serving-path scoring: total rows scored through ScoreRowsInto /
 	// ScoreRow, so `dmmlserve -stats` can relate predictions to GEMV work.

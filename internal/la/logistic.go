@@ -59,6 +59,19 @@ func LogisticDeriv(m, y float64) float64 {
 	return logisticDeriv(z, math.Exp(-math.Abs(z)), y)
 }
 
+// Sigmoid returns the logistic link 1/(1+e^{−m}) in its numerically stable
+// form. sigmoidTile (fusedexp.go) reproduces it bit for bit, so fused, serving
+// and scalar sigmoids all agree.
+//
+//dmml:noalloc
+func Sigmoid(m float64) float64 {
+	if m >= 0 {
+		return 1 / (1 + math.Exp(-m))
+	}
+	e := math.Exp(m)
+	return e / (1 + e)
+}
+
 // LogisticLossInto writes LogisticDeriv(margins[i], y[i]) into derivs[i] and
 // returns Σ LogisticValue(margins[i], y[i]), added in index order. Groups of
 // eight whose |z| all lie inside the probe's gate run their exponentials

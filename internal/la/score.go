@@ -6,10 +6,9 @@ import "fmt"
 // feature rows, one weight vector, one link function. The margins come out
 // of the pooled GEMV kernel in a single call — this is where request
 // batching pays off, amortizing dispatch, pool scheduling and cache misses
-// across the whole admission batch — and the logistic link applies the
-// bias-add and sigmoid as one compiled fused pass over the margin vector
-// (the same SPOOF codegen path the DML engine uses, including the 8-lane
-// software-pipelined exp kernel).
+// across the whole admission batch — and the logistic link is a bias add
+// plus the tile-vectorized sigmoid (the 8-lane software-pipelined exp
+// kernel the fused templates use), both in place over the margin vector.
 
 // Link selects the inverse link applied to a model's linear margin.
 type Link uint8
@@ -33,33 +32,17 @@ func (l Link) String() string {
 	}
 }
 
-// scoreSigmoidProg is sigmoid(margin + bias): input 0 is the margin vector,
-// input 1 the broadcast bias. Compiled once at init; the per-signature
-// kernel cache makes every subsequent batch a direct closure call.
-var scoreSigmoidProg = func() *FuseProgram {
-	p, err := CompileFused([]FusedOp{
-		{Code: FuseLoad, Arg: 0},
-		{Code: FuseLoad, Arg: 1},
-		{Code: FuseAdd},
-		{Code: FuseSigmoid},
-	}, 2)
-	if err != nil {
-		panic("la: scoreSigmoidProg: " + err.Error())
-	}
-	return p
-}()
-
 // ScoreRowsInto scores a batch of feature rows against one model:
 // dst[i] = link(x.RowView(i)·w + bias). dst must have length x.Rows() and
-// w length x.Cols(). The margins are produced by one pooled GEMV; the
-// logistic link then runs as one fused pass in place over dst.
+// w length x.Cols(). The margins are produced by one pooled GEMV; the link
+// then runs in place over dst and allocates nothing.
 func ScoreRowsInto(dst []float64, x *Dense, w []float64, bias float64, link Link) []float64 {
 	MatVecInto(dst, x, w)
 	mScoreRows.Add(int64(x.rows))
 	switch link {
 	case LinkLogistic:
-		out := Dense{rows: 1, cols: len(dst), data: dst}
-		FusedCellInto(&out, scoreSigmoidProg, []FusedInput{DenseInput(&out), ScalarInput(bias)})
+		vsAdd(dst, dst, bias)
+		sigmoidTile(dst, dst)
 	default:
 		if bias != 0 {
 			vsAdd(dst, dst, bias)
@@ -76,7 +59,7 @@ func ScoreRow(row, w []float64, bias float64, link Link) float64 {
 	m := Dot(row, w) + bias
 	mScoreRows.Inc()
 	if link == LinkLogistic {
-		return fuseSigmoid(m)
+		return Sigmoid(m)
 	}
 	return m
 }

@@ -61,6 +61,39 @@ func TestScoreRowsIdentityBitExact(t *testing.T) {
 	}
 }
 
+// TestScoreRowsLogisticDirect pins the logistic link: at every serving batch
+// size it allocates nothing and returns exactly the bits of the fused
+// sigmoid(margin + bias) program.
+func TestScoreRowsLogisticDirect(t *testing.T) {
+	fusedLink, err := CompileFused([]FusedOp{opsLoad(0), opsLoad(1), opsOp(FuseAdd), opsOp(FuseSigmoid)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	const cols = 16
+	w := make([]float64, cols)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	for _, rows := range []int{1, 4, 32, 256} {
+		x := randMat(rng, rows, cols, 0)
+		for _, bias := range []float64{0, -0.75, 3} {
+			dst := make([]float64, rows)
+			ScoreRowsInto(dst, x, w, bias, LinkLogistic)
+			margins := NewDense(rows, 1)
+			MatVecInto(margins.data, x, w)
+			want := FusedCellInto(NewDense(rows, 1), fusedLink, []FusedInput{DenseInput(margins), ScalarInput(bias)})
+			if !bitsEqual(dst, want.data) {
+				t.Fatalf("%d rows, bias %g: direct link differs from the fused program", rows, bias)
+			}
+		}
+		dst := make([]float64, rows)
+		if a := testing.AllocsPerRun(50, func() { ScoreRowsInto(dst, x, w, 0.5, LinkLogistic) }); a != 0 {
+			t.Errorf("%d rows: ScoreRowsInto allocates %v per run, want 0", rows, a)
+		}
+	}
+}
+
 // TestBatchedScoringBeatsSingleRow pins the point of the serving batcher:
 // scoring one coalesced batch through the pooled GEMV must not be slower
 // than the same rows scored one call at a time (in practice it is several
@@ -97,7 +130,7 @@ func TestBatchedScoringBeatsSingleRow(t *testing.T) {
 		}
 	}
 
-	// Warm the fused kernel cache before timing.
+	// Warm the caches before timing.
 	ScoreRowsInto(dst, x, w, 0.1, LinkLogistic)
 
 	batched, single := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)

@@ -10,7 +10,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"dmml/internal/la"
 	"dmml/internal/pool"
@@ -159,10 +158,4 @@ func (Hinge) Name() string { return "hinge" }
 // Sigmoid is the logistic link 1/(1+e^{−m}).
 //
 //dmml:noalloc
-func Sigmoid(m float64) float64 {
-	if m >= 0 {
-		return 1 / (1 + math.Exp(-m))
-	}
-	e := math.Exp(m)
-	return e / (1 + e)
-}
+func Sigmoid(m float64) float64 { return la.Sigmoid(m) }
