@@ -20,24 +20,21 @@
 #                       property (fused vs unfused), the serving wire
 #                       protocol (decode/round-trip) and the factorized Gram
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
-#                       dmmlserve + loadtest closed loop, fails below
-#                       20k predictions/s or on any request error
+#                       dmmlserve + loadtest closed loop, fails on any request
+#                       error or any score that differs from la.ScoreRow
 #   make bench          benchstat-compatible timings for the perf-tracked
 #                       experiments (E4, E5, E6, E10, E15, E17, E18, and the
 #                       E14 fault-injection scenario) and opt's batched loss
-#                       pass (BenchmarkLossPass*) — run before and after a
-#                       kernel change and feed both logs to benchstat
-#   make bench-guard    the non-blocking CI bench job: run E4/E5/E15/E17/E18
-#                       at full scale with -snapshot/-metrics and diff against
-#                       the BENCH_baseline.json snapshot pins
+#                       pass (BenchmarkLossPass*) — a local tool with no pins
+#                       and no gate: run before and after a kernel change and
+#                       feed both logs to benchstat (the regression gate is
+#                       the benchmark in bench/, declared by BENCHMARK.json)
 #   make cover          the CI coverage job: per-package statement coverage over
 #                       ./internal/... with an HTML report (coverage.html) and
 #                       hard floors on the storage, compress, factorized, dml
 #                       and opt packages
 #   make fuzz-nightly   the nightly extended fuzzing pass: 5 minutes per fuzz
 #                       target instead of fuzz-smoke's 15 seconds
-#   make bench-guard-strict  nightly bench guard: same run as bench-guard but
-#                       any regression past the warn threshold fails the build
 #   make lint-examples  run the DML static analyzer over all shipped scripts
 
 # Fail fast: every recipe line runs under `bash -eu -o pipefail`, so a
@@ -63,8 +60,8 @@ RACE_PKGS := ./internal/pool/... ./internal/la/... ./internal/compress/... \
 	./internal/factorized/... ./internal/modeldb/... ./internal/sketch/... \
 	./internal/serve/...
 
-.PHONY: test check ci vet vet-engine race bench bench-guard bench-guard-strict \
-	cover fuzz-nightly lint-examples fuzz-smoke serve-smoke bench-module
+.PHONY: test check ci vet vet-engine race bench cover fuzz-nightly \
+	lint-examples fuzz-smoke serve-smoke bench-module
 
 test:
 	$(GO) build ./...
@@ -109,20 +106,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime 15s ./internal/factorized
 
 # End-to-end serving smoke: loadtest starts dmmlserve in-process with the
-# demo models and drives a closed loop; fails on any request error or if
-# throughput drops below the 20k predictions/s acceptance floor.
+# demo models and drives a closed loop; fails on any request error or on any
+# answer not bit-equal to la.ScoreRow over the model it logged.
 serve-smoke:
-	$(GO) run ./cmd/loadtest -selfserve -conns 8 -duration 2s -min-qps 20000
-
-bench-guard:
-	$(GO) run ./cmd/dmmlbench -exp E4,E5,E15,E17,E18 -snapshot bench_current.json -metrics metrics_current.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -current bench_current.json -metrics metrics_current.json
-
-# Nightly variant: identical measurement, but a regression past the warn
-# threshold fails the job instead of just warning.
-bench-guard-strict:
-	$(GO) run ./cmd/dmmlbench -exp E4,E5,E15,E17,E18 -snapshot bench_current.json -metrics metrics_current.json
-	$(GO) run ./cmd/benchguard -strict -baseline BENCH_baseline.json -current bench_current.json -metrics metrics_current.json
+	$(GO) run ./cmd/loadtest -selfserve -conns 8 -duration 2s
 
 # Per-package statement coverage with an HTML report, plus hard floors on the
 # packages that own the out-of-core datapath's correctness — the buffer pool

@@ -6,7 +6,6 @@
 //	dmmlbench                    # run everything at full scale
 //	dmmlbench -quick             # 10x smaller workloads (CI-friendly)
 //	dmmlbench -exp E1,E5         # only the named experiments
-//	dmmlbench -snapshot out.json # also write per-experiment wall times as JSON
 //	dmmlbench -metrics out.json  # also dump the engine metrics registry
 //	dmmlbench -cpuprofile p.out  # write a pprof CPU profile of the run
 //	dmmlbench -ooc-budget 8MB    # re-run the out-of-core experiments (E17)
@@ -15,12 +14,10 @@
 // -metrics enables the engine-wide metrics registry for the run and writes
 // the full snapshot (counters, gauges, latency histograms from every
 // instrumented layer: la, compress, pool, opt, paramserver, storage) as
-// JSON — "-" writes to stdout. The CI bench guard consumes this dump
-// together with the -snapshot wall times.
+// JSON — "-" writes to stdout.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,19 +25,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"dmml/internal/experiments"
 	"dmml/internal/metrics"
 	"dmml/internal/storage"
 )
-
-// snapshotEntry is one experiment's wall time, written by -snapshot in a
-// stable JSON form so runs can be diffed across commits.
-type snapshotEntry struct {
-	ID string  `json:"id"`
-	Ms float64 `json:"ms"`
-}
 
 func main() {
 	// All work happens in run so deferred teardown (profile flushing) runs
@@ -51,7 +40,6 @@ func main() {
 func run() int {
 	quick := flag.Bool("quick", false, "run at ~1/10 workload scale")
 	expList := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	snapshot := flag.String("snapshot", "", "write per-experiment wall times (ms) to this JSON file")
 	metricsOut := flag.String("metrics", "", "write the engine metrics registry as JSON to this file ('-' for stdout)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -139,25 +127,10 @@ func run() int {
 		}
 	}
 
-	var times []snapshotEntry
 	for _, id := range ids {
-		start := time.Now()
 		t, err := fns[id](*quick)
-		elapsed := time.Since(start)
 		fmt.Println(t)
 		if err != nil {
-			return fail(err)
-		}
-		times = append(times, snapshotEntry{ID: id, Ms: float64(elapsed.Microseconds()) / 1000})
-	}
-
-	if *snapshot != "" {
-		data, err := json.MarshalIndent(times, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*snapshot, data, 0o644); err != nil {
 			return fail(err)
 		}
 	}

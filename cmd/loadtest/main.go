@@ -12,21 +12,26 @@
 // With -selfserve it starts the server in-process on 127.0.0.1:0 with the
 // demo models — the one-command smoke test used by `make serve-smoke`:
 //
-//	loadtest -selfserve -conns 8 -duration 2s -min-qps 20000
+//	loadtest -selfserve -conns 8 -duration 2s
 //
-// Exit status is non-zero if any request fails or the measured QPS falls
-// below -min-qps.
+// Under -selfserve loadtest logged the model itself, so it also checks every
+// answer: a response whose value is not bit-equal to la.ScoreRow over the
+// logged weights, bias and link counts as an error. Exit status is non-zero
+// if any request fails.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dmml/internal/la"
 	"dmml/internal/metrics"
 	"dmml/internal/modeldb"
 	"dmml/internal/serve"
@@ -37,6 +42,9 @@ var (
 	nOK     atomic.Int64
 	nErr    atomic.Int64
 	errOnce sync.Once
+	// wantValue is the expected score of the fixed row, set under
+	// -selfserve before any connection starts; NaN leaves answers unchecked.
+	wantValue = math.NaN()
 )
 
 func fail(format string, args ...any) {
@@ -54,12 +62,16 @@ func main() {
 	pipeline := flag.Int("pipeline", 16, "closed loop: in-flight requests per connection")
 	rate := flag.Float64("rate", 10000, "open loop: total target requests/sec")
 	selfserve := flag.Bool("selfserve", false, "start an in-process demo server on 127.0.0.1:0")
-	minQPS := flag.Float64("min-qps", 0, "fail if measured QPS is below this")
 	maxBatch := flag.Int("max-batch", 256, "selfserve: max rows per kernel call")
 	linger := flag.Duration("linger", 0, "selfserve: fixed coalescing window")
 	flag.Parse()
 
 	metrics.Enable()
+
+	row := make([]float64, *dim)
+	for i := range row {
+		row[i] = float64(i%7) * 0.25
+	}
 
 	target := *addr
 	if *selfserve {
@@ -67,6 +79,18 @@ func main() {
 		if err := serve.LogDemoModels(store); err != nil {
 			log.Fatalf("loadtest: %v", err)
 		}
+		run, err := store.Latest(*model)
+		if err != nil {
+			log.Fatalf("loadtest: %v", err)
+		}
+		if len(run.Weights) != *dim {
+			log.Fatalf("loadtest: model %q has %d features, -dim is %d", *model, len(run.Weights), *dim)
+		}
+		link := la.LinkIdentity
+		if slices.Contains(run.Tags, "link:logistic") {
+			link = la.LinkLogistic
+		}
+		wantValue = la.ScoreRow(row, run.Weights, run.Config["bias"], link)
 		s, err := serve.New(serve.Config{
 			Addr: "127.0.0.1:0", Store: store, MaxBatch: *maxBatch, Linger: *linger,
 		})
@@ -77,11 +101,6 @@ func main() {
 		defer s.Shutdown()
 		target = s.Addr().String()
 		log.Printf("loadtest: self-serving demo models on %s", target)
-	}
-
-	row := make([]float64, *dim)
-	for i := range row {
-		row[i] = float64(i%7) * 0.25
 	}
 
 	var wg sync.WaitGroup
@@ -95,7 +114,7 @@ func main() {
 			case "closed":
 				closedLoop(target, *model, row, *pipeline, end)
 			case "open":
-				openLoop(target, *model, row, *rate / float64(*conns), end)
+				openLoop(target, *model, row, *rate/float64(*conns), end)
 			default:
 				log.Fatalf("loadtest: unknown -mode %q", *mode)
 			}
@@ -118,10 +137,6 @@ func main() {
 		log.Printf("loadtest: FAIL: %d errors", errs)
 		os.Exit(1)
 	}
-	if *minQPS > 0 && qps < *minQPS {
-		log.Printf("loadtest: FAIL: %.0f qps < required %.0f", qps, *minQPS)
-		os.Exit(1)
-	}
 }
 
 func us(v float64) time.Duration {
@@ -132,6 +147,10 @@ func observe(resp serve.Response, start time.Time) {
 	hLat.Observe(time.Since(start).Microseconds())
 	if resp.Status != serve.StatusOK {
 		fail("status 0x%02x: %s", resp.Status, resp.Msg)
+		return
+	}
+	if !math.IsNaN(wantValue) && resp.Value != wantValue {
+		fail("wrong score %v, want %v", resp.Value, wantValue)
 		return
 	}
 	nOK.Add(1)

@@ -247,7 +247,7 @@ func benchLossPass(b *testing.B, loss Loss) {
 var lossSink float64
 
 // The loss pass of the bulk solvers at train_join's row count and at one
-// out-of-core block (BENCH_baseline.json pins both).
+// out-of-core block (`make bench` runs them for benchstat).
 func BenchmarkLossPassLogistic(b *testing.B) { benchLossPass(b, Logistic{}) }
 func BenchmarkLossPassSquared(b *testing.B)  { benchLossPass(b, Squared{}) }
 func BenchmarkLossPassHinge(b *testing.B)    { benchLossPass(b, Hinge{}) }
