@@ -9,8 +9,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"dmml/internal/core"
 	"dmml/internal/la"
@@ -19,10 +21,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, 50000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run trains over n generated rows and writes the plan table, the chosen
+// plan, the final loss and the training accuracy to w.
+func run(w io.Writer, n int) error {
 	r := rand.New(rand.NewSource(42))
 
 	// A mildly noisy binary classification problem.
-	x, y, _ := workload.Classification(r, 50000, 20, 0.03)
+	x, y, _ := workload.Classification(r, n, 20, 0.03)
 
 	res, err := core.TrainJoined(x, y, core.Task{
 		Loss:    core.LogisticLoss,
@@ -30,13 +40,13 @@ func main() {
 		MaxIter: 50,
 	}, core.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("plan table (cheapest first, * = chosen):")
-	fmt.Print(core.ExplainString(res.Explain))
-	fmt.Printf("\nchosen plan: %s\n", res.Plan)
-	fmt.Printf("final training loss: %.4f\n", res.FinalLoss)
+	fmt.Fprintln(w, "plan table (cheapest first, * = chosen):")
+	fmt.Fprint(w, core.ExplainString(res.Explain))
+	fmt.Fprintf(w, "\nchosen plan: %s\n", res.Plan)
+	fmt.Fprintf(w, "final training loss: %.4f\n", res.FinalLoss)
 
 	// Evaluate the model.
 	pred := make([]float64, len(y))
@@ -47,5 +57,6 @@ func main() {
 			pred[i] = -1
 		}
 	}
-	fmt.Printf("training accuracy: %.4f\n", ml.Accuracy(pred, y))
+	fmt.Fprintf(w, "training accuracy: %.4f\n", ml.Accuracy(pred, y))
+	return nil
 }

@@ -11,8 +11,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"dmml/internal/compress"
@@ -22,11 +24,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, 500000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compresses n telemetry records and writes the footprints, the
+// compressed-vs-dense MatVec check and a k-means summary to w.
+func run(w io.Writer, n int) error {
 	r := rand.New(rand.NewSource(11))
 
-	// 500k telemetry records: status codes, device model, region, error
-	// class, rack id, plus two continuous gauge columns.
-	n := 500000
+	// n telemetry records: status codes, device model, region, error class,
+	// rack id, plus two continuous gauge columns.
 	m := workload.TelemetryMatrix(r, n, []int{6, 40, 12, 9, 200}, 1.2)
 	gauges := la.NewDense(n, 2)
 	for i := 0; i < n; i++ {
@@ -35,16 +44,16 @@ func main() {
 	}
 	full, err := la.HCat(m, gauges)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	start := time.Now()
 	cm := compress.Compress(full, compress.Options{CoCode: true})
-	fmt.Printf("compressed %dx%d in %v\n", n, full.Cols(), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("dense footprint:      %8.1f MB\n", float64(cm.DenseSizeBytes())/1e6)
-	fmt.Printf("compressed footprint: %8.1f MB (ratio %.1fx)\n",
+	fmt.Fprintf(w, "compressed %dx%d in %v\n", n, full.Cols(), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "dense footprint:      %8.1f MB\n", float64(cm.DenseSizeBytes())/1e6)
+	fmt.Fprintf(w, "compressed footprint: %8.1f MB (ratio %.1fx)\n",
 		float64(cm.SizeBytes())/1e6, cm.CompressionRatio())
-	fmt.Println("column groups:", cm.GroupInfo())
+	fmt.Fprintln(w, "column groups:", cm.GroupInfo())
 
 	// Linear algebra directly over the compressed representation.
 	v := make([]float64, full.Cols())
@@ -65,23 +74,24 @@ func main() {
 			maxDiff = -dlt
 		}
 	}
-	fmt.Printf("\nmatrix–vector: compressed %v vs dense %v (max |Δ| = %.2g)\n",
+	fmt.Fprintf(w, "\nmatrix–vector: compressed %v vs dense %v (max |Δ| = %.2g)\n",
 		tComp.Round(time.Microsecond), tDense.Round(time.Microsecond), maxDiff)
 
 	// Scalar ops touch only dictionaries.
 	start = time.Now()
 	cm.Scale(0.5)
-	fmt.Printf("scale entire compressed matrix by 0.5: %v (dictionary-only)\n",
+	fmt.Fprintf(w, "scale entire compressed matrix by 0.5: %v (dictionary-only)\n",
 		time.Since(start).Round(time.Microsecond))
 	cm.Scale(2) // undo
 
 	// Cluster devices on a sample of the telemetry (decompression is exact).
-	sample := cm.Decompress().Slice(0, 20000, 0, full.Cols())
+	sample := cm.Decompress().Slice(0, min(n, 20000), 0, full.Cols())
 	km := &ml.KMeans{K: 6, Seed: 3, Pruned: true}
 	start = time.Now()
 	if err := km.Fit(sample); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nk-means over decompressed sample: %d clusters in %v (%d iterations, %d distance evals)\n",
+	fmt.Fprintf(w, "\nk-means over decompressed sample: %d clusters in %v (%d iterations, %d distance evals)\n",
 		km.K, time.Since(start).Round(time.Millisecond), km.Iters, km.DistEval)
+	return nil
 }

@@ -190,7 +190,10 @@ func (p *planner) execute(ref opt.BulkData) (*Result, error) {
 	for i := range p.plans {
 		explain[i] = p.plans[i].PlanCost
 	}
-	loss, _ := opt.LossAndGradient(ref, p.y, w, p.task.lossFn(), 0)
+	loss, _, err := opt.LossAndGradient(ref, p.y, w, p.task.lossFn(), 0)
+	if err != nil {
+		return nil, fmt.Errorf("core: plan %s: final loss: %w", chosen.Name, err)
+	}
 	return &Result{W: w, Plan: chosen.Name, FinalLoss: loss, Explain: explain}, nil
 }
 

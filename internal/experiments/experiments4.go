@@ -107,16 +107,18 @@ func e18Run(quick bool) ([]e18Result, int, error) {
 	}
 	tMatRidge := time.Since(start)
 
-	loss := func(w []float64) float64 {
-		l, _ := opt.LossAndGradient(tree, s.Y, w, opt.Squared{}, 0)
-		return l
+	results := []e18Result{
+		{"gd+factorized", tFactGD, tFactGD / iters, 0, tree.Speedup()},
+		{"gd+materialized", tMatGD, tMatGD / iters, 0, 1},
+		{"ridge+factorized", tFactRidge, tFactRidge, 0, gramPred},
+		{"ridge+materialized", tMatRidge, tMatRidge, 0, 1},
 	}
-	return []e18Result{
-		{"gd+factorized", tFactGD, tFactGD / iters, loss(factGD.W), tree.Speedup()},
-		{"gd+materialized", tMatGD, tMatGD / iters, loss(matGD.W), 1},
-		{"ridge+factorized", tFactRidge, tFactRidge, loss(wFact), gramPred},
-		{"ridge+materialized", tMatRidge, tMatRidge, loss(wMat), 1},
-	}, d, nil
+	for i, w := range [][]float64{factGD.W, matGD.W, wFact, wMat} {
+		if results[i].finalLoss, _, err = opt.LossAndGradient(tree, s.Y, w, opt.Squared{}, 0); err != nil {
+			return nil, 0, err
+		}
+	}
+	return results, d, nil
 }
 
 // E18FactorizedSnowflake reproduces factorized learning generalized past star

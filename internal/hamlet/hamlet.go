@@ -19,6 +19,7 @@ import (
 
 	"dmml/internal/la"
 	"dmml/internal/ml"
+	"dmml/internal/opt"
 	"dmml/internal/workload"
 )
 
@@ -105,11 +106,11 @@ type EmpiricalResult struct {
 // Gap returns AccJoined − AccAvoided (positive = the join helped).
 func (e EmpiricalResult) Gap() float64 { return e.AccJoined - e.AccAvoided }
 
-// CompareEmpirical trains logistic regression twice on the star's dimension
-// dimIdx — once with the dimension's features joined in, once with the join
-// avoided (the dimension block replaced by a one-hot FK encoding) — and
-// reports held-out accuracies with the rule's decision. The star must be a
-// classification task.
+// CompareEmpirical trains logistic regression by batch gradient descent twice
+// on the star's dimension dimIdx — once with the dimension's features joined
+// in, once with the join avoided (the dimension block replaced by a one-hot
+// FK encoding) — and reports held-out accuracies with the rule's decision.
+// The star must be a classification task.
 func CompareEmpirical(s *workload.Star, dimIdx int, rule Rule, testFrac float64, seed int64) (*EmpiricalResult, error) {
 	if dimIdx < 0 || dimIdx >= len(s.DimX) {
 		return nil, fmt.Errorf("hamlet: dimension %d out of range", dimIdx)
@@ -168,11 +169,19 @@ func CompareEmpirical(s *workload.Star, dimIdx int, rule Rule, testFrac float64,
 	}
 
 	evalOn := func(x *la.Dense) (float64, error) {
-		lr := &ml.LogisticRegression{L2: 1e-3, Epochs: 80}
-		if err := lr.Fit(x.SelectRows(trainIdx), yTrain); err != nil {
+		res, err := opt.GradientDescent(opt.DenseData{M: x.SelectRows(trainIdx)}, yTrain, opt.Logistic{},
+			opt.GDConfig{Step: 0.5, L2: 1e-3, MaxIter: 80, Tol: 1e-9, Backtracking: true})
+		if err != nil {
 			return 0, err
 		}
-		pred := lr.Predict(x.SelectRows(testIdx))
+		pred := la.MatVec(x.SelectRows(testIdx), res.W)
+		for i, m := range pred {
+			if m >= 0 {
+				pred[i] = 1
+			} else {
+				pred[i] = -1
+			}
+		}
 		return ml.Accuracy(pred, yTest), nil
 	}
 	accJoined, err := evalOn(joined)

@@ -187,8 +187,14 @@ func TestFactorizedThroughSearchAndCV(t *testing.T) {
 	for j := range w {
 		w[j] = r.NormFloat64()
 	}
-	_, gFact := opt.LossAndGradient(design, star.Y, w, opt.Logistic{}, 0.1)
-	_, gMat := opt.LossAndGradient(opt.DenseData{M: m}, star.Y, w, opt.Logistic{}, 0.1)
+	_, gFact, err := opt.LossAndGradient(design, star.Y, w, opt.Logistic{}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gMat, err := opt.LossAndGradient(opt.DenseData{M: m}, star.Y, w, opt.Logistic{}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for j := range gFact {
 		if math.Abs(gFact[j]-gMat[j]) > 1e-9 {
 			t.Fatalf("gradient mismatch at %d", j)

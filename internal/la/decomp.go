@@ -208,121 +208,3 @@ func LstSq(a *Dense, b []float64) ([]float64, error) {
 	}
 	return qr.Solve(b)
 }
-
-// PowerIteration computes the dominant eigenvalue/eigenvector of a symmetric
-// matrix using power iteration with the given starting vector (which must be
-// non-zero). It returns after maxIter iterations or when the eigenvector
-// rotation falls below tol.
-func PowerIteration(a *Dense, start []float64, maxIter int, tol float64) (eigval float64, eigvec []float64, err error) {
-	if a.rows != a.cols {
-		return 0, nil, fmt.Errorf("la: PowerIteration on non-square %dx%d", a.rows, a.cols)
-	}
-	if len(start) != a.rows {
-		return 0, nil, fmt.Errorf("la: PowerIteration start length %d, want %d", len(start), a.rows)
-	}
-	v := CloneVec(start)
-	nrm := Norm2(v)
-	if nrm == 0 {
-		return 0, nil, errors.New("la: PowerIteration zero start vector")
-	}
-	ScaleVec(1/nrm, v)
-	lambda := 0.0
-	for it := 0; it < maxIter; it++ {
-		w := MatVec(a, v)
-		nw := Norm2(w)
-		if nw == 0 {
-			return 0, v, nil // a·v = 0: eigenvalue 0
-		}
-		ScaleVec(1/nw, w)
-		newLambda := Dot(w, MatVec(a, w))
-		diff := 1 - math.Abs(Dot(w, v))
-		v = w
-		lambda = newLambda
-		if diff < tol {
-			break
-		}
-	}
-	return lambda, v, nil
-}
-
-// TopKEigen computes the k largest-magnitude eigenpairs of a symmetric matrix
-// via power iteration with deflation. Start vectors are deterministic.
-func TopKEigen(a *Dense, k, maxIter int, tol float64) (vals []float64, vecs *Dense, err error) {
-	if a.rows != a.cols {
-		return nil, nil, fmt.Errorf("la: TopKEigen on non-square %dx%d", a.rows, a.cols)
-	}
-	n := a.rows
-	if k <= 0 || k > n {
-		return nil, nil, fmt.Errorf("la: TopKEigen k=%d out of range for n=%d", k, n)
-	}
-	work := a.Clone()
-	vals = make([]float64, 0, k)
-	vecs = NewDense(n, k)
-	for j := 0; j < k; j++ {
-		start := make([]float64, n)
-		for i := range start {
-			// Deterministic pseudo-random start, varied per component.
-			start[i] = math.Sin(float64(i+1) * float64(j+3) * 0.7391)
-		}
-		lam, v, perr := PowerIteration(work, start, maxIter, tol)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		vals = append(vals, lam)
-		for i := 0; i < n; i++ {
-			vecs.Set(i, j, v[i])
-		}
-		// Deflate: work -= lam * v vᵀ
-		OuterAdd(work, -lam, v, v)
-	}
-	return vals, vecs, nil
-}
-
-// Inverse returns the inverse of a square matrix via Gauss-Jordan with
-// partial pivoting. Intended for small matrices (model dimensions), not
-// data-sized ones.
-func Inverse(a *Dense) (*Dense, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("la: Inverse of non-square %dx%d", a.rows, a.cols)
-	}
-	n := a.rows
-	aug := NewDense(n, 2*n)
-	for i := 0; i < n; i++ {
-		copy(aug.RowView(i)[:n], a.RowView(i))
-		aug.Set(i, n+i, 1)
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(aug.At(r, col)) > math.Abs(aug.At(piv, col)) {
-				piv = r
-			}
-		}
-		if math.Abs(aug.At(piv, col)) < 1e-14 {
-			return nil, ErrSingular
-		}
-		if piv != col {
-			pr, cr := aug.RowView(piv), aug.RowView(col)
-			for j := range pr {
-				pr[j], cr[j] = cr[j], pr[j]
-			}
-		}
-		inv := 1 / aug.At(col, col)
-		ScaleVec(inv, aug.RowView(col))
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := aug.At(r, col)
-			if f != 0 {
-				Axpy(-f, aug.RowView(col), aug.RowView(r))
-			}
-		}
-	}
-	out := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		copy(out.RowView(i), aug.RowView(i)[n:])
-	}
-	return out, nil
-}

@@ -151,70 +151,6 @@ func TestLstSqOverdetermined(t *testing.T) {
 	}
 }
 
-func TestPowerIterationKnownEigen(t *testing.T) {
-	// Diagonal matrix: dominant eigenpair is known exactly.
-	a, _ := FromRows([][]float64{
-		{5, 0, 0},
-		{0, 2, 0},
-		{0, 0, 1},
-	})
-	lam, v, err := PowerIteration(a, []float64{1, 1, 1}, 500, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lam-5) > 1e-6 {
-		t.Fatalf("eigenvalue = %v, want 5", lam)
-	}
-	if math.Abs(math.Abs(v[0])-1) > 1e-5 {
-		t.Fatalf("eigenvector = %v, want ±e1", v)
-	}
-}
-
-func TestTopKEigen(t *testing.T) {
-	a, _ := FromRows([][]float64{
-		{4, 1, 0},
-		{1, 3, 0},
-		{0, 0, 1},
-	})
-	vals, vecs, err := TopKEigen(a, 2, 1000, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Analytic eigenvalues of the 2x2 block: (7±√5)/2 ≈ 4.618, 2.382.
-	want0 := (7 + math.Sqrt(5)) / 2
-	want1 := (7 - math.Sqrt(5)) / 2
-	if math.Abs(vals[0]-want0) > 1e-5 || math.Abs(vals[1]-want1) > 1e-5 {
-		t.Fatalf("eigenvalues = %v, want [%v %v]", vals, want0, want1)
-	}
-	// A·v = λ·v for each pair.
-	for j := 0; j < 2; j++ {
-		v := vecs.Col(j)
-		av := MatVec(a, v)
-		for i := range v {
-			if math.Abs(av[i]-vals[j]*v[i]) > 1e-4 {
-				t.Fatalf("eigenpair %d violated at %d: %v vs %v", j, i, av[i], vals[j]*v[i])
-			}
-		}
-	}
-}
-
-func TestInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(26))
-	a := randSPD(r, 8)
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !MatMul(a, inv).Equal(Identity(8), 1e-8) {
-		t.Fatal("A·A⁻¹ != I")
-	}
-	// Singular matrix must be rejected.
-	sing, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse(sing); err != ErrSingular {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
 // Property: SolveSPD returns a vector satisfying A·x ≈ b for random SPD A.
 func TestSolveSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -53,8 +53,7 @@ func ScoreRowsInto(dst []float64, x *Dense, w []float64, bias float64, link Link
 
 // ScoreRow scores a single feature row: link(row·w + bias). This is the
 // batch-size-1 reference path the serving benchmarks compare against; it
-// matches ScoreRowsInto bit-for-bit on the identity link and to sigmoid
-// rounding on the logistic link.
+// matches ScoreRowsInto bit-for-bit on both links.
 func ScoreRow(row, w []float64, bias float64, link Link) float64 {
 	m := Dot(row, w) + bias
 	mScoreRows.Inc()

@@ -1,3 +1,7 @@
+// Package ml holds k-means (whose triangle-inequality pruning the E-ABL1
+// ablation measures) and the evaluation metrics shared by the experiments
+// and examples. Algorithms otherwise live as DML scripts over the engine's
+// kernels, SystemML-style, or as opt solvers over its data sources.
 package ml
 
 import (

@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Accuracy is the fraction of equal entries in pred and truth.
 func Accuracy[T comparable](pred, truth []T) float64 {
@@ -17,19 +14,6 @@ func Accuracy[T comparable](pred, truth []T) float64 {
 		}
 	}
 	return float64(n) / float64(len(pred))
-}
-
-// MSE is the mean squared error.
-func MSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
 }
 
 // R2 is the coefficient of determination.
@@ -54,23 +38,6 @@ func R2(pred, truth []float64) float64 {
 		return math.Inf(-1)
 	}
 	return 1 - ssRes/ssTot
-}
-
-// ConfusionMatrix tallies counts[trueClass][predClass] for integer labels.
-func ConfusionMatrix(pred, truth []int) (map[int]map[int]int, error) {
-	if len(pred) != len(truth) {
-		return nil, fmt.Errorf("ml: confusion matrix length mismatch %d vs %d", len(pred), len(truth))
-	}
-	out := map[int]map[int]int{}
-	for i := range pred {
-		row, ok := out[truth[i]]
-		if !ok {
-			row = map[int]int{}
-			out[truth[i]] = row
-		}
-		row[pred[i]]++
-	}
-	return out, nil
 }
 
 // AdjustedRandIndex scores a clustering against ground-truth assignments

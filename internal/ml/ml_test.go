@@ -9,104 +9,6 @@ import (
 	"dmml/internal/workload"
 )
 
-func TestLinearRegressionSolversAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(110))
-	x, y, wTrue := workload.Regression(r, 400, 6, 0.01)
-	var ws [][]float64
-	for _, solver := range []Solver{SolverNormal, SolverQR, SolverCG} {
-		m := &LinearRegression{Solver: solver}
-		if err := m.Fit(x, y); err != nil {
-			t.Fatalf("solver %d: %v", solver, err)
-		}
-		ws = append(ws, m.W)
-		for j := range wTrue {
-			if math.Abs(m.W[j]-wTrue[j]) > 0.05 {
-				t.Fatalf("solver %d: w[%d]=%v, true %v", solver, j, m.W[j], wTrue[j])
-			}
-		}
-	}
-	for j := range ws[0] {
-		if math.Abs(ws[0][j]-ws[1][j]) > 1e-6 || math.Abs(ws[0][j]-ws[2][j]) > 1e-6 {
-			t.Fatalf("solvers disagree at %d: %v %v %v", j, ws[0][j], ws[1][j], ws[2][j])
-		}
-	}
-}
-
-func TestLinearRegressionIntercept(t *testing.T) {
-	r := rand.New(rand.NewSource(111))
-	x, y, _ := workload.Regression(r, 300, 3, 0.01)
-	for i := range y {
-		y[i] += 5 // constant offset
-	}
-	m := &LinearRegression{Intercept: true}
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.B-5) > 0.05 {
-		t.Fatalf("intercept = %v, want ≈ 5", m.B)
-	}
-	pred := m.Predict(x)
-	if mse := MSE(pred, y); mse > 0.01 {
-		t.Fatalf("MSE = %v", mse)
-	}
-	if r2 := R2(pred, y); r2 < 0.99 {
-		t.Fatalf("R2 = %v", r2)
-	}
-}
-
-func TestRidgeShrinks(t *testing.T) {
-	r := rand.New(rand.NewSource(112))
-	x, y, _ := workload.Regression(r, 100, 5, 0.5)
-	ols := &LinearRegression{}
-	ridge := &LinearRegression{L2: 100}
-	if err := ols.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := ridge.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if la.Norm2(ridge.W) >= la.Norm2(ols.W) {
-		t.Fatalf("ridge norm %v not smaller than OLS %v", la.Norm2(ridge.W), la.Norm2(ols.W))
-	}
-}
-
-func TestLinearRegressionErrors(t *testing.T) {
-	x := la.NewDense(3, 2)
-	if err := (&LinearRegression{}).Fit(x, []float64{1}); err == nil {
-		t.Fatal("want label count error")
-	}
-	if err := (&LinearRegression{Solver: SolverQR, L2: 1}).Fit(x, []float64{1, 2, 3}); err == nil {
-		t.Fatal("want QR+ridge rejection")
-	}
-}
-
-func TestLogisticRegressionBothPaths(t *testing.T) {
-	r := rand.New(rand.NewSource(113))
-	x, y, _ := workload.Classification(r, 1000, 5, 0)
-	for _, useSGD := range []bool{false, true} {
-		m := &LogisticRegression{UseSGD: useSGD, Epochs: 50}
-		if err := m.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if acc := Accuracy(m.Predict(x), y); acc < 0.97 {
-			t.Fatalf("useSGD=%v accuracy = %v", useSGD, acc)
-		}
-		probs := m.PredictProba(x)
-		for _, p := range probs {
-			if p < 0 || p > 1 {
-				t.Fatalf("probability %v out of range", p)
-			}
-		}
-	}
-}
-
-func TestLogisticRegressionRejectsBadLabels(t *testing.T) {
-	x := la.NewDense(2, 2)
-	if err := (&LogisticRegression{}).Fit(x, []float64{0, 1}); err == nil {
-		t.Fatal("want label domain error")
-	}
-}
-
 func TestKMeansRecoversClusters(t *testing.T) {
 	r := rand.New(rand.NewSource(114))
 	x, truth, _ := workload.ClusteredPoints(r, 600, 4, 3, 0.5)
@@ -166,130 +68,6 @@ func TestKMeansPredictOne(t *testing.T) {
 	}
 }
 
-func TestGaussianNB(t *testing.T) {
-	r := rand.New(rand.NewSource(117))
-	x, truth, _ := workload.ClusteredPoints(r, 500, 4, 3, 1.0)
-	m := &GaussianNB{}
-	if err := m.Fit(x, truth); err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(m.Predict(x), truth); acc < 0.97 {
-		t.Fatalf("NB accuracy = %v", acc)
-	}
-	if len(m.Classes()) != 3 {
-		t.Fatalf("classes = %v", m.Classes())
-	}
-	if err := m.Fit(x, truth[:10]); err == nil {
-		t.Fatal("want label count error")
-	}
-}
-
-func TestPCARecoversVarianceDirection(t *testing.T) {
-	r := rand.New(rand.NewSource(118))
-	// Data with dominant variance along (1,1,0)/√2.
-	n := 500
-	x := la.NewDense(n, 3)
-	for i := 0; i < n; i++ {
-		t1 := 10 * r.NormFloat64()
-		x.Set(i, 0, t1+0.1*r.NormFloat64())
-		x.Set(i, 1, t1+0.1*r.NormFloat64())
-		x.Set(i, 2, 0.1*r.NormFloat64())
-	}
-	m := &PCA{K: 2}
-	if err := m.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	v := m.Components.Col(0)
-	// Component 0 ≈ ±(0.707, 0.707, 0).
-	if math.Abs(math.Abs(v[0])-math.Sqrt2/2) > 0.02 || math.Abs(math.Abs(v[1])-math.Sqrt2/2) > 0.02 || math.Abs(v[2]) > 0.05 {
-		t.Fatalf("first component = %v", v)
-	}
-	if m.Explained[0] < 50*m.Explained[1] {
-		t.Fatalf("explained = %v, want dominant first component", m.Explained)
-	}
-	// Round trip through transform/inverse loses only the dropped variance.
-	scores := m.Transform(x)
-	back := m.InverseTransform(scores)
-	if resid := back.Sub(x).FrobNorm() / x.FrobNorm(); resid > 0.05 {
-		t.Fatalf("reconstruction residual = %v", resid)
-	}
-}
-
-func TestPCAValidation(t *testing.T) {
-	x := la.NewDense(5, 3)
-	if err := (&PCA{K: 0}).Fit(x); err == nil {
-		t.Fatal("want K error")
-	}
-	if err := (&PCA{K: 4}).Fit(x); err == nil {
-		t.Fatal("want K>d error")
-	}
-	if err := (&PCA{K: 1}).Fit(la.NewDense(1, 3)); err == nil {
-		t.Fatal("want n<2 error")
-	}
-}
-
-func TestDecisionTreeXOR(t *testing.T) {
-	// XOR is not linearly separable; a depth-2 tree nails it.
-	x, _ := la.FromRows([][]float64{
-		{0, 0}, {0, 1}, {1, 0}, {1, 1},
-		{0.1, 0.1}, {0.1, 0.9}, {0.9, 0.1}, {0.9, 0.9},
-	})
-	y := []int{0, 1, 1, 0, 0, 1, 1, 0}
-	m := &DecisionTree{MaxDepth: 3}
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(m.Predict(x), y); acc != 1 {
-		t.Fatalf("XOR accuracy = %v", acc)
-	}
-	if d := m.Depth(); d < 2 {
-		t.Fatalf("depth = %d, want ≥ 2 for XOR", d)
-	}
-}
-
-func TestDecisionTreeDepthLimit(t *testing.T) {
-	r := rand.New(rand.NewSource(119))
-	x, truth, _ := workload.ClusteredPoints(r, 300, 3, 4, 1.0)
-	m := &DecisionTree{MaxDepth: 1}
-	if err := m.Fit(x, truth); err != nil {
-		t.Fatal(err)
-	}
-	if d := m.Depth(); d > 1 {
-		t.Fatalf("depth = %d exceeds limit", d)
-	}
-	deep := &DecisionTree{MaxDepth: 12}
-	if err := deep.Fit(x, truth); err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(deep.Predict(x), truth); acc < 0.95 {
-		t.Fatalf("deep tree accuracy = %v", acc)
-	}
-}
-
-func TestDecisionTreeErrors(t *testing.T) {
-	if err := (&DecisionTree{}).Fit(la.NewDense(2, 2), []int{0}); err == nil {
-		t.Fatal("want label count error")
-	}
-}
-
-func TestKNN(t *testing.T) {
-	r := rand.New(rand.NewSource(120))
-	x, truth, _ := workload.ClusteredPoints(r, 400, 3, 3, 0.5)
-	m := &KNN{K: 5}
-	if err := m.Fit(x, truth); err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(m.Predict(x), truth); acc < 0.98 {
-		t.Fatalf("KNN accuracy = %v", acc)
-	}
-	if err := (&KNN{K: 0}).Fit(x, truth); err == nil {
-		t.Fatal("want K error")
-	}
-	if err := (&KNN{K: 3}).Fit(x, truth[:5]); err == nil {
-		t.Fatal("want label count error")
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	if got := Accuracy([]int{1, 2, 3}, []int{1, 2, 4}); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("Accuracy = %v", got)
@@ -297,21 +75,8 @@ func TestMetrics(t *testing.T) {
 	if got := Accuracy([]int{}, []int{}); got != 0 {
 		t.Fatalf("empty accuracy = %v", got)
 	}
-	if got := MSE([]float64{1, 2}, []float64{1, 4}); got != 2 {
-		t.Fatalf("MSE = %v", got)
-	}
 	if got := R2([]float64{1, 2, 3}, []float64{1, 2, 3}); got != 1 {
 		t.Fatalf("perfect R2 = %v", got)
-	}
-	cm, err := ConfusionMatrix([]int{1, 1, 0}, []int{1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm[1][1] != 1 || cm[0][1] != 1 || cm[0][0] != 1 {
-		t.Fatalf("confusion = %v", cm)
-	}
-	if _, err := ConfusionMatrix([]int{1}, []int{1, 2}); err == nil {
-		t.Fatal("want length error")
 	}
 	// ARI: identical partitions up to relabeling score 1.
 	if got := AdjustedRandIndex([]int{0, 0, 1, 1}, []int{5, 5, 9, 9}); math.Abs(got-1) > 1e-12 {

@@ -58,8 +58,9 @@ var (
 
 // LossAndGradient computes the mean loss and its gradient at w, including an
 // L2 penalty of λ/2·‖w‖² (bias-inclusive; exclude the bias by passing λ=0
-// and regularizing externally if needed).
-func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (float64, []float64) {
+// and regularizing externally if needed). It fails only where
+// lossAndGradientInto does.
+func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (float64, []float64, error) {
 	grad := make([]float64, data.Cols())
 	margins := pool.GetF64(data.Rows())
 	derivs := pool.GetF64(data.Rows())
@@ -67,11 +68,9 @@ func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (floa
 	pool.PutF64(margins)
 	pool.PutF64(derivs)
 	if err != nil {
-		// This signature has no error path; solvers that do (GradientDescent,
-		// LBFGS) call lossAndGradientInto and return the failure instead.
-		panic(err.Error())
+		return 0, nil, err
 	}
-	return v, grad
+	return v, grad, nil
 }
 
 // lossAndGradientInto is LossAndGradient with caller-owned buffers: margins
@@ -194,40 +193,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// CG solves A·x = b for symmetric positive-definite A given only the
-// matrix–vector product apply. It returns after maxIter iterations or when
-// the residual norm falls below tol.
-func CG(apply func(v []float64) []float64, b []float64, maxIter int, tol float64) ([]float64, int, error) {
-	if maxIter <= 0 {
-		return nil, 0, fmt.Errorf("opt: CG maxIter must be > 0")
-	}
-	n := len(b)
-	x := make([]float64, n)
-	r := la.CloneVec(b) // r = b − A·0
-	p := la.CloneVec(r)
-	rs := la.Dot(r, r)
-	iters := 0
-	for it := 0; it < maxIter; it++ {
-		iters = it + 1
-		ap := apply(p)
-		pap := la.Dot(p, ap)
-		if pap <= 0 {
-			return nil, iters, fmt.Errorf("opt: CG detected a non-positive-definite operator")
-		}
-		alpha := rs / pap
-		la.Axpy(alpha, p, x)
-		la.Axpy(-alpha, ap, r)
-		rsNew := la.Dot(r, r)
-		if rsNew < tol*tol {
-			break
-		}
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-	}
-	return x, iters, nil
 }

@@ -1,8 +1,8 @@
 // Package opt provides gradient-based optimization for generalized linear
 // models: pluggable margin-based losses, full-batch gradient descent,
 // stochastic gradient descent with a Bismarck-style unified aggregate (UDA)
-// architecture, parallel SGD (shared-model and model-averaging), and a
-// conjugate-gradient solver.
+// architecture, parallel SGD (shared-model and model-averaging), and
+// block-streamed SGD over out-of-core sources.
 //
 // Conventions: a model is a weight vector w; the margin for example x is
 // m = w·x; classification labels are −1/+1; regression targets are real.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"dmml/internal/la"
@@ -178,50 +177,6 @@ func TestMeanLossReproducible(t *testing.T) {
 				t.Fatalf("MeanLoss at GOMAXPROCS=%d rep %d is %x, first %x", procs, rep, math.Float64bits(got), math.Float64bits(first))
 			}
 		}
-	}
-}
-
-// TestLBFGSBlockFailureIsAnError: a block source failing mid-pass — at the
-// initial evaluation or inside a line search — comes back from LBFGS as an
-// error; it used to be a panic out of the error-less LossAndGradient.
-func TestLBFGSBlockFailureIsAnError(t *testing.T) {
-	r := rand.New(rand.NewSource(153))
-	m, y := randProblem(r, 200, 4)
-	for okPasses := 0; okPasses < 3; okPasses++ {
-		src := &fakeBlocks{DenseData: DenseData{m}, blockRows: 50, failAt: 2, okPasses: okPasses}
-		_, err := LBFGS(src, y, Logistic{}, LBFGSConfig{MaxIter: 5})
-		if err == nil || !strings.Contains(err.Error(), "injected block failure at 2") {
-			t.Fatalf("after %d good passes LBFGS err = %v, want the block failure", okPasses, err)
-		}
-	}
-}
-
-// TestLBFGSProbesDoNotAllocate: once the correction memory is full an
-// iteration — two-loop recursion, line-search probes, pair update — runs in
-// the buffers acquired up front: forty more iterations cost only the loss
-// history's amortized growth.
-func TestLBFGSProbesDoNotAllocate(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	r := rand.New(rand.NewSource(154))
-	x, y := randProblem(r, 300, 12)
-	// Label noise keeps the problem non-separable, so no run converges early.
-	for i := 0; i < len(y); i += 7 {
-		y[i] = -y[i]
-	}
-	allocs := func(iters int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			res, err := LBFGS(DenseData{M: x}, y, Logistic{}, LBFGSConfig{MaxIter: iters, Memory: 4, Tol: 1e-300, L2: 1e-3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Iters < iters {
-				t.Skipf("converged after %d of %d iterations; nothing to measure", res.Iters, iters)
-			}
-		})
-	}
-	short, long := allocs(10), allocs(50)
-	if perIter := (long - short) / 40; perIter >= 0.25 {
-		t.Fatalf("LBFGS allocates %.2f objects per iteration (%v at 10 iters, %v at 50), want 0", perIter, short, long)
 	}
 }
 

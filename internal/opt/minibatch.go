@@ -1,21 +1,6 @@
 package opt
 
-import (
-	"fmt"
-	"math/rand"
-
-	"dmml/internal/la"
-)
-
-// MiniBatchConfig configures mini-batch SGD.
-type MiniBatchConfig struct {
-	Step      float64 // initial step size (> 0)
-	Decay     float64 // per-epoch decay
-	L2        float64
-	Epochs    int // passes over the data (> 0)
-	BatchSize int // examples per gradient step (> 0)
-	Seed      int64
-}
+import "dmml/internal/la"
 
 // BatchGradientInto writes the L2-regularized mini-batch gradient direction
 // into grad:
@@ -23,9 +8,8 @@ type MiniBatchConfig struct {
 //	grad = l2·w + Σ_{k∈rows} ∂L/∂m(w·x_{off+k}, y_{off+k}) · x_{off+k}
 //
 // rows holds example indices relative to off; grad must have length
-// data.Cols(). The caller applies the −step/|batch| scaling. It is shared by
-// MiniBatchSGD and the parameter-server workers so both compute bit-identical
-// batch gradients.
+// data.Cols(). The caller applies the −step/|batch| scaling. The
+// parameter-server workers compute their pushed gradients with it.
 func BatchGradientInto(data RowData, y, w []float64, loss Loss, l2 float64, rows []int, off int, grad []float64) {
 	for j := range grad {
 		grad[j] = l2 * w[j]
@@ -38,44 +22,4 @@ func BatchGradientInto(data RowData, y, w []float64, loss Loss, l2 float64, rows
 			la.Axpy(g, x, grad)
 		}
 	}
-}
-
-// MiniBatchSGD trains with averaged mini-batch gradients — the middle ground
-// between full-batch GD and per-example SGD that most of the surveyed
-// systems (parameter servers, SystemML's distributed SGD) actually run.
-func MiniBatchSGD(data RowData, y []float64, loss Loss, cfg MiniBatchConfig) (*SGDResult, error) {
-	n := data.Rows()
-	if cfg.Step <= 0 {
-		return nil, fmt.Errorf("opt: mini-batch step must be > 0, got %v", cfg.Step)
-	}
-	if cfg.Epochs <= 0 {
-		return nil, fmt.Errorf("opt: mini-batch epochs must be > 0, got %d", cfg.Epochs)
-	}
-	if cfg.BatchSize <= 0 {
-		return nil, fmt.Errorf("opt: batch size must be > 0, got %d", cfg.BatchSize)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("opt: mini-batch SGD over empty data")
-	}
-	if len(y) != n {
-		return nil, fmt.Errorf("opt: %d labels for %d rows", len(y), n)
-	}
-	d := data.Cols()
-	w := make([]float64, d)
-	grad := make([]float64, d)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := rng.Perm(n)
-	res := &SGDResult{}
-	for e := 0; e < cfg.Epochs; e++ {
-		step := cfg.Step / (1 + cfg.Decay*float64(e))
-		for b := 0; b < n; b += cfg.BatchSize {
-			hi := min(b+cfg.BatchSize, n)
-			BatchGradientInto(data, y, w, loss, cfg.L2, order[b:hi], 0, grad)
-			la.Axpy(-step/float64(hi-b), grad, w)
-		}
-		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
-		res.EpochLoss = append(res.EpochLoss, MeanLoss(data, y, w, loss))
-	}
-	res.W = w
-	return res, nil
 }

@@ -124,14 +124,17 @@ func TestLossAndGradientNumeric(t *testing.T) {
 				}
 			}
 		}
-		_, grad := LossAndGradient(data, yy, w, loss, 0.3)
+		_, grad, err := LossAndGradient(data, yy, w, loss, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		const h = 1e-6
 		for j := range w {
 			wp, wm := la.CloneVec(w), la.CloneVec(w)
 			wp[j] += h
 			wm[j] -= h
-			lp, _ := LossAndGradient(data, yy, wp, loss, 0.3)
-			lm, _ := LossAndGradient(data, yy, wm, loss, 0.3)
+			lp, _, _ := LossAndGradient(data, yy, wp, loss, 0.3)
+			lm, _, _ := LossAndGradient(data, yy, wm, loss, 0.3)
 			num := (lp - lm) / (2 * h)
 			if math.Abs(grad[j]-num) > 1e-4 {
 				t.Fatalf("%s grad[%d] = %v, numeric %v", loss.Name(), j, grad[j], num)
@@ -188,45 +191,6 @@ func TestGDConfigValidation(t *testing.T) {
 	}
 	if _, err := GradientDescent(DenseData{x}, []float64{1}, Squared{}, GDConfig{Step: 1, MaxIter: 5}); err == nil {
 		t.Fatal("want label mismatch error")
-	}
-}
-
-func TestCGSolvesSPD(t *testing.T) {
-	r := rand.New(rand.NewSource(63))
-	b := la.NewDense(8, 8)
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			b.Set(i, j, r.NormFloat64())
-		}
-	}
-	a := la.Gram(b)
-	for i := 0; i < 8; i++ {
-		a.Set(i, i, a.At(i, i)+8)
-	}
-	rhs := make([]float64, 8)
-	for i := range rhs {
-		rhs[i] = r.NormFloat64()
-	}
-	x, iters, err := CG(func(v []float64) []float64 { return la.MatVec(a, v) }, rhs, 200, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters > 9 {
-		t.Fatalf("CG took %d iterations for an 8x8 SPD system", iters)
-	}
-	want, _ := la.SolveSPD(a, rhs)
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-8 {
-			t.Fatalf("CG x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestCGRejectsIndefinite(t *testing.T) {
-	a, _ := la.FromRows([][]float64{{1, 0}, {0, -1}})
-	_, _, err := CG(func(v []float64) []float64 { return la.MatVec(a, v) }, []float64{0, 1}, 50, 1e-10)
-	if err == nil {
-		t.Fatal("want non-PD error")
 	}
 }
 
@@ -319,18 +283,6 @@ func TestParallelSGDValidation(t *testing.T) {
 	}
 	if _, err := SGD(DenseRows{x}, []float64{1}, Squared{}, SGDConfig{Step: 1, Epochs: 1}); err == nil {
 		t.Fatal("want label mismatch error")
-	}
-}
-
-func TestAdaGradConverges(t *testing.T) {
-	r := rand.New(rand.NewSource(66))
-	x, y, _ := synthClassification(r, 1500, 5)
-	res, err := AdaGrad(DenseRows{x}, y, Logistic{}, SGDConfig{Step: 0.5, Epochs: 10, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final := res.EpochLoss[len(res.EpochLoss)-1]; final > 0.25 {
-		t.Fatalf("AdaGrad final loss = %v", final)
 	}
 }
 

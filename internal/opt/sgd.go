@@ -346,40 +346,3 @@ func sharedAtomicSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, worker
 	res.W = w
 	return res, nil
 }
-
-// AdaGrad trains with per-coordinate adaptive step sizes, a common
-// alternative to plain SGD in the ML-system literature.
-func AdaGrad(data RowData, y []float64, loss Loss, cfg SGDConfig) (*SGDResult, error) {
-	n := data.Rows()
-	if err := cfg.validate(n); err != nil {
-		return nil, err
-	}
-	if len(y) != n {
-		return nil, fmt.Errorf("opt: %d labels for %d rows", len(y), n)
-	}
-	d := data.Cols()
-	w := make([]float64, d)
-	g2 := make([]float64, d)
-	const eps = 1e-8
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := rng.Perm(n)
-	res := &SGDResult{}
-	for e := 0; e < cfg.Epochs; e++ {
-		for _, i := range order {
-			x := data.Row(i)
-			gm := loss.Deriv(la.Dot(w, x), y[i])
-			for j, xj := range x {
-				g := gm*xj + cfg.L2*w[j]
-				if g == 0 {
-					continue
-				}
-				g2[j] += g * g
-				w[j] -= cfg.Step / math.Sqrt(g2[j]+eps) * g
-			}
-		}
-		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
-		res.EpochLoss = append(res.EpochLoss, MeanLoss(data, y, w, loss))
-	}
-	res.W = w
-	return res, nil
-}
