@@ -9,6 +9,9 @@
 #                       pairing, span pairing, instrument registration,
 #                       noalloc kernels, lock discipline) over every package;
 #                       any finding fails the build
+#   make test-cpu       the packages whose reductions promise the same bits at
+#                       every core count (pool, la, opt, factorized,
+#                       compress, core), tested at GOMAXPROCS 1, 2 and 4
 #   make ci             exactly what .github/workflows/ci.yml runs, in order —
 #                       keep the two in lockstep so CI and local verification
 #                       cannot drift
@@ -18,7 +21,8 @@
 #                       against
 #   make fuzz-smoke     15s native-fuzzing passes over the DML fusion
 #                       property (fused vs unfused), the serving wire
-#                       protocol (decode/round-trip) and the factorized Gram
+#                       protocol (decode/round-trip), the factorized Gram
+#                       and the compressed page decoder
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails on any request
 #                       error or any score that differs from la.ScoreRow
@@ -60,18 +64,27 @@ RACE_PKGS := ./internal/pool/... ./internal/la/... ./internal/compress/... \
 	./internal/factorized/... ./internal/modeldb/... ./internal/sketch/... \
 	./internal/serve/...
 
-.PHONY: test check ci vet vet-engine race bench cover fuzz-nightly \
+.PHONY: test test-cpu check ci vet vet-engine race bench cover fuzz-nightly \
 	lint-examples fuzz-smoke serve-smoke bench-module
 
 test:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# The reductions under these packages sum a fixed grid in index order, so
+# their tests must pass — and their bit-equality checks hold — at any core
+# count, not only the host's.
+CPU_PKGS := ./internal/pool/... ./internal/la/... ./internal/opt/... \
+	./internal/factorized/... ./internal/compress/... ./internal/core/...
+
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 $(CPU_PKGS)
+
 check: vet vet-engine race
 
-# Mirror of the blocking CI jobs (build-test, bench-module, vet, vet-engine,
-# race, fuzz-smoke, serve-smoke, lint-examples).
-ci: test bench-module vet vet-engine race fuzz-smoke serve-smoke lint-examples
+# Mirror of the blocking CI jobs (build-test, test-cpu, bench-module, vet,
+# vet-engine, race, fuzz-smoke, serve-smoke, lint-examples).
+ci: test test-cpu bench-module vet vet-engine race fuzz-smoke serve-smoke lint-examples
 
 # bench/ is its own module (replace dmml => ../), so `go build ./...` and
 # `go test ./...` at the root never compile it.
@@ -104,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime 15s ./internal/factorized
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime 15s ./internal/compress
 
 # End-to-end serving smoke: loadtest starts dmmlserve in-process with the
 # demo models and drives a closed loop; fails on any request error or on any
@@ -140,7 +154,7 @@ cover:
 	check dml $(COVER_FLOOR_DML); \
 	check opt $(COVER_FLOOR_OPT)
 
-# Nightly extended fuzzing: the same three properties fuzz-smoke touches for
+# Nightly extended fuzzing: the same four properties fuzz-smoke touches for
 # 15s each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
@@ -148,6 +162,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/factorized
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/compress
 
 lint-examples:
 	$(GO) run ./cmd/dmml lint -strict examples/dml_script/scripts/*.dml

@@ -17,13 +17,16 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"dmml/internal/core"
 	"dmml/internal/factorized"
 	"dmml/internal/hamlet"
+	"dmml/internal/la"
 	"dmml/internal/opt"
 	"dmml/internal/relational"
 	"dmml/internal/storage"
@@ -31,67 +34,84 @@ import (
 )
 
 func main() {
-	r := rand.New(rand.NewSource(7))
+	if err := run(os.Stdout, 200000); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	// 200k orders, 2k customers (TR=100), 500 products (TR=400).
-	star, err := workload.GenerateStar(r, workload.StarConfig{
-		FactRows:  200000,
+// gd is the training configuration both paths share.
+var gd = opt.GDConfig{Step: 0.05, MaxIter: 15, Backtracking: true}
+
+// newStar generates n orders over n/100 customers (tuple ratio 100) and
+// n/400 products (tuple ratio 400).
+func newStar(n int) (*workload.Star, error) {
+	return workload.GenerateStar(rand.New(rand.NewSource(7)), workload.StarConfig{
+		FactRows:  n,
 		FactFeats: 6, // order-level features: quantity, discount, ...
-		DimRows:   []int{2000, 500},
+		DimRows:   []int{n / 100, n / 400},
 		DimFeats:  []int{8, 12}, // customer profile, product attributes
 		Task:      workload.RegressionTask,
 		Noise:     0.1,
 		DimSignal: 1,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+}
 
-	// --- Path 1: relational join → matrix → train -------------------------
+// joinedMatrix is the classic pipeline's first half: hash-join the fact
+// table with every dimension and export the feature columns as a matrix.
+func joinedMatrix(star *workload.Star) (*la.Dense, error) {
 	fact, dims, err := star.Tables()
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	start := time.Now()
 	joined := fact
 	for k, dim := range dims {
 		joined, err = relational.HashJoin(joined, dim, fmt.Sprintf("fk%d", k), "id",
 			relational.JoinOptions{DropRightKey: true})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 	}
 	var cols []string
-	for j := 0; j < 6; j++ {
+	for j := 0; j < star.Config.FactFeats; j++ {
 		cols = append(cols, fmt.Sprintf("f%d", j))
 	}
-	for j := 0; j < 8; j++ {
-		cols = append(cols, fmt.Sprintf("d0_%d", j))
+	for k, d := range star.Config.DimFeats {
+		for j := 0; j < d; j++ {
+			cols = append(cols, fmt.Sprintf("d%d_%d", k, j))
+		}
 	}
-	for j := 0; j < 12; j++ {
-		cols = append(cols, fmt.Sprintf("d1_%d", j))
-	}
-	xJoined, err := storage.ToMatrix(joined, cols)
+	return storage.ToMatrix(joined, cols)
+}
+
+// run trains over n orders three ways and writes the report to w.
+func run(w io.Writer, n int) error {
+	star, err := newStar(n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	gd := opt.GDConfig{Step: 0.05, MaxIter: 15, Backtracking: true}
+
+	// --- Path 1: relational join → matrix → train -------------------------
+	start := time.Now()
+	xJoined, err := joinedMatrix(star)
+	if err != nil {
+		return err
+	}
 	if _, err := opt.GradientDescent(opt.DenseData{M: xJoined}, star.Y, opt.Squared{}, gd); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("relational join + materialized training: %v (%d joined rows)\n",
-		time.Since(start).Round(time.Millisecond), joined.NumRows())
+	fmt.Fprintf(w, "relational join + materialized training: %v (%d joined rows)\n",
+		time.Since(start).Round(time.Millisecond), xJoined.Rows())
 
 	// --- Path 2: factorized learning --------------------------------------
 	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	start = time.Now()
 	if _, err := opt.GradientDescent(design, star.Y, opt.Squared{}, gd); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("factorized training (no join):            %v (predicted per-iter speedup %.1fx)\n",
+	fmt.Fprintf(w, "factorized training (no join):            %v (predicted per-iter speedup %.1fx)\n",
 		time.Since(start).Round(time.Millisecond), design.Speedup())
 
 	// --- Path 3: let the planner decide ------------------------------------
@@ -99,25 +119,26 @@ func main() {
 		Loss: core.SquaredLoss, L2: 0.01, MaxIter: 15,
 	}, core.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nplanner chose: %s (loss %.4f)\n", res.Plan, res.FinalLoss)
-	fmt.Print(core.ExplainString(res.Explain))
+	fmt.Fprintf(w, "\nplanner chose: %s (loss %.4f)\n", res.Plan, res.FinalLoss)
+	fmt.Fprint(w, core.ExplainString(res.Explain))
 
 	// --- Hamlet: could we skip a join altogether? ---------------------------
-	fmt.Println("\nHamlet join-avoidance rule:")
+	fmt.Fprintln(w, "\nHamlet join-avoidance rule:")
 	for k, name := range []string{"customers", "products"} {
 		dec, err := hamlet.DefaultRule().Decide(
 			star.Config.FactRows, star.Config.DimRows[k],
 			star.Config.FactFeats, star.Config.DimFeats[k])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		verdict := "keep the join"
 		if dec.Avoid {
 			verdict = "safe to avoid the join"
 		}
-		fmt.Printf("  %-10s TR=%-6.0f FR=%-5.2f → %s (%s)\n",
+		fmt.Fprintf(w, "  %-10s TR=%-6.0f FR=%-5.2f → %s (%s)\n",
 			name, dec.TupleRatio, dec.FeatureRatio, verdict, dec.Reason)
 	}
+	return nil
 }

@@ -1,0 +1,60 @@
+package main
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+
+	"dmml/internal/factorized"
+	"dmml/internal/opt"
+)
+
+// TestRun runs the example at a small scale and checks its answers: the
+// relational pipeline's matrix is exactly the materialized join, and
+// gradient descent lands on the same weights over it and over the
+// factorized schema.
+func TestRun(t *testing.T) {
+	const n = 4000
+	var out bytes.Buffer
+	if err := run(&out, n); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "planner chose: ") {
+		t.Fatalf("no planner decision in:\n%s", out.String())
+	}
+
+	star, err := newStar(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := joinedMatrix(star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !x.Equal(star.Materialize(), 0) {
+		t.Fatal("HashJoin + ToMatrix rows differ from the materialized star join")
+	}
+
+	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := opt.GradientDescent(opt.DenseData{M: x}, star.Y, opt.Squared{}, gd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fac, err := opt.GradientDescent(design, star.Y, opt.Squared{}, gd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := 0.0
+	for _, v := range mat.W {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for j := range mat.W {
+		if d := math.Abs(fac.W[j] - mat.W[j]); d > 1e-6*scale {
+			t.Errorf("W[%d]: factorized %v, materialized %v", j, fac.W[j], mat.W[j])
+		}
+	}
+}

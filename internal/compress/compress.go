@@ -80,11 +80,17 @@ func (c *Matrix) MatVec(v []float64) []float64 {
 	return c.MatVecInto(make([]float64, c.rows), v)
 }
 
+// matVecGroups is the number of column groups in one MatVecInto chunk. Each
+// chunk after the first sums into a rows-long scratch partial, and zeroing
+// and merging it costs about one group's pass over the rows, so a chunk
+// spans four groups to keep that a small share of its work.
+const matVecGroups = 4
+
 // MatVecInto computes X·v into dst (overwriting it) and returns dst. Every
-// group contributes to every row, so parallel runs hand each worker a scratch
-// partial accumulator (slot 0 accumulates straight into dst) and the partials
-// are merged at the end; the serial regime allocates nothing beyond what the
-// group kernels borrow from the scratch pool.
+// group contributes to every row, so large matrices sum fixed runs of
+// matVecGroups groups through pool.Reduce, which makes the result
+// bit-identical at every core count; small ones allocate nothing beyond what
+// the group kernels borrow from the scratch pool.
 func (c *Matrix) MatVecInto(dst, v []float64) []float64 {
 	if len(v) != c.cols {
 		panic(fmt.Sprintf("compress: MatVec %dx%d × len %d", c.rows, c.cols, len(v)))
@@ -97,13 +103,13 @@ func (c *Matrix) MatVecInto(dst, v []float64) []float64 {
 	for i := range dst {
 		dst[i] = 0
 	}
-	if len(c.groups) < 2 || c.rows*len(c.groups) < compressParallelMinWork || pool.SerialNow() {
+	if len(c.groups) <= matVecGroups || c.rows*len(c.groups) < compressParallelMinWork {
 		for _, g := range c.groups {
 			g.MatVecAccum(dst, v)
 		}
 		return dst
 	}
-	pool.ReduceInto(dst, len(c.groups), 1, func(acc []float64, lo, hi int) {
+	pool.Reduce(dst, len(c.groups), matVecGroups, func(acc []float64, lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			c.groups[gi].MatVecAccum(acc, v)
 		}
@@ -137,7 +143,7 @@ func (c *Matrix) VecMatInto(dst, x []float64) []float64 {
 		}
 		return dst
 	}
-	pool.Do(len(c.groups), 1, func(_, lo, hi int) {
+	pool.Do(len(c.groups), 1, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			c.groups[gi].VecMatAccum(dst, x)
 		}
@@ -254,7 +260,7 @@ func (c *Matrix) Decompress() *la.Dense {
 		}
 		return m
 	}
-	pool.Do(len(c.groups), 1, func(_, lo, hi int) {
+	pool.Do(len(c.groups), 1, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			c.groups[gi].DecompressInto(m)
 		}
@@ -383,7 +389,7 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 	if rows*cols < compressParallelMinWork || pool.SerialNow() {
 		analyze(0, cols)
 	} else {
-		pool.Do(cols, 1, func(_, lo, hi int) { analyze(lo, hi) })
+		pool.Do(cols, 1, analyze)
 	}
 
 	chosen := make([]Encoding, cols)
@@ -450,7 +456,7 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 	if rows*len(jobs) < compressParallelMinWork || pool.SerialNow() {
 		build(0, len(jobs))
 	} else {
-		pool.Do(len(jobs), 1, func(_, lo, hi int) { build(lo, hi) })
+		pool.Do(len(jobs), 1, build)
 	}
 	if metrics.Enabled() {
 		mRatio.Set(c.CompressionRatio())
@@ -732,7 +738,7 @@ func (c *Matrix) Gram() *la.Dense {
 	if c.rows*c.cols < compressParallelMinWork || pool.SerialNow() {
 		doCols(0, c.cols)
 	} else {
-		pool.Do(c.cols, 1, func(_, lo, hi int) { doCols(lo, hi) })
+		pool.Do(c.cols, 1, doCols)
 	}
 	return out
 }

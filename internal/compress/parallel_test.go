@@ -13,6 +13,8 @@ import (
 	"testing/quick"
 
 	"dmml/internal/la"
+	"dmml/internal/opt"
+	"dmml/internal/workload"
 )
 
 func withGOMAXPROCS(n int, f func()) {
@@ -135,4 +137,52 @@ func TestCompressedIntoZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("VecMatInto allocates %v per run, want 0", a)
 		}
 	})
+}
+
+// TestCompressedGDBitReproducible: with compressParallelMinWork forced to 1,
+// gradient descent over a small compressed matrix of 16 column groups runs
+// MatVecInto as four Reduce chunks, and returns the same W and History bits
+// on every repeat at GOMAXPROCS 1, 2 and 4.
+func TestCompressedGDBitReproducible(t *testing.T) {
+	forceParallel(t)
+	r := rand.New(rand.NewSource(63))
+	cards := make([]int, 16)
+	for j := range cards {
+		cards[j] = 2 + j
+	}
+	m := workload.TelemetryMatrix(r, 500, cards, 1)
+	c := Compress(m, Options{})
+	if g := len(c.Groups()); g <= matVecGroups {
+		t.Fatalf("%d column groups, want more than one MatVec chunk", g)
+	}
+	y := make([]float64, m.Rows())
+	for i := range y {
+		y[i] = float64(2*r.Intn(2) - 1)
+	}
+	cfg := opt.GDConfig{Step: 0.5, MaxIter: 5, Backtracking: true}
+	var first *opt.GDResult
+	for _, procs := range []int{1, 2, 4} {
+		withGOMAXPROCS(procs, func() {
+			for rep := 0; rep < 20; rep++ {
+				res, err := opt.GradientDescent(c, y, opt.Logistic{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+					continue
+				}
+				for j := range res.W {
+					if math.Float64bits(res.W[j]) != math.Float64bits(first.W[j]) {
+						t.Fatalf("GOMAXPROCS=%d rep %d: W[%d] = %x, first run %x", procs, rep, j, math.Float64bits(res.W[j]), math.Float64bits(first.W[j]))
+					}
+				}
+				for j := range res.History {
+					if math.Float64bits(res.History[j]) != math.Float64bits(first.History[j]) {
+						t.Fatalf("GOMAXPROCS=%d rep %d: History[%d] = %x, first run %x", procs, rep, j, math.Float64bits(res.History[j]), math.Float64bits(first.History[j]))
+					}
+				}
+			}
+		})
+	}
 }

@@ -145,7 +145,7 @@ func DecodePage(data []float64) (*Matrix, error) {
 	if m.cols, err = r.int(); err != nil {
 		return nil, err
 	}
-	ng, err := r.int()
+	ng, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -306,6 +306,20 @@ func (r *pageReader) int() (int, error) {
 	return n, nil
 }
 
+// count reads an item count and rejects one that the words left cannot hold
+// at size words per item, before anything is sized from it: a corrupt page
+// must fail to decode, not allocate without bound.
+func (r *pageReader) count(size int) (int, error) {
+	n, err := r.int()
+	if err != nil {
+		return 0, err
+	}
+	if left := len(r.buf) - r.off; n > left/size {
+		return 0, fmt.Errorf("compress: DecodePage: count %d at word %d needs more than the %d words left", n, r.off-1, left)
+	}
+	return n, nil
+}
+
 func (r *pageReader) floats(n int) ([]float64, error) {
 	if r.off+n > len(r.buf) {
 		return nil, fmt.Errorf("compress: DecodePage: truncated page at word %d (need %d floats)", r.off, n)
@@ -316,7 +330,7 @@ func (r *pageReader) floats(n int) ([]float64, error) {
 }
 
 func (r *pageReader) dict() (dict, error) {
-	w, err := r.int()
+	w, err := r.count(1)
 	if err != nil {
 		return dict{}, err
 	}
@@ -329,7 +343,7 @@ func (r *pageReader) dict() (dict, error) {
 			return dict{}, err
 		}
 	}
-	ne, err := r.int()
+	ne, err := r.count(w)
 	if err != nil {
 		return dict{}, err
 	}

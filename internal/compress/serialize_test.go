@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -139,4 +140,105 @@ func TestEncodedLenTracksSize(t *testing.T) {
 	if dense := 8 * rows * 3; pageBytes*2 >= dense {
 		t.Fatalf("page form %dB not <50%% of dense %dB for low-cardinality data", pageBytes, dense)
 	}
+}
+
+func encodePage(tb testing.TB, c *Matrix) []float64 {
+	tb.Helper()
+	page := make([]float64, EncodedLen(c))
+	if err := EncodeInto(page, c); err != nil {
+		tb.Fatal(err)
+	}
+	return page
+}
+
+// TestDecodePageRejectsOversizedCounts: a count word larger than the page
+// could hold fails to decode instead of sizing an allocation from it.
+func TestDecodePageRejectsOversizedCounts(t *testing.T) {
+	for name, page := range map[string][]float64{
+		"group count":      {float64(pageMagic), 4, 1, 1e15},
+		"dictionary width": {float64(pageMagic), 4, 1, 1, pkDDC1, 1e15},
+		"dictionary size":  {float64(pageMagic), 4, 1, 1, pkDDC1, 1, 0, 1 << 52},
+		"size × width":     {float64(pageMagic), 4, 2, 1, pkDDC1, 2, 0, 1, 1 << 62},
+	} {
+		if _, err := DecodePage(page); err == nil {
+			t.Errorf("%s: DecodePage accepted %v", name, page)
+		}
+	}
+}
+
+// FuzzDecodePage: DecodePage reads spill pages back from disk, so any input
+// must decode to an error or a Matrix, never a panic, and what decodes must
+// re-encode to a page that decodes and re-encodes unchanged. The seeds are
+// EncodeInto pages covering every group kind, each checked first to decode
+// back to the matrix that was encoded.
+func FuzzDecodePage(f *testing.F) {
+	r := rand.New(rand.NewSource(95))
+	// Small pages keep the fuzzer's minimization of new inputs short.
+	m := mixedMatrix(r, 21)
+	wide := la.NewDense(257, 1) // 257 distinct values: two-byte DDC codes
+	for i := 0; i < 257; i++ {
+		wide.Set(i, 0, float64(i))
+	}
+	kinds := map[int]bool{}
+	for _, seed := range []struct {
+		m    *la.Dense
+		opts Options
+	}{
+		{m, Options{}}, {m, Options{CoCode: true}}, {m, Options{Force: ForceDDC}}, {wide, Options{Force: ForceDDC}},
+		{m, Options{Force: ForceOLE}}, {m, Options{Force: ForceRLE}}, {m, Options{Force: ForceUC}},
+	} {
+		c := Compress(seed.m, seed.opts)
+		for _, g := range c.Groups() {
+			switch g := g.(type) {
+			case *DDCGroup:
+				kinds[map[bool]int{true: pkDDC1, false: pkDDC2}[g.codes8 != nil]] = true
+			case *OLEGroup:
+				kinds[pkOLE] = true
+			case *RLEGroup:
+				kinds[pkRLE] = true
+			case *UCGroup:
+				kinds[pkUC] = true
+			}
+		}
+		page := encodePage(f, c)
+		back, err := DecodePage(page)
+		if err != nil {
+			f.Fatalf("opts %+v: %v", seed.opts, err)
+		}
+		if !back.Decompress().Equal(seed.m, 0) {
+			f.Fatalf("opts %+v: page does not decode back to the encoded matrix", seed.opts)
+		}
+		b := make([]byte, 8*len(page))
+		for i, v := range page {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		f.Add(b)
+	}
+	if len(kinds) != 5 {
+		f.Fatalf("seeds cover page kinds %v, want all five", kinds)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		page := make([]float64, len(b)/8)
+		for i := range page {
+			page[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		m, err := DecodePage(page)
+		if err != nil {
+			return
+		}
+		again := encodePage(t, m)
+		m2, err := DecodePage(again)
+		if err != nil {
+			t.Fatalf("re-encoded page does not decode: %v", err)
+		}
+		third := encodePage(t, m2)
+		if len(third) != len(again) {
+			t.Fatalf("re-encoding changed the page length: %d, then %d", len(again), len(third))
+		}
+		for i := range third {
+			if math.Float64bits(third[i]) != math.Float64bits(again[i]) {
+				t.Fatalf("re-encoding changed word %d: %x, then %x", i, math.Float64bits(again[i]), math.Float64bits(third[i]))
+			}
+		}
+	})
 }

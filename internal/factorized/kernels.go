@@ -301,35 +301,40 @@ func gatherAdd(dst, src []float64, fk []int) {
 		gatherAddAccum(dst, src, fk, 0, n)
 		return
 	}
-	pool.Do(n, pool.Grain(n, 2), func(_, lo, hi int) {
+	pool.Do(n, pool.Grain(n, 2), func(lo, hi int) {
 		gatherAddAccum(dst, src, fk, lo, hi)
 	})
 }
 
-// scatterAdd adds src[i] into dst[fk[i]] — the VecMat group-sum. Parallel
-// chunks collide on dst rows, so each worker accumulates into a scratch
-// partial merged at the end; the serial regime allocates nothing.
+// scatterAdd adds src[i] into dst[fk[i]] — the VecMat group-sum. Chunks
+// collide on dst rows, so large inputs sum fixed chunks through pool.Reduce,
+// each later chunk into a dst-sized scratch partial. A chunk spans at least
+// 4·len(dst) rows, which keeps zeroing and merging its partial a small share
+// of its work, and leaves an input under that size serial. The serial regime
+// allocates nothing.
 func scatterAdd(dst, src []float64, fk []int) {
 	n := len(fk)
-	if n < pushCutoff || n < 4*len(dst) || pool.SerialNow() {
+	chunk := max(pool.Grain(n, 2), 4*len(dst))
+	if n < pushCutoff || n <= chunk {
 		scatterAddAccum(dst, src, fk, 0, n)
 		return
 	}
-	pool.ReduceInto(dst, n, pool.Grain(n, 2), func(acc []float64, lo, hi int) {
+	pool.Reduce(dst, n, chunk, func(acc []float64, lo, hi int) {
 		scatterAddAccum(acc, src, fk, lo, hi)
 	})
 }
 
 // gramWeighted accumulates the upper triangle of XᵀDX (D = diag(wts), nil =
-// identity) into the row-major cols×cols buffer acc, parallelizing over rows
-// with scratch partials when the syrk is heavy enough.
+// identity) into the row-major cols×cols buffer acc, summing fixed row chunks
+// through pool.Reduce when the syrk is heavy enough.
 func gramWeighted(x *la.Dense, wts []float64, acc []float64) {
 	n, d := x.Dims()
-	if n*d*d < gramParCutoff || n < 2 || pool.SerialNow() {
+	chunk := pool.Grain(n, d*d)
+	if n*d*d < gramParCutoff || n <= chunk {
 		gramWeightedAccum(x, wts, acc, 0, n)
 		return
 	}
-	pool.ReduceInto(acc, n, pool.Grain(n, d*d), func(part []float64, lo, hi int) {
+	pool.Reduce(acc, n, chunk, func(part []float64, lo, hi int) {
 		gramWeightedAccum(x, wts, part, lo, hi)
 	})
 }

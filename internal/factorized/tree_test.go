@@ -306,6 +306,48 @@ func TestJoinTreeZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestJoinTreeReductionsBitReproducible: at this size the fact table's
+// weighted syrk, its VecMat and the scatterAdd group-sum into the dimension
+// all run as multi-chunk pool.Reduce grids, so GramInto and XtYInto return
+// the same bits on every repeat at GOMAXPROCS 1, 2 and 4.
+func TestJoinTreeReductionsBitReproducible(t *testing.T) {
+	r := rand.New(rand.NewSource(242))
+	s, err := workload.GenerateSnowflake(r, workload.SnowflakeConfig{
+		FactRows:  70000,
+		FactFeats: 4,
+		Nodes:     []workload.SnowNode{{Rows: 2000, Feats: 3, Parent: -1}},
+		Task:      workload.RegressionTask,
+		Signal:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := treeFromSnowflake(t, s)
+	run := func() (gram, xty []float64) {
+		return tr.Gram().RawData(), tr.XtY(s.Y)
+	}
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	wantGram, wantXtY := run()
+	for _, p := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(p)
+		for rep := 0; rep < 20; rep++ {
+			gram, xty := run()
+			for _, c := range []struct {
+				name      string
+				got, want []float64
+			}{{"GramInto", gram, wantGram}, {"XtYInto", xty, wantXtY}} {
+				for i := range c.got {
+					if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+						t.Fatalf("%s at GOMAXPROCS=%d rep %d: [%d] = %x, first run %x",
+							c.name, p, rep, i, math.Float64bits(c.got[i]), math.Float64bits(c.want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // randSnowflake builds a small random acyclic schema for property and fuzz
 // testing: random depth, random branching, key-only relations allowed.
 func randSnowflake(r *rand.Rand) (*workload.Snowflake, error) {
@@ -351,8 +393,9 @@ func checkTreeEquivalence(s *workload.Snowflake, r *rand.Rand) string {
 }
 
 // Property: on random acyclic trees, every kernel agrees with the
-// materialized reference — at GOMAXPROCS=1 and GOMAXPROCS=N, which routes
-// through both the serial and the slot-partial parallel paths.
+// materialized reference at GOMAXPROCS=1 and GOMAXPROCS=N. These trees are
+// too small for any kernel to leave its single-chunk path;
+// TestJoinTreeReductionsBitReproducible covers the multi-chunk grids.
 func TestJoinTreeEquivalenceProperty(t *testing.T) {
 	procs := []int{1, runtime.NumCPU()}
 	if procs[1] < 4 {

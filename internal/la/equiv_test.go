@@ -8,6 +8,7 @@ package la
 // to the reduction length.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -274,14 +275,16 @@ func TestTransposeParallel(t *testing.T) {
 
 // TestIntoVariantsZeroAllocSteadyState is the satellite regression: VecMat
 // and Gram used to allocate fresh per-chunk partials on every call; the Into
-// variants with scratch-pooled partials must reach a zero-allocation steady
-// state (measured serially — parallel runs borrow from the scratch pool,
-// which is warmed by the first call).
+// variants must reach a zero-allocation steady state at GOMAXPROCS=1, where
+// they walk the same multi-chunk grid as the parallel regime through one
+// scratch partial.
 func TestIntoVariantsZeroAllocSteadyState(t *testing.T) {
 	withGOMAXPROCS(1, func() {
 		r := rand.New(rand.NewSource(18))
-		m := randMat(r, 500, 60, 0.1) // 30k elements: above parallelThreshold
-		x := make([]float64, 500)
+		// 300k elements, above parallelThreshold: VecMat (19 row chunks) and
+		// Gram (32) are multi-chunk reductions.
+		m := randMat(r, 5000, 60, 0.1)
+		x := make([]float64, 5000)
 		v := make([]float64, 60)
 		for i := range x {
 			x[i] = r.NormFloat64()
@@ -289,7 +292,7 @@ func TestIntoVariantsZeroAllocSteadyState(t *testing.T) {
 		for i := range v {
 			v[i] = r.NormFloat64()
 		}
-		mvDst := make([]float64, 500)
+		mvDst := make([]float64, 5000)
 		vmDst := make([]float64, 60)
 		gramDst := NewDense(60, 60)
 
@@ -303,4 +306,53 @@ func TestIntoVariantsZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("GramInto allocates %v per run, want 0", a)
 		}
 	})
+}
+
+// TestReductionsBitReproducible: VecMat, Gram, the GEMM k-split and
+// FusedColSums sum fixed row (or k) chunks in index order through
+// pool.Reduce, so each returns the same bits on every repeat at GOMAXPROCS 1,
+// 2 and 4 — on an input where every grid has many chunks, and with
+// parallelThreshold forced low so a small input takes the pool path too.
+func TestReductionsBitReproducible(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	sq, err := CompileFused([]FusedOp{{Code: FuseLoad, Arg: 0}, {Code: FuseSq}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(m, mt *Dense, x []float64) [][]float64 {
+		return [][]float64{
+			VecMatInto(make([]float64, m.cols), x, m),
+			GramInto(NewDense(m.cols, m.cols), m).data,
+			MatMul(mt, m).data, // 48×48 output, k = rows: the k-split path
+			FusedColSumsInto(make([]float64, m.cols), sq, []FusedInput{DenseInput(m)}, m.rows, m.cols),
+		}
+	}
+	check := func(name string, m *Dense) {
+		x := make([]float64, m.rows)
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		mt := m.T()
+		var want [][]float64
+		withGOMAXPROCS(1, func() { want = run(m, mt, x) })
+		for _, procs := range []int{1, 2, 4} {
+			withGOMAXPROCS(procs, func() {
+				for rep := 0; rep < 20; rep++ {
+					for k, got := range run(m, mt, x) {
+						for i := range got {
+							if math.Float64bits(got[i]) != math.Float64bits(want[k][i]) {
+								t.Fatalf("%s: kernel %d at GOMAXPROCS=%d rep %d: [%d] = %x, first run %x",
+									name, k, procs, rep, i, math.Float64bits(got[i]), math.Float64bits(want[k][i]))
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+	check("5600x48", randMat(r, 5600, 48, 0.1)) // 268 800 elements: above parallelThreshold
+	oldThresh := parallelThreshold
+	parallelThreshold = 1
+	defer func() { parallelThreshold = oldThresh }()
+	check("2000x20, threshold 1", randMat(r, 2000, 20, 0.1)) // 3 VecMat chunks, 5 FusedColSums
 }

@@ -285,7 +285,7 @@ func FusedCellInto(out *Dense, p *FuseProgram, ins []FusedInput) *Dense {
 		fusedCellRange(p, k, ins, sv, out.data, cols, 0, total)
 	} else {
 		nt := (total + fusedTileW - 1) / fusedTileW
-		pool.Do(nt, pool.Grain(nt, fusedTileW*(p.arith+1)), func(_, t0, t1 int) {
+		pool.Do(nt, pool.Grain(nt, fusedTileW*(p.arith+1)), func(t0, t1 int) {
 			hi := t1 * fusedTileW
 			if hi > total {
 				hi = total
@@ -364,9 +364,8 @@ func zeroAnnihilatingCSR(p *FuseProgram, ins []FusedInput) (int, bool) {
 // FusedSum reduces the program's virtual rows×cols result to its scalar sum
 // without materializing it. The element range splits into fixed tile-aligned
 // chunks whose size depends on the program alone, summed in chunk order
-// through pool.SumChunks — and the serial regime walks the same chunks in
-// the same order — so the result is bit-identical across runs and
-// GOMAXPROCS. A zero-annihilating program over a single CSR input skips the
+// through pool.Reduce — and the serial regime walks the same chunks in the
+// same order — so the result is bit-identical across runs and GOMAXPROCS. A zero-annihilating program over a single CSR input skips the
 // zero cells entirely and only visits stored non-zeros.
 func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	fusedCheckInputs(p, ins, rows, cols)
@@ -396,18 +395,18 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(total))
 	chunk := fusedTileW * max(1, fusedSumWork/(fusedTileW*(p.arith+1)))
-	var s float64
+	sum := pool.GetF64Zeroed(1)
 	if total*(p.arith+1) < parallelThreshold || pool.SerialNow() {
-		// pool.SumChunks's chunks and merge order, run inline: no closure
-		// to allocate, same bits as the parallel regime.
-		for lo := 0; lo < total; lo += chunk {
-			s += fusedSumRange(p, k, ins, sv, cols, lo, min(lo+chunk, total))
-		}
+		reduceSerial(sum, total, chunk, func(acc []float64, lo, hi int) {
+			acc[0] += fusedSumRange(p, k, ins, sv, cols, lo, hi)
+		})
 	} else {
-		s = pool.SumChunks(total, chunk, func(lo, hi int) float64 {
-			return fusedSumRange(p, k, ins, sv, cols, lo, hi)
+		pool.Reduce(sum, total, chunk, func(acc []float64, lo, hi int) {
+			acc[0] += fusedSumRange(p, k, ins, sv, cols, lo, hi)
 		})
 	}
+	s := sum[0]
+	pool.PutF64(sum)
 	p.release(sv)
 	return s
 }
@@ -459,7 +458,7 @@ func fusedRowVec(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int
 	if work < parallelThreshold || rows < 2 || pool.SerialNow() {
 		fusedRowVecRange(p, k, ins, sv, cols, v, dst, 0, rows)
 	} else {
-		pool.Do(rows, pool.Grain(rows, cols*(p.arith+1)), func(_, r0, r1 int) {
+		pool.Do(rows, pool.Grain(rows, cols*(p.arith+1)), func(r0, r1 int) {
 			fusedRowVecRange(p, k, ins, sv, cols, v, dst, r0, r1)
 		})
 	}
@@ -510,8 +509,8 @@ func fusedRowVecRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []flo
 }
 
 // FusedColSumsInto reduces each virtual column of the program's result to
-// its sum. dst must have length cols. Parallel runs merge per-worker
-// partial vectors drawn from pooled scratch.
+// its sum. dst must have length cols. Large inputs sum fixed row chunks
+// through pool.Reduce, so the result is bit-identical at every core count.
 func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int) []float64 {
 	fusedCheckInputs(p, ins, rows, cols)
 	if len(dst) != cols {
@@ -525,15 +524,14 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 	for j := range dst {
 		dst[j] = 0
 	}
-	work := rows * cols * (p.arith + 1)
-	if work < parallelThreshold || rows < 2 || pool.SerialNow() {
+	chunk := pool.Grain(rows, cols*(p.arith+1))
+	if rows*cols*(p.arith+1) < parallelThreshold || rows <= chunk {
 		fusedColSumsRange(p, k, ins, sv, cols, dst, 0, rows)
-		p.release(sv)
-		return dst
+	} else {
+		pool.Reduce(dst, rows, chunk, func(acc []float64, r0, r1 int) {
+			fusedColSumsRange(p, k, ins, sv, cols, acc, r0, r1)
+		})
 	}
-	pool.ReduceInto(dst, rows, pool.Grain(rows, cols*(p.arith+1)), func(acc []float64, r0, r1 int) {
-		fusedColSumsRange(p, k, ins, sv, cols, acc, r0, r1)
-	})
 	p.release(sv)
 	return dst
 }

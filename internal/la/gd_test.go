@@ -1,0 +1,81 @@
+package la_test
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"dmml/internal/factorized"
+	"dmml/internal/la"
+	"dmml/internal/opt"
+	"dmml/internal/workload"
+)
+
+// TestGradientDescentBitReproducibleForcedParallel: with parallelThreshold
+// forced to 1, gradient descent over small dense, CSR and join-tree sources
+// runs its VecMat reductions on multi-chunk grids through the pool, and still
+// returns the same W and History bits on every repeat at GOMAXPROCS 1, 2
+// and 4.
+func TestGradientDescentBitReproducibleForcedParallel(t *testing.T) {
+	defer la.SetParallelThreshold(la.SetParallelThreshold(1))
+	r := rand.New(rand.NewSource(20))
+	// 2000×20: three VecMat chunks of 820 rows.
+	x, y, _ := workload.Classification(r, 2000, 20, 0.05)
+	s, err := workload.GenerateSnowflake(r, workload.SnowflakeConfig{
+		FactRows:  2000,
+		FactFeats: 20,
+		Nodes:     []workload.SnowNode{{Rows: 100, Feats: 3, Parent: -1}},
+		Task:      workload.RegressionTask,
+		Signal:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := factorized.NewJoinTree(
+		[]factorized.Node{{X: s.X[0], Rows: s.Rows[0]}, {X: s.X[1], Rows: s.Rows[1]}},
+		[]factorized.Edge{{Parent: 0, Child: 1, FK: s.FKs[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := opt.GDConfig{Step: 0.5, MaxIter: 5, Backtracking: true}
+	for _, tc := range []struct {
+		name string
+		data opt.BulkData
+		y    []float64
+		loss opt.Loss
+	}{
+		{"dense", opt.DenseData{M: x}, y, opt.Logistic{}},
+		{"csr", opt.CSRData{M: la.CSRFromDense(x)}, y, opt.Logistic{}},
+		{"join tree", tree, s.Y, opt.Squared{}},
+	} {
+		var first *opt.GDResult
+		for _, procs := range []int{1, 2, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 20; rep++ {
+				res, err := opt.GradientDescent(tc.data, tc.y, tc.loss, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+				} else if !sameBits(res.W, first.W) || !sameBits(res.History, first.History) {
+					t.Errorf("%s: GOMAXPROCS=%d rep %d: W or History differs from the first run", tc.name, procs, rep)
+				}
+			}
+			runtime.GOMAXPROCS(old)
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

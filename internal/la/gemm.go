@@ -46,9 +46,9 @@ func roundUp(n, to int) int { return (n + to - 1) / to * to }
 // re-streams all of B for every output row, turning a tiny-output product
 // into a memory-bound sweep of m·K·n bytes; here the loop order is k-outer,
 // so A and B are each read exactly once while the whole output stays
-// cache-resident. The k-range is split across the pool with per-worker
-// partial outputs merged at the end — the only parallelizable dimension when
-// m and n are both small.
+// cache-resident. The k-range is split across the pool with per-chunk
+// partial outputs merged in chunk order — the only parallelizable dimension
+// when m and n are both small.
 const (
 	kSplitMaxOut = 1 << 12 // parallelize over k only when m*n fits L1 comfortably
 	kSplitMinK   = 256
@@ -78,12 +78,12 @@ func gemmKAccum(a, b *Dense, acc []float64, k0, k1 int) {
 // worker pool. out must be zeroed (or hold a partial sum).
 func gemmKSplit(a, b, out *Dense) {
 	k, n := a.cols, b.cols
-	work := a.rows * k * n
-	if work < parallelThreshold || pool.SerialNow() {
+	chunk := pool.Grain(k, a.rows*n)
+	if a.rows*k*n < parallelThreshold || k <= chunk {
 		gemmKAccum(a, b, out.data, 0, k)
 		return
 	}
-	pool.ReduceInto(out.data, k, pool.Grain(k, a.rows*n), func(acc []float64, lo, hi int) {
+	pool.Reduce(out.data, k, chunk, func(acc []float64, lo, hi int) {
 		gemmKAccum(a, b, acc, lo, hi)
 	})
 }
@@ -187,7 +187,7 @@ func gemmBlocked(a, b, out *Dense) {
 			bBuf := pool.GetF64(kc * ncPad)
 			packB(bBuf, b, pc, kc, jc, nc)
 			nBlocks := (m + gemmMC - 1) / gemmMC
-			pool.Do(nBlocks, 1, func(_, lo, hi int) {
+			pool.Do(nBlocks, 1, func(lo, hi int) {
 				aBuf := pool.GetF64(roundUp(gemmMC, gemmMR) * kc)
 				for blk := lo; blk < hi; blk++ {
 					i0 := blk * gemmMC

@@ -21,7 +21,31 @@ func parallelRows(rows int, work int, fn func(r0, r1 int)) {
 		fn(0, rows)
 		return
 	}
-	pool.Do(rows, pool.Grain(rows, work/rows), func(_, lo, hi int) { fn(lo, hi) })
+	pool.Do(rows, pool.Grain(rows, work/rows), fn)
+}
+
+// reduceSerial walks pool.Reduce's grid on the calling goroutine: chunk 0
+// into dst, then each later chunk into one zeroed scratch partial that is
+// added into dst in chunk order — Reduce's bits at GOMAXPROCS=1. body stays
+// on the caller's stack, where a closure handed to Reduce reaches the workers
+// and is heap-allocated, so the kernels pinned to zero allocations at
+// GOMAXPROCS=1 take this path there.
+func reduceSerial(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
+	body(dst, 0, min(chunk, n))
+	if n <= chunk {
+		return
+	}
+	part := pool.GetF64(len(dst))
+	for lo := chunk; lo < n; lo += chunk {
+		for i := range part {
+			part[i] = 0
+		}
+		body(part, lo, min(lo+chunk, n))
+		for i, v := range part {
+			dst[i] += v
+		}
+	}
+	pool.PutF64(part)
 }
 
 // MatMul returns a × b. It panics if the inner dimensions disagree.
@@ -116,9 +140,9 @@ func VecMat(x []float64, m *Dense) []float64 {
 }
 
 // VecMatInto computes xᵀ × m into dst (overwriting it) and returns dst. dst
-// must have length m.Cols(). Parallel runs use per-worker partial
-// accumulators drawn from the scratch pool and merged at the end; the serial
-// regime allocates nothing.
+// must have length m.Cols(). Large inputs sum fixed row chunks through
+// pool.Reduce, so the result is bit-identical at every core count; the
+// serial regime allocates nothing.
 func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 	if m.rows != len(x) {
 		panic(fmt.Sprintf("la: VecMat len %d × %dx%d", len(x), m.rows, m.cols))
@@ -131,14 +155,15 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 	for j := range dst {
 		dst[j] = 0
 	}
-	work := m.rows * m.cols
-	if work < parallelThreshold || m.rows < 2 || pool.SerialNow() {
+	chunk := pool.Grain(m.rows, m.cols)
+	switch {
+	case m.rows*m.cols < parallelThreshold || m.rows <= chunk:
 		vecMatAccum(dst, x, m, 0, m.rows)
-		return dst
+	case pool.SerialNow():
+		reduceSerial(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x, m, lo, hi) })
+	default:
+		pool.Reduce(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x, m, lo, hi) })
 	}
-	pool.ReduceInto(dst, m.rows, pool.Grain(m.rows, m.cols), func(acc []float64, lo, hi int) {
-		vecMatAccum(acc, x, m, lo, hi)
-	})
 	return dst
 }
 
@@ -180,8 +205,9 @@ func Gram(x *Dense) *Dense {
 }
 
 // GramInto computes XᵀX into out (overwriting it) and returns out. out must
-// be cols×cols. Parallel runs accumulate into per-worker scratch matrices
-// merged at the end; the serial regime allocates nothing.
+// be cols×cols. Large inputs sum fixed row chunks through pool.Reduce, so
+// the result is bit-identical at every core count; the serial regime
+// allocates nothing.
 func GramInto(out *Dense, x *Dense) *Dense {
 	d := x.cols
 	if out.rows != d || out.cols != d {
@@ -192,13 +218,14 @@ func GramInto(out *Dense, x *Dense) *Dense {
 	mGramCalls.Inc()
 	mFlops.Add(int64(x.rows) * int64(d) * int64(d))
 	out.Zero()
-	work := x.rows * d * d
-	if work < parallelThreshold || x.rows < 2 || pool.SerialNow() {
+	chunk := pool.Grain(x.rows, d*d)
+	switch {
+	case x.rows*d*d < parallelThreshold || x.rows <= chunk:
 		gramAccum(x, out.data, 0, x.rows)
-	} else {
-		pool.ReduceInto(out.data, x.rows, pool.Grain(x.rows, d*d), func(acc []float64, lo, hi int) {
-			gramAccum(x, acc, lo, hi)
-		})
+	case pool.SerialNow():
+		reduceSerial(out.data, x.rows, chunk, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
+	default:
+		pool.Reduce(out.data, x.rows, chunk, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
 	}
 	// Mirror the upper triangle into the lower triangle.
 	for i := 0; i < d; i++ {
@@ -329,19 +356,6 @@ func XtY(x *Dense, y []float64) []float64 { return XtYInto(make([]float64, x.col
 // regime, so solvers that compute a gradient per iteration can reuse one
 // buffer instead of allocating a fresh vector every call.
 func XtYInto(dst []float64, x *Dense, y []float64) []float64 { return VecMatInto(dst, y, x) }
-
-// OuterAdd adds alpha * x yᵀ into m in place.
-func OuterAdd(m *Dense, alpha float64, x, y []float64) {
-	if m.rows != len(x) || m.cols != len(y) {
-		panic(fmt.Sprintf("la: OuterAdd %dx%d with len %d, %d", m.rows, m.cols, len(x), len(y)))
-	}
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		Axpy(alpha*xi, y, m.RowView(i))
-	}
-}
 
 // Trace returns the sum of diagonal elements of a square matrix.
 func Trace(m *Dense) float64 {

@@ -123,15 +123,6 @@ func TestTraceAndTraceMatMul(t *testing.T) {
 	}
 }
 
-func TestOuterAdd(t *testing.T) {
-	m := NewDense(2, 3)
-	OuterAdd(m, 2, []float64{1, 2}, []float64{3, 4, 5})
-	want, _ := FromRows([][]float64{{6, 8, 10}, {12, 16, 20}})
-	if !m.Equal(want, 1e-14) {
-		t.Fatalf("OuterAdd = %v", m)
-	}
-}
-
 func TestVectorHelpers(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{5, 4, 3, 2, 1}

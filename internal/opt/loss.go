@@ -52,9 +52,11 @@ func batchLoss(derivs, margins, y []float64, tile func(derivs, margins, y []floa
 	if n <= lossChunk {
 		return tile(derivs, margins, y)
 	}
-	return pool.SumChunks(n, lossChunk, func(lo, hi int) float64 {
-		return tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
+	var sum [1]float64
+	pool.Reduce(sum[:], n, lossChunk, func(acc []float64, lo, hi int) {
+		acc[0] += tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
 	})
+	return sum[0]
 }
 
 // Squared is the squared-error loss ½(m−y)², for regression.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dmml/internal/compress"
 	"dmml/internal/factorized"
 	"dmml/internal/la"
 	"dmml/internal/pool"
@@ -55,37 +56,94 @@ func TestLossAndGradientZeroAllocSteadyState(t *testing.T) {
 	pool.PutF64(derivs)
 }
 
-// TestGradientDescentProcsEquivalent: the pooled kernels only reassociate
-// floating-point sums, so a GD run must land on (numerically) the same model
-// at GOMAXPROCS=1 and GOMAXPROCS=N.
+// gdBitStable runs gradient descent over data 20 times at each of GOMAXPROCS
+// 1, 2 and 4 and fails unless every run returns the first run's W and
+// History bit for bit. It returns the first run.
+func gdBitStable(t *testing.T, name string, data BulkData, y []float64, loss Loss, cfg GDConfig) *GDResult {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first *GDResult
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 20; rep++ {
+			res, err := GradientDescent(data, y, loss, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			if !sameBits(res.W, first.W) || !sameBits(res.History, first.History) {
+				t.Fatalf("%s: GOMAXPROCS=%d rep %d: W %v History %v, first run W %v History %v",
+					name, procs, rep, res.W, res.History, first.W, first.History)
+			}
+		}
+	}
+	return first
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGradientDescentProcsEquivalent: every reduction under gradient descent
+// sums a fixed grid in index order, so a GD run lands on the same model, to
+// the bit, at every core count and on every repeat.
 func TestGradientDescentProcsEquivalent(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	x, y := randProblem(r, 600, 20)
-	cfg := GDConfig{Step: 0.5, MaxIter: 30, Backtracking: true}
-	run := func() *GDResult {
-		res, err := GradientDescent(DenseData{M: x}, y, Logistic{}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res := gdBitStable(t, "dense 600x20", DenseData{M: x}, y, Logistic{}, GDConfig{Step: 0.5, MaxIter: 30, Backtracking: true})
+	t.Logf("History[0] = %x", math.Float64bits(res.History[0]))
+}
+
+// TestGradientDescentBitReproducible extends the property to every BulkData
+// source, at sizes where each reduction on the path spans several chunks:
+// the loss pass (> lossChunk rows), dense VecMat (≥ 2¹⁸ flops), compressed
+// MatVec (over four column groups per chunk) and the join tree's fact VecMat
+// and scatterAdd.
+func TestGradientDescentBitReproducible(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	cfg := GDConfig{Step: 0.5, MaxIter: 4, Backtracking: true}
+	x, y := randProblem(r, 20000, 16)
+	gdBitStable(t, "dense", DenseData{M: x}, y, Logistic{}, cfg)
+	gdBitStable(t, "csr", CSRData{M: la.CSRFromDense(x)}, y, Logistic{}, cfg)
+
+	cards := make([]int, 16)
+	for j := range cards {
+		cards[j] = 2 + j
 	}
-	old := runtime.GOMAXPROCS(1)
-	serial := run()
-	n := runtime.NumCPU()
-	if n < 4 {
-		n = 4
+	tel := workload.TelemetryMatrix(r, 20000, cards, 1)
+	if g := len(compress.Compress(tel, compress.Options{}).Groups()); g <= 4 {
+		t.Fatalf("compressed source has %d column groups, want several MatVec chunks", g)
 	}
-	runtime.GOMAXPROCS(n)
-	parallel := run()
-	runtime.GOMAXPROCS(old)
-	if len(serial.W) != len(parallel.W) {
-		t.Fatalf("dimension mismatch")
+	gdBitStable(t, "compressed", compress.Compress(tel, compress.Options{}), y, Logistic{}, cfg)
+
+	s, err := workload.GenerateSnowflake(r, workload.SnowflakeConfig{
+		FactRows:  70000,
+		FactFeats: 4,
+		Nodes:     []workload.SnowNode{{Rows: 2000, Feats: 3, Parent: -1}},
+		Task:      workload.RegressionTask,
+		Signal:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for j := range serial.W {
-		if d := serial.W[j] - parallel.W[j]; math.Abs(d) > 1e-6 {
-			t.Errorf("W[%d] differs by %g across proc counts", j, d)
-		}
+	tree, err := factorized.NewJoinTree(
+		[]factorized.Node{{X: s.X[0], Rows: s.Rows[0]}, {X: s.X[1], Rows: s.Rows[1]}},
+		[]factorized.Edge{{Parent: 0, Child: 1, FK: s.FKs[1]}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	gdBitStable(t, "join tree", tree, s.Y, Squared{}, GDConfig{Step: 0.05, MaxIter: 4, Backtracking: true})
 }
 
 // TestParallelSGDStillLearns: the pool-scheduled parallel strategies must

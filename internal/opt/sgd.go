@@ -136,14 +136,15 @@ type SGDResult struct {
 func MeanLoss(data RowData, y []float64, w []float64, loss Loss) float64 {
 	n := data.Rows()
 	chunk := max(1, lossChunk*32/max(data.Cols(), 32))
-	total := pool.SumChunks(n, chunk, func(lo, hi int) float64 {
+	var total [1]float64
+	pool.Reduce(total[:], n, chunk, func(acc []float64, lo, hi int) {
 		t := 0.0
 		for i := lo; i < hi; i++ {
 			t += loss.Value(la.Dot(w, data.Row(i)), y[i])
 		}
-		return t
+		acc[0] += t
 	})
-	return total / float64(n)
+	return total[0] / float64(n)
 }
 
 // SGD trains by sequential stochastic gradient descent with per-epoch
@@ -266,7 +267,7 @@ func modelAverageSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, worker
 	states := newPartitionStates(parts, cfg.Seed)
 	for e := 0; e < cfg.Epochs; e++ {
 		step := cfg.Step / (1 + cfg.Decay*float64(e))
-		pool.Do(len(parts), 1, func(_, lo, hi int) {
+		pool.Do(len(parts), 1, func(lo, hi int) {
 			for pi := lo; pi < hi; pi++ {
 				agg := aggs[pi]
 				agg.Step = step
@@ -320,7 +321,7 @@ func sharedAtomicSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, worker
 	wLocal := make([]float64, d)
 	for e := 0; e < cfg.Epochs; e++ {
 		step := cfg.Step / (1 + cfg.Decay*float64(e))
-		pool.Do(len(parts), 1, func(_, lo, hi int) {
+		pool.Do(len(parts), 1, func(lo, hi int) {
 			for pi := lo; pi < hi; pi++ {
 				buf := bufs[pi]
 				states[pi].reshuffle()

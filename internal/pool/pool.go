@@ -43,23 +43,19 @@ var (
 )
 
 // job is one parallel-for: workers claim [lo,hi) chunks off next until n is
-// exhausted. Each participating goroutine reserves a distinct slot so callers
-// can maintain per-worker partial accumulators.
+// exhausted.
 type job struct {
 	next  atomic.Int64
-	slots atomic.Int64
 	n     int64
 	grain int64
-	fn    func(slot, lo, hi int)
+	fn    func(lo, hi int)
 	wg    sync.WaitGroup
 }
 
 // run claims chunks until the job is drained. Called by at most Workers()
-// goroutines per job, each under a unique slot. helper marks recruited
-// workers (as opposed to the goroutine that submitted the job) so stolen
-// chunks can be counted.
+// goroutines per job. helper marks recruited workers (as opposed to the
+// goroutine that submitted the job) so stolen chunks can be counted.
 func (j *job) run(helper bool) {
-	slot := int(j.slots.Add(1) - 1)
 	for {
 		lo := j.next.Add(j.grain) - j.grain
 		if lo >= j.n {
@@ -73,7 +69,7 @@ func (j *job) run(helper bool) {
 		if helper {
 			mSteals.Inc()
 		}
-		j.fn(slot, int(lo), int(hi))
+		j.fn(int(lo), int(hi))
 	}
 }
 
@@ -110,25 +106,22 @@ func start() {
 	}
 }
 
-// Workers returns the number of scheduling slots, i.e. the upper bound
-// (exclusive) on the slot argument passed to a Do callback. Size per-worker
-// accumulator arrays with this.
+// Workers starts the pool if it is not running and returns its size: the
+// most goroutines, the caller included, that can run one Do call's chunks.
 func Workers() int {
 	startOnce.Do(start)
 	return poolSize
 }
 
 // Do runs fn over [0,n) split into dynamically scheduled chunks of at most
-// grain items. fn is invoked with a slot in [0, Workers()) that is unique
-// among the goroutines concurrently executing this call, so callers can index
-// per-worker partial accumulators by slot. Chunks are claimed in order off a
-// shared atomic counter: skewed per-item cost rebalances automatically
-// instead of serializing on the slowest static chunk.
+// grain items. Chunks are claimed in order off a shared atomic counter:
+// skewed per-item cost rebalances automatically instead of serializing on the
+// slowest static chunk.
 //
 // Do returns after every chunk has completed. It is safe to call from inside
 // an fn of an outer Do (the inner call runs on the calling goroutine when no
 // helpers are free).
-func Do(n, grain int, fn func(slot, lo, hi int)) {
+func Do(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -140,12 +133,11 @@ func Do(n, grain int, fn func(slot, lo, hi int)) {
 	procs := runtime.GOMAXPROCS(0)
 	if procs <= 1 || n <= grain {
 		mDoSerial.Inc()
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	j := jobPool.Get().(*job)
 	j.next.Store(0)
-	j.slots.Store(0)
 	j.n = int64(n)
 	j.grain = int64(grain)
 	j.fn = fn
@@ -181,73 +173,96 @@ func Do(n, grain int, fn func(slot, lo, hi int)) {
 	jobPool.Put(j)
 }
 
-// ReduceInto is the parallel-reduction form of Do: body accumulates the
-// contribution of items [lo,hi) into acc, a private accumulator the length of
-// dst, and the per-worker accumulators are summed into dst once every chunk
-// has run. Slot 0 accumulates straight into dst (which therefore must already
-// hold the value to add to, usually zeros); every other slot that claims a
-// chunk borrows a zeroed scratch buffer, which is added into dst in slot
-// order and released. Chunks are claimed dynamically, so which slot sums
-// which chunk — and with it the last bits of dst — varies from run to run;
-// a reduction that must reproduce uses SumChunks. The slot table is the only
-// allocation. Kernels keep their serial fast path (small input or SerialNow)
-// in front of the call.
-func ReduceInto(dst []float64, n, grain int, body func(acc []float64, lo, hi int)) {
-	partials := make([][]float64, Workers())
-	partials[0] = dst
-	Do(n, grain, func(slot, lo, hi int) {
-		acc := partials[slot]
-		if acc == nil {
-			acc = GetF64Zeroed(len(dst))
-			partials[slot] = acc
-		}
-		body(acc, lo, hi)
-	})
-	for _, p := range partials[1:] {
-		if p != nil {
-			for i, v := range p {
-				dst[i] += v
-			}
-			PutF64(p)
-		}
+// Reduce is the parallel reduction: body adds the contribution of items
+// [lo,hi) into acc, and Reduce sums the contributions into dst over the fixed
+// grid [0,chunk), [chunk,2·chunk), … of [0,n). Chunk 0 accumulates straight
+// into dst, which must already hold the value to add to (usually zeros).
+// Every later chunk accumulates into a zeroed scratch partial the length of
+// dst, which is added into dst as soon as every lower-indexed chunk has been
+// and then released. The grid and the merge order depend on n and chunk
+// alone — never on GOMAXPROCS, Workers or which worker ran which chunk — so
+// for a deterministic body dst is bit-identical across runs and core counts;
+// at GOMAXPROCS=1 the chunks run in index order through one recycled
+// partial. With a one-element dst it is the reproducible scalar sum.
+//
+// Reduce itself allocates nothing in steady state. body reaches the workers,
+// so a closure passed here is heap-allocated even when the grid is a single
+// chunk; kernels pinned to zero allocations call their range body directly
+// when n ≤ chunk.
+func Reduce(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
+	if n <= 0 {
+		return
 	}
+	r := reductions.Get().(*reduction)
+	r.dst, r.n, r.chunk, r.body, r.merged = dst, n, max(chunk, 1), body, 0
+	chunks := (n + r.chunk - 1) / r.chunk
+	if cap(r.parts) < chunks {
+		r.parts = make([][]float64, chunks)
+	}
+	r.parts = r.parts[:chunks]
+	Do(chunks, 1, r.run)
+	clear(r.parts)
+	r.dst, r.body = nil, nil
+	reductions.Put(r)
 }
 
-// SumChunks is the reproducible scalar reduction: body is evaluated on the
-// fixed chunks [0,chunk), [chunk,2·chunk), … of [0,n), in parallel, and the
-// results are added in chunk-index order. The chunking depends on n and chunk
-// alone — never on GOMAXPROCS, Workers or which worker claimed what — so for a
-// deterministic body the sum is bit-identical across runs and core counts.
-// The Do closure is the only allocation (none when n ≤ chunk).
-func SumChunks(n, chunk int, body func(lo, hi int) float64) float64 {
-	if n <= chunk {
-		return body(0, n)
-	}
-	partials := GetF64((n + chunk - 1) / chunk)
-	Do(len(partials), 1, func(_, c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			partials[c] = body(c*chunk, min((c+1)*chunk, n))
+// reduction is one Reduce call's state. It is recycled with its run method
+// value bound once, so a call allocates no closure or table of its own.
+type reduction struct {
+	mu       sync.Mutex
+	dst      []float64
+	n, chunk int
+	body     func(acc []float64, lo, hi int)
+	// parts[c] is chunk c's finished accumulator (dst itself for chunk 0),
+	// nil until then and again once the call returns. An empty dst leaves
+	// every entry nil, so nothing is ever merged — and nothing needs to be.
+	parts  [][]float64
+	merged int // chunks [0, merged) are summed into dst
+	run    func(c0, c1 int)
+}
+
+var reductions = sync.Pool{New: func() any {
+	r := &reduction{}
+	r.run = r.chunks
+	return r
+}}
+
+// chunks runs chunks [c0,c1) and merges every finished partial whose
+// predecessors are all in dst.
+func (r *reduction) chunks(c0, c1 int) {
+	for c := c0; c < c1; c++ {
+		acc := r.dst
+		if c > 0 {
+			acc = GetF64Zeroed(len(r.dst))
 		}
-	})
-	total := 0.0
-	for _, p := range partials {
-		total += p
+		r.body(acc, c*r.chunk, min((c+1)*r.chunk, r.n))
+		r.mu.Lock()
+		r.parts[c] = acc
+		for ; r.merged < len(r.parts) && r.parts[r.merged] != nil; r.merged++ {
+			if r.merged > 0 {
+				for i, v := range r.parts[r.merged] {
+					r.dst[i] += v
+				}
+				PutF64(r.parts[r.merged])
+			}
+		}
+		r.mu.Unlock()
 	}
-	PutF64(partials)
-	return total
 }
 
 // SerialNow reports whether Do would currently run jobs serially
-// (GOMAXPROCS is 1). Kernels use it to skip setting up per-worker partial
-// accumulators that a serial run would never touch.
+// (GOMAXPROCS is 1). Kernels use it to call their range body directly, which
+// keeps the closure a Do or Reduce call needs off the heap.
 func SerialNow() bool {
 	return runtime.GOMAXPROCS(0) <= 1
 }
 
 // Grain picks a chunk size for a parallel-for of n items where each item
-// costs roughly itemWork scalar operations. It targets enough chunks per
-// worker for dynamic load balancing (so skewed items rebalance) while keeping
-// each chunk heavy enough to amortize the atomic claim and cache traffic.
+// costs roughly itemWork scalar operations. It targets a fixed number of
+// chunks, enough for dynamic load balancing to rebalance skewed items, while
+// keeping each chunk heavy enough to amortize the atomic claim and cache
+// traffic. The result depends on n and itemWork alone, so a Reduce over it
+// has the same grid — and the same bits — at every core count.
 //
 //dmml:noalloc
 func Grain(n, itemWork int) int {
@@ -257,8 +272,9 @@ func Grain(n, itemWork int) int {
 	if itemWork < 1 {
 		itemWork = 1
 	}
-	// ~8 chunks per worker gives the scheduler room to rebalance skew.
-	target := Workers() * 8
+	// 32 chunks is 8 per worker on a 4-core host: room for the scheduler
+	// to rebalance skew.
+	const target = 32
 	g := (n + target - 1) / target
 	// Keep at least minChunkWork scalar ops per chunk.
 	const minChunkWork = 1 << 14

@@ -64,7 +64,8 @@ func leakByEscape(n int) {
 
 // Seeded bug: parked in a local table — a release call elsewhere in the
 // function proves nothing about this buffer. (Regression pin: the analyzer
-// used to accept this as a "slot transfer"; pool.ReduceInto owns that idiom.)
+// used to accept this as a "slot transfer"; the one partials table lives in
+// pool.Reduce.)
 func leakBySlotStore(n int) {
 	table := make([][]float64, 2)
 	buf := pool.GetF64(n) // want `scratch buffer "buf" escapes \(assigned to table\[0\]\)`
