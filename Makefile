@@ -1,6 +1,9 @@
 # Development targets.
 #
 #   make test           tier-1 gate: build everything, run every test
+#                       (internal/vet's reachability test among them: every
+#                       internal/ function reached from cmd/, examples/ or
+#                       bench/, or keep-listed with a reason)
 #   make check          static analysis + race detector over the concurrent
 #                       packages (pool, la, compress, paramserver, storage,
 #                       ooc, opt, core, metrics, dml, experiments, factorized,

@@ -183,7 +183,7 @@ func BenchmarkKernelFactorizedMatVec(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		design.MatVec(w)
+		design.MatVecInto(make([]float64, design.Rows()), w)
 	}
 }
 
@@ -192,7 +192,7 @@ func BenchmarkKernelSGDEpoch(b *testing.B) {
 	x, y, _ := workload.Classification(r, 50000, 32, 0.02)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.SGD(opt.DenseRows{M: x}, y, opt.Logistic{},
+		if _, err := opt.SGD(x, y, opt.Logistic{},
 			opt.SGDConfig{Step: 0.5, Epochs: 1, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}

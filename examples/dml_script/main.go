@@ -12,8 +12,10 @@ package main
 import (
 	_ "embed"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"dmml/internal/dml"
@@ -33,8 +35,21 @@ var (
 )
 
 func main() {
+	if err := run(os.Stdout, 200000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// chainSide is the side of the square matrices in the chain script, capped
+// at the row count so a small run stays small.
+func chainSide(n int) int { return min(600, n) }
+
+// run executes the three scripts over an n×30 regression problem (the chain
+// over chainSide(n)-square matrices), each as written and as optimized, and
+// writes the plans, results and timings to w.
+func run(w io.Writer, n int) error {
 	r := rand.New(rand.NewSource(21))
-	x, yv, _ := workload.Regression(r, 200000, 30, 0.3)
+	x, yv, _ := workload.Regression(r, n, 30, 0.3)
 	y := la.NewDense(len(yv), 1)
 	for i, v := range yv {
 		y.Set(i, 0, v)
@@ -49,85 +64,87 @@ func main() {
 
 	prog, err := dml.Parse(script)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("original program:")
-	fmt.Println(indent(prog.String()))
+	fmt.Fprintln(w, "original program:")
+	fmt.Fprintln(w, indent(prog.String()))
 
 	optimized := prog.Optimize(dml.ShapesFromEnv(makeEnv()))
-	fmt.Println("\noptimized program (note __sumsq fusion):")
-	fmt.Println(indent(optimized.String()))
+	fmt.Fprintln(w, "\noptimized program (note __sumsq fusion):")
+	fmt.Fprintln(w, indent(optimized.String()))
 
 	start := time.Now()
 	vNaive, statsNaive, err := prog.Run(makeEnv())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tNaive := time.Since(start)
 
 	start = time.Now()
 	vOpt, statsOpt, err := optimized.Run(makeEnv())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tOpt := time.Since(start)
 
-	fmt.Printf("\nnaive:     mse=%.5f  time=%v  cells=%d  cse_hits=%d\n",
+	fmt.Fprintf(w, "\nnaive:     mse=%.10g  time=%v  cells=%d  cse_hits=%d\n",
 		vNaive.S, tNaive.Round(time.Millisecond), statsNaive.CellsAllocated, statsNaive.CSEHits)
-	fmt.Printf("optimized: mse=%.5f  time=%v  cells=%d  cse_hits=%d\n",
+	fmt.Fprintf(w, "optimized: mse=%.10g  time=%v  cells=%d  cse_hits=%d\n",
 		vOpt.S, tOpt.Round(time.Millisecond), statsOpt.CellsAllocated, statsOpt.CSEHits)
 
 	// A second script showing matrix-chain reordering.
-	chain := chainScript
-	p2, err := dml.Parse(chain)
+	p2, err := dml.Parse(chainScript)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	shapes := map[string]dml.Shape{}
+	side := chainSide(n)
 	env2 := dml.Env{}
-	for name, side := range map[string]int{"A": 600, "B": 600} {
+	for _, name := range []string{"A", "B"} {
 		m, _, _ := workload.Regression(r, side, side, 0)
 		env2[name] = dml.Matrix(m)
 	}
-	vv, _, _ := workload.Regression(r, 600, 1, 0)
+	vv, _, _ := workload.Regression(r, side, 1, 0)
 	env2["v"] = dml.Matrix(vv)
-	shapes = dml.ShapesFromEnv(env2)
-	opt2 := p2.Optimize(shapes)
-	fmt.Printf("\nchain %q reordered to %q\n", p2.String(), opt2.String())
+	opt2 := p2.Optimize(dml.ShapesFromEnv(env2))
+	fmt.Fprintf(w, "\nchain %q reordered to %q\n", p2.String(), opt2.String())
 	start = time.Now()
-	if _, _, err := p2.Run(env2); err != nil {
-		log.Fatal(err)
+	vLeft, _, err := p2.Run(env2)
+	if err != nil {
+		return err
 	}
 	tLeft := time.Since(start)
 	start = time.Now()
-	if _, _, err := opt2.Run(env2); err != nil {
-		log.Fatal(err)
+	vChain, _, err := opt2.Run(env2)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("left-to-right: %v, optimized: %v\n",
+	fmt.Fprintf(w, "left-to-right: %v, optimized: %v\n",
 		tLeft.Round(time.Microsecond), time.Since(start).Round(time.Microsecond))
+	fmt.Fprintf(w, "chain sums: left-to-right=%.10g optimized=%.10g\n", vLeft.M.Sum(), vChain.M.Sum())
 
 	// A third script: gradient descent written entirely in DML, showing
 	// loop-invariant code motion.
 	p3, err := dml.Parse(gdScript)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opt3 := p3.Optimize(dml.ShapesFromEnv(makeEnv()))
-	fmt.Println("\nGD-in-DML, optimized (note the hoisted __licm temps):")
-	fmt.Println(indent(opt3.String()))
+	fmt.Fprintln(w, "\nGD-in-DML, optimized (note the hoisted __licm temps):")
+	fmt.Fprintln(w, indent(opt3.String()))
 	start = time.Now()
 	vNaive2, _, err := p3.Run(makeEnv())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tN := time.Since(start)
 	start = time.Now()
 	vOpt2, _, err := opt3.Run(makeEnv())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("naive loop: mse=%.4f in %v; with LICM: mse=%.4f in %v\n",
+	fmt.Fprintf(w, "naive loop: mse=%.10g in %v; with LICM: mse=%.10g in %v\n",
 		vNaive2.S, tN.Round(time.Millisecond), vOpt2.S, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func indent(s string) string {

@@ -53,9 +53,6 @@ type Matrix struct {
 	groups     []Group
 }
 
-// Dims returns the logical matrix dimensions.
-func (c *Matrix) Dims() (rows, cols int) { return c.rows, c.cols }
-
 // Rows returns the number of rows.
 func (c *Matrix) Rows() int { return c.rows }
 
@@ -117,11 +114,6 @@ func (c *Matrix) MatVecInto(dst, v []float64) []float64 {
 	return dst
 }
 
-// VecMat returns xᵀ·X over the compressed representation.
-func (c *Matrix) VecMat(x []float64) []float64 {
-	return c.VecMatInto(make([]float64, c.cols), x)
-}
-
 // VecMatInto computes xᵀ·X into dst (overwriting it) and returns dst. Column
 // groups cover disjoint columns, so parallel workers write disjoint entries
 // of dst and no partial accumulators are needed.
@@ -149,17 +141,6 @@ func (c *Matrix) VecMatInto(dst, x []float64) []float64 {
 		}
 	})
 	return dst
-}
-
-// vecMatSerial is VecMatInto without the parallel dispatch, for callers that
-// are already running on a pool worker.
-func (c *Matrix) vecMatSerial(dst, x []float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	for _, g := range c.groups {
-		g.VecMatAccum(dst, x)
-	}
 }
 
 // VecMatAccum adds xᵀ·X into dst without zeroing it first — the block-wise
@@ -217,30 +198,6 @@ func (c *Matrix) ColSumsAccum(out []float64) {
 		g.ColSumsAccum(out)
 	}
 }
-
-// ColSums returns per-column sums.
-func (c *Matrix) ColSums() []float64 {
-	out := make([]float64, c.cols)
-	for _, g := range c.groups {
-		g.ColSumsAccum(out)
-	}
-	return out
-}
-
-// ColSumSq returns per-column sums of squares.
-func (c *Matrix) ColSumSq() []float64 {
-	out := make([]float64, c.cols)
-	for _, g := range c.groups {
-		g.ColSumSqAccum(out)
-	}
-	return out
-}
-
-// Sum returns the sum of all elements.
-func (c *Matrix) Sum() float64 { return la.SumVec(c.ColSums()) }
-
-// SumSq returns the squared Frobenius norm.
-func (c *Matrix) SumSq() float64 { return la.SumVec(c.ColSumSq()) }
 
 // Scale multiplies all elements by s. For dictionary encodings this touches
 // only the (small) dictionaries — the CLA argument for cheap scalar ops.
@@ -664,26 +621,6 @@ func buildRLE(col int, cc *colCode) *RLEGroup {
 	}
 }
 
-// MatMulDense returns X·W for a dense right operand, computed column-by-
-// column over the compressed groups (each column is one compressed
-// matrix–vector product).
-func (c *Matrix) MatMulDense(w *la.Dense) (*la.Dense, error) {
-	rows, k := w.Dims()
-	if rows != c.cols {
-		return nil, fmt.Errorf("compress: MatMulDense %dx%d × %dx%d", c.rows, c.cols, rows, k)
-	}
-	out := la.NewDense(c.rows, k)
-	col := pool.GetF64(c.rows)
-	for j := 0; j < k; j++ {
-		c.MatVecInto(col, w.Col(j))
-		for i, v := range col {
-			out.Set(i, j, v)
-		}
-	}
-	pool.PutF64(col)
-	return out, nil
-}
-
 // colInto materializes column j into dst via the basis-vector trick: ej must
 // be an all-zero length-cols scratch vector and is restored before return.
 // Only the group covering j is consulted.
@@ -701,44 +638,4 @@ func (c *Matrix) colInto(dst, ej []float64, j int) {
 		}
 	}
 	ej[j] = 0
-}
-
-// Col materializes one column as a dense vector. Groups not covering the
-// column are skipped, so the cost is proportional to that column's group.
-func (c *Matrix) Col(j int) ([]float64, error) {
-	if j < 0 || j >= c.cols {
-		return nil, fmt.Errorf("compress: column %d out of range for %d cols", j, c.cols)
-	}
-	ej := pool.GetF64Zeroed(c.cols)
-	out := make([]float64, c.rows)
-	c.colInto(out, ej, j)
-	pool.PutF64(ej)
-	return out, nil
-}
-
-// Gram computes XᵀX directly over the compressed representation (CLA's
-// transpose-self matrix multiply): one column materialization plus one
-// compressed vector–matrix product per column, never decompressing the whole
-// matrix. Columns are farmed out to the worker pool — each writes a disjoint
-// output row — with per-worker scratch for the basis and column vectors.
-func (c *Matrix) Gram() *la.Dense {
-	sw := mGramTimer.Start()
-	defer sw.Stop()
-	out := la.NewDense(c.cols, c.cols)
-	doCols := func(j0, j1 int) {
-		ej := pool.GetF64Zeroed(c.cols)
-		col := pool.GetF64(c.rows)
-		for j := j0; j < j1; j++ {
-			c.colInto(col, ej, j)
-			c.vecMatSerial(out.RowView(j), col)
-		}
-		pool.PutF64(ej)
-		pool.PutF64(col)
-	}
-	if c.rows*c.cols < compressParallelMinWork || pool.SerialNow() {
-		doCols(0, c.cols)
-	} else {
-		pool.Do(c.cols, 1, doCols)
-	}
-	return out
 }

@@ -92,9 +92,6 @@ func TestAggregatesMatchDense(t *testing.T) {
 	if math.Abs(c.Sum()-m.Sum()) > 1e-7 {
 		t.Fatalf("Sum = %v, want %v", c.Sum(), m.Sum())
 	}
-	if math.Abs(c.SumSq()-m.SumSq()) > 1e-7 {
-		t.Fatalf("SumSq = %v, want %v", c.SumSq(), m.SumSq())
-	}
 }
 
 func TestScaleIsDictionaryOnly(t *testing.T) {
@@ -279,7 +276,9 @@ func TestCompressEdgeCases(t *testing.T) {
 	}
 	// Constant non-zero column.
 	constant := la.NewDense(100, 1)
-	constant.Fill(7)
+	for i := 0; i < 100; i++ {
+		constant.Set(i, 0, 7)
+	}
 	c = Compress(constant, Options{})
 	if !c.Decompress().Equal(constant, 0) {
 		t.Fatal("constant column round trip failed")

@@ -35,8 +35,6 @@ type Group interface {
 	VecMatAccum(out, x []float64)
 	// ColSumsAccum adds per-column sums into out (indexed by original column).
 	ColSumsAccum(out []float64)
-	// ColSumSqAccum adds per-column sums of squares into out.
-	ColSumSqAccum(out []float64)
 	// DecompressInto writes the group's columns into m.
 	DecompressInto(m *la.Dense)
 	// SizeBytes estimates the in-memory footprint of the compressed form.
@@ -174,21 +172,6 @@ func (g *DDCGroup) entryCounts() []float64 {
 // ColSumsAccum implements Group.
 func (g *DDCGroup) ColSumsAccum(out []float64) { g.scatterWeighted(out, g.entryCounts()) }
 
-// ColSumSqAccum implements Group.
-func (g *DDCGroup) ColSumSqAccum(out []float64) {
-	counts := g.entryCounts()
-	w := len(g.d.cols)
-	for t, n := range counts {
-		if n == 0 {
-			continue
-		}
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += n * e[j] * e[j]
-		}
-	}
-}
-
 // DecompressInto implements Group.
 func (g *DDCGroup) DecompressInto(m *la.Dense) {
 	w := len(g.d.cols)
@@ -282,18 +265,6 @@ func (g *OLEGroup) ColSumsAccum(out []float64) {
 		e := g.d.entry(t)
 		for j := 0; j < w; j++ {
 			out[g.d.cols[j]] += n * e[j]
-		}
-	}
-}
-
-// ColSumSqAccum implements Group.
-func (g *OLEGroup) ColSumSqAccum(out []float64) {
-	w := len(g.d.cols)
-	for t, offs := range g.offsets {
-		n := float64(len(offs))
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += n * e[j] * e[j]
 		}
 	}
 }
@@ -405,18 +376,6 @@ func (g *RLEGroup) ColSumsAccum(out []float64) {
 	}
 }
 
-// ColSumSqAccum implements Group.
-func (g *RLEGroup) ColSumSqAccum(out []float64) {
-	w := len(g.d.cols)
-	counts := g.entryCounts()
-	for t, n := range counts {
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += n * e[j] * e[j]
-		}
-	}
-}
-
 // DecompressInto implements Group.
 func (g *RLEGroup) DecompressInto(m *la.Dense) {
 	w := len(g.d.cols)
@@ -477,9 +436,6 @@ func (g *UCGroup) VecMatAccum(out, x []float64) {
 
 // ColSumsAccum implements Group.
 func (g *UCGroup) ColSumsAccum(out []float64) { out[g.col] += la.SumVec(g.data) }
-
-// ColSumSqAccum implements Group.
-func (g *UCGroup) ColSumSqAccum(out []float64) { out[g.col] += la.Dot(g.data, g.data) }
 
 // DecompressInto implements Group.
 func (g *UCGroup) DecompressInto(m *la.Dense) {

@@ -7,49 +7,26 @@ import (
 	"dmml/internal/la"
 )
 
-func TestMatMulDenseMatchesDense(t *testing.T) {
-	r := rand.New(rand.NewSource(200))
-	m := mixedMatrix(r, 300)
-	c := Compress(m, Options{CoCode: true})
-	w := la.NewDense(4, 3)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			w.Set(i, j, r.NormFloat64())
-		}
-	}
-	got, err := c.MatMulDense(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := la.MatMul(m, w)
-	if !got.Equal(want, 1e-9) {
-		t.Fatal("compressed MatMulDense mismatch")
-	}
-	if _, err := c.MatMulDense(la.NewDense(7, 2)); err == nil {
-		t.Fatal("want shape error")
-	}
-}
-
+// GramAccum materializes each column through colInto, which consults only
+// the group covering it, and accumulates XᵀX without decompressing.
 func TestCompressedColAndGram(t *testing.T) {
 	r := rand.New(rand.NewSource(201))
 	m := mixedMatrix(r, 400)
 	c := Compress(m, Options{CoCode: true})
-	for j := 0; j < 4; j++ {
-		col, err := c.Col(j)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ej := make([]float64, c.cols)
+	col := make([]float64, c.rows)
+	for j := 0; j < c.cols; j++ {
+		c.colInto(col, ej, j)
 		want := m.Col(j)
 		for i := range col {
 			if col[i] != want[i] {
-				t.Fatalf("Col(%d)[%d] = %v, want %v", j, i, col[i], want[i])
+				t.Fatalf("column %d row %d = %v, want %v", j, i, col[i], want[i])
 			}
 		}
 	}
-	if _, err := c.Col(9); err == nil {
-		t.Fatal("want range error")
-	}
-	if !c.Gram().Equal(la.Gram(m), 1e-8) {
+	gram := la.NewDense(c.cols, c.cols)
+	c.GramAccum(gram)
+	if !gram.Equal(la.Gram(m), 1e-8) {
 		t.Fatal("compressed Gram mismatch")
 	}
 }

@@ -74,7 +74,9 @@ func TestParallelOpsMatchDense(t *testing.T) {
 					return false
 				}
 			}
-			if !c.Gram().Equal(wantGram, tol) {
+			gram := la.NewDense(m.Cols(), m.Cols())
+			c.GramAccum(gram)
+			if !gram.Equal(wantGram, tol) {
 				t.Logf("Gram mismatch at rows=%d opts=%+v", rows, opts)
 				return false
 			}

@@ -83,25 +83,18 @@ type Options struct {
 	// MemBudgetBytes caps the working-set estimate; plans whose working set
 	// exceeds it pay a spill penalty. 0 = unlimited.
 	MemBudgetBytes int64
-	// SpillPenalty multiplies the cost of the bytes beyond the budget
-	// (default 8, emulating disk-vs-memory bandwidth).
-	SpillPenalty float64
-	// CompressSampleRows bounds the sample used to probe the compression
-	// ratio (default 2048).
-	CompressSampleRows int
 	// ForcePlan pins the plan choice (for ablations); empty = cost-based.
 	ForcePlan string
 }
 
-func (o Options) withDefaults() Options {
-	if o.SpillPenalty == 0 {
-		o.SpillPenalty = 8
-	}
-	if o.CompressSampleRows == 0 {
-		o.CompressSampleRows = 2048
-	}
-	return o
-}
+const (
+	// spillPenalty multiplies the cost of the bytes beyond the budget,
+	// emulating disk-vs-memory bandwidth.
+	spillPenalty = 8
+	// compressSampleRows bounds the sample used to probe the compression
+	// ratio.
+	compressSampleRows = 2048
+)
 
 // PlanCost is one enumerated plan with its cost estimate.
 type PlanCost struct {
@@ -203,7 +196,7 @@ func spillAdjust(flops float64, workingSet int64, o Options) float64 {
 		return flops
 	}
 	excess := float64(workingSet-o.MemBudgetBytes) / float64(workingSet)
-	return flops * (1 + excess*o.SpillPenalty)
+	return flops * (1 + excess*spillPenalty)
 }
 
 // TrainJoined plans and trains over an already-joined dense design matrix,
@@ -211,7 +204,6 @@ func spillAdjust(flops float64, workingSet int64, o Options) float64 {
 // and solver (direct vs. iterative).
 func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error) {
 	task = task.withDefaults()
-	o = o.withDefaults()
 	n, d := x.Dims()
 	if len(y) != n {
 		return nil, fmt.Errorf("core: %d labels for %d rows", len(y), n)
@@ -219,8 +211,8 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 
 	// Probe compressibility on a sample.
 	sample := x
-	if n > o.CompressSampleRows {
-		sample = x.Slice(0, o.CompressSampleRows, 0, d)
+	if n > compressSampleRows {
+		sample = x.Slice(0, compressSampleRows, 0, d)
 	}
 	probe := compress.Compress(sample, compress.Options{})
 	ratio := probe.CompressionRatio()
@@ -254,7 +246,7 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 	// fallback when the data neither fits nor compresses.
 	if o.MemBudgetBytes > 0 && denseBytes > o.MemBudgetBytes {
 		excess := float64(denseBytes-o.MemBudgetBytes) / float64(denseBytes)
-		ioCost := iters * matvecPair * excess * o.SpillPenalty * 0.5
+		ioCost := iters * matvecPair * excess * spillPenalty * 0.5
 		p.add("paged+iterative", iters*matvecPair+ioCost, o.MemBudgetBytes, func() ([]float64, error) {
 			return p.paged(x)
 		})
@@ -298,7 +290,6 @@ func (p *planner) paged(x *la.Dense) ([]float64, error) {
 // materialize-then-train, and between the direct and iterative solvers.
 func TrainNormalized(tree *factorized.JoinTree, y []float64, task Task, o Options) (*Result, error) {
 	task = task.withDefaults()
-	o = o.withDefaults()
 	n, d := tree.Rows(), tree.Cols()
 	if len(y) != n {
 		return nil, fmt.Errorf("core: %d labels for %d rows", len(y), n)

@@ -3,7 +3,6 @@ package dml
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Severity classifies a diagnostic. Errors mean the program is statically
@@ -120,15 +119,6 @@ func (a *Analysis) filter(sev Severity) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// Format renders every diagnostic, one per line, with line:col positions.
-func (a *Analysis) Format() string {
-	lines := make([]string, len(a.Diags))
-	for i, d := range a.Diags {
-		lines[i] = d.Format(a.src)
-	}
-	return strings.Join(lines, "\n")
 }
 
 // sortDiags orders diagnostics by position, then severity (errors first),

@@ -2,7 +2,6 @@ package dml
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Loop-invariant code motion: expensive subexpressions inside a loop body
@@ -189,10 +188,4 @@ func hoistNodeCtx(n Node, assigned map[string]bool, hoisted map[string]string, p
 	default:
 		return n
 	}
-}
-
-// HasLICMTemp reports whether the program contains hoisted temporaries
-// (diagnostic helper for tests and EXPLAIN output).
-func (p *Program) HasLICMTemp() bool {
-	return strings.Contains(p.String(), licmTempPrefix)
 }

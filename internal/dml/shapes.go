@@ -14,10 +14,8 @@ type Shape struct {
 	Known      bool
 }
 
-func scalarShape() Shape       { return Shape{Scalar: true, Known: true} }
-func matShape(r, c int) Shape  { return Shape{Rows: r, Cols: c, Known: true} }
-func unknownShape() Shape      { return Shape{} }
-func (s Shape) isMatrix() bool { return s.Known && !s.Scalar }
+func scalarShape() Shape      { return Shape{Scalar: true, Known: true} }
+func matShape(r, c int) Shape { return Shape{Rows: r, Cols: c, Known: true} }
 
 // ShapesFromEnv derives static shapes from runtime bindings.
 func ShapesFromEnv(env Env) map[string]Shape {
@@ -148,18 +146,6 @@ func (a AbsShape) equal(b AbsShape) bool {
 		return false
 	}
 	return a.constVal == nil || *a.constVal == *b.constVal
-}
-
-// shape converts to the coarse public Shape (fully known or nothing).
-func (a AbsShape) shape() Shape {
-	switch {
-	case a.Kind == ShapeScalar:
-		return scalarShape()
-	case a.DimsKnown():
-		return matShape(a.Rows, a.Cols)
-	default:
-		return unknownShape()
-	}
 }
 
 // absFromShape lifts the coarse public Shape into the abstract domain.
@@ -603,14 +589,4 @@ func sizeString(d int) string {
 		return "?"
 	}
 	return fmt.Sprintf("%d", d)
-}
-
-// inferShape computes the coarse static shape of n given variable shapes —
-// the legacy entry point, now backed by the abstract interpreter.
-func inferShape(n Node, vars map[string]Shape) Shape {
-	env := make(absEnv, len(vars))
-	for k, s := range vars {
-		env[k] = binding{shape: absFromShape(s), definite: true}
-	}
-	return inferAbs(n, env, nil).shape()
 }

@@ -275,7 +275,7 @@ func E6BismarckParallel(quick bool) (Table, error) {
 	cfg := opt.SGDConfig{Step: 0.5, Decay: 0.5, Epochs: 4, Seed: 7}
 
 	start := time.Now()
-	seq, err := opt.SGD(opt.DenseRows{M: x}, y, opt.Logistic{}, cfg)
+	seq, err := opt.SGD(x, y, opt.Logistic{}, cfg)
 	if err != nil {
 		return t, err
 	}
@@ -288,7 +288,7 @@ func E6BismarckParallel(quick bool) (Table, error) {
 		}
 		for _, workers := range []int{2, 4, 8} {
 			start := time.Now()
-			res, err := opt.ParallelSGD(opt.DenseRows{M: x}, y, opt.Logistic{}, cfg, workers, mode)
+			res, err := opt.ParallelSGD(x, y, opt.Logistic{}, cfg, workers, mode)
 			if err != nil {
 				return t, err
 			}

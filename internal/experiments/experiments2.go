@@ -235,7 +235,7 @@ func E9ParamServer(quick bool) (Table, error) {
 					return t, err
 				}
 				start := time.Now()
-				res, err := paramserver.Train(ps, opt.DenseRows{M: x}, y, opt.Logistic{}, paramserver.TrainConfig{
+				res, err := paramserver.Train(ps, x, y, opt.Logistic{}, paramserver.TrainConfig{
 					Workers: workers, Epochs: 3, BatchSize: 64,
 					Step: 0.5, Decay: 0.5, Mode: mode, Staleness: 3, Seed: 13,
 					StragglerDelay: sc.delay,
@@ -381,7 +381,7 @@ func E14FaultTolerance(quick bool) (Table, error) {
 				cfg.Checkpoint = paramserver.CheckpointConfig{Path: ckptPath(), Every: 64}
 			}
 			start := time.Now()
-			res, err := paramserver.Train(ps, opt.DenseRows{M: x}, y, opt.Logistic{}, cfg)
+			res, err := paramserver.Train(ps, x, y, opt.Logistic{}, cfg)
 			if err != nil {
 				return t, err
 			}
@@ -403,40 +403,6 @@ func E14FaultTolerance(quick bool) (Table, error) {
 // Order lists experiment ids in EXPERIMENTS.md order.
 var Order = []string{
 	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E17", "E18", "E-ABL1", "E-ABL2",
-}
-
-// All runs every experiment, returning tables in EXPERIMENTS.md order.
-func All(quick bool) ([]Table, error) {
-	fns := []func(bool) (Table, error){
-		E1FactorizedVsMaterialized,
-		E2HamletRule,
-		E3CompressionRatio,
-		E4CompressedMV,
-		E5Rewrites,
-		E6BismarckParallel,
-		E7ModelSearch,
-		E8ColumbusReuse,
-		E9ParamServer,
-		E10SparseVsDense,
-		E11BufferPool,
-		E12ReuseAcrossCV,
-		E13PlannerChoice,
-		E14FaultTolerance,
-		E15Fusion,
-		E17OutOfCoreTraining,
-		E18FactorizedSnowflake,
-		EKMeansPruning,
-		EColumnCoCoding,
-	}
-	out := make([]Table, 0, len(fns))
-	for _, fn := range fns {
-		tbl, err := fn(quick)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", tbl.ID, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
 }
 
 func seq(lo, hi int) []int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -361,4 +362,38 @@ func TestE18FactorizedSnowflakeInvariants(t *testing.T) {
 	if pred := byName["ridge+factorized"].predicted; pred < 3 {
 		t.Fatalf("predicted Gram speedup %.2f < 3 on the snowflake shape", pred)
 	}
+}
+
+// All runs every experiment, returning tables in EXPERIMENTS.md order.
+func All(quick bool) ([]Table, error) {
+	fns := []func(bool) (Table, error){
+		E1FactorizedVsMaterialized,
+		E2HamletRule,
+		E3CompressionRatio,
+		E4CompressedMV,
+		E5Rewrites,
+		E6BismarckParallel,
+		E7ModelSearch,
+		E8ColumbusReuse,
+		E9ParamServer,
+		E10SparseVsDense,
+		E11BufferPool,
+		E12ReuseAcrossCV,
+		E13PlannerChoice,
+		E14FaultTolerance,
+		E15Fusion,
+		E17OutOfCoreTraining,
+		E18FactorizedSnowflake,
+		EKMeansPruning,
+		EColumnCoCoding,
+	}
+	out := make([]Table, 0, len(fns))
+	for _, fn := range fns {
+		tbl, err := fn(quick)
+		if err != nil {
+			return out, fmt.Errorf("experiments: %s: %w", tbl.ID, err)
+		}
+		out = append(out, tbl)
+	}
+	return out, nil
 }

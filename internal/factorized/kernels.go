@@ -109,11 +109,6 @@ func (t *JoinTree) VecMatInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// MatVec computes the joined X·w into a fresh vector.
-func (t *JoinTree) MatVec(w []float64) []float64 {
-	return t.MatVecInto(make([]float64, t.nodes[0].rows), w)
-}
-
 // VecMat computes xᵀ·X into a fresh vector.
 func (t *JoinTree) VecMat(x []float64) []float64 {
 	return t.VecMatInto(make([]float64, t.total), x)
@@ -122,9 +117,6 @@ func (t *JoinTree) VecMat(x []float64) []float64 {
 // XtY computes Xᵀy factorized (an alias of VecMat, named for the normal
 // equations use case).
 func (t *JoinTree) XtY(y []float64) []float64 { return t.VecMat(y) }
-
-// XtYInto computes Xᵀy into dst (length Cols) and returns dst.
-func (t *JoinTree) XtYInto(dst, y []float64) []float64 { return t.VecMatInto(dst, y) }
 
 // Gram computes the joined XᵀX without materializing the join.
 func (t *JoinTree) Gram() *la.Dense {

@@ -251,13 +251,6 @@ func (t *JoinTree) Rows() int { return t.nodes[0].rows }
 // Cols implements opt.BulkData: the width of the joined feature vector.
 func (t *JoinTree) Cols() int { return t.total }
 
-// NumNodes returns the number of relations in the tree.
-func (t *JoinTree) NumNodes() int { return len(t.nodes) }
-
-// Offset returns the column offset of node v's feature block in the joined
-// view.
-func (t *JoinTree) Offset(v int) int { return t.nodes[v].offset }
-
 // getAccs borrows a len(nodes) slice table (all entries nil) from the
 // per-tree freelist.
 func (t *JoinTree) getAccs() [][]float64 {

@@ -1,3 +1,7 @@
+// Package featureng provides the Columbus-style feature-subset exploration
+// the paper surveys: linear-model exploration over many feature subsets that
+// reuses one Gram-matrix computation across all subsets instead of
+// rescanning the data per subset.
 package featureng
 
 import (
@@ -150,43 +154,3 @@ func trainMSE(gPlusRidge *la.Dense, c, w, y []float64, l2 float64) float64 {
 }
 
 func cube(k int) float64 { return float64(k) * float64(k) * float64(k) }
-
-// GreedyForwardSelection picks up to maxFeatures features by greedily adding
-// the feature that most reduces training MSE, reusing the shared Gram matrix
-// across all candidate evaluations (the Columbus exploration pattern).
-func GreedyForwardSelection(x *la.Dense, y []float64, maxFeatures int, l2 float64) ([]int, []float64, error) {
-	_, d := x.Dims()
-	if maxFeatures < 1 || maxFeatures > d {
-		return nil, nil, fmt.Errorf("featureng: maxFeatures %d out of range for %d cols", maxFeatures, d)
-	}
-	expl := &Explorer{Reuse: true, L2: l2}
-	selected := []int{}
-	var mseTrail []float64
-	remaining := map[int]bool{}
-	for j := 0; j < d; j++ {
-		remaining[j] = true
-	}
-	for len(selected) < maxFeatures {
-		var cands [][]int
-		var order []int
-		for j := range remaining {
-			cands = append(cands, append(append([]int(nil), selected...), j))
-			order = append(order, j)
-		}
-		fits, _, err := expl.Explore(x, y, cands)
-		if err != nil {
-			return nil, nil, err
-		}
-		bestIdx, bestMSE := -1, 0.0
-		for i, f := range fits {
-			if bestIdx < 0 || f.TrainMSE < bestMSE {
-				bestIdx, bestMSE = i, f.TrainMSE
-			}
-		}
-		pick := order[bestIdx]
-		selected = append(selected, pick)
-		mseTrail = append(mseTrail, bestMSE)
-		delete(remaining, pick)
-	}
-	return selected, mseTrail, nil
-}

@@ -9,148 +9,6 @@ import (
 	"dmml/internal/workload"
 )
 
-func TestStandardizer(t *testing.T) {
-	r := rand.New(rand.NewSource(140))
-	x, _, _ := workload.Regression(r, 500, 4, 0)
-	x.Apply(func(v float64) float64 { return v*3 + 7 })
-	s := &Standardizer{}
-	if err := s.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, m := range out.ColMeans() {
-		if math.Abs(m) > 1e-10 {
-			t.Fatalf("col %d mean = %v", j, m)
-		}
-	}
-	for j, sd := range out.ColStds() {
-		if math.Abs(sd-1) > 1e-10 {
-			t.Fatalf("col %d std = %v", j, sd)
-		}
-	}
-	// Unfitted apply fails.
-	if _, err := (&Standardizer{}).Apply(x); err == nil {
-		t.Fatal("want unfitted error")
-	}
-	// Width mismatch fails.
-	if _, err := s.Apply(la.NewDense(3, 2)); err == nil {
-		t.Fatal("want width mismatch error")
-	}
-}
-
-func TestStandardizerConstantColumn(t *testing.T) {
-	x, _ := la.FromRows([][]float64{{5, 1}, {5, 2}, {5, 3}})
-	s := &Standardizer{}
-	_ = s.Fit(x)
-	out, err := s.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if out.At(i, 0) != 0 {
-			t.Fatalf("constant column should center to 0, got %v", out.At(i, 0))
-		}
-	}
-}
-
-func TestBinner(t *testing.T) {
-	x, _ := la.FromRows([][]float64{{0}, {2.5}, {5}, {7.5}, {10}})
-	b := &Binner{Bins: 4}
-	if err := b.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	out, err := b.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 1, 2, 3, 3}
-	for i, w := range want {
-		if out.At(i, 0) != w {
-			t.Fatalf("bin[%d] = %v, want %v", i, out.At(i, 0), w)
-		}
-	}
-	// Values beyond the training range clamp.
-	probe, _ := la.FromRows([][]float64{{-100}, {100}})
-	clamped, _ := b.Apply(probe)
-	if clamped.At(0, 0) != 0 || clamped.At(1, 0) != 3 {
-		t.Fatalf("clamping failed: %v", clamped)
-	}
-	if err := (&Binner{Bins: 1}).Fit(x); err == nil {
-		t.Fatal("want bins error")
-	}
-}
-
-func TestHasher(t *testing.T) {
-	r := rand.New(rand.NewSource(141))
-	x, _, _ := workload.Regression(r, 50, 20, 0)
-	h := &Hasher{Dims: 8}
-	if err := h.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	out, err := h.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cols() != 8 {
-		t.Fatalf("hashed width = %d", out.Cols())
-	}
-	// Determinism: same input hashes identically.
-	out2, _ := h.Apply(x)
-	if !out.Equal(out2, 0) {
-		t.Fatal("hashing is not deterministic")
-	}
-	if err := (&Hasher{}).Fit(x); err == nil {
-		t.Fatal("want dims error")
-	}
-}
-
-func TestInteractions(t *testing.T) {
-	x, _ := la.FromRows([][]float64{{2, 3}, {4, 5}})
-	tr := &Interactions{Pairs: [][2]int{{0, 1}, {0, 0}}}
-	if err := tr.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	out, err := tr.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cols() != 4 {
-		t.Fatalf("width = %d", out.Cols())
-	}
-	if out.At(0, 2) != 6 || out.At(0, 3) != 4 || out.At(1, 2) != 20 || out.At(1, 3) != 16 {
-		t.Fatalf("interactions = %v", out)
-	}
-	bad := &Interactions{Pairs: [][2]int{{0, 9}}}
-	if err := bad.Fit(x); err == nil {
-		t.Fatal("want range error")
-	}
-}
-
-func TestPipeline(t *testing.T) {
-	r := rand.New(rand.NewSource(142))
-	x, _, _ := workload.Regression(r, 100, 3, 0)
-	p := &Pipeline{Stages: []Transform{
-		&Standardizer{},
-		&Interactions{Pairs: [][2]int{{0, 1}}},
-	}}
-	if err := p.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cols() != 4 {
-		t.Fatalf("pipeline width = %d", out.Cols())
-	}
-	if p.Name() != "pipeline[standardize→interact(1)]" {
-		t.Fatalf("name = %s", p.Name())
-	}
-}
-
 func subsetsFor(d, count, size int, seed int64) [][]int {
 	r := rand.New(rand.NewSource(seed))
 	out := make([][]int, count)
@@ -249,36 +107,5 @@ func TestExploreValidation(t *testing.T) {
 	}
 	if _, _, err := e.Explore(x, y, [][]int{{9}}); err == nil {
 		t.Fatal("want range error")
-	}
-}
-
-func TestGreedyForwardSelection(t *testing.T) {
-	r := rand.New(rand.NewSource(146))
-	// Only features 0 and 3 carry signal.
-	n := 500
-	x := la.NewDense(n, 6)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := x.RowView(i)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
-		y[i] = 3*row[0] - 2*row[3] + 0.01*r.NormFloat64()
-	}
-	sel, mses, err := GreedyForwardSelection(x, y, 3, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(sel[0] == 0 || sel[0] == 3) || !(sel[1] == 0 || sel[1] == 3) || sel[0] == sel[1] {
-		t.Fatalf("selected = %v, want {0,3} first", sel)
-	}
-	// MSE trail must be non-increasing.
-	for i := 1; i < len(mses); i++ {
-		if mses[i] > mses[i-1]+1e-9 {
-			t.Fatalf("MSE trail not monotone: %v", mses)
-		}
-	}
-	if _, _, err := GreedyForwardSelection(x, y, 0, 0.1); err == nil {
-		t.Fatal("want maxFeatures error")
 	}
 }

@@ -69,19 +69,6 @@ func (r Rule) Decide(factRows, dimRows, factFeats, dimFeats int) (Decision, erro
 	return d, nil
 }
 
-// RORBound computes a rough risk-of-representation proxy: the extra
-// hypothesis-space capacity of the avoided-join (FK one-hot) representation
-// relative to the joined one, normalized by the number of examples. Small
-// values mean avoiding is low-risk. This mirrors Hamlet's VC-dimension
-// argument at the granularity our reproduction needs.
-func RORBound(factRows, dimRows, dimFeats int) float64 {
-	extraDims := float64(dimRows - dimFeats)
-	if extraDims < 0 {
-		extraDims = 0
-	}
-	return math.Sqrt(extraDims / float64(factRows))
-}
-
 // OneHot encodes foreign-key codes as a sparse indicator matrix with card
 // columns.
 func OneHot(fk []int, card int) (*la.CSR, error) {

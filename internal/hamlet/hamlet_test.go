@@ -57,18 +57,6 @@ func TestDecideValidation(t *testing.T) {
 	}
 }
 
-func TestRORBound(t *testing.T) {
-	// More fact rows shrink the risk; more dim rows raise it.
-	small := RORBound(100000, 100, 5)
-	big := RORBound(1000, 100, 5)
-	if small >= big {
-		t.Fatalf("ROR: %v should be < %v", small, big)
-	}
-	if RORBound(1000, 3, 5) != 0 {
-		t.Fatal("ROR must clamp at zero when dim features exceed dim rows")
-	}
-}
-
 func TestOneHot(t *testing.T) {
 	oh, err := OneHot([]int{0, 2, 1, 2}, 3)
 	if err != nil {

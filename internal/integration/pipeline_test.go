@@ -1,22 +1,22 @@
-// Package integration exercises whole pipelines across dmml's modules: raw
-// CSV through the relational engine, feature transforms, the cost-based
-// planner, and the model registry — the end-to-end workflow the paper's
-// lifecycle discussion is about.
+// Package integration exercises whole pipelines across dmml's modules: a
+// relational join through CSV, the cost-based planner, and the model
+// registry — the end-to-end workflow the paper's lifecycle discussion is
+// about.
 package integration
 
 import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"dmml/internal/core"
 	"dmml/internal/dml"
 	"dmml/internal/factorized"
-	"dmml/internal/featureng"
 	"dmml/internal/la"
-	"dmml/internal/ml"
 	"dmml/internal/modeldb"
 	"dmml/internal/modelsel"
 	"dmml/internal/opt"
@@ -25,8 +25,9 @@ import (
 	"dmml/internal/workload"
 )
 
-// TestCSVToModelPipeline drives: generate star → write CSV → read CSV →
-// hash join → standardize → planner training → registry logging.
+// TestCSVToModelPipeline drives: generate star → hash join → project to a
+// numeric matrix → write CSV → read it back through the matrix CSV reader
+// DML's read() uses → planner training → registry logging.
 func TestCSVToModelPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(500))
 	star, err := workload.GenerateStar(r, workload.StarConfig{
@@ -42,56 +43,49 @@ func TestCSVToModelPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Round-trip both tables through CSV files.
-	dir := t.TempDir()
-	factPath := filepath.Join(dir, "fact.csv")
-	dimPath := filepath.Join(dir, "dim.csv")
-	if err := storage.WriteCSVFile(factPath, fact); err != nil {
-		t.Fatal(err)
-	}
-	if err := storage.WriteCSVFile(dimPath, dims[0]); err != nil {
-		t.Fatal(err)
-	}
-	factBack, err := storage.ReadCSVFile(factPath, fact.Schema(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dimBack, err := storage.ReadCSVFile(dimPath, dims[0].Schema(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Join, project features, transform, and train through the planner.
-	joined, err := relational.HashJoin(factBack, dimBack, "fk0", "id",
+	// Join and project features plus the label.
+	joined, err := relational.HashJoin(fact, dims[0], "fk0", "id",
 		relational.JoinOptions{DropRightKey: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := []string{"f0", "f1", "f2", "d0_0", "d0_1", "d0_2", "d0_3"}
-	x, err := storage.ToMatrix(joined, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, err := joined.Floats("label")
+	cols := []string{"f0", "f1", "f2", "d0_0", "d0_1", "d0_2", "d0_3", "label"}
+	xy, err := storage.ToMatrix(joined, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	std := &featureng.Standardizer{}
-	if err := std.Fit(x); err != nil {
+	// Round-trip the matrix through a CSV file.
+	path := filepath.Join(t.TempDir(), "joined.csv")
+	var csv bytes.Buffer
+	for i := 0; i < xy.Rows(); i++ {
+		for j, v := range xy.RowView(i) {
+			if j > 0 {
+				csv.WriteByte(',')
+			}
+			csv.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		csv.WriteByte('\n')
+	}
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	xStd, err := std.Apply(x)
+	back, err := storage.ReadMatrixCSVFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !back.Equal(xy, 0) {
+		t.Fatal("CSV round trip changed the matrix")
+	}
+	d := len(cols) - 1
+	x := back.Slice(0, back.Rows(), 0, d)
+	labels := back.Col(d)
 
-	res, err := core.TrainJoined(xStd, labels, core.Task{Loss: core.SquaredLoss, L2: 0.01}, core.Options{})
+	res, err := core.TrainJoined(x, labels, core.Task{Loss: core.SquaredLoss, L2: 0.01}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := la.MatVec(xStd, res.W)
-	if r2 := ml.R2(pred, labels); r2 < 0.95 {
+	if r2 := rSquared(la.MatVec(x, res.W), labels); r2 < 0.95 {
 		t.Fatalf("pipeline R² = %v", r2)
 	}
 
@@ -99,8 +93,8 @@ func TestCSVToModelPipeline(t *testing.T) {
 	store := modeldb.NewStore()
 	run, err := store.Log(modeldb.Spec{
 		Name:        "star-regression",
-		DatasetHash: modeldb.DatasetHash(xStd, labels),
-		Transforms:  []string{"hashjoin(fk0=id)", std.Name()},
+		DatasetHash: modeldb.DatasetHash(x, labels),
+		Transforms:  []string{"hashjoin(fk0=id)", "csv"},
 		Config:      map[string]float64{"l2": 0.01},
 		Metrics:     map[string]float64{"train_loss": res.FinalLoss},
 		Weights:     res.W,
@@ -117,13 +111,28 @@ func TestCSVToModelPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Get(run.ID)
+	got, err := loaded.Latest("star-regression")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Weights) != len(res.W) || got.Transforms[1] != "standardize" {
+	if got.ID != run.ID || len(got.Weights) != len(res.W) || got.Transforms[1] != "csv" {
 		t.Fatalf("registry round trip lost data: %+v", got)
 	}
+}
+
+// rSquared is the coefficient of determination of pred against truth.
+func rSquared(pred, truth []float64) float64 {
+	mean := 0.0
+	for _, v := range truth {
+		mean += v
+	}
+	mean /= float64(len(truth))
+	var ssRes, ssTot float64
+	for i, v := range truth {
+		ssRes += (v - pred[i]) * (v - pred[i])
+		ssTot += (v - mean) * (v - mean)
+	}
+	return 1 - ssRes/ssTot
 }
 
 // TestDMLReplicatesPlannerModel verifies the declarative language computes
@@ -232,50 +241,5 @@ func TestFactorizedThroughSearchAndCV(t *testing.T) {
 	}
 	if cv[0].Lambda != 1e-6 {
 		t.Fatalf("noise-free CV picked λ=%v, want the smallest", cv[0].Lambda)
-	}
-}
-
-// TestRelationalAggregationFeeds exercises group-by as a feature builder:
-// per-group aggregates of the fact table become features of a dimension-
-// level model.
-func TestRelationalAggregationFeeds(t *testing.T) {
-	schema := storage.MustSchema(
-		storage.Field{Name: "cust", Type: storage.Int64},
-		storage.Field{Name: "amount", Type: storage.Float64},
-	)
-	tb := storage.NewTable(schema)
-	r := rand.New(rand.NewSource(503))
-	trueMean := map[int64]float64{}
-	for c := int64(0); c < 20; c++ {
-		mu := float64(c) * 2
-		trueMean[c] = mu
-		for k := 0; k < 50; k++ {
-			if err := tb.AppendRow(c, mu+r.NormFloat64()*0.1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	agg, err := relational.GroupBy(tb, "cust", []relational.Agg{
-		{Col: "amount", Fn: relational.Mean},
-		{Col: "amount", Fn: relational.Count},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.NumRows() != 20 {
-		t.Fatalf("groups = %d", agg.NumRows())
-	}
-	custs, _ := agg.Ints("cust")
-	means, _ := agg.Floats("amount_mean")
-	for i, c := range custs {
-		if math.Abs(means[i]-trueMean[c]) > 0.1 {
-			t.Fatalf("group %d mean = %v, want %v", c, means[i], trueMean[c])
-		}
-	}
-	counts, _ := agg.Ints("count")
-	for _, n := range counts {
-		if n != 50 {
-			t.Fatalf("count = %d", n)
-		}
 	}
 }

@@ -148,17 +148,6 @@ func QRDecompose(a *Dense) (*QR, error) {
 	return &QR{qr: qr, tau: tau, m: m, n: n}, nil
 }
 
-// R returns the upper-triangular factor as a dense n×n matrix.
-func (q *QR) R() *Dense {
-	r := NewDense(q.n, q.n)
-	for i := 0; i < q.n; i++ {
-		for j := i; j < q.n; j++ {
-			r.Set(i, j, q.qr.At(i, j))
-		}
-	}
-	return r
-}
-
 // QtVec applies Qᵀ to a length-m vector, returning the transformed vector.
 func (q *QR) QtVec(b []float64) []float64 {
 	if len(b) != q.m {

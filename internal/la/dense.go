@@ -120,14 +120,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("la: SetRow length %d, want %d", len(v), m.cols))
-	}
-	copy(m.RowView(i), v)
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.rows, m.cols)
@@ -203,13 +195,6 @@ func (m *Dense) SelectRows(rows []int) *Dense {
 	return out
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (m *Dense) Zero() {
 	for i := range m.data {
@@ -234,20 +219,8 @@ func (m *Dense) AddScaled(other *Dense, s float64) *Dense {
 	return m
 }
 
-// Add adds other to m element-wise in place and returns m.
-func (m *Dense) Add(other *Dense) *Dense { return m.AddScaled(other, 1) }
-
 // Sub subtracts other from m element-wise in place and returns m.
 func (m *Dense) Sub(other *Dense) *Dense { return m.AddScaled(other, -1) }
-
-// MulElem multiplies m by other element-wise in place and returns m.
-func (m *Dense) MulElem(other *Dense) *Dense {
-	m.checkSameShape(other, "MulElem")
-	for i := range m.data {
-		m.data[i] *= other.data[i]
-	}
-	return m
-}
 
 // Apply replaces each element x with f(x) in place and returns m.
 func (m *Dense) Apply(f func(float64) float64) *Dense {
@@ -281,20 +254,6 @@ func (m *Dense) SumSq() float64 {
 	return s
 }
 
-// FrobNorm returns the Frobenius norm.
-func (m *Dense) FrobNorm() float64 { return math.Sqrt(m.SumSq()) }
-
-// MaxAbs returns the maximum absolute element value.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // NNZ returns the number of non-zero elements.
 func (m *Dense) NNZ() int {
 	n := 0
@@ -319,34 +278,6 @@ func (m *Dense) ColSums() []float64 {
 		for j, v := range row {
 			out[j] += v
 		}
-	}
-	return out
-}
-
-// ColMeans returns per-column means.
-func (m *Dense) ColMeans() []float64 {
-	out := m.ColSums()
-	inv := 1 / float64(m.rows)
-	for j := range out {
-		out[j] *= inv
-	}
-	return out
-}
-
-// ColStds returns per-column population standard deviations.
-func (m *Dense) ColStds() []float64 {
-	means := m.ColMeans()
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.RowView(i)
-		for j, v := range row {
-			d := v - means[j]
-			out[j] += d * d
-		}
-	}
-	inv := 1 / float64(m.rows)
-	for j := range out {
-		out[j] = math.Sqrt(out[j] * inv)
 	}
 	return out
 }

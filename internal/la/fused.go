@@ -23,10 +23,7 @@ import (
 //
 // Intermediate tiles live in one pool.GetF64 scratch block per worker, so
 // steady-state fused evaluation allocates nothing. Dense inputs are loaded
-// as zero-copy sub-slices; CSR inputs decompress a tile in O(nnz) time (the
-// zero run between stored entries is a memset, never a per-element walk of
-// the sparse structure), and fully zero-annihilating single-sparse-input
-// sums skip the zero cells outright.
+// as zero-copy sub-slices.
 
 // FuseOpCode enumerates the micro-ops of a fused program.
 type FuseOpCode uint8
@@ -59,14 +56,13 @@ type FusedOp struct {
 	Val  float64 // literal for FuseConst
 }
 
-// FusedInput is one operand of a fused program: a scalar broadcast, a dense
-// matrix, or a CSR sparse matrix. Matrix inputs must all share the logical
-// rows×cols shape passed to the execution entry points.
+// FusedInput is one operand of a fused program: a scalar broadcast or a
+// dense matrix. Matrix inputs must all share the logical rows×cols shape
+// passed to the execution entry points.
 type FusedInput struct {
 	IsScalar bool
 	S        float64
 	D        *Dense
-	C        *CSR
 }
 
 // ScalarInput wraps a broadcast scalar operand.
@@ -74,9 +70,6 @@ func ScalarInput(s float64) FusedInput { return FusedInput{IsScalar: true, S: s}
 
 // DenseInput wraps a dense matrix operand.
 func DenseInput(m *Dense) FusedInput { return FusedInput{D: m} }
-
-// CSRInput wraps a sparse matrix operand.
-func CSRInput(c *CSR) FusedInput { return FusedInput{C: c} }
 
 const (
 	// fusedTileW is the tile width in elements: large enough to amortize
@@ -156,9 +149,6 @@ func CompileFused(ops []FusedOp, nin int) (*FuseProgram, error) {
 	return &FuseProgram{ops: ops, nin: nin, depth: maxDepth, arith: arith}, nil
 }
 
-// NumInputs returns the number of inputs the program loads from.
-func (p *FuseProgram) NumInputs() int { return p.nin }
-
 // ArithOps returns the arithmetic operations applied per element — the
 // number of intermediate matrices a naive evaluation would materialize.
 func (p *FuseProgram) ArithOps() int { return p.arith }
@@ -203,38 +193,8 @@ func putFuseCtx(ctx *fuseCtx) {
 	fuseCtxPool.Put(ctx)
 }
 
-// csrLoadRange decompresses the flat range [lo, lo+len(dst)) of a CSR
-// matrix into dst: one memset plus an O(nnz-in-range) scatter, so the zero
-// runs between stored entries cost a clear rather than per-element work.
-//
-//dmml:noalloc
-func csrLoadRange(c *CSR, dst []float64, lo, cols int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	hi := lo + len(dst)
-	r1 := (hi + cols - 1) / cols
-	for r := lo / cols; r < r1; r++ {
-		base := r * cols
-		for p := c.rowPtr[r]; p < c.rowPtr[r+1]; p++ {
-			at := base + c.colIdx[p]
-			if at < lo {
-				continue
-			}
-			if at >= hi {
-				break
-			}
-			dst[at-lo] = c.vals[p]
-		}
-	}
-}
-
 // fusedCheckInputs validates an input list against the program and the
-// logical shape. Branch order matters: an ambiguous input that sets both D
-// and C must be rejected before the dense branch can win silently and
-// report a misleading dense-shape mismatch for what is really a malformed
-// operand — the kernel compiler picks its load closures by the same kind
-// test, so ambiguity has to die here.
+// logical shape.
 func fusedCheckInputs(p *FuseProgram, ins []FusedInput, rows, cols int) {
 	if len(ins) != p.nin {
 		panic(fmt.Sprintf("la: fused program wants %d inputs, got %d", p.nin, len(ins)))
@@ -242,15 +202,9 @@ func fusedCheckInputs(p *FuseProgram, ins []FusedInput, rows, cols int) {
 	for i, in := range ins {
 		switch {
 		case in.IsScalar:
-		case in.D != nil && in.C != nil:
-			panic(fmt.Sprintf("la: fused input %d sets both dense and sparse operands", i))
 		case in.D != nil:
 			if in.D.rows != rows || in.D.cols != cols {
 				panic(fmt.Sprintf("la: fused dense input %d is %dx%d, want %dx%d", i, in.D.rows, in.D.cols, rows, cols))
-			}
-		case in.C != nil:
-			if in.C.rows != rows || in.C.cols != cols {
-				panic(fmt.Sprintf("la: fused sparse input %d is %dx%d, want %dx%d", i, in.C.rows, in.C.cols, rows, cols))
 			}
 		default:
 			panic(fmt.Sprintf("la: fused input %d is neither scalar nor matrix", i))
@@ -319,73 +273,14 @@ func fusedCellRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv, dstAll
 	putFuseCtx(ctx)
 }
 
-// zeroAnnihilatingCSR reports whether the program has exactly one matrix
-// input, that input is CSR, and the program maps its zero cells to zero —
-// in which case sum-style aggregations only need to visit stored non-zeros.
-func zeroAnnihilatingCSR(p *FuseProgram, ins []FusedInput) (int, bool) {
-	matIdx := -1
-	for i, in := range ins {
-		if in.IsScalar {
-			continue
-		}
-		if in.C == nil || matIdx >= 0 {
-			return -1, false
-		}
-		matIdx = i
-	}
-	if matIdx < 0 {
-		return -1, false
-	}
-	// Abstractly evaluate the program at a zero cell of the sparse input.
-	var stack [fuseMaxDepth]float64
-	sp := 0
-	for _, op := range p.ops {
-		switch op.Code {
-		case FuseConst:
-			stack[sp] = op.Val
-			sp++
-		case FuseLoad:
-			if op.Arg == matIdx {
-				stack[sp] = 0
-			} else {
-				stack[sp] = ins[op.Arg].S
-			}
-			sp++
-		case FuseAdd, FuseSub, FuseMul, FuseDiv, FusePow:
-			sp--
-			stack[sp-1] = fuseScalarBin(op.Code, stack[sp-1], stack[sp])
-		default:
-			stack[sp-1] = fuseScalarUn(op.Code, stack[sp-1])
-		}
-	}
-	return matIdx, stack[0] == 0
-}
-
 // FusedSum reduces the program's virtual rows×cols result to its scalar sum
 // without materializing it. The element range splits into fixed tile-aligned
 // chunks whose size depends on the program alone, summed in chunk order
 // through pool.Reduce — and the serial regime walks the same chunks in the
-// same order — so the result is bit-identical across runs and GOMAXPROCS. A zero-annihilating program over a single CSR input skips the
-// zero cells entirely and only visits stored non-zeros.
+// same order — so the result is bit-identical across runs and GOMAXPROCS.
 func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	fusedCheckInputs(p, ins, rows, cols)
 	total := rows * cols
-	if matIdx, ok := zeroAnnihilatingCSR(p, ins); ok {
-		// Re-point the sparse input at a flat dense view of its stored
-		// values: the program runs over nnz elements instead of rows·cols,
-		// and the skipped zero cells contribute exactly 0 to the sum. The
-		// rewrite happens before kernel selection, so the kernel specializes
-		// for the dense shadow and still gets the skip.
-		c := ins[matIdx].C
-		if c.NNZ() == 0 {
-			return 0
-		}
-		mFusedSparseSkips.Inc()
-		shadow := make([]FusedInput, len(ins))
-		copy(shadow, ins)
-		shadow[matIdx] = FusedInput{D: &Dense{rows: 1, cols: c.NNZ(), data: c.vals}}
-		ins, cols, total = shadow, c.NNZ(), c.NNZ()
-	}
 	k, sv := p.prepare(ins)
 	if k.flatSum != nil {
 		mFusedFlat.Inc()

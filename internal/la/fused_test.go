@@ -3,7 +3,7 @@ package la
 // Fused-pipeline properties: the compiled Cell and RowAgg templates must
 // agree with a naive op-by-op materializing reference — bit for bit on
 // cells, to the reduction tolerance on aggregates — at GOMAXPROCS=1 and N,
-// serial and forced-parallel, over dense, scalar, and CSR inputs; FusedSum
+// serial and forced-parallel, over dense and scalar inputs; FusedSum
 // must reproduce its bits at every core count; and the Into variants must
 // hold the engine's zero-allocation contract.
 
@@ -32,13 +32,10 @@ func refFused(p *FuseProgram, ins []FusedInput, rows, cols int) []float64 {
 			stack = append(stack, slot{s: op.Val, isS: true})
 		case FuseLoad:
 			in := ins[op.Arg]
-			switch {
-			case in.IsScalar:
+			if in.IsScalar {
 				stack = append(stack, slot{s: in.S, isS: true})
-			case in.D != nil:
+			} else {
 				stack = append(stack, slot{vec: append([]float64(nil), in.D.data...)})
-			default:
-				stack = append(stack, slot{vec: append([]float64(nil), in.C.ToDense().data...)})
 			}
 		case FuseAdd, FuseSub, FuseMul, FuseDiv, FusePow:
 			b := stack[len(stack)-1]
@@ -86,7 +83,8 @@ func refFused(p *FuseProgram, ins []FusedInput, rows, cols int) []float64 {
 }
 
 // genFusedCase builds a random valid program plus matching random inputs:
-// dense, CSR-sparse, and scalar operands in random positions.
+// dense (some of them mostly zeros) and scalar operands in random
+// positions.
 func genFusedCase(rr *rand.Rand, rows, cols int) (*FuseProgram, []FusedInput) {
 	nin := 1 + rr.Intn(4)
 	ins := make([]FusedInput, nin)
@@ -95,7 +93,7 @@ func genFusedCase(rr *rand.Rand, rows, cols int) (*FuseProgram, []FusedInput) {
 		case 0:
 			ins[i] = ScalarInput(rr.NormFloat64())
 		case 1:
-			ins[i] = CSRInput(CSRFromDense(randMat(rr, rows, cols, 0.8)))
+			ins[i] = DenseInput(randMat(rr, rows, cols, 0.8))
 		default:
 			ins[i] = DenseInput(randMat(rr, rows, cols, 0.3))
 		}
@@ -196,23 +194,22 @@ func TestCompiledCellMatchesReference(t *testing.T) {
 }
 
 // TestFusedSumReproducible: FusedSum's fixed tile-aligned chunks make its
-// result bit-identical across repeats and GOMAXPROCS 1, 2 and 4 — on the
-// dense path and on the CSR zero-skip path, each large enough to split into
-// several chunks and to cross the parallel threshold.
+// result bit-identical across repeats and GOMAXPROCS 1, 2 and 4 — for a
+// closure-tree program and a squared scaling over partly-zero data, each large
+// enough to split into several chunks and to cross the parallel threshold.
 func TestFusedSumReproducible(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
 	rows, cols := 700, 400
 	x := randMat(r, rows, cols, 0)
 	y := randMat(r, rows, cols, 0)
-	c := CSRFromDense(randMat(r, rows, cols, 0.2))
-	// sum((x - y) * 0.5 + sigmoid(x)) has no flat template; sum((2c)^2)
-	// annihilates zeros, so it runs over c's stored values only.
+	c := randMat(r, rows, cols, 0.2)
+	// sum((x - y) * 0.5 + sigmoid(x)) has no flat template.
 	dense, err := CompileFused([]FusedOp{opsLoad(0), opsLoad(1), opsOp(FuseSub), opsConst(0.5), opsOp(FuseMul),
 		opsLoad(0), opsOp(FuseSigmoid), opsOp(FuseAdd)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := CompileFused([]FusedOp{opsConst(2), opsLoad(0), opsOp(FuseMul), opsOp(FuseSq)}, 1)
+	square, err := CompileFused([]FusedOp{opsConst(2), opsLoad(0), opsOp(FuseMul), opsOp(FuseSq)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +219,7 @@ func TestFusedSumReproducible(t *testing.T) {
 		ins  []FusedInput
 	}{
 		{"dense", dense, []FusedInput{DenseInput(x), DenseInput(y)}},
-		{"csr zero-skip", sparse, []FusedInput{CSRInput(c)}},
+		{"partly zeros", square, []FusedInput{DenseInput(c)}},
 	} {
 		var want float64
 		withGOMAXPROCS(1, func() { want = FusedSum(tc.p, tc.ins, rows, cols) })
@@ -351,67 +348,6 @@ func TestFusedWideRows(t *testing.T) {
 	}
 	if got := FusedColSumsInto(make([]float64, cols), p, ins, rows, cols); !closeSlices(got, wantCol, tol) {
 		t.Error("wide colSums mismatch")
-	}
-}
-
-// TestFusedSparseFastPath: a zero-annihilating program over a single CSR
-// input must take the nnz-only path and still match the dense reference; a
-// non-annihilating program (x+1 maps zeros to 1) must not.
-func TestFusedSparseFastPath(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	d := randMat(r, 60, 50, 0.9)
-	c := CSRFromDense(d)
-
-	// sum((3*x)^2) annihilates zeros.
-	sq, err := CompileFused([]FusedOp{
-		{Code: FuseConst, Val: 3},
-		{Code: FuseLoad, Arg: 0},
-		{Code: FuseMul},
-		{Code: FuseSq},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := []FusedInput{CSRInput(c)}
-	if idx, ok := zeroAnnihilatingCSR(sq, ins); !ok || idx != 0 {
-		t.Fatalf("zeroAnnihilatingCSR((3x)^2) = %d,%v, want 0,true", idx, ok)
-	}
-	var want float64
-	for _, v := range d.data {
-		want += (3 * v) * (3 * v)
-	}
-	if got := FusedSum(sq, ins, 60, 50); math.Abs(got-want) > tolFor(60*50) {
-		t.Errorf("sparse FusedSum = %g, want %g", got, want)
-	}
-
-	// x+1 does not annihilate zeros: the fast path must be rejected.
-	add1, err := CompileFused([]FusedOp{
-		{Code: FuseLoad, Arg: 0},
-		{Code: FuseConst, Val: 1},
-		{Code: FuseAdd},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := zeroAnnihilatingCSR(add1, ins); ok {
-		t.Error("zeroAnnihilatingCSR(x+1) = true, want false")
-	}
-	if got, want := FusedSum(add1, ins, 60, 50), d.Sum()+60*50; math.Abs(got-want) > tolFor(60*50) {
-		t.Errorf("dense-path FusedSum = %g, want %g", got, want)
-	}
-
-	// Two matrix inputs: no single-sparse fast path even if annihilating.
-	mul2, err := CompileFused([]FusedOp{
-		{Code: FuseLoad, Arg: 0},
-		{Code: FuseLoad, Arg: 1},
-		{Code: FuseMul},
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two := []FusedInput{CSRInput(c), CSRInput(c)}
-	if _, ok := zeroAnnihilatingCSR(mul2, two); ok {
-		t.Error("zeroAnnihilatingCSR with two matrix inputs = true, want false")
 	}
 }
 
@@ -564,7 +500,7 @@ func TestFusedParallelRace(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	rows, cols := 200, 30
 	x := randMat(r, rows, cols, 0.3)
-	c := CSRFromDense(randMat(r, rows, cols, 0.8))
+	c := randMat(r, rows, cols, 0.8)
 	p, err := CompileFused([]FusedOp{
 		{Code: FuseLoad, Arg: 0},
 		{Code: FuseLoad, Arg: 1},
@@ -574,7 +510,7 @@ func TestFusedParallelRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := []FusedInput{DenseInput(x), CSRInput(c)}
+	ins := []FusedInput{DenseInput(x), DenseInput(c)}
 	_ = pool.Workers() // warm the pool before the racing section
 	for i := 0; i < 4; i++ {
 		FusedCell(p, ins, rows, cols)

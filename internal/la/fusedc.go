@@ -7,7 +7,7 @@ import "dmml/internal/pool"
 // compileFusedKernel lowers a validated FuseProgram into a tree of
 // specialized Go closures: one closure per vector-valued op node,
 // monomorphized at compile time over the opcode and the operand kinds
-// (dense slice / CSR tile / scalar), so a tile is evaluated by one direct
+// (dense slice / scalar), so a tile is evaluated by one direct
 // call chain. Scalar subtrees never reach the per-tile path at all —
 // all-constant subtrees fold at compile time, and subtrees over dynamic
 // scalars (scalar matrix inputs) are hoisted into a once-per-call prelude
@@ -91,7 +91,6 @@ func (r fkSRef) load(c *fuseCtx) float64 { return r.loadIn(c.ins, c.sv) }
 const (
 	fkKindScalar = 1
 	fkKindDense  = 2
-	fkKindCSR    = 3
 )
 
 // fuseKindSig packs the input kinds into a cache key: at most
@@ -99,13 +98,10 @@ const (
 func fuseKindSig(ins []FusedInput) uint64 {
 	sig := uint64(1)
 	for i := range ins {
-		switch {
-		case ins[i].IsScalar:
+		if ins[i].IsScalar {
 			sig = sig<<2 | fkKindScalar
-		case ins[i].D != nil:
+		} else {
 			sig = sig<<2 | fkKindDense
-		default:
-			sig = sig<<2 | fkKindCSR
 		}
 	}
 	return sig
@@ -171,7 +167,7 @@ func (p *FuseProgram) release(sv []float64) {
 
 // fkVal is one compile-time stack slot: a vector node under construction
 // or a scalar reference, plus the structural node the pattern matcher
-// walks (nil beyond the shapes it understands, e.g. under CSR loads).
+// walks.
 type fkVal struct {
 	vec  fkVec
 	sref fkSRef
@@ -196,14 +192,11 @@ func compileFusedKernel(p *FuseProgram, ins []FusedInput) *fusedKernel {
 			sp++
 		case FuseLoad:
 			arg := op.Arg
-			switch {
-			case ins[arg].IsScalar:
+			if ins[arg].IsScalar {
 				r := fkSRef{kind: fkSInput, idx: arg}
 				stack[sp] = fkVal{sref: r, node: &fkNode{scalar: true, sref: r}}
-			case ins[arg].D != nil:
+			} else {
 				stack[sp] = fkVal{vec: fkLoadDense(arg), node: &fkNode{code: FuseLoad, arg: arg}}
-			default:
-				stack[sp] = fkVal{vec: fkLoadCSR(arg, sp)} // no node: flats are dense-only
 			}
 			sp++
 		case FuseAdd, FuseSub, FuseMul, FuseDiv, FusePow:
@@ -255,11 +248,7 @@ func (k *fusedKernel) lowerBin(code FuseOpCode, a, b fkVal, slot int) fkVal {
 	default:
 		v = fkBinSV(code, a.sref, b.vec, slot)
 	}
-	var node *fkNode
-	if a.node != nil && b.node != nil {
-		node = &fkNode{code: code, l: a.node, r: b.node}
-	}
-	return fkVal{vec: v, node: node}
+	return fkVal{vec: v, node: &fkNode{code: code, l: a.node, r: b.node}}
 }
 
 // lowerScalarBin folds a constant×constant node outright and hoists any
@@ -297,26 +286,13 @@ func (k *fusedKernel) lowerUn(code FuseOpCode, a fkVal, slot int) fkVal {
 		r := fkSRef{kind: fkSDerived, idx: idx}
 		return fkVal{sref: r, node: &fkNode{scalar: true, sref: r}}
 	}
-	var node *fkNode
-	if a.node != nil {
-		node = &fkNode{code: code, l: a.node}
-	}
-	return fkVal{vec: fkUn(code, a.vec, slot), node: node}
+	return fkVal{vec: fkUn(code, a.vec, slot), node: &fkNode{code: code, l: a.node}}
 }
 
 // fkLoadDense returns a zero-copy load of a dense input's element range.
 func fkLoadDense(arg int) fkVec {
 	return func(c *fuseCtx, lo, hi int) []float64 {
 		return c.ins[arg].D.data[lo:hi]
-	}
-}
-
-// fkLoadCSR decompresses a CSR input's element range into the node's slot.
-func fkLoadCSR(arg, slot int) fkVec {
-	return func(c *fuseCtx, lo, hi int) []float64 {
-		d := c.scratch[slot][:hi-lo]
-		csrLoadRange(c.ins[arg].C, d, lo, c.cols)
-		return d
 	}
 }
 

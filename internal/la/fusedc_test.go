@@ -173,37 +173,6 @@ func TestFlatTemplateMatch(t *testing.T) {
 	}
 }
 
-// TestCompiledCSRFallsBackToClosures: the same program compiles per
-// input-kind signature — flat templates are dense-only, but the CSR
-// specialization still runs compiled (closure tree) and still agrees.
-func TestCompiledCSRFallsBackToClosures(t *testing.T) {
-	r := rand.New(rand.NewSource(34))
-	rows, cols := 19, 31
-	xd := randMat(r, rows, cols, 0.7)
-	y := randMat(r, rows, cols, 0)
-	ops := []FusedOp{opsLoad(0), opsLoad(1), opsOp(FuseSub), opsOp(FuseSq)}
-	p, err := CompileFused(ops, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := []FusedInput{DenseInput(xd), DenseInput(y)}
-	sparse := []FusedInput{CSRInput(CSRFromDense(xd)), DenseInput(y)}
-	if flat := p.kernelFor(dense).flat; flat != "agg.sqdiff" {
-		t.Errorf("dense specialization flat = %q, want agg.sqdiff", flat)
-	}
-	k := p.kernelFor(sparse)
-	if k.flat != "" || k.flatSum != nil || k.flatCell != nil {
-		t.Errorf("CSR specialization matched flat %q, want closure tree", k.flat)
-	}
-	var want float64
-	for _, v := range refFused(p, sparse, rows, cols) {
-		want += v
-	}
-	if got := FusedSum(p, sparse, rows, cols); !relClose(got, want, 1e-8*float64(p.arith+1)) {
-		t.Errorf("CSR sum %g, reference %g", got, want)
-	}
-}
-
 // TestCompileRefused: CompileFused is the only place a program is refused
 // — what it accepts compiles for every input mix. An all-scalar program
 // broadcasts through the kernel, a 31-input program compiles, and a
@@ -245,7 +214,7 @@ func TestCompileRefused(t *testing.T) {
 		case 0:
 			ins31[i] = DenseInput(randMat(r, 3, 3, 0))
 		case 1:
-			ins31[i] = CSRInput(CSRFromDense(randMat(r, 3, 3, 0.5)))
+			ins31[i] = DenseInput(randMat(r, 3, 3, 0.5))
 		default:
 			ins31[i] = ScalarInput(r.NormFloat64())
 		}
@@ -344,14 +313,8 @@ func TestFusedCheckInputsPanics(t *testing.T) {
 	expectPanic("arity", "fused program wants 1 inputs, got 2", func() {
 		FusedCell(p, []FusedInput{DenseInput(good), DenseInput(good)}, 3, 4)
 	})
-	expectPanic("ambiguous", "fused input 0 sets both dense and sparse operands", func() {
-		FusedCell(p, []FusedInput{{D: good, C: CSRFromDense(good)}}, 3, 4)
-	})
 	expectPanic("dense shape", "fused dense input 0 is 3x4, want 4x3", func() {
 		FusedCell(p, []FusedInput{DenseInput(good)}, 4, 3)
-	})
-	expectPanic("sparse shape", "fused sparse input 0 is 3x4, want 4x3", func() {
-		FusedCell(p, []FusedInput{CSRInput(CSRFromDense(good))}, 4, 3)
 	})
 	expectPanic("empty", "fused input 0 is neither scalar nor matrix", func() {
 		FusedCell(p, []FusedInput{{}}, 3, 4)

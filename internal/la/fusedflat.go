@@ -6,8 +6,8 @@ import "math"
 // chosen by program shape. The closure tree already makes one direct call
 // per op per tile, but a matched template goes further — one loop, no
 // calls, no stack scratch. The matcher runs at compile time over the
-// structural tree the lowering builds alongside the closures (fkNode; nil
-// under any CSR load, so flats are dense-only) and recognizes the shapes
+// structural tree the lowering builds alongside the closures (fkNode) and
+// recognizes the shapes
 // `dmml -stats` shows dominate real scripts: sigmoid chains, axpy-like
 // cells, scaled binary cells, and the rowagg-over-product family. Each
 // template stays only while it measures faster than the closure tree it
@@ -118,9 +118,6 @@ func matchAffine(n *fkNode) (int, fkSRef, fkSRef, bool) {
 // matchFlat installs flat kernels for recognized template shapes; the
 // closure tree remains bound for entry points without a flat form.
 func matchFlat(k *fusedKernel, n *fkNode) {
-	if n == nil {
-		return
-	}
 	matchFlatCell(k, n)
 	matchFlatAgg(k, n)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestGradientDescentBitReproducibleForcedParallel: with parallelThreshold
-// forced to 1, gradient descent over small dense, CSR and join-tree sources
+// forced to 1, gradient descent over small dense and join-tree sources
 // runs its VecMat reductions on multi-chunk grids through the pool, and still
 // returns the same W and History bits on every repeat at GOMAXPROCS 1, 2
 // and 4.
@@ -46,7 +46,6 @@ func TestGradientDescentBitReproducibleForcedParallel(t *testing.T) {
 		loss opt.Loss
 	}{
 		{"dense", opt.DenseData{M: x}, y, opt.Logistic{}},
-		{"csr", opt.CSRData{M: la.CSRFromDense(x)}, y, opt.Logistic{}},
 		{"join tree", tree, s.Y, opt.Squared{}},
 	} {
 		var first *opt.GDResult

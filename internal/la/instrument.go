@@ -24,14 +24,12 @@ var (
 	mGramCalls   = metrics.NewCounter("la.gram.calls")
 	mGramTimer   = metrics.NewTimer("la.Gram")
 
-	// Fused-pipeline instruments: one counter per template plus the sparse
-	// fast-path counter, so `dmmlbench -metrics` shows how much of a run
-	// executed fused and how often zero cells were skipped outright.
-	mFusedCellCalls   = metrics.NewCounter("la.fused.cell.calls")
-	mFusedAggCalls    = metrics.NewCounter("la.fused.rowagg.calls")
-	mFusedSparseSkips = metrics.NewCounter("la.fused.sparse.fastpaths")
-	mFusedCellTimer   = metrics.NewTimer("la.FusedCell")
-	mFusedAggTimer    = metrics.NewTimer("la.FusedRowAgg")
+	// Fused-pipeline instruments: one counter per template, so
+	// `dmmlbench -metrics` shows how much of a run executed fused.
+	mFusedCellCalls = metrics.NewCounter("la.fused.cell.calls")
+	mFusedAggCalls  = metrics.NewCounter("la.fused.rowagg.calls")
+	mFusedCellTimer = metrics.NewTimer("la.FusedCell")
+	mFusedAggTimer  = metrics.NewTimer("la.FusedRowAgg")
 
 	// Kernel-compiler instruments (fusedc.go): flat-template hits among the
 	// fused executions, and the one-time lowering per input-kind signature.

@@ -15,34 +15,6 @@ type CSR struct {
 	vals       []float64
 }
 
-// NewCSR assembles a CSR matrix from raw components, validating the
-// invariants (monotone rowPtr, sorted in-range column indices).
-func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("la: NewCSR non-positive dims %dx%d", rows, cols)
-	}
-	if len(rowPtr) != rows+1 {
-		return nil, fmt.Errorf("la: NewCSR rowPtr length %d, want %d", len(rowPtr), rows+1)
-	}
-	if rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) || len(colIdx) != len(vals) {
-		return nil, fmt.Errorf("la: NewCSR inconsistent nnz bookkeeping")
-	}
-	for i := 0; i < rows; i++ {
-		if rowPtr[i] > rowPtr[i+1] {
-			return nil, fmt.Errorf("la: NewCSR rowPtr not monotone at row %d", i)
-		}
-		prev := -1
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			c := colIdx[p]
-			if c <= prev || c >= cols {
-				return nil, fmt.Errorf("la: NewCSR bad column %d in row %d", c, i)
-			}
-			prev = c
-		}
-	}
-	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
-}
-
 // Coord is a single (row, col, value) entry used when building sparse
 // matrices from triplets.
 type Coord struct {
@@ -91,25 +63,6 @@ func FromCoords(rows, cols int, entries []Coord) (*CSR, error) {
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
 }
 
-// CSRFromDense converts a dense matrix into CSR, dropping zeros.
-func CSRFromDense(m *Dense) *CSR {
-	rowPtr := make([]int, m.rows+1)
-	nnz := m.NNZ()
-	colIdx := make([]int, 0, nnz)
-	vals := make([]float64, 0, nnz)
-	for i := 0; i < m.rows; i++ {
-		row := m.RowView(i)
-		for j, v := range row {
-			if v != 0 {
-				colIdx = append(colIdx, j)
-				vals = append(vals, v)
-			}
-		}
-		rowPtr[i+1] = len(colIdx)
-	}
-	return &CSR{rows: m.rows, cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-}
-
 // ToDense materializes the CSR matrix densely.
 func (s *CSR) ToDense() *Dense {
 	out := NewDense(s.rows, s.cols)
@@ -122,9 +75,6 @@ func (s *CSR) ToDense() *Dense {
 	return out
 }
 
-// Dims returns the matrix dimensions.
-func (s *CSR) Dims() (rows, cols int) { return s.rows, s.cols }
-
 // Rows returns the number of rows.
 func (s *CSR) Rows() int { return s.rows }
 
@@ -133,31 +83,6 @@ func (s *CSR) Cols() int { return s.cols }
 
 // NNZ returns the number of stored non-zeros.
 func (s *CSR) NNZ() int { return len(s.vals) }
-
-// Sparsity returns the fraction of zero cells.
-func (s *CSR) Sparsity() float64 {
-	return 1 - float64(s.NNZ())/(float64(s.rows)*float64(s.cols))
-}
-
-// At returns the element at (i, j) using binary search within the row.
-func (s *CSR) At(i, j int) float64 {
-	if i < 0 || i >= s.rows || j < 0 || j >= s.cols {
-		panic(fmt.Sprintf("la: CSR index (%d,%d) out of range for %dx%d", i, j, s.rows, s.cols))
-	}
-	lo, hi := s.rowPtr[i], s.rowPtr[i+1]
-	p := lo + sort.SearchInts(s.colIdx[lo:hi], j)
-	if p < hi && s.colIdx[p] == j {
-		return s.vals[p]
-	}
-	return 0
-}
-
-// RowNNZ returns the non-zero column indices and values of row i, aliasing
-// internal storage.
-func (s *CSR) RowNNZ(i int) (cols []int, vals []float64) {
-	lo, hi := s.rowPtr[i], s.rowPtr[i+1]
-	return s.colIdx[lo:hi], s.vals[lo:hi]
-}
 
 // MatVec returns s × x.
 func (s *CSR) MatVec(x []float64) []float64 {
@@ -187,11 +112,6 @@ func (s *CSR) MatVecInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// VecMat returns xᵀ × s (length cols).
-func (s *CSR) VecMat(x []float64) []float64 {
-	return s.VecMatInto(make([]float64, s.cols), x)
-}
-
 // VecMatInto computes xᵀ × s into dst (overwriting it) and returns dst.
 func (s *CSR) VecMatInto(dst, x []float64) []float64 {
 	if s.rows != len(x) {
@@ -214,76 +134,12 @@ func (s *CSR) VecMatInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// MatMulDense returns s × b for dense b.
-func (s *CSR) MatMulDense(b *Dense) *Dense {
-	if s.cols != b.rows {
-		panic(fmt.Sprintf("la: CSR MatMulDense %dx%d × %dx%d", s.rows, s.cols, b.rows, b.cols))
-	}
-	out := NewDense(s.rows, b.cols)
-	parallelRows(s.rows, len(s.vals)*b.cols, func(r0, r1 int) {
-		for i := r0; i < r1; i++ {
-			orow := out.RowView(i)
-			for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-				Axpy(s.vals[p], b.RowView(s.colIdx[p]), orow)
-			}
-		}
-	})
-	return out
-}
-
-// Gram returns sᵀs as a dense cols×cols matrix.
-func (s *CSR) Gram() *Dense {
-	d := s.cols
-	out := NewDense(d, d)
-	for i := 0; i < s.rows; i++ {
-		cols, vals := s.RowNNZ(i)
-		for a, ca := range cols {
-			va := vals[a]
-			orow := out.RowView(ca)
-			for b := a; b < len(cols); b++ {
-				orow[cols[b]] += va * vals[b]
-			}
-		}
-	}
-	for i := 0; i < d; i++ {
-		for j := 0; j < i; j++ {
-			out.data[i*d+j] = out.data[j*d+i]
-		}
-	}
-	return out
-}
-
 // Scale multiplies all stored values by a in place and returns s.
 func (s *CSR) Scale(a float64) *CSR {
 	for i := range s.vals {
 		s.vals[i] *= a
 	}
 	return s
-}
-
-// T returns the transpose as a new CSR matrix (built via CSC-style counting).
-func (s *CSR) T() *CSR {
-	rowPtr := make([]int, s.cols+1)
-	for _, c := range s.colIdx {
-		rowPtr[c+1]++
-	}
-	for i := 0; i < s.cols; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	colIdx := make([]int, len(s.colIdx))
-	vals := make([]float64, len(s.vals))
-	next := make([]int, s.cols)
-	copy(next, rowPtr[:s.cols])
-	for i := 0; i < s.rows; i++ {
-		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-			c := s.colIdx[p]
-			q := next[c]
-			colIdx[q] = i
-			vals[q] = s.vals[p]
-			next[c]++
-		}
-	}
-	return &CSR{rows: s.cols, cols: s.rows, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
 // String summarizes the matrix.

@@ -56,18 +56,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))
 }
 
-// NormInf returns the maximum absolute value of x.
-//dmml:noalloc
-func NormInf(x []float64) float64 {
-	var mx float64
-	for _, v := range x {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // SubVec computes x - y into a new slice.
 func SubVec(x, y []float64) []float64 {
 	if len(x) != len(y) {
@@ -76,18 +64,6 @@ func SubVec(x, y []float64) []float64 {
 	out := make([]float64, len(x))
 	for i := range x {
 		out[i] = x[i] - y[i]
-	}
-	return out
-}
-
-// AddVec computes x + y into a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("la: AddVec length mismatch %d vs %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
 	}
 	return out
 }
@@ -109,38 +85,3 @@ func SumVec(x []float64) float64 {
 	return s
 }
 
-// MeanVec returns the arithmetic mean of x (0 for empty input).
-func MeanVec(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return SumVec(x) / float64(len(x))
-}
-
-// ArgMax returns the index of the largest element (first on ties, -1 if empty).
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element (first on ties, -1 if empty).
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}

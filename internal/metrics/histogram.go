@@ -86,9 +86,6 @@ func (h *Histogram) Observe(v int64) {
 	h.stripes[stripeIdx()].observe(v)
 }
 
-// Name returns the registered instrument name.
-func (h *Histogram) Name() string { return h.name }
-
 // HistogramSnapshot is a merged, read-only view of a histogram.
 type HistogramSnapshot struct {
 	Name  string  `json:"name"`
@@ -162,9 +159,6 @@ type Timer struct {
 	hist Histogram
 	self [numStripes]padCell // self-time nanoseconds
 }
-
-// Name returns the registered instrument name.
-func (t *Timer) Name() string { return t.name }
 
 // Observe records one operation of duration d (all of it self time).
 // No-op when collection is disabled. Never allocates.

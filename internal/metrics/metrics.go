@@ -101,9 +101,6 @@ func (c *Counter) Value() int64 {
 	return sum
 }
 
-// Name returns the registered instrument name.
-func (c *Counter) Name() string { return c.name }
-
 func (c *Counter) reset() {
 	for i := range c.stripes {
 		c.stripes[i].v.Store(0)
@@ -130,9 +127,6 @@ func (g *Gauge) Set(v float64) {
 
 // Value returns the last stored value (0 before any Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Name returns the registered instrument name.
-func (g *Gauge) Name() string { return g.name }
 
 func (g *Gauge) reset() { g.bits.Store(0) }
 

@@ -51,16 +51,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return float64(s.Max)
 }
 
-// Quantiles returns the estimates for each q in qs (one cumulative walk per
-// call to Quantile; histogram snapshots are tiny, so clarity wins).
-func (s HistogramSnapshot) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = s.Quantile(q)
-	}
-	return out
-}
-
 // bucketBounds returns the value range [lo, hi) covered by bucket b.
 func bucketBounds(b int) (lo, hi float64) {
 	if b == 0 {

@@ -147,7 +147,10 @@ func TestQuantileMonotone(t *testing.T) {
 		}
 		s := h.Snapshot()
 		qs := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
-		vals := s.Quantiles(qs...)
+		vals := make([]float64, len(qs))
+		for i, q := range qs {
+			vals[i] = s.Quantile(q)
+		}
 		for i := 1; i < len(vals); i++ {
 			if vals[i] < vals[i-1] {
 				t.Fatalf("quantiles not monotone: q=%v -> %v after q=%v -> %v",

@@ -217,15 +217,3 @@ func (m *KMeans) Inertia(x *la.Dense) float64 {
 	}
 	return total
 }
-
-// PredictOne returns the nearest center for a single point.
-func (m *KMeans) PredictOne(p []float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c := 0; c < m.K; c++ {
-		diff := la.SubVec(p, m.Centers.RowView(c))
-		if d2 := la.Dot(diff, diff); d2 < bestD {
-			best, bestD = c, d2
-		}
-	}
-	return best
-}

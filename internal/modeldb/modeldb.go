@@ -1,7 +1,7 @@
 // Package modeldb is a ModelDB-style model management store, the lifecycle
 // layer the paper surveys: every training run is logged with its dataset
 // hash, transform chain, hyperparameters, metrics and parent run, giving
-// versioning, lineage queries, diffs and JSON persistence.
+// versioning, lineage queries and JSON persistence.
 package modeldb
 
 import (
@@ -128,29 +128,6 @@ func (s *Store) getLocked(id int) (Run, error) {
 	return s.runs[i], nil
 }
 
-// Get fetches a run by ID.
-func (s *Store) Get(id int) (Run, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, err := s.getLocked(id)
-	if err != nil {
-		return Run{}, err
-	}
-	return r.clone(), nil
-}
-
-// Versions returns all runs with the given name, oldest first.
-func (s *Store) Versions(name string) []Run {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := s.byName[name]
-	out := make([]Run, len(ids))
-	for i, id := range ids {
-		out[i] = s.runs[s.byID[id]].clone()
-	}
-	return out
-}
-
 // Latest returns the newest run with the given name.
 func (s *Store) Latest(name string) (Run, error) {
 	s.mu.RLock()
@@ -219,46 +196,6 @@ func (s *Store) Lineage(id int) ([]Run, error) {
 		id = r.ParentID
 	}
 	return out, nil
-}
-
-// Diff summarizes config and metric changes between two runs.
-type Diff struct {
-	ConfigChanged map[string][2]float64 `json:"config_changed"`
-	MetricDelta   map[string]float64    `json:"metric_delta"`
-}
-
-// Diff compares run a to run b (b−a for metric deltas).
-func (s *Store) Diff(a, b int) (Diff, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ra, err := s.getLocked(a)
-	if err != nil {
-		return Diff{}, err
-	}
-	rb, err := s.getLocked(b)
-	if err != nil {
-		return Diff{}, err
-	}
-	d := Diff{ConfigChanged: map[string][2]float64{}, MetricDelta: map[string]float64{}}
-	keys := map[string]bool{}
-	for k := range ra.Config {
-		keys[k] = true
-	}
-	for k := range rb.Config {
-		keys[k] = true
-	}
-	for k := range keys {
-		va, vb := ra.Config[k], rb.Config[k]
-		if va != vb {
-			d.ConfigChanged[k] = [2]float64{va, vb}
-		}
-	}
-	for k, vb := range rb.Metrics {
-		if va, ok := ra.Metrics[k]; ok {
-			d.MetricDelta[k] = vb - va
-		}
-	}
-	return d, nil
 }
 
 // NumRuns returns the number of logged runs.

@@ -2,7 +2,6 @@ package modeldb
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"dmml/internal/la"
@@ -32,7 +31,7 @@ func TestLogAndVersioning(t *testing.T) {
 	if latest.ID != r2.ID {
 		t.Fatalf("latest = %d", latest.ID)
 	}
-	if got := s.Versions("churn"); len(got) != 2 {
+	if got := s.Query(func(r Run) bool { return r.Name == "churn" }); len(got) != 2 {
 		t.Fatalf("versions = %d", len(got))
 	}
 	if s.NumRuns() != 3 {
@@ -51,7 +50,7 @@ func TestLogValidation(t *testing.T) {
 	if _, err := s.Latest("nope"); err == nil {
 		t.Fatal("want no-runs error")
 	}
-	if _, err := s.Get(42); err == nil {
+	if _, err := get(s, 42); err == nil {
 		t.Fatal("want not-found error")
 	}
 }
@@ -105,30 +104,6 @@ func TestLineage(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	s := NewStore()
-	a, _ := s.Log(Spec{Name: "m", Config: map[string]float64{"step": 0.1, "l2": 0.01},
-		Metrics: map[string]float64{"acc": 0.8}, ParentID: -1})
-	b, _ := s.Log(Spec{Name: "m", Config: map[string]float64{"step": 0.5, "l2": 0.01},
-		Metrics: map[string]float64{"acc": 0.9}, ParentID: a.ID})
-	d, err := s.Diff(a.ID, b.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch, ok := d.ConfigChanged["step"]; !ok || ch != [2]float64{0.1, 0.5} {
-		t.Fatalf("config diff = %+v", d.ConfigChanged)
-	}
-	if _, changed := d.ConfigChanged["l2"]; changed {
-		t.Fatal("unchanged key reported")
-	}
-	if math.Abs(d.MetricDelta["acc"]-0.1) > 1e-12 {
-		t.Fatalf("metric delta = %v", d.MetricDelta["acc"])
-	}
-	if _, err := s.Diff(a.ID, 99); err == nil {
-		t.Fatal("want missing run error")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := NewStore()
 	a, _ := s.Log(Spec{Name: "m", Config: map[string]float64{"step": 0.1},
@@ -146,7 +121,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.NumRuns() != 2 {
 		t.Fatalf("loaded runs = %d", loaded.NumRuns())
 	}
-	got, err := loaded.Get(a.ID)
+	got, err := get(loaded, a.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +167,17 @@ func TestSpecIsolation(t *testing.T) {
 	cfg := map[string]float64{"step": 0.1}
 	r, _ := s.Log(Spec{Name: "m", Config: cfg, ParentID: -1})
 	cfg["step"] = 99
-	got, _ := s.Get(r.ID)
+	got, _ := get(s, r.ID)
 	if got.Config["step"] != 0.1 {
 		t.Fatal("store aliases caller's config map")
 	}
+}
+
+// get reads one run back: a run is the first entry of its own lineage.
+func get(s *Store, id int) (Run, error) {
+	rs, err := s.Lineage(id)
+	if err != nil {
+		return Run{}, err
+	}
+	return rs[0], nil
 }

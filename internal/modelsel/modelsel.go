@@ -1,8 +1,8 @@
 // Package modelsel implements model-selection management in the style the
 // paper surveys (MLbase/TuPAQ, Columbus's batched evaluation): declarative
-// hyperparameter spaces, grid and random search, bandit-based successive
-// halving and a Hyperband-lite wrapper, plus k-fold cross-validation with
-// shared-intermediate reuse for linear models.
+// hyperparameter grids, bandit-based successive halving, batched training of
+// many configurations in one data pass, and k-fold ridge cross-validation
+// with shared-intermediate reuse.
 package modelsel
 
 import (
@@ -75,31 +75,6 @@ func Grid(space map[string][]float64) []Config {
 		return nil
 	}
 	return configs
-}
-
-// RandomConfigs samples count configs uniformly from per-parameter
-// [lo, hi] ranges (log-uniform when logScale[param] is set).
-func RandomConfigs(space map[string][2]float64, logScale map[string]bool, count int, seed int64) []Config {
-	keys := make([]string, 0, len(space))
-	for k := range space {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Config, count)
-	for i := range out {
-		c := Config{}
-		for _, k := range keys {
-			lo, hi := space[k][0], space[k][1]
-			if logScale[k] {
-				c[k] = math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
-			} else {
-				c[k] = lo + rng.Float64()*(hi-lo)
-			}
-		}
-		out[i] = c
-	}
-	return out
 }
 
 // EvaluateAll trains every config for the full epoch budget — the exhaustive
@@ -198,31 +173,6 @@ func SuccessiveHalving(tr Trainer, configs []Config, startEpochs, maxEpochs int,
 	return out, stats, nil
 }
 
-// Hyperband runs several successive-halving brackets with different
-// aggressiveness, hedging against configs that need long training to shine.
-func Hyperband(tr Trainer, makeConfigs func(count int, bracket int) []Config, maxEpochs int, eta float64) ([]Result, SearchStats, error) {
-	if maxEpochs <= 0 || eta <= 1 {
-		return nil, SearchStats{}, fmt.Errorf("modelsel: bad hyperband parameters")
-	}
-	sMax := int(math.Floor(math.Log(float64(maxEpochs)) / math.Log(eta)))
-	var all []Result
-	var stats SearchStats
-	for s := sMax; s >= 0; s-- {
-		n := int(math.Ceil(float64(sMax+1) / float64(s+1) * math.Pow(eta, float64(s))))
-		r := int(math.Max(1, float64(maxEpochs)*math.Pow(eta, -float64(s))))
-		configs := makeConfigs(n, s)
-		res, st, err := SuccessiveHalving(tr, configs, r, maxEpochs, eta)
-		if err != nil {
-			return nil, stats, err
-		}
-		all = append(all, res...)
-		stats.TotalEpochs += st.TotalEpochs
-		stats.ModelsOpened += st.ModelsOpened
-	}
-	sortResults(all)
-	return all, stats, nil
-}
-
 func sortResults(rs []Result) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Score > rs[j].Score })
 }
@@ -249,22 +199,4 @@ func KFold(n, k int, seed int64) ([][2][]int, error) {
 		out[f] = [2][]int{train, folds[f]}
 	}
 	return out, nil
-}
-
-// CrossValidate runs fitScore on every fold and returns the per-fold scores.
-// fitScore receives (trainIdx, testIdx) and returns the fold's score.
-func CrossValidate(n, k int, seed int64, fitScore func(train, test []int) (float64, error)) ([]float64, error) {
-	folds, err := KFold(n, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]float64, k)
-	for f, pair := range folds {
-		s, err := fitScore(pair[0], pair[1])
-		if err != nil {
-			return nil, fmt.Errorf("modelsel: fold %d: %w", f, err)
-		}
-		scores[f] = s
-	}
-	return scores, nil
 }

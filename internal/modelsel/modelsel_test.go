@@ -31,34 +31,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestRandomConfigs(t *testing.T) {
-	configs := RandomConfigs(map[string][2]float64{
-		"step": {0.01, 1},
-		"l2":   {1e-6, 1e-1},
-	}, map[string]bool{"l2": true}, 50, 9)
-	if len(configs) != 50 {
-		t.Fatalf("count = %d", len(configs))
-	}
-	for _, c := range configs {
-		if c["step"] < 0.01 || c["step"] > 1 {
-			t.Fatalf("step %v out of range", c["step"])
-		}
-		if c["l2"] < 1e-6 || c["l2"] > 1e-1 {
-			t.Fatalf("l2 %v out of range", c["l2"])
-		}
-	}
-	// Determinism.
-	again := RandomConfigs(map[string][2]float64{
-		"step": {0.01, 1},
-		"l2":   {1e-6, 1e-1},
-	}, map[string]bool{"l2": true}, 50, 9)
-	for i := range configs {
-		if configs[i]["step"] != again[i]["step"] {
-			t.Fatal("random configs not deterministic for fixed seed")
-		}
-	}
-}
-
 // fakeTrainer scores each config by a known function of its parameters and
 // converges toward that score as epochs accumulate; lets us verify search
 // logic exactly.
@@ -148,21 +120,6 @@ func TestSuccessiveHalvingValidation(t *testing.T) {
 	}
 }
 
-func TestHyperband(t *testing.T) {
-	res, stats, err := Hyperband(fakeTrainer{}, func(count, bracket int) []Config {
-		return makeFakeConfigs(count)
-	}, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Config["quality"] != 1 {
-		t.Fatalf("hyperband best = %v", res[0].Config)
-	}
-	if stats.TotalEpochs == 0 || stats.ModelsOpened == 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
 func TestKFold(t *testing.T) {
 	folds, err := KFold(10, 3, 1)
 	if err != nil {
@@ -200,25 +157,6 @@ func TestKFold(t *testing.T) {
 	}
 	if _, err := KFold(3, 5, 0); err == nil {
 		t.Fatal("want k>n error")
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	calls := 0
-	scores, err := CrossValidate(20, 4, 2, func(train, test []int) (float64, error) {
-		calls++
-		return float64(len(test)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 4 || len(scores) != 4 {
-		t.Fatalf("calls = %d scores = %v", calls, scores)
-	}
-	if _, err := CrossValidate(10, 2, 0, func(_, _ []int) (float64, error) {
-		return 0, fmt.Errorf("boom")
-	}); err == nil {
-		t.Fatal("want propagated error")
 	}
 }
 

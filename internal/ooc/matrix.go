@@ -34,7 +34,7 @@ type Options struct {
 	// layout wins because decoding cost buys no byte savings. Default 1.2.
 	MinRatio float64
 	// Prefetch enables the async double-buffered block prefetcher for
-	// ForEachBlock streams. Default off; SetPrefetch toggles it per matrix.
+	// ForEachBlock streams. Default off.
 	Prefetch bool
 	// CompressOpts forwards planner options to internal/compress.
 	CompressOpts compress.Options
@@ -81,9 +81,6 @@ func (m *Matrix) Dims() (rows, cols int) { return m.rows, m.cols }
 
 // NumBlocks implements opt.BlockData.
 func (m *Matrix) NumBlocks() int { return len(m.blocks) }
-
-// SetPrefetch toggles async block prefetch for subsequent streams.
-func (m *Matrix) SetPrefetch(on bool) { m.prefetch = on }
 
 // CompressedBlocks returns how many blocks kept the CLA-compressed layout.
 func (m *Matrix) CompressedBlocks() int {

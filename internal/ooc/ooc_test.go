@@ -83,7 +83,7 @@ func TestOpsMatchDense(t *testing.T) {
 func opsMatchDense(t *testing.T, r *rand.Rand, m *Matrix, src *la.Dense) {
 	t.Helper()
 	for _, prefetch := range []bool{false, true} {
-		m.SetPrefetch(prefetch)
+		m.prefetch = prefetch
 		v := make([]float64, 5)
 		x := make([]float64, 900)
 		for i := range v {
@@ -141,7 +141,7 @@ func TestBoundedResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prefetch := range []bool{false, true} {
-		m.SetPrefetch(prefetch)
+		m.prefetch = prefetch
 		for pass := 0; pass < 3; pass++ {
 			maxRes := int64(0)
 			err := m.ForEachBlock(func(b opt.RowBlock) error {
@@ -173,7 +173,7 @@ func TestPrefetchPinsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetPrefetch(true)
+	m.prefetch = true
 	blockBytes := m.PagedBytes()/int64(m.NumBlocks()) + 8 // upper bound per block
 	seen := 0
 	err = m.ForEachBlock(func(b opt.RowBlock) error {
@@ -199,7 +199,7 @@ func TestForEachBlockErrorStopsStream(t *testing.T) {
 	}
 	boom := fmt.Errorf("boom")
 	for _, prefetch := range []bool{false, true} {
-		m.SetPrefetch(prefetch)
+		m.prefetch = prefetch
 		calls := 0
 		err := m.ForEachBlock(func(b opt.RowBlock) error {
 			calls++
@@ -282,7 +282,7 @@ func TestSolverEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetPrefetch(prefetch)
+		m.prefetch = prefetch
 		got, err := opt.GradientDescent(m, y, opt.Logistic{}, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -321,7 +321,7 @@ func TestStreamingSGDConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetPrefetch(true)
+	m.prefetch = true
 	res, err := opt.StreamingSGD(m, y, opt.Logistic{}, opt.StreamConfig{Step: 0.5, Epochs: 30, Decay: 0.95})
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,8 @@ import (
 
 // BulkData is the source contract of the bulk solvers: X·v and xᵀ·X computed
 // into caller-owned buffers, so an iteration reuses one set of buffers. Dense
-// and CSR matrices satisfy it through the two adapters below; compressed
-// matrices, out-of-core matrices and factorized join trees implement it
-// themselves.
+// matrices satisfy it through the adapter below; compressed matrices,
+// out-of-core matrices and factorized join trees implement it themselves.
 type BulkData interface {
 	Rows() int
 	Cols() int
@@ -36,25 +35,7 @@ func (d DenseData) MatVecInto(dst, v []float64) []float64 { return la.MatVecInto
 // VecMatInto implements BulkData.
 func (d DenseData) VecMatInto(dst, x []float64) []float64 { return la.VecMatInto(dst, x, d.M) }
 
-// CSRData adapts *la.CSR to BulkData.
-type CSRData struct{ M *la.CSR }
-
-// Rows implements BulkData.
-func (d CSRData) Rows() int { return d.M.Rows() }
-
-// Cols implements BulkData.
-func (d CSRData) Cols() int { return d.M.Cols() }
-
-// MatVecInto implements BulkData.
-func (d CSRData) MatVecInto(dst, v []float64) []float64 { return d.M.MatVecInto(dst, v) }
-
-// VecMatInto implements BulkData.
-func (d CSRData) VecMatInto(dst, x []float64) []float64 { return d.M.VecMatInto(dst, x) }
-
-var (
-	_ BulkData = DenseData{}
-	_ BulkData = CSRData{}
-)
+var _ BulkData = DenseData{}
 
 // LossAndGradient computes the mean loss and its gradient at w, including an
 // L2 penalty of λ/2·‖w‖² (bias-inclusive; exclude the bias by passing λ=0

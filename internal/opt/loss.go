@@ -31,8 +31,6 @@ type Loss interface {
 	// bit-identical across runs and across GOMAXPROCS. Batches of at most
 	// lossChunk rows run on the calling goroutine and allocate nothing.
 	Batch(derivs, margins, y []float64) float64
-	// Name identifies the loss in reports.
-	Name() string
 }
 
 // lossChunk is the fixed chunk of the batched loss pass, in rows: about la's
@@ -89,9 +87,6 @@ func squaredTile(derivs, margins, y []float64) float64 {
 	return total
 }
 
-// Name implements Loss.
-func (Squared) Name() string { return "squared" }
-
 // Logistic is the logistic loss log(1+exp(−y·m)), labels −1/+1. All three
 // methods evaluate la's single-exponential form (la/logistic.go), so the
 // scalar pair and the batch agree to the bit.
@@ -111,9 +106,6 @@ func (Logistic) Deriv(m, y float64) float64 { return la.LogisticDeriv(m, y) }
 func (Logistic) Batch(derivs, margins, y []float64) float64 {
 	return batchLoss(derivs, margins, y, la.LogisticLossInto)
 }
-
-// Name implements Loss.
-func (Logistic) Name() string { return "logistic" }
 
 // Hinge is the SVM hinge loss max(0, 1−y·m), labels −1/+1.
 type Hinge struct{}
@@ -153,9 +145,6 @@ func hingeTile(derivs, margins, y []float64) float64 {
 	}
 	return total
 }
-
-// Name implements Loss.
-func (Hinge) Name() string { return "hinge" }
 
 // Sigmoid is the logistic link 1/(1+e^{−m}).
 //

@@ -73,11 +73,11 @@ func TestBatchMatchesPerRow(t *testing.T) {
 					for i, m := range margins {
 						want += loss.Value(m, y[i])
 						if d := loss.Deriv(m, y[i]); !sameFloat(derivs[i], d) {
-							t.Fatalf("%s procs=%d n=%d: deriv(%g, %g) = %g, per-row %g", loss.Name(), procs, n, m, y[i], derivs[i], d)
+							t.Fatalf("%T procs=%d n=%d: deriv(%g, %g) = %g, per-row %g", loss, procs, n, m, y[i], derivs[i], d)
 						}
 					}
 					if !(math.Abs(got-want) <= 1e-12*math.Abs(want)) && !sameFloat(got, want) {
-						t.Fatalf("%s procs=%d n=%d nonFinite=%v: sum = %v, per-row %v", loss.Name(), procs, n, nonFinite, got, want)
+						t.Fatalf("%T procs=%d n=%d nonFinite=%v: sum = %v, per-row %v", loss, procs, n, nonFinite, got, want)
 					}
 				}
 			}
@@ -90,7 +90,7 @@ func TestBatchLengthMismatchPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s.Batch accepted 3 margins with 2 labels", loss.Name())
+					t.Errorf("%T.Batch accepted 3 margins with 2 labels", loss)
 				}
 			}()
 			loss.Batch(make([]float64, 3), make([]float64, 3), make([]float64, 2))
@@ -121,11 +121,11 @@ func TestBatchReproducible(t *testing.T) {
 					continue
 				}
 				if math.Float64bits(sum) != math.Float64bits(wantSum) {
-					t.Fatalf("%s procs=%d rep=%d: sum %x, first run %x", loss.Name(), procs, rep, math.Float64bits(sum), math.Float64bits(wantSum))
+					t.Fatalf("%T procs=%d rep=%d: sum %x, first run %x", loss, procs, rep, math.Float64bits(sum), math.Float64bits(wantSum))
 				}
 				for i := range derivs {
 					if math.Float64bits(derivs[i]) != math.Float64bits(wantDerivs[i]) {
-						t.Fatalf("%s procs=%d rep=%d: derivs[%d] differs from first run", loss.Name(), procs, rep, i)
+						t.Fatalf("%T procs=%d rep=%d: derivs[%d] differs from first run", loss, procs, rep, i)
 					}
 				}
 			}
@@ -167,7 +167,7 @@ func TestMeanLossReproducible(t *testing.T) {
 	for i, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 5; rep++ {
-			got := MeanLoss(DenseRows{M: x}, y, w, Logistic{})
+			got := MeanLoss(x, y, w, Logistic{})
 			if i == 0 && rep == 0 {
 				first = got
 				if math.Abs(got-serial) > 1e-12*serial {

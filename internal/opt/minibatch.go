@@ -10,13 +10,13 @@ import "dmml/internal/la"
 // rows holds example indices relative to off; grad must have length
 // data.Cols(). The caller applies the −step/|batch| scaling. The
 // parameter-server workers compute their pushed gradients with it.
-func BatchGradientInto(data RowData, y, w []float64, loss Loss, l2 float64, rows []int, off int, grad []float64) {
+func BatchGradientInto(data *la.Dense, y, w []float64, loss Loss, l2 float64, rows []int, off int, grad []float64) {
 	for j := range grad {
 		grad[j] = l2 * w[j]
 	}
 	for _, k := range rows {
 		i := off + k
-		x := data.Row(i)
+		x := data.RowView(i)
 		g := loss.Deriv(la.Dot(w, x), y[i])
 		if g != 0 {
 			la.Axpy(g, x, grad)

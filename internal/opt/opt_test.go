@@ -63,7 +63,7 @@ func TestLossValuesAndDerivs(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := c.loss.Value(c.m, c.y); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("%s.Value(%v,%v) = %v, want %v", c.loss.Name(), c.m, c.y, got, c.want)
+			t.Fatalf("%T.Value(%v,%v) = %v, want %v", c.loss, c.m, c.y, got, c.want)
 		}
 	}
 	// Numeric derivative check for smooth losses.
@@ -73,7 +73,7 @@ func TestLossValuesAndDerivs(t *testing.T) {
 				const h = 1e-6
 				num := (loss.Value(m+h, y) - loss.Value(m-h, y)) / (2 * h)
 				if got := loss.Deriv(m, y); math.Abs(got-num) > 1e-5 {
-					t.Fatalf("%s.Deriv(%v,%v) = %v, numeric %v", loss.Name(), m, y, got, num)
+					t.Fatalf("%T.Deriv(%v,%v) = %v, numeric %v", loss, m, y, got, num)
 				}
 			}
 		}
@@ -115,7 +115,7 @@ func TestLossAndGradientNumeric(t *testing.T) {
 	}
 	for _, loss := range []Loss{Squared{}, Logistic{}} {
 		yy := y
-		if loss.Name() == "logistic" {
+		if _, ok := loss.(Logistic); ok {
 			yy = make([]float64, len(y))
 			for i := range yy {
 				yy[i] = 1
@@ -137,7 +137,7 @@ func TestLossAndGradientNumeric(t *testing.T) {
 			lm, _, _ := LossAndGradient(data, yy, wm, loss, 0.3)
 			num := (lp - lm) / (2 * h)
 			if math.Abs(grad[j]-num) > 1e-4 {
-				t.Fatalf("%s grad[%d] = %v, numeric %v", loss.Name(), j, grad[j], num)
+				t.Fatalf("%T grad[%d] = %v, numeric %v", loss, j, grad[j], num)
 			}
 		}
 	}
@@ -197,7 +197,7 @@ func TestGDConfigValidation(t *testing.T) {
 func TestSGDConvergesLogistic(t *testing.T) {
 	r := rand.New(rand.NewSource(64))
 	x, y, _ := synthClassification(r, 2000, 8)
-	res, err := SGD(DenseRows{x}, y, Logistic{}, SGDConfig{Step: 0.5, Decay: 0.5, Epochs: 10, Seed: 1})
+	res, err := SGD(x, y, Logistic{}, SGDConfig{Step: 0.5, Decay: 0.5, Epochs: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +245,12 @@ func TestParallelSGDModesConverge(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
 	x, y, _ := synthClassification(r, 3000, 6)
 	cfg := SGDConfig{Step: 0.5, Decay: 0.5, Epochs: 8, Seed: 2}
-	seq, err := SGD(DenseRows{x}, y, Logistic{}, cfg)
+	seq, err := SGD(x, y, Logistic{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []ParallelMode{ModelAverage, SharedAtomic} {
-		res, err := ParallelSGD(DenseRows{x}, y, Logistic{}, cfg, 4, mode)
+		res, err := ParallelSGD(x, y, Logistic{}, cfg, 4, mode)
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -261,7 +261,7 @@ func TestParallelSGDModesConverge(t *testing.T) {
 		}
 	}
 	// workers=1 falls back to sequential and must match exactly.
-	one, err := ParallelSGD(DenseRows{x}, y, Logistic{}, cfg, 1, ModelAverage)
+	one, err := ParallelSGD(x, y, Logistic{}, cfg, 1, ModelAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +275,13 @@ func TestParallelSGDModesConverge(t *testing.T) {
 func TestParallelSGDValidation(t *testing.T) {
 	x := la.NewDense(4, 2)
 	y := make([]float64, 4)
-	if _, err := ParallelSGD(DenseRows{x}, y, Squared{}, SGDConfig{Step: 1, Epochs: 1}, 0, ModelAverage); err == nil {
+	if _, err := ParallelSGD(x, y, Squared{}, SGDConfig{Step: 1, Epochs: 1}, 0, ModelAverage); err == nil {
 		t.Fatal("want workers error")
 	}
-	if _, err := ParallelSGD(DenseRows{x}, y, Squared{}, SGDConfig{Step: 1, Epochs: 1}, 2, ParallelMode(99)); err == nil {
+	if _, err := ParallelSGD(x, y, Squared{}, SGDConfig{Step: 1, Epochs: 1}, 2, ParallelMode(99)); err == nil {
 		t.Fatal("want unknown mode error")
 	}
-	if _, err := SGD(DenseRows{x}, []float64{1}, Squared{}, SGDConfig{Step: 1, Epochs: 1}); err == nil {
+	if _, err := SGD(x, []float64{1}, Squared{}, SGDConfig{Step: 1, Epochs: 1}); err == nil {
 		t.Fatal("want label mismatch error")
 	}
 }
@@ -291,7 +291,7 @@ func TestSGDMatchesGDOnQuadratic(t *testing.T) {
 	// optimum on a small well-conditioned problem.
 	r := rand.New(rand.NewSource(67))
 	x, y, _ := synthRegression(r, 500, 4, 0.05)
-	res, err := SGD(DenseRows{x}, y, Squared{}, SGDConfig{Step: 0.05, Decay: 1, Epochs: 60, Seed: 4})
+	res, err := SGD(x, y, Squared{}, SGDConfig{Step: 0.05, Decay: 1, Epochs: 60, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,6 @@ func TestGradientDescentBitReproducible(t *testing.T) {
 	cfg := GDConfig{Step: 0.5, MaxIter: 4, Backtracking: true}
 	x, y := randProblem(r, 20000, 16)
 	gdBitStable(t, "dense", DenseData{M: x}, y, Logistic{}, cfg)
-	gdBitStable(t, "csr", CSRData{M: la.CSRFromDense(x)}, y, Logistic{}, cfg)
 
 	cards := make([]int, 16)
 	for j := range cards {
@@ -154,9 +153,9 @@ func TestParallelSGDStillLearns(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
 	x, y := randProblem(r, 2000, 15)
 	cfg := SGDConfig{Step: 0.5, Decay: 0.5, Epochs: 3, Seed: 9}
-	zeroLoss := MeanLoss(DenseRows{M: x}, y, make([]float64, 15), Logistic{})
+	zeroLoss := MeanLoss(x, y, make([]float64, 15), Logistic{})
 	for _, mode := range []ParallelMode{ModelAverage, SharedAtomic} {
-		res, err := ParallelSGD(DenseRows{M: x}, y, Logistic{}, cfg, 4, mode)
+		res, err := ParallelSGD(x, y, Logistic{}, cfg, 4, mode)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,27 +10,6 @@ import (
 	"dmml/internal/pool"
 )
 
-// RowData abstracts per-example access for stochastic methods.
-type RowData interface {
-	Rows() int
-	Cols() int
-	// Row returns example i's feature vector; it may alias internal storage
-	// and must not be mutated.
-	Row(i int) []float64
-}
-
-// DenseRows adapts *la.Dense to RowData.
-type DenseRows struct{ M *la.Dense }
-
-// Rows implements RowData.
-func (d DenseRows) Rows() int { return d.M.Rows() }
-
-// Cols implements RowData.
-func (d DenseRows) Cols() int { return d.M.Cols() }
-
-// Row implements RowData.
-func (d DenseRows) Row(i int) []float64 { return d.M.RowView(i) }
-
 // UDA is Bismarck's unified user-defined-aggregate contract for incremental
 // gradient methods run inside a data system: the system drives Initialize
 // once, Transition per tuple, and Terminate at the end of the pass; Merge
@@ -133,14 +112,14 @@ type SGDResult struct {
 // summed in fixed chunks on the worker pool — about la's parallelThreshold of
 // work each, as lossChunk is for the bare loss — and the chunk sums added in
 // chunk order, so the result does not depend on GOMAXPROCS.
-func MeanLoss(data RowData, y []float64, w []float64, loss Loss) float64 {
+func MeanLoss(data *la.Dense, y []float64, w []float64, loss Loss) float64 {
 	n := data.Rows()
 	chunk := max(1, lossChunk*32/max(data.Cols(), 32))
 	var total [1]float64
 	pool.Reduce(total[:], n, chunk, func(acc []float64, lo, hi int) {
 		t := 0.0
 		for i := lo; i < hi; i++ {
-			t += loss.Value(la.Dot(w, data.Row(i)), y[i])
+			t += loss.Value(la.Dot(w, data.RowView(i)), y[i])
 		}
 		acc[0] += t
 	})
@@ -150,7 +129,7 @@ func MeanLoss(data RowData, y []float64, w []float64, loss Loss) float64 {
 // SGD trains by sequential stochastic gradient descent with per-epoch
 // shuffling, driving an SGDAggregate exactly as a data system would drive a
 // Bismarck UDA.
-func SGD(data RowData, y []float64, loss Loss, cfg SGDConfig) (*SGDResult, error) {
+func SGD(data *la.Dense, y []float64, loss Loss, cfg SGDConfig) (*SGDResult, error) {
 	n := data.Rows()
 	if err := cfg.validate(n); err != nil {
 		return nil, err
@@ -168,7 +147,7 @@ func SGD(data RowData, y []float64, loss Loss, cfg SGDConfig) (*SGDResult, error
 		mSGDEpochs.Inc()
 		agg.Step = cfg.Step / (1 + cfg.Decay*float64(e))
 		for _, i := range order {
-			agg.Transition(data.Row(i), y[i])
+			agg.Transition(data.RowView(i), y[i])
 		}
 		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		epochLoss := MeanLoss(data, y, agg.W, loss)
@@ -194,7 +173,7 @@ const (
 )
 
 // ParallelSGD trains with the given number of workers and strategy.
-func ParallelSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, workers int, mode ParallelMode) (*SGDResult, error) {
+func ParallelSGD(data *la.Dense, y []float64, loss Loss, cfg SGDConfig, workers int, mode ParallelMode) (*SGDResult, error) {
 	n := data.Rows()
 	if err := cfg.validate(n); err != nil {
 		return nil, err
@@ -252,7 +231,7 @@ func (st *partitionState) reshuffle() {
 	st.rng.Shuffle(len(o), func(a, b int) { o[a], o[b] = o[b], o[a] })
 }
 
-func modelAverageSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, workers int) (*SGDResult, error) {
+func modelAverageSGD(data *la.Dense, y []float64, loss Loss, cfg SGDConfig, workers int) (*SGDResult, error) {
 	n, d := data.Rows(), data.Cols()
 	parts := partition(n, workers)
 	w := make([]float64, d)
@@ -275,7 +254,7 @@ func modelAverageSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, worker
 				copy(agg.W, w) // warm start from the merged model
 				states[pi].reshuffle()
 				for _, i := range states[pi].order {
-					agg.Transition(data.Row(i), y[i])
+					agg.Transition(data.RowView(i), y[i])
 				}
 			}
 		})
@@ -292,7 +271,7 @@ func modelAverageSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, worker
 	return res, nil
 }
 
-func sharedAtomicSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, workers int) (*SGDResult, error) {
+func sharedAtomicSGD(data *la.Dense, y []float64, loss Loss, cfg SGDConfig, workers int) (*SGDResult, error) {
 	n, d := data.Rows(), data.Cols()
 	shared := make([]atomic.Uint64, d)
 	load := func(buf []float64) {
@@ -326,7 +305,7 @@ func sharedAtomicSGD(data RowData, y []float64, loss Loss, cfg SGDConfig, worker
 				buf := bufs[pi]
 				states[pi].reshuffle()
 				for _, i := range states[pi].order {
-					x := data.Row(i)
+					x := data.RowView(i)
 					load(buf)
 					m := la.Dot(buf, x)
 					g := loss.Deriv(m, y[i])

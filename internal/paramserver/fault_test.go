@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dmml/internal/la"
 	"dmml/internal/opt"
 	"dmml/internal/workload"
 )
@@ -144,11 +145,11 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 }
 
-func faultTrainSetup(t *testing.T, seed int64, n int) (opt.DenseRows, []float64) {
+func faultTrainSetup(t *testing.T, seed int64, n int) (*la.Dense, []float64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	x, y, _ := workload.Classification(r, n, 8, 0.02)
-	return opt.DenseRows{M: x}, y
+	return x, y
 }
 
 // Satellite regression: an unrecoverable first-tick failure must cancel the

@@ -76,9 +76,6 @@ func NewServer(dim, shards int, opLatency time.Duration) (*Server, error) {
 	return s, nil
 }
 
-// NumShards returns the shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
-
 // SetRetryPolicy replaces the retry policy. Not safe to call concurrently
 // with pulls or pushes.
 func (s *Server) SetRetryPolicy(p RetryPolicy) { s.retry = p }
@@ -111,15 +108,6 @@ func (s *Server) Pull() ([]float64, error) {
 	}
 	s.pulls.Add(1)
 	return out, nil
-}
-
-// Push applies w += scale·delta across shards (one emulated RPC per shard
-// that receives a non-zero slice; shards whose delta slice is all zero are
-// skipped entirely). Retries after an ack-lost RPC are applied at most once
-// per call; workers inside Train use the sequence-tagged pushFrom, whose
-// replay dedup lives on the shard itself.
-func (s *Server) Push(delta []float64, scale float64) error {
-	return s.push(-1, 0, delta, scale)
 }
 
 // pushFrom is a sequence-tagged push: worker identifies the single-threaded
@@ -461,7 +449,7 @@ type Result struct {
 // cursor from it — and any unrecoverable error cancels the whole run
 // promptly (first-error cancellation) instead of letting healthy workers
 // train a doomed model to completion.
-func Train(ps *Server, data opt.RowData, y []float64, loss opt.Loss, cfg TrainConfig) (*Result, error) {
+func Train(ps *Server, data *la.Dense, y []float64, loss opt.Loss, cfg TrainConfig) (*Result, error) {
 	n := data.Rows()
 	if err := cfg.validate(n); err != nil {
 		return nil, err
@@ -557,7 +545,7 @@ func Train(ps *Server, data opt.RowData, y []float64, loss opt.Loss, cfg TrainCo
 // so a restarted incarnation can resume anywhere. The shuffle order is
 // reconstructed deterministically from the seed by replaying the per-epoch
 // shuffles, so a restart sees exactly the order the lost incarnation did.
-func trainWorker(ps *Server, data opt.RowData, y []float64, loss opt.Loss, cfg TrainConfig,
+func trainWorker(ps *Server, data *la.Dense, y []float64, loss opt.Loss, cfg TrainConfig,
 	clock *sspClock, ck *checkpointer, id, lo, hi, staleness, startTick, incarnation int) error {
 	span := hi - lo
 	ticksPerEpoch := (span + cfg.BatchSize - 1) / cfg.BatchSize

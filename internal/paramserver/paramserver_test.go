@@ -23,8 +23,8 @@ func TestServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.NumShards() != 3 {
-		t.Fatalf("shards = %d", ps.NumShards())
+	if len(ps.shards) != 3 {
+		t.Fatalf("shards = %d", len(ps.shards))
 	}
 	if err := ps.Push(make([]float64, 4), 1); err == nil {
 		t.Fatal("want push length error")
@@ -121,7 +121,7 @@ func TestTrainAllModesConverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Train(ps, opt.DenseRows{M: x}, y, opt.Logistic{}, TrainConfig{
+		res, err := Train(ps, x, y, opt.Logistic{}, TrainConfig{
 			Workers: 4, Epochs: 6, BatchSize: 32, Step: 0.5, Decay: 0.5,
 			Mode: mode, Staleness: 2, Seed: 1,
 		})
@@ -140,7 +140,7 @@ func TestTrainAllModesConverge(t *testing.T) {
 func TestTrainSingleWorkerMatchesLocalSGDShape(t *testing.T) {
 	x, y := trainSetup(t, 161)
 	ps, _ := NewServer(8, 1, 0)
-	res, err := Train(ps, opt.DenseRows{M: x}, y, opt.Logistic{}, TrainConfig{
+	res, err := Train(ps, x, y, opt.Logistic{}, TrainConfig{
 		Workers: 1, Epochs: 12, BatchSize: 1, Step: 0.5, Decay: 0.5, Seed: 2,
 	})
 	if err != nil {
@@ -165,19 +165,19 @@ func TestTrainValidation(t *testing.T) {
 		{Workers: 1, Epochs: 1, BatchSize: 1, Step: 1, Mode: SSP, Staleness: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := Train(ps, opt.DenseRows{M: x}, y, opt.Squared{}, cfg); err == nil {
+		if _, err := Train(ps, x, y, opt.Squared{}, cfg); err == nil {
 			t.Fatalf("case %d: want validation error", i)
 		}
 	}
 	// Dim mismatch.
 	ps2, _ := NewServer(5, 1, 0)
-	if _, err := Train(ps2, opt.DenseRows{M: x}, y, opt.Squared{}, TrainConfig{
+	if _, err := Train(ps2, x, y, opt.Squared{}, TrainConfig{
 		Workers: 1, Epochs: 1, BatchSize: 1, Step: 1,
 	}); err == nil {
 		t.Fatal("want dim mismatch error")
 	}
 	// Label mismatch.
-	if _, err := Train(ps, opt.DenseRows{M: x}, y[:4], opt.Squared{}, TrainConfig{
+	if _, err := Train(ps, x, y[:4], opt.Squared{}, TrainConfig{
 		Workers: 1, Epochs: 1, BatchSize: 1, Step: 1,
 	}); err == nil {
 		t.Fatal("want label mismatch error")
@@ -198,7 +198,7 @@ func TestSSPFinishUnblocksStragglers(t *testing.T) {
 	x, y := trainSetup(t, 163)
 	ps, _ := NewServer(8, 2, 0)
 	// Workers > rows/chunk edge: more workers than useful partitions.
-	res, err := Train(ps, opt.DenseRows{M: x.Slice(0, 5, 0, 8)}, y[:5], opt.Logistic{}, TrainConfig{
+	res, err := Train(ps, x.Slice(0, 5, 0, 8), y[:5], opt.Logistic{}, TrainConfig{
 		Workers: 8, Epochs: 2, BatchSize: 2, Step: 0.1, Mode: BSP, Seed: 4,
 	})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestStragglerIdlesBSPNotAsync(t *testing.T) {
 	x, y, _ := workload.Classification(r, 800, 6, 0.02)
 	run := func(mode Mode) time.Duration {
 		ps, _ := NewServer(6, 2, 0)
-		res, err := Train(ps, opt.DenseRows{M: x}, y, opt.Logistic{}, TrainConfig{
+		res, err := Train(ps, x, y, opt.Logistic{}, TrainConfig{
 			Workers: 4, Epochs: 2, BatchSize: 25, Step: 0.5, Mode: mode, Seed: 9,
 			StragglerDelay: 2 * time.Millisecond,
 		})
@@ -234,4 +234,13 @@ func TestStragglerIdlesBSPNotAsync(t *testing.T) {
 	if asyncIdle > bspIdle/10 {
 		t.Fatalf("async idle = %v vs BSP %v; async should be near zero", asyncIdle, bspIdle)
 	}
+}
+
+// Push is the unsequenced push the tests drive directly: w += scale·delta
+// across shards (one emulated RPC per shard that receives a non-zero slice;
+// shards whose delta slice is all zero are skipped entirely). Retries after an ack-lost RPC are applied at most once
+// per call; workers inside Train use the sequence-tagged pushFrom, whose
+// replay dedup lives on the shard itself.
+func (s *Server) Push(delta []float64, scale float64) error {
+	return s.push(-1, 0, delta, scale)
 }

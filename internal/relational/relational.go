@@ -1,59 +1,13 @@
-// Package relational implements a small relational algebra over
-// storage.Table: project, select, hash equi-join, group-by aggregation, and
-// order-by. dmml uses it to materialize joins for the "materialized
-// learning" baseline that factorized learning is compared against, and as a
-// general preprocessing substrate.
+// Package relational implements the hash equi-join over storage.Table that
+// examples/retail_factorized uses to materialize a join for the
+// "materialized learning" baseline factorized learning is compared against.
 package relational
 
 import (
 	"fmt"
-	"sort"
 
 	"dmml/internal/storage"
 )
-
-// Project returns a new table containing only the named columns, in order.
-func Project(t *storage.Table, cols []string) (*storage.Table, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("relational: Project with no columns")
-	}
-	fields := make([]storage.Field, len(cols))
-	idx := make([]int, len(cols))
-	for k, name := range cols {
-		i := t.Schema().FieldIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("relational: no column %q", name)
-		}
-		fields[k] = t.Schema().Fields[i]
-		idx[k] = i
-	}
-	schema, err := storage.NewSchema(fields...)
-	if err != nil {
-		return nil, fmt.Errorf("relational: %w", err)
-	}
-	out := storage.NewTable(schema)
-	vals := make([]any, len(cols))
-	for r := 0; r < t.NumRows(); r++ {
-		for k, i := range idx {
-			vals[k] = t.Value(r, i)
-		}
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Select returns the rows for which pred returns true.
-func Select(t *storage.Table, pred func(row int) bool) (*storage.Table, error) {
-	var keep []int
-	for r := 0; r < t.NumRows(); r++ {
-		if pred(r) {
-			keep = append(keep, r)
-		}
-	}
-	return t.SelectRows(keep)
-}
 
 // JoinOptions tunes HashJoin output naming.
 type JoinOptions struct {
@@ -143,210 +97,4 @@ func HashJoin(left, right *storage.Table, leftKey, rightKey string, opts JoinOpt
 		}
 	}
 	return out, nil
-}
-
-// AggFn enumerates group-by aggregate functions.
-type AggFn int
-
-// Aggregate functions.
-const (
-	Sum AggFn = iota
-	Count
-	Mean
-	Min
-	Max
-)
-
-// String implements fmt.Stringer.
-func (f AggFn) String() string {
-	switch f {
-	case Sum:
-		return "sum"
-	case Count:
-		return "count"
-	case Mean:
-		return "mean"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	}
-	return fmt.Sprintf("AggFn(%d)", int(f))
-}
-
-// Agg is one aggregate over a numeric column. For Count the column may be
-// any field (the value is ignored).
-type Agg struct {
-	Col string
-	Fn  AggFn
-}
-
-type aggState struct {
-	n        int64
-	sum      float64
-	min, max float64
-}
-
-// GroupBy groups on an Int64 or String column and computes the given
-// aggregates. Output columns are named "<col>_<fn>" ("count" for Count).
-// Groups appear in first-encounter order.
-func GroupBy(t *storage.Table, groupCol string, aggs []Agg) (*storage.Table, error) {
-	gi := t.Schema().FieldIndex(groupCol)
-	if gi < 0 {
-		return nil, fmt.Errorf("relational: no column %q", groupCol)
-	}
-	gType := t.Schema().Fields[gi].Type
-	if gType == storage.Float64 {
-		return nil, fmt.Errorf("relational: float64 group keys are not supported")
-	}
-	if len(aggs) == 0 {
-		return nil, fmt.Errorf("relational: GroupBy with no aggregates")
-	}
-	fields := []storage.Field{{Name: groupCol, Type: gType}}
-	for _, a := range aggs {
-		if a.Fn == Count {
-			fields = append(fields, storage.Field{Name: "count", Type: storage.Int64})
-			continue
-		}
-		i := t.Schema().FieldIndex(a.Col)
-		if i < 0 {
-			return nil, fmt.Errorf("relational: no column %q", a.Col)
-		}
-		if ft := t.Schema().Fields[i].Type; ft == storage.String {
-			return nil, fmt.Errorf("relational: cannot %s a string column %q", a.Fn, a.Col)
-		}
-		fields = append(fields, storage.Field{Name: fmt.Sprintf("%s_%s", a.Col, a.Fn), Type: storage.Float64})
-	}
-	schema, err := storage.NewSchema(fields...)
-	if err != nil {
-		return nil, fmt.Errorf("relational: %w", err)
-	}
-
-	type groupEntry struct {
-		key    any
-		states []aggState
-	}
-	order := make([]*groupEntry, 0)
-	lookup := make(map[any]*groupEntry)
-	for r := 0; r < t.NumRows(); r++ {
-		k := t.Value(r, gi)
-		g, ok := lookup[k]
-		if !ok {
-			g = &groupEntry{key: k, states: make([]aggState, len(aggs))}
-			for i := range g.states {
-				g.states[i].min = +1e308
-				g.states[i].max = -1e308
-			}
-			lookup[k] = g
-			order = append(order, g)
-		}
-		for ai, a := range aggs {
-			st := &g.states[ai]
-			st.n++
-			if a.Fn == Count {
-				continue
-			}
-			v, err := t.NumericAt(r, a.Col)
-			if err != nil {
-				return nil, err
-			}
-			st.sum += v
-			if v < st.min {
-				st.min = v
-			}
-			if v > st.max {
-				st.max = v
-			}
-		}
-	}
-	out := storage.NewTable(schema)
-	vals := make([]any, 1+len(aggs))
-	for _, g := range order {
-		vals[0] = g.key
-		for ai, a := range aggs {
-			st := g.states[ai]
-			switch a.Fn {
-			case Sum:
-				vals[1+ai] = st.sum
-			case Count:
-				vals[1+ai] = st.n
-			case Mean:
-				vals[1+ai] = st.sum / float64(st.n)
-			case Min:
-				vals[1+ai] = st.min
-			case Max:
-				vals[1+ai] = st.max
-			}
-		}
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// OrderBy returns the table sorted by the given column (stable sort).
-func OrderBy(t *storage.Table, col string, desc bool) (*storage.Table, error) {
-	i := t.Schema().FieldIndex(col)
-	if i < 0 {
-		return nil, fmt.Errorf("relational: no column %q", col)
-	}
-	rows := make([]int, t.NumRows())
-	for r := range rows {
-		rows[r] = r
-	}
-	typ := t.Schema().Fields[i].Type
-	less := func(a, b int) bool {
-		switch typ {
-		case storage.Int64:
-			va, _ := t.Ints(col)
-			return va[rows[a]] < va[rows[b]]
-		case storage.Float64:
-			va, _ := t.Floats(col)
-			return va[rows[a]] < va[rows[b]]
-		default:
-			va, _ := t.Strings(col)
-			return va[rows[a]] < va[rows[b]]
-		}
-	}
-	if desc {
-		inner := less
-		less = func(a, b int) bool { return inner(b, a) }
-	}
-	sort.SliceStable(rows, less)
-	return t.SelectRows(rows)
-}
-
-// Distinct returns the table with duplicate rows removed, keeping first
-// occurrences in order. Row identity is the tuple of all column values.
-func Distinct(t *storage.Table) (*storage.Table, error) {
-	seen := make(map[string]bool, t.NumRows())
-	var keep []int
-	nf := t.Schema().NumFields()
-	for r := 0; r < t.NumRows(); r++ {
-		key := ""
-		for f := 0; f < nf; f++ {
-			key += t.ValueString(r, f) + "\x00"
-		}
-		if !seen[key] {
-			seen[key] = true
-			keep = append(keep, r)
-		}
-	}
-	return t.SelectRows(keep)
-}
-
-// Limit returns the first n rows (all rows if n exceeds the table).
-func Limit(t *storage.Table, n int) (*storage.Table, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("relational: negative limit %d", n)
-	}
-	if n > t.NumRows() {
-		n = t.NumRows()
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return t.SelectRows(rows)
 }

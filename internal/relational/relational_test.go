@@ -6,9 +6,18 @@ import (
 	"dmml/internal/storage"
 )
 
+func mustSchema(t *testing.T, fields ...storage.Field) *storage.Schema {
+	t.Helper()
+	s, err := storage.NewSchema(fields...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func ordersTable(t *testing.T) *storage.Table {
 	t.Helper()
-	s := storage.MustSchema(
+	s := mustSchema(t,
 		storage.Field{Name: "oid", Type: storage.Int64},
 		storage.Field{Name: "cust", Type: storage.Int64},
 		storage.Field{Name: "amount", Type: storage.Float64},
@@ -31,7 +40,7 @@ func ordersTable(t *testing.T) *storage.Table {
 
 func customersTable(t *testing.T) *storage.Table {
 	t.Helper()
-	s := storage.MustSchema(
+	s := mustSchema(t,
 		storage.Field{Name: "cid", Type: storage.Int64},
 		storage.Field{Name: "name", Type: storage.String},
 		storage.Field{Name: "tier", Type: storage.Int64},
@@ -50,46 +59,6 @@ func customersTable(t *testing.T) *storage.Table {
 	return tb
 }
 
-func TestProject(t *testing.T) {
-	tb := ordersTable(t)
-	p, err := Project(tb, []string{"amount", "oid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema().NumFields() != 2 || p.Schema().Fields[0].Name != "amount" {
-		t.Fatalf("schema = %+v", p.Schema().Fields)
-	}
-	if p.NumRows() != 5 {
-		t.Fatalf("rows = %d", p.NumRows())
-	}
-	if _, err := Project(tb, []string{"missing"}); err == nil {
-		t.Fatal("want missing column error")
-	}
-	if _, err := Project(tb, nil); err == nil {
-		t.Fatal("want empty projection error")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	tb := ordersTable(t)
-	amounts, _ := tb.Floats("amount")
-	sel, err := Select(tb, func(r int) bool { return amounts[r] > 4 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.NumRows() != 3 {
-		t.Fatalf("rows = %d", sel.NumRows())
-	}
-	// Empty selection is fine.
-	none, err := Select(tb, func(int) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none.NumRows() != 0 {
-		t.Fatalf("rows = %d", none.NumRows())
-	}
-}
-
 func TestHashJoinPKFK(t *testing.T) {
 	orders := ordersTable(t)
 	custs := customersTable(t)
@@ -101,14 +70,10 @@ func TestHashJoinPKFK(t *testing.T) {
 	if j.NumRows() != 4 {
 		t.Fatalf("rows = %d, want 4", j.NumRows())
 	}
-	names, err := j.Strings("name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oids, _ := j.Ints("oid")
+	name, oid := j.Schema().FieldIndex("name"), j.Schema().FieldIndex("oid")
 	byOid := map[int64]string{}
-	for i, o := range oids {
-		byOid[o] = names[i]
+	for i := 0; i < j.NumRows(); i++ {
+		byOid[j.Value(i, oid).(int64)] = j.Value(i, name).(string)
 	}
 	if byOid[1] != "alice" || byOid[2] != "bob" || byOid[3] != "alice" || byOid[5] != "bob" {
 		t.Fatalf("joined names = %v", byOid)
@@ -116,7 +81,7 @@ func TestHashJoinPKFK(t *testing.T) {
 }
 
 func TestHashJoinManyToMany(t *testing.T) {
-	s := storage.MustSchema(storage.Field{Name: "k", Type: storage.Int64}, storage.Field{Name: "v", Type: storage.Int64})
+	s := mustSchema(t, storage.Field{Name: "k", Type: storage.Int64}, storage.Field{Name: "v", Type: storage.Int64})
 	a := storage.NewTable(s)
 	b := storage.NewTable(s)
 	_ = a.AppendRow(int64(1), int64(100))
@@ -137,7 +102,7 @@ func TestHashJoinManyToMany(t *testing.T) {
 }
 
 func TestHashJoinStringKeys(t *testing.T) {
-	s := storage.MustSchema(storage.Field{Name: "name", Type: storage.String}, storage.Field{Name: "x", Type: storage.Int64})
+	s := mustSchema(t, storage.Field{Name: "name", Type: storage.String}, storage.Field{Name: "x", Type: storage.Int64})
 	a := storage.NewTable(s)
 	_ = a.AppendRow("u", int64(1))
 	_ = a.AppendRow("v", int64(2))
@@ -166,121 +131,5 @@ func TestHashJoinErrors(t *testing.T) {
 	}
 	if _, err := HashJoin(orders, orders, "amount", "amount", JoinOptions{}); err == nil {
 		t.Fatal("want float key rejection")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	orders := ordersTable(t)
-	g, err := GroupBy(orders, "cust", []Agg{
-		{Col: "amount", Fn: Sum},
-		{Col: "amount", Fn: Count},
-		{Col: "amount", Fn: Mean},
-		{Col: "amount", Fn: Min},
-		{Col: "amount", Fn: Max},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumRows() != 3 {
-		t.Fatalf("groups = %d", g.NumRows())
-	}
-	keys, _ := g.Ints("cust")
-	sums, _ := g.Floats("amount_sum")
-	counts, _ := g.Ints("count")
-	means, _ := g.Floats("amount_mean")
-	mins, _ := g.Floats("amount_min")
-	maxs, _ := g.Floats("amount_max")
-	byKey := map[int64][5]float64{}
-	for i, k := range keys {
-		byKey[k] = [5]float64{sums[i], float64(counts[i]), means[i], mins[i], maxs[i]}
-	}
-	if got := byKey[10]; got != [5]float64{7.5, 2, 3.75, 2.5, 5.0} {
-		t.Fatalf("group 10 = %v", got)
-	}
-	if got := byKey[20]; got != [5]float64{8.5, 2, 4.25, 1.0, 7.5} {
-		t.Fatalf("group 20 = %v", got)
-	}
-	if got := byKey[30]; got != [5]float64{9, 1, 9, 9, 9} {
-		t.Fatalf("group 30 = %v", got)
-	}
-}
-
-func TestGroupByErrors(t *testing.T) {
-	orders := ordersTable(t)
-	if _, err := GroupBy(orders, "amount", []Agg{{Col: "amount", Fn: Sum}}); err == nil {
-		t.Fatal("want float group key rejection")
-	}
-	if _, err := GroupBy(orders, "cust", nil); err == nil {
-		t.Fatal("want empty aggregates error")
-	}
-	if _, err := GroupBy(orders, "cust", []Agg{{Col: "nope", Fn: Sum}}); err == nil {
-		t.Fatal("want missing column error")
-	}
-}
-
-func TestOrderBy(t *testing.T) {
-	orders := ordersTable(t)
-	asc, err := OrderBy(orders, "amount", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	amts, _ := asc.Floats("amount")
-	for i := 1; i < len(amts); i++ {
-		if amts[i-1] > amts[i] {
-			t.Fatalf("not ascending: %v", amts)
-		}
-	}
-	desc, _ := OrderBy(orders, "oid", true)
-	oids, _ := desc.Ints("oid")
-	if oids[0] != 5 || oids[4] != 1 {
-		t.Fatalf("desc oids = %v", oids)
-	}
-	if _, err := OrderBy(orders, "nope", false); err == nil {
-		t.Fatal("want missing column error")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	s := storage.MustSchema(
-		storage.Field{Name: "a", Type: storage.Int64},
-		storage.Field{Name: "b", Type: storage.String},
-	)
-	tb := storage.NewTable(s)
-	_ = tb.AppendRow(int64(1), "x")
-	_ = tb.AppendRow(int64(1), "x")
-	_ = tb.AppendRow(int64(2), "x")
-	_ = tb.AppendRow(int64(1), "y")
-	_ = tb.AppendRow(int64(2), "x")
-	got, err := Distinct(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 3 {
-		t.Fatalf("distinct rows = %d, want 3", got.NumRows())
-	}
-	as, _ := got.Ints("a")
-	if as[0] != 1 || as[1] != 2 || as[2] != 1 {
-		t.Fatalf("order not preserved: %v", as)
-	}
-}
-
-func TestLimit(t *testing.T) {
-	tb := ordersTable(t)
-	got, err := Limit(tb, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 2 {
-		t.Fatalf("rows = %d", got.NumRows())
-	}
-	all, err := Limit(tb, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.NumRows() != tb.NumRows() {
-		t.Fatalf("over-limit rows = %d", all.NumRows())
-	}
-	if _, err := Limit(tb, -1); err == nil {
-		t.Fatal("want negative limit error")
 	}
 }

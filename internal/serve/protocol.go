@@ -47,8 +47,6 @@ const (
 	StatusNoModel byte = 0x81
 	// StatusBadRequest: malformed frame or wrong feature dimension.
 	StatusBadRequest byte = 0x82
-	// StatusShutdown: the server is draining and refused admission.
-	StatusShutdown byte = 0x83
 	// StatusInternal: the server failed to score an admitted request.
 	StatusInternal byte = 0x84
 

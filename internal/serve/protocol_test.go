@@ -38,7 +38,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 9, Status: StatusOK, ModelVersion: 3, Value: 0.75},
 		{ID: 10, Status: StatusNoModel, Msg: "no runs named \"x\""},
 		{ID: 11, Status: StatusBadRequest, Msg: ""},
-		{ID: 12, Status: StatusShutdown, Msg: strings.Repeat("y", MaxErrMsg)},
+		{ID: 12, Status: StatusInternal, Msg: strings.Repeat("y", MaxErrMsg)},
 	} {
 		frame := AppendResponse(nil, resp)
 		got, err := DecodeResponse(frame[lenPrefix:])

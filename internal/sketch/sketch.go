@@ -64,9 +64,6 @@ func (cm *CountMin) Estimate(item string) uint64 {
 	return est
 }
 
-// Total returns the stream length seen so far.
-func (cm *CountMin) Total() uint64 { return cm.total }
-
 // SizeBytes reports the sketch footprint.
 func (cm *CountMin) SizeBytes() int { return 8 * cm.width * cm.depth }
 
@@ -251,9 +248,6 @@ func (q *P2Quantile) Estimate() float64 {
 	}
 	return q.heights[2]
 }
-
-// Count returns the number of observations.
-func (q *P2Quantile) Count() int { return q.n }
 
 // ColumnProfile is a one-pass summary of a numeric column: the MADlib-style
 // profiling result an ML pipeline consults before training.

@@ -22,8 +22,8 @@ func TestCountMinNeverUndercounts(t *testing.T) {
 		cm.Add(item, 1)
 		truth[item]++
 	}
-	if cm.Total() != 20000 {
-		t.Fatalf("total = %d", cm.Total())
+	if cm.total != 20000 {
+		t.Fatalf("total = %d", cm.total)
 	}
 	maxErr := uint64(0)
 	for item, want := range truth {
@@ -121,8 +121,8 @@ func TestP2QuantileAgainstExact(t *testing.T) {
 		if math.Abs(got-exact) > 0.5 {
 			t.Fatalf("p=%v: estimate %v, exact %v", p, got, exact)
 		}
-		if q.Count() != 50000 {
-			t.Fatalf("count = %d", q.Count())
+		if q.n != 50000 {
+			t.Fatalf("count = %d", q.n)
 		}
 	}
 }

@@ -234,13 +234,6 @@ func (bp *BufferPool) DropOwner(owner int) error {
 	return errors.Join(errs...)
 }
 
-// ResidentPages returns the number of in-memory pages.
-func (bp *BufferPool) ResidentPages() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.resident)
-}
-
 // ResidentBytes returns the bytes of page data currently held in memory.
 func (bp *BufferPool) ResidentBytes() int64 {
 	bp.mu.Lock()

@@ -1,11 +1,12 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -53,18 +54,6 @@ func TestTableAppendAndAccess(t *testing.T) {
 	if tb.NumRows() != 2 {
 		t.Fatalf("rows = %d", tb.NumRows())
 	}
-	ids, err := tb.Ints("id")
-	if err != nil || ids[1] != 2 {
-		t.Fatalf("Ints: %v %v", ids, err)
-	}
-	names, err := tb.Strings("name")
-	if err != nil || names[0] != "alice" {
-		t.Fatalf("Strings: %v %v", names, err)
-	}
-	scores, err := tb.Floats("score")
-	if err != nil || scores[0] != 0.9 {
-		t.Fatalf("Floats: %v %v", scores, err)
-	}
 	// Type errors.
 	if err := tb.AppendRow("x", "y", 0.0); err == nil {
 		t.Fatal("want type error")
@@ -72,72 +61,109 @@ func TestTableAppendAndAccess(t *testing.T) {
 	if err := tb.AppendRow(int64(1), "z"); err == nil {
 		t.Fatal("want arity error")
 	}
-	if _, err := tb.Floats("name"); err == nil {
-		t.Fatal("want type mismatch error")
+}
+
+// The table's one cell accessor returns each column's own Go type.
+func TestTableValueAndNumericColumns(t *testing.T) {
+	tb := NewTable(testSchema(t))
+	_ = tb.AppendRow(int64(1), "a", 2.5)
+	if v := tb.Value(0, 0).(int64); v != 1 {
+		t.Fatalf("Value int = %v", v)
 	}
-	if _, err := tb.Floats("nope"); err == nil {
-		t.Fatal("want missing field error")
+	if v := tb.Value(0, 1).(string); v != "a" {
+		t.Fatalf("Value string = %v", v)
 	}
-	if v, err := tb.NumericAt(0, "id"); err != nil || v != 1 {
-		t.Fatalf("NumericAt = %v, %v", v, err)
+	if v := tb.Value(0, 2).(float64); v != 2.5 {
+		t.Fatalf("Value float = %v", v)
 	}
 }
 
-func TestSelectRows(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	for i := 0; i < 5; i++ {
-		if err := tb.AppendRow(int64(i), "r", float64(i)*10); err != nil {
+// formatCSV renders m as headerless CSV with the shortest exact float
+// formatting and, when pad is set, blanks around every field.
+func formatCSV(m *la.Dense, pad bool) string {
+	var b strings.Builder
+	for i := 0; i < m.Rows(); i++ {
+		for j, v := range m.RowView(i) {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			if pad {
+				b.WriteString("  ")
+			}
+			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+			if pad {
+				b.WriteByte('\t')
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// scanCSV reads headerless numeric CSV into a matrix through ScanMatrixCSV.
+func scanCSV(text string) (*la.Dense, error) {
+	var data []float64
+	cols := 0
+	err := ScanMatrixCSV(strings.NewReader(text), func(vals []float64) error {
+		cols = len(vals)
+		data = append(data, vals...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return la.NewDenseData(len(data)/cols, cols, data)
+}
+
+// CSV written with exact float formatting reads back bit for bit, blanks
+// around the fields included.
+func TestCSVRoundTrip(t *testing.T) {
+	m, _ := la.FromRows([][]float64{
+		{0.1, -3.5, 1e-300, math.MaxFloat64},
+		{-1e-7, 7, 2.5e10, math.SmallestNonzeroFloat64},
+	})
+	for _, pad := range []bool{false, true} {
+		got, err := scanCSV(formatCSV(m, pad))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	sub, err := tb.SelectRows([]int{4, 0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, _ := sub.Ints("id")
-	if ids[0] != 4 || ids[1] != 0 || ids[2] != 4 {
-		t.Fatalf("SelectRows ids = %v", ids)
-	}
-	if _, err := tb.SelectRows([]int{9}); err == nil {
-		t.Fatal("want out-of-range error")
+		if !got.Equal(m, 0) {
+			t.Fatalf("pad=%v: read back %v, want %v", pad, got, m)
+		}
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.AppendRow(int64(1), "a,with comma", 1.25)
-	_ = tb.AppendRow(int64(2), `quote"inside`, -3.5)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tb); err != nil {
+// ReadMatrixCSVFile loads a file written the same way, one row per line.
+func TestCSVFileHelpers(t *testing.T) {
+	m, _ := la.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {-7, 8.25, 9}})
+	path := filepath.Join(t.TempDir(), "m.csv")
+	if err := os.WriteFile(path, []byte(formatCSV(m, false)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf, tb.Schema(), true)
+	got, err := ReadMatrixCSVFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumRows() != 2 {
-		t.Fatalf("rows = %d", got.NumRows())
-	}
-	names, _ := got.Strings("name")
-	if names[0] != "a,with comma" || names[1] != `quote"inside` {
-		t.Fatalf("names = %v", names)
-	}
-	scores, _ := got.Floats("score")
-	if scores[1] != -3.5 {
-		t.Fatalf("scores = %v", scores)
+	if !got.Equal(m, 0) {
+		t.Fatalf("ReadMatrixCSVFile = %v, want %v", got, m)
 	}
 }
 
-func TestCSVErrors(t *testing.T) {
-	s := testSchema(t)
-	if _, err := ReadCSV(strings.NewReader("id,wrong,score\n"), s, true); err == nil {
-		t.Fatal("want header mismatch error")
+// Property: arbitrary matrices survive the CSV round trip bit for bit.
+func TestPersistenceRoundTripProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := la.NewDense(1+r.Intn(30), 1+r.Intn(8))
+		for i := 0; i < m.Rows(); i++ {
+			for j := 0; j < m.Cols(); j++ {
+				m.Set(i, j, r.NormFloat64()*math.Pow(10, float64(r.Intn(40)-20)))
+			}
+		}
+		got, err := scanCSV(formatCSV(m, r.Intn(2) == 0))
+		return err == nil && got.Equal(m, 0)
 	}
-	if _, err := ReadCSV(strings.NewReader("notanint,a,1.0\n"), s, false); err == nil {
-		t.Fatal("want parse error")
-	}
-	if _, err := ReadCSV(strings.NewReader("1,a,notafloat\n"), s, false); err == nil {
-		t.Fatal("want float parse error")
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -333,8 +359,8 @@ func TestDropOwnerWhilePinned(t *testing.T) {
 	if err := bp.DropOwner(1); err != nil {
 		t.Fatal(err)
 	}
-	if bp.ResidentPages() != 0 || bp.ResidentBytes() != 0 {
-		t.Fatalf("resident after drop: %d pages, %d bytes", bp.ResidentPages(), bp.ResidentBytes())
+	if bp.ResidentBytes() != 0 {
+		t.Fatalf("resident after drop: %d bytes", bp.ResidentBytes())
 	}
 	if _, err := os.Stat(bp.pagePath(id)); !os.IsNotExist(err) {
 		t.Fatalf("spill file survived DropOwner: %v", err)
@@ -350,106 +376,6 @@ func TestDropOwnerWhilePinned(t *testing.T) {
 	bp.Unpin(id, false)
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	r := rand.New(rand.NewSource(60))
-	for i := 0; i < 500; i++ {
-		if err := tb.AppendRow(int64(r.Int63()-r.Int63()), strings.Repeat("x", r.Intn(10)), r.NormFloat64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 500 {
-		t.Fatalf("rows = %d", got.NumRows())
-	}
-	wantIDs, _ := tb.Ints("id")
-	gotIDs, _ := got.Ints("id")
-	wantScores, _ := tb.Floats("score")
-	gotScores, _ := got.Floats("score")
-	wantNames, _ := tb.Strings("name")
-	gotNames, _ := got.Strings("name")
-	for i := 0; i < 500; i++ {
-		if wantIDs[i] != gotIDs[i] || wantScores[i] != gotScores[i] || wantNames[i] != gotNames[i] {
-			t.Fatalf("row %d mismatch", i)
-		}
-	}
-}
-
-func TestBinaryFileRoundTrip(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.AppendRow(int64(-42), "neg", 3.14)
-	path := t.TempDir() + "/t.dmt"
-	if err := WriteBinaryFile(path, tb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, _ := got.Ints("id")
-	if ids[0] != -42 {
-		t.Fatalf("id = %d", ids[0])
-	}
-}
-
-func TestBinaryCorruption(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.AppendRow(int64(1), "a", 1.0)
-	var buf bytes.Buffer
-	_ = WriteBinary(&buf, tb)
-	data := buf.Bytes()
-	// Bad magic.
-	bad := append([]byte("XXXX"), data[4:]...)
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
-		t.Fatal("want magic error")
-	}
-	// Truncated payload.
-	if _, err := ReadBinary(bytes.NewReader(data[:len(data)-3])); err == nil {
-		t.Fatal("want truncation error")
-	}
-	// Empty input.
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Fatal("want EOF error")
-	}
-}
-
-func TestTableValueAndNumericColumns(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.AppendRow(int64(1), "a", 2.5)
-	if v := tb.Value(0, 0).(int64); v != 1 {
-		t.Fatalf("Value int = %v", v)
-	}
-	if v := tb.Value(0, 1).(string); v != "a" {
-		t.Fatalf("Value string = %v", v)
-	}
-	if v := tb.Value(0, 2).(float64); v != 2.5 {
-		t.Fatalf("Value float = %v", v)
-	}
-	cols := tb.NumericColumns()
-	if len(cols) != 2 || cols[0] != "id" || cols[1] != "score" {
-		t.Fatalf("NumericColumns = %v", cols)
-	}
-	if _, err := tb.NumericAt(0, "name"); err == nil {
-		t.Fatal("want non-numeric error")
-	}
-	if _, err := tb.NumericAt(0, "gone"); err == nil {
-		t.Fatal("want missing error")
-	}
-	if _, err := tb.Ints("name"); err == nil {
-		t.Fatal("want Ints type error")
-	}
-	if _, err := tb.Strings("id"); err == nil {
-		t.Fatal("want Strings type error")
-	}
-}
-
 func TestColTypeString(t *testing.T) {
 	if Float64.String() != "float64" || Int64.String() != "int64" || String.String() != "string" {
 		t.Fatal("ColType names wrong")
@@ -457,15 +383,6 @@ func TestColTypeString(t *testing.T) {
 	if ColType(9).String() == "" {
 		t.Fatal("unknown ColType must format")
 	}
-}
-
-func TestMustSchemaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	MustSchema()
 }
 
 func TestFlushAllAndResidentPages(t *testing.T) {
@@ -478,8 +395,8 @@ func TestFlushAllAndResidentPages(t *testing.T) {
 		d[0] = float64(i)
 		bp.Unpin(PageID{1, i}, true)
 	}
-	if bp.ResidentPages() != 3 {
-		t.Fatalf("resident = %d", bp.ResidentPages())
+	if bp.ResidentBytes() != 3*2*8 {
+		t.Fatalf("resident = %d bytes", bp.ResidentBytes())
 	}
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -498,93 +415,6 @@ func TestFlushAllAndResidentPages(t *testing.T) {
 	if s := bp.Stats(); s.SpillWrites != 0 || s.Hits != 0 {
 		t.Fatalf("ResetStats left %+v", s)
 	}
-}
-
-func TestCSVFileHelpers(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.AppendRow(int64(5), "row", 1.5)
-	path := t.TempDir() + "/t.csv"
-	if err := WriteCSVFile(path, tb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSVFile(path, tb.Schema(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 1 {
-		t.Fatalf("rows = %d", got.NumRows())
-	}
-	if _, err := ReadCSVFile("/nonexistent/x.csv", tb.Schema(), true); err == nil {
-		t.Fatal("want open error")
-	}
-	if err := WriteCSVFile("/nonexistent/dir/x.csv", tb); err == nil {
-		t.Fatal("want create error")
-	}
-}
-
-// Property: arbitrary tables survive both CSV and binary round trips.
-func TestPersistenceRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		tb := NewTable(testSchemaQuiet())
-		n := r.Intn(40) + 1
-		for i := 0; i < n; i++ {
-			name := ""
-			for k := 0; k < r.Intn(8); k++ {
-				name += string(rune('a' + r.Intn(26)))
-			}
-			if r.Intn(4) == 0 {
-				name += `,"` // CSV-hostile characters
-			}
-			if err := tb.AppendRow(r.Int63()-r.Int63(), name, r.NormFloat64()); err != nil {
-				return false
-			}
-		}
-		// Binary.
-		var bin bytes.Buffer
-		if err := WriteBinary(&bin, tb); err != nil {
-			return false
-		}
-		fromBin, err := ReadBinary(&bin)
-		if err != nil {
-			return false
-		}
-		// CSV.
-		var csvBuf bytes.Buffer
-		if err := WriteCSV(&csvBuf, tb); err != nil {
-			return false
-		}
-		fromCSV, err := ReadCSV(&csvBuf, tb.Schema(), true)
-		if err != nil {
-			return false
-		}
-		return tablesEqual(tb, fromBin) && tablesEqual(tb, fromCSV)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func testSchemaQuiet() *Schema {
-	return MustSchema(
-		Field{"id", Int64},
-		Field{"name", String},
-		Field{"score", Float64},
-	)
-}
-
-func tablesEqual(a, b *Table) bool {
-	if a.NumRows() != b.NumRows() {
-		return false
-	}
-	for r := 0; r < a.NumRows(); r++ {
-		for f := 0; f < a.Schema().NumFields(); f++ {
-			if a.ValueString(r, f) != b.ValueString(r, f) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Satellite regression: pinning a page with a size that disagrees with the

@@ -1,11 +1,11 @@
 // Package storage provides dmml's relational storage substrate: typed
-// columnar tables with CSV import/export, plus a page-based buffer pool and
-// paged (out-of-core) matrices used to study memory-constrained ML execution.
+// columnar tables, the headerless numeric-CSV matrix reader, model
+// checkpoints, and the page-based buffer pool the out-of-core matrices page
+// through.
 package storage
 
 import (
 	"fmt"
-	"strconv"
 )
 
 // ColType enumerates supported column types.
@@ -60,15 +60,6 @@ func NewSchema(fields ...Field) (*Schema, error) {
 		s.byName[f.Name] = i
 	}
 	return s, nil
-}
-
-// MustSchema is NewSchema that panics on error, for static schemas.
-func MustSchema(fields ...Field) *Schema {
-	s, err := NewSchema(fields...)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // FieldIndex returns the position of the named field, or -1.
@@ -145,42 +136,6 @@ func (t *Table) AppendRow(vals ...any) error {
 	return nil
 }
 
-// Floats returns the backing slice of a Float64 field.
-func (t *Table) Floats(name string) ([]float64, error) {
-	i := t.schema.FieldIndex(name)
-	if i < 0 {
-		return nil, fmt.Errorf("storage: no field %q", name)
-	}
-	if t.schema.Fields[i].Type != Float64 {
-		return nil, fmt.Errorf("storage: field %q is %s, not float64", name, t.schema.Fields[i].Type)
-	}
-	return t.floats[i], nil
-}
-
-// Ints returns the backing slice of an Int64 field.
-func (t *Table) Ints(name string) ([]int64, error) {
-	i := t.schema.FieldIndex(name)
-	if i < 0 {
-		return nil, fmt.Errorf("storage: no field %q", name)
-	}
-	if t.schema.Fields[i].Type != Int64 {
-		return nil, fmt.Errorf("storage: field %q is %s, not int64", name, t.schema.Fields[i].Type)
-	}
-	return t.ints[i], nil
-}
-
-// Strings returns the backing slice of a String field.
-func (t *Table) Strings(name string) ([]string, error) {
-	i := t.schema.FieldIndex(name)
-	if i < 0 {
-		return nil, fmt.Errorf("storage: no field %q", name)
-	}
-	if t.schema.Fields[i].Type != String {
-		return nil, fmt.Errorf("storage: field %q is %s, not string", name, t.schema.Fields[i].Type)
-	}
-	return t.strs[i], nil
-}
-
 // Value returns the value at (row, field index) as an any.
 func (t *Table) Value(row, field int) any {
 	switch t.schema.Fields[field].Type {
@@ -191,78 +146,4 @@ func (t *Table) Value(row, field int) any {
 	default:
 		return t.strs[field][row]
 	}
-}
-
-// ValueString formats the value at (row, field) for CSV output.
-func (t *Table) ValueString(row, field int) string {
-	switch t.schema.Fields[field].Type {
-	case Float64:
-		return strconv.FormatFloat(t.floats[field][row], 'g', -1, 64)
-	case Int64:
-		return strconv.FormatInt(t.ints[field][row], 10)
-	default:
-		return t.strs[field][row]
-	}
-}
-
-// NumericColumns returns the names of all Float64 and Int64 fields, in schema
-// order.
-func (t *Table) NumericColumns() []string {
-	var out []string
-	for _, f := range t.schema.Fields {
-		if f.Type == Float64 || f.Type == Int64 {
-			out = append(out, f.Name)
-		}
-	}
-	return out
-}
-
-// NumericAt returns the value of a numeric field as float64.
-func (t *Table) NumericAt(row int, name string) (float64, error) {
-	i := t.schema.FieldIndex(name)
-	if i < 0 {
-		return 0, fmt.Errorf("storage: no field %q", name)
-	}
-	switch t.schema.Fields[i].Type {
-	case Float64:
-		return t.floats[i][row], nil
-	case Int64:
-		return float64(t.ints[i][row]), nil
-	default:
-		return 0, fmt.Errorf("storage: field %q is not numeric", name)
-	}
-}
-
-// SelectRows returns a new table containing the given rows, in order.
-func (t *Table) SelectRows(rows []int) (*Table, error) {
-	out := NewTable(t.schema)
-	for _, r := range rows {
-		if r < 0 || r >= t.nrows {
-			return nil, fmt.Errorf("storage: row %d out of range [0,%d)", r, t.nrows)
-		}
-	}
-	for i, f := range t.schema.Fields {
-		switch f.Type {
-		case Float64:
-			col := make([]float64, len(rows))
-			for k, r := range rows {
-				col[k] = t.floats[i][r]
-			}
-			out.floats[i] = col
-		case Int64:
-			col := make([]int64, len(rows))
-			for k, r := range rows {
-				col[k] = t.ints[i][r]
-			}
-			out.ints[i] = col
-		case String:
-			col := make([]string, len(rows))
-			for k, r := range rows {
-				col[k] = t.strs[i][r]
-			}
-			out.strs[i] = col
-		}
-	}
-	out.nrows = len(rows)
-	return out, nil
 }

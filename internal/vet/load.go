@@ -41,7 +41,7 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs map[string]*Package // by import path
 
-	imp *moduleImporter // reused by LoadTestPackage so stdlib is checked once
+	imp *moduleImporter // reused by the tests' package loaders so stdlib is checked once
 }
 
 // FindModuleRoot walks upward from dir looking for go.mod and returns the
@@ -288,29 +288,4 @@ func Load(dir string) (*Module, error) {
 		return mod, fmt.Errorf("type errors while loading module:\n  %s", strings.Join(typeErrs, "\n  "))
 	}
 	return mod, nil
-}
-
-// LoadTestPackage parses and type-checks a single out-of-tree package (an
-// analyzer golden testdata package) against an already-loaded module, so the
-// testdata can import real engine packages like dmml/internal/pool.
-func LoadTestPackage(mod *Module, dir, path string) (*Package, error) {
-	files, err := parseDir(mod.Fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	imp := mod.imp
-	info := newInfo()
-	var typeErrs []string
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(err error) { typeErrs = append(typeErrs, err.Error()) },
-	}
-	tpkg, _ := conf.Check(path, mod.Fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("type errors in %s:\n  %s", dir, strings.Join(typeErrs, "\n  "))
-	}
-	return &Package{Path: path, Dir: dir, Fset: mod.Fset, Files: files, Types: tpkg, Info: info}, nil
 }

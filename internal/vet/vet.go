@@ -154,15 +154,6 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgpath, name string) bool 
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgpath && fn.Name() == name
 }
 
-// pkgFuncName returns "path.Name" for the static callee, or "" if indirect.
-func pkgFuncName(info *types.Info, call *ast.CallExpr) string {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
-
 // containsIdentOf reports whether expr mentions an identifier resolving to obj.
 func containsIdentOf(info *types.Info, expr ast.Expr, obj types.Object) bool {
 	found := false

@@ -212,13 +212,3 @@ func (s *Star) Tables() (fact *storage.Table, dims []*storage.Table, err error) 
 	}
 	return fact, dims, nil
 }
-
-// TupleRatio returns FactRows/DimRows[k], the Orion/F crossover knob.
-func (s *Star) TupleRatio(k int) float64 {
-	return float64(s.Config.FactRows) / float64(s.Config.DimRows[k])
-}
-
-// FeatureRatio returns DimFeats[k]/FactFeats, Hamlet's second rule input.
-func (s *Star) FeatureRatio(k int) float64 {
-	return float64(s.Config.DimFeats[k]) / float64(s.Config.FactFeats)
-}

@@ -53,7 +53,7 @@ func TestClassificationGenerator(t *testing.T) {
 func TestSparseMatrixDensity(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
 	m := SparseMatrix(r, 200, 50, 0.1)
-	got := 1 - m.Sparsity()
+	got := float64(m.NNZ()) / (200 * 50)
 	if math.Abs(got-0.1) > 0.02 {
 		t.Fatalf("density = %v, want ≈ 0.1", got)
 	}
@@ -142,12 +142,6 @@ func TestGenerateStarShapes(t *testing.T) {
 	}
 	if s.TotalFeatures() != 3+4+2 {
 		t.Fatalf("TotalFeatures = %d", s.TotalFeatures())
-	}
-	if got := s.TupleRatio(0); got != 10 {
-		t.Fatalf("TupleRatio(0) = %v", got)
-	}
-	if got := s.FeatureRatio(0); math.Abs(got-4.0/3) > 1e-15 {
-		t.Fatalf("FeatureRatio(0) = %v", got)
 	}
 	m := s.Materialize()
 	if rows, cols := m.Dims(); rows != 400 || cols != 9 {
