@@ -14,7 +14,7 @@
 #                       any finding fails the build
 #   make test-cpu       the packages whose reductions promise the same bits at
 #                       every core count (pool, la, opt, factorized,
-#                       compress, core), tested at GOMAXPROCS 1, 2 and 4
+#                       compress, core, dml), tested at GOMAXPROCS 1, 2 and 4
 #   make ci             exactly what .github/workflows/ci.yml runs, in order —
 #                       keep the two in lockstep so CI and local verification
 #                       cannot drift
@@ -76,9 +76,11 @@ test:
 
 # The reductions under these packages sum a fixed grid in index order, so
 # their tests must pass — and their bit-equality checks hold — at any core
-# count, not only the host's.
+# count, not only the host's. dml is here for its fused templates: the Row
+# template's plan is pinned bit-equal to the unfused one.
 CPU_PKGS := ./internal/pool/... ./internal/la/... ./internal/opt/... \
-	./internal/factorized/... ./internal/compress/... ./internal/core/...
+	./internal/factorized/... ./internal/compress/... ./internal/core/... \
+	./internal/dml/...
 
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 $(CPU_PKGS)

@@ -53,7 +53,7 @@ type EvalStats struct {
 	Flops float64
 	// CSEHits counts subexpressions answered from the per-statement cache.
 	CSEHits int64
-	// FusedRegions counts fused-template executions (Cell and RowAgg).
+	// FusedRegions counts fused-template executions (Cell, RowAgg, Row).
 	FusedRegions int64
 	// CellsSaved counts the intermediate matrix cells fusion did NOT
 	// materialize — what an unfused plan would have added to CellsAllocated.
@@ -90,6 +90,9 @@ const maxLoopIters = 10_000_000
 
 func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error) {
 	var last Value
+	// Row products computed by a statement-pair producer, waiting for the
+	// consumer later in this block.
+	products := map[*Fused]Value{}
 	for i, stmt := range stmts {
 		fail := func(err error) (Value, error) {
 			if src != "" {
@@ -100,7 +103,7 @@ func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error
 		}
 		switch {
 		case stmt.For != nil:
-			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}}
+			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products}
 			fromV, err := ev.eval(stmt.For.From)
 			if err != nil {
 				return fail(err)
@@ -125,7 +128,7 @@ func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error
 				last = v
 			}
 		case stmt.If != nil:
-			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}}
+			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products}
 			cond, err := ev.eval(stmt.If.Cond)
 			if err != nil {
 				return fail(err)
@@ -145,7 +148,7 @@ func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error
 				last = v
 			}
 		default:
-			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}}
+			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products}
 			v, err := ev.eval(stmt.Expr)
 			if err != nil {
 				return fail(err)
@@ -163,6 +166,9 @@ type evaluator struct {
 	env   Env
 	stats *EvalStats
 	memo  map[string]Value // per-statement CSE cache
+	// products is the block's Row handoff: a pair producer stores the
+	// product under its consumer, which takes it instead of recomputing.
+	products map[*Fused]Value
 	// ctx carries the innermost open metrics span while -stats collection
 	// is enabled, so nested operator evaluations report parent/child self
 	// time. nil until the first instrumented node.
@@ -255,6 +261,9 @@ func (e *evaluator) evalRaw(n Node) (Value, error) {
 	case *Call:
 		return e.evalCall(t)
 	case *Fused:
+		if t.Kind == FuseRow {
+			return e.evalRow(t)
+		}
 		return e.evalFused(t)
 	case *Index:
 		return e.evalIndex(t)
@@ -406,7 +415,7 @@ func (e *evaluator) transposeMatMul(inner Value, isGram bool, right Node) (Value
 		if rows != b.Rows() {
 			return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", cols, rows, b.Rows(), b.Cols())
 		}
-		res, err := inner.vecMat(b.Col(0))
+		res, err := inner.vecMat(b.RawData())
 		if err != nil {
 			return Value{}, err
 		}
@@ -435,7 +444,7 @@ func (e *evaluator) genericMatMul(l, r Value) (Value, error) {
 		return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", lr, lc, rr, rc)
 	}
 	if rc == 1 {
-		res, err := l.matVec(b.Col(0))
+		res, err := l.matVec(b.RawData())
 		if err != nil {
 			return Value{}, err
 		}
@@ -533,6 +542,106 @@ func (e *evaluator) evalFused(n *Fused) (Value, error) {
 	default: // aggSum
 		return Scalar(la.FusedSum(prog, ins, rows, cols)), nil
 	}
+}
+
+// evalRow executes a Row region. The single-statement form and a pair's
+// producer run la.FusedRowInto when X is an in-memory matrix and u and every
+// operand are columns of its row count (or scalars); the producer then
+// returns v and leaves the product for its consumer. Otherwise — and on a
+// consumer whose producer did not run the template — Plain runs instead.
+// CellsSaved counts the margins and every intermediate of f and g that the
+// unfused plan materializes and this one does not.
+func (e *evaluator) evalRow(n *Fused) (Value, error) {
+	r := n.Row
+	if r == nil {
+		if v, ok := e.products[n]; ok {
+			delete(e.products, n)
+			return v, nil
+		}
+		return e.eval(n.Plain)
+	}
+	xv, err := e.eval(r.X)
+	if err != nil {
+		return Value{}, err
+	}
+	if xv.M == nil {
+		return e.eval(n.Plain)
+	}
+	rows, cols := xv.M.Dims()
+	uv, err := e.eval(r.U)
+	if err != nil {
+		return Value{}, err
+	}
+	if uv.M == nil || uv.M.Rows() != cols || uv.M.Cols() != 1 {
+		return e.eval(n.Plain)
+	}
+	var f la.RowCell
+	var v *la.Dense
+	if r.F.Prog != nil {
+		ins, ok, err := e.rowInputs(r.F, rows)
+		if err != nil {
+			return Value{}, err
+		}
+		if !ok {
+			return e.eval(n.Plain)
+		}
+		f, v = la.RowCell{Prog: r.F.Prog, Ins: ins, Slot: r.F.Slot}, la.NewDense(rows, 1)
+	}
+	// g's operands belong to the consumer's statement in the pair form: one
+	// that fails here is left for that statement's plain plan to report.
+	gins, ok, err := e.rowInputs(r.G, rows)
+	if err != nil && r.Consumer == nil {
+		return Value{}, err
+	}
+	if !ok {
+		return e.eval(n.Plain)
+	}
+	var vd []float64
+	if v != nil {
+		vd = v.RawData()
+	}
+	prod := la.FusedRowInto(make([]float64, cols), vd, xv.M, uv.M.RawData(), f,
+		la.RowCell{Prog: r.G.Prog, Ins: gins, Slot: r.G.Slot})
+	e.stats.FusedRegions++
+	arith := r.G.Prog.ArithOps()
+	if r.F.Prog != nil {
+		arith += r.F.Prog.ArithOps()
+	}
+	e.stats.Flops += (4*float64(cols) + float64(arith)) * float64(rows)
+	e.stats.CellsSaved += int64(1+r.F.MatOps+r.G.MatOps) * int64(rows)
+	pv, err := e.vector(cols, 1, prod)
+	if err != nil || r.Consumer == nil {
+		return pv, err
+	}
+	e.products[r.Consumer] = pv
+	e.stats.CellsSaved -= int64(rows)
+	e.allocCells(rows, 1)
+	return Matrix(v), nil
+}
+
+// rowInputs evaluates a Row stage's operands — all but its link — into
+// kernel inputs; ok is false when one is neither a scalar nor a rows×1
+// in-memory column.
+func (e *evaluator) rowInputs(st rowStage, rows int) ([]la.FusedInput, bool, error) {
+	ins := make([]la.FusedInput, len(st.Inputs))
+	for i, in := range st.Inputs {
+		if i == st.Slot {
+			continue
+		}
+		v, err := e.eval(in)
+		if err != nil {
+			return nil, false, err
+		}
+		switch {
+		case v.IsScalar:
+			ins[i] = la.ScalarInput(v.S)
+		case v.M != nil && v.M.Rows() == rows && v.M.Cols() == 1:
+			ins[i] = la.DenseInput(v.M)
+		default:
+			return nil, false, nil
+		}
+	}
+	return ins, true, nil
 }
 
 func (e *evaluator) evalCall(n *Call) (Value, error) {
@@ -711,7 +820,17 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 	case "abs":
 		return elementwise(math.Abs)
 	case "sigmoid":
-		return elementwise(la.Sigmoid)
+		if args[0].IsScalar {
+			return Scalar(la.Sigmoid(args[0].S)), nil
+		}
+		m, err := e.dense(args[0], n.Fn)
+		if err != nil {
+			return Value{}, err
+		}
+		out := la.NewDense(m.Rows(), m.Cols())
+		la.SigmoidInto(out.RawData(), m.RawData())
+		e.allocCells(out.Rows(), out.Cols())
+		return Matrix(out), nil
 	case "eye":
 		if !args[0].IsScalar {
 			return Value{}, fmt.Errorf("eye: argument must be a scalar")

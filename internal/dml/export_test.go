@@ -19,6 +19,14 @@ func (p *Program) forEachFused(fn func(*Fused)) {
 			if t.Vec != nil {
 				walkNode(t.Vec)
 			}
+			if r := t.Row; r != nil {
+				walkNode(r.U)
+				for _, st := range []rowStage{r.F, r.G} {
+					for _, in := range st.Inputs {
+						walkNode(in)
+					}
+				}
+			}
 		case *Unary:
 			walkNode(t.X)
 		case *BinOp:

@@ -311,6 +311,27 @@ g = (X * X + P) %*% w`
 		t.Fatalf("fused allocated+saved = %d, want the unfused plan's %d",
 			got, unfused.CellsAllocated)
 	}
+
+	// The same identity with both Row forms in the plan: a statement pair
+	// (p, then h) and a single statement (k).
+	rowProg := mustParse(t, `p = sigmoid(X %*% w)
+h = t(X) %*% (p * 2 - 1)
+k = t(X) %*% (sigmoid(X %*% w) - p)`)
+	_, unfused, err = rowProg.OptimizeUnfused(shapes).Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fused, err = rowProg.Optimize(shapes).Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.FusedRegions != 2 {
+		t.Fatalf("Row plan: FusedRegions = %d, want 2", fused.FusedRegions)
+	}
+	if got := fused.CellsAllocated + fused.CellsSaved; got != unfused.CellsAllocated {
+		t.Fatalf("Row plan: fused allocated+saved = %d, want the unfused plan's %d",
+			got, unfused.CellsAllocated)
+	}
 }
 
 // Re-optimizing a fused program must be a no-op: same regions, same results.
@@ -384,13 +405,25 @@ mse = sum((X %*% w - y)^2) / nrow(X)`
 // Native fuzz target: the fusion pass must preserve semantics versus the
 // unfused plan and stay sound under the analyzer for arbitrary generated
 // programs (CI runs this briefly with -fuzz=Fuzz on every pipeline).
+//
+// Negative seeds generate Row programs instead (see genRowProgram): -seed
+// mod 3 picks the single-statement form, the statement pair, or the pair
+// with an assignment between its statements that must keep it apart; those
+// must match the unfused plan bit for bit, environment included.
 func FuzzFusionSemantics(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 99999, 2, 11, 64, 4096, 123456} {
+		f.Add(seed)
+	}
+	for _, seed := range []int64{-3, -1, -2, -6, -4, -5, -300, -301, -302} {
 		f.Add(seed)
 	}
 	const rows, cols = 9, 5
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
+		if seed < 0 {
+			checkRowProgram(t, r, int(-(seed % 3)), rows, cols)
+			return
+		}
 		var expr Node
 		var sh map[string]Shape
 		var env Env
@@ -493,5 +526,94 @@ m = sum(exp(A / 4) - 1)`
 	}
 	if !valueClose(want, got, 1e-9) {
 		t.Fatalf("transcendental region diverges: %v vs %v", want, got)
+	}
+}
+
+// genColExpr builds a random elementwise expression over the given column
+// leaves, a scalar s and literals, from operators the fused and unfused
+// plans round identically, so their results compare bit for bit.
+func genColExpr(r *rand.Rand, depth int, cols []Node) Node {
+	if depth == 0 {
+		switch k := r.Intn(len(cols) + 2); {
+		case k < len(cols):
+			return cols[k]
+		case k == len(cols):
+			return &Var{Name: "s"}
+		default:
+			return &NumLit{Val: float64(r.Intn(7)-3) / 2}
+		}
+	}
+	switch r.Intn(7) {
+	case 0:
+		return &BinOp{Op: "+", Left: genColExpr(r, depth-1, cols), Right: genColExpr(r, depth-1, cols)}
+	case 1:
+		return &BinOp{Op: "-", Left: genColExpr(r, depth-1, cols), Right: genColExpr(r, depth-1, cols)}
+	case 2:
+		return &BinOp{Op: "*", Left: genColExpr(r, depth-1, cols), Right: genColExpr(r, depth-1, cols)}
+	case 3:
+		return &BinOp{Op: "/", Left: genColExpr(r, depth-1, cols), Right: &NumLit{Val: float64(r.Intn(3)) + 1.5}}
+	case 4:
+		return &Unary{X: genColExpr(r, depth-1, cols)}
+	case 5:
+		return &Call{Fn: "abs", Args: []Node{genColExpr(r, depth-1, cols)}}
+	default:
+		return &Call{Fn: "sigmoid", Args: []Node{genColExpr(r, depth-1, cols)}}
+	}
+}
+
+func randElementwiseOp(r *rand.Rand) string { return []string{"+", "-", "*"}[r.Intn(3)] }
+
+// genRowProgram builds a Row program over A (rows×cols), v, y and s:
+//
+//	form 0: out = t(A) %*% g(A %*% v, y)
+//	form 1: p = f(A %*% v, y); out = t(A) %*% g(p, y)
+//	form 2: form 1 with y reassigned between the two statements, which g
+//	        reads, so the pair must not form
+func genRowProgram(r *rand.Rand, form int) *Program {
+	margin := &BinOp{Op: "%*%", Left: &Var{Name: "A"}, Right: &Var{Name: "v"}}
+	y, p := &Var{Name: "y"}, &Var{Name: "p"}
+	tA := &Call{Fn: "t", Args: []Node{&Var{Name: "A"}}}
+	if form == 0 {
+		g := &BinOp{Op: randElementwiseOp(r), Left: genColExpr(r, 1+r.Intn(3), []Node{margin, y}), Right: margin}
+		return &Program{Stmts: []Stmt{{Name: "out", Expr: &BinOp{Op: "%*%", Left: tA, Right: g}}}}
+	}
+	f := &Call{Fn: "sigmoid", Args: []Node{&BinOp{Op: randElementwiseOp(r), Left: genColExpr(r, r.Intn(3), []Node{margin, y}), Right: margin}}}
+	g := &BinOp{Op: randElementwiseOp(r), Right: p,
+		Left: &BinOp{Op: randElementwiseOp(r), Left: genColExpr(r, r.Intn(3), []Node{p, y}), Right: y}}
+	stmts := []Stmt{{Name: "p", Expr: f}}
+	if form == 2 {
+		stmts = append(stmts, Stmt{Name: "y", Expr: &BinOp{Op: "*", Left: y, Right: &NumLit{Val: 2}}})
+	}
+	stmts = append(stmts, Stmt{Name: "out", Expr: &BinOp{Op: "%*%", Left: tA, Right: g}})
+	return &Program{Stmts: stmts}
+}
+
+// checkRowProgram runs a generated Row program fused and unfused: same
+// error status, and on success the same value and environment bit for bit.
+// The negative form must leave the pair unformed. (The positive forms are
+// not required to form: the rewriter may simplify g to a bare margin.)
+func checkRowProgram(t *testing.T, r *rand.Rand, form, rows, cols int) {
+	env := fuseTestEnv(r, rows, cols)
+	env["y"] = Matrix(randDense(r, rows, 1))
+	sh := ShapesFromEnv(env)
+	prog := genRowProgram(r, form)
+	fused := prog.Optimize(sh)
+	if _, c := rowRegions(fused); form == 2 && c != 0 {
+		t.Fatalf("pair formed across an assignment to y:\n%s", fused)
+	}
+	wantEnv, gotEnv := cloneEnv(env), cloneEnv(env)
+	want, _, errU := prog.OptimizeUnfused(sh).Run(wantEnv)
+	got, _, errF := fused.Run(gotEnv)
+	if (errU == nil) != (errF == nil) {
+		t.Fatalf("%s: unfused err %v, fused err %v", prog, errU, errF)
+	}
+	if errU != nil {
+		return
+	}
+	if err := sameValue(got, want); err != nil {
+		t.Fatalf("%s: value: %v", prog, err)
+	}
+	if err := sameEnv(gotEnv, wantEnv); err != nil {
+		t.Fatalf("%s: env: %v", prog, err)
 	}
 }

@@ -35,6 +35,7 @@ var callSpanNames = map[string]string{
 const (
 	fusedCellSpanName   = "dml.op.fused.cell"
 	fusedRowAggSpanName = "dml.op.fused.rowagg"
+	fusedRowSpanName    = "dml.op.fused.row"
 )
 
 // opSpanName returns the span name for a node, or "" for nodes too cheap
@@ -56,8 +57,11 @@ func opSpanName(n Node) string {
 	case *Unary:
 		return "dml.op.neg"
 	case *Fused:
-		if t.Kind == FuseCell {
+		switch t.Kind {
+		case FuseCell:
 			return fusedCellSpanName
+		case FuseRow:
+			return fusedRowSpanName
 		}
 		return fusedRowAggSpanName
 	}

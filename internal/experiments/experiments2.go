@@ -478,9 +478,9 @@ func EColumnCoCoding(quick bool) (Table, error) {
 	return t, nil
 }
 
-// E15Fusion reproduces the SPOOF operator-fusion shape: fused cell and
-// row-aggregate templates evaluate a whole elementwise region in one pass
-// over the data, eliminating the intermediate matrices a materialized
+// E15Fusion reproduces the SPOOF operator-fusion shape: fused cell,
+// row-aggregate and row templates evaluate a whole elementwise region in one
+// pass over the data, eliminating the intermediate matrices a materialized
 // pipeline allocates. Both sides run the full rewrite pipeline (CSE,
 // reordering, LICM); the only difference is the fusion pass, so the deltas
 // isolate fusion itself.
@@ -499,13 +499,22 @@ func E15Fusion(quick bool) (Table, error) {
 	env := dml.Env{
 		"X": dml.Matrix(x), "Y": dml.Matrix(y), "w": dml.Matrix(w), "y2": dml.Matrix(labels),
 	}
-	// A GD loop whose per-iteration elementwise work (sigmoid residual and
-	// weight update) fuses while the matrix-vector products stay as-is.
+	// A GD loop whose gradient t(X) %*% (sigmoid(X %*% w2) - y2) runs as
+	// one Row region (one pass over X) and whose weight update fuses.
 	gdSrc := `
 w2 = w * 0
 for (it in 1:8) {
   g = t(X) %*% (sigmoid(X %*% w2) - y2)
   w2 = w2 - 0.0001 * g
+}
+sum(w2 ^ 2)`
+	// The same loop written as two statements, like bench/scripts/logreg.dml:
+	// the Row template pairs them, so X is read once per iteration.
+	gdPairSrc := `
+w2 = w * 0
+for (it in 1:8) {
+  p = sigmoid(X %*% w2)
+  w2 = w2 - 0.0001 * (t(X) %*% (p - y2))
 }
 sum(w2 ^ 2)`
 	cases := []string{
@@ -514,10 +523,14 @@ sum(w2 ^ 2)`
 		"rowSums(X * X + Y)",
 		"(X * 2 + Y) %*% w",
 		gdSrc,
+		gdPairSrc,
 	}
 	rowName := func(src string) string {
-		if src == gdSrc {
+		switch src {
+		case gdSrc:
 			return "logistic GD loop (fused update)"
+		case gdPairSrc:
+			return "logistic GD loop (two statements)"
 		}
 		return src
 	}

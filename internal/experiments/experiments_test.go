@@ -265,8 +265,8 @@ func TestE15FusionShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(tbl.Rows))
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(tbl.Rows))
 	}
 	var un, fu float64
 	for i := range tbl.Rows {

@@ -156,9 +156,9 @@ func (p *FuseProgram) ArithOps() int { return p.arith }
 // fuseCtx is the per-worker kernel state. Closure kernels capture no
 // per-call state, so the inputs, hoisted dynamic scalars, and logical column
 // count of the current call travel here, beside one tile of scratch per
-// stack slot. Contexts are recycled through a sync.Pool and their scratch
-// comes from pool.GetF64, so a steady-state fused loop performs no heap
-// allocation.
+// stack slot. Contexts are recycled through a pool.Freelist and their
+// scratch comes from pool.GetF64, so a steady-state fused loop performs no
+// heap allocation.
 type fuseCtx struct {
 	scratch [fuseMaxDepth][]float64
 	buf     []float64
@@ -168,14 +168,14 @@ type fuseCtx struct {
 	cols int
 }
 
-var fuseCtxPool = sync.Pool{New: func() any { return new(fuseCtx) }}
+var fuseCtxs = pool.Freelist[fuseCtx]{New: func() *fuseCtx { return new(fuseCtx) }}
 
 // getFuseCtx hands out a per-worker kernel context whose scratch block
 // deliberately outlives this call: putFuseCtx releases it.
 //
 //dmml:owns-scratch
 func getFuseCtx(depth int) *fuseCtx {
-	ctx := fuseCtxPool.Get().(*fuseCtx)
+	ctx := fuseCtxs.Get()
 	ctx.buf = pool.GetF64(depth * fusedTileW)
 	for i := 0; i < depth; i++ {
 		ctx.scratch[i] = ctx.buf[i*fusedTileW : (i+1)*fusedTileW]
@@ -190,7 +190,7 @@ func putFuseCtx(ctx *fuseCtx) {
 		ctx.scratch[i] = nil
 	}
 	ctx.ins, ctx.sv, ctx.cols = nil, nil, 0
-	fuseCtxPool.Put(ctx)
+	fuseCtxs.Put(ctx)
 }
 
 // fusedCheckInputs validates an input list against the program and the
@@ -259,18 +259,24 @@ func fusedCellRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv, dstAll
 		return
 	}
 	ctx := getFuseCtx(p.depth)
-	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
+	ctx.cellTiles(k, ins, sv, dstAll, cols, lo, hi)
+	putFuseCtx(ctx)
+}
+
+// cellTiles runs k's closure tree over [lo,hi) tile by tile into
+// dstAll[lo:hi], on c's operand-stack scratch.
+func (c *fuseCtx) cellTiles(k *fusedKernel, ins []FusedInput, sv, dstAll []float64, cols, lo, hi int) {
+	c.ins, c.sv, c.cols = ins, sv, cols
 	for at := lo; at < hi; at += fusedTileW {
 		end := min(at+fusedTileW, hi)
 		dst := dstAll[at:end]
 		// Bind slot 0 to the output tile: the root lands its vector there,
 		// so no copy-out pass is needed.
-		ctx.scratch[0] = dst
-		if res := k.root(ctx, at, end); &res[0] != &dst[0] {
+		c.scratch[0] = dst
+		if res := k.root(c, at, end); &res[0] != &dst[0] {
 			copy(dst, res) // pure-load program: result aliases an input
 		}
 	}
-	putFuseCtx(ctx)
 }
 
 // FusedSum reduces the program's virtual rows×cols result to its scalar sum

@@ -30,6 +30,8 @@ var (
 	mFusedAggCalls  = metrics.NewCounter("la.fused.rowagg.calls")
 	mFusedCellTimer = metrics.NewTimer("la.FusedCell")
 	mFusedAggTimer  = metrics.NewTimer("la.FusedRowAgg")
+	mFusedRowCalls  = metrics.NewCounter("la.fused.row.calls")
+	mFusedRowTimer  = metrics.NewTimer("la.FusedRow")
 
 	// Kernel-compiler instruments (fusedc.go): flat-template hits among the
 	// fused executions, and the one-time lowering per input-kind signature.

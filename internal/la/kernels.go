@@ -83,6 +83,7 @@ func MatMul(a, b *Dense) *Dense {
 
 // gemmRows computes out[r0:r1] = a[r0:r1] × b using an ikj loop order so the
 // inner loop streams contiguously over b's rows and out's rows.
+//
 //dmml:noalloc
 func gemmRows(a, b, out *Dense, r0, r1 int) {
 	n := b.cols
@@ -121,17 +122,67 @@ func MatVecInto(dst []float64, m *Dense, x []float64) []float64 {
 	// Direct serial path (not via parallelRows): keeps the closure off the
 	// heap so iterative solvers see zero steady-state allocations.
 	if m.rows*m.cols < parallelThreshold || m.rows < 2 || pool.SerialNow() {
-		for i := 0; i < m.rows; i++ {
-			dst[i] = Dot(m.RowView(i), x)
-		}
+		matVecRows(dst, m, x, 0, m.rows)
 		return dst
 	}
 	parallelRows(m.rows, m.rows*m.cols, func(r0, r1 int) {
-		for i := r0; i < r1; i++ {
-			dst[i] = Dot(m.RowView(i), x)
-		}
+		matVecRows(dst[r0:r1], m, x, r0, r1)
 	})
 	return dst
+}
+
+// matVecRows sets dst[k] = m.RowView(r0+k)·x for the rows [r0,r1), four rows
+// per sweep so each load of x feeds four products. Every row keeps Dot's
+// association — four strided partial sums and a tail, added as
+// s + s0 + s1 + s2 + s3 — so each result is Dot's, bit for bit.
+//
+//dmml:noalloc
+func matVecRows(dst []float64, m *Dense, x []float64, r0, r1 int) {
+	n := m.cols
+	x = x[:n]
+	i := r0
+	for ; i+4 <= r1; i += 4 {
+		a := m.data[i*n : (i+1)*n]
+		b := m.data[(i+1)*n : (i+2)*n]
+		c := m.data[(i+2)*n : (i+3)*n]
+		d := m.data[(i+3)*n : (i+4)*n]
+		var a0, a1, a2, a3, b0, b1, b2, b3 float64
+		var c0, c1, c2, c3, d0, d1, d2, d3 float64
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3]
+			a0 += a[j] * x0
+			a1 += a[j+1] * x1
+			a2 += a[j+2] * x2
+			a3 += a[j+3] * x3
+			b0 += b[j] * x0
+			b1 += b[j+1] * x1
+			b2 += b[j+2] * x2
+			b3 += b[j+3] * x3
+			c0 += c[j] * x0
+			c1 += c[j+1] * x1
+			c2 += c[j+2] * x2
+			c3 += c[j+3] * x3
+			d0 += d[j] * x0
+			d1 += d[j+1] * x1
+			d2 += d[j+2] * x2
+			d3 += d[j+3] * x3
+		}
+		var as, bs, cs, ds float64
+		for ; j < n; j++ {
+			as += a[j] * x[j]
+			bs += b[j] * x[j]
+			cs += c[j] * x[j]
+			ds += d[j] * x[j]
+		}
+		dst[i-r0] = as + a0 + a1 + a2 + a3
+		dst[i+1-r0] = bs + b0 + b1 + b2 + b3
+		dst[i+2-r0] = cs + c0 + c1 + c2 + c3
+		dst[i+3-r0] = ds + d0 + d1 + d2 + d3
+	}
+	for ; i < r1; i++ {
+		dst[i-r0] = Dot(m.data[i*n:(i+1)*n], x)
+	}
 }
 
 // VecMat returns xᵀ × m (equivalently mᵀ × x) as a new length-cols vector.
@@ -160,22 +211,24 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 	case m.rows*m.cols < parallelThreshold || m.rows <= chunk:
 		vecMatAccum(dst, x, m, 0, m.rows)
 	case pool.SerialNow():
-		reduceSerial(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x, m, lo, hi) })
+		reduceSerial(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
 	default:
-		pool.Reduce(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x, m, lo, hi) })
+		pool.Reduce(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
 	}
 	return dst
 }
 
-// vecMatAccum adds x[r0:r1]ᵀ × m[r0:r1] into acc. Rows are folded into the
-// accumulator two at a time: for narrow matrices the per-row Axpy loop is
-// short enough that call and loop overhead dominate, and the fused two-row
-// sweep doubles the flops retired per iteration.
+// vecMatAccum adds xᵀ × m[r0:r1] into acc, where x[k] weighs row r0+k. Rows
+// are folded into the accumulator two at a time: for narrow matrices the
+// per-row Axpy loop is short enough that call and loop overhead dominate,
+// and the fused two-row sweep doubles the flops retired per iteration.
+//
 //dmml:noalloc
 func vecMatAccum(acc, x []float64, m *Dense, r0, r1 int) {
+	x = x[:r1-r0]
 	i := r0
 	for ; i+1 < r1; i += 2 {
-		x0, x1 := x[i], x[i+1]
+		x0, x1 := x[i-r0], x[i+1-r0]
 		switch {
 		case x0 == 0 && x1 == 0:
 		case x1 == 0:
@@ -191,7 +244,7 @@ func vecMatAccum(acc, x []float64, m *Dense, r0, r1 int) {
 		}
 	}
 	for ; i < r1; i++ {
-		if xi := x[i]; xi != 0 {
+		if xi := x[i-r0]; xi != 0 {
 			Axpy(xi, m.RowView(i), acc)
 		}
 	}
@@ -248,6 +301,7 @@ const gramRowPanel = 256
 // gramPairAccum adds two rows' contributions to one accumulator row of the
 // upper triangle, skipping zero coefficients so sparse inputs keep their
 // short-circuit (and 0·Inf stays out of the sum).
+//
 //dmml:noalloc
 func gramPairAccum(arow []float64, a, d int, va0, va1 float64, row0, row1 []float64) {
 	switch {
@@ -271,6 +325,7 @@ func gramPairAccum(arow []float64, a, d int, va0, va1 float64, row0, row1 []floa
 // d×d buffer acc. Wide matrices are tiled over column blocks so the
 // accumulator tile stays in L1 instead of thrashing a d²-sized working set
 // per input row.
+//
 //dmml:noalloc
 func gramAccum(x *Dense, acc []float64, r0, r1 int) {
 	d := x.cols

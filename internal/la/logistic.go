@@ -72,6 +72,17 @@ func Sigmoid(m float64) float64 {
 	return e / (1 + e)
 }
 
+// SigmoidInto writes Sigmoid(x[i]) into dst[i] and returns dst, through the
+// tile-vectorized sigmoid: bit for bit the scalar function, at a fraction of
+// its cost on long vectors. dst may alias x.
+func SigmoidInto(dst, x []float64) []float64 {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("la: SigmoidInto dst len %d for %d values", len(dst), len(x)))
+	}
+	sigmoidTile(dst, x)
+	return dst
+}
+
 // LogisticLossInto writes LogisticDeriv(margins[i], y[i]) into derivs[i] and
 // returns Σ LogisticValue(margins[i], y[i]), added in index order. Groups of
 // eight whose |z| all lie inside the probe's gate run their exponentials

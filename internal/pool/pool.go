@@ -77,7 +77,7 @@ var (
 	startOnce sync.Once
 	jobs      chan *job
 	poolSize  int
-	jobPool   = sync.Pool{New: func() any { return new(job) }}
+	jobFree   = Freelist[job]{New: func() *job { return new(job) }}
 )
 
 // start launches the resident helper goroutines. They live for the process
@@ -136,7 +136,7 @@ func Do(n, grain int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	j := jobPool.Get().(*job)
+	j := jobFree.Get()
 	j.next.Store(0)
 	j.n = int64(n)
 	j.grain = int64(grain)
@@ -170,7 +170,7 @@ func Do(n, grain int, fn func(lo, hi int)) {
 	j.run(false)
 	j.wg.Wait()
 	j.fn = nil
-	jobPool.Put(j)
+	jobFree.Put(j)
 }
 
 // Reduce is the parallel reduction: body adds the contribution of items
@@ -193,7 +193,7 @@ func Reduce(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	r := reductions.Get().(*reduction)
+	r := reductions.Get()
 	r.dst, r.n, r.chunk, r.body, r.merged = dst, n, max(chunk, 1), body, 0
 	chunks := (n + r.chunk - 1) / r.chunk
 	if cap(r.parts) < chunks {
@@ -221,7 +221,7 @@ type reduction struct {
 	run    func(c0, c1 int)
 }
 
-var reductions = sync.Pool{New: func() any {
+var reductions = Freelist[reduction]{New: func() *reduction {
 	r := &reduction{}
 	r.run = r.chunks
 	return r
@@ -248,6 +248,46 @@ func (r *reduction) chunks(c0, c1 int) {
 		}
 		r.mu.Unlock()
 	}
+}
+
+// Freelist recycles values of one type through a bounded mutex-guarded
+// stack, the discipline the scratch classes use for slices. Unlike a
+// sync.Pool it never drops what it is given — not under the race detector,
+// which discards a random share of sync.Pool puts, and not at a collection —
+// so a warm Get/Put cycle allocates nothing in any build. At most
+// freelistMax values are retained; a Put beyond that leaves the value to the
+// GC. New makes a value when the list is empty.
+type Freelist[T any] struct {
+	New   func() *T
+	mu    sync.Mutex
+	items []*T
+}
+
+// freelistMax bounds one Freelist's retained values: enough for every
+// concurrently running (and nested) pool call on a wide host.
+const freelistMax = 64
+
+// Get pops a recycled value, or makes one with New.
+func (f *Freelist[T]) Get() *T {
+	f.mu.Lock()
+	if k := len(f.items); k > 0 {
+		x := f.items[k-1]
+		f.items[k-1] = nil
+		f.items = f.items[:k-1]
+		f.mu.Unlock()
+		return x
+	}
+	f.mu.Unlock()
+	return f.New()
+}
+
+// Put returns x for reuse; the caller must not touch it afterwards.
+func (f *Freelist[T]) Put(x *T) {
+	f.mu.Lock()
+	if len(f.items) < freelistMax {
+		f.items = append(f.items, x)
+	}
+	f.mu.Unlock()
 }
 
 // SerialNow reports whether Do would currently run jobs serially
