@@ -4,6 +4,7 @@
 #                       (internal/vet's reachability test among them: every
 #                       internal/ function reached from cmd/, examples/ or
 #                       bench/, or keep-listed with a reason)
+#   make vet            go vet, plus gofmt -l over the root module
 #   make check          static analysis + race detector over the concurrent
 #                       packages (pool, la, compress, paramserver, storage,
 #                       ooc, opt, core, metrics, dml, experiments, factorized,
@@ -24,8 +25,9 @@
 #                       against
 #   make fuzz-smoke     15s native-fuzzing passes over the DML fusion
 #                       property (fused vs unfused), the serving wire
-#                       protocol (decode/round-trip), the factorized Gram
-#                       and the compressed page decoder
+#                       protocol (decode/round-trip), the factorized Gram,
+#                       the compressed page decoder and the numeric CSV
+#                       scanner
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails on any request
 #                       error or any score that differs from la.ScoreRow
@@ -96,8 +98,14 @@ ci: test test-cpu bench-module vet vet-engine race fuzz-smoke serve-smoke lint-e
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# go vet, then gofmt over the root module's Go files (bench/ is its own
+# module and is left alone): any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -path ./bench -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 # The engine-specific static-analysis suite (cmd/dmmlvet): proves the
 # resource invariants — scratch-buffer pairing, span/stopwatch pairing,
@@ -123,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime 15s ./internal/factorized
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime 15s ./internal/compress
+	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime 15s ./internal/storage
 
 # End-to-end serving smoke: loadtest starts dmmlserve in-process with the
 # demo models and drives a closed loop; fails on any request error or on any
@@ -159,7 +168,7 @@ cover:
 	check dml $(COVER_FLOOR_DML); \
 	check opt $(COVER_FLOOR_OPT)
 
-# Nightly extended fuzzing: the same four properties fuzz-smoke touches for
+# Nightly extended fuzzing: the same five properties fuzz-smoke touches for
 # 15s each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
@@ -168,6 +177,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/factorized
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/storage
 
 lint-examples:
 	$(GO) run ./cmd/dmml lint -strict examples/dml_script/scripts/*.dml

@@ -109,6 +109,7 @@ func (g *DDCGroup) Encoding() string {
 }
 
 // MatVecAccum implements Group.
+//
 //dmml:noalloc
 func (g *DDCGroup) MatVecAccum(out, v []float64) {
 	pre := g.d.premul(v)
@@ -125,6 +126,7 @@ func (g *DDCGroup) MatVecAccum(out, v []float64) {
 }
 
 // VecMatAccum implements Group.
+//
 //dmml:noalloc
 func (g *DDCGroup) VecMatAccum(out, x []float64) {
 	acc := pool.GetF64Zeroed(g.d.numEntries())
@@ -223,6 +225,7 @@ func (g *OLEGroup) Cols() []int { return g.d.cols }
 func (g *OLEGroup) Encoding() string { return "OLE" }
 
 // MatVecAccum implements Group.
+//
 //dmml:noalloc
 func (g *OLEGroup) MatVecAccum(out, v []float64) {
 	pre := g.d.premul(v)
@@ -239,6 +242,7 @@ func (g *OLEGroup) MatVecAccum(out, v []float64) {
 }
 
 // VecMatAccum implements Group.
+//
 //dmml:noalloc
 func (g *OLEGroup) VecMatAccum(out, x []float64) {
 	w := len(g.d.cols)
@@ -312,6 +316,7 @@ func (g *RLEGroup) Cols() []int { return g.d.cols }
 func (g *RLEGroup) Encoding() string { return "RLE" }
 
 // MatVecAccum implements Group.
+//
 //dmml:noalloc
 func (g *RLEGroup) MatVecAccum(out, v []float64) {
 	pre := g.d.premul(v)
@@ -331,6 +336,7 @@ func (g *RLEGroup) MatVecAccum(out, v []float64) {
 }
 
 // VecMatAccum implements Group.
+//
 //dmml:noalloc
 func (g *RLEGroup) VecMatAccum(out, x []float64) {
 	w := len(g.d.cols)

@@ -55,10 +55,10 @@ func (t *JoinTree) FlopsPerMatVecMaterialized() float64 { return t.flopsMat }
 func (t *JoinTree) Speedup() float64 { return t.flopsMat / t.flopsFact }
 
 // FlopsPerGram estimates the factorized XᵀX: the count pushes, one weighted
-// syrk per relation, and per featured pair whatever strategy the kernel
-// actually picked (count pass or edge-wise push) — so the model tracks the
-// execution, including the n·d_S-sized group-sums the old flat 2·n estimate
-// ignored.
+// syrk per relation, and the cross tasks as GramInto runs them — count
+// passes, and push chains that pay for a shared first hop once — so the
+// model tracks the execution, including the n·d_S-sized group-sums the old
+// flat 2·n estimate ignored.
 func (t *JoinTree) FlopsPerGram() float64 {
 	f := 0.0
 	for _, v := range t.order[1:] {
@@ -69,32 +69,36 @@ func (t *JoinTree) FlopsPerGram() float64 {
 		nd := &t.nodes[i]
 		f += float64(nd.rows) * float64(nd.cols) * float64(nd.cols)
 	}
-	for i := range t.cross {
-		f += t.crossFlops(&t.cross[i])
-	}
-	return f
+	return f + t.crossCost
 }
 
-// crossFlops models one cross block under its planned strategy.
-func (t *JoinTree) crossFlops(p *crossPlan) float64 {
-	switch p.kind {
-	case crossCount:
+// taskFlops models one cross task: a count pass, or a push chain's key
+// composition and first hop (once), each member's further hops from where it
+// resumes, and each member's closing product.
+func (t *JoinTree) taskFlops(ch *crossTask) float64 {
+	p := &t.cross[ch.plans[0]]
+	if p.kind == crossCount {
 		ra := float64(t.nodes[p.lca].rows)
 		nu, nv := t.nodes[p.u].rows, t.nodes[p.v].rows
 		keyWork := float64(len(p.pathU)+len(p.pathV)) * ra
 		pairs := math.Min(ra, float64(nu)*float64(nv))
 		return keyWork + ra*gatherCost(8*float64(nu)*float64(nv)) +
 			2*pairs*float64(t.nodes[p.u].cols)*float64(t.nodes[p.v].cols)
-	default:
-		du := float64(t.nodes[p.src].cols)
-		f := float64(len(p.pathU)) * float64(t.nodes[p.lca].rows)
-		prev := p.lca
-		for _, c := range p.pathV {
-			f += float64(t.nodes[prev].rows) * du * gatherCost(8*float64(t.nodes[c].rows)*du)
-			prev = c
-		}
-		return f + 2*float64(t.nodes[prev].rows)*du*float64(t.nodes[prev].cols)
 	}
+	du := float64(t.nodes[p.src].cols)
+	hop := func(parent, c int) float64 {
+		return float64(t.nodes[parent].rows) * du * gatherCost(8*float64(t.nodes[c].rows)*du)
+	}
+	f := float64(len(p.pathU))*float64(t.nodes[p.lca].rows) + hop(p.lca, p.pathV[0])
+	for _, i := range ch.plans {
+		p := &t.cross[i]
+		for k := p.extFrom; k < len(p.pathV); k++ {
+			f += hop(p.pathV[k-1], p.pathV[k])
+		}
+		end := &t.nodes[p.pathV[len(p.pathV)-1]]
+		f += 2 * float64(end.rows) * du * float64(end.cols)
+	}
+	return f
 }
 
 // FlopsPerGramMaterialized estimates XᵀX over the joined matrix (syrk).

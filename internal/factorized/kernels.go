@@ -16,6 +16,11 @@ const pushCutoff = 1 << 16
 // weighted syrk.
 const gramParCutoff = 1 << 18
 
+// gramCrossParCutoff is the predicted cross-phase cost (flop-equivalents,
+// cost.go) below which GramInto runs its cross tasks serially: under it the
+// whole phase takes less than a pool dispatch saves.
+const gramCrossParCutoff = 1 << 17
+
 // MatVecInto computes the joined X·w into dst (length Rows) and returns dst,
 // implementing opt.BulkData. Aggregates flow bottom-up: each relation's
 // partial products X_v·w_v are computed at that relation's granularity, each
@@ -134,10 +139,15 @@ func (t *JoinTree) Gram() *la.Dense {
 //	                over the two key spaces (the count-sketch successor of
 //	                the map-based star path) or a cnt-weighted feature push
 //	                along the tree path, closed by one small product at the
-//	                deeper relation's granularity.
+//	                deeper relation's granularity. Pushes that share a source
+//	                and a first hop form one chain that pushes the hop once.
 //
-// A relation joined through intermediate tables is never gathered at fact
-// granularity, and the steady state allocates nothing.
+// The cross tasks (crossTask) are independent and run concurrently, most
+// expensive first, unless GOMAXPROCS is 1 or their predicted cost is under
+// gramCrossParCutoff. Each block has one writer and a fixed arithmetic
+// order, so out is bit-identical at every core count. A relation joined
+// through intermediate tables is never gathered at fact granularity, and the
+// steady state allocates nothing.
 func (t *JoinTree) GramInto(out *la.Dense) *la.Dense {
 	if out.Rows() != t.total || out.Cols() != t.total {
 		panic(fmt.Sprintf("factorized: GramInto %dx%d dst for %d cols", out.Rows(), out.Cols(), t.total))
@@ -164,8 +174,16 @@ func (t *JoinTree) GramInto(out *la.Dense) *la.Dense {
 	}
 
 	// Cross blocks, upper block triangle only.
-	for i := range t.cross {
-		t.crossBlockInto(&t.cross[i], cnts, out)
+	if t.crossCost < gramCrossParCutoff || pool.SerialNow() {
+		for i := range t.tasks {
+			t.crossTaskInto(&t.tasks[i], cnts, out)
+		}
+	} else {
+		g := gramCalls.Get()
+		g.t, g.cnts, g.out = t, cnts, out
+		pool.Do(len(t.tasks), 1, g.run)
+		g.t, g.cnts, g.out = nil, nil, nil
+		gramCalls.Put(g)
 	}
 
 	for _, v := range t.order[1:] {
@@ -184,6 +202,28 @@ func (t *JoinTree) GramInto(out *la.Dense) *la.Dense {
 	return out
 }
 
+// gramCall is one concurrent cross phase's state, recycled with its run
+// method value bound once so the dispatch allocates no closure.
+type gramCall struct {
+	t    *JoinTree
+	cnts [][]float64
+	out  *la.Dense
+	run  func(lo, hi int)
+}
+
+var gramCalls = pool.Freelist[gramCall]{New: func() *gramCall {
+	g := &gramCall{}
+	g.run = g.tasks
+	return g
+}}
+
+// tasks runs cross tasks [lo,hi).
+func (g *gramCall) tasks(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		g.t.crossTaskInto(&g.t.tasks[i], g.cnts, g.out)
+	}
+}
+
 // joinCounts pushes the join multiplicities top-down to every relation:
 // cnts[v][r] is how many fact rows join row r of relation v, and cnts[0]
 // stays nil (all ones). The caller releases every non-root cnts[v] and then
@@ -200,68 +240,87 @@ func (t *JoinTree) joinCounts() [][]float64 {
 	return cnts
 }
 
-// crossBlockInto computes one off-diagonal block per its precomputed plan
-// and adds it at (offset[u], offset[v]).
-func (t *JoinTree) crossBlockInto(p *crossPlan, cnts [][]float64, out *la.Dense) {
-	offU, offV := t.nodes[p.u].offset, t.nodes[p.v].offset
-	if p.kind == crossCount {
-		nu, nv := t.nodes[p.u].rows, t.nodes[p.v].rows
-		du, dv := t.nodes[p.u].cols, t.nodes[p.v].cols
-		ku, ownU := t.composedKey(p.pathU)
-		kv, ownV := t.composedKey(p.pathV)
-		counts := pool.GetF64Zeroed(nu * nv)
-		pairCountAccum(counts, cnts[p.lca], ku, kv, nv, 0, t.nodes[p.lca].rows)
-		block := pool.GetF64Zeroed(du * dv)
-		blockOuterAccum(block, counts, t.nodes[p.u].x, t.nodes[p.v].x, 0, nu)
-		addBlockAt(out, offU, offV, block, du, dv)
-		pool.PutF64(block)
-		pool.PutF64(counts)
-		if ownU {
-			pool.PutInt(ku)
-		}
-		if ownV {
-			pool.PutInt(kv)
-		}
+// crossTaskInto computes one task's off-diagonal blocks and adds each at
+// (offset[u], offset[v]).
+func (t *JoinTree) crossTaskInto(ch *crossTask, cnts [][]float64, out *la.Dense) {
+	p0 := &t.cross[ch.plans[0]]
+	if p0.kind == crossCount {
+		t.countBlockInto(p0, cnts, out)
 		return
 	}
 
-	// Push path: src's cnt-weighted feature rows descend pathV edge by edge
-	// (the first hop fuses the weight and, for siblings, the key gather),
-	// closed by one product at the deepest relation.
-	start := p.lca
-	d := t.nodes[p.src].cols
+	// Push chain: src's cnt-weighted feature rows cross the first hop once
+	// (fused with the weight and, for siblings, the key gather) into hop,
+	// which is never overwritten. Each member then descends the rest of its
+	// path edge by edge through two ping-pong tables — from the previous
+	// member's table when its path extends that one, else from hop — and is
+	// closed by one product at its deepest relation.
+	d := t.nodes[p0.src].cols
 	var key []int
 	owned := false
-	if p.kind == crossPush {
-		key, owned = t.composedKey(p.pathU)
+	if p0.kind == crossPush {
+		key, owned = t.composedKey(p0.pathU)
 	}
-	cur := pool.GetF64(p.maxPathRows * d)
-	nxt := pool.GetF64(p.maxPathRows * d)
-	c0 := p.pathV[0]
-	zeroF64(cur[:t.nodes[c0].rows*d])
-	scatterGatherRowsAccum(cur, t.nodes[p.src].x, cnts[start], key, t.nodes[c0].fk, 0, t.nodes[start].rows)
-	prev := c0
-	for _, c := range p.pathV[1:] {
-		zeroF64(nxt[:t.nodes[c].rows*d])
-		scatterRowsAccum(nxt, cur, t.nodes[c].fk, d, 0, t.nodes[prev].rows)
-		cur, nxt = nxt, cur
-		prev = c
-	}
-	dd := t.nodes[prev].cols
-	block := pool.GetF64Zeroed(d * dd)
-	crossMulAccum(block, cur, t.nodes[prev].x, d, 0, t.nodes[prev].rows)
-	if p.kind == crossAncestor && p.src == p.v {
-		// The push carried v's (the ancestor's) features down to u, so the
-		// computed block is (d_v × d_u); add its transpose at (u, v).
-		addBlockTransposedAt(out, offU, offV, block, d, dd)
-	} else {
-		addBlockAt(out, offU, offV, block, d, dd)
-	}
-	pool.PutF64(block)
-	pool.PutF64(cur)
-	pool.PutF64(nxt)
+	hop := pool.GetF64Zeroed(t.nodes[p0.pathV[0]].rows * d)
+	scatterGatherRowsAccum(hop, t.nodes[p0.src].x, cnts[p0.lca], key, t.nodes[p0.pathV[0]].fk, 0, t.nodes[p0.lca].rows)
 	if owned {
 		pool.PutInt(key)
+	}
+	ping, pong := pool.GetF64(ch.extRows*d), pool.GetF64(ch.extRows*d) // nil for a one-hop chain
+	cur := hop
+	for _, i := range ch.plans {
+		p := &t.cross[i]
+		if p.extFrom == 1 {
+			cur = hop
+		}
+		for k := p.extFrom; k < len(p.pathV); k++ {
+			c := p.pathV[k]
+			nxt := ping
+			if &cur[0] == &ping[0] {
+				nxt = pong
+			}
+			zeroF64(nxt[:t.nodes[c].rows*d])
+			scatterRowsAccum(nxt, cur, t.nodes[c].fk, d, 0, t.nodes[p.pathV[k-1]].rows)
+			cur = nxt
+		}
+		end := p.pathV[len(p.pathV)-1]
+		dd := t.nodes[end].cols
+		block := pool.GetF64Zeroed(d * dd)
+		crossMulAccum(block, cur, t.nodes[end].x, d, 0, t.nodes[end].rows)
+		offU, offV := t.nodes[p.u].offset, t.nodes[p.v].offset
+		if p.kind == crossAncestor && p.src == p.v {
+			// The push carried v's (the ancestor's) features down to u, so
+			// the computed block is (d_v × d_u); add its transpose at (u, v).
+			addBlockTransposedAt(out, offU, offV, block, d, dd)
+		} else {
+			addBlockAt(out, offU, offV, block, d, dd)
+		}
+		pool.PutF64(block)
+	}
+	pool.PutF64(hop)
+	pool.PutF64(ping)
+	pool.PutF64(pong)
+}
+
+// countBlockInto computes a count plan's block: pair co-occurrence weights
+// over the two key spaces, folded into counted outer products.
+func (t *JoinTree) countBlockInto(p *crossPlan, cnts [][]float64, out *la.Dense) {
+	nu, nv := t.nodes[p.u].rows, t.nodes[p.v].rows
+	du, dv := t.nodes[p.u].cols, t.nodes[p.v].cols
+	ku, ownU := t.composedKey(p.pathU)
+	kv, ownV := t.composedKey(p.pathV)
+	counts := pool.GetF64Zeroed(nu * nv)
+	pairCountAccum(counts, cnts[p.lca], ku, kv, nv, 0, t.nodes[p.lca].rows)
+	block := pool.GetF64Zeroed(du * dv)
+	blockOuterAccum(block, counts, t.nodes[p.u].x, t.nodes[p.v].x, 0, nu)
+	addBlockAt(out, t.nodes[p.u].offset, t.nodes[p.v].offset, block, du, dv)
+	pool.PutF64(block)
+	pool.PutF64(counts)
+	if ownU {
+		pool.PutInt(ku)
+	}
+	if ownV {
+		pool.PutInt(kv)
 	}
 }
 
@@ -407,19 +466,25 @@ func pairCountAccum(counts, cnt []float64, ku, kv []int, nv, lo, hi int) {
 //dmml:noalloc
 func blockOuterAccum(block, counts []float64, xu, xv *la.Dense, r0, r1 int) {
 	nv, dv := xv.Dims()
+	du := xu.Cols()
+	xuRaw, xvRaw := xu.RawData(), xv.RawData()
 	for ru := r0; ru < r1; ru++ {
 		crow := counts[ru*nv : (ru+1)*nv]
-		urow := xu.RowView(ru)
+		urow := xuRaw[ru*du : (ru+1)*du]
 		for rv, c := range crow {
 			if c == 0 {
 				continue
 			}
-			vrow := xv.RowView(rv)
+			vrow := xvRaw[rv*dv : (rv+1)*dv]
 			for i, uv := range urow {
 				if uv == 0 {
 					continue
 				}
-				la.Axpy(c*uv, vrow, block[i*dv:(i+1)*dv])
+				s := c * uv
+				brow := block[i*dv : (i+1)*dv]
+				for j, x := range vrow {
+					brow[j] += s * x
+				}
 			}
 		}
 	}
@@ -432,6 +497,7 @@ func blockOuterAccum(block, counts []float64, xu, xv *la.Dense, r0, r1 int) {
 //dmml:noalloc
 func scatterGatherRowsAccum(dst []float64, x *la.Dense, cnt []float64, key, fk []int, lo, hi int) {
 	d := x.Cols()
+	raw := x.RawData()
 	for r := lo; r < hi; r++ {
 		c := 1.0
 		if cnt != nil {
@@ -444,7 +510,11 @@ func scatterGatherRowsAccum(dst []float64, x *la.Dense, cnt []float64, key, fk [
 		if key != nil {
 			sr = key[r]
 		}
-		la.Axpy(c, x.RowView(sr), dst[fk[r]*d:fk[r]*d+d])
+		xrow := raw[sr*d : sr*d+d]
+		drow := dst[fk[r]*d : fk[r]*d+d]
+		for j, v := range xrow {
+			drow[j] += c * v
+		}
 	}
 }
 
@@ -454,7 +524,11 @@ func scatterGatherRowsAccum(dst []float64, x *la.Dense, cnt []float64, key, fk [
 //dmml:noalloc
 func scatterRowsAccum(dst, src []float64, fk []int, d, lo, hi int) {
 	for r := lo; r < hi; r++ {
-		la.Axpy(1, src[r*d:(r+1)*d], dst[fk[r]*d:fk[r]*d+d])
+		srow := src[r*d : (r+1)*d]
+		drow := dst[fk[r]*d : fk[r]*d+d]
+		for j, v := range srow {
+			drow[j] += v
+		}
 	}
 }
 
@@ -464,9 +538,10 @@ func scatterRowsAccum(dst, src []float64, fk []int, d, lo, hi int) {
 //dmml:noalloc
 func crossMulAccum(block, a []float64, x *la.Dense, da, r0, r1 int) {
 	dv := x.Cols()
+	raw := x.RawData()
 	for r := r0; r < r1; r++ {
 		arow := a[r*da : (r+1)*da]
-		xrow := x.RowView(r)
+		xrow := raw[r*dv : (r+1)*dv]
 		for i, av := range arow {
 			if av == 0 {
 				continue

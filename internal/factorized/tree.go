@@ -1,7 +1,9 @@
 package factorized
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dmml/internal/la"
@@ -64,9 +66,23 @@ type crossPlan struct {
 	src   int   // the node whose features ride the push (ancestor or u)
 	pathU []int // lca→u, exclusive of lca (key-composition side; crossCount/crossPush)
 	pathV []int // lca→v (push side), exclusive of lca; crossAncestor/crossPush/crossCount
-	// maxPathRows sizes the push ping-pong buffers: the largest row count
-	// among pathV's relations.
-	maxPathRows int
+	// extFrom is where the push resumes inside its chain: the first pathV
+	// index still to push into. 1 restarts from the chain's first-hop table;
+	// more continues from the previous member's table, whose path is
+	// pathV[:extFrom].
+	extFrom int
+}
+
+// crossTask is one independent unit of GramInto's cross phase: a count plan
+// alone, or a push chain — every ancestor/push plan with the same source and
+// first hop (hence the same LCA and key path). A chain pushes the hop once
+// into its own table, extends copies of it edge by edge, and closes each
+// member's block where the member's path ends. Tasks share nothing but the
+// read-only join counts, and each writes only its members' blocks.
+type crossTask struct {
+	plans   []int   // indices into cross; a chain's members in path order
+	cost    float64 // predicted flop-equivalents (cost.go), the dispatch order
+	extRows int     // push chains: most rows of any relation past the first hop
 }
 
 // JoinTree is a normalized design matrix over an acyclic (snowflake) schema:
@@ -81,6 +97,10 @@ type JoinTree struct {
 	order []int // topological: parents before children, order[0] == 0
 	total int   // joined feature width
 	cross []crossPlan
+	// tasks partitions cross into GramInto's independent units, most
+	// expensive first; crossCost is their total predicted cost.
+	tasks     []crossTask
+	crossCost float64
 
 	// accMu guards accFree, a freelist of per-node slice tables reused
 	// across kernel calls so the steady state allocates nothing. (sync.Pool
@@ -235,14 +255,57 @@ func (t *JoinTree) planCross() {
 					p.kind = crossPush
 				}
 			}
-			for _, c := range p.pathV {
-				if t.nodes[c].rows > p.maxPathRows {
-					p.maxPathRows = t.nodes[c].rows
-				}
-			}
 			t.cross = append(t.cross, p)
 		}
 	}
+	t.planTasks()
+}
+
+// planTasks groups the cross plans into GramInto's tasks. Push plans with the
+// same source and first hop join one chain, ordered by path so a member whose
+// path extends the previous one's continues from that member's table; the
+// others restart from the first-hop table. Tasks run most expensive first.
+func (t *JoinTree) planTasks() {
+	chainOf := map[[2]int]int{} // {src, first hop} → task index
+	for i := range t.cross {
+		p := &t.cross[i]
+		if p.kind == crossCount {
+			t.tasks = append(t.tasks, crossTask{plans: []int{i}})
+			continue
+		}
+		k := [2]int{p.src, p.pathV[0]}
+		at, ok := chainOf[k]
+		if !ok {
+			at = len(t.tasks)
+			chainOf[k] = at
+			t.tasks = append(t.tasks, crossTask{})
+		}
+		ch := &t.tasks[at]
+		ch.plans = append(ch.plans, i)
+		for _, c := range p.pathV[1:] {
+			ch.extRows = max(ch.extRows, t.nodes[c].rows)
+		}
+	}
+	for ti := range t.tasks {
+		ch := &t.tasks[ti]
+		slices.SortStableFunc(ch.plans, func(a, b int) int {
+			return slices.Compare(t.cross[a].pathV, t.cross[b].pathV)
+		})
+		var prev []int
+		for _, i := range ch.plans {
+			p := &t.cross[i]
+			p.extFrom = 1
+			if len(prev) > 1 && len(prev) < len(p.pathV) && slices.Equal(prev, p.pathV[:len(prev)]) {
+				p.extFrom = len(prev)
+			}
+			prev = p.pathV
+		}
+		ch.cost = t.taskFlops(ch)
+		t.crossCost += ch.cost
+	}
+	slices.SortStableFunc(t.tasks, func(a, b crossTask) int {
+		return cmp.Compare(b.cost, a.cost)
+	})
 }
 
 // Rows implements opt.BulkData: the number of joined (root) rows.

@@ -237,6 +237,67 @@ func TestJoinsOrderingInvariance(t *testing.T) {
 	}
 }
 
+// Push chains: on this tree the fact table's chain through node 3 has a
+// member that continues from the previous member's table ([3 1] → [3 1 2])
+// and one that restarts from the first-hop table ([3 1 4]), and node 3 is an
+// ancestor with a higher index than its descendants, so its chain closes
+// transposed blocks. The Gram must match the materialized join, and keep its
+// bits from the serial cross phase (GOMAXPROCS 1) to the concurrent one
+// (GOMAXPROCS 4).
+func TestJoinTreeChains(t *testing.T) {
+	r := rand.New(rand.NewSource(235))
+	shape := []struct{ rows, cols, parent int }{
+		{20000, 4, -1}, {30, 2, 3}, {6, 3, 1}, {40, 2, 0}, {5, 2, 1},
+	}
+	nodes := make([]Node, len(shape))
+	var edges []Edge
+	for v, sh := range shape {
+		x := la.NewDense(sh.rows, sh.cols)
+		for i := range x.RawData() {
+			x.RawData()[i] = r.NormFloat64()
+		}
+		nodes[v] = Node{X: x}
+		if sh.parent >= 0 {
+			fk := make([]int, shape[sh.parent].rows)
+			for i := range fk {
+				fk[i] = r.Intn(sh.rows)
+			}
+			edges = append(edges, Edge{Parent: sh.parent, Child: v, FK: fk})
+		}
+	}
+	tr, err := NewJoinTree(nodes, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumes := map[int]int{} // extFrom → members resuming there, over every chain
+	transposed := 0
+	for _, p := range tr.cross {
+		if p.kind != crossCount {
+			resumes[p.extFrom]++
+		}
+		if p.kind == crossAncestor && p.src == p.v {
+			transposed++
+		}
+	}
+	if resumes[2] == 0 || transposed == 0 || tr.crossCost < gramCrossParCutoff {
+		t.Fatalf("want a continuing member, a transposed block and a concurrent cross phase, got resumes %v, %d transposed, cost %.0f",
+			resumes, transposed, tr.crossCost)
+	}
+	want := tr.Materialize()
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	g1 := tr.Gram()
+	if !g1.Equal(la.Gram(want), 1e-9) {
+		t.Fatal("chained Gram != materialized Gram")
+	}
+	runtime.GOMAXPROCS(4)
+	for i, v := range tr.Gram().RawData() {
+		if math.Float64bits(v) != math.Float64bits(g1.RawData()[i]) {
+			t.Fatalf("Gram[%d] differs between GOMAXPROCS 1 and 4", i)
+		}
+	}
+}
+
 // Degenerate trees: a featureless (empty) dimension contributes nothing, and
 // an fk pointing every fact row at one dimension row still matches the
 // materialized join.
@@ -280,49 +341,69 @@ func TestJoinTreeDegenerate(t *testing.T) {
 }
 
 // The steady-state kernels must not allocate: MatVecInto/VecMatInto (the GD
-// step) and GramInto (the direct solver) all run on pooled scratch.
+// step) and GramInto (the direct solver) all run on pooled scratch. At 5000
+// fact rows every edge pass and syrk stays on its serial path while the Gram's
+// cross phase clears gramCrossParCutoff, so GOMAXPROCS 1 runs the cross tasks
+// serially and GOMAXPROCS 2 dispatches them through the pool.
 func TestJoinTreeZeroAllocSteadyState(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	s := testSnowflake(t, 240, 500)
+	s := testSnowflake(t, 240, 5000)
 	tr := treeFromSnowflake(t, s)
+	if tr.crossCost < gramCrossParCutoff {
+		t.Fatalf("cross phase predicts %.0f flops, under the %d cutoff: GOMAXPROCS 2 would not dispatch it", tr.crossCost, gramCrossParCutoff)
+	}
 	r := rand.New(rand.NewSource(241))
 	w := randVec(r, tr.Cols())
 	x := randVec(r, tr.Rows())
 	mv := make([]float64, tr.Rows())
 	vm := make([]float64, tr.Cols())
 	g := la.NewDense(tr.Cols(), tr.Cols())
-	tr.MatVecInto(mv, w)
-	tr.VecMatInto(vm, x)
-	tr.GramInto(g)
-	if a := testing.AllocsPerRun(50, func() { tr.MatVecInto(mv, w) }); a != 0 {
-		t.Errorf("MatVecInto allocates %v per run, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() { tr.VecMatInto(vm, x) }); a != 0 {
-		t.Errorf("VecMatInto allocates %v per run, want 0", a)
-	}
-	if a := testing.AllocsPerRun(20, func() { tr.GramInto(g) }); a != 0 {
-		t.Errorf("GramInto allocates %v per run, want 0", a)
+	for _, p := range []int{1, 2} {
+		runtime.GOMAXPROCS(p)
+		tr.MatVecInto(mv, w)
+		tr.VecMatInto(vm, x)
+		tr.GramInto(g)
+		if a := testing.AllocsPerRun(50, func() { tr.MatVecInto(mv, w) }); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: MatVecInto allocates %v per run, want 0", p, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { tr.VecMatInto(vm, x) }); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: VecMatInto allocates %v per run, want 0", p, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { tr.GramInto(g) }); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: GramInto allocates %v per run, want 0", p, a)
+		}
 	}
 }
 
 // TestJoinTreeReductionsBitReproducible: at this size the fact table's
-// weighted syrk, its VecMat and the scatterAdd group-sum into the dimension
-// all run as multi-chunk pool.Reduce grids, so GramInto and XtYInto return
-// the same bits on every repeat at GOMAXPROCS 1, 2 and 4.
+// weighted syrk, its VecMat and the scatterAdd group-sums into the first-level
+// relations all run as multi-chunk pool.Reduce grids, and the Gram's cross
+// tasks (two depth-2 branches, one through a key-only link) run concurrently,
+// so GramInto and XtYInto return the same bits on every repeat at GOMAXPROCS
+// 1, 2 and 4.
 func TestJoinTreeReductionsBitReproducible(t *testing.T) {
 	r := rand.New(rand.NewSource(242))
 	s, err := workload.GenerateSnowflake(r, workload.SnowflakeConfig{
 		FactRows:  70000,
 		FactFeats: 4,
-		Nodes:     []workload.SnowNode{{Rows: 2000, Feats: 3, Parent: -1}},
-		Task:      workload.RegressionTask,
-		Signal:    1,
+		Nodes: []workload.SnowNode{
+			{Rows: 2000, Feats: 3, Parent: -1}, // customer
+			{Rows: 40, Feats: 4, Parent: 0},    // region ← customer
+			{Rows: 300, Feats: 0, Parent: -1},  // store (key-only link)
+			{Rows: 1500, Feats: 3, Parent: 2},  // product ← store
+			{Rows: 30, Feats: 2, Parent: 3},    // category ← product
+		},
+		Task:   workload.RegressionTask,
+		Signal: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := treeFromSnowflake(t, s)
+	if tr.crossCost < gramCrossParCutoff || len(tr.tasks) < 2 {
+		t.Fatalf("%d cross tasks predicting %.0f flops: the concurrent path would not run", len(tr.tasks), tr.crossCost)
+	}
 	run := func() (gram, xty []float64) {
 		return tr.Gram().RawData(), tr.XtY(s.Y)
 	}

@@ -56,6 +56,7 @@ const (
 
 // gemmKAccum adds a[0:m, k0:k1] × b[k0:k1, 0:n] into the row-major m×n
 // buffer acc.
+//
 //dmml:noalloc
 func gemmKAccum(a, b *Dense, acc []float64, k0, k1 int) {
 	n := b.cols
@@ -91,6 +92,7 @@ func gemmKSplit(a, b, out *Dense) {
 // packA writes the mc×kc slab of a at (i0,k0) into dst as column-major
 // micro-panels of gemmMR rows, zero-padding the row remainder. dst must hold
 // roundUp(mc,gemmMR)*kc values.
+//
 //dmml:noalloc
 func packA(dst []float64, a *Dense, i0, mc, k0, kc int) {
 	at := 0
@@ -115,6 +117,7 @@ func packA(dst []float64, a *Dense, i0, mc, k0, kc int) {
 // packB writes the kc×nc slab of b at (k0,j0) into dst as row-major
 // micro-panels of gemmNR columns, zero-padding the column remainder. dst must
 // hold kc*roundUp(nc,gemmNR) values.
+//
 //dmml:noalloc
 func packB(dst []float64, b *Dense, k0, kc, j0, nc int) {
 	ncPad := roundUp(nc, gemmNR)
@@ -137,6 +140,7 @@ func packB(dst []float64, b *Dense, k0, kc, j0, nc int) {
 // given packed micro-panels ap (kc×MR, column-major) and bp (kc×NR,
 // row-major). mValid/nValid bound the writeback for edge tiles; the
 // accumulation itself always runs the full padded tile (padding is zero).
+//
 //dmml:noalloc
 func gemmMicro(kc int, ap, bp []float64, out *Dense, i0, j0, mValid, nValid int) {
 	var c00, c01, c02, c03 float64

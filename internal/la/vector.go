@@ -9,6 +9,7 @@ import (
 // wrapping 1-D data in matrices.
 
 // Dot returns the inner product of x and y.
+//
 //dmml:noalloc
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -32,6 +33,7 @@ func Dot(x, y []float64) float64 {
 }
 
 // Axpy computes y += a*x in place.
+//
 //dmml:noalloc
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -43,6 +45,7 @@ func Axpy(a float64, x, y []float64) {
 }
 
 // ScaleVec multiplies x by a in place.
+//
 //dmml:noalloc
 func ScaleVec(a float64, x []float64) {
 	for i := range x {
@@ -51,6 +54,7 @@ func ScaleVec(a float64, x []float64) {
 }
 
 // Norm2 returns the Euclidean norm of x.
+//
 //dmml:noalloc
 func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))
@@ -76,6 +80,7 @@ func CloneVec(x []float64) []float64 {
 }
 
 // SumVec returns the sum of the elements of x.
+//
 //dmml:noalloc
 func SumVec(x []float64) float64 {
 	var s float64
@@ -84,4 +89,3 @@ func SumVec(x []float64) float64 {
 	}
 	return s
 }
-

@@ -75,6 +75,7 @@ type Histogram struct {
 // Observe records v. No-op when collection is disabled. Never allocates.
 // The zero Histogram value is ready to use: stripe extrema encode "empty"
 // as their zero value (see histStripe), so there is no lazy init step.
+//
 //dmml:noalloc
 func (h *Histogram) Observe(v int64) {
 	if !enabled.Load() {

@@ -65,6 +65,7 @@ type padCell struct {
 // a stack address spread goroutines across stripes while staying stable
 // within one call frame depth. The unsafe.Pointer is converted to uintptr
 // immediately and never stored, so b does not escape.
+//
 //dmml:noalloc
 func stripeIdx() int {
 	var b byte
@@ -80,6 +81,7 @@ type Counter struct {
 
 // Add increments the counter by n. No-op (one atomic load) when collection
 // is disabled. Never allocates.
+//
 //dmml:noalloc
 func (c *Counter) Add(n int64) {
 	if !enabled.Load() {
@@ -89,6 +91,7 @@ func (c *Counter) Add(n int64) {
 }
 
 // Inc increments the counter by 1.
+//
 //dmml:noalloc
 func (c *Counter) Inc() { c.Add(1) }
 
@@ -117,6 +120,7 @@ type Gauge struct {
 }
 
 // Set stores v. No-op when collection is disabled. Never allocates.
+//
 //dmml:noalloc
 func (g *Gauge) Set(v float64) {
 	if !enabled.Load() {

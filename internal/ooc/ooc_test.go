@@ -133,8 +133,8 @@ func opsMatchDense(t *testing.T, r *rand.Rand, m *Matrix, src *la.Dense) {
 // matter how many passes run, with or without prefetch.
 func TestBoundedResidency(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	src := testMatrix(r, 4000, 8)       // 256 KB dense
-	const budget = int64(32 * 1024)     // 8x smaller than the data
+	src := testMatrix(r, 4000, 8)   // 256 KB dense
+	const budget = int64(32 * 1024) // 8x smaller than the data
 	bp := newPool(t, budget)
 	m, err := FromDense(bp, src, Options{BlockRows: 250})
 	if err != nil {

@@ -61,6 +61,7 @@ func init() {
 
 // scratchClass returns the bucket index for a request of n floats, or -1 when
 // the request is outside the pooled range and should be plainly allocated.
+//
 //dmml:noalloc
 func scratchClass(n int) int {
 	if n > 1<<scratchMaxBits {

@@ -124,6 +124,7 @@ func lePutF64(b []byte, v float64) { lePutU64(b, math.Float64bits(v)) }
 
 // decodeRowInto converts n wire floats from b into dst[:n]. dst must have
 // length n and b length 8n; the callers size both from validated headers.
+//
 //dmml:noalloc
 func decodeRowInto(dst []float64, b []byte) {
 	for i := range dst {
@@ -132,6 +133,7 @@ func decodeRowInto(dst []float64, b []byte) {
 }
 
 // encodeRowInto writes row into b (8 bytes per element).
+//
 //dmml:noalloc
 func encodeRowInto(b []byte, row []float64) {
 	for i, v := range row {

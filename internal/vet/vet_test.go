@@ -28,7 +28,8 @@ func loadModule(t *testing.T) *vet.Module {
 	return mod
 }
 
-// expectation is one `// want `...`` comment in a testdata file.
+// expectation is one want comment in a testdata file: "// want" followed
+// by a backquoted regexp.
 type expectation struct {
 	file string // base name
 	line int
