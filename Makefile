@@ -15,7 +15,8 @@
 #                       any finding fails the build
 #   make test-cpu       the packages whose reductions promise the same bits at
 #                       every core count (pool, la, opt, factorized,
-#                       compress, core, dml), tested at GOMAXPROCS 1, 2 and 4
+#                       compress, ooc, core, dml), tested at GOMAXPROCS 1, 2
+#                       and 4
 #   make ci             exactly what .github/workflows/ci.yml runs, in order —
 #                       keep the two in lockstep so CI and local verification
 #                       cannot drift
@@ -24,7 +25,8 @@
 #                       PR that deletes engine API the benchmark compiles
 #                       against
 #   make fuzz-smoke     15s native-fuzzing passes over the DML fusion
-#                       property (fused vs unfused), the serving wire
+#                       property (fused vs unfused), the DML parser
+#                       (parse/print round trip), the serving wire
 #                       protocol (decode/round-trip), the factorized Gram,
 #                       the compressed page decoder and the numeric CSV
 #                       scanner
@@ -79,10 +81,12 @@ test:
 # The reductions under these packages sum a fixed grid in index order, so
 # their tests must pass — and their bit-equality checks hold — at any core
 # count, not only the host's. dml is here for its fused templates: the Row
-# template's plan is pinned bit-equal to the unfused one.
+# template's plan is pinned bit-equal to the unfused one. ooc is here for
+# its golden: streaming SGD over paged compressed blocks, whose kernels fan
+# out over row ranges and column groups.
 CPU_PKGS := ./internal/pool/... ./internal/la/... ./internal/opt/... \
-	./internal/factorized/... ./internal/compress/... ./internal/core/... \
-	./internal/dml/...
+	./internal/factorized/... ./internal/compress/... ./internal/ooc/... \
+	./internal/core/... ./internal/dml/...
 
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 $(CPU_PKGS)
@@ -123,11 +127,13 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLossPass(Logistic|Squared|Hinge)$$' \
 		-benchmem -count=$(BENCH_COUNT) ./internal/opt
 
-# Short native-fuzzing smoke over the fusion equivalence property: random
+# Short native-fuzzing smoke over the fusion equivalence property (random
 # expression trees, fused evaluation must match unfused bit-for-bit on cell
-# templates and to relative 1e-8 on reassociated reductions.
+# templates and to relative 1e-8 on reassociated reductions), the DML
+# parser's print/parse round trip, and the decoders below.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
+	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime 15s ./internal/factorized
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime 15s ./internal/compress
@@ -168,12 +174,13 @@ cover:
 	check dml $(COVER_FLOOR_DML); \
 	check opt $(COVER_FLOOR_OPT)
 
-# Nightly extended fuzzing: the same five properties fuzz-smoke touches for
+# Nightly extended fuzzing: the same six properties fuzz-smoke touches for
 # 15s each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
 fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
+	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/factorized
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/compress

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dmml/internal/la"
@@ -42,9 +43,12 @@ func (o Options) withDefaults() Options {
 
 // compressParallelMinWork is the minimum scalar-work estimate (roughly rows ×
 // groups) below which Matrix ops and the planner stay serial; pool dispatch
-// costs more than it saves on small inputs. A var so tests can force the
-// parallel path.
-var compressParallelMinWork = 1 << 18
+// costs more than it saves on small inputs. On a 2-vCPU host a pool helper
+// starts 70–110 µs after a Do call wakes it, so a call pays only once its
+// serial time is well past that: a 4096-row, 40-group block (≈ 2^17.3,
+// about 0.2 ms per kernel serially) gains 13–30% per kernel, while 2^16
+// still loses. A var so tests can force the parallel path.
+var compressParallelMinWork = 1 << 17
 
 // Matrix is a compressed matrix: a set of column groups jointly covering all
 // columns. All read ops match the semantics of the equivalent la.Dense ops.
@@ -77,17 +81,12 @@ func (c *Matrix) MatVec(v []float64) []float64 {
 	return c.MatVecInto(make([]float64, c.rows), v)
 }
 
-// matVecGroups is the number of column groups in one MatVecInto chunk. Each
-// chunk after the first sums into a rows-long scratch partial, and zeroing
-// and merging it costs about one group's pass over the rows, so a chunk
-// spans four groups to keep that a small share of its work.
-const matVecGroups = 4
-
-// MatVecInto computes X·v into dst (overwriting it) and returns dst. Every
-// group contributes to every row, so large matrices sum fixed runs of
-// matVecGroups groups through pool.Reduce, which makes the result
-// bit-identical at every core count; small ones allocate nothing beyond what
-// the group kernels borrow from the scratch pool.
+// MatVecInto computes X·v into dst (overwriting it) and returns dst. Large
+// matrices split the rows into fixed ranges through pool.Do, and each range
+// runs every group over its rows in group order, so every row is the serial
+// group-order sum whatever the split and the core count. Each dictionary is
+// premultiplied by v once per call, before the ranges run. Steady state
+// allocates nothing.
 func (c *Matrix) MatVecInto(dst, v []float64) []float64 {
 	if len(v) != c.cols {
 		panic(fmt.Sprintf("compress: MatVec %dx%d × len %d", c.rows, c.cols, len(v)))
@@ -97,55 +96,84 @@ func (c *Matrix) MatVecInto(dst, v []float64) []float64 {
 	}
 	sw := mMatVecTimer.Start()
 	defer sw.Stop()
-	for i := range dst {
-		dst[i] = 0
+	clear(dst)
+	k := c.matVecCall(dst, v)
+	if c.parallel() {
+		pool.Do(c.rows, k.span, k.matVec)
+	} else {
+		k.matVecRows(0, c.rows)
 	}
-	if len(c.groups) <= matVecGroups || c.rows*len(c.groups) < compressParallelMinWork {
-		for _, g := range c.groups {
-			g.MatVecAccum(dst, v)
-		}
-		return dst
-	}
-	pool.Reduce(dst, len(c.groups), matVecGroups, func(acc []float64, lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			c.groups[gi].MatVecAccum(acc, v)
-		}
-	})
+	k.put()
 	return dst
 }
 
-// VecMatInto computes xᵀ·X into dst (overwriting it) and returns dst. Column
-// groups cover disjoint columns, so parallel workers write disjoint entries
-// of dst and no partial accumulators are needed.
-func (c *Matrix) VecMatInto(dst, x []float64) []float64 {
-	if len(x) != c.rows {
-		panic(fmt.Sprintf("compress: VecMat len %d × %dx%d", len(x), c.rows, c.cols))
+// matVecCall returns a call for X·v into dst with every dictionary
+// premultiplied by v, all into one scratch buffer, and its range span: the
+// rows of an eighth of the parallel cutoff's work, so a call at the cutoff
+// splits into eight ranges, but at least enough rows to pay for the range's
+// binary searches of every OLE and RLE entry list. The call owns the scratch
+// until put releases it.
+//
+//dmml:owns-scratch
+func (c *Matrix) matVecCall(dst, v []float64) *call {
+	k := calls.Get()
+	k.c, k.dst, k.in = c, dst, v
+	if cap(k.pre) < len(c.groups) {
+		k.pre = make([][]float64, len(c.groups))
 	}
+	k.pre = k.pre[:len(c.groups)]
+	n, lists := 0, 0
+	for _, g := range c.groups {
+		if d := g.dictionary(); d != nil {
+			n += d.numEntries()
+			if _, ddc := g.(*DDCGroup); !ddc {
+				lists += d.numEntries()
+			}
+		}
+	}
+	gs := max(1, len(c.groups))
+	k.span = max(1, compressParallelMinWork/(8*gs), rangeEntryCost*lists/gs)
+	k.buf = pool.GetF64(n)
+	n = 0
+	for gi, g := range c.groups {
+		if d := g.dictionary(); d != nil {
+			ne := d.numEntries()
+			k.pre[gi] = k.buf[n : n+ne : n+ne]
+			d.premulInto(k.pre[gi], v)
+			n += ne
+		}
+	}
+	return k
+}
+
+// rangeEntryCost is what one OLE or RLE entry's binary searches cost a
+// MatVecInto range, in row additions.
+const rangeEntryCost = 8
+
+// parallel reports whether the matrix is large enough for its kernels to
+// fan out through the pool.
+func (c *Matrix) parallel() bool {
+	return c.rows*len(c.groups) >= compressParallelMinWork && !pool.SerialNow()
+}
+
+// VecMatInto computes xᵀ·X into dst (overwriting it) and returns dst.
+func (c *Matrix) VecMatInto(dst, x []float64) []float64 {
 	if len(dst) != c.cols {
 		panic(fmt.Sprintf("compress: VecMatInto dst len %d for %d cols", len(dst), c.cols))
 	}
 	sw := mVecMatTimer.Start()
 	defer sw.Stop()
-	for j := range dst {
-		dst[j] = 0
-	}
-	if len(c.groups) < 2 || c.rows*len(c.groups) < compressParallelMinWork || pool.SerialNow() {
-		for _, g := range c.groups {
-			g.VecMatAccum(dst, x)
-		}
-		return dst
-	}
-	pool.Do(len(c.groups), 1, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			c.groups[gi].VecMatAccum(dst, x)
-		}
-	})
+	clear(dst)
+	c.VecMatAccum(dst, x)
 	return dst
 }
 
 // VecMatAccum adds xᵀ·X into dst without zeroing it first — the block-wise
 // form used by the out-of-core datapath, where each block accumulates its
-// contribution into one shared gradient vector.
+// contribution into one shared gradient vector. Column groups cover disjoint
+// columns, so large matrices run their groups through pool.Do with every
+// worker writing its own entries of dst: no partials, and the same bits as
+// the serial loop. Steady state allocates nothing.
 func (c *Matrix) VecMatAccum(dst, x []float64) {
 	if len(x) != c.rows {
 		panic(fmt.Sprintf("compress: VecMatAccum len %d × %dx%d", len(x), c.rows, c.cols))
@@ -153,9 +181,58 @@ func (c *Matrix) VecMatAccum(dst, x []float64) {
 	if len(dst) != c.cols {
 		panic(fmt.Sprintf("compress: VecMatAccum dst len %d for %d cols", len(dst), c.cols))
 	}
-	for _, g := range c.groups {
-		g.VecMatAccum(dst, x)
+	if !c.parallel() {
+		for _, g := range c.groups {
+			g.VecMatAccum(dst, x)
+		}
+		return
 	}
+	k := calls.Get()
+	k.c, k.dst, k.in = c, dst, x
+	pool.Do(len(c.groups), 1, k.vecMat)
+	k.put()
+}
+
+// call is one MatVecInto or VecMatAccum call's state, recycled with its
+// range methods bound once, so dispatching it through pool.Do allocates no
+// closure.
+type call struct {
+	c       *Matrix
+	dst, in []float64
+	pre     [][]float64 // MatVecInto: per group, its premultiplied dictionary
+	buf     []float64   // scratch behind pre
+	span    int         // MatVecInto: rows per range
+	matVec  func(lo, hi int)
+	vecMat  func(lo, hi int)
+}
+
+var calls = pool.Freelist[call]{New: func() *call {
+	k := &call{}
+	k.matVec = k.matVecRows
+	k.vecMat = k.vecMatGroups
+	return k
+}}
+
+// matVecRows runs every group over rows [lo,hi), in group order.
+func (k *call) matVecRows(lo, hi int) {
+	for gi, g := range k.c.groups {
+		g.matVecRange(k.dst, k.pre[gi], k.in, lo, hi)
+	}
+}
+
+// vecMatGroups accumulates groups [lo,hi).
+func (k *call) vecMatGroups(lo, hi int) {
+	for _, g := range k.c.groups[lo:hi] {
+		g.VecMatAccum(k.dst, k.in)
+	}
+}
+
+// put drops the call's references and recycles it.
+func (k *call) put() {
+	pool.PutF64(k.buf)
+	clear(k.pre)
+	k.c, k.dst, k.in, k.buf = nil, nil, nil, nil
+	calls.Put(k)
 }
 
 // GramAccum adds XᵀX into out (cols×cols) without zeroing it — the block-wise
@@ -184,9 +261,7 @@ func (c *Matrix) DecompressInto(m *la.Dense) {
 		panic(fmt.Sprintf("compress: DecompressInto %dx%d for %dx%d matrix", r, cl, c.rows, c.cols))
 	}
 	raw := m.RawData()
-	for i := range raw {
-		raw[i] = 0
-	}
+	clear(raw)
 	for _, g := range c.groups {
 		g.DecompressInto(m)
 	}
@@ -211,7 +286,7 @@ func (c *Matrix) Scale(s float64) {
 // columns, so they decompress in parallel without coordination.
 func (c *Matrix) Decompress() *la.Dense {
 	m := la.NewDense(c.rows, c.cols)
-	if len(c.groups) < 2 || c.rows*len(c.groups) < compressParallelMinWork || pool.SerialNow() {
+	if !c.parallel() {
 		for _, g := range c.groups {
 			g.DecompressInto(m)
 		}
@@ -625,17 +700,19 @@ func buildRLE(col int, cc *colCode) *RLEGroup {
 // be an all-zero length-cols scratch vector and is restored before return.
 // Only the group covering j is consulted.
 func (c *Matrix) colInto(dst, ej []float64, j int) {
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	ej[j] = 1
 	for _, g := range c.groups {
-		for _, gc := range g.Cols() {
-			if gc == j {
-				g.MatVecAccum(dst, ej)
-				break
-			}
+		if !slices.Contains(g.Cols(), j) {
+			continue
 		}
+		var pre []float64
+		if d := g.dictionary(); d != nil {
+			pre = pool.GetF64(d.numEntries())
+			d.premulInto(pre, ej)
+		}
+		g.matVecRange(dst, pre, ej, 0, c.rows)
+		pool.PutF64(pre)
 	}
 	ej[j] = 0
 }

@@ -29,8 +29,6 @@ type Group interface {
 	Cols() []int
 	// Encoding names the physical encoding, for diagnostics.
 	Encoding() string
-	// MatVecAccum adds, for every row i, Σ_j X[i,j]·v[j] (j over Cols) into out[i].
-	MatVecAccum(out, v []float64)
 	// VecMatAccum adds, for every column j in Cols, Σ_i x[i]·X[i,j] into out[j].
 	VecMatAccum(out, x []float64)
 	// ColSumsAccum adds per-column sums into out (indexed by original column).
@@ -42,6 +40,14 @@ type Group interface {
 	// Scale multiplies all values by s (a dictionary-only operation for the
 	// dictionary encodings — the CLA selling point for scalar ops).
 	Scale(s float64)
+	// dictionary returns the group's tuple dictionary, nil for UC.
+	dictionary() *dict
+	// matVecRange adds, for every row i in [lo,hi), Σ_j X[i,j]·v[j] (j over
+	// Cols) into out[i]. pre is the dictionary premultiplied by v
+	// (dict.premulInto), nil for UC. It touches no row outside [lo,hi), so
+	// disjoint ranges run concurrently, and each row gets the same single
+	// addition whatever range it falls in.
+	matVecRange(out, pre, v []float64, lo, hi int)
 }
 
 // dict is a tuple dictionary: entry t covers len(cols) values.
@@ -57,15 +63,12 @@ func (d *dict) entry(t int) []float64 {
 	return d.vals[t*w : (t+1)*w]
 }
 
-// premul computes, per dictionary entry, Σ_j entry[j]·v[cols[j]]. The result
-// is borrowed from the scratch pool; callers must release it with
-// pool.PutF64 once consumed.
+// premulInto computes, per dictionary entry t, Σ_j entry[j]·v[cols[j]] into
+// out[t]; out has numEntries elements.
 //
-//dmml:owns-scratch
 //dmml:noalloc
-func (d *dict) premul(v []float64) []float64 {
+func (d *dict) premulInto(out, v []float64) {
 	w := len(d.cols)
-	out := pool.GetF64(d.numEntries())
 	for t := range out {
 		e := d.entry(t)
 		var s float64
@@ -74,7 +77,6 @@ func (d *dict) premul(v []float64) []float64 {
 		}
 		out[t] = s
 	}
-	return out
 }
 
 //dmml:noalloc
@@ -108,21 +110,23 @@ func (g *DDCGroup) Encoding() string {
 	return "DDC2"
 }
 
-// MatVecAccum implements Group.
-//
+func (g *DDCGroup) dictionary() *dict { return &g.d }
+
 //dmml:noalloc
-func (g *DDCGroup) MatVecAccum(out, v []float64) {
-	pre := g.d.premul(v)
+func (g *DDCGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
 	if g.codes8 != nil {
-		for i, c := range g.codes8 {
+		codes := g.codes8[lo:hi]
+		out := out[lo : lo+len(codes)] // same length: no bounds check on out[i]
+		for i, c := range codes {
 			out[i] += pre[c]
 		}
-	} else {
-		for i, c := range g.codes {
-			out[i] += pre[c]
-		}
+		return
 	}
-	pool.PutF64(pre)
+	codes := g.codes[lo:hi]
+	out = out[lo : lo+len(codes)]
+	for i, c := range codes {
+		out[i] += pre[c]
+	}
 }
 
 // VecMatAccum implements Group.
@@ -224,21 +228,38 @@ func (g *OLEGroup) Cols() []int { return g.d.cols }
 // Encoding implements Group.
 func (g *OLEGroup) Encoding() string { return "OLE" }
 
-// MatVecAccum implements Group.
+func (g *OLEGroup) dictionary() *dict { return &g.d }
+
+// matVecRange finds each entry's offsets inside [lo,hi) by binary search on
+// the sorted list.
 //
 //dmml:noalloc
-func (g *OLEGroup) MatVecAccum(out, v []float64) {
-	pre := g.d.premul(v)
+func (g *OLEGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
 	for t, offs := range g.offsets {
 		p := pre[t]
 		if p == 0 {
 			continue
 		}
-		for _, i := range offs {
+		for _, i := range offs[searchInt32(offs, lo):searchInt32(offs, hi)] {
 			out[i] += p
 		}
 	}
-	pool.PutF64(pre)
+}
+
+// searchInt32 returns the index of the first element of the sorted s that is
+// at least x (len(s) if none is).
+//
+//dmml:noalloc
+func searchInt32(s []int32, x int) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); int(s[mid]) < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // VecMatAccum implements Group.
@@ -315,24 +336,37 @@ func (g *RLEGroup) Cols() []int { return g.d.cols }
 // Encoding implements Group.
 func (g *RLEGroup) Encoding() string { return "RLE" }
 
-// MatVecAccum implements Group.
+func (g *RLEGroup) dictionary() *dict { return &g.d }
+
+// matVecRange finds each entry's first run ending after lo by binary search
+// (runs are sorted and disjoint, so their ends are sorted too) and clips the
+// runs that straddle lo or hi.
 //
 //dmml:noalloc
-func (g *RLEGroup) MatVecAccum(out, v []float64) {
-	pre := g.d.premul(v)
+func (g *RLEGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
 	for t, rs := range g.runs {
 		p := pre[t]
 		if p == 0 {
 			continue
 		}
-		for k := 0; k < len(rs); k += 2 {
-			start, length := int(rs[k]), int(rs[k+1])
-			for i := start; i < start+length; i++ {
+		a, b := 0, len(rs)/2
+		for a < b {
+			if mid := int(uint(a+b) >> 1); int(rs[2*mid])+int(rs[2*mid+1]) <= lo {
+				a = mid + 1
+			} else {
+				b = mid
+			}
+		}
+		for k := 2 * a; k+1 < len(rs); k += 2 {
+			start := int(rs[k])
+			if start >= hi {
+				break
+			}
+			for i, end := max(start, lo), min(start+int(rs[k+1]), hi); i < end; i++ {
 				out[i] += p
 			}
 		}
 	}
-	pool.PutF64(pre)
 }
 
 // VecMatAccum implements Group.
@@ -426,13 +460,15 @@ func (g *UCGroup) Cols() []int { return []int{g.col} }
 // Encoding implements Group.
 func (g *UCGroup) Encoding() string { return "UC" }
 
-// MatVecAccum implements Group.
-func (g *UCGroup) MatVecAccum(out, v []float64) {
+func (g *UCGroup) dictionary() *dict { return nil }
+
+//dmml:noalloc
+func (g *UCGroup) matVecRange(out, _, v []float64, lo, hi int) {
 	vj := v[g.col]
 	if vj == 0 {
 		return
 	}
-	la.Axpy(vj, g.data, out)
+	la.Axpy(vj, g.data[lo:hi], out[lo:hi])
 }
 
 // VecMatAccum implements Group.

@@ -2,17 +2,20 @@ package compress
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 )
 
 // Page codec: serialize a compressed Matrix into a flat []float64 so it can
 // live in a storage.BufferPool page (the pool's unit of residency and spill).
 // Every word is one float64; integers are stored as exact small floats and
-// narrow payloads (codes, offsets) are bit-packed into words via
-// math.Float64bits, which round-trips through the pool's spill format
-// bit-for-bit. DecodePage returns a Matrix whose dictionaries and UC columns
-// alias the page slice (zero copy) — the caller must keep the page pinned for
-// the lifetime of the decoded Matrix.
+// narrow payloads (DDC codes, OLE offsets, RLE runs) are stored through a
+// byte view of their words, in the host's native order, so DecodePage can
+// hand them out as typed views of the page instead of unpacking them. The
+// words round-trip through the pool's spill format (Float64bits) bit for bit,
+// and pages and their spill files never leave the process that wrote them,
+// so the native order is the only order a page is ever read in. DecodePage
+// returns a Matrix that aliases the page slice throughout (zero copy) — the
+// caller must keep the page pinned for the lifetime of the decoded Matrix.
 
 // Group kind tags in the page encoding.
 const (
@@ -87,12 +90,12 @@ func EncodeInto(dst []float64, m *Matrix) error {
 				w.putInt(pkDDC1)
 				w.putDict(&g.d)
 				w.putInt(g.rows)
-				w.putPacked8(g.codes8)
+				putPacked(w, g.codes8)
 			} else {
 				w.putInt(pkDDC2)
 				w.putDict(&g.d)
 				w.putInt(g.rows)
-				w.putPacked16(g.codes)
+				putPacked(w, g.codes)
 			}
 		case *OLEGroup:
 			w.putInt(pkOLE)
@@ -100,7 +103,7 @@ func EncodeInto(dst []float64, m *Matrix) error {
 			w.putInt(g.rows)
 			for _, offs := range g.offsets {
 				w.putInt(len(offs))
-				w.putPacked32(offs)
+				putPacked(w, offs)
 			}
 		case *RLEGroup:
 			w.putInt(pkRLE)
@@ -108,7 +111,7 @@ func EncodeInto(dst []float64, m *Matrix) error {
 			w.putInt(g.rows)
 			for _, rs := range g.runs {
 				w.putInt(len(rs))
-				w.putPacked32(rs)
+				putPacked(w, rs)
 			}
 		case *UCGroup:
 			w.putInt(pkUC)
@@ -126,9 +129,17 @@ func EncodeInto(dst []float64, m *Matrix) error {
 }
 
 // DecodePage reconstructs a Matrix from a page written by EncodeInto. The
-// returned Matrix's dictionary values and UC columns alias data; keep the
-// backing page pinned while the Matrix is in use. Codes, offsets, and runs
-// are unpacked into freshly allocated slices.
+// returned Matrix aliases data — dictionary values, DDC codes, OLE offsets,
+// RLE runs and UC columns are all views of the page — so keep the backing
+// page pinned while the Matrix is in use; its allocations do not grow with
+// the page's rows. A page read back from spill is untrusted, so DecodePage
+// checks everything the kernels index by before returning: the matrix is
+// not empty, every group and UC column has the page's row count, every DDC
+// code is below its dictionary's size (tested eight one-byte or four
+// two-byte codes per word), OLE offsets are strictly increasing and RLE runs
+// non-empty, sorted and disjoint, all inside [0, rows), and the groups cover
+// each of the page's columns exactly once. A page that fails any check is
+// an error, never a Matrix the kernels could index out of range or race on.
 func DecodePage(data []float64) (*Matrix, error) {
 	r := &pageReader{buf: data}
 	magic, err := r.int()
@@ -145,86 +156,220 @@ func DecodePage(data []float64) (*Matrix, error) {
 	if m.cols, err = r.int(); err != nil {
 		return nil, err
 	}
+	if m.rows == 0 || m.cols == 0 {
+		// Compress never makes one: an la.Dense has positive dimensions.
+		return nil, fmt.Errorf("compress: DecodePage: empty %dx%d matrix", m.rows, m.cols)
+	}
 	ng, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
 	m.groups = make([]Group, 0, ng)
 	for gi := 0; gi < ng; gi++ {
-		kind, err := r.int()
+		g, err := r.group(gi, m.rows)
 		if err != nil {
 			return nil, err
-		}
-		var g Group
-		switch kind {
-		case pkDDC1, pkDDC2:
-			d, err := r.dict()
-			if err != nil {
-				return nil, err
-			}
-			rows, err := r.int()
-			if err != nil {
-				return nil, err
-			}
-			dg := &DDCGroup{d: d, rows: rows}
-			if kind == pkDDC1 {
-				if dg.codes8, err = r.packed8(rows); err != nil {
-					return nil, err
-				}
-			} else {
-				if dg.codes, err = r.packed16(rows); err != nil {
-					return nil, err
-				}
-			}
-			g = dg
-		case pkOLE, pkRLE:
-			d, err := r.dict()
-			if err != nil {
-				return nil, err
-			}
-			rows, err := r.int()
-			if err != nil {
-				return nil, err
-			}
-			ne := d.numEntries()
-			lists := make([][]int32, ne)
-			for t := 0; t < ne; t++ {
-				n, err := r.int()
-				if err != nil {
-					return nil, err
-				}
-				if lists[t], err = r.packed32(n); err != nil {
-					return nil, err
-				}
-			}
-			if kind == pkOLE {
-				g = &OLEGroup{d: d, offsets: lists, rows: rows}
-			} else {
-				g = &RLEGroup{d: d, runs: lists, rows: rows}
-			}
-		case pkUC:
-			col, err := r.int()
-			if err != nil {
-				return nil, err
-			}
-			n, err := r.int()
-			if err != nil {
-				return nil, err
-			}
-			vals, err := r.floats(n)
-			if err != nil {
-				return nil, err
-			}
-			g = &UCGroup{col: col, data: vals}
-		default:
-			return nil, fmt.Errorf("compress: DecodePage: group %d has unknown kind %d", gi, kind)
 		}
 		m.groups = append(m.groups, g)
 	}
 	if r.off != len(data) {
 		return nil, fmt.Errorf("compress: DecodePage: %d trailing words", len(data)-r.off)
 	}
+	if err := m.checkCover(); err != nil {
+		return nil, err
+	}
 	return m, nil
+}
+
+// group decodes group gi of a page with the given row count.
+func (r *pageReader) group(gi, rows int) (Group, error) {
+	kind, err := r.int()
+	if err != nil {
+		return nil, err
+	}
+	if kind == pkUC {
+		col, err := r.int()
+		if err != nil {
+			return nil, err
+		}
+		n, err := r.int()
+		if err != nil {
+			return nil, err
+		}
+		if n != rows {
+			return nil, fmt.Errorf("compress: DecodePage: group %d: UC column of %d rows in a %d-row page", gi, n, rows)
+		}
+		vals, err := r.floats(n)
+		if err != nil {
+			return nil, err
+		}
+		return &UCGroup{col: col, data: vals}, nil
+	}
+	if kind > pkRLE {
+		return nil, fmt.Errorf("compress: DecodePage: group %d has unknown kind %d", gi, kind)
+	}
+	d, err := r.dict()
+	if err != nil {
+		return nil, err
+	}
+	n, err := r.int()
+	if err != nil {
+		return nil, err
+	}
+	if n != rows {
+		return nil, fmt.Errorf("compress: DecodePage: group %d has %d rows in a %d-row page", gi, n, rows)
+	}
+	ne := d.numEntries()
+	switch kind {
+	case pkDDC1:
+		ws, err := r.floats((rows + 7) / 8)
+		if err != nil {
+			return nil, err
+		}
+		codes := wordView[uint8](ws, rows)
+		if !lanesBelow(ws[:rows/8], 8, ne) || !codesBelow(codes[rows/8*8:], ne) {
+			return nil, fmt.Errorf("compress: DecodePage: group %d has a DDC code at or beyond its %d-entry dictionary", gi, ne)
+		}
+		return &DDCGroup{d: d, codes8: codes, rows: rows}, nil
+	case pkDDC2:
+		ws, err := r.floats((rows + 3) / 4)
+		if err != nil {
+			return nil, err
+		}
+		codes := wordView[uint16](ws, rows)
+		if !lanesBelow(ws[:rows/4], 16, ne) || !codesBelow(codes[rows/4*4:], ne) {
+			return nil, fmt.Errorf("compress: DecodePage: group %d has a DDC code at or beyond its %d-entry dictionary", gi, ne)
+		}
+		return &DDCGroup{d: d, codes: codes, rows: rows}, nil
+	}
+	lists := make([][]int32, ne)
+	for t := range lists {
+		n, err := r.int()
+		if err != nil {
+			return nil, err
+		}
+		ws, err := r.floats((n + 1) / 2)
+		if err != nil {
+			return nil, err
+		}
+		lists[t] = wordView[int32](ws, n)
+		if kind == pkOLE && !offsetsValid(lists[t], rows) {
+			return nil, fmt.Errorf("compress: DecodePage: group %d entry %d: OLE offsets not increasing inside [0, %d)", gi, t, rows)
+		}
+		if kind == pkRLE && !runsValid(lists[t], rows) {
+			return nil, fmt.Errorf("compress: DecodePage: group %d entry %d: RLE runs not non-empty, sorted and disjoint inside [0, %d)", gi, t, rows)
+		}
+	}
+	if kind == pkOLE {
+		return &OLEGroup{d: d, offsets: lists, rows: rows}, nil
+	}
+	return &RLEGroup{d: d, runs: lists, rows: rows}, nil
+}
+
+// checkCover checks that the groups cover each of the matrix's columns
+// exactly once: the kernels index by column, and VecMatAccum's concurrent
+// groups must write disjoint entries.
+func (m *Matrix) checkCover() error {
+	n := 0
+	for _, g := range m.groups {
+		n += len(g.Cols())
+	}
+	if n != m.cols {
+		return fmt.Errorf("compress: DecodePage: groups cover %d columns of a %d-column page", n, m.cols)
+	}
+	seen := make([]uint64, (m.cols+63)/64)
+	for gi, g := range m.groups {
+		for _, j := range g.Cols() {
+			if j >= m.cols {
+				return fmt.Errorf("compress: DecodePage: group %d has column %d of a %d-column page", gi, j, m.cols)
+			}
+			if seen[j/64]&(1<<(j%64)) != 0 {
+				return fmt.Errorf("compress: DecodePage: column %d is in two groups", j)
+			}
+			seen[j/64] |= 1 << (j % 64)
+		}
+	}
+	return nil
+}
+
+// wordView is the first n elements of the words' bytes, in memory order, as
+// a T slice; its capacity ends with the words, so appending to it cannot
+// write past them. Word alignment covers every T. An empty view is non-nil,
+// which is what marks a DDC1 group.
+func wordView[T uint8 | uint16 | int32 | uint64](ws []float64, n int) []T {
+	if len(ws) == 0 {
+		return []T{}
+	}
+	var t T
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(ws))), 8*len(ws)/int(unsafe.Sizeof(t)))[:n]
+}
+
+// lanesBelow reports whether every lane-bit lane (8 or 16) of the words
+// holds a value below n, a whole word at a time: adding 2^(lane-1)−n to a
+// lane's low lane−1 bits carries into its top bit exactly when they are ≥ n,
+// and no lane's sum reaches the next lane.
+func lanesBelow(ws []float64, lane uint, n int) bool {
+	half := uint64(1) << (lane - 1)
+	if uint64(n) >= 2*half {
+		return true
+	}
+	ones := ^uint64(0) / (2*half - 1) // 1 in every lane
+	highs := ones * half
+	lows := highs - ones
+	var bad uint64
+	if uint64(n) <= half {
+		// A lane is bad when its top bit is set or its low bits are ≥ n.
+		add := ones * (half - uint64(n))
+		for _, x := range wordView[uint64](ws, len(ws)) {
+			bad |= (x&lows + add) | x
+		}
+	} else {
+		// A lane is bad when its top bit is set and its low bits are ≥ n−half.
+		add := ones * (2*half - uint64(n))
+		for _, x := range wordView[uint64](ws, len(ws)) {
+			bad |= (x&lows + add) & x
+		}
+	}
+	return bad&highs == 0
+}
+
+// codesBelow reports whether every code is below n.
+func codesBelow[T uint8 | uint16](codes []T, n int) bool {
+	for _, c := range codes {
+		if int(c) >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// offsetsValid reports whether offs is strictly increasing inside [0, rows).
+func offsetsValid(offs []int32, rows int) bool {
+	prev := -1
+	for _, o := range offs {
+		if int(o) <= prev || int(o) >= rows {
+			return false
+		}
+		prev = int(o)
+	}
+	return true
+}
+
+// runsValid reports whether rs holds (start, length) pairs of non-empty runs,
+// sorted and disjoint, inside [0, rows).
+func runsValid(rs []int32, rows int) bool {
+	if len(rs)%2 != 0 {
+		return false
+	}
+	end := 0
+	for k := 0; k < len(rs); k += 2 {
+		start, length := int(rs[k]), int(rs[k+1])
+		if start < end || length <= 0 || start+length > rows {
+			return false
+		}
+		end = start + length
+	}
+	return true
 }
 
 // --- writer ---------------------------------------------------------------
@@ -253,37 +398,15 @@ func (w *pageWriter) putDict(d *dict) {
 	w.putFloats(d.vals)
 }
 
-func (w *pageWriter) putPacked8(codes []uint8) {
-	for i := 0; i < len(codes); i += 8 {
-		var word uint64
-		for j := 0; j < 8 && i+j < len(codes); j++ {
-			word |= uint64(codes[i+j]) << (8 * j)
-		}
-		w.buf[w.off] = math.Float64frombits(word)
-		w.off++
-	}
-}
-
-func (w *pageWriter) putPacked16(codes []uint16) {
-	for i := 0; i < len(codes); i += 4 {
-		var word uint64
-		for j := 0; j < 4 && i+j < len(codes); j++ {
-			word |= uint64(codes[i+j]) << (16 * j)
-		}
-		w.buf[w.off] = math.Float64frombits(word)
-		w.off++
-	}
-}
-
-func (w *pageWriter) putPacked32(vals []int32) {
-	for i := 0; i < len(vals); i += 2 {
-		word := uint64(uint32(vals[i]))
-		if i+1 < len(vals) {
-			word |= uint64(uint32(vals[i+1])) << 32
-		}
-		w.buf[w.off] = math.Float64frombits(word)
-		w.off++
-	}
+// putPacked stores vals through a byte view of the next words, in memory
+// order, and zeroes the rest of the last word: the layout wordView reads.
+func putPacked[T uint8 | uint16 | int32](w *pageWriter, vals []T) {
+	var t T
+	nw := (len(vals)*int(unsafe.Sizeof(t)) + 7) / 8
+	dst := wordView[T](w.buf[w.off:w.off+nw], 0)
+	dst = dst[:cap(dst)]
+	clear(dst[copy(dst, vals):])
+	w.off += nw
 }
 
 // --- reader ---------------------------------------------------------------
@@ -352,81 +475,4 @@ func (r *pageReader) dict() (dict, error) {
 		return dict{}, err
 	}
 	return dict{cols: cols, vals: vals}, nil
-}
-
-func (r *pageReader) words(n int) ([]float64, error) {
-	return r.floats(n)
-}
-
-// The packed decoders run on every block pin, so they unpack a full word per
-// loop iteration instead of re-loading and re-shifting the word per code.
-
-func (r *pageReader) packed8(n int) ([]uint8, error) {
-	ws, err := r.words((n + 7) / 8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint8, n)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w := math.Float64bits(ws[i>>3])
-		out[i] = uint8(w)
-		out[i+1] = uint8(w >> 8)
-		out[i+2] = uint8(w >> 16)
-		out[i+3] = uint8(w >> 24)
-		out[i+4] = uint8(w >> 32)
-		out[i+5] = uint8(w >> 40)
-		out[i+6] = uint8(w >> 48)
-		out[i+7] = uint8(w >> 56)
-	}
-	if i < n {
-		w := math.Float64bits(ws[len(ws)-1])
-		for ; i < n; i++ {
-			out[i] = uint8(w)
-			w >>= 8
-		}
-	}
-	return out, nil
-}
-
-func (r *pageReader) packed16(n int) ([]uint16, error) {
-	ws, err := r.words((n + 3) / 4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint16, n)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		w := math.Float64bits(ws[i>>2])
-		out[i] = uint16(w)
-		out[i+1] = uint16(w >> 16)
-		out[i+2] = uint16(w >> 32)
-		out[i+3] = uint16(w >> 48)
-	}
-	if i < n {
-		w := math.Float64bits(ws[len(ws)-1])
-		for ; i < n; i++ {
-			out[i] = uint16(w)
-			w >>= 16
-		}
-	}
-	return out, nil
-}
-
-func (r *pageReader) packed32(n int) ([]int32, error) {
-	ws, err := r.words((n + 1) / 2)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, n)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		w := math.Float64bits(ws[i>>1])
-		out[i] = int32(uint32(w))
-		out[i+1] = int32(uint32(w >> 32))
-	}
-	if i < n {
-		out[i] = int32(uint32(math.Float64bits(ws[len(ws)-1])))
-	}
-	return out, nil
 }

@@ -166,11 +166,89 @@ func TestDecodePageRejectsOversizedCounts(t *testing.T) {
 	}
 }
 
+// TestDecodePageRejectsUnsafePages: pages the kernels could index out of
+// range with, or race on, fail to decode. Each is written by EncodeInto from
+// a hand-built Matrix, which EncodeInto does not check.
+func TestDecodePageRejectsUnsafePages(t *testing.T) {
+	const rows = 20
+	codes := func(bad, at int) []uint8 { // codes below 2, but bad at index at
+		c := make([]uint8, rows)
+		for i := range c {
+			c[i] = uint8(i % 2)
+		}
+		if at >= 0 {
+			c[at] = uint8(bad)
+		}
+		return c
+	}
+	wide := func(bad, at int) []uint16 { // codes below 300, but bad at index at
+		c := make([]uint16, rows)
+		for i := range c {
+			c[i] = uint16(i * 15)
+		}
+		if at >= 0 {
+			c[at] = uint16(bad)
+		}
+		return c
+	}
+	two := dict{cols: []int{0}, vals: []float64{1, 2}}
+	many := dict{cols: []int{0}, vals: make([]float64, 300)}
+	uc := func(col, n int) Group { return &UCGroup{col: col, data: make([]float64, n)} }
+	one := func(g Group) *Matrix { return &Matrix{rows: rows, cols: 1, groups: []Group{g}} }
+	valid := map[string]*Matrix{
+		"DDC1":    one(&DDCGroup{d: two, codes8: codes(0, -1), rows: rows}),
+		"DDC1 at": one(&DDCGroup{d: dict{cols: []int{0}, vals: make([]float64, 256)}, codes8: codes(255, 3), rows: rows}),
+		"DDC2":    one(&DDCGroup{d: many, codes: wide(299, 17), rows: rows}),
+		"OLE":     one(&OLEGroup{d: two, offsets: [][]int32{{0, 19}, {3}}, rows: rows}),
+		"RLE":     one(&RLEGroup{d: two, runs: [][]int32{{0, 2, 5, 15}, {2, 3}}, rows: rows}),
+		"UC":      one(uc(0, rows)),
+	}
+	for name, m := range valid {
+		if _, err := DecodePage(encodePage(t, m)); err != nil {
+			t.Errorf("%s: valid page rejected: %v", name, err)
+		}
+	}
+	for name, m := range map[string]*Matrix{
+		"DDC1 code ≥ size, full word":   one(&DDCGroup{d: two, codes8: codes(2, 3), rows: rows}),
+		"DDC1 code ≥ size, last word":   one(&DDCGroup{d: two, codes8: codes(200, 17), rows: rows}),
+		"DDC1 code ≥ size of 129":       one(&DDCGroup{d: dict{cols: []int{0}, vals: make([]float64, 129)}, codes8: codes(130, 5), rows: rows}),
+		"DDC1 empty dictionary":         one(&DDCGroup{d: dict{cols: []int{0}}, codes8: codes(0, -1), rows: rows}),
+		"DDC2 code ≥ size, full word":   one(&DDCGroup{d: many, codes: wide(300, 1), rows: rows}),
+		"DDC2 code ≥ size, last word":   one(&DDCGroup{d: many, codes: wide(65535, 19), rows: rows}),
+		"DDC rows ≠ page rows":          one(&DDCGroup{d: two, codes8: codes(0, -1)[:rows-1], rows: rows - 1}),
+		"OLE offsets unsorted":          one(&OLEGroup{d: two, offsets: [][]int32{{4, 3}, nil}, rows: rows}),
+		"OLE offset repeated":           one(&OLEGroup{d: two, offsets: [][]int32{{4, 4}, nil}, rows: rows}),
+		"OLE offset ≥ rows":             one(&OLEGroup{d: two, offsets: [][]int32{nil, {rows}}, rows: rows}),
+		"OLE offset < 0":                one(&OLEGroup{d: two, offsets: [][]int32{{-1}, nil}, rows: rows}),
+		"OLE rows ≠ page rows":          one(&OLEGroup{d: two, offsets: [][]int32{nil, nil}, rows: rows + 1}),
+		"RLE runs overlap":              one(&RLEGroup{d: two, runs: [][]int32{{0, 5, 4, 2}, nil}, rows: rows}),
+		"RLE runs unsorted":             one(&RLEGroup{d: two, runs: [][]int32{{8, 2, 0, 2}, nil}, rows: rows}),
+		"RLE run empty":                 one(&RLEGroup{d: two, runs: [][]int32{{3, 0}, nil}, rows: rows}),
+		"RLE run past rows":             one(&RLEGroup{d: two, runs: [][]int32{nil, {18, 3}}, rows: rows}),
+		"RLE run list odd":              one(&RLEGroup{d: two, runs: [][]int32{{3}, nil}, rows: rows}),
+		"UC length ≠ page rows":         one(uc(0, rows-1)),
+		"column ≥ cols":                 one(uc(1, rows)),
+		"column in two groups":          {rows: rows, cols: 2, groups: []Group{uc(0, rows), uc(0, rows)}},
+		"column in no group":            {rows: rows, cols: 2, groups: []Group{uc(1, rows)}},
+		"column twice in one group":     {rows: rows, cols: 2, groups: []Group{&DDCGroup{d: dict{cols: []int{1, 1}, vals: []float64{1, 2}}, codes8: codes(0, -1), rows: rows}}},
+		"empty matrix":                  {rows: 0, cols: 1, groups: []Group{uc(0, 0)}},
+		"no columns":                    {rows: rows, cols: 0},
+		"DDC1 code ≥ size, second word": one(&DDCGroup{d: two, codes8: codes(9, 8), rows: rows}),
+	} {
+		if got, err := DecodePage(encodePage(t, m)); err == nil {
+			t.Errorf("%s: DecodePage accepted the page: %v", name, got.GroupInfo())
+		}
+	}
+}
+
 // FuzzDecodePage: DecodePage reads spill pages back from disk, so any input
 // must decode to an error or a Matrix, never a panic, and what decodes must
-// re-encode to a page that decodes and re-encodes unchanged. The seeds are
-// EncodeInto pages covering every group kind, each checked first to decode
-// back to the matrix that was encoded.
+// re-encode to a page that decodes and re-encodes unchanged. Every kernel
+// must then run on the decoded Matrix without a panic — MatVecInto,
+// VecMatAccum and DecompressInto — and MatVecInto cut into one- and
+// three-row ranges must give the bits of the whole-matrix call. The seeds
+// are EncodeInto pages covering every group kind, each checked first to
+// decode back to the matrix that was encoded.
 func FuzzDecodePage(f *testing.F) {
 	r := rand.New(rand.NewSource(95))
 	// Small pages keep the fuzzer's minimization of new inputs short.
@@ -240,5 +318,30 @@ func FuzzDecodePage(f *testing.F) {
 				t.Fatalf("re-encoding changed word %d: %x, then %x", i, math.Float64bits(again[i]), math.Float64bits(third[i]))
 			}
 		}
+		// A page may claim far more rows than it stores (an OLE or RLE
+		// group lists only its non-zero rows); the dense operands of such a
+		// shape are not worth allocating here.
+		if m.Rows() > 1<<12 || m.Rows()*m.Cols() > 1<<16 {
+			return
+		}
+		v := make([]float64, m.Cols())
+		for j := range v {
+			v[j] = 1 / float64(j+1)
+		}
+		x := make([]float64, m.Rows())
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		mv := m.MatVec(v)
+		for _, span := range []int{1, 3} {
+			got := matVecSpans(m, v, span)
+			for i := range mv {
+				if math.Float64bits(got[i]) != math.Float64bits(mv[i]) {
+					t.Fatalf("MatVecInto in %d-row ranges: [%d] = %x, whole %x", span, i, math.Float64bits(got[i]), math.Float64bits(mv[i]))
+				}
+			}
+		}
+		m.VecMatAccum(make([]float64, m.Cols()), x)
+		m.DecompressInto(la.NewDense(m.Rows(), m.Cols()))
 	})
 }

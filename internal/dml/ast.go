@@ -81,8 +81,28 @@ func (n *Call) pos() int   { return n.Pos }
 // String implements fmt.Stringer.
 func (n *NumLit) String() string { return strconv.FormatFloat(n.Val, 'g', -1, 64) }
 
-// String implements fmt.Stringer.
-func (n *StrLit) String() string { return strconv.Quote(n.Val) }
+// String renders the literal in the lexer's syntax: a backslash escapes only
+// a double quote, a backslash, a newline or a tab, and every other byte
+// stands for itself.
+func (n *StrLit) String() string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(n.Val); i++ {
+		switch c := n.Val[i]; c {
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
+}
 
 // String implements fmt.Stringer.
 func (n *Var) String() string { return n.Name }

@@ -102,6 +102,9 @@ func (p *parser) parseFor() (Stmt, error) {
 	if err != nil {
 		return Stmt{}, err
 	}
+	if reserved[v.text] {
+		return Stmt{}, p.errAt(v.pos, "%q is a reserved word", v.text)
+	}
 	kw := p.peek()
 	if kw.kind != tokIdent || kw.text != "in" {
 		return Stmt{}, p.errAt(kw.pos, "expected \"in\", got %s", kw)
@@ -191,6 +194,10 @@ func (p *parser) parseBlock() ([]Stmt, error) {
 // Precedence (loosest to tightest, R-like): comparisons, then additive,
 // multiplicative, %*%, unary minus, power, primary.
 func (p *parser) parseExpr() (Node, error) { return p.parseCompare() }
+
+// reserved are the words that open a control-flow statement; they cannot
+// name a variable.
+var reserved = map[string]bool{"for": true, "if": true}
 
 var compareOps = map[string]bool{"<": true, ">": true, "<=": true, ">=": true, "==": true, "!=": true}
 
@@ -347,6 +354,11 @@ func (p *parser) parsePrimary() (Node, error) {
 		return &StrLit{Val: t.text, Pos: t.pos}, nil
 	case tokIdent:
 		p.next()
+		if reserved[t.text] {
+			// A statement starting with one parses as control flow, so a
+			// variable by that name could never be printed back.
+			return nil, p.errAt(t.pos, "%q is a reserved word", t.text)
+		}
 		if p.peek().kind != tokLParen {
 			return &Var{Name: t.text, Pos: t.pos}, nil
 		}

@@ -1,0 +1,123 @@
+package ooc
+
+import (
+	"bufio"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"dmml/internal/la"
+	"dmml/internal/opt"
+	"dmml/internal/workload"
+)
+
+// streamGoldenPath holds one line per value of opt.StreamingSGD's result
+// over goldenStream — every W[j], then every History[e] — as its
+// Float64bits in hex. The file was written from streamGoldenLines at the
+// commit before the compressed kernels fanned out over row ranges and
+// column groups, when every one of these blocks ran them serially, so it
+// pins today's bits to the serial kernels', not merely to a tolerance.
+const streamGoldenPath = "testdata/stream_golden.txt"
+
+// goldenStream builds a matrix of the benchmark's out-of-core block shape —
+// 4096-row blocks of 32 Zipf-categorical columns and 8 Gaussian ones, each
+// block over the compressed kernels' parallel cutoff — and its labels, and
+// pages it into a pool smaller than its paged form, with the prefetcher on.
+func goldenStream(t *testing.T) (*Matrix, []float64) {
+	t.Helper()
+	const rows, blockRows = 4 * 4096, 4096
+	r := rand.New(rand.NewSource(33))
+	cards := []int{
+		8, 16, 4, 32, 64, 5, 9, 12, 3, 7, 24, 48, 6, 10, 2, 20,
+		14, 28, 11, 40, 18, 3, 5, 36, 9, 22, 4, 13, 56, 6, 26, 8,
+	}
+	cat := workload.TelemetryMatrix(r, rows, cards, 1)
+	x := la.NewDense(rows, len(cards)+8)
+	wTrue := make([]float64, x.Cols())
+	for j := range wTrue {
+		wTrue[j] = r.NormFloat64()
+	}
+	y := make([]float64, rows)
+	for i := 0; i < rows; i++ {
+		row := x.RowView(i)
+		copy(row, cat.RowView(i))
+		for j := len(cards); j < len(row); j++ {
+			row[j] = r.NormFloat64()
+		}
+		y[i] = 1
+		if (la.Dot(row, wTrue) < 1) != (r.Float64() < 0.05) {
+			y[i] = -1
+		}
+	}
+	budget := 8 * int64(rows) * int64(x.Cols()) / 5 // room for two blocks' pages
+	bp := newPool(t, budget)
+	m, err := FromDense(bp, x, Options{BlockRows: blockRows, Prefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumBlocks() != rows/blockRows || m.CompressedBlocks() != m.NumBlocks() {
+		t.Fatalf("%d blocks, %d compressed; want %d, all compressed", m.NumBlocks(), m.CompressedBlocks(), rows/blockRows)
+	}
+	if m.PagedBytes() <= budget {
+		t.Fatalf("paged %d bytes fit the %d-byte pool: the stream would not spill", m.PagedBytes(), budget)
+	}
+	return m, y
+}
+
+// streamGoldenLines runs StreamingSGD over m at the current GOMAXPROCS and
+// renders the golden file's lines.
+func streamGoldenLines(t *testing.T, m *Matrix, y []float64) []string {
+	t.Helper()
+	res, err := opt.StreamingSGD(m, y, opt.Logistic{}, opt.StreamConfig{Step: 0.05, Decay: 0.9, L2: 1e-3, Epochs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for j, w := range res.W {
+		lines = append(lines, fmt.Sprintf("W[%d] %016x", j, math.Float64bits(w)))
+	}
+	for e, h := range res.History {
+		lines = append(lines, fmt.Sprintf("History[%d] %016x", e, math.Float64bits(h)))
+	}
+	return lines
+}
+
+// StreamingSGD over compressed out-of-core blocks must reproduce the golden
+// bits at GOMAXPROCS 1, 2 and 4: MatVecInto's row ranges each sum every row
+// in group order, and VecMatAccum's groups write disjoint columns.
+func TestStreamingSGDGoldenBits(t *testing.T) {
+	f, err := os.Open(streamGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" {
+			want = append(want, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	m, y := goldenStream(t)
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, p := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(p)
+		got := streamGoldenLines(t, m, y)
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d values, golden has %d", p, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("GOMAXPROCS=%d: got %q, golden %q", p, got[i], want[i])
+			}
+		}
+	}
+}

@@ -114,6 +114,9 @@ func (m *Matrix) pinBlock(idx int) (*block, error) {
 		sw := mDecodeTimer.Start()
 		cm, err := compress.DecodePage(page)
 		sw.Stop()
+		if err == nil && (cm.Rows() != meta.rows || cm.Cols() != m.cols) {
+			err = fmt.Errorf("page holds a %dx%d matrix, block is %dx%d", cm.Rows(), cm.Cols(), meta.rows, m.cols)
+		}
 		if err != nil {
 			m.bp.Unpin(id, false)
 			return nil, fmt.Errorf("ooc: decode block %d: %w", idx, err)

@@ -108,8 +108,8 @@ func TestGradientDescentProcsEquivalent(t *testing.T) {
 // TestGradientDescentBitReproducible extends the property to every BulkData
 // source, at sizes where each reduction on the path spans several chunks:
 // the loss pass (> lossChunk rows), dense VecMat (≥ 2¹⁸ flops), compressed
-// MatVec (over four column groups per chunk) and the join tree's fact VecMat
-// and scatterAdd.
+// MatVec and VecMat (over the parallel cutoff: row ranges and concurrent
+// column groups) and the join tree's fact VecMat and scatterAdd.
 func TestGradientDescentBitReproducible(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	cfg := GDConfig{Step: 0.5, MaxIter: 4, Backtracking: true}
@@ -122,7 +122,7 @@ func TestGradientDescentBitReproducible(t *testing.T) {
 	}
 	tel := workload.TelemetryMatrix(r, 20000, cards, 1)
 	if g := len(compress.Compress(tel, compress.Options{}).Groups()); g <= 4 {
-		t.Fatalf("compressed source has %d column groups, want several MatVec chunks", g)
+		t.Fatalf("compressed source has %d column groups, want several to run concurrently", g)
 	}
 	gdBitStable(t, "compressed", compress.Compress(tel, compress.Options{}), y, Logistic{}, cfg)
 
