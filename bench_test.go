@@ -138,7 +138,10 @@ func BenchmarkKernelDenseMatVec(b *testing.B) {
 
 func BenchmarkKernelCSRMatVec(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
-	sp := workload.SparseMatrix(r, 100000, 256, 0.01)
+	sp, err := workload.SparseMatrix(r, 100000, 256, 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
 	v := make([]float64, 256)
 	for i := range v {
 		v[i] = r.NormFloat64()

@@ -20,10 +20,10 @@
 //
 // -ooc-budget sets a memory budget for read(): files larger than the budget
 // load as block-paged, CLA-compressed out-of-core matrices backed by a
-// buffer pool of that byte budget (with async block prefetch), instead of
-// dense in-memory matrices. Scripts keep working unchanged as long as they
-// only use the streaming-friendly operations (nrow, ncol, sum, mean,
-// colSums, X %*% v, t(X) %*% v, t(X) %*% X).
+// buffer pool of that byte budget (blocks sized from it, with async block
+// prefetch), instead of dense in-memory matrices. Scripts keep working
+// unchanged as long as they only use the streaming-friendly operations
+// (nrow, ncol, sum, mean, colSums, X %*% v, t(X) %*% v, t(X) %*% X).
 //
 // -stats enables the engine metrics registry for the run and prints a
 // SystemML-style heavy-hitter table afterwards: each operator's call
@@ -40,6 +40,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -83,27 +84,33 @@ func main() {
 	}
 	// All work happens in run so deferred teardown (profile flushing) runs
 	// before the process exits; os.Exit in main would skip it.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	expr := flag.String("e", "", "evaluate this expression instead of a file")
-	explain := flag.Bool("explain", false, "print the optimized program before running")
-	noOpt := flag.Bool("no-opt", false, "disable the rewrite optimizer")
-	statsFlag := flag.Bool("stats", false, "collect engine metrics and print a per-operator time table")
-	statsTop := flag.Int("stats-top", 15, "rows in the -stats operator table (0 = all)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	oocBudget := flag.String("ooc-budget", "", "memory budget for read(): larger inputs stream as compressed out-of-core blocks (e.g. 64MB; empty = always dense)")
+// run is dmml without the lint subcommand: it parses args, runs the script
+// or expression, prints its value to stdout and everything else to stderr,
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmml", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	expr := fs.String("e", "", "evaluate this expression instead of a file")
+	explain := fs.Bool("explain", false, "print the optimized program before running")
+	noOpt := fs.Bool("no-opt", false, "disable the rewrite optimizer")
+	statsFlag := fs.Bool("stats", false, "collect engine metrics and print a per-operator time table")
+	statsTop := fs.Int("stats-top", 15, "rows in the -stats operator table (0 = all)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
+	oocBudget := fs.String("ooc-budget", "", "memory budget for read(): larger inputs stream as compressed out-of-core blocks (e.g. 64MB; empty = always dense)")
 	var csvs csvBindings
-	flag.Var(&csvs, "csv", "bind a headerless numeric CSV as a matrix: name=path (repeatable)")
-	flag.Parse()
+	fs.Var(&csvs, "csv", "bind a headerless numeric CSV as a matrix: name=path (repeatable)")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
 
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "dmml:", err)
+		fmt.Fprintln(stderr, "dmml:", err)
 		return 1
 	}
 
+	var pool *storage.BufferPool
 	if *oocBudget != "" {
 		budget, err := storage.ParseByteSize(*oocBudget)
 		if err != nil {
@@ -114,11 +121,9 @@ func run() int {
 			return fail(err)
 		}
 		defer os.RemoveAll(spill)
-		bp, err := storage.NewBufferPoolBytes(budget, spill)
-		if err != nil {
+		if pool, err = storage.NewBufferPoolBytes(budget, spill); err != nil {
 			return fail(err)
 		}
-		dml.SetReadConfig(dml.ReadConfig{Pool: bp, Budget: budget, Prefetch: true})
 	}
 
 	if *cpuprofile != "" {
@@ -139,24 +144,24 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dmml:", err)
+				fmt.Fprintln(stderr, "dmml:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows live objects
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "dmml:", err)
+				fmt.Fprintln(stderr, "dmml:", err)
 			}
 		}()
 	}
 
 	src := *expr
 	if src == "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: dmml [-e expr] [-explain] [-no-opt] [-stats] [-csv name=path] [-ooc-budget size] [script.dml]")
+		if fs.NArg() != 1 {
+			fmt.Fprintln(stderr, "usage: dmml [-e expr] [-explain] [-no-opt] [-stats] [-csv name=path] [-ooc-budget size] [script.dml]")
 			return 2
 		}
-		data, err := os.ReadFile(flag.Arg(0))
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			return fail(err)
 		}
@@ -172,13 +177,14 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
+	prog.Pool = pool
 	if !*noOpt {
 		prog = prog.Optimize(dml.ShapesFromEnv(env))
 	}
 	if *explain {
-		fmt.Println("# optimized program:")
-		fmt.Println(prog)
-		fmt.Println("# ---")
+		fmt.Fprintln(stdout, "# optimized program:")
+		fmt.Fprintln(stdout, prog)
+		fmt.Fprintln(stdout, "# ---")
 	}
 	if *statsFlag {
 		metrics.Reset()
@@ -188,16 +194,16 @@ func run() int {
 	val, evalStats, err := prog.Run(env)
 	elapsed := time.Since(start)
 	for _, w := range evalStats.Warnings {
-		fmt.Fprintf(os.Stderr, "dmml: warning: %s\n", w.Format(src))
+		fmt.Fprintf(stderr, "dmml: warning: %s\n", w.Format(src))
 	}
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Println(val)
-	fmt.Fprintf(os.Stderr, "# flops=%.3g cells=%d cse_hits=%d\n",
+	fmt.Fprintln(stdout, val)
+	fmt.Fprintf(stderr, "# flops=%.3g cells=%d cse_hits=%d\n",
 		evalStats.Flops, evalStats.CellsAllocated, evalStats.CSEHits)
 	if *statsFlag {
-		printOpStats(os.Stderr, elapsed, *statsTop)
+		printOpStats(stderr, elapsed, *statsTop)
 	}
 	return 0
 }

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -131,25 +134,107 @@ func TestCSVLoadsIdenticallyThroughEveryPath(t *testing.T) {
 			t.Fatalf("%s via dense read() = %v, want %v", f.name, dense, f.want)
 		}
 
-		bp, err := storage.NewBufferPoolBytes(1<<20, t.TempDir())
-		if err != nil {
+		// The smallest pool: every file is over its budget.
+		if prog.Pool, err = storage.NewBufferPoolBytes(8, t.TempDir()); err != nil {
 			t.Fatal(err)
 		}
-		dml.SetReadConfig(dml.ReadConfig{Pool: bp, Budget: 1}) // every file is over budget
 		paged, _, err := prog.Run(dml.Env{})
-		dml.SetReadConfig(dml.ReadConfig{})
 		if err != nil {
 			t.Fatalf("%s via out-of-core read(): %v", f.name, err)
 		}
 		if paged.O == nil {
 			t.Fatalf("%s: read() over budget did not go out of core", f.name)
 		}
-		back, err := paged.O.ToDense()
-		if err != nil {
-			t.Fatal(err)
+		back := la.NewDense(paged.O.Rows(), paged.O.Cols())
+		unit, col := make([]float64, back.Cols()), make([]float64, back.Rows())
+		for j := range unit {
+			unit[j] = 1 // column j of X is X %*% e_j, exactly
+			if err := paged.O.MatVec(col, unit); err != nil {
+				t.Fatal(err)
+			}
+			unit[j] = 0
+			for i, v := range col {
+				back.Set(i, j, v)
+			}
 		}
 		if !back.Equal(f.want, 0) {
 			t.Fatalf("%s via out-of-core read() = %v, want %v", f.name, back, f.want)
 		}
+	}
+}
+
+// dmml runs the command with args and returns its stdout, failing the test
+// on a non-zero exit.
+func dmml(t *testing.T, args ...string) string {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("dmml %s: exit %d: %s", strings.Join(args, " "), code, errOut.String())
+	}
+	return out.String()
+}
+
+// writeUniformCSV writes a rows x cols CSV of uniform [0,1) values, so every
+// probe below is a sum of positive terms and a relative tolerance holds.
+func writeUniformCSV(t *testing.T, path string, r *rand.Rand, rows, cols int) {
+	t.Helper()
+	var sb strings.Builder
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "%.6f", r.Float64())
+		}
+		sb.WriteByte('\n')
+	}
+	writeFile(t, path, sb.String())
+}
+
+// -ooc-budget sizes read()'s blocks from the budget: a file whose
+// 4096-row block exceeds half the budget still streams with prefetch (two
+// blocks pinned at once) and matches the dense run, and the spill directory
+// is gone when dmml returns.
+func TestOOCBudgetReadMatchesDense(t *testing.T) {
+	const rows, cols, budget = 6000, 8, 256 << 10
+	if 8*4096*cols <= budget/2 {
+		t.Fatal("a 4096-row block must exceed half the budget")
+	}
+	dir := t.TempDir()
+	r := rand.New(rand.NewSource(33))
+	x, v, y := filepath.Join(dir, "x.csv"), filepath.Join(dir, "v.csv"), filepath.Join(dir, "y.csv")
+	writeUniformCSV(t, x, r, rows, cols)
+	writeUniformCSV(t, v, r, cols, 1)
+	writeUniformCSV(t, y, r, rows, 1)
+	if fi, err := os.Stat(x); err != nil || fi.Size() <= budget {
+		t.Fatalf("x.csv must exceed the budget: %v, %v", fi, err)
+	}
+	spill := t.TempDir()
+	t.Setenv("TMPDIR", spill)
+	for _, probe := range []string{
+		"nrow(X) * ncol(X)",
+		"sum(X)",
+		"mean(X)",
+		"sum(colSums(X))",
+		"sum(X %*% v)",
+		"sum(t(X) %*% y)",
+		"sum(t(X) %*% X)",
+	} {
+		script := fmt.Sprintf("X = read(%q)\n%s", x, probe)
+		bind := []string{"-csv", "v=" + v, "-csv", "y=" + y, "-e", script}
+		want, err := strconv.ParseFloat(strings.TrimSpace(dmml(t, bind...)), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := strconv.ParseFloat(strings.TrimSpace(dmml(t, append([]string{"-ooc-budget", "256KB"}, bind...)...)), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Errorf("%s: out-of-core %v, dense %v", probe, got, want)
+		}
+	}
+	if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
+		t.Fatalf("spill directory not removed: %v, %v", left, err)
 	}
 }

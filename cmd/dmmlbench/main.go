@@ -8,8 +8,6 @@
 //	dmmlbench -exp E1,E5         # only the named experiments
 //	dmmlbench -metrics out.json  # also dump the engine metrics registry
 //	dmmlbench -cpuprofile p.out  # write a pprof CPU profile of the run
-//	dmmlbench -ooc-budget 8MB    # re-run the out-of-core experiments (E17)
-//	                             # under a different buffer-pool budget
 //
 // -metrics enables the engine-wide metrics registry for the run and writes
 // the full snapshot (counters, gauges, latency histograms from every
@@ -24,11 +22,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"dmml/internal/experiments"
 	"dmml/internal/metrics"
-	"dmml/internal/storage"
 )
 
 func main() {
@@ -43,20 +41,11 @@ func run() int {
 	metricsOut := flag.String("metrics", "", "write the engine metrics registry as JSON to this file ('-' for stdout)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	oocBudget := flag.String("ooc-budget", "", "override the out-of-core experiments' buffer-pool budget (e.g. 8MB; default: dense footprint / 4)")
 	flag.Parse()
 
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "dmmlbench:", err)
 		return 1
-	}
-
-	if *oocBudget != "" {
-		b, err := storage.ParseByteSize(*oocBudget)
-		if err != nil {
-			return fail(err)
-		}
-		experiments.SetOOCBudget(b)
 	}
 
 	if *cpuprofile != "" {
@@ -92,43 +81,22 @@ func run() int {
 		metrics.Enable()
 	}
 
-	fns := map[string]func(bool) (experiments.Table, error){
-		"E1":     experiments.E1FactorizedVsMaterialized,
-		"E2":     experiments.E2HamletRule,
-		"E3":     experiments.E3CompressionRatio,
-		"E4":     experiments.E4CompressedMV,
-		"E5":     experiments.E5Rewrites,
-		"E6":     experiments.E6BismarckParallel,
-		"E7":     experiments.E7ModelSearch,
-		"E8":     experiments.E8ColumbusReuse,
-		"E9":     experiments.E9ParamServer,
-		"E10":    experiments.E10SparseVsDense,
-		"E11":    experiments.E11BufferPool,
-		"E12":    experiments.E12ReuseAcrossCV,
-		"E13":    experiments.E13PlannerChoice,
-		"E14":    experiments.E14FaultTolerance,
-		"E15":    experiments.E15Fusion,
-		"E17":    experiments.E17OutOfCoreTraining,
-		"E18":    experiments.E18FactorizedSnowflake,
-		"E-ABL1": experiments.EKMeansPruning,
-		"E-ABL2": experiments.EColumnCoCoding,
-	}
-
-	ids := experiments.Order
+	exps := experiments.All
 	if *expList != "" {
-		ids = nil
+		exps = nil
 		for _, id := range strings.Split(*expList, ",") {
 			id = strings.TrimSpace(id)
-			if _, ok := fns[id]; !ok {
+			i := slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == id })
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "dmmlbench: unknown experiment %q\n", id)
 				return 2
 			}
-			ids = append(ids, id)
+			exps = append(exps, experiments.All[i])
 		}
 	}
 
-	for _, id := range ids {
-		t, err := fns[id](*quick)
+	for _, e := range exps {
+		t, err := e.Run(*quick)
 		fmt.Println(t)
 		if err != nil {
 			return fail(err)

@@ -7,6 +7,7 @@
 //	instrumentinit  instruments register at package level or init() only
 //	noalloc         //dmml:noalloc kernels contain no allocating construct
 //	lockdiscipline  no mutex copied by value; Lock/Unlock balanced
+//	errpanic        no panic in internal/ carries an error value
 //
 // Findings print as file:line:col: [analyzer] message and any finding makes
 // the exit status non-zero, so `dmmlvet ./...` is a blocking CI gate.

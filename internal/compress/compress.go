@@ -254,19 +254,6 @@ func (c *Matrix) GramAccum(out *la.Dense) {
 	pool.PutF64(col)
 }
 
-// DecompressInto materializes the dense equivalent into m, which must be
-// rows×cols. m is zeroed first since sparse encodings only write non-zeros.
-func (c *Matrix) DecompressInto(m *la.Dense) {
-	if r, cl := m.Dims(); r != c.rows || cl != c.cols {
-		panic(fmt.Sprintf("compress: DecompressInto %dx%d for %dx%d matrix", r, cl, c.rows, c.cols))
-	}
-	raw := m.RawData()
-	clear(raw)
-	for _, g := range c.groups {
-		g.DecompressInto(m)
-	}
-}
-
 // ColSumsAccum adds per-column sums into out.
 func (c *Matrix) ColSumsAccum(out []float64) {
 	for _, g := range c.groups {

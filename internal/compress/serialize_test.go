@@ -342,6 +342,6 @@ func FuzzDecodePage(f *testing.F) {
 			}
 		}
 		m.VecMatAccum(make([]float64, m.Cols()), x)
-		m.DecompressInto(la.NewDense(m.Rows(), m.Cols()))
+		m.Decompress()
 	})
 }

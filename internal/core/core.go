@@ -10,12 +10,13 @@
 //
 // costs each with a flops/bytes model, picks the cheapest that fits the
 // memory budget, and executes it. Every representation is handed to the
-// solvers through the one opt.BulkData contract its engine already
-// implements. Explain output exposes the whole plan table so the choice is
-// auditable.
+// solvers through the opt.Data contract its engine already implements: the
+// in-memory opt.BulkData, or the out-of-core opt.BlockData stream. Explain
+// output exposes the whole plan table so the choice is auditable.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -125,7 +126,7 @@ type plan struct {
 
 // planner enumerates and executes plans for one training request. Every
 // plan's execution bottoms out in one of its two solvers over an
-// opt.BulkData source or its Gram matrix, so representations differ only in
+// opt.Data source or its Gram matrix, so representations differ only in
 // which source they hand over.
 type planner struct {
 	y     []float64
@@ -144,7 +145,7 @@ func (p *planner) add(name string, flops float64, workingSet int64, run func() (
 
 // iterative is the solver of every "+iterative" plan: batch gradient descent
 // over whatever representation the plan built.
-func (p *planner) iterative(data opt.BulkData) ([]float64, error) {
+func (p *planner) iterative(data opt.Data) ([]float64, error) {
 	res, err := opt.GradientDescent(data, p.y, p.task.lossFn(),
 		opt.GDConfig{Step: p.task.Step, L2: p.task.L2, MaxIter: p.task.MaxIter, Tol: 1e-9, Backtracking: true})
 	if err != nil {
@@ -254,20 +255,15 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 	return p.execute(opt.DenseData{M: x})
 }
 
-// poolBlocks is how many blocks of the paged plan fit its buffer pool: enough
-// that the two the prefetcher pins never exhaust it, few enough that each
-// block amortizes its pin.
-const poolBlocks = 8
-
 // newSpillPool builds the paged plan's buffer pool; a variable so tests can
 // inject spill I/O failures.
 var newSpillPool = storage.NewBufferPoolBytes
 
 // paged runs the out-of-core plan: x streams as row blocks (CLA-compressed
-// where that pays, raw otherwise) through a buffer pool bounded by the
-// memory budget, spilling to a temp directory that lives for the call.
+// where that pays, raw otherwise, sized by ooc from the pool's budget)
+// through a buffer pool bounded by the memory budget, spilling to a temp
+// directory that lives for the call.
 func (p *planner) paged(x *la.Dense) ([]float64, error) {
-	n, d := x.Dims()
 	dir, err := os.MkdirTemp("", "dmml-core-paged-*")
 	if err != nil {
 		return nil, err
@@ -277,12 +273,15 @@ func (p *planner) paged(x *la.Dense) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	blockRows := min(max(int(p.o.MemBudgetBytes/int64(8*d))/poolBlocks, 1), n)
-	m, err := ooc.FromDense(bp, x, ooc.Options{BlockRows: blockRows, Prefetch: true})
+	m, err := ooc.FromDense(bp, x, ooc.Options{Prefetch: true})
 	if err != nil {
 		return nil, err
 	}
-	return p.iterative(m)
+	w, err := p.iterative(m)
+	if err = errors.Join(err, m.Drop()); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // TrainNormalized plans and trains over a normalized acyclic join tree (a

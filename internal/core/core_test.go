@@ -5,8 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dmml/internal/factorized"
 	"dmml/internal/la"
@@ -401,37 +404,73 @@ func TestCostModelRankingByPredictedCost(t *testing.T) {
 }
 
 // A spill read failing mid-training must come back from TrainJoined as a
-// wrapped error — no panic from the block stream — with the plan's temp
-// spill directory already removed.
+// wrapped error naming the plan, for every read k the plan makes, with no
+// panic from the block stream. The plan's matrix is dropped (no page stays
+// pinned, so nothing stays resident), its temp spill directory is removed,
+// and no goroutine outlives the call.
 func TestPagedPlanSurfacesSpillReadFailure(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	injected := errors.New("disk on fire")
+	var (
+		bp     *storage.BufferPool
+		reads  atomic.Int64
+		failAt int64
+	)
 	newSpillPool = func(budget int64, dir string) (*storage.BufferPool, error) {
-		bp, err := storage.NewBufferPoolBytes(budget, dir)
-		if err == nil {
-			bp.SetFailureHooks(func(storage.PageID) error { return injected }, nil)
+		var err error
+		if bp, err = storage.NewBufferPoolBytes(budget, dir); err == nil {
+			reads.Store(0)
+			bp.SetFailureHooks(func(storage.PageID) error {
+				if reads.Add(1) == failAt {
+					return injected
+				}
+				return nil
+			}, nil)
 		}
 		return bp, err
 	}
 	defer func() { newSpillPool = storage.NewBufferPoolBytes }()
 
 	r := rand.New(rand.NewSource(193))
-	x, y, _ := workload.Regression(r, 4000, 8, 0.1)
-	_, err := TrainJoined(x, y, Task{Loss: SquaredLoss, MaxIter: 5},
-		Options{MemBudgetBytes: 32 * 1024, ForcePlan: "paged+iterative"})
-	if !errors.Is(err, injected) {
-		t.Fatalf("err = %v, want the injected spill read failure", err)
+	x, y, _ := workload.Regression(r, 320, 8, 0.1)
+	train := func() error {
+		_, err := TrainJoined(x, y, Task{Loss: SquaredLoss, MaxIter: 2},
+			Options{MemBudgetBytes: 8 * 1024, ForcePlan: "paged+iterative"})
+		return err
 	}
-	if !strings.Contains(err.Error(), "paged+iterative") {
-		t.Fatalf("err = %v, want the failing plan named", err)
+	if err := train(); err != nil {
+		t.Fatal(err)
 	}
-	left, rerr := os.ReadDir(tmp)
-	if rerr != nil {
-		t.Fatal(rerr)
+	total := reads.Load()
+	if total < 2 {
+		t.Fatalf("a clean run read %d spilled blocks; the sweep is vacuous", total)
 	}
-	if len(left) != 0 {
-		t.Fatalf("spill dir %s survived the failed plan", left[0].Name())
+	goroutines := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Millisecond)
+		goroutines = min(goroutines, runtime.NumGoroutine())
+	}
+	for failAt = 1; failAt <= total; failAt++ {
+		err := train()
+		if !errors.Is(err, injected) || !strings.Contains(err.Error(), "paged+iterative") {
+			t.Fatalf("read %d of %d failing: err = %v, want the injected failure under the plan's name", failAt, total, err)
+		}
+		if n := bp.ResidentBytes(); n != 0 {
+			t.Fatalf("read %d of %d failing: %d bytes still resident; the plan's matrix was not dropped", failAt, total, n)
+		}
+		if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+			t.Fatalf("read %d of %d failing: spill dir survived: %v, %v", failAt, total, left, err)
+		}
+		// A joined goroutine may still be returning; a leaked one stays.
+		n := runtime.NumGoroutine()
+		for i := 0; i < 10000 && n > goroutines; i++ {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > goroutines {
+			t.Fatalf("read %d of %d failing: %d goroutines, want %d", failAt, total, n, goroutines)
+		}
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"dmml/internal/storage"
 )
 
 // Node is an expression AST node.
@@ -184,6 +186,11 @@ func indentStmts(stmts []Stmt) string {
 type Program struct {
 	Stmts []Stmt
 	Src   string
+	// Pool, when non-nil, backs read(): a file larger than the pool's budget
+	// loads as an out-of-core matrix paged through it, every other file as
+	// a dense matrix. The caller owns the pool; those matrices keep their
+	// pages in it until it is discarded.
+	Pool *storage.BufferPool
 }
 
 // String renders the program source-like, one statement per line.

@@ -8,11 +8,12 @@ import (
 	"dmml/internal/la"
 	"dmml/internal/metrics"
 	"dmml/internal/ooc"
+	"dmml/internal/storage"
 )
 
 // Value is a DML runtime value: a scalar, a dense matrix, or a block-paged
-// out-of-core matrix produced by read() when the input exceeds the configured
-// memory budget (see SetReadConfig).
+// out-of-core matrix produced by read() when the input exceeds the budget of
+// the program's Pool.
 type Value struct {
 	IsScalar bool
 	S        float64
@@ -81,14 +82,17 @@ func (p *Program) Run(env Env) (Value, *EvalStats, error) {
 		}
 		return Value{}, stats, fmt.Errorf("dml: %s", msg)
 	}
-	last, err := runStmts(env, stats, p.Stmts, p.Src)
+	last, err := p.runStmts(env, stats, p.Stmts)
 	return last, stats, err
 }
 
 // maxLoopIters caps counted loops so a typo cannot hang the interpreter.
 const maxLoopIters = 10_000_000
 
-func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error) {
+// runStmts runs one statement block of p: its top level, a loop body or an
+// if branch.
+func (p *Program) runStmts(env Env, stats *EvalStats, stmts []Stmt) (Value, error) {
+	src := p.Src
 	var last Value
 	// Row products computed by a statement-pair producer, waiting for the
 	// consumer later in this block.
@@ -103,7 +107,7 @@ func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error
 		}
 		switch {
 		case stmt.For != nil:
-			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products}
+			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products, pool: p.Pool}
 			fromV, err := ev.eval(stmt.For.From)
 			if err != nil {
 				return fail(err)
@@ -121,14 +125,14 @@ func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error
 			}
 			for k := from; k <= to; k++ {
 				env[stmt.For.Var] = Scalar(float64(k))
-				v, err := runStmts(env, stats, stmt.For.Body, src)
+				v, err := p.runStmts(env, stats, stmt.For.Body)
 				if err != nil {
 					return Value{}, err
 				}
 				last = v
 			}
 		case stmt.If != nil:
-			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products}
+			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products, pool: p.Pool}
 			cond, err := ev.eval(stmt.If.Cond)
 			if err != nil {
 				return fail(err)
@@ -140,7 +144,7 @@ func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error
 			if cond.S == 0 {
 				branch = stmt.If.Else
 			}
-			v, err := runStmts(env, stats, branch, src)
+			v, err := p.runStmts(env, stats, branch)
 			if err != nil {
 				return Value{}, err
 			}
@@ -148,7 +152,7 @@ func runStmts(env Env, stats *EvalStats, stmts []Stmt, src string) (Value, error
 				last = v
 			}
 		default:
-			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products}
+			ev := &evaluator{env: env, stats: stats, memo: map[string]Value{}, products: products, pool: p.Pool}
 			v, err := ev.eval(stmt.Expr)
 			if err != nil {
 				return fail(err)
@@ -169,6 +173,8 @@ type evaluator struct {
 	// products is the block's Row handoff: a pair producer stores the
 	// product under its consumer, which takes it instead of recomputing.
 	products map[*Fused]Value
+	// pool is the program's Pool, which read() pages large files into.
+	pool *storage.BufferPool
 	// ctx carries the innermost open metrics span while -stats collection
 	// is enabled, so nested operator evaluations report parent/child self
 	// time. nil until the first instrumented node.
@@ -653,7 +659,7 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 		if !ok {
 			return Value{}, fmt.Errorf("read: argument must be a string literal path")
 		}
-		v, err := readMatrix(s.Val)
+		v, err := readMatrix(e.pool, s.Val)
 		if err != nil {
 			return Value{}, fmt.Errorf("read(%q): %w", s.Val, err)
 		}

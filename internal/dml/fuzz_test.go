@@ -166,7 +166,7 @@ func TestAnalyzerSoundnessFuzz(t *testing.T) {
 
 		// Evaluate without the analyzer pre-pass to get ground truth.
 		env := Env{"A": Matrix(a), "B": Matrix(b)}
-		_, evalErr := runStmts(env, &EvalStats{}, prog.Stmts, "")
+		_, evalErr := (&Program{}).runStmts(env, &EvalStats{}, prog.Stmts)
 
 		for _, p := range []*Program{prog, prog.Optimize(shapes)} {
 			an := p.Analyze(shapes)

@@ -3,60 +3,23 @@ package dml
 import (
 	"fmt"
 	"os"
-	"sync"
 
 	"dmml/internal/la"
 	"dmml/internal/ooc"
-	"dmml/internal/opt"
 	"dmml/internal/storage"
 )
 
-// ReadConfig controls how the read() builtin materializes CSV inputs. With no
-// configuration (or a nil Pool) every file parses into a dense in-memory
-// matrix. When a buffer pool and byte budget are set, files whose on-disk
-// size exceeds the budget stream into a block-paged out-of-core matrix
-// instead: row blocks are CLA-compressed and live in the pool, spilling and
-// re-pinning under its eviction policy, so resident memory stays bounded by
-// the pool budget no matter how large the input is.
-type ReadConfig struct {
-	// Pool backs out-of-core matrices. nil disables paging entirely.
-	Pool *storage.BufferPool
-	// Budget is the dense-size threshold in bytes: inputs whose file size
-	// exceeds it go out-of-core. <=0 disables paging.
-	Budget int64
-	// BlockRows is the rows-per-block granularity (0 = ooc default).
-	BlockRows int
-	// Prefetch enables the async block prefetcher on matrices read here.
-	Prefetch bool
-}
-
-var (
-	readMu  sync.Mutex
-	readCfg ReadConfig
-)
-
-// SetReadConfig installs the process-wide policy for the read() builtin.
-// Callers own the pool's lifetime: matrices read out-of-core keep their
-// pages in the pool until the pool itself is discarded.
-func SetReadConfig(cfg ReadConfig) {
-	readMu.Lock()
-	readCfg = cfg
-	readMu.Unlock()
-}
-
-func currentReadConfig() ReadConfig {
-	readMu.Lock()
-	defer readMu.Unlock()
-	return readCfg
-}
-
-// readMatrix loads a CSV file for the read() builtin, choosing dense or
-// block-paged representation by comparing the file size against the
-// configured budget. File size is the paging trigger (not parsed dense size)
-// so the decision costs one stat and no I/O; a text float averages close to
-// 8 bytes, making the two sizes the same order of magnitude.
-func readMatrix(path string) (Value, error) {
-	cfg := currentReadConfig()
+// readMatrix loads a CSV file for the read() builtin. With no pool every file
+// parses into a dense in-memory matrix. With one, a file whose on-disk size
+// exceeds the pool's budget streams into a block-paged out-of-core matrix
+// instead: row blocks sized from the budget are CLA-compressed where that
+// pays, live in the pool, spill and re-pin under its eviction policy, and
+// are prefetched one ahead, so resident memory stays bounded by the budget
+// no matter how large the input is. File size is the paging trigger (not
+// parsed dense size) so the decision costs one stat and no I/O; a text float
+// averages close to 8 bytes, making the two sizes the same order of
+// magnitude.
+func readMatrix(pool *storage.BufferPool, path string) (Value, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return Value{}, err
@@ -64,11 +27,8 @@ func readMatrix(path string) (Value, error) {
 	if fi.IsDir() {
 		return Value{}, fmt.Errorf("%s is a directory", path)
 	}
-	if cfg.Pool != nil && cfg.Budget > 0 && fi.Size() > cfg.Budget {
-		m, err := ooc.ReadCSVFile(cfg.Pool, path, ooc.Options{
-			BlockRows: cfg.BlockRows,
-			Prefetch:  cfg.Prefetch,
-		})
+	if pool != nil && fi.Size() > pool.Budget() {
+		m, err := ooc.ReadCSVFile(pool, path, ooc.Options{Prefetch: true})
 		if err != nil {
 			return Value{}, err
 		}
@@ -118,7 +78,7 @@ func streamErr(op string, err error) error {
 // dims is nrow/ncol: metadata only, no block is touched.
 func (v Value) dims() (rows, cols int) {
 	if v.O != nil {
-		return v.O.Dims()
+		return v.O.Rows(), v.O.Cols()
 	}
 	return v.M.Dims()
 }
@@ -148,11 +108,7 @@ func (v Value) matVec(x []float64) ([]float64, error) {
 		return la.MatVec(v.M, x), nil
 	}
 	dst := make([]float64, v.O.Rows())
-	err := v.O.ForEachBlock(func(b opt.RowBlock) error {
-		b.MatVecInto(dst[b.StartRow():b.StartRow()+b.Rows()], x)
-		return nil
-	})
-	return dst, streamErr("X %*% v", err)
+	return dst, streamErr("X %*% v", v.O.MatVec(dst, x))
 }
 
 // vecMat is t(X) %*% y for a column y, without materializing the transpose.
@@ -161,11 +117,7 @@ func (v Value) vecMat(y []float64) ([]float64, error) {
 		return la.VecMat(y, v.M), nil
 	}
 	dst := make([]float64, v.O.Cols())
-	err := v.O.ForEachBlock(func(b opt.RowBlock) error {
-		b.VecMatAccum(dst, y[b.StartRow():b.StartRow()+b.Rows()])
-		return nil
-	})
-	return dst, streamErr("t(X) %*% v", err)
+	return dst, streamErr("t(X) %*% v", v.O.VecMat(dst, y))
 }
 
 // gram is t(X) %*% X, without materializing the transpose.

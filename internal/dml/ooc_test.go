@@ -52,10 +52,18 @@ func writeCSV(t *testing.T, rows, cols int) string {
 
 func runProg(t *testing.T, src string, env Env) Value {
 	t.Helper()
+	return runWithPool(t, nil, src, env)
+}
+
+// runWithPool runs src with pool as the program's Pool, so read() pages
+// files larger than its budget.
+func runWithPool(t *testing.T, pool *storage.BufferPool, src string, env Env) Value {
+	t.Helper()
 	p, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
+	p.Pool = pool
 	v, _, err := p.Run(env)
 	if err != nil {
 		t.Fatalf("run %q: %v", src, err)
@@ -148,17 +156,13 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-// oocEnvForFile installs a read config whose budget is far below the file
-// size, so read() goes out-of-core, and restores the default on cleanup. It
-// returns the pool behind read().
-func oocEnvForFile(t *testing.T, budget int64, blockRows int, prefetch bool) *storage.BufferPool {
+// newPool returns a buffer pool of budget bytes spilling to a test temp dir.
+func newPool(t *testing.T, budget int64) *storage.BufferPool {
 	t.Helper()
 	bp, err := storage.NewBufferPoolBytes(budget, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetReadConfig(ReadConfig{Pool: bp, Budget: budget / 4, BlockRows: blockRows, Prefetch: prefetch})
-	t.Cleanup(func() { SetReadConfig(ReadConfig{}) })
 	return bp
 }
 
@@ -198,40 +202,45 @@ func TestReadOutOfCoreMatchesDense(t *testing.T) {
 		want[i] = v.S
 	}
 
-	for _, prefetch := range []bool{false, true} {
-		oocEnvForFile(t, 16*1024, 128, prefetch)
-		for i, probe := range probes {
-			src := fmt.Sprintf("X = read(%q)\n%s", path, probe)
-			v := runProg(t, src, Env{"w": wm, "y": ym})
-			if math.Abs(v.S-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("prefetch=%v probe %q = %v, want %v", prefetch, probe, v.S, want[i])
-			}
-		}
-		// And the value really is out-of-core under this config.
-		v := runProg(t, fmt.Sprintf("read(%q)", path), Env{})
-		if v.O == nil {
-			t.Fatalf("prefetch=%v: want out-of-core matrix", prefetch)
-		}
-		if v.O.NumBlocks() < 2 {
-			t.Fatalf("prefetch=%v: want multiple blocks, got %d", prefetch, v.O.NumBlocks())
-		}
+	// A pool larger than the file leaves read() dense.
+	if v := runWithPool(t, newPool(t, 1<<20), fmt.Sprintf("read(%q)", path), Env{}); v.M == nil {
+		t.Fatalf("read() under a pool larger than the file = %v, want dense", v)
 	}
 
-	// Both block layouts behind the same probes: read() compresses whatever
-	// compresses, so the raw layout is bound directly.
-	bp := oocEnvForFile(t, 16*1024, 128, false)
+	// read() pages a file larger than its pool's budget, prefetching.
+	bp := newPool(t, 8*1024)
+	for i, probe := range probes {
+		src := fmt.Sprintf("X = read(%q)\n%s", path, probe)
+		v := runWithPool(t, bp, src, Env{"w": wm, "y": ym})
+		if math.Abs(v.S-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+			t.Fatalf("read() probe %q = %v, want %v", probe, v.S, want[i])
+		}
+	}
+	v := runWithPool(t, bp, fmt.Sprintf("read(%q)", path), Env{})
+	if v.O == nil {
+		t.Fatal("read() over budget: want out-of-core matrix")
+	}
+	if v.O.NumBlocks() < 2 {
+		t.Fatalf("read() over budget: want multiple blocks, got %d", v.O.NumBlocks())
+	}
+
+	// Every block layout, with and without prefetch, behind the same
+	// probes: read() compresses whatever compresses and always prefetches,
+	// so the other arms are bound directly.
 	for _, noCompress := range []bool{false, true} {
-		m, err := ooc.FromDense(bp, dense.M, ooc.Options{BlockRows: 128, NoCompress: noCompress})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (m.CompressedBlocks() == 0) != noCompress {
-			t.Fatalf("NoCompress=%v: %d of %d blocks compressed", noCompress, m.CompressedBlocks(), m.NumBlocks())
-		}
-		for i, probe := range probes {
-			v := runProg(t, probe, Env{"X": OOC(m), "w": wm, "y": ym})
-			if math.Abs(v.S-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("NoCompress=%v probe %q = %v, want %v", noCompress, probe, v.S, want[i])
+		for _, prefetch := range []bool{false, true} {
+			m, err := ooc.FromDense(bp, dense.M, ooc.Options{BlockRows: 128, NoCompress: noCompress, Prefetch: prefetch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (m.CompressedBlocks() == 0) != noCompress {
+				t.Fatalf("NoCompress=%v: %d of %d blocks compressed", noCompress, m.CompressedBlocks(), m.NumBlocks())
+			}
+			for i, probe := range probes {
+				v := runProg(t, probe, Env{"X": OOC(m), "w": wm, "y": ym})
+				if math.Abs(v.S-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+					t.Fatalf("NoCompress=%v prefetch=%v probe %q = %v, want %v", noCompress, prefetch, probe, v.S, want[i])
+				}
 			}
 		}
 	}
@@ -240,11 +249,11 @@ func TestReadOutOfCoreMatchesDense(t *testing.T) {
 // A spill read failing under a streaming op is that op's error, not a panic.
 func TestOutOfCoreSpillReadFailure(t *testing.T) {
 	path := writeCSV(t, 600, 5)
-	bp := oocEnvForFile(t, 4*1024, 64, false) // one or two of ten blocks resident
+	bp := newPool(t, 4*1024) // a few of fifty blocks resident
 	wm, _ := newColumn(make([]float64, 5))
 	ym, _ := newColumn(make([]float64, 600))
 	env := Env{"w": wm, "y": ym}
-	runProg(t, fmt.Sprintf("X = read(%q)", path), env)
+	runWithPool(t, bp, fmt.Sprintf("X = read(%q)", path), env)
 	injected := errors.New("disk on fire")
 	bp.SetFailureHooks(func(storage.PageID) error { return injected }, nil)
 	for _, c := range []struct{ probe, op string }{
@@ -268,7 +277,7 @@ func TestOutOfCoreSpillReadFailure(t *testing.T) {
 
 func TestOutOfCoreUnsupportedOps(t *testing.T) {
 	path := writeCSV(t, 600, 5)
-	oocEnvForFile(t, 16*1024, 128, false)
+	bp := newPool(t, 8*1024)
 	for _, probe := range []string{
 		"X + 1",
 		"-X",
@@ -285,8 +294,9 @@ func TestOutOfCoreUnsupportedOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.Run(Env{}); err == nil {
-			t.Fatalf("probe %q: want out-of-core unsupported error", probe)
+		p.Pool = bp
+		if _, _, err := p.Run(Env{}); err == nil || !strings.Contains(err.Error(), "not supported on an out-of-core matrix") {
+			t.Fatalf("probe %q: err = %v, want out-of-core unsupported error", probe, err)
 		}
 	}
 }
@@ -316,8 +326,7 @@ sum(g)`, path)
 	_ = denseX
 	want := runProg(t, src, Env{"w": wm, "y": ym})
 
-	oocEnvForFile(t, 8*1024, 64, true)
-	got := runProg(t, src, Env{"w": wm, "y": ym})
+	got := runWithPool(t, newPool(t, 8*1024), src, Env{"w": wm, "y": ym})
 	if math.Abs(got.S-want.S) > 1e-9*(1+math.Abs(want.S)) {
 		t.Fatalf("ooc gradient = %v, want %v", got.S, want.S)
 	}

@@ -35,7 +35,7 @@ func (p *Program) optimize(vars map[string]Shape, fuse bool) *Program {
 		// Fresh env: optimizeStmts mutated its copy while tracking statements.
 		stmts = fuseStmts(stmts, envFromShapes(vars))
 	}
-	return &Program{Stmts: stmts, Src: p.Src}
+	return &Program{Stmts: stmts, Src: p.Src, Pool: p.Pool}
 }
 
 func envFromShapes(vars map[string]Shape) absEnv {

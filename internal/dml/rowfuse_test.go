@@ -209,8 +209,7 @@ func TestRowTemplateNotApplied(t *testing.T) {
 
 	t.Run("out-of-core X", func(t *testing.T) {
 		path := writeCSV(t, 600, cols)
-		oocEnvForFile(t, 16*1024, 128, false)
-		x := runProg(t, fmt.Sprintf("read(%q)", path), Env{})
+		x := runWithPool(t, newPool(t, 8*1024), fmt.Sprintf("read(%q)", path), Env{})
 		if x.O == nil {
 			t.Fatal("read() did not go out of core")
 		}

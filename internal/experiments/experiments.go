@@ -33,6 +33,36 @@ type Table struct {
 	Notes  string
 }
 
+// Experiment is one entry of the registry: a table id and the function that
+// produces that table (quick runs it at ~1/10 scale).
+type Experiment struct {
+	ID  string
+	Run func(quick bool) (Table, error)
+}
+
+// All lists every experiment in EXPERIMENTS.md order.
+var All = []Experiment{
+	{"E1", E1FactorizedVsMaterialized},
+	{"E2", E2HamletRule},
+	{"E3", E3CompressionRatio},
+	{"E4", E4CompressedMV},
+	{"E5", E5Rewrites},
+	{"E6", E6BismarckParallel},
+	{"E7", E7ModelSearch},
+	{"E8", E8ColumbusReuse},
+	{"E9", E9ParamServer},
+	{"E10", E10SparseVsDense},
+	{"E11", E11BufferPool},
+	{"E12", E12ReuseAcrossCV},
+	{"E13", E13PlannerChoice},
+	{"E14", E14FaultTolerance},
+	{"E15", E15Fusion},
+	{"E17", E17OutOfCoreTraining},
+	{"E18", E18FactorizedSnowflake},
+	{"E-ABL1", EKMeansPruning},
+	{"E-ABL2", EColumnCoCoding},
+}
+
 // String renders the table with aligned columns.
 func (t Table) String() string {
 	var b strings.Builder
@@ -322,7 +352,10 @@ func E10SparseVsDense(quick bool) (Table, error) {
 	reps := 20
 	for _, density := range []float64{0.5, 0.1, 0.01, 0.001} {
 		r := rand.New(rand.NewSource(int64(7000 + int(density*1000))))
-		sp := workload.SparseMatrix(r, n, dcols, density)
+		sp, err := workload.SparseMatrix(r, n, dcols, density)
+		if err != nil {
+			return t, err
+		}
 		dn := sp.ToDense()
 		v := make([]float64, dcols)
 		for i := range v {

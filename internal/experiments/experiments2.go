@@ -288,7 +288,9 @@ func E11BufferPool(quick bool) (Table, error) {
 		out := make([]float64, rows)
 		start := time.Now()
 		for p := 0; p < passes; p++ {
-			m.MatVecInto(out, v)
+			if err := m.MatVec(out, v); err != nil {
+				return t, err
+			}
 		}
 		elapsed := time.Since(start)
 		st := bp.Stats()
@@ -398,11 +400,6 @@ func E14FaultTolerance(quick bool) (Table, error) {
 	}
 	t.Notes = "5% request loss + one worker kill: retries absorb the losses, the restarted worker rejoins at the clock, final loss matches the fault-free run"
 	return t, nil
-}
-
-// Order lists experiment ids in EXPERIMENTS.md order.
-var Order = []string{
-	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E17", "E18", "E-ABL1", "E-ABL2",
 }
 
 func seq(lo, hi int) []int {

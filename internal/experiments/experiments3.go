@@ -32,16 +32,6 @@ func (p *residencyProbe) ForEachBlock(f func(b opt.RowBlock) error) error {
 	})
 }
 
-// oocBudgetOverride, when positive, replaces E17's default buffer-pool
-// budget of one quarter of the dense footprint. Set via SetOOCBudget from
-// dmmlbench's -ooc-budget flag so the out-of-core datapath can be explored
-// under different memory pressures without editing the experiment.
-var oocBudgetOverride int64
-
-// SetOOCBudget overrides the buffer-pool byte budget used by the
-// out-of-core experiments; 0 restores the default (dense footprint / 4).
-func SetOOCBudget(b int64) { oocBudgetOverride = b }
-
 // e17Result is one variant's measurements, shared by the E17 table and the
 // invariant-pinning test.
 type e17Result struct {
@@ -70,9 +60,6 @@ func e17Run(quick bool) ([]e17Result, error) {
 	cols := len(cards)
 	denseBytes := 8 * int64(rows) * int64(cols)
 	budget := denseBytes / 4
-	if oocBudgetOverride > 0 {
-		budget = oocBudgetOverride
-	}
 	blockRows := rows / 64
 
 	r := rand.New(rand.NewSource(17000))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -11,17 +10,17 @@ import (
 // Integration smoke: every experiment runs at quick scale and produces a
 // well-formed table.
 func TestAllExperimentsRun(t *testing.T) {
-	tables, err := All(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 19 {
-		t.Fatalf("got %d tables", len(tables))
+	if len(All) != 19 {
+		t.Fatalf("registry lists %d experiments", len(All))
 	}
 	seen := map[string]bool{}
-	for _, tbl := range tables {
-		if tbl.ID == "" || tbl.Title == "" {
-			t.Fatalf("table missing metadata: %+v", tbl)
+	for _, e := range All {
+		tbl, err := e.Run(true)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if tbl.ID != e.ID || tbl.Title == "" {
+			t.Fatalf("%s: table metadata %q %q", e.ID, tbl.ID, tbl.Title)
 		}
 		if seen[tbl.ID] {
 			t.Fatalf("duplicate table id %s", tbl.ID)
@@ -362,38 +361,4 @@ func TestE18FactorizedSnowflakeInvariants(t *testing.T) {
 	if pred := byName["ridge+factorized"].predicted; pred < 3 {
 		t.Fatalf("predicted Gram speedup %.2f < 3 on the snowflake shape", pred)
 	}
-}
-
-// All runs every experiment, returning tables in EXPERIMENTS.md order.
-func All(quick bool) ([]Table, error) {
-	fns := []func(bool) (Table, error){
-		E1FactorizedVsMaterialized,
-		E2HamletRule,
-		E3CompressionRatio,
-		E4CompressedMV,
-		E5Rewrites,
-		E6BismarckParallel,
-		E7ModelSearch,
-		E8ColumbusReuse,
-		E9ParamServer,
-		E10SparseVsDense,
-		E11BufferPool,
-		E12ReuseAcrossCV,
-		E13PlannerChoice,
-		E14FaultTolerance,
-		E15Fusion,
-		E17OutOfCoreTraining,
-		E18FactorizedSnowflake,
-		EKMeansPruning,
-		EColumnCoCoding,
-	}
-	out := make([]Table, 0, len(fns))
-	for _, fn := range fns {
-		tbl, err := fn(quick)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", tbl.ID, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
 }

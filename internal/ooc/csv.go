@@ -15,33 +15,29 @@ import (
 // peak memory is one block plus whatever the pool keeps resident, no matter
 // how large the file is.
 func ReadCSV(bp *storage.BufferPool, r io.Reader, opts Options) (*Matrix, error) {
-	opts = opts.withDefaults()
 	var (
-		b     *Builder
-		cols  int
-		buf   []float64 // block accumulation buffer, opts.BlockRows*cols
-		nrows int       // rows currently in buf
+		b    *Builder
+		cols int
+		buf  []float64 // the block being accumulated, row-major
 	)
 	flush := func() error {
-		if nrows == 0 {
+		if len(buf) == 0 {
 			return nil
 		}
-		d, err := la.NewDenseData(nrows, cols, buf[:nrows*cols])
+		d, err := la.NewDenseData(len(buf)/cols, cols, buf)
 		if err != nil {
 			return err
 		}
-		nrows = 0
+		buf = buf[:0]
 		return b.AppendBlock(d)
 	}
 	err := storage.ScanMatrixCSV(r, func(vals []float64) error {
 		if b == nil {
 			cols = len(vals)
 			b = NewBuilder(bp, cols, opts)
-			buf = make([]float64, opts.BlockRows*cols)
 		}
-		copy(buf[nrows*cols:], vals)
-		nrows++
-		if nrows == opts.BlockRows {
+		buf = append(buf, vals...)
+		if len(buf) == b.opts.BlockRows*cols {
 			return flush()
 		}
 		return nil

@@ -5,7 +5,7 @@ import "dmml/internal/metrics"
 // Observability instruments (no-ops until metrics.Enable). Together with the
 // storage.bufferpool.* counters these answer the out-of-core questions: how
 // often does a block pin hit the pool, how often does the prefetcher stay
-// ahead of the kernel, and where does the time go (decode vs decompress).
+// ahead of the kernel, and how long each pinned block takes to decode.
 var (
 	mBlocksBuilt     = metrics.NewCounter("ooc.blocks.built")
 	mBlockPins       = metrics.NewCounter("ooc.blocks.pins")
@@ -13,7 +13,6 @@ var (
 	mPrefetchMisses  = metrics.NewCounter("ooc.prefetch.misses")
 	mPrefetchHitRate = metrics.NewGauge("ooc.prefetch.hit_rate")
 	mDecodeTimer     = metrics.NewTimer("ooc.block.decode")
-	mDecompressTimer = metrics.NewTimer("ooc.block.decompress")
 )
 
 // updatePrefetchHitRate recomputes the process-wide prefetch hit-rate gauge

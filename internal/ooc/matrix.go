@@ -8,8 +8,10 @@
 // data larger than RAM at near in-memory speed requires (a) bounded resident
 // memory with LRU spill, (b) compression so each disk/pool byte carries more
 // rows, and (c) operating directly on the compressed form so pinning a block
-// does not cost a decompression. ooc.Matrix implements opt.BulkData and
-// opt.BlockData, so every bulk solver in internal/opt accepts one unchanged.
+// does not cost a decompression. ooc.Matrix has one face, the fallible block
+// stream of opt.BlockData: every bulk solver in internal/opt accepts it, and
+// its whole-matrix products (MatVec, VecMat, Gram, ColSums) are passes over
+// that stream that return a failed block read as an error.
 package ooc
 
 import (
@@ -23,16 +25,13 @@ import (
 
 // Options tunes block construction.
 type Options struct {
-	// BlockRows is the number of rows per block (default 4096). The last
-	// block may be short.
+	// BlockRows is the number of rows per block. The last block may be
+	// short. Zero sizes blocks from the pool's budget: a dense block is
+	// 1/poolBlocks of it, and at least one row.
 	BlockRows int
 	// NoCompress disables CLA compression: every block is stored as a raw
 	// row-major page. Mostly for experiments comparing the two layouts.
 	NoCompress bool
-	// MinRatio is the compression ratio (dense bytes / page bytes) a block
-	// must achieve for the compressed form to be kept; below it the raw
-	// layout wins because decoding cost buys no byte savings. Default 1.2.
-	MinRatio float64
 	// Prefetch enables the async double-buffered block prefetcher for
 	// ForEachBlock streams. Default off.
 	Prefetch bool
@@ -40,12 +39,20 @@ type Options struct {
 	CompressOpts compress.Options
 }
 
-func (o Options) withDefaults() Options {
+// poolBlocks is how many default-sized dense blocks fill the pool's budget:
+// enough that the two the prefetcher pins never exhaust it, few enough that
+// each block amortizes its pin.
+const poolBlocks = 8
+
+// minRatio is the compression ratio (dense bytes / page bytes) a block must
+// achieve for the compressed form to be kept; below it the raw layout wins
+// because decoding cost buys no byte savings.
+const minRatio = 1.2
+
+// withBlockRows resolves a zero BlockRows for a cols-wide matrix in bp.
+func (o Options) withBlockRows(bp *storage.BufferPool, cols int) Options {
 	if o.BlockRows <= 0 {
-		o.BlockRows = 4096
-	}
-	if o.MinRatio <= 0 {
-		o.MinRatio = 1.2
+		o.BlockRows = max(int(bp.Budget()/int64(8*cols))/poolBlocks, 1)
 	}
 	return o
 }
@@ -70,14 +77,11 @@ type Matrix struct {
 	prefetch bool
 }
 
-// Rows implements opt.BulkData.
+// Rows implements opt.BlockData.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols implements opt.BulkData.
+// Cols implements opt.BlockData.
 func (m *Matrix) Cols() int { return m.cols }
-
-// Dims returns the matrix dimensions.
-func (m *Matrix) Dims() (rows, cols int) { return m.rows, m.cols }
 
 // NumBlocks implements opt.BlockData.
 func (m *Matrix) NumBlocks() int { return len(m.blocks) }
@@ -113,24 +117,25 @@ func (m *Matrix) Drop() error { return m.bp.DropOwner(m.owner) }
 // Builder assembles a Matrix block-by-block so sources (CSV readers, result
 // writers) never materialize more than one block of dense data at a time.
 type Builder struct {
-	bp    *storage.BufferPool
-	owner int
-	cols  int
-	opts  Options
-	m     *Matrix
-	done  bool
+	bp      *storage.BufferPool
+	owner   int
+	cols    int
+	opts    Options
+	m       *Matrix
+	largest int // words in the largest block's page
+	done    bool
 }
 
 // NewBuilder starts building a cols-wide matrix in bp.
 func NewBuilder(bp *storage.BufferPool, cols int, opts Options) *Builder {
-	opts = opts.withDefaults()
+	opts = opts.withBlockRows(bp, cols)
 	owner := bp.RegisterOwner()
 	return &Builder{
 		bp:    bp,
 		owner: owner,
 		cols:  cols,
 		opts:  opts,
-		m:     &Matrix{bp: bp, owner: owner, cols: cols, prefetch: opts.Prefetch},
+		m:     &Matrix{bp: bp, owner: owner, cols: cols},
 	}
 }
 
@@ -149,7 +154,7 @@ func (b *Builder) AppendBlock(d *la.Dense) error {
 	if !b.opts.NoCompress {
 		c := compress.Compress(d, b.opts.CompressOpts)
 		words := compress.EncodedLen(c)
-		if float64(d.Rows()*d.Cols())/float64(words) >= b.opts.MinRatio {
+		if float64(d.Rows()*d.Cols())/float64(words) >= minRatio {
 			cm = c
 			meta.compressed = true
 			meta.words = words
@@ -174,6 +179,7 @@ func (b *Builder) AppendBlock(d *la.Dense) error {
 	b.bp.Unpin(id, true)
 	b.m.blocks = append(b.m.blocks, meta)
 	b.m.rows += meta.rows
+	b.largest = max(b.largest, meta.words)
 	mBlocksBuilt.Inc()
 	return nil
 }
@@ -191,20 +197,19 @@ func (b *Builder) Finish() (*Matrix, error) {
 	if err := b.bp.FlushAll(); err != nil {
 		return nil, fmt.Errorf("ooc: Finish: %w", err)
 	}
+	// The prefetcher pins two blocks at once; over a pool too small for two
+	// of the largest, the stream pins one block at a time instead.
+	b.m.prefetch = b.opts.Prefetch && 16*int64(b.largest) <= b.bp.Budget()
 	return b.m, nil
 }
 
 // FromDense partitions m into blocks and pages them into bp. The source is
 // read one block at a time, so peak extra memory is one block's dense copy.
 func FromDense(bp *storage.BufferPool, m *la.Dense, opts Options) (*Matrix, error) {
-	opts = opts.withDefaults()
 	b := NewBuilder(bp, m.Cols(), opts)
 	rows, cols := m.Dims()
-	for r0 := 0; r0 < rows; r0 += opts.BlockRows {
-		nb := opts.BlockRows
-		if r0+nb > rows {
-			nb = rows - r0
-		}
+	for r0 := 0; r0 < rows; r0 += b.opts.BlockRows {
+		nb := min(b.opts.BlockRows, rows-r0)
 		blk, err := la.NewDenseData(nb, cols, m.RawData()[r0*cols:(r0+nb)*cols])
 		if err != nil {
 			return nil, err
@@ -216,22 +221,4 @@ func FromDense(bp *storage.BufferPool, m *la.Dense, opts Options) (*Matrix, erro
 	return b.Finish()
 }
 
-// ToDense materializes the full matrix — the decompress-on-pin path. Only
-// use it when the result is known to fit in memory (tests, small outputs).
-func (m *Matrix) ToDense() (*la.Dense, error) {
-	out := la.NewDense(m.rows, m.cols)
-	err := m.ForEachBlock(func(rb opt.RowBlock) error {
-		b := rb.(*block)
-		dst := out.RawData()[b.meta.startRow*m.cols : (b.meta.startRow+b.meta.rows)*m.cols]
-		return b.decompressInto(dst)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-var (
-	_ opt.BulkData  = (*Matrix)(nil)
-	_ opt.BlockData = (*Matrix)(nil)
-)
+var _ opt.BlockData = (*Matrix)(nil)

@@ -92,13 +92,19 @@ func opsMatchDense(t *testing.T, r *rand.Rand, m *Matrix, src *la.Dense) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		mv, wantMV := m.MatVecInto(make([]float64, m.Rows()), v), la.MatVec(src, v)
+		mv, wantMV := make([]float64, m.Rows()), la.MatVec(src, v)
+		if err := m.MatVec(mv, v); err != nil {
+			t.Fatal(err)
+		}
 		for i := range mv {
 			if math.Abs(mv[i]-wantMV[i]) > 1e-9 {
 				t.Fatalf("prefetch=%v MatVec[%d] = %v, want %v", prefetch, i, mv[i], wantMV[i])
 			}
 		}
-		vm, wantVM := m.VecMatInto(make([]float64, m.Cols()), x), la.VecMat(x, src)
+		vm, wantVM := make([]float64, m.Cols()), la.VecMat(x, src)
+		if err := m.VecMat(vm, x); err != nil {
+			t.Fatal(err)
+		}
 		for j := range vm {
 			if math.Abs(vm[j]-wantVM[j]) > 1e-9 {
 				t.Fatalf("prefetch=%v VecMat[%d] = %v, want %v", prefetch, j, vm[j], wantVM[j])
@@ -378,5 +384,58 @@ func TestCompressionPaysOnPagedBytes(t *testing.T) {
 	}
 	if ratio := float64(m.DenseBytes()) / float64(m.PagedBytes()); ratio < 2 {
 		t.Fatalf("compression ratio %.2f < 2 on 3-value data", ratio)
+	}
+}
+
+// A length mismatch is an error from the whole-matrix products, not a panic.
+func TestMatVecVecMatCheckLengths(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	m, err := FromDense(bp, la.NewDense(10, 3), Options{BlockRows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MatVec(make([]float64, 9), make([]float64, 3)); err == nil {
+		t.Fatal("MatVec with a short dst: want an error")
+	}
+	if err := m.VecMat(make([]float64, 3), make([]float64, 11)); err == nil {
+		t.Fatal("VecMat with a long x: want an error")
+	}
+}
+
+// A zero BlockRows sizes blocks from the pool's budget, one dense block
+// being 1/poolBlocks of it; prefetch stays on only while two of the largest
+// blocks fit the budget.
+func TestBlockRowsFromBudget(t *testing.T) {
+	src := testMatrix(rand.New(rand.NewSource(62)), 1000, 5)
+	for _, c := range []struct {
+		budget       int64
+		wantRows     int
+		wantPrefetch bool
+	}{
+		{64 * 1024, 64 * 1024 / 40 / poolBlocks, true},
+		{8 * 1024, 8 * 1024 / 40 / poolBlocks, true},
+		{48, 1, false}, // one 40-byte row per block, and two do not fit
+	} {
+		bp := newPool(t, c.budget)
+		m, err := FromDense(bp, src, Options{NoCompress: true, Prefetch: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (1000 + c.wantRows - 1) / c.wantRows; m.NumBlocks() != want {
+			t.Fatalf("budget %d: %d blocks, want %d of %d rows", c.budget, m.NumBlocks(), want, c.wantRows)
+		}
+		if m.prefetch != c.wantPrefetch {
+			t.Fatalf("budget %d: prefetch = %v, want %v", c.budget, m.prefetch, c.wantPrefetch)
+		}
+		back, err := m.ToDense()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Equal(src, 0) {
+			t.Fatalf("budget %d: round trip differs", c.budget)
+		}
+		if err := m.Drop(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -80,26 +80,6 @@ func (b *block) GramAccum(out *la.Dense) {
 	}
 }
 
-// decompressInto writes the block's rows into dst (rows*cols floats,
-// row-major) — the decompress-on-pin path for consumers that need raw rows.
-func (b *block) decompressInto(dst []float64) error {
-	if len(dst) != b.meta.rows*b.m.cols {
-		return fmt.Errorf("ooc: decompressInto dst len %d, want %d", len(dst), b.meta.rows*b.m.cols)
-	}
-	if b.cm == nil {
-		copy(dst, b.dn.RawData())
-		return nil
-	}
-	d, err := la.NewDenseData(b.meta.rows, b.m.cols, dst)
-	if err != nil {
-		return err
-	}
-	sw := mDecompressTimer.Start()
-	b.cm.DecompressInto(d)
-	sw.Stop()
-	return nil
-}
-
 // pinBlock pins block idx's page and decodes it into a usable view.
 func (m *Matrix) pinBlock(idx int) (*block, error) {
 	meta := &m.blocks[idx]
@@ -219,40 +199,29 @@ func (m *Matrix) ForEachBlock(f func(opt.RowBlock) error) error {
 	return nil
 }
 
-// MatVecInto implements opt.BulkData by streaming blocks. The contract has no
-// error path, so a failed block read panics; callers that must survive one
-// stream through ForEachBlock (the opt solvers and the DML evaluator do).
-func (m *Matrix) MatVecInto(dst, v []float64) []float64 {
+// MatVec computes X·v into dst (length Rows) by streaming blocks; a failed
+// block read is the error.
+func (m *Matrix) MatVec(dst, v []float64) error {
 	if len(dst) != m.rows || len(v) != m.cols {
-		panic(fmt.Sprintf("ooc: MatVecInto dst %d, v %d for %dx%d", len(dst), len(v), m.rows, m.cols))
+		return fmt.Errorf("ooc: MatVec dst %d, v %d for %dx%d", len(dst), len(v), m.rows, m.cols)
 	}
-	err := m.ForEachBlock(func(b opt.RowBlock) error {
+	return m.ForEachBlock(func(b opt.RowBlock) error {
 		b.MatVecInto(dst[b.StartRow():b.StartRow()+b.Rows()], v)
 		return nil
 	})
-	if err != nil {
-		panic(fmt.Sprintf("ooc: MatVecInto: %v", err))
-	}
-	return dst
 }
 
-// VecMatInto implements opt.BulkData by streaming blocks; like MatVecInto it
-// panics on a failed block read.
-func (m *Matrix) VecMatInto(dst, x []float64) []float64 {
+// VecMat computes xᵀ·X into dst (length Cols) by streaming blocks; a failed
+// block read is the error.
+func (m *Matrix) VecMat(dst, x []float64) error {
 	if len(dst) != m.cols || len(x) != m.rows {
-		panic(fmt.Sprintf("ooc: VecMatInto dst %d, x %d for %dx%d", len(dst), len(x), m.rows, m.cols))
+		return fmt.Errorf("ooc: VecMat dst %d, x %d for %dx%d", len(dst), len(x), m.rows, m.cols)
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	err := m.ForEachBlock(func(b opt.RowBlock) error {
+	clear(dst)
+	return m.ForEachBlock(func(b opt.RowBlock) error {
 		b.VecMatAccum(dst, x[b.StartRow():b.StartRow()+b.Rows()])
 		return nil
 	})
-	if err != nil {
-		panic(fmt.Sprintf("ooc: VecMatInto: %v", err))
-	}
-	return dst
 }
 
 // Gram computes XᵀX by streaming blocks — the physical pattern the DML
@@ -272,20 +241,16 @@ func (m *Matrix) Gram() (*la.Dense, error) {
 // ColSums accumulates per-column sums across all blocks.
 func (m *Matrix) ColSums() ([]float64, error) {
 	out := make([]float64, m.cols)
-	ones := make([]float64, 0)
 	err := m.ForEachBlock(func(rb opt.RowBlock) error {
 		b := rb.(*block)
 		if b.cm != nil {
 			b.cm.ColSumsAccum(out)
 			return nil
 		}
-		if cap(ones) < b.meta.rows {
-			ones = make([]float64, b.meta.rows)
-			for i := range ones {
-				ones[i] = 1
-			}
+		raw := b.dn.RawData()
+		for r0 := 0; r0 < len(raw); r0 += m.cols {
+			la.Axpy(1, raw[r0:r0+m.cols], out)
 		}
-		b.VecMatAccum(out, ones[:b.meta.rows])
 		return nil
 	})
 	if err != nil {

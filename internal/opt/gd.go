@@ -7,13 +7,20 @@ import (
 	"dmml/internal/pool"
 )
 
-// BulkData is the source contract of the bulk solvers: X·v and xᵀ·X computed
-// into caller-owned buffers, so an iteration reuses one set of buffers. Dense
-// matrices satisfy it through the adapter below; compressed matrices,
-// out-of-core matrices and factorized join trees implement it themselves.
-type BulkData interface {
+// Data is a bulk solver's source: its shape, plus one of the two contracts
+// that embed it — BulkData (in memory, cannot fail) or BlockData (a fallible
+// block stream). A source that is neither is an error at the solver's entry.
+type Data interface {
 	Rows() int
 	Cols() int
+}
+
+// BulkData is the in-memory source contract: X·v and xᵀ·X computed into
+// caller-owned buffers, so an iteration reuses one set of buffers. Dense
+// matrices satisfy it through the adapter below; compressed matrices and
+// factorized join trees implement it themselves.
+type BulkData interface {
+	Data
 	// MatVecInto computes X·v into dst (length Rows) and returns dst.
 	MatVecInto(dst, v []float64) []float64
 	// VecMatInto computes xᵀ·X into dst (length Cols) and returns dst.
@@ -41,7 +48,7 @@ var _ BulkData = DenseData{}
 // L2 penalty of λ/2·‖w‖² (bias-inclusive; exclude the bias by passing λ=0
 // and regularizing externally if needed). It fails only where
 // lossAndGradientInto does.
-func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (float64, []float64, error) {
+func LossAndGradient(data Data, y, w []float64, loss Loss, l2 float64) (float64, []float64, error) {
 	grad := make([]float64, data.Cols())
 	margins := pool.GetF64(data.Rows())
 	derivs := pool.GetF64(data.Rows())
@@ -57,25 +64,29 @@ func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (floa
 // lossAndGradientInto is LossAndGradient with caller-owned buffers: margins
 // and derivs have length Rows, grad length Cols, so the evaluation allocates
 // nothing. The error is a BlockData source failing mid-pass (e.g. a spill
-// read); in-memory sources never return one.
-func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
+// read), or a source that implements neither contract; BulkData sources
+// never return one.
+func lossAndGradientInto(data Data, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
 	if len(y) != n {
 		panic(fmt.Sprintf("opt: %d labels for %d rows", len(y), n))
 	}
-	if bd, ok := data.(BlockData); ok {
+	switch src := data.(type) {
+	case BlockData:
 		// Out-of-core sources stream block-by-block: one pass, bounded
 		// resident memory, prefetch handled by the source.
-		return lossAndGradientStream(bd, y, w, loss, l2, margins, derivs, grad)
+		return lossAndGradientStream(src, y, w, loss, l2, margins, derivs, grad)
+	case BulkData:
+		src.MatVecInto(margins, w)
+		total := loss.Batch(derivs, margins, y)
+		src.VecMatInto(grad, derivs)
+		invN := 1 / float64(n)
+		for j := range grad {
+			grad[j] = grad[j]*invN + l2*w[j]
+		}
+		return total*invN + 0.5*l2*la.Dot(w, w), nil
 	}
-	data.MatVecInto(margins, w)
-	total := loss.Batch(derivs, margins, y)
-	data.VecMatInto(grad, derivs)
-	invN := 1 / float64(n)
-	for j := range grad {
-		grad[j] = grad[j]*invN + l2*w[j]
-	}
-	return total*invN + 0.5*l2*la.Dot(w, w), nil
+	return 0, fmt.Errorf("opt: source %T is neither BulkData nor BlockData", data)
 }
 
 // GDConfig configures full-batch gradient descent.
@@ -98,7 +109,7 @@ type GDResult struct {
 
 // GradientDescent minimizes the regularized empirical risk by full-batch
 // gradient descent.
-func GradientDescent(data BulkData, y []float64, loss Loss, cfg GDConfig) (*GDResult, error) {
+func GradientDescent(data Data, y []float64, loss Loss, cfg GDConfig) (*GDResult, error) {
 	if cfg.Step <= 0 {
 		return nil, fmt.Errorf("opt: GD step must be > 0, got %v", cfg.Step)
 	}

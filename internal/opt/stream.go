@@ -27,13 +27,12 @@ type RowBlock interface {
 
 // BlockData is the fallible streamed contract: sources whose rows pass
 // through memory block-by-block (e.g. ooc.Matrix), where delivering a block
-// can fail (a spill read). Solvers handed a BulkData that is also a BlockData
-// switch to a single-pass streaming evaluation that touches each block
-// exactly once per iteration, so the source can bound resident memory and
-// prefetch ahead, and a failed block surfaces as an error.
+// can fail (a spill read). The bulk solvers evaluate a BlockData in a single
+// pass that touches each block exactly once per iteration, so the source can
+// bound resident memory and prefetch ahead, and a failed block surfaces as
+// an error.
 type BlockData interface {
-	Rows() int
-	Cols() int
+	Data
 	// NumBlocks returns the number of row blocks.
 	NumBlocks() int
 	// ForEachBlock invokes f for every block in row order. It stops on the

@@ -11,15 +11,16 @@ import (
 )
 
 // fakeBlocks serves a dense matrix as an opt.BlockData with fixed-size row
-// blocks, for testing the streaming evaluation without the ooc machinery. The
-// embedded DenseData makes it a BulkData too, as the solvers' signatures
-// require; they must still pick the block stream.
+// blocks, for testing the streaming evaluation without the ooc machinery.
 type fakeBlocks struct {
-	DenseData
+	m         *la.Dense
 	blockRows int
 	failAt    int // block index to fail at, -1 for never
 	okPasses  int // full passes that succeed before failAt takes effect
 }
+
+func (f *fakeBlocks) Rows() int { return f.m.Rows() }
+func (f *fakeBlocks) Cols() int { return f.m.Cols() }
 
 func (f *fakeBlocks) NumBlocks() int {
 	return (f.Rows() + f.blockRows - 1) / f.blockRows
@@ -36,7 +37,7 @@ func (f *fakeBlocks) ForEachBlock(fn func(RowBlock) error) error {
 		if r0+nb > f.Rows() {
 			nb = f.Rows() - r0
 		}
-		if err := fn(&fakeBlock{f.M, r0, nb}); err != nil {
+		if err := fn(&fakeBlock{f.m, r0, nb}); err != nil {
 			return err
 		}
 	}
@@ -78,7 +79,7 @@ func TestStreamMatchesBulk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, br := range []int{1, 64, 100, 500, 512} {
-		got, err := GradientDescent(&fakeBlocks{DenseData: DenseData{m}, blockRows: br, failAt: -1}, y, Logistic{}, cfg)
+		got, err := GradientDescent(&fakeBlocks{m: m, blockRows: br, failAt: -1}, y, Logistic{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestStreamLossAndGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotL, gotG, err := LossAndGradient(&fakeBlocks{DenseData: DenseData{m}, blockRows: 77, failAt: -1}, y, w, Squared{}, 0.1)
+	gotL, gotG, err := LossAndGradient(&fakeBlocks{m: m, blockRows: 77, failAt: -1}, y, w, Squared{}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestStreamBlockFailure(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	m, y := randProblem(r, 200, 4)
 	for okPasses := 0; okPasses < 3; okPasses++ {
-		_, err := GradientDescent(&fakeBlocks{DenseData: DenseData{m}, blockRows: 50, failAt: 2, okPasses: okPasses}, y, Logistic{},
+		_, err := GradientDescent(&fakeBlocks{m: m, blockRows: 50, failAt: 2, okPasses: okPasses}, y, Logistic{},
 			GDConfig{Step: 0.1, MaxIter: 3, Backtracking: true})
 		if err == nil || !strings.Contains(err.Error(), "injected block failure at 2") {
 			t.Fatalf("after %d good passes GradientDescent err = %v, want the block failure", okPasses, err)
@@ -137,7 +138,7 @@ func TestLossAndGradientBlockFailureIsAnError(t *testing.T) {
 	m, y := randProblem(r, 200, 4)
 	w := make([]float64, 4)
 	for okPasses := 0; okPasses < 3; okPasses++ {
-		src := &fakeBlocks{DenseData: DenseData{m}, blockRows: 50, failAt: 2, okPasses: okPasses}
+		src := &fakeBlocks{m: m, blockRows: 50, failAt: 2, okPasses: okPasses}
 		for pass := 0; pass < okPasses; pass++ {
 			if _, _, err := LossAndGradient(src, y, w, Logistic{}, 0); err != nil {
 				t.Fatalf("good pass %d of %d: %v", pass+1, okPasses, err)
@@ -150,10 +151,28 @@ func TestLossAndGradientBlockFailureIsAnError(t *testing.T) {
 	}
 }
 
+// shapeOnly reports a shape but neither evaluation contract.
+type shapeOnly struct{ rows, cols int }
+
+func (s shapeOnly) Rows() int { return s.rows }
+func (s shapeOnly) Cols() int { return s.cols }
+
+// A source that is neither BulkData nor BlockData is refused at entry.
+func TestSolversRefuseShapeOnlySource(t *testing.T) {
+	src := shapeOnly{3, 2}
+	y := []float64{1, -1, 1}
+	if _, err := GradientDescent(src, y, Logistic{}, GDConfig{Step: 0.1, MaxIter: 2}); err == nil || !strings.Contains(err.Error(), "neither") {
+		t.Fatalf("GradientDescent err = %v, want the contract refusal", err)
+	}
+	if _, _, err := LossAndGradient(src, y, make([]float64, 2), Logistic{}, 0); err == nil || !strings.Contains(err.Error(), "neither") {
+		t.Fatalf("LossAndGradient err = %v, want the contract refusal", err)
+	}
+}
+
 func TestStreamingSGDValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	m, y := randProblem(r, 100, 3)
-	fb := &fakeBlocks{DenseData: DenseData{m}, blockRows: 10, failAt: -1}
+	fb := &fakeBlocks{m: m, blockRows: 10, failAt: -1}
 	if _, err := StreamingSGD(fb, y, Logistic{}, StreamConfig{Step: 0, Epochs: 1}); err == nil {
 		t.Fatal("want error for zero step")
 	}

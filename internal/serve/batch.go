@@ -151,6 +151,13 @@ func (q *modelQueue) loop(s *Server, stop <-chan struct{}) {
 	}
 }
 
+// refuse answers every request in the batch with StatusInternal and msg.
+func (b *pendBatch) refuse(msg string) {
+	for i, id := range b.ids {
+		b.conns[i].reply(Response{ID: id, Status: StatusInternal, Msg: msg}, b.starts[i])
+	}
+}
+
 // scoreBatch scores every request in batch against one captured model
 // snapshot, in MaxBatch-row chunks: gather is already done (rows are
 // packed), so each chunk is one pooled GEMV + fused link over a matrix
@@ -162,13 +169,7 @@ func (q *modelQueue) scoreBatch(s *Server, batch *pendBatch, stride int) {
 		// The model was swapped to a different dimensionality between
 		// admission and drain. The packed rows no longer conform; refuse
 		// each request rather than feed a kernel a shape it would panic on.
-		for i := 0; i < n; i++ {
-			batch.conns[i].reply(Response{
-				ID:     batch.ids[i],
-				Status: StatusInternal,
-				Msg:    fmt.Sprintf("model %q dimension changed during batching", q.name),
-			}, batch.starts[i])
-		}
+		batch.refuse(fmt.Sprintf("model %q dimension changed during batching", q.name))
 		return
 	}
 	mBatches.Inc()
@@ -179,7 +180,12 @@ func (q *modelQueue) scoreBatch(s *Server, batch *pendBatch, stride int) {
 		hi := min(at+s.cfg.MaxBatch, n)
 		x, err := la.NewDenseData(hi-at, stride, batch.rows[at*stride:hi*stride])
 		if err != nil {
-			panic("serve: packed batch misshaped: " + err.Error()) // impossible: stride enforced at admission
+			// Admission enforces the stride, so this is a bug; the batch
+			// is refused rather than the server brought down.
+			sw.Stop()
+			pool.PutF64(preds)
+			batch.refuse("serve: packed batch misshaped: " + err.Error())
+			return
 		}
 		la.ScoreRowsInto(preds[at:hi], x, m.weights, m.bias, m.link)
 	}

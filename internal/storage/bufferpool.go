@@ -234,6 +234,9 @@ func (bp *BufferPool) DropOwner(owner int) error {
 	return errors.Join(errs...)
 }
 
+// Budget returns the byte budget the pool was created with.
+func (bp *BufferPool) Budget() int64 { return bp.byteCap }
+
 // ResidentBytes returns the bytes of page data currently held in memory.
 func (bp *BufferPool) ResidentBytes() int64 {
 	bp.mu.Lock()

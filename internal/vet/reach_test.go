@@ -27,9 +27,6 @@ var keepUnreached = map[string]string{
 		"and compress build their matrices with; a _test.go file cannot export it across packages",
 	"la.(*Dense).Equal": "tolerance comparison the tests of several packages check their " +
 		"results with; a _test.go file cannot export it across packages",
-	"ooc.(*Matrix).ToDense": "the round-trip reference ooc's and cmd/dmml's tests compare the " +
-		"out-of-core blocks against",
-	"ooc.(*block).decompressInto": "ToDense's per-block decode (see ToDense)",
 }
 
 // TestEveryEngineFunctionIsReached keeps engine code honest about its

@@ -75,6 +75,7 @@ var Analyzers = []*Analyzer{
 	AnalyzerInstrumentInit,
 	AnalyzerNoAlloc,
 	AnalyzerLockDiscipline,
+	AnalyzerErrPanic,
 }
 
 // Run executes the given analyzers over the given packages of mod and

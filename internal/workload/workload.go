@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -53,8 +52,8 @@ func Classification(r *rand.Rand, n, d int, flip float64) (x *la.Dense, y, wTrue
 }
 
 // SparseMatrix generates a CSR matrix with the given density of standard
-// normal non-zeros.
-func SparseMatrix(r *rand.Rand, rows, cols int, density float64) *la.CSR {
+// normal non-zeros. It fails only on a non-positive shape.
+func SparseMatrix(r *rand.Rand, rows, cols int, density float64) (*la.CSR, error) {
 	var coords []la.Coord
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
@@ -63,11 +62,7 @@ func SparseMatrix(r *rand.Rand, rows, cols int, density float64) *la.CSR {
 			}
 		}
 	}
-	m, err := la.FromCoords(rows, cols, coords)
-	if err != nil {
-		panic(fmt.Sprintf("workload: %v", err)) // cannot happen: coords in range
-	}
-	return m
+	return la.FromCoords(rows, cols, coords)
 }
 
 // Zipf samples n categorical codes in [0, card) with probability ∝

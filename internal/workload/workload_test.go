@@ -52,7 +52,10 @@ func TestClassificationGenerator(t *testing.T) {
 
 func TestSparseMatrixDensity(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
-	m := SparseMatrix(r, 200, 50, 0.1)
+	m, err := SparseMatrix(r, 200, 50, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := float64(m.NNZ()) / (200 * 50)
 	if math.Abs(got-0.1) > 0.02 {
 		t.Fatalf("density = %v, want ≈ 0.1", got)
