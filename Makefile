@@ -122,9 +122,9 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkE(4CompressedMV|5Rewrites|6BismarckParallel|10SparseVsDense|14FaultTolerance|15Fusion|17OutOfCoreTraining|18FactorizedSnowflake)$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExperiments$$/^(E4|E5|E6|E10|E14|E15|E17|E18)$$' \
 		-benchmem -count=$(BENCH_COUNT) .
-	$(GO) test -run '^$$' -bench 'BenchmarkLossPass(Logistic|Squared|Hinge)$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLossPass(Logistic|Squared)$$' \
 		-benchmem -count=$(BENCH_COUNT) ./internal/opt
 
 # Short native-fuzzing smoke over the fusion equivalence property (random

@@ -1,6 +1,6 @@
-// Package dmml's root benchmark suite: one testing.B benchmark per
-// experiment in EXPERIMENTS.md (quick scale), plus micro-benchmarks of the
-// kernels the experiments lean on. Run everything with:
+// Package dmml's root benchmark suite: one sub-benchmark per experiment in
+// EXPERIMENTS.md (quick scale), plus micro-benchmarks of the kernels the
+// experiments lean on. Run everything with:
 //
 //	go test -bench=. -benchmem
 package dmml
@@ -17,89 +17,22 @@ import (
 	"dmml/internal/workload"
 )
 
-func benchExperiment(b *testing.B, fn func(bool) (experiments.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tbl, err := fn(true)
-		if err != nil {
-			b.Fatalf("%s: %v", tbl.ID, err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatalf("%s produced no rows", tbl.ID)
-		}
+// BenchmarkExperiments runs every experiment of experiments.All at quick
+// scale as a sub-benchmark named by its ID (`-bench 'Experiments/^E4$'`).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tbl, err := e.Run(true)
+				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				if len(tbl.Rows) == 0 {
+					b.Fatalf("%s produced no rows", e.ID)
+				}
+			}
+		})
 	}
-}
-
-func BenchmarkE1FactorizedVsMaterialized(b *testing.B) {
-	benchExperiment(b, experiments.E1FactorizedVsMaterialized)
-}
-
-func BenchmarkE2HamletRule(b *testing.B) {
-	benchExperiment(b, experiments.E2HamletRule)
-}
-
-func BenchmarkE3CompressionRatio(b *testing.B) {
-	benchExperiment(b, experiments.E3CompressionRatio)
-}
-
-func BenchmarkE4CompressedMV(b *testing.B) {
-	benchExperiment(b, experiments.E4CompressedMV)
-}
-
-func BenchmarkE5Rewrites(b *testing.B) {
-	benchExperiment(b, experiments.E5Rewrites)
-}
-
-func BenchmarkE6BismarckParallel(b *testing.B) {
-	benchExperiment(b, experiments.E6BismarckParallel)
-}
-
-func BenchmarkE7ModelSearch(b *testing.B) {
-	benchExperiment(b, experiments.E7ModelSearch)
-}
-
-func BenchmarkE8ColumbusReuse(b *testing.B) {
-	benchExperiment(b, experiments.E8ColumbusReuse)
-}
-
-func BenchmarkE9ParamServer(b *testing.B) {
-	benchExperiment(b, experiments.E9ParamServer)
-}
-
-func BenchmarkE10SparseVsDense(b *testing.B) {
-	benchExperiment(b, experiments.E10SparseVsDense)
-}
-
-func BenchmarkE11BufferPool(b *testing.B) {
-	benchExperiment(b, experiments.E11BufferPool)
-}
-
-func BenchmarkE12ReuseAcrossCV(b *testing.B) {
-	benchExperiment(b, experiments.E12ReuseAcrossCV)
-}
-
-func BenchmarkE13PlannerChoice(b *testing.B) {
-	benchExperiment(b, experiments.E13PlannerChoice)
-}
-
-func BenchmarkE14FaultTolerance(b *testing.B) {
-	benchExperiment(b, experiments.E14FaultTolerance)
-}
-
-func BenchmarkE15Fusion(b *testing.B) {
-	benchExperiment(b, experiments.E15Fusion)
-}
-
-func BenchmarkE17OutOfCoreTraining(b *testing.B) {
-	benchExperiment(b, experiments.E17OutOfCoreTraining)
-}
-
-func BenchmarkE18FactorizedSnowflake(b *testing.B) {
-	benchExperiment(b, experiments.E18FactorizedSnowflake)
-}
-
-func BenchmarkAblationKMeansPruning(b *testing.B) {
-	benchExperiment(b, experiments.EKMeansPruning)
 }
 
 // --- kernel micro-benchmarks ------------------------------------------------
@@ -200,8 +133,4 @@ func BenchmarkKernelSGDEpoch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkAblationCoCoding(b *testing.B) {
-	benchExperiment(b, experiments.EColumnCoCoding)
 }

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dmmlserve [-addr :7077] [-db runs.json] [-demo] [-poll 2s]
-//	          [-max-batch 256] [-linger 0] [-stats 5s]
+//	          [-max-batch 256] [-stats 5s]
 //
 // With -db the registry is loaded from a modeldb JSON snapshot; -demo
 // logs two deterministic demo models (use it with loadtest). SIGINT or
@@ -35,7 +35,6 @@ func main() {
 	demo := flag.Bool("demo", false, "log deterministic demo models (churn, linear)")
 	poll := flag.Duration("poll", 2*time.Second, "model reload poll interval (0 disables)")
 	maxBatch := flag.Int("max-batch", 256, "max rows per scoring kernel call")
-	linger := flag.Duration("linger", 0, "fixed batch coalescing window (0: adaptive)")
 	stats := flag.Duration("stats", 0, "print serving stats at this interval (0 disables)")
 	flag.Parse()
 
@@ -51,7 +50,6 @@ func main() {
 		Addr:         *addr,
 		Store:        store,
 		MaxBatch:     *maxBatch,
-		Linger:       *linger,
 		PollInterval: *poll,
 	})
 	if err != nil {

@@ -63,7 +63,6 @@ func main() {
 	rate := flag.Float64("rate", 10000, "open loop: total target requests/sec")
 	selfserve := flag.Bool("selfserve", false, "start an in-process demo server on 127.0.0.1:0")
 	maxBatch := flag.Int("max-batch", 256, "selfserve: max rows per kernel call")
-	linger := flag.Duration("linger", 0, "selfserve: fixed coalescing window")
 	flag.Parse()
 
 	metrics.Enable()
@@ -92,7 +91,7 @@ func main() {
 		}
 		wantValue = la.ScoreRow(row, run.Weights, run.Config["bias"], link)
 		s, err := serve.New(serve.Config{
-			Addr: "127.0.0.1:0", Store: store, MaxBatch: *maxBatch, Linger: *linger,
+			Addr: "127.0.0.1:0", Store: store, MaxBatch: *maxBatch,
 		})
 		if err != nil {
 			log.Fatalf("loadtest: %v", err)

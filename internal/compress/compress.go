@@ -29,17 +29,11 @@ type Options struct {
 	// CoCode enables greedy pairwise column co-coding of low-cardinality
 	// columns, as in CLA's column group partitioning.
 	CoCode bool
-	// MaxDDCCard caps the dictionary size for DDC (default and ceiling 65536,
-	// the largest dictionary addressable by the 2-byte code array).
-	MaxDDCCard int
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxDDCCard <= 0 || o.MaxDDCCard > 1<<16 {
-		o.MaxDDCCard = 1 << 16
-	}
-	return o
-}
+// maxDDCCard caps the dictionary size for DDC: the largest dictionary
+// addressable by the 2-byte code array. A column over the cap is never DDC.
+const maxDDCCard = 1 << 16
 
 // compressParallelMinWork is the minimum scalar-work estimate (roughly rows ×
 // groups) below which Matrix ops and the planner stay serial; pool dispatch
@@ -364,8 +358,8 @@ func analyzeColumn(col []float64) (colStats, colCode) {
 }
 
 // Size estimates (bytes) per encoding, mirroring CLA's compression planning.
-func (st colStats) ddcSize(maxCard int) (int, bool) {
-	if st.card > maxCard {
+func (st colStats) ddcSize() (int, bool) {
+	if st.card > maxDDCCard {
 		return 0, false
 	}
 	codeBytes := 1
@@ -389,7 +383,6 @@ func (st colStats) ucSize() int { return st.rows * 8 }
 func Compress(m *la.Dense, opts Options) *Matrix {
 	sw := mEncodeTimer.Start()
 	defer sw.Stop()
-	opts = opts.withDefaults()
 	rows, cols := m.Dims()
 	c := &Matrix{rows: rows, cols: cols}
 	if cols == 0 {
@@ -430,14 +423,14 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 				continue
 			}
 			bestB, bestGain := -1, 0
-			sizeA, _ := stats[a].ddcSize(opts.MaxDDCCard)
+			sizeA, _ := stats[a].ddcSize()
 			for b := a + 1; b < cols; b++ {
 				if used[b] || chosen[b] != ForceDDC {
 					continue
 				}
-				sizeB, _ := stats[b].ddcSize(opts.MaxDDCCard)
+				sizeB, _ := stats[b].ddcSize()
 				jointCard := jointCardinality(&codes[a], &codes[b])
-				if jointCard > opts.MaxDDCCard {
+				if jointCard > maxDDCCard {
 					continue
 				}
 				codeBytes := 1
@@ -489,14 +482,14 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 func chooseEncoding(st colStats, opts Options) Encoding {
 	if opts.Force != Auto {
 		if opts.Force == ForceDDC {
-			if _, ok := st.ddcSize(opts.MaxDDCCard); !ok {
+			if _, ok := st.ddcSize(); !ok {
 				return ForceUC
 			}
 		}
 		return opts.Force
 	}
 	best, bestSize := ForceUC, st.ucSize()
-	if s, ok := st.ddcSize(opts.MaxDDCCard); ok && s < bestSize {
+	if s, ok := st.ddcSize(); ok && s < bestSize {
 		best, bestSize = ForceDDC, s
 	}
 	if s := st.oleSize(); s < bestSize {

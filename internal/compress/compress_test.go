@@ -318,12 +318,12 @@ func TestForcedEncodingHonored(t *testing.T) {
 			}
 		}
 	}
-	// ForceDDC with cardinality beyond the cap falls back to UC.
-	wide := la.NewDense(300, 1)
-	for i := 0; i < 300; i++ {
+	// ForceDDC with cardinality beyond the 2-byte code cap falls back to UC.
+	wide := la.NewDense(maxDDCCard+1, 1)
+	for i := 0; i < maxDDCCard+1; i++ {
 		wide.Set(i, 0, float64(i))
 	}
-	c := Compress(wide, Options{Force: ForceDDC, MaxDDCCard: 100})
+	c := Compress(wide, Options{Force: ForceDDC})
 	if enc := c.Groups()[0].Encoding(); enc != "UC" {
 		t.Fatalf("over-cap DDC produced %s, want UC fallback", enc)
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"time"
 
 	"dmml/internal/dml"
@@ -230,7 +232,7 @@ func E9ParamServer(quick bool) (Table, error) {
 	}{{"uniform", 0}, {"straggler", straggler}} {
 		for _, mode := range []paramserver.Mode{paramserver.BSP, paramserver.SSP, paramserver.Async} {
 			for _, workers := range []int{2, 8} {
-				ps, err := paramserver.NewServer(16, 4, latency)
+				ps, err := paramserver.NewServer(16, 4, paramserver.Network{Latency: latency})
 				if err != nil {
 					return t, err
 				}
@@ -275,8 +277,13 @@ func E11BufferPool(quick bool) (Table, error) {
 	}
 	passes := 5
 	pageBytes := int64(8 * pageRows * cols)
+	dir, err := tmpDir()
+	if err != nil {
+		return t, err
+	}
+	defer os.RemoveAll(dir)
 	for _, capacity := range []int64{64, 16, 4} {
-		bp, err := storage.NewBufferPoolBytes(capacity*pageBytes, tmpDir())
+		bp, err := storage.NewBufferPoolBytes(capacity*pageBytes, filepath.Join(dir, fmt.Sprint(capacity)))
 		if err != nil {
 			return t, err
 		}
@@ -362,25 +369,31 @@ func E14FaultTolerance(quick bool) (Table, error) {
 	if quick {
 		jitter = 5 * time.Microsecond
 	}
+	dir, err := tmpDir()
+	if err != nil {
+		return t, err
+	}
+	defer os.RemoveAll(dir)
 	for _, mode := range []paramserver.Mode{paramserver.BSP, paramserver.SSP, paramserver.Async} {
 		for _, faulty := range []bool{false, true} {
-			ps, err := paramserver.NewServer(16, 4, 0)
-			if err != nil {
-				return t, err
-			}
+			var network paramserver.Network
 			cfg := paramserver.TrainConfig{
 				Workers: 4, Epochs: 4, BatchSize: 64,
 				Step: 0.5, Decay: 0.5, Mode: mode, Staleness: 3, Seed: 15,
 			}
 			if faulty {
-				cfg.Faults = &paramserver.FaultConfig{
+				network.Faults = &paramserver.FaultConfig{
 					FailProb:   0.05,
 					Jitter:     jitter,
 					KillAtTick: map[int]int{1: 8},
 					Seed:       15,
 				}
 				cfg.MaxWorkerRestarts = 2
-				cfg.Checkpoint = paramserver.CheckpointConfig{Path: ckptPath(), Every: 64}
+				cfg.Checkpoint = paramserver.CheckpointConfig{Path: filepath.Join(dir, mode.String()+".ck"), Every: 64}
+			}
+			ps, err := paramserver.NewServer(16, 4, network)
+			if err != nil {
+				return t, err
 			}
 			start := time.Now()
 			res, err := paramserver.Train(ps, x, y, opt.Logistic{}, cfg)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"time"
 
 	"dmml/internal/compress"
@@ -94,9 +96,14 @@ func e17Run(quick bool) ([]e17Result, error) {
 		{"cla+prefetch", ooc.Options{BlockRows: blockRows, Prefetch: true, CompressOpts: cla}},
 	}
 
+	dir, err := tmpDir()
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 	out := make([]e17Result, 0, len(variants))
 	for _, v := range variants {
-		bp, err := storage.NewBufferPoolBytes(budget, tmpDir())
+		bp, err := storage.NewBufferPoolBytes(budget, filepath.Join(dir, v.name))
 		if err != nil {
 			return out, err
 		}

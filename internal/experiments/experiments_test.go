@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 // Integration smoke: every experiment runs at quick scale and produces a
 // well-formed table.
 func TestAllExperimentsRun(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	if len(All) != 19 {
 		t.Fatalf("registry lists %d experiments", len(All))
 	}
@@ -37,6 +40,14 @@ func TestAllExperimentsRun(t *testing.T) {
 		if !strings.Contains(tbl.String(), tbl.ID) {
 			t.Fatalf("%s renders without its id", tbl.ID)
 		}
+	}
+	// Experiments that spill or checkpoint remove their scratch directory.
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in TMPDIR: %s", e.Name())
 	}
 }
 

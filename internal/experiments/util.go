@@ -2,25 +2,15 @@ package experiments
 
 import (
 	"os"
-	"path/filepath"
 
 	"dmml/internal/compress"
 	"dmml/internal/la"
 )
 
-// tmpDir returns a scratch directory for buffer-pool spills; experiments are
-// harness-level code, so using the process temp dir is acceptable here.
-func tmpDir() string {
-	dir, err := os.MkdirTemp("", "dmml-bench-*")
-	if err != nil {
-		return os.TempDir()
-	}
-	return dir
-}
-
-// ckptPath returns a scratch path for a parameter-server checkpoint.
-func ckptPath() string {
-	return filepath.Join(tmpDir(), "model.ck")
+// tmpDir creates a private scratch directory for one experiment's
+// buffer-pool spills and checkpoints; the experiment removes it when done.
+func tmpDir() (string, error) {
+	return os.MkdirTemp("", "dmml-bench-*")
 }
 
 // Thin aliases keep experiments2.go free of extra imports.

@@ -298,7 +298,7 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	chunk := fusedTileW * max(1, fusedSumWork/(fusedTileW*(p.arith+1)))
 	sum := pool.GetF64Zeroed(1)
 	if total*(p.arith+1) < parallelThreshold || pool.SerialNow() {
-		reduceSerial(sum, total, chunk, func(acc []float64, lo, hi int) {
+		pool.ReduceSerial(sum, total, chunk, func(acc []float64, lo, hi int) {
 			acc[0] += fusedSumRange(p, k, ins, sv, cols, lo, hi)
 		})
 	} else {

@@ -73,7 +73,7 @@ func FusedRowInto(dst, v []float64, x *Dense, u []float64, f, g RowCell) []float
 	case n*d < parallelThreshold || n <= chunk:
 		rc.run(dst, 0, n)
 	case pool.SerialNow():
-		reduceSerial(dst, n, chunk, rc.run)
+		pool.ReduceSerial(dst, n, chunk, rc.run)
 	default:
 		pool.Reduce(dst, n, chunk, rc.run)
 	}

@@ -110,7 +110,7 @@ func TestFusedRowBitIdentical(t *testing.T) {
 }
 
 // TestFusedRowZeroAlloc: in the serial regime — one range, and
-// reduceSerial's chunk walk above the threshold — a Row call allocates
+// pool.ReduceSerial's chunk walk above the threshold — a Row call allocates
 // nothing once warm, like the other fused kernels.
 func TestFusedRowZeroAlloc(t *testing.T) {
 	f, g, g1 := rowPrograms(t)

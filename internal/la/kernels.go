@@ -24,30 +24,6 @@ func parallelRows(rows int, work int, fn func(r0, r1 int)) {
 	pool.Do(rows, pool.Grain(rows, work/rows), fn)
 }
 
-// reduceSerial walks pool.Reduce's grid on the calling goroutine: chunk 0
-// into dst, then each later chunk into one zeroed scratch partial that is
-// added into dst in chunk order — Reduce's bits at GOMAXPROCS=1. body stays
-// on the caller's stack, where a closure handed to Reduce reaches the workers
-// and is heap-allocated, so the kernels pinned to zero allocations at
-// GOMAXPROCS=1 take this path there.
-func reduceSerial(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
-	body(dst, 0, min(chunk, n))
-	if n <= chunk {
-		return
-	}
-	part := pool.GetF64(len(dst))
-	for lo := chunk; lo < n; lo += chunk {
-		for i := range part {
-			part[i] = 0
-		}
-		body(part, lo, min(lo+chunk, n))
-		for i, v := range part {
-			dst[i] += v
-		}
-	}
-	pool.PutF64(part)
-}
-
 // MatMul returns a × b. It panics if the inner dimensions disagree.
 //
 // Large, mostly-dense products go through the cache-blocked packed kernel
@@ -211,7 +187,7 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 	case m.rows*m.cols < parallelThreshold || m.rows <= chunk:
 		vecMatAccum(dst, x, m, 0, m.rows)
 	case pool.SerialNow():
-		reduceSerial(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
+		pool.ReduceSerial(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
 	default:
 		pool.Reduce(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
 	}
@@ -276,7 +252,7 @@ func GramInto(out *Dense, x *Dense) *Dense {
 	case x.rows*d*d < parallelThreshold || x.rows <= chunk:
 		gramAccum(x, out.data, 0, x.rows)
 	case pool.SerialNow():
-		reduceSerial(out.data, x.rows, chunk, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
+		pool.ReduceSerial(out.data, x.rows, chunk, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
 	default:
 		pool.Reduce(out.data, x.rows, chunk, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
 	}

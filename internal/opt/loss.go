@@ -107,45 +107,6 @@ func (Logistic) Batch(derivs, margins, y []float64) float64 {
 	return batchLoss(derivs, margins, y, la.LogisticLossInto)
 }
 
-// Hinge is the SVM hinge loss max(0, 1−y·m), labels −1/+1.
-type Hinge struct{}
-
-// Value implements Loss.
-//
-//dmml:noalloc
-func (Hinge) Value(m, y float64) float64 { return max(0, 1-y*m) }
-
-// Deriv implements Loss (a subgradient).
-//
-//dmml:noalloc
-func (Hinge) Deriv(m, y float64) float64 {
-	if y*m < 1 {
-		return -y
-	}
-	return 0
-}
-
-// Batch implements Loss.
-func (Hinge) Batch(derivs, margins, y []float64) float64 {
-	return batchLoss(derivs, margins, y, hingeTile)
-}
-
-//dmml:noalloc
-func hingeTile(derivs, margins, y []float64) float64 {
-	derivs, y = derivs[:len(margins)], y[:len(margins)]
-	total := 0.0
-	for i, m := range margins {
-		z := y[i] * m
-		total += max(0, 1-z)
-		d := 0.0
-		if z < 1 {
-			d = -y[i]
-		}
-		derivs[i] = d
-	}
-	return total
-}
-
 // Sigmoid is the logistic link 1/(1+e^{−m}).
 //
 //dmml:noalloc

@@ -10,10 +10,10 @@ import (
 	"dmml/internal/la"
 )
 
-var allLosses = []Loss{Squared{}, Logistic{}, Hinge{}}
+var allLosses = []Loss{Squared{}, Logistic{}}
 
 // lossEdgeMargins are the magnitudes where some loss changes regime: zero,
-// the hinge's kink at 1, the exp gate's ends, the old ±35 logistic cut-offs,
+// a unit margin, the exp gate's ends, the old ±35 logistic cut-offs,
 // exp underflow, and the non-finite values.
 var lossEdgeMargins = []float64{0, 0x1p-30, 1, 35, 700, 1e4, math.Inf(1), math.NaN()}
 
@@ -205,4 +205,3 @@ var lossSink float64
 // out-of-core block (`make bench` runs them for benchstat).
 func BenchmarkLossPassLogistic(b *testing.B) { benchLossPass(b, Logistic{}) }
 func BenchmarkLossPassSquared(b *testing.B)  { benchLossPass(b, Squared{}) }
-func BenchmarkLossPassHinge(b *testing.B)    { benchLossPass(b, Hinge{}) }

@@ -55,35 +55,22 @@ func (c *checkpointer) maybe(ps *Server) error {
 	return nil
 }
 
-// LoadCheckpoint reads a model checkpoint written during Train, returning
-// the global push clock it was taken at and the model weights.
-func LoadCheckpoint(path string) (clock uint64, w []float64, err error) {
-	return storage.ReadCheckpoint(path)
-}
-
-// SetWeights overwrites the full model, scattering w across shards. It is
-// the restore half of checkpointing and bypasses the emulated RPC path.
-func (s *Server) SetWeights(w []float64) error {
+// RestoreFromCheckpoint overwrites the server's model with the checkpoint at
+// path, bypassing the emulated RPC path, and returns the global push clock
+// the checkpoint was taken at. It is a warm start: a later Train runs its
+// full schedule from tick 0, beginning at the restored weights.
+func (s *Server) RestoreFromCheckpoint(path string) (uint64, error) {
+	clock, w, err := storage.ReadCheckpoint(path)
+	if err != nil {
+		return 0, err
+	}
 	if len(w) != s.dim {
-		return fmt.Errorf("paramserver: SetWeights length %d, want %d", len(w), s.dim)
+		return 0, fmt.Errorf("paramserver: checkpoint %s has %d weights, want %d", path, len(w), s.dim)
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		copy(sh.w, w[sh.lo:sh.lo+len(sh.w)])
 		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// RestoreFromCheckpoint loads the checkpoint at path into the server and
-// returns the global push clock it was taken at.
-func (s *Server) RestoreFromCheckpoint(path string) (uint64, error) {
-	clock, w, err := LoadCheckpoint(path)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.SetWeights(w); err != nil {
-		return 0, err
 	}
 	return clock, nil
 }

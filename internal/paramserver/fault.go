@@ -37,8 +37,8 @@ type FaultConfig struct {
 	// Jitter adds uniform extra latency in [0, Jitter) to every RPC.
 	Jitter time.Duration
 	// KillAtTick maps a worker id to the local tick at which the worker
-	// crashes (once per run): its goroutine dies mid-epoch, losing all local
-	// state. Without recovery this deadlocks the SSP barrier.
+	// crashes (once per server): its goroutine dies mid-epoch, losing all
+	// local state. Without recovery this deadlocks the SSP barrier.
 	KillAtTick map[int]int
 	// Seed seeds the injector's RNG.
 	Seed int64
@@ -86,7 +86,7 @@ func (f *faultInjector) rpcFault() (fail, ackLoss bool, jitter time.Duration) {
 }
 
 // shouldKill reports whether worker must crash at local tick (fires at most
-// once per worker per run, so a restarted worker is not re-killed).
+// once per worker per server, so a restarted worker is not re-killed).
 func (f *faultInjector) shouldKill(worker, tick int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -102,7 +102,7 @@ func (f *faultInjector) shouldKill(worker, tick int) bool {
 // up to MaxRetries retries after the first attempt, sleeping an
 // exponentially growing backoff (BaseBackoff doubling up to MaxBackoff)
 // between attempts, all under a per-operation Deadline. The zero value
-// disables retries entirely; NewServer installs DefaultRetryPolicy.
+// disables retries entirely; every Server runs under DefaultRetryPolicy.
 type RetryPolicy struct {
 	MaxRetries  int
 	BaseBackoff time.Duration

@@ -10,6 +10,7 @@ import (
 
 	"dmml/internal/la"
 	"dmml/internal/opt"
+	"dmml/internal/storage"
 	"dmml/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // receives a non-zero slice — a sparse gradient touching one shard costs one
 // RPC, and an all-zero gradient costs none.
 func TestSparsePushSkipsZeroShards(t *testing.T) {
-	ps, err := NewServer(8, 4, 0) // 4 shards of 2 dims each
+	ps, err := NewServer(8, 4, Network{}) // 4 shards of 2 dims each
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,21 +55,15 @@ func TestSparsePushSkipsZeroShards(t *testing.T) {
 // Transient request loss must be absorbed by retry/backoff: the op succeeds,
 // retries are counted, and the result is exactly one application.
 func TestRetryRecoversFromTransientFailures(t *testing.T) {
-	ps, _ := NewServer(6, 3, 0)
-	ps.SetFaults(&FaultConfig{FailProb: 0.4, Seed: 7})
-	ps.SetRetryPolicy(RetryPolicy{MaxRetries: 20, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond})
+	ps, _ := NewServer(6, 3, Network{Faults: &FaultConfig{FailProb: 0.4, Seed: 7}})
+	ps.retry = RetryPolicy{MaxRetries: 20, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
 	one := []float64{1, 1, 1, 1, 1, 1}
 	for i := 0; i < 50; i++ {
 		if err := ps.Push(one, 1); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	ps.SetFaults(nil)
-	w, err := ps.Pull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range w {
+	for i, v := range shardWeights(ps) {
 		if v != 50 {
 			t.Fatalf("w[%d] = %v, want 50 (lost or duplicated update under retry)", i, v)
 		}
@@ -90,17 +85,12 @@ func TestIdempotentReplayUnderAckLoss(t *testing.T) {
 			return ps.Push(delta, 1)
 		},
 	} {
-		ps, _ := NewServer(4, 2, 0)
-		ps.SetFaults(&FaultConfig{AckLossProb: 0.7, Seed: 11})
-		ps.SetRetryPolicy(RetryPolicy{MaxRetries: 64, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond})
+		ps, _ := NewServer(4, 2, Network{Faults: &FaultConfig{AckLossProb: 0.7, Seed: 11}})
+		ps.retry = RetryPolicy{MaxRetries: 64, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
 		if err := push(ps, []float64{1, 2, 3, 4}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ps.SetFaults(nil)
-		w, err := ps.Pull()
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := shardWeights(ps)
 		want := []float64{1, 2, 3, 4}
 		for i := range w {
 			if w[i] != want[i] {
@@ -116,12 +106,11 @@ func TestIdempotentReplayUnderAckLoss(t *testing.T) {
 // A permanently failing shard must hit the per-op deadline, count a timeout,
 // and surface ErrOpDeadline.
 func TestOpDeadlineExceeded(t *testing.T) {
-	ps, _ := NewServer(4, 2, 0)
-	ps.SetFaults(&FaultConfig{FailProb: 1, Seed: 3})
-	ps.SetRetryPolicy(RetryPolicy{
+	ps, _ := NewServer(4, 2, Network{Faults: &FaultConfig{FailProb: 1, Seed: 3}})
+	ps.retry = RetryPolicy{
 		MaxRetries: 1 << 20, BaseBackoff: 200 * time.Microsecond,
 		MaxBackoff: time.Millisecond, Deadline: 5 * time.Millisecond,
-	})
+	}
 	_, err := ps.Pull()
 	if !errors.Is(err, ErrOpDeadline) {
 		t.Fatalf("err = %v, want ErrOpDeadline", err)
@@ -133,9 +122,8 @@ func TestOpDeadlineExceeded(t *testing.T) {
 
 // Exhausted retries (without a deadline) must surface ErrRPCFailed.
 func TestRetriesExhausted(t *testing.T) {
-	ps, _ := NewServer(4, 2, 0)
-	ps.SetFaults(&FaultConfig{FailProb: 1, Seed: 3})
-	ps.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
+	ps, _ := NewServer(4, 2, Network{Faults: &FaultConfig{FailProb: 1, Seed: 3}})
+	ps.retry = RetryPolicy{MaxRetries: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}
 	err := ps.Push([]float64{1, 1, 1, 1}, 1)
 	if !errors.Is(err, ErrRPCFailed) {
 		t.Fatalf("err = %v, want ErrRPCFailed", err)
@@ -143,6 +131,16 @@ func TestRetriesExhausted(t *testing.T) {
 	if st := ps.Stats(); st.Retries != 3 {
 		t.Fatalf("retries = %d, want 3", st.Retries)
 	}
+}
+
+// shardWeights reads the model straight from the shards, past the emulated
+// RPC path and its injected faults.
+func shardWeights(ps *Server) []float64 {
+	w := make([]float64, 0, ps.dim)
+	for _, sh := range ps.shards {
+		w = append(w, sh.w...)
+	}
+	return w
 }
 
 func faultTrainSetup(t *testing.T, seed int64, n int) (*la.Dense, []float64) {
@@ -163,19 +161,17 @@ func TestFirstErrorCancellationAbortsPromptly(t *testing.T) {
 		Workers: 4, Epochs: 8, BatchSize: 16, Step: 0.5, Decay: 0.5,
 		Mode: BSP, Seed: 5,
 	}
-	run := func(cfg TrainConfig) (int64, error) {
-		ps, _ := NewServer(8, 4, 50*time.Microsecond)
-		_, err := Train(ps, data, y, opt.Logistic{}, cfg)
+	run := func(faults *FaultConfig) (int64, error) {
+		ps, _ := NewServer(8, 4, Network{Latency: 50 * time.Microsecond, Faults: faults})
+		_, err := Train(ps, data, y, opt.Logistic{}, base)
 		return ps.Stats().Pushes, err
 	}
-	baseline, err := run(base)
+	baseline, err := run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	killed := base
-	killed.Faults = &FaultConfig{KillAtTick: map[int]int{2: 0}, Seed: 5}
 	// MaxWorkerRestarts = 0: the tick-0 kill is fatal and must cancel the run.
-	cancelled, err := run(killed)
+	cancelled, err := run(&FaultConfig{KillAtTick: map[int]int{2: 0}, Seed: 5})
 	if err == nil || !errors.Is(err, errKilled) {
 		t.Fatalf("err = %v, want the worker-killed error", err)
 	}
@@ -189,11 +185,10 @@ func TestFirstErrorCancellationAbortsPromptly(t *testing.T) {
 func TestKillAndRecoverInRun(t *testing.T) {
 	data, y := faultTrainSetup(t, 202, 3000)
 	for _, mode := range []Mode{BSP, SSP, Async} {
-		ps, _ := NewServer(8, 4, 0)
+		ps, _ := NewServer(8, 4, Network{Faults: &FaultConfig{KillAtTick: map[int]int{1: 4}, Seed: 21}})
 		res, err := Train(ps, data, y, opt.Logistic{}, TrainConfig{
 			Workers: 4, Epochs: 6, BatchSize: 32, Step: 0.5, Decay: 0.5,
 			Mode: mode, Staleness: 2, Seed: 6,
-			Faults:            &FaultConfig{KillAtTick: map[int]int{1: 4}, Seed: 21},
 			MaxWorkerRestarts: 2,
 			Checkpoint:        CheckpointConfig{Path: filepath.Join(t.TempDir(), "model.ck"), Every: 16},
 		})
@@ -217,11 +212,11 @@ func TestFaultyTrainingWithin5PctOfFaultFree(t *testing.T) {
 	for _, mode := range []Mode{BSP, SSP, Async} {
 		run := func(faults *FaultConfig, restarts int, ckPath string) *Result {
 			t.Helper()
-			ps, _ := NewServer(8, 4, 0)
+			ps, _ := NewServer(8, 4, Network{Faults: faults})
 			cfg := TrainConfig{
 				Workers: 4, Epochs: 8, BatchSize: 32, Step: 0.5, Decay: 0.5,
 				Mode: mode, Staleness: 2, Seed: 7,
-				Faults: faults, MaxWorkerRestarts: restarts,
+				MaxWorkerRestarts: restarts,
 			}
 			if ckPath != "" {
 				cfg.Checkpoint = CheckpointConfig{Path: ckPath, Every: 32}
@@ -264,11 +259,11 @@ func TestSSPSkewInvariant(t *testing.T) {
 	}
 	for _, staleness := range []int{0, 1, 3} {
 		for fi, faults := range faultSets {
-			ps, _ := NewServer(8, 2, 0)
+			ps, _ := NewServer(8, 2, Network{Faults: faults})
 			res, err := Train(ps, data, y, opt.Logistic{}, TrainConfig{
 				Workers: 4, Epochs: 3, BatchSize: 16, Step: 0.5, Decay: 0.5,
 				Mode: SSP, Staleness: staleness, Seed: int64(8 + fi),
-				Faults: faults, MaxWorkerRestarts: 3,
+				MaxWorkerRestarts: 3,
 			})
 			if err != nil {
 				t.Fatalf("staleness %d faults %d: %v", staleness, fi, err)
@@ -283,7 +278,8 @@ func TestSSPSkewInvariant(t *testing.T) {
 
 // Checkpoint/restore round trip: a run that dies (kill with no restarts
 // allowed) leaves a usable checkpoint behind; a fresh server restored from
-// it resumes at the recorded clock and converges.
+// it holds the checkpointed weights, reports the recorded clock, and a warm
+// start from them (a full Train from tick 0) converges.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	data, y := faultTrainSetup(t, 205, 3000)
 	ckPath := filepath.Join(t.TempDir(), "model.ck")
@@ -294,13 +290,11 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	// Run 1: crash worker 3 mid-run with restarts disabled — the run aborts,
 	// but the periodic checkpoint survives.
-	ps1, _ := NewServer(8, 4, 0)
-	crash := cfg
-	crash.Faults = &FaultConfig{KillAtTick: map[int]int{3: 20}, Seed: 51}
-	if _, err := Train(ps1, data, y, opt.Logistic{}, crash); !errors.Is(err, errKilled) {
+	ps1, _ := NewServer(8, 4, Network{Faults: &FaultConfig{KillAtTick: map[int]int{3: 20}, Seed: 51}})
+	if _, err := Train(ps1, data, y, opt.Logistic{}, cfg); !errors.Is(err, errKilled) {
 		t.Fatalf("err = %v, want the worker-killed error", err)
 	}
-	clock, w, err := LoadCheckpoint(ckPath)
+	clock, w, err := storage.ReadCheckpoint(ckPath)
 	if err != nil {
 		t.Fatalf("no usable checkpoint after crash: %v", err)
 	}
@@ -308,7 +302,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint clock=%d dim=%d, want clock ≥ 16, dim 8", clock, len(w))
 	}
 	// Run 2: restore into a fresh server and finish training.
-	ps2, _ := NewServer(8, 4, 0)
+	ps2, _ := NewServer(8, 4, Network{})
 	restored, err := ps2.RestoreFromCheckpoint(ckPath)
 	if err != nil {
 		t.Fatal(err)
@@ -340,10 +334,9 @@ func TestKillWithoutRecoveryDoesNotDeadlock(t *testing.T) {
 	data, y := faultTrainSetup(t, 206, 1000)
 	done := make(chan error, 1)
 	go func() {
-		ps, _ := NewServer(8, 2, 0)
+		ps, _ := NewServer(8, 2, Network{Faults: &FaultConfig{KillAtTick: map[int]int{0: 2}, Seed: 61}})
 		_, err := Train(ps, data, y, opt.Logistic{}, TrainConfig{
 			Workers: 4, Epochs: 4, BatchSize: 16, Step: 0.5, Mode: BSP, Seed: 10,
-			Faults: &FaultConfig{KillAtTick: map[int]int{0: 2}, Seed: 61},
 		})
 		done <- err
 	}()

@@ -3,11 +3,11 @@
 // across shards, workers pull the current model and push gradients, and
 // coordination follows the stale-synchronous-parallel (SSP) spectrum —
 // staleness 0 is BSP (barrier per clock tick), unbounded staleness is fully
-// asynchronous. Optional per-operation latency injection emulates network
-// round trips so the BSP-vs-async throughput shape is observable on a single
-// machine.
+// asynchronous. Each server's emulated network (Network) is fixed at
+// construction: per-operation latency emulates round trips so the
+// BSP-vs-async throughput shape is observable on a single machine.
 //
-// The package is fault-tolerant: an injectable fault model (FaultConfig) can
+// The package is fault-tolerant: the network's fault model (FaultConfig) can
 // lose requests, lose acknowledgements, jitter latency, and kill workers at
 // a deterministic tick. Every shard RPC runs under bounded exponential-
 // backoff retry (RetryPolicy); sequence-tagged pushes make ack-loss replay
@@ -29,14 +29,24 @@ import (
 	"dmml/internal/opt"
 )
 
+// Network is a Server's emulated network model, fixed at construction.
+type Network struct {
+	// Latency is injected before every shard RPC to emulate a round trip.
+	Latency time.Duration
+	// Faults, if non-nil, injects RPC request/ack loss, latency jitter, and
+	// deterministic worker kills for the server's lifetime. The injector's
+	// RNG and fired kills carry over between Train calls, so replaying a
+	// faulty run needs a fresh server.
+	Faults *FaultConfig
+}
+
 // Server is a sharded parameter vector with pull/push access.
 type Server struct {
-	shards []*shard
-	dim    int
-	// opLatency is injected before every shard RPC to emulate the network.
-	opLatency time.Duration
-	// retry bounds the client-side retry loop; faults injects failures.
-	// Both are installed before workers start and read-only afterwards.
+	shards  []*shard
+	dim     int
+	latency time.Duration
+	// retry bounds the client-side retry loop; faults (nil: none) injects
+	// failures. Both are read-only after NewServer.
 	retry  RetryPolicy
 	faults *faultInjector
 
@@ -59,35 +69,24 @@ type shard struct {
 }
 
 // NewServer creates a parameter server for a dim-dimensional model split
-// across the given number of shards.
-func NewServer(dim, shards int, opLatency time.Duration) (*Server, error) {
+// across the given number of shards, behind the emulated network.
+func NewServer(dim, shards int, network Network) (*Server, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("paramserver: dim must be ≥ 1, got %d", dim)
 	}
 	if shards < 1 || shards > dim {
 		return nil, fmt.Errorf("paramserver: shards=%d out of range for dim=%d", shards, dim)
 	}
-	s := &Server{dim: dim, opLatency: opLatency, retry: DefaultRetryPolicy()}
+	s := &Server{dim: dim, latency: network.Latency, retry: DefaultRetryPolicy()}
+	if network.Faults != nil {
+		s.faults = newFaultInjector(*network.Faults)
+	}
 	chunk := (dim + shards - 1) / shards
 	for lo := 0; lo < dim; lo += chunk {
 		hi := min(lo+chunk, dim)
 		s.shards = append(s.shards, &shard{lo: lo, w: make([]float64, hi-lo), lastSeq: make(map[int]uint64)})
 	}
 	return s, nil
-}
-
-// SetRetryPolicy replaces the retry policy. Not safe to call concurrently
-// with pulls or pushes.
-func (s *Server) SetRetryPolicy(p RetryPolicy) { s.retry = p }
-
-// SetFaults installs the fault model (nil disables injection). Not safe to
-// call concurrently with pulls or pushes.
-func (s *Server) SetFaults(cfg *FaultConfig) {
-	if cfg == nil {
-		s.faults = nil
-		return
-	}
-	s.faults = newFaultInjector(*cfg)
 }
 
 // Pull gathers the full model (one emulated RPC per shard).
@@ -187,7 +186,7 @@ func (s *Server) callShard(apply func()) error {
 		if s.faults != nil {
 			fail, ackLoss, jitter = s.faults.rpcFault()
 		}
-		if d := s.opLatency + jitter; d > 0 {
+		if d := s.latency + jitter; d > 0 {
 			time.Sleep(d)
 		}
 		if !fail {
@@ -378,13 +377,9 @@ type TrainConfig struct {
 	// wait for the straggler; SSP tolerates it up to the staleness bound;
 	// async ignores it — the published parameter-server motivation.
 	StragglerDelay time.Duration
-	// Faults, if non-nil, is installed into the server for the run: RPC
-	// request/ack loss, latency jitter, and deterministic worker kills.
-	Faults *FaultConfig
-	// Retry, if non-nil, replaces the server's retry policy for the run.
-	Retry *RetryPolicy
 	// Checkpoint enables periodic model snapshots (see CheckpointConfig);
-	// the latest snapshot survives a failed run for restart-from-checkpoint.
+	// the latest snapshot survives a failed run for a warm restart through
+	// RestoreFromCheckpoint.
 	Checkpoint CheckpointConfig
 	// MaxWorkerRestarts bounds how many times each killed worker is
 	// restarted before the run aborts (0 = a kill is fatal).
@@ -443,12 +438,14 @@ type Result struct {
 // partitioned across workers; each batch tick a worker pulls the model,
 // computes its mini-batch gradient, and pushes the scaled update.
 //
-// Under an injected fault model, failed RPCs are retried with backoff, a
+// Under the server's fault model, failed RPCs are retried with backoff, a
 // killed worker is restarted up to MaxWorkerRestarts times — re-entering the
 // shared clock at the current global minimum tick and recomputing its data
 // cursor from it — and any unrecoverable error cancels the whole run
 // promptly (first-error cancellation) instead of letting healthy workers
-// train a doomed model to completion.
+// train a doomed model to completion. The fault model is the server's, not
+// the run's: a second Train on the same server continues its injector's RNG
+// and does not repeat kills that already fired.
 func Train(ps *Server, data *la.Dense, y []float64, loss opt.Loss, cfg TrainConfig) (*Result, error) {
 	n := data.Rows()
 	if err := cfg.validate(n); err != nil {
@@ -459,12 +456,6 @@ func Train(ps *Server, data *la.Dense, y []float64, loss opt.Loss, cfg TrainConf
 	}
 	if data.Cols() != ps.dim {
 		return nil, fmt.Errorf("paramserver: data has %d cols, server dim %d", data.Cols(), ps.dim)
-	}
-	if cfg.Faults != nil {
-		ps.SetFaults(cfg.Faults)
-	}
-	if cfg.Retry != nil {
-		ps.SetRetryPolicy(*cfg.Retry)
 	}
 	var ck *checkpointer
 	if cfg.Checkpoint.Path != "" {

@@ -13,13 +13,13 @@ import (
 )
 
 func TestServerValidation(t *testing.T) {
-	if _, err := NewServer(0, 1, 0); err == nil {
+	if _, err := NewServer(0, 1, Network{}); err == nil {
 		t.Fatal("want dim error")
 	}
-	if _, err := NewServer(4, 8, 0); err == nil {
+	if _, err := NewServer(4, 8, Network{}); err == nil {
 		t.Fatal("want shards > dim error")
 	}
-	ps, err := NewServer(10, 3, 0)
+	ps, err := NewServer(10, 3, Network{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestServerValidation(t *testing.T) {
 }
 
 func TestPullPushRoundTrip(t *testing.T) {
-	ps, _ := NewServer(7, 3, 0)
+	ps, _ := NewServer(7, 3, Network{})
 	delta := []float64{1, 2, 3, 4, 5, 6, 7}
 	if err := ps.Push(delta, 2); err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestPullPushRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentPushesAllLand(t *testing.T) {
-	ps, _ := NewServer(5, 2, 0)
+	ps, _ := NewServer(5, 2, Network{})
 	const workers = 8
 	const pushesPer = 100
 	var wg sync.WaitGroup
@@ -117,7 +117,7 @@ func trainSetup(t *testing.T, seed int64) (*la.Dense, []float64) {
 func TestTrainAllModesConverge(t *testing.T) {
 	x, y := trainSetup(t, 160)
 	for _, mode := range []Mode{BSP, SSP, Async} {
-		ps, err := NewServer(8, 4, 0)
+		ps, err := NewServer(8, 4, Network{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestTrainAllModesConverge(t *testing.T) {
 
 func TestTrainSingleWorkerMatchesLocalSGDShape(t *testing.T) {
 	x, y := trainSetup(t, 161)
-	ps, _ := NewServer(8, 1, 0)
+	ps, _ := NewServer(8, 1, Network{})
 	res, err := Train(ps, x, y, opt.Logistic{}, TrainConfig{
 		Workers: 1, Epochs: 12, BatchSize: 1, Step: 0.5, Decay: 0.5, Seed: 2,
 	})
@@ -156,7 +156,7 @@ func TestTrainSingleWorkerMatchesLocalSGDShape(t *testing.T) {
 func TestTrainValidation(t *testing.T) {
 	x := la.NewDense(10, 3)
 	y := make([]float64, 10)
-	ps, _ := NewServer(3, 1, 0)
+	ps, _ := NewServer(3, 1, Network{})
 	bad := []TrainConfig{
 		{Workers: 0, Epochs: 1, BatchSize: 1, Step: 1},
 		{Workers: 1, Epochs: 0, BatchSize: 1, Step: 1},
@@ -170,7 +170,7 @@ func TestTrainValidation(t *testing.T) {
 		}
 	}
 	// Dim mismatch.
-	ps2, _ := NewServer(5, 1, 0)
+	ps2, _ := NewServer(5, 1, Network{})
 	if _, err := Train(ps2, x, y, opt.Squared{}, TrainConfig{
 		Workers: 1, Epochs: 1, BatchSize: 1, Step: 1,
 	}); err == nil {
@@ -196,7 +196,7 @@ func TestModeString(t *testing.T) {
 func TestSSPFinishUnblocksStragglers(t *testing.T) {
 	// A finished worker must not hold back others (regression for deadlock).
 	x, y := trainSetup(t, 163)
-	ps, _ := NewServer(8, 2, 0)
+	ps, _ := NewServer(8, 2, Network{})
 	// Workers > rows/chunk edge: more workers than useful partitions.
 	res, err := Train(ps, x.Slice(0, 5, 0, 8), y[:5], opt.Logistic{}, TrainConfig{
 		Workers: 8, Epochs: 2, BatchSize: 2, Step: 0.1, Mode: BSP, Seed: 4,
@@ -215,7 +215,7 @@ func TestStragglerIdlesBSPNotAsync(t *testing.T) {
 	r := rand.New(rand.NewSource(164))
 	x, y, _ := workload.Classification(r, 800, 6, 0.02)
 	run := func(mode Mode) time.Duration {
-		ps, _ := NewServer(6, 2, 0)
+		ps, _ := NewServer(6, 2, Network{})
 		res, err := Train(ps, x, y, opt.Logistic{}, TrainConfig{
 			Workers: 4, Epochs: 2, BatchSize: 25, Step: 0.5, Mode: mode, Seed: 9,
 			StragglerDelay: 2 * time.Millisecond,

@@ -206,6 +206,30 @@ func Reduce(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
 	reductions.Put(r)
 }
 
+// ReduceSerial walks Reduce's grid on the calling goroutine: chunk 0 into
+// dst, then each later chunk into one zeroed scratch partial that is added
+// into dst in chunk order — the bits Reduce gives at any GOMAXPROCS. body
+// stays on the caller's stack, where a closure handed to Reduce reaches the
+// workers and is heap-allocated, so kernels pinned to zero allocations at
+// GOMAXPROCS=1 call this there.
+func ReduceSerial(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
+	body(dst, 0, min(chunk, n))
+	if n <= chunk {
+		return
+	}
+	part := GetF64(len(dst))
+	for lo := chunk; lo < n; lo += chunk {
+		for i := range part {
+			part[i] = 0
+		}
+		body(part, lo, min(lo+chunk, n))
+		for i, v := range part {
+			dst[i] += v
+		}
+	}
+	PutF64(part)
+}
+
 // reduction is one Reduce call's state. It is recycled with its run method
 // value bound once, so a call allocates no closure or table of its own.
 type reduction struct {

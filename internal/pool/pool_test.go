@@ -282,8 +282,8 @@ func TestIntScratchReuse(t *testing.T) {
 // sums chunk 0 in place and every later chunk through a zeroed partial added
 // in chunk-index order — with values chosen so that other associations round
 // differently — and returns the same bits on every repeat at GOMAXPROCS 1, 2
-// and 4. With a one-element dst the serial reference below is the chunk-order
-// sum of chunk sums.
+// and 4, as does ReduceSerial. With a one-element dst the serial reference
+// below is the chunk-order sum of chunk sums.
 func TestSumChunks(t *testing.T) {
 	const chunk = 100
 	// Ones, then many 2⁻⁵³s: added to a one one at a time each is rounded
@@ -320,6 +320,14 @@ func TestSumChunks(t *testing.T) {
 			want := serial(n, width)
 			for _, procs := range []int{1, 2, 4} {
 				withProcs(t, procs, func() {
+					dst := make([]float64, width)
+					ReduceSerial(dst, n, chunk, body(width))
+					for j := range dst {
+						if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("width=%d n=%d procs=%d: ReduceSerial dst[%d] = %x, Reduce's grid gives %x",
+								width, n, procs, j, math.Float64bits(dst[j]), math.Float64bits(want[j]))
+						}
+					}
 					for rep := 0; rep < 20; rep++ {
 						var mu sync.Mutex
 						seen := map[[2]int]int{}

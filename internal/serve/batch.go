@@ -131,11 +131,6 @@ func (q *modelQueue) loop(s *Server, stop <-chan struct{}) {
 		case <-stop:
 			return
 		}
-		if s.cfg.Linger > 0 {
-			// Optional fixed coalescing window: trade that much latency for
-			// larger batches at low request rates.
-			time.Sleep(s.cfg.Linger)
-		}
 		q.mu.Lock()
 		batch, stride := q.pend, q.stride
 		q.pend = q.free

@@ -22,10 +22,6 @@ type Config struct {
 	Store *modeldb.Store
 	// MaxBatch caps the rows scored per GEMV chunk (default 256).
 	MaxBatch int
-	// Linger is an optional fixed coalescing window the batch worker waits
-	// after waking before draining (default 0: drain whatever is queued —
-	// batching then adapts to load with no added latency at idle).
-	Linger time.Duration
 	// PollInterval, when positive, starts a background loop calling Reload
 	// so versions logged by a trainer become servable automatically.
 	PollInterval time.Duration

@@ -177,77 +177,49 @@ func TestServeMalformedFrameClosesConn(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces proves the admission stage actually batches: with a
-// small linger window and many concurrently pipelined requests, at least
-// one drained batch must contain more than one row (and every response
-// must still be correct and correlated by request ID).
+// TestBatchingCoalesces proves the admission stage batches: requests queued
+// before the worker wakes are scored by a single drain, in MaxBatch-row
+// chunks, and every answer is bit-equal to la.ScoreRow and correlated by
+// request ID.
 func TestBatchingCoalesces(t *testing.T) {
 	metrics.Reset()
 	metrics.Enable()
 	defer func() { metrics.Disable(); metrics.Reset() }()
 
-	s, store := newTestServer(t, func(c *Config) { c.Linger = 2 * time.Millisecond })
-	w := []float64{2, 0.5}
-	logModel(t, store, "m", w, 1, false)
+	const n, maxBatch = 10, 4 // chunks of 4, 4 and 2 rows
+	w := []float64{2, 0.5, -1}
+	q := &modelQueue{name: "m", wake: make(chan struct{}, 1)}
+	q.hot.Store(&hotModel{name: "m", version: 1, dim: len(w), weights: w, bias: 1, link: la.LinkLogistic})
+	c := &srvConn{out: make(chan Response, n)}
+	want := map[uint64]float64{}
+	for i := 0; i < n; i++ {
+		row := []float64{float64(i), -0.25 * float64(i), 1}
+		id := uint64(100 + i)
+		c.pending.Add(1)
+		if !q.enqueue(c, id, row, time.Now()) {
+			t.Fatalf("request %d refused", id)
+		}
+		want[id] = la.ScoreRow(row, w, 1, la.LinkLogistic)
+	}
 
-	const conns, perConn = 4, 64
-	var wg sync.WaitGroup
-	errs := make(chan error, conns)
-	for g := 0; g < conns; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c, err := Dial(s.Addr().String(), 2*time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			want := map[uint64]float64{}
-			for i := 0; i < perConn; i++ {
-				row := []float64{float64(i), float64(g)}
-				id, err := c.Send("m", row)
-				if err != nil {
-					errs <- err
-					return
-				}
-				want[id] = la.ScoreRow(row, w, 1, la.LinkIdentity)
-			}
-			if err := c.Flush(); err != nil {
-				errs <- err
-				return
-			}
-			for i := 0; i < perConn; i++ {
-				resp, err := c.Recv()
-				if err != nil {
-					errs <- err
-					return
-				}
-				wv, ok := want[resp.ID]
-				if !ok || resp.Status != StatusOK || resp.Value != wv {
-					errs <- fmt.Errorf("conn %d: bad response %+v (want %v)", g, resp, wv)
-					return
-				}
-				delete(want, resp.ID)
-			}
-		}(g)
+	s := &Server{cfg: Config{MaxBatch: maxBatch}}
+	stop := make(chan struct{})
+	s.workerWG.Add(1)
+	go q.loop(s, stop)
+	for i := 0; i < n; i++ {
+		resp := <-c.out
+		wv, ok := want[resp.ID]
+		if !ok || resp.Status != StatusOK || resp.Value != wv {
+			t.Fatalf("bad response %+v (want %v)", resp, wv)
+		}
+		delete(want, resp.ID)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	close(stop)
+	s.workerWG.Wait()
+
+	if snap := hBatchRows.Snapshot(); snap.Count != 1 || snap.Sum != n {
+		t.Fatalf("drains = %d scoring %d rows, want one drain of %d", snap.Count, snap.Sum, n)
 	}
-	snap := hBatchRows.Snapshot()
-	if snap.Count == 0 {
-		t.Fatal("no batches recorded")
-	}
-	if snap.Max < 2 {
-		t.Fatalf("no coalescing: max batch size %d over %d batches", snap.Max, snap.Count)
-	}
-	if snap.Sum != conns*perConn {
-		t.Fatalf("batched rows = %d, want %d", snap.Sum, conns*perConn)
-	}
-	t.Logf("batches=%d rows=%d max=%d mean=%.1f", snap.Count, snap.Sum, snap.Max, snap.Mean)
 }
 
 // TestReloadSwapsWithoutDrops is the drain/reload acceptance test: logging

@@ -18,11 +18,9 @@ import (
 var keepUnreached = map[string]string{
 	"storage.(*BufferPool).SetFailureHooks": "the buffer pool's fault-injection seam: spill-read and " +
 		"spill-write failures are injected through it, and error-path work on the pool needs it",
-	"paramserver.LoadCheckpoint": "checkpoint restore path: recovery code, exercised by the " +
-		"parameter server's fault tests until a binary resumes from a checkpoint",
-	"paramserver.(*Server).RestoreFromCheckpoint": "checkpoint restore path (see LoadCheckpoint)",
-	"paramserver.(*Server).SetWeights":            "checkpoint restore path (see LoadCheckpoint)",
-	"storage.ReadCheckpoint":                      "checkpoint restore path: reads what paramserver's checkpointing writes",
+	"paramserver.(*Server).RestoreFromCheckpoint": "checkpoint restore path: recovery code, exercised by the " +
+		"parameter server's fault tests until a binary warm-starts from a checkpoint",
+	"storage.ReadCheckpoint": "checkpoint restore path: reads what paramserver's checkpointing writes",
 	"la.FromRows": "fixture constructor the tests of cmd/dmml, dml, factorized, storage, modeldb " +
 		"and compress build their matrices with; a _test.go file cannot export it across packages",
 	"la.(*Dense).Equal": "tolerance comparison the tests of several packages check their " +
@@ -33,12 +31,13 @@ var keepUnreached = map[string]string{
 // callers. Its roots are main and init of every package under cmd/ and
 // examples/, plus every declaration in every file under bench/ (the
 // benchmark's _test.go files included: they must keep compiling). Edges are
-// static references; a call through an interface method reaches every
-// module method of that name, and a reached type keeps the methods by which
-// it satisfies an interface of a standard-library package the module
-// imports (fmt.Stringer, error, sort.Interface, ...). The root module's own
-// tests are not roots. Any internal/ function or method left unreached must
-// be deleted, or earn a line in keepUnreached.
+// static references; a call through an interface method reaches each module
+// method of that name whose receiver type is itself reached (then or later),
+// and a reached type keeps the methods by which it satisfies an interface of
+// a standard-library package the module imports (fmt.Stringer, error,
+// sort.Interface, ...). The root module's own tests are not roots. Any
+// internal/ function or method left unreached must be deleted, or earn a
+// line in keepUnreached.
 func TestEveryEngineFunctionIsReached(t *testing.T) {
 	m := loadModule(t)
 	r := newReach(m)
@@ -256,15 +255,18 @@ func (r *reach) scan(info *types.Info, node ast.Node) {
 	})
 }
 
-// dispatch reaches every module method named name: the callee of an
-// interface call is any of them.
+// dispatch reaches every module method named name on a reached type: the
+// callee of an interface call is any of them. A type reached later picks the
+// method up in mark.
 func (r *reach) dispatch(name string) {
 	if r.byName[name] {
 		return
 	}
 	r.byName[name] = true
 	for _, fn := range r.methods[name] {
-		r.mark(fn)
+		if r.seen[recvTypeName(fn)] {
+			r.mark(fn)
+		}
 	}
 }
 
@@ -274,6 +276,15 @@ func (r *reach) mark(obj types.Object) {
 	}
 	r.seen[obj] = true
 	r.queue = append(r.queue, obj)
+	if tn, ok := obj.(*types.TypeName); ok {
+		if n, ok := tn.Type().(*types.Named); ok {
+			for i := 0; i < n.NumMethods(); i++ {
+				if fn := n.Method(i); r.byName[fn.Name()] {
+					r.mark(fn)
+				}
+			}
+		}
+	}
 }
 
 // run walks the reference graph to a fixed point.
@@ -340,17 +351,24 @@ func (r *reach) unreached() []unreachedDecl {
 	return out
 }
 
+// recvTypeName returns the named type that declares method fn.
+func recvTypeName(fn *types.Func) *types.TypeName {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Obj()
+}
+
 // objName renders obj as pkg.Name or, for a method, pkg.(*T).Method.
 func objName(obj types.Object) string {
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Type().(*types.Signature).Recv() == nil {
 		return obj.Pkg().Name() + "." + obj.Name()
 	}
-	t := fn.Type().(*types.Signature).Recv().Type()
 	ptr := ""
-	if p, ok := t.(*types.Pointer); ok {
-		t, ptr = p.Elem(), "*"
+	if _, ok := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer); ok {
+		ptr = "*"
 	}
-	n, _ := t.(*types.Named)
-	return fmt.Sprintf("%s.(%s%s).%s", fn.Pkg().Name(), ptr, n.Obj().Name(), fn.Name())
+	return fmt.Sprintf("%s.(%s%s).%s", fn.Pkg().Name(), ptr, recvTypeName(fn).Name(), fn.Name())
 }
