@@ -8,7 +8,8 @@
 #   make check          static analysis + race detector over the concurrent
 #                       packages (pool, la, compress, paramserver, storage,
 #                       ooc, opt, core, metrics, dml, experiments, factorized,
-#                       modeldb, sketch, serve)
+#                       modeldb, sketch, serve) and the spill fault sweeps
+#                       (integration)
 #   make vet-engine     dmmlvet: the engine-specific analyzer suite (scratch
 #                       pairing, span pairing, instrument registration,
 #                       noalloc kernels, lock discipline) over every package;
@@ -35,8 +36,12 @@
 #                       error or any score that differs from la.ScoreRow
 #   make bench          benchstat-compatible timings for the perf-tracked
 #                       experiments (E4, E5, E6, E10, E15, E17, E18, and the
-#                       E14 fault-injection scenario) and opt's batched loss
-#                       pass (BenchmarkLossPass*) — a local tool with no pins
+#                       E14 fault-injection scenario), opt's batched loss
+#                       pass (BenchmarkLossPass*), the buffer pool's spill
+#                       read (BenchmarkSpillRead) and the out-of-core block
+#                       step, three passes vs one (BenchmarkBlockStep) — the
+#                       last two because dmmlperf's traced train_ooc run
+#                       keeps the three-pass step — a local tool with no pins
 #                       and no gate: run before and after a kernel change and
 #                       feed both logs to benchstat (the regression gate is
 #                       the benchmark in bench/, declared by BENCHMARK.json)
@@ -63,13 +68,14 @@ BENCH_COUNT ?= 6
 # drives that prefetcher from inside gradient descent; dml drives the
 # parallel fused templates, experiments and factorized fan work out through
 # the pool, modeldb and sketch are exercised concurrently by the serving and
-# streaming paths.
+# streaming paths; integration's spill read and write fault sweeps fail the
+# pool under the prefetcher and the builders.
 RACE_PKGS := ./internal/pool/... ./internal/la/... ./internal/compress/... \
 	./internal/paramserver/... ./internal/storage/... ./internal/ooc/... \
 	./internal/opt/... ./internal/core/... \
 	./internal/metrics/... ./internal/dml/... ./internal/experiments/... \
 	./internal/factorized/... ./internal/modeldb/... ./internal/sketch/... \
-	./internal/serve/...
+	./internal/serve/... ./internal/integration/...
 
 .PHONY: test test-cpu check ci vet vet-engine race bench cover fuzz-nightly \
 	lint-examples fuzz-smoke serve-smoke bench-module
@@ -126,6 +132,10 @@ bench:
 		-benchmem -count=$(BENCH_COUNT) .
 	$(GO) test -run '^$$' -bench 'BenchmarkLossPass(Logistic|Squared)$$' \
 		-benchmem -count=$(BENCH_COUNT) ./internal/opt
+	$(GO) test -run '^$$' -bench 'BenchmarkSpillRead$$' \
+		-benchmem -count=$(BENCH_COUNT) ./internal/storage
+	$(GO) test -run '^$$' -bench 'BenchmarkBlockStep$$' \
+		-benchmem -count=$(BENCH_COUNT) ./internal/compress
 
 # Short native-fuzzing smoke over the fusion equivalence property (random
 # expression trees, fused evaluation must match unfused bit-for-bit on cell

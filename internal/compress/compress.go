@@ -116,17 +116,13 @@ func (c *Matrix) matVecCall(dst, v []float64) *call {
 		k.pre = make([][]float64, len(c.groups))
 	}
 	k.pre = k.pre[:len(c.groups)]
-	n, lists := 0, 0
+	n := 0
 	for _, g := range c.groups {
 		if d := g.dictionary(); d != nil {
 			n += d.numEntries()
-			if _, ddc := g.(*DDCGroup); !ddc {
-				lists += d.numEntries()
-			}
 		}
 	}
-	gs := max(1, len(c.groups))
-	k.span = max(1, compressParallelMinWork/(8*gs), rangeEntryCost*lists/gs)
+	k.span = c.rangeRows(compressParallelMinWork / 8)
 	k.buf = pool.GetF64(n)
 	n = 0
 	for gi, g := range c.groups {
@@ -141,8 +137,24 @@ func (c *Matrix) matVecCall(dst, v []float64) *call {
 }
 
 // rangeEntryCost is what one OLE or RLE entry's binary searches cost a
-// MatVecInto range, in row additions.
+// row range, in row additions.
 const rangeEntryCost = 8
+
+// rangeRows is the rows of a row range doing about work scalar operations
+// (rows × groups), but at least enough rows to pay for the range's binary
+// searches of every OLE and RLE entry list.
+func (c *Matrix) rangeRows(work int) int {
+	lists := 0
+	for _, g := range c.groups {
+		if _, ddc := g.(*DDCGroup); !ddc {
+			if d := g.dictionary(); d != nil {
+				lists += d.numEntries()
+			}
+		}
+	}
+	gs := max(1, len(c.groups))
+	return max(1, work/gs, rangeEntryCost*lists/gs)
+}
 
 // parallel reports whether the matrix is large enough for its kernels to
 // fan out through the pool.
@@ -187,9 +199,83 @@ func (c *Matrix) VecMatAccum(dst, x []float64) {
 	k.put()
 }
 
-// call is one MatVecInto or VecMatAccum call's state, recycled with its
-// range methods bound once, so dispatching it through pool.Do allocates no
-// closure.
+// lossGradRangeWork is the scalar work (rows × groups) of one LossGradAccum
+// range: a 4096-row block of 40 groups is ten ranges. It is a constant, not
+// a share of compressParallelMinWork, so the grid — and with it every bit
+// of the result — is a function of the block alone.
+const lossGradRangeWork = 1 << 14
+
+// LossGradAccum is a gradient step's whole pass over the matrix: it writes
+// X·w into margins, runs tile — a loss's serial kernel, which writes ∂L/∂m
+// into derivs and returns ΣL — over them, adds Xᵀ·derivs into grad and
+// returns ΣL. margins, derivs and y have length Rows; grad and w length Cols.
+//
+// Every dictionary is premultiplied by w once. Then one reduction walks a
+// fixed grid of row ranges, each a multiple of eight rows long, so the
+// logistic tile's eight-lane groups fall on the same rows whatever the
+// split. Each range computes its margins (each row the serial group-order
+// sum, as in MatVecInto), its tile, and each group's per-dictionary-entry
+// sums of derivs (per UC group, its dot product). The accumulator is
+// [ΣL, entry weights…], merged in range order; the merged weights are then
+// scattered through the dictionaries once. The grid depends on the matrix's
+// rows and groups only, so the result is bit-identical across runs and
+// GOMAXPROCS. Margins and derivs are those of MatVecInto and tile; the loss
+// and gradient differ from the three-pass step only in summation order.
+// Steady state allocates nothing.
+func (c *Matrix) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(derivs, margins, y []float64) float64) float64 {
+	if len(w) != c.cols || len(grad) != c.cols {
+		panic(fmt.Sprintf("compress: LossGradAccum w %d, grad %d for %d cols", len(w), len(grad), c.cols))
+	}
+	if len(margins) != c.rows || len(derivs) != c.rows || len(y) != c.rows {
+		panic(fmt.Sprintf("compress: LossGradAccum margins %d, derivs %d, y %d for %d rows", len(margins), len(derivs), len(y), c.rows))
+	}
+	sw := mLossGradTimer.Start()
+	defer sw.Stop()
+	k := c.matVecCall(margins, w)
+	k.derivs, k.y, k.tile = derivs, y, tile
+	if cap(k.offs) < len(c.groups)+1 {
+		k.offs = make([]int, len(c.groups)+1)
+	}
+	k.offs = k.offs[:len(c.groups)+1]
+	n := 1 // acc[0] is ΣL
+	for gi, g := range c.groups {
+		k.offs[gi] = n
+		if d := g.dictionary(); d != nil {
+			n += d.numEntries()
+		} else {
+			n++
+		}
+	}
+	k.offs[len(c.groups)] = n
+	acc := pool.GetF64Zeroed(n)
+	if c.parallel() {
+		pool.Reduce(acc, c.rows, c.lossGradSpan(), k.lossGrad)
+	} else {
+		pool.ReduceSerial(acc, c.rows, c.lossGradSpan(), k.lossGrad)
+	}
+	for gi, g := range c.groups {
+		wts := acc[k.offs[gi]:k.offs[gi+1]]
+		if d := g.dictionary(); d != nil {
+			d.scatterWeighted(grad, wts)
+		} else {
+			grad[g.(*UCGroup).col] += wts[0]
+		}
+	}
+	loss := acc[0]
+	pool.PutF64(acc)
+	k.put()
+	return loss
+}
+
+// lossGradSpan is the rows of one LossGradAccum range: about
+// lossGradRangeWork of work, rounded up to a multiple of eight.
+func (c *Matrix) lossGradSpan() int {
+	return (c.rangeRows(lossGradRangeWork) + 7) &^ 7
+}
+
+// call is one MatVecInto, VecMatAccum or LossGradAccum call's state,
+// recycled with its range methods bound once, so dispatching it through
+// pool.Do or pool.Reduce allocates no closure.
 type call struct {
 	c       *Matrix
 	dst, in []float64
@@ -198,12 +284,19 @@ type call struct {
 	span    int         // MatVecInto: rows per range
 	matVec  func(lo, hi int)
 	vecMat  func(lo, hi int)
+
+	// LossGradAccum: dst holds the margins and in the weights.
+	derivs, y []float64
+	tile      func(derivs, margins, y []float64) float64
+	offs      []int // group gi's entry weights are acc[offs[gi]:offs[gi+1]]
+	lossGrad  func(acc []float64, lo, hi int)
 }
 
 var calls = pool.Freelist[call]{New: func() *call {
 	k := &call{}
 	k.matVec = k.matVecRows
 	k.vecMat = k.vecMatGroups
+	k.lossGrad = k.lossGradRows
 	return k
 }}
 
@@ -211,6 +304,17 @@ var calls = pool.Freelist[call]{New: func() *call {
 func (k *call) matVecRows(lo, hi int) {
 	for gi, g := range k.c.groups {
 		g.matVecRange(k.dst, k.pre[gi], k.in, lo, hi)
+	}
+}
+
+// lossGradRows is LossGradAccum over rows [lo,hi): margins, the loss tile,
+// then every group's entry weights, into acc.
+func (k *call) lossGradRows(acc []float64, lo, hi int) {
+	clear(k.dst[lo:hi])
+	k.matVecRows(lo, hi)
+	acc[0] += k.tile(k.derivs[lo:hi], k.dst[lo:hi], k.y[lo:hi])
+	for gi, g := range k.c.groups {
+		g.vecMatRange(acc[k.offs[gi]:k.offs[gi+1]], k.derivs, lo, hi)
 	}
 }
 
@@ -226,6 +330,7 @@ func (k *call) put() {
 	pool.PutF64(k.buf)
 	clear(k.pre)
 	k.c, k.dst, k.in, k.buf = nil, nil, nil, nil
+	k.derivs, k.y, k.tile = nil, nil, nil
 	calls.Put(k)
 }
 

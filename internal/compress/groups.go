@@ -48,6 +48,12 @@ type Group interface {
 	// disjoint ranges run concurrently, and each row gets the same single
 	// addition whatever range it falls in.
 	matVecRange(out, pre, v []float64, lo, hi int)
+	// vecMatRange adds, for every dictionary entry t, Σ x[i] over the rows
+	// i in [lo,hi) holding t into wts[t] — for UC, Σ x[i]·X[i,col] into
+	// wts[0]. Scattering the summed weights through the dictionary
+	// (dict.scatterWeighted) gives VecMatAccum's contribution. Like
+	// matVecRange it reads no row outside [lo,hi).
+	vecMatRange(wts, x []float64, lo, hi int)
 }
 
 // dict is a tuple dictionary: entry t covers len(cols) values.
@@ -76,6 +82,23 @@ func (d *dict) premulInto(out, v []float64) {
 			s += e[j] * v[d.cols[j]]
 		}
 		out[t] = s
+	}
+}
+
+// scatterWeighted adds, for every entry t with a non-zero weight,
+// weightPerEntry[t] times the entry into out at the dictionary's columns.
+//
+//dmml:noalloc
+func (d *dict) scatterWeighted(out, weightPerEntry []float64) {
+	w := len(d.cols)
+	for t, wt := range weightPerEntry {
+		if wt == 0 {
+			continue
+		}
+		e := d.entry(t)
+		for j := 0; j < w; j++ {
+			out[d.cols[j]] += wt * e[j]
+		}
 	}
 }
 
@@ -134,30 +157,25 @@ func (g *DDCGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
 //dmml:noalloc
 func (g *DDCGroup) VecMatAccum(out, x []float64) {
 	acc := pool.GetF64Zeroed(g.d.numEntries())
-	if g.codes8 != nil {
-		for i, c := range g.codes8 {
-			acc[c] += x[i]
-		}
-	} else {
-		for i, c := range g.codes {
-			acc[c] += x[i]
-		}
-	}
-	g.scatterWeighted(out, acc)
+	g.vecMatRange(acc, x, 0, g.rows)
+	g.d.scatterWeighted(out, acc)
 	pool.PutF64(acc)
 }
 
 //dmml:noalloc
-func (g *DDCGroup) scatterWeighted(out, weightPerEntry []float64) {
-	w := len(g.d.cols)
-	for t, wt := range weightPerEntry {
-		if wt == 0 {
-			continue
+func (g *DDCGroup) vecMatRange(wts, x []float64, lo, hi int) {
+	if g.codes8 != nil {
+		codes := g.codes8[lo:hi]
+		x := x[lo : lo+len(codes)]
+		for i, c := range codes {
+			wts[c] += x[i]
 		}
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += wt * e[j]
-		}
+		return
+	}
+	codes := g.codes[lo:hi]
+	x = x[lo : lo+len(codes)]
+	for i, c := range codes {
+		wts[c] += x[i]
 	}
 }
 
@@ -176,7 +194,7 @@ func (g *DDCGroup) entryCounts() []float64 {
 }
 
 // ColSumsAccum implements Group.
-func (g *DDCGroup) ColSumsAccum(out []float64) { g.scatterWeighted(out, g.entryCounts()) }
+func (g *DDCGroup) ColSumsAccum(out []float64) { g.d.scatterWeighted(out, g.entryCounts()) }
 
 // DecompressInto implements Group.
 func (g *DDCGroup) DecompressInto(m *la.Dense) {
@@ -262,6 +280,17 @@ func searchInt32(s []int32, x int) int {
 	return lo
 }
 
+//dmml:noalloc
+func (g *OLEGroup) vecMatRange(wts, x []float64, lo, hi int) {
+	for t, offs := range g.offsets {
+		var s float64
+		for _, i := range offs[searchInt32(offs, lo):searchInt32(offs, hi)] {
+			s += x[i]
+		}
+		wts[t] += s
+	}
+}
+
 // VecMatAccum implements Group.
 //
 //dmml:noalloc
@@ -339,8 +368,7 @@ func (g *RLEGroup) Encoding() string { return "RLE" }
 func (g *RLEGroup) dictionary() *dict { return &g.d }
 
 // matVecRange finds each entry's first run ending after lo by binary search
-// (runs are sorted and disjoint, so their ends are sorted too) and clips the
-// runs that straddle lo or hi.
+// and clips the runs that straddle lo or hi.
 //
 //dmml:noalloc
 func (g *RLEGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
@@ -349,15 +377,7 @@ func (g *RLEGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
 		if p == 0 {
 			continue
 		}
-		a, b := 0, len(rs)/2
-		for a < b {
-			if mid := int(uint(a+b) >> 1); int(rs[2*mid])+int(rs[2*mid+1]) <= lo {
-				a = mid + 1
-			} else {
-				b = mid
-			}
-		}
-		for k := 2 * a; k+1 < len(rs); k += 2 {
+		for k := firstRunEndingAfter(rs, lo); k+1 < len(rs); k += 2 {
 			start := int(rs[k])
 			if start >= hi {
 				break
@@ -366,6 +386,42 @@ func (g *RLEGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
 				out[i] += p
 			}
 		}
+	}
+}
+
+// firstRunEndingAfter returns the index in the flattened runs rs of the
+// first run that ends after row lo, by binary search: runs are sorted and
+// disjoint, so their ends are sorted too.
+//
+//dmml:noalloc
+func firstRunEndingAfter(rs []int32, lo int) int {
+	a, b := 0, len(rs)/2
+	for a < b {
+		if mid := int(uint(a+b) >> 1); int(rs[2*mid])+int(rs[2*mid+1]) <= lo {
+			a = mid + 1
+		} else {
+			b = mid
+		}
+	}
+	return 2 * a
+}
+
+// vecMatRange clips the runs that straddle lo or hi, as matVecRange does.
+//
+//dmml:noalloc
+func (g *RLEGroup) vecMatRange(wts, x []float64, lo, hi int) {
+	for t, rs := range g.runs {
+		var s float64
+		for k := firstRunEndingAfter(rs, lo); k+1 < len(rs); k += 2 {
+			start := int(rs[k])
+			if start >= hi {
+				break
+			}
+			for i, end := max(start, lo), min(start+int(rs[k+1]), hi); i < end; i++ {
+				s += x[i]
+			}
+		}
+		wts[t] += s
 	}
 }
 
@@ -469,6 +525,11 @@ func (g *UCGroup) matVecRange(out, _, v []float64, lo, hi int) {
 		return
 	}
 	la.Axpy(vj, g.data[lo:hi], out[lo:hi])
+}
+
+//dmml:noalloc
+func (g *UCGroup) vecMatRange(wts, x []float64, lo, hi int) {
+	wts[0] += la.Dot(x[lo:hi], g.data[lo:hi])
 }
 
 // VecMatAccum implements Group.

@@ -22,6 +22,8 @@ var (
 	mMatVecTimer = metrics.NewTimer("compress.MatVec")
 	mVecMatTimer = metrics.NewTimer("compress.VecMat")
 	mGramTimer   = metrics.NewTimer("compress.Gram")
+
+	mLossGradTimer = metrics.NewTimer("compress.LossGrad")
 )
 
 // countGroup records the encoding the planner chose for one built group.

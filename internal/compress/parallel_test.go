@@ -140,9 +140,10 @@ func blockMatrix(r *rand.Rand, rows int) *la.Dense {
 }
 
 // TestCompressedIntoZeroAllocSteadyState: once the scratch pool is warm, the
-// Into variants and VecMatAccum must not allocate — the property the E4 hot
-// loop and the out-of-core block step depend on — both serially and, at the
-// block shape, with the ranges and groups fanned out through the pool.
+// Into variants, VecMatAccum and the one-pass LossGradAccum must not
+// allocate — the property the E4 hot loop and the out-of-core block step
+// depend on — both serially and, at the block shape, with the ranges and
+// groups fanned out through the pool.
 func TestCompressedIntoZeroAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
 	small := Compress(mixedMatrix(r, 400), Options{CoCode: true})
@@ -157,6 +158,11 @@ func TestCompressedIntoZeroAllocSteadyState(t *testing.T) {
 		x := vecOf(r, c.Rows())
 		mvDst := make([]float64, c.Rows())
 		vmDst := make([]float64, c.Cols())
+		derivs := make([]float64, c.Rows())
+		y := make([]float64, c.Rows())
+		for i := range y {
+			y[i] = float64(2*(i%2) - 1)
+		}
 		for _, p := range tc.procs {
 			withGOMAXPROCS(p, func() {
 				if tc.name == "block" && p > 1 && !c.parallel() {
@@ -164,10 +170,12 @@ func TestCompressedIntoZeroAllocSteadyState(t *testing.T) {
 				}
 				c.MatVecInto(mvDst, v) // warm the scratch pool
 				c.VecMatInto(vmDst, x)
+				c.LossGradAccum(vmDst, mvDst, derivs, v, y, la.LogisticLossInto)
 				for name, f := range map[string]func(){
-					"MatVecInto":  func() { c.MatVecInto(mvDst, v) },
-					"VecMatInto":  func() { c.VecMatInto(vmDst, x) },
-					"VecMatAccum": func() { c.VecMatAccum(vmDst, x) },
+					"MatVecInto":    func() { c.MatVecInto(mvDst, v) },
+					"VecMatInto":    func() { c.VecMatInto(vmDst, x) },
+					"VecMatAccum":   func() { c.VecMatAccum(vmDst, x) },
+					"LossGradAccum": func() { c.LossGradAccum(vmDst, mvDst, derivs, v, y, la.LogisticLossInto) },
 				} {
 					if a := testing.AllocsPerRun(50, f); a != 0 {
 						t.Errorf("%s GOMAXPROCS=%d: %s allocates %v per run, want 0", tc.name, p, name, a)

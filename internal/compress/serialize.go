@@ -10,10 +10,10 @@ import (
 // Every word is one float64; integers are stored as exact small floats and
 // narrow payloads (DDC codes, OLE offsets, RLE runs) are stored through a
 // byte view of their words, in the host's native order, so DecodePage can
-// hand them out as typed views of the page instead of unpacking them. The
-// words round-trip through the pool's spill format (Float64bits) bit for bit,
-// and pages and their spill files never leave the process that wrote them,
-// so the native order is the only order a page is ever read in. DecodePage
+// hand them out as typed views of the page instead of unpacking them. A
+// spill file holds the page's memory bytes verbatim, and pages and their
+// spill files never leave the process that wrote them, so the native order
+// is the only order a page is ever read in. DecodePage
 // returns a Matrix that aliases the page slice throughout (zero copy) — the
 // caller must keep the page pinned for the lifetime of the decoded Matrix.
 

@@ -245,8 +245,10 @@ func TestDecodePageRejectsUnsafePages(t *testing.T) {
 // must decode to an error or a Matrix, never a panic, and what decodes must
 // re-encode to a page that decodes and re-encodes unchanged. Every kernel
 // must then run on the decoded Matrix without a panic — MatVecInto,
-// VecMatAccum and DecompressInto — and MatVecInto cut into one- and
-// three-row ranges must give the bits of the whole-matrix call. The seeds
+// VecMatAccum, LossGradAccum and DecompressInto — MatVecInto cut into one-
+// and three-row ranges must give the bits of the whole-matrix call, and
+// LossGradAccum's margins and derivatives must be those of MatVecInto and
+// the logistic tile. The seeds
 // are EncodeInto pages covering every group kind, each checked first to
 // decode back to the matrix that was encoded.
 func FuzzDecodePage(f *testing.F) {
@@ -342,6 +344,20 @@ func FuzzDecodePage(f *testing.F) {
 			}
 		}
 		m.VecMatAccum(make([]float64, m.Cols()), x)
+		y := make([]float64, m.Rows())
+		for i := range y {
+			y[i] = float64(2*(i%2) - 1)
+		}
+		wantDerivs := make([]float64, m.Rows())
+		la.LogisticLossInto(wantDerivs, mv, y)
+		margins, derivs := make([]float64, m.Rows()), make([]float64, m.Rows())
+		m.LossGradAccum(make([]float64, m.Cols()), margins, derivs, v, y, la.LogisticLossInto)
+		for i := range mv {
+			if math.Float64bits(margins[i]) != math.Float64bits(mv[i]) || math.Float64bits(derivs[i]) != math.Float64bits(wantDerivs[i]) {
+				t.Fatalf("LossGradAccum row %d: margin %x, deriv %x; want %x, %x", i,
+					math.Float64bits(margins[i]), math.Float64bits(derivs[i]), math.Float64bits(mv[i]), math.Float64bits(wantDerivs[i]))
+			}
+		}
 		m.Decompress()
 	})
 }

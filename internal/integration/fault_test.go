@@ -2,9 +2,11 @@ package integration
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,6 +160,103 @@ func TestSpillReadFaultSweep(t *testing.T) {
 				}
 				if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 					t.Fatalf("read %d of %d failing: spill files left: %v, %v", k, total, left, err)
+				}
+			}
+		})
+	}
+}
+
+// failKthWrite makes the k-th spill write of bp fail with injected (k = 0:
+// none fails) and returns the count of writes attempted.
+func failKthWrite(bp *storage.BufferPool, k int64, injected error) *atomic.Int64 {
+	var n atomic.Int64
+	bp.SetFailureHooks(nil, func(storage.PageID) error {
+		if n.Add(1) == k {
+			return injected
+		}
+		return nil
+	})
+	return &n
+}
+
+// TestSpillWriteFaultSweep fails each spill write in turn, k = 1..N, under
+// every path that writes pages: FromDense into a pool smaller than the
+// matrix (dirty blocks spill as later ones evict them), FromDense into a
+// pool that holds it (every write is Finish's flush), and ReadCSV into the
+// small pool. Each run returns an error that is the injected one, and
+// leaves nothing behind: no resident bytes, no spill file, no goroutine.
+func TestSpillWriteFaultSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(62))
+	const rows, cols = 480, 4
+	src := la.NewDense(rows, cols)
+	var csv strings.Builder
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols-1; j++ {
+			src.Set(i, j, float64(r.Intn(4+j)))
+		}
+		src.Set(i, cols-1, r.NormFloat64())
+		row := src.RowView(i)
+		fmt.Fprintf(&csv, "%v,%v,%v,%v\n", row[0], row[1], row[2], row[3])
+	}
+	fromDense := func(opts ooc.Options) func(*storage.BufferPool) error {
+		return func(bp *storage.BufferPool) error {
+			_, err := ooc.FromDense(bp, src, opts)
+			return err
+		}
+	}
+	readCSV := func(bp *storage.BufferPool) error {
+		_, err := ooc.ReadCSV(bp, strings.NewReader(csv.String()), ooc.Options{BlockRows: 60, NoCompress: true})
+		return err
+	}
+	injected := errors.New("disk full")
+	for _, c := range []struct {
+		name   string
+		budget int64
+		evicts bool // whether a clean build evicts, or only Finish writes
+		build  func(*storage.BufferPool) error
+	}{
+		// Eight 60-row raw blocks of 1920 bytes through a pool of three.
+		{"FromDense evicting raw", 6 * 1024, true, fromDense(ooc.Options{BlockRows: 60, NoCompress: true})},
+		{"FromDense evicting compressed", 2 * 1024, true, fromDense(ooc.Options{BlockRows: 60})},
+		{"FromDense flush", 1 << 20, false, fromDense(ooc.Options{BlockRows: 60})},
+		{"ReadCSV evicting", 6 * 1024, true, readCSV},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pool := func() (*storage.BufferPool, string) {
+				dir := t.TempDir()
+				bp, err := storage.NewBufferPoolBytes(c.budget, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return bp, dir
+			}
+			bp, _ := pool()
+			writes := failKthWrite(bp, 0, nil)
+			if err := c.build(bp); err != nil {
+				t.Fatal(err)
+			}
+			total := writes.Load()
+			if total < 2 {
+				t.Fatalf("a clean build wrote %d pages; the sweep is vacuous", total)
+			}
+			if evicted := bp.Stats().Evictions > 0; evicted != c.evicts {
+				t.Fatalf("a clean build evicted %d pages; want evictions: %v", bp.Stats().Evictions, c.evicts)
+			}
+			goroutines := goroutineBaseline()
+			for k := int64(1); k <= total; k++ {
+				bp, dir := pool()
+				failKthWrite(bp, k, injected)
+				if err := c.build(bp); !errors.Is(err, injected) {
+					t.Fatalf("write %d of %d failing: err = %v, want the injected failure", k, total, err)
+				}
+				if n := goroutinesAfter(goroutines); n > goroutines {
+					t.Fatalf("write %d of %d failing: %d goroutines, want %d", k, total, n, goroutines)
+				}
+				if got := bp.ResidentBytes(); got != 0 {
+					t.Fatalf("write %d of %d failing: %d resident bytes left", k, total, got)
+				}
+				if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+					t.Fatalf("write %d of %d failing: spill files left: %v, %v", k, total, left, err)
 				}
 			}
 		})

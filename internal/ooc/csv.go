@@ -13,7 +13,8 @@ import (
 // accumulate into one dense block buffer at a time, each full block is
 // compressed and paged out through the builder, and the buffer is reused —
 // peak memory is one block plus whatever the pool keeps resident, no matter
-// how large the file is.
+// how large the file is. On an error — a malformed row included — no page
+// stays in the pool.
 func ReadCSV(bp *storage.BufferPool, r io.Reader, opts Options) (*Matrix, error) {
 	var (
 		b    *Builder
@@ -42,10 +43,13 @@ func ReadCSV(bp *storage.BufferPool, r io.Reader, opts Options) (*Matrix, error)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = flush()
 	}
-	if err := flush(); err != nil {
+	if err != nil {
+		if b != nil && !b.done {
+			err = b.abort(err)
+		}
 		return nil, err
 	}
 	return b.Finish()

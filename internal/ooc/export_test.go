@@ -10,12 +10,14 @@ import (
 func (m *Matrix) ToDense() (*la.Dense, error) {
 	out := la.NewDense(m.rows, m.cols)
 	err := m.ForEachBlock(func(rb opt.RowBlock) error {
-		b := rb.(*block)
-		rows := b.dn
-		if b.cm != nil {
+		var rows *la.Dense
+		switch b := rb.(type) {
+		case *rawBlock:
+			rows = b.dn
+		case *compressedBlock:
 			rows = b.cm.Decompress()
 		}
-		copy(out.RawData()[b.meta.startRow*m.cols:], rows.RawData())
+		copy(out.RawData()[rb.StartRow()*m.cols:], rows.RawData())
 		return nil
 	})
 	if err != nil {

@@ -17,10 +17,12 @@ import (
 
 // streamGoldenPath holds one line per value of opt.StreamingSGD's result
 // over goldenStream — every W[j], then every History[e] — as its
-// Float64bits in hex. The file was written from streamGoldenLines at the
-// commit before the compressed kernels fanned out over row ranges and
-// column groups, when every one of these blocks ran them serially, so it
-// pins today's bits to the serial kernels', not merely to a tolerance.
+// Float64bits in hex. Every block here is compressed, so each step is
+// (*compress.Matrix).LossGradAccum: its loss and gradient sum a fixed grid
+// of row ranges that depends on the block alone, merged in range order.
+// The file was written from streamGoldenLines when that one-pass step
+// replaced the three passes (whose loss and gradient summed in another
+// order), and pins its bits at every core count, not merely a tolerance.
 const streamGoldenPath = "testdata/stream_golden.txt"
 
 // goldenStream builds a matrix of the benchmark's out-of-core block shape —
@@ -87,8 +89,9 @@ func streamGoldenLines(t *testing.T, m *Matrix, y []float64) []string {
 }
 
 // StreamingSGD over compressed out-of-core blocks must reproduce the golden
-// bits at GOMAXPROCS 1, 2 and 4: MatVecInto's row ranges each sum every row
-// in group order, and VecMatAccum's groups write disjoint columns.
+// bits at GOMAXPROCS 1, 2 and 4: the one-pass step's grid and merge order do
+// not depend on the core count, and each range sums every row's margin in
+// group order.
 func TestStreamingSGDGoldenBits(t *testing.T) {
 	f, err := os.Open(streamGoldenPath)
 	if err != nil {

@@ -15,6 +15,7 @@
 package ooc
 
 import (
+	"errors"
 	"fmt"
 
 	"dmml/internal/compress"
@@ -141,11 +142,26 @@ func NewBuilder(bp *storage.BufferPool, cols int, opts Options) *Builder {
 
 // AppendBlock adds d's rows as the next block. The block is compressed when
 // compression pays (per Options), written into a pool page, and unpinned, so
-// the pool may evict or spill it immediately.
+// the pool may evict or spill it immediately. An error ends the build: the
+// builder's pages leave the pool, and a later call is an error.
 func (b *Builder) AppendBlock(d *la.Dense) error {
 	if b.done {
 		return fmt.Errorf("ooc: AppendBlock after Finish")
 	}
+	if err := b.appendBlock(d); err != nil {
+		return b.abort(err)
+	}
+	return nil
+}
+
+// abort ends a failed build: it drops every page the builder wrote and
+// returns err, joined with a failure to drop.
+func (b *Builder) abort(err error) error {
+	b.done = true
+	return errors.Join(err, b.bp.DropOwner(b.owner))
+}
+
+func (b *Builder) appendBlock(d *la.Dense) error {
 	if d.Cols() != b.cols {
 		return fmt.Errorf("ooc: AppendBlock with %d cols, want %d", d.Cols(), b.cols)
 	}
@@ -185,17 +201,18 @@ func (b *Builder) AppendBlock(d *la.Dense) error {
 }
 
 // Finish flushes all dirty pages to disk (so the matrix survives pool
-// eviction of any block) and returns the completed Matrix.
+// eviction of any block) and returns the completed Matrix. On an error the
+// builder's pages leave the pool.
 func (b *Builder) Finish() (*Matrix, error) {
 	if b.done {
 		return nil, fmt.Errorf("ooc: Finish called twice")
 	}
-	b.done = true
 	if b.m.rows == 0 {
-		return nil, fmt.Errorf("ooc: Finish with no rows appended")
+		return nil, b.abort(fmt.Errorf("ooc: Finish with no rows appended"))
 	}
+	b.done = true
 	if err := b.bp.FlushAll(); err != nil {
-		return nil, fmt.Errorf("ooc: Finish: %w", err)
+		return nil, b.abort(fmt.Errorf("ooc: Finish: %w", err))
 	}
 	// The prefetcher pins two blocks at once; over a pool too small for two
 	// of the largest, the stream pins one block at a time instead.
@@ -205,6 +222,7 @@ func (b *Builder) Finish() (*Matrix, error) {
 
 // FromDense partitions m into blocks and pages them into bp. The source is
 // read one block at a time, so peak extra memory is one block's dense copy.
+// On an error nothing stays in the pool.
 func FromDense(bp *storage.BufferPool, m *la.Dense, opts Options) (*Matrix, error) {
 	b := NewBuilder(bp, m.Cols(), opts)
 	rows, cols := m.Dims()
@@ -212,7 +230,7 @@ func FromDense(bp *storage.BufferPool, m *la.Dense, opts Options) (*Matrix, erro
 		nb := min(b.opts.BlockRows, rows-r0)
 		blk, err := la.NewDenseData(nb, cols, m.RawData()[r0*cols:(r0+nb)*cols])
 		if err != nil {
-			return nil, err
+			return nil, b.abort(err)
 		}
 		if err := b.AppendBlock(blk); err != nil {
 			return nil, err

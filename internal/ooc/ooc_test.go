@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -259,6 +260,35 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(bp, strings.NewReader("1,2\n3,nope\n"), Options{}); err == nil {
 		t.Fatal("want error for non-numeric field")
+	}
+}
+
+// TestReadCSVMalformedRowDropsPages: a malformed row after two full blocks
+// — the first already spilled by the second — is an error, and the builder's
+// pages leave the pool: nothing resident, no spill file.
+func TestReadCSVMalformedRowDropsPages(t *testing.T) {
+	dir := t.TempDir()
+	bp, err := storage.NewBufferPoolBytes(2000, dir) // one 64x3 raw page
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for i := 0; i < 2*64+5; i++ {
+		fmt.Fprintf(&sb, "%d,%d,%d\n", i, i%3, -i)
+	}
+	sb.WriteString("1,2,oops\n")
+	_, err = ReadCSV(bp, strings.NewReader(sb.String()), Options{BlockRows: 64, NoCompress: true})
+	if err == nil || !strings.Contains(err.Error(), "oops") {
+		t.Fatalf("err = %v, want the malformed row's error", err)
+	}
+	if st := bp.Stats(); st.SpillWrites == 0 {
+		t.Fatalf("no block was spilled before the bad row (%+v); test is vacuous", st)
+	}
+	if got := bp.ResidentBytes(); got != 0 {
+		t.Fatalf("%d resident bytes left after a failed read", got)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("spill files left after a failed read: %v, %v", left, err)
 	}
 }
 

@@ -10,44 +10,76 @@ import (
 	"dmml/internal/storage"
 )
 
-// block is one pinned, decoded row block. It implements opt.RowBlock and is
-// valid only while its page stays pinned (i.e. inside the ForEachBlock
-// callback that delivered it).
-type block struct {
+// pinnedBlock is one pinned row block as a stream delivers it: a
+// compressedBlock or a rawBlock. It is valid only while its page stays
+// pinned (i.e. inside the ForEachBlock callback that delivered it).
+type pinnedBlock interface {
+	opt.RowBlock
+	index() int
+	// gramAccum adds Xbᵀ·Xb into out (cols×cols, row-major) — the block
+	// contribution to the full Gram matrix.
+	gramAccum(out *la.Dense)
+	// colSumsAccum adds the block's column sums into out.
+	colSumsAccum(out []float64)
+}
+
+// blockHead is what every pinned block knows besides its data.
+type blockHead struct {
 	m    *Matrix
 	meta *blockMeta
 	idx  int
-	page []float64        // pinned page words
-	cm   *compress.Matrix // decoded view, non-nil iff compressed
-	dn   *la.Dense        // zero-copy dense view, non-nil iff raw
 }
 
 // StartRow implements opt.RowBlock.
-func (b *block) StartRow() int { return b.meta.startRow }
+func (b *blockHead) StartRow() int { return b.meta.startRow }
 
 // Rows implements opt.RowBlock.
-func (b *block) Rows() int { return b.meta.rows }
+func (b *blockHead) Rows() int { return b.meta.rows }
 
 // Cols implements opt.RowBlock.
-func (b *block) Cols() int { return b.m.cols }
+func (b *blockHead) Cols() int { return b.m.cols }
 
-// MatVecInto implements opt.RowBlock: operate-over-compressed for CLA blocks,
-// plain row-major kernel for raw blocks.
-func (b *block) MatVecInto(dst, v []float64) []float64 {
-	if b.cm != nil {
-		return b.cm.MatVecInto(dst, v)
-	}
-	return la.MatVecInto(dst, b.dn, v)
+func (b *blockHead) index() int { return b.idx }
+
+// compressedBlock is a CLA page decoded into a view of the pinned page. Its
+// kernels operate over the compressed form, and it carries the one-pass
+// block step, LossGradAccum.
+type compressedBlock struct {
+	blockHead
+	cm *compress.Matrix
 }
 
-// VecMatAccum implements opt.RowBlock. The compressed path dispatches through
-// the Group interface, so the noalloc proof lives on the concrete group
-// methods in internal/compress rather than on this wrapper.
-func (b *block) VecMatAccum(out, x []float64) {
-	if b.cm != nil {
-		b.cm.VecMatAccum(out, x)
-		return
-	}
+// MatVecInto implements opt.RowBlock.
+func (b *compressedBlock) MatVecInto(dst, v []float64) []float64 { return b.cm.MatVecInto(dst, v) }
+
+// VecMatAccum implements opt.RowBlock. It dispatches through the Group
+// interface, so the noalloc proof lives on the concrete group methods in
+// internal/compress rather than on this wrapper.
+func (b *compressedBlock) VecMatAccum(out, x []float64) { b.cm.VecMatAccum(out, x) }
+
+// LossGradAccum is the one-pass block step opt's streamed solvers probe
+// for: margins, loss tile and gradient over the block in one reduction.
+func (b *compressedBlock) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(derivs, margins, y []float64) float64) float64 {
+	return b.cm.LossGradAccum(grad, margins, derivs, w, y, tile)
+}
+
+func (b *compressedBlock) gramAccum(out *la.Dense) { b.cm.GramAccum(out) }
+
+func (b *compressedBlock) colSumsAccum(out []float64) { b.cm.ColSumsAccum(out) }
+
+// rawBlock is a raw row-major page viewed as a dense block, zero-copy. It
+// runs the plain row-major kernels and has no one-pass step: opt makes its
+// three passes over it.
+type rawBlock struct {
+	blockHead
+	dn *la.Dense
+}
+
+// MatVecInto implements opt.RowBlock.
+func (b *rawBlock) MatVecInto(dst, v []float64) []float64 { return la.MatVecInto(dst, b.dn, v) }
+
+// VecMatAccum implements opt.RowBlock.
+func (b *rawBlock) VecMatAccum(out, x []float64) {
 	cols := b.m.cols
 	raw := b.dn.RawData()
 	for i, xi := range x {
@@ -59,13 +91,7 @@ func (b *block) VecMatAccum(out, x []float64) {
 	}
 }
 
-// GramAccum adds Xbᵀ·Xb into out (cols×cols, row-major) — the block
-// contribution to the full Gram matrix.
-func (b *block) GramAccum(out *la.Dense) {
-	if b.cm != nil {
-		b.cm.GramAccum(out)
-		return
-	}
+func (b *rawBlock) gramAccum(out *la.Dense) {
 	cols := b.m.cols
 	raw := b.dn.RawData()
 	od := out.RawData()
@@ -80,8 +106,15 @@ func (b *block) GramAccum(out *la.Dense) {
 	}
 }
 
+func (b *rawBlock) colSumsAccum(out []float64) {
+	raw := b.dn.RawData()
+	for r0 := 0; r0 < len(raw); r0 += b.m.cols {
+		la.Axpy(1, raw[r0:r0+b.m.cols], out)
+	}
+}
+
 // pinBlock pins block idx's page and decodes it into a usable view.
-func (m *Matrix) pinBlock(idx int) (*block, error) {
+func (m *Matrix) pinBlock(idx int) (pinnedBlock, error) {
 	meta := &m.blocks[idx]
 	id := storage.PageID{Owner: m.owner, Index: idx}
 	page, err := m.bp.Pin(id, meta.words)
@@ -89,7 +122,7 @@ func (m *Matrix) pinBlock(idx int) (*block, error) {
 		return nil, fmt.Errorf("ooc: pin block %d: %w", idx, err)
 	}
 	mBlockPins.Inc()
-	b := &block{m: m, meta: meta, idx: idx, page: page}
+	head := blockHead{m: m, meta: meta, idx: idx}
 	if meta.compressed {
 		sw := mDecodeTimer.Start()
 		cm, err := compress.DecodePage(page)
@@ -101,16 +134,14 @@ func (m *Matrix) pinBlock(idx int) (*block, error) {
 			m.bp.Unpin(id, false)
 			return nil, fmt.Errorf("ooc: decode block %d: %w", idx, err)
 		}
-		b.cm = cm
-	} else {
-		dn, err := la.NewDenseData(meta.rows, m.cols, page)
-		if err != nil {
-			m.bp.Unpin(id, false)
-			return nil, fmt.Errorf("ooc: view block %d: %w", idx, err)
-		}
-		b.dn = dn
+		return &compressedBlock{head, cm}, nil
 	}
-	return b, nil
+	dn, err := la.NewDenseData(meta.rows, m.cols, page)
+	if err != nil {
+		m.bp.Unpin(id, false)
+		return nil, fmt.Errorf("ooc: view block %d: %w", idx, err)
+	}
+	return &rawBlock{head, dn}, nil
 }
 
 func (m *Matrix) unpinBlock(idx int) {
@@ -139,7 +170,7 @@ func (m *Matrix) ForEachBlock(f func(opt.RowBlock) error) error {
 		return nil
 	}
 	type fetched struct {
-		b   *block
+		b   pinnedBlock
 		err error
 	}
 	ch := make(chan fetched) // unbuffered: producer stays ≤1 block ahead
@@ -190,7 +221,7 @@ func (m *Matrix) ForEachBlock(f func(opt.RowBlock) error) error {
 			return fe.err
 		}
 		err := f(fe.b)
-		m.unpinBlock(fe.b.idx)
+		m.unpinBlock(fe.b.index())
 		if err != nil {
 			return err
 		}
@@ -229,7 +260,7 @@ func (m *Matrix) VecMat(dst, x []float64) error {
 func (m *Matrix) Gram() (*la.Dense, error) {
 	out := la.NewDense(m.cols, m.cols)
 	err := m.ForEachBlock(func(b opt.RowBlock) error {
-		b.(*block).GramAccum(out)
+		b.(pinnedBlock).gramAccum(out)
 		return nil
 	})
 	if err != nil {
@@ -241,16 +272,8 @@ func (m *Matrix) Gram() (*la.Dense, error) {
 // ColSums accumulates per-column sums across all blocks.
 func (m *Matrix) ColSums() ([]float64, error) {
 	out := make([]float64, m.cols)
-	err := m.ForEachBlock(func(rb opt.RowBlock) error {
-		b := rb.(*block)
-		if b.cm != nil {
-			b.cm.ColSumsAccum(out)
-			return nil
-		}
-		raw := b.dn.RawData()
-		for r0 := 0; r0 < len(raw); r0 += m.cols {
-			la.Axpy(1, raw[r0:r0+m.cols], out)
-		}
+	err := m.ForEachBlock(func(b opt.RowBlock) error {
+		b.(pinnedBlock).colSumsAccum(out)
 		return nil
 	})
 	if err != nil {

@@ -31,6 +31,10 @@ type Loss interface {
 	// bit-identical across runs and across GOMAXPROCS. Batches of at most
 	// lossChunk rows run on the calling goroutine and allocate nothing.
 	Batch(derivs, margins, y []float64) float64
+	// tile returns the loss's serial kernel: Batch over one chunk, on the
+	// calling goroutine. A one-pass block step (blockStep) runs it over
+	// each of its row ranges.
+	tile() func(derivs, margins, y []float64) float64
 }
 
 // lossChunk is the fixed chunk of the batched loss pass, in rows: about la's
@@ -75,6 +79,8 @@ func (Squared) Batch(derivs, margins, y []float64) float64 {
 	return batchLoss(derivs, margins, y, squaredTile)
 }
 
+func (Squared) tile() func(derivs, margins, y []float64) float64 { return squaredTile }
+
 //dmml:noalloc
 func squaredTile(derivs, margins, y []float64) float64 {
 	derivs, y = derivs[:len(margins)], y[:len(margins)]
@@ -106,6 +112,8 @@ func (Logistic) Deriv(m, y float64) float64 { return la.LogisticDeriv(m, y) }
 func (Logistic) Batch(derivs, margins, y []float64) float64 {
 	return batchLoss(derivs, margins, y, la.LogisticLossInto)
 }
+
+func (Logistic) tile() func(derivs, margins, y []float64) float64 { return la.LogisticLossInto }
 
 // Sigmoid is the logistic link 1/(1+e^{−m}).
 //

@@ -40,11 +40,40 @@ type BlockData interface {
 	ForEachBlock(f func(b RowBlock) error) error
 }
 
+// lossGradBlock is the optional one-pass capability of a RowBlock: margins,
+// the loss tile and the gradient accumulation over the block's rows in one
+// pass (see (*compress.Matrix).LossGradAccum, which a compressed
+// out-of-core block forwards to). tile is a loss's serial kernel; the
+// method writes margins and derivs, adds Xbᵀ·derivs into grad and returns
+// the block's loss sum.
+type lossGradBlock interface {
+	LossGradAccum(grad, margins, derivs, w, y []float64, tile func(derivs, margins, y []float64) float64) float64
+}
+
+// blockStep is one block's share of a gradient evaluation, the one block
+// step under both streamed solvers: it writes the block's rows of margins
+// and derivs, adds the block's gradient contribution into grad and returns
+// the block's loss sum. A block with the one-pass capability runs it;
+// every other block makes the three passes MatVecInto, Loss.Batch and
+// VecMatAccum, which are also the reference the one-pass step is tested
+// against. The probe is a type assertion and allocates nothing.
+func blockStep(b RowBlock, loss Loss, grad, w, y, margins, derivs []float64) float64 {
+	r0, nb := b.StartRow(), b.Rows()
+	mb, db, yb := margins[r0:r0+nb], derivs[r0:r0+nb], y[r0:r0+nb]
+	if fb, ok := b.(lossGradBlock); ok {
+		return fb.LossGradAccum(grad, mb, db, w, yb, loss.tile())
+	}
+	b.MatVecInto(mb, w)
+	total := loss.Batch(db, mb, yb)
+	b.VecMatAccum(grad, db)
+	return total
+}
+
 // lossAndGradientStream is the BlockData evaluation of lossAndGradientInto:
-// one pass over the blocks computing margins, pointwise derivatives, and the
-// gradient accumulation per block. A single pass suffices because the loss
-// derivative at row i depends only on that row's margin — the block's
-// contribution to the gradient is complete the moment its margins are.
+// one pass over the blocks, each a blockStep. A single pass suffices
+// because the loss derivative at row i depends only on that row's margin —
+// the block's contribution to the gradient is complete the moment its
+// margins are.
 func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
 	if len(y) != n {
@@ -55,12 +84,7 @@ func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64
 	}
 	total := 0.0
 	err := data.ForEachBlock(func(b RowBlock) error {
-		r0, nb := b.StartRow(), b.Rows()
-		mb := margins[r0 : r0+nb]
-		db := derivs[r0 : r0+nb]
-		b.MatVecInto(mb, w)
-		total += loss.Batch(db, mb, y[r0:r0+nb])
-		b.VecMatAccum(grad, db)
+		total += blockStep(b, loss, grad, w, y, margins, derivs)
 		return nil
 	})
 	if err != nil {
@@ -113,17 +137,9 @@ func StreamingSGD(data BlockData, y []float64, loss Loss, cfg StreamConfig) (*GD
 	for e := 0; e < cfg.Epochs; e++ {
 		total := 0.0
 		err := data.ForEachBlock(func(b RowBlock) error {
-			nb := b.Rows()
-			r0 := b.StartRow()
-			mb := margins[r0 : r0+nb]
-			db := derivs[r0 : r0+nb]
-			b.MatVecInto(mb, w)
-			total += loss.Batch(db, mb, y[r0:r0+nb])
-			for j := range gradB {
-				gradB[j] = 0
-			}
-			b.VecMatAccum(gradB, db)
-			invB := 1 / float64(nb)
+			clear(gradB)
+			total += blockStep(b, loss, gradB, w, y, margins, derivs)
+			invB := 1 / float64(b.Rows())
 			for j := range w {
 				w[j] -= step * (gradB[j]*invB + cfg.L2*w[j])
 			}

@@ -187,3 +187,60 @@ func TestStreamingSGDValidation(t *testing.T) {
 		t.Fatal("want propagated block failure")
 	}
 }
+
+// onePassBlock is a fakeBlock with the one-pass capability, computed by the
+// same three passes, counting its calls.
+type onePassBlock struct {
+	*fakeBlock
+	calls *int
+}
+
+func (b onePassBlock) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(derivs, margins, y []float64) float64) float64 {
+	*b.calls++
+	b.MatVecInto(margins, w)
+	total := tile(derivs, margins, y)
+	b.VecMatAccum(grad, derivs)
+	return total
+}
+
+// TestBlockStepProbesOnePass: blockStep hands a block with the one-pass
+// capability the loss's tile, and runs the three passes on any other block;
+// with the same arithmetic behind both, the results are the same bits, and
+// neither the probe nor either step allocates.
+func TestBlockStepProbesOnePass(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	m, y := randProblem(r, 300, 5)
+	for i := range y {
+		y[i] = math.Copysign(1, y[i])
+	}
+	w := make([]float64, 5)
+	for j := range w {
+		w[j] = r.NormFloat64()
+	}
+	calls := 0
+	plain := &fakeBlock{m, 100, 150}
+	var onePass RowBlock = onePassBlock{plain, &calls}
+	for _, loss := range []Loss{Squared{}, Logistic{}} {
+		run := func(b RowBlock) (float64, []float64, []float64) {
+			grad := make([]float64, 5)
+			margins, derivs := make([]float64, 300), make([]float64, 300)
+			return blockStep(b, loss, grad, w, y, margins, derivs), grad, derivs
+		}
+		before := calls
+		wantL, wantG, wantD := run(plain)
+		gotL, gotG, gotD := run(onePass)
+		if calls != before+1 {
+			t.Fatalf("%T: the one-pass block was called %d times, want once", loss, calls-before)
+		}
+		if math.Float64bits(gotL) != math.Float64bits(wantL) || !sameBits(gotG, wantG) || !sameBits(gotD, wantD) {
+			t.Fatalf("%T: one-pass step %v %v, three passes %v %v", loss, gotL, gotG, wantL, wantG)
+		}
+		grad := make([]float64, 5)
+		margins, derivs := make([]float64, 300), make([]float64, 300)
+		for name, b := range map[string]RowBlock{"three passes": plain, "one pass": onePass} {
+			if a := testing.AllocsPerRun(20, func() { blockStep(b, loss, grad, w, y, margins, derivs) }); a != 0 {
+				t.Errorf("%T %s: blockStep allocates %v per run, want 0", loss, name, a)
+			}
+		}
+	}
+}

@@ -1,16 +1,16 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // PageID identifies a page: Owner scopes pages to one paged object (e.g. an
@@ -33,7 +33,9 @@ type PoolStats struct {
 // evicting least-recently-used unpinned pages to disk. It is safe for
 // concurrent use. Pages of different sizes share the one budget (compressed
 // pages are smaller than dense ones); a pool of k uniform pages is the budget
-// k·pageBytes.
+// k·pageBytes. A page's memory is counted at its capacity: a miss that
+// evicts reuses the first evicted buffer large enough for the new page, so
+// a steady stream of spill reads allocates nothing page-sized.
 type BufferPool struct {
 	mu       sync.Mutex
 	byteCap  int64 // max resident bytes
@@ -52,7 +54,7 @@ type BufferPool struct {
 
 type page struct {
 	id       PageID
-	data     []float64
+	data     []float64 // len is the page's size; cap is what it is charged
 	dirty    bool
 	pinned   int
 	lastUsed uint64
@@ -158,23 +160,28 @@ func (bp *BufferPool) Pin(id PageID, size int) ([]float64, error) {
 	}
 	bp.stats.Misses++
 	mBPMisses.Inc()
-	if err := bp.makeRoomLocked(size); err != nil {
+	data, err := bp.makeRoomLocked(size)
+	if err != nil {
 		return nil, err
 	}
-	p := &page{id: id, lastUsed: bp.tick, pinned: 1}
-	if n, ok := bp.onDisk[id]; ok {
-		data, err := bp.loadLocked(id, n)
-		if err != nil {
+	recycled := data != nil
+	if recycled {
+		data = data[:size]
+	} else {
+		data = make([]float64, size)
+	}
+	if _, ok := bp.onDisk[id]; ok {
+		if err := bp.loadLocked(id, data); err != nil {
 			return nil, err
 		}
-		p.data = data
 		bp.stats.SpillReads++
 		mBPSpillReads.Inc()
-	} else {
-		p.data = make([]float64, size)
+	} else if recycled {
+		clear(data)
 	}
+	p := &page{id: id, data: data, lastUsed: bp.tick, pinned: 1}
 	bp.resident[id] = p
-	bp.resBytes += 8 * int64(len(p.data))
+	bp.resBytes += 8 * int64(cap(p.data))
 	return p.data, nil
 }
 
@@ -219,7 +226,7 @@ func (bp *BufferPool) DropOwner(owner int) error {
 				return fmt.Errorf("storage: DropOwner %d: page %v still pinned", owner, id)
 			}
 			delete(bp.resident, id)
-			bp.resBytes -= 8 * int64(len(p.data))
+			bp.resBytes -= 8 * int64(cap(p.data))
 		}
 	}
 	var errs []error
@@ -237,7 +244,8 @@ func (bp *BufferPool) DropOwner(owner int) error {
 // Budget returns the byte budget the pool was created with.
 func (bp *BufferPool) Budget() int64 { return bp.byteCap }
 
-// ResidentBytes returns the bytes of page data currently held in memory.
+// ResidentBytes returns the bytes of page memory currently held: every
+// resident page at its buffer's capacity.
 func (bp *BufferPool) ResidentBytes() int64 {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -245,10 +253,13 @@ func (bp *BufferPool) ResidentBytes() int64 {
 }
 
 // makeRoomLocked evicts LRU unpinned pages until a page of `need` floats fits
-// under the byte budget. A page larger than the whole budget is admitted once
-// the pool is empty, per the NewBufferPoolBytes contract.
-func (bp *BufferPool) makeRoomLocked(need int) error {
-	for len(bp.resident) > 0 && bp.resBytes+8*int64(need) > bp.byteCap {
+// under the byte budget, and returns the buffer of the first evicted page
+// whose capacity holds `need` floats and still fits (nil if none did), for
+// the new page to reuse. A page larger than the whole budget is admitted
+// once the pool is empty, per the NewBufferPoolBytes contract.
+func (bp *BufferPool) makeRoomLocked(need int) ([]float64, error) {
+	var reuse []float64
+	for len(bp.resident) > 0 && bp.resBytes+8*int64(max(need, cap(reuse))) > bp.byteCap {
 		var victim *page
 		for _, p := range bp.resident {
 			if p.pinned > 0 {
@@ -259,36 +270,49 @@ func (bp *BufferPool) makeRoomLocked(need int) error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("storage: buffer pool exhausted: all %d resident bytes pinned, need %d more", bp.resBytes, 8*int64(need))
+			return nil, fmt.Errorf("storage: buffer pool exhausted: all %d resident bytes pinned, need %d more", bp.resBytes, 8*int64(need))
 		}
 		if victim.dirty {
 			if err := bp.storeLocked(victim); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		delete(bp.resident, victim.id)
-		bp.resBytes -= 8 * int64(len(victim.data))
+		c := int64(cap(victim.data))
+		bp.resBytes -= 8 * c
 		bp.stats.Evictions++
 		mBPEvictions.Inc()
+		if reuse == nil && c >= int64(need) && bp.resBytes+8*c <= bp.byteCap {
+			reuse = victim.data
+		}
 	}
-	return nil
+	return reuse, nil
 }
 
 func (bp *BufferPool) pagePath(id PageID) string {
 	return filepath.Join(bp.dir, fmt.Sprintf("p%d_%d.page", id.Owner, id.Index))
 }
 
+// pageBytes views a page's words as its bytes in memory order: a spill file
+// holds them verbatim, since spill files never leave the process that wrote
+// them.
+func pageBytes(data []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data))
+}
+
+// storeLocked writes p's words straight from its memory. A failed write
+// removes whatever it left on disk, so the page is either spilled whole or
+// not at all.
 func (bp *BufferPool) storeLocked(p *page) error {
 	if bp.writeHook != nil {
 		if err := bp.writeHook(p.id); err != nil {
 			return fmt.Errorf("storage: write page %v: %w", p.id, err)
 		}
 	}
-	buf := make([]byte, 8*len(p.data))
-	for i, v := range p.data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	if err := os.WriteFile(bp.pagePath(p.id), buf, 0o644); err != nil {
+	path := bp.pagePath(p.id)
+	if err := os.WriteFile(path, pageBytes(p.data), 0o644); err != nil {
+		os.Remove(path)
+		delete(bp.onDisk, p.id)
 		return fmt.Errorf("storage: write page %v: %w", p.id, err)
 	}
 	bp.onDisk[p.id] = len(p.data)
@@ -297,22 +321,28 @@ func (bp *BufferPool) storeLocked(p *page) error {
 	return nil
 }
 
-func (bp *BufferPool) loadLocked(id PageID, n int) ([]float64, error) {
+// loadLocked reads page id's spill file straight into data, which has the
+// page's length. A file of any other size is an error.
+func (bp *BufferPool) loadLocked(id PageID, data []float64) error {
 	if bp.readHook != nil {
 		if err := bp.readHook(id); err != nil {
-			return nil, fmt.Errorf("storage: read page %v: %w", id, err)
+			return fmt.Errorf("storage: read page %v: %w", id, err)
 		}
 	}
-	buf, err := os.ReadFile(bp.pagePath(id))
+	f, err := os.Open(bp.pagePath(id))
 	if err != nil {
-		return nil, fmt.Errorf("storage: read page %v: %w", id, err)
+		return fmt.Errorf("storage: read page %v: %w", id, err)
 	}
-	if len(buf) != 8*n {
-		return nil, fmt.Errorf("storage: page %v has %d bytes, want %d", id, len(buf), 8*n)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("storage: read page %v: %w", id, err)
 	}
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	if fi.Size() != 8*int64(len(data)) {
+		return fmt.Errorf("storage: page %v has %d bytes, want %d", id, fi.Size(), 8*len(data))
 	}
-	return data, nil
+	if _, err := io.ReadFull(f, pageBytes(data)); err != nil {
+		return fmt.Errorf("storage: read page %v: %w", id, err)
+	}
+	return nil
 }
