@@ -10,39 +10,31 @@ import (
 	"dmml/internal/pool"
 )
 
-// Encoding identifies a physical column encoding for forcing/tuning.
-type Encoding int
+// encoding identifies a physical column encoding.
+type encoding int
 
-// Encoding values. Auto lets the planner choose per column.
+// encoding values. auto lets the planner choose per column.
 const (
-	Auto Encoding = iota
-	ForceDDC
-	ForceOLE
-	ForceRLE
-	ForceUC
+	auto encoding = iota
+	forceDDC
+	forceOLE
+	forceRLE
+	forceUC
 )
 
 // Options tunes the compression planner.
 type Options struct {
-	// Force overrides the per-column encoding choice (Auto = cost-based).
-	Force Encoding
 	// CoCode enables greedy pairwise column co-coding of low-cardinality
 	// columns, as in CLA's column group partitioning.
 	CoCode bool
+	// force overrides the per-column encoding choice (auto = cost-based);
+	// the package's tests set it to reach every encoding.
+	force encoding
 }
 
 // maxDDCCard caps the dictionary size for DDC: the largest dictionary
 // addressable by the 2-byte code array. A column over the cap is never DDC.
 const maxDDCCard = 1 << 16
-
-// compressParallelMinWork is the minimum scalar-work estimate (roughly rows ×
-// groups) below which Matrix ops and the planner stay serial; pool dispatch
-// costs more than it saves on small inputs. On a 2-vCPU host a pool helper
-// starts 70–110 µs after a Do call wakes it, so a call pays only once its
-// serial time is well past that: a 4096-row, 40-group block (≈ 2^17.3,
-// about 0.2 ms per kernel serially) gains 13–30% per kernel, while 2^16
-// still loses. A var so tests can force the parallel path.
-var compressParallelMinWork = 1 << 17
 
 // Matrix is a compressed matrix: a set of column groups jointly covering all
 // columns. All read ops match the semantics of the equivalent la.Dense ops.
@@ -102,11 +94,10 @@ func (c *Matrix) MatVecInto(dst, v []float64) []float64 {
 }
 
 // matVecCall returns a call for X·v into dst with every dictionary
-// premultiplied by v, all into one scratch buffer, and its range span: the
-// rows of an eighth of the parallel cutoff's work, so a call at the cutoff
-// splits into eight ranges, but at least enough rows to pay for the range's
-// binary searches of every OLE and RLE entry list. The call owns the scratch
-// until put releases it.
+// premultiplied by v, all into one scratch buffer, and its range span:
+// pool.Grain's chunk for rows of one operation per group, where entering a
+// range costs a binary search of every OLE and RLE entry list. The call owns
+// the scratch until put releases it.
 //
 //dmml:owns-scratch
 func (c *Matrix) matVecCall(dst, v []float64) *call {
@@ -116,13 +107,16 @@ func (c *Matrix) matVecCall(dst, v []float64) *call {
 		k.pre = make([][]float64, len(c.groups))
 	}
 	k.pre = k.pre[:len(c.groups)]
-	n := 0
+	n, lists := 0, 0
 	for _, g := range c.groups {
 		if d := g.dictionary(); d != nil {
 			n += d.numEntries()
+			if _, ddc := g.(*DDCGroup); !ddc {
+				lists += d.numEntries()
+			}
 		}
 	}
-	k.span = c.rangeRows(compressParallelMinWork / 8)
+	k.span = pool.Grain(c.rows, len(c.groups), lists)
 	k.buf = pool.GetF64(n)
 	n = 0
 	for gi, g := range c.groups {
@@ -136,30 +130,10 @@ func (c *Matrix) matVecCall(dst, v []float64) *call {
 	return k
 }
 
-// rangeEntryCost is what one OLE or RLE entry's binary searches cost a
-// row range, in row additions.
-const rangeEntryCost = 8
-
-// rangeRows is the rows of a row range doing about work scalar operations
-// (rows × groups), but at least enough rows to pay for the range's binary
-// searches of every OLE and RLE entry list.
-func (c *Matrix) rangeRows(work int) int {
-	lists := 0
-	for _, g := range c.groups {
-		if _, ddc := g.(*DDCGroup); !ddc {
-			if d := g.dictionary(); d != nil {
-				lists += d.numEntries()
-			}
-		}
-	}
-	gs := max(1, len(c.groups))
-	return max(1, work/gs, rangeEntryCost*lists/gs)
-}
-
-// parallel reports whether the matrix is large enough for its kernels to
-// fan out through the pool.
+// parallel reports whether the matrix's kernels fan out through the pool:
+// whether rows × groups clears the pool's gate.
 func (c *Matrix) parallel() bool {
-	return c.rows*len(c.groups) >= compressParallelMinWork && !pool.SerialNow()
+	return pool.Parallel(c.rows * len(c.groups))
 }
 
 // VecMatInto computes xᵀ·X into dst (overwriting it) and returns dst.
@@ -199,29 +173,23 @@ func (c *Matrix) VecMatAccum(dst, x []float64) {
 	k.put()
 }
 
-// lossGradRangeWork is the scalar work (rows × groups) of one LossGradAccum
-// range: a 4096-row block of 40 groups is ten ranges. It is a constant, not
-// a share of compressParallelMinWork, so the grid — and with it every bit
-// of the result — is a function of the block alone.
-const lossGradRangeWork = 1 << 14
-
 // LossGradAccum is a gradient step's whole pass over the matrix: it writes
 // X·w into margins, runs tile — a loss's serial kernel, which writes ∂L/∂m
 // into derivs and returns ΣL — over them, adds Xᵀ·derivs into grad and
 // returns ΣL. margins, derivs and y have length Rows; grad and w length Cols.
 //
-// Every dictionary is premultiplied by w once. Then one reduction walks a
-// fixed grid of row ranges, each a multiple of eight rows long, so the
-// logistic tile's eight-lane groups fall on the same rows whatever the
+// Every dictionary is premultiplied by w once. Then one pool.Reduce walks
+// pool.Grain's grid of row ranges, each a multiple of eight rows long, so
+// the logistic tile's eight-lane groups fall on the same rows whatever the
 // split. Each range computes its margins (each row the serial group-order
 // sum, as in MatVecInto), its tile, and each group's per-dictionary-entry
 // sums of derivs (per UC group, its dot product). The accumulator is
 // [ΣL, entry weights…], merged in range order; the merged weights are then
 // scattered through the dictionaries once. The grid depends on the matrix's
-// rows and groups only, so the result is bit-identical across runs and
-// GOMAXPROCS. Margins and derivs are those of MatVecInto and tile; the loss
-// and gradient differ from the three-pass step only in summation order.
-// Steady state allocates nothing.
+// rows, groups and dictionary sizes only, so the result is bit-identical
+// across runs and GOMAXPROCS. Margins and derivs are those of MatVecInto and
+// tile; the loss and gradient differ from the three-pass step only in
+// summation order. Steady state allocates nothing.
 func (c *Matrix) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(derivs, margins, y []float64) float64) float64 {
 	if len(w) != c.cols || len(grad) != c.cols {
 		panic(fmt.Sprintf("compress: LossGradAccum w %d, grad %d for %d cols", len(w), len(grad), c.cols))
@@ -248,11 +216,7 @@ func (c *Matrix) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(
 	}
 	k.offs[len(c.groups)] = n
 	acc := pool.GetF64Zeroed(n)
-	if c.parallel() {
-		pool.Reduce(acc, c.rows, c.lossGradSpan(), k.lossGrad)
-	} else {
-		pool.ReduceSerial(acc, c.rows, c.lossGradSpan(), k.lossGrad)
-	}
+	pool.Reduce(acc, c.rows, len(c.groups), k.lossGrad)
 	for gi, g := range c.groups {
 		wts := acc[k.offs[gi]:k.offs[gi+1]]
 		if d := g.dictionary(); d != nil {
@@ -265,12 +229,6 @@ func (c *Matrix) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(
 	pool.PutF64(acc)
 	k.put()
 	return loss
-}
-
-// lossGradSpan is the rows of one LossGradAccum range: about
-// lossGradRangeWork of work, rounded up to a multiple of eight.
-func (c *Matrix) lossGradSpan() int {
-	return (c.rangeRows(lossGradRangeWork) + 7) &^ 7
 }
 
 // call is one MatVecInto, VecMatAccum or LossGradAccum call's state,
@@ -503,13 +461,13 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 			stats[j], codes[j] = analyzeColumn(columns[j])
 		}
 	}
-	if rows*cols < compressParallelMinWork || pool.SerialNow() {
+	if !pool.Parallel(rows * cols) {
 		analyze(0, cols)
 	} else {
 		pool.Do(cols, 1, analyze)
 	}
 
-	chosen := make([]Encoding, cols)
+	chosen := make([]encoding, cols)
 	for j := 0; j < cols; j++ {
 		chosen[j] = chooseEncoding(stats[j], opts)
 	}
@@ -524,13 +482,13 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 		// combined DDC size beats the sum of the separate sizes. Joint
 		// cardinality is counted over the precomputed codes.
 		for a := 0; a < cols; a++ {
-			if used[a] || chosen[a] != ForceDDC {
+			if used[a] || chosen[a] != forceDDC {
 				continue
 			}
 			bestB, bestGain := -1, 0
 			sizeA, _ := stats[a].ddcSize()
 			for b := a + 1; b < cols; b++ {
-				if used[b] || chosen[b] != ForceDDC {
+				if used[b] || chosen[b] != forceDDC {
 					continue
 				}
 				sizeB, _ := stats[b].ddcSize()
@@ -570,7 +528,7 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 			}
 		}
 	}
-	if rows*len(jobs) < compressParallelMinWork || pool.SerialNow() {
+	if !pool.Parallel(rows * len(jobs)) {
 		build(0, len(jobs))
 	} else {
 		pool.Do(len(jobs), 1, build)
@@ -584,24 +542,24 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 	return c
 }
 
-func chooseEncoding(st colStats, opts Options) Encoding {
-	if opts.Force != Auto {
-		if opts.Force == ForceDDC {
+func chooseEncoding(st colStats, opts Options) encoding {
+	if opts.force != auto {
+		if opts.force == forceDDC {
 			if _, ok := st.ddcSize(); !ok {
-				return ForceUC
+				return forceUC
 			}
 		}
-		return opts.Force
+		return opts.force
 	}
-	best, bestSize := ForceUC, st.ucSize()
+	best, bestSize := forceUC, st.ucSize()
 	if s, ok := st.ddcSize(); ok && s < bestSize {
-		best, bestSize = ForceDDC, s
+		best, bestSize = forceDDC, s
 	}
 	if s := st.oleSize(); s < bestSize {
-		best, bestSize = ForceOLE, s
+		best, bestSize = forceOLE, s
 	}
 	if s := st.rleSize(); s < bestSize {
-		best = ForceRLE
+		best = forceRLE
 	}
 	return best
 }
@@ -632,13 +590,13 @@ func jointCardinality(ca, cb *colCode) int {
 	return len(seen)
 }
 
-func buildGroup(col int, data []float64, cc *colCode, enc Encoding) Group {
+func buildGroup(col int, data []float64, cc *colCode, enc encoding) Group {
 	switch enc {
-	case ForceDDC:
+	case forceDDC:
 		return buildDDC(col, cc)
-	case ForceOLE:
+	case forceOLE:
 		return buildOLE(col, cc)
-	case ForceRLE:
+	case forceRLE:
 		return buildRLE(col, cc)
 	default:
 		return &UCGroup{col: col, data: la.CloneVec(data)}

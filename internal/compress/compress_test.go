@@ -42,7 +42,7 @@ func vecOf(r *rand.Rand, n int) []float64 {
 func TestCompressDecompressRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	m := mixedMatrix(r, 500)
-	for _, opts := range []Options{{}, {CoCode: true}, {Force: ForceDDC}, {Force: ForceOLE}, {Force: ForceRLE}, {Force: ForceUC}} {
+	for _, opts := range []Options{{}, {CoCode: true}, {force: forceDDC}, {force: forceOLE}, {force: forceRLE}, {force: forceUC}} {
 		c := Compress(m, opts)
 		if !c.Decompress().Equal(m, 0) {
 			t.Fatalf("round trip failed for opts %+v (groups %v)", opts, c.GroupInfo())
@@ -294,7 +294,7 @@ func TestCompressEdgeCases(t *testing.T) {
 	}
 	// Negative values and -0 handling in the dictionary key.
 	neg, _ := la.FromRows([][]float64{{-1}, {1}, {-1}, {0}})
-	c = Compress(neg, Options{Force: ForceDDC})
+	c = Compress(neg, Options{force: forceDDC})
 	if !c.Decompress().Equal(neg, 0) {
 		t.Fatal("negative values round trip failed")
 	}
@@ -308,22 +308,22 @@ func TestForcedEncodingHonored(t *testing.T) {
 		m.Set(i, 1, float64(r.Intn(3)))
 	}
 	for _, tc := range []struct {
-		force Encoding
+		force encoding
 		want  string
-	}{{ForceOLE, "OLE"}, {ForceRLE, "RLE"}, {ForceUC, "UC"}} {
-		c := Compress(m, Options{Force: tc.force})
+	}{{forceOLE, "OLE"}, {forceRLE, "RLE"}, {forceUC, "UC"}} {
+		c := Compress(m, Options{force: tc.force})
 		for _, g := range c.Groups() {
 			if g.Encoding() != tc.want {
 				t.Fatalf("forced %v produced %s", tc.force, g.Encoding())
 			}
 		}
 	}
-	// ForceDDC with cardinality beyond the 2-byte code cap falls back to UC.
+	// forceDDC with cardinality beyond the 2-byte code cap falls back to UC.
 	wide := la.NewDense(maxDDCCard+1, 1)
 	for i := 0; i < maxDDCCard+1; i++ {
 		wide.Set(i, 0, float64(i))
 	}
-	c := Compress(wide, Options{Force: ForceDDC})
+	c := Compress(wide, Options{force: forceDDC})
 	if enc := c.Groups()[0].Encoding(); enc != "UC" {
 		t.Fatalf("over-cap DDC produced %s, want UC fallback", enc)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dmml/internal/la"
+	"dmml/internal/pool"
 )
 
 // lossGradCases builds one test matrix per forced encoding, plus the planner's
@@ -31,10 +32,10 @@ func lossGradCases(t *testing.T, rows int) map[string]*Matrix {
 		corr.Set(i, 5, r.NormFloat64())
 	}
 	cases := map[string]*Matrix{
-		"DDC":     Compress(m, Options{Force: ForceDDC}),
-		"OLE":     Compress(m, Options{Force: ForceOLE}),
-		"RLE":     Compress(m, Options{Force: ForceRLE}),
-		"UC":      Compress(m, Options{Force: ForceUC}),
+		"DDC":     Compress(m, Options{force: forceDDC}),
+		"OLE":     Compress(m, Options{force: forceOLE}),
+		"RLE":     Compress(m, Options{force: forceRLE}),
+		"UC":      Compress(m, Options{force: forceUC}),
 		"cocoded": Compress(corr, Options{CoCode: true}),
 	}
 	kinds := map[string]bool{}
@@ -90,25 +91,24 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // over rows that end mid-range and mid-lane-group, the one-pass step writes
 // the margins of MatVecInto and the derivatives of the tile over them, bit
 // for bit; its loss and gradient are the three-pass step's to 1e-12
-// relative; and with the ranges forced through the pool they are the serial
-// walk's bits at GOMAXPROCS 1, 2 and 4.
+// relative; and over the pool's gate, with the ranges run on the pool,
+// they are GOMAXPROCS 1's serial walk's bits at GOMAXPROCS 2 and 4.
 func TestLossGradAccumMatchesThreePass(t *testing.T) {
-	const rows = 3*4096 + 1003
+	const rows = 8*4096 + 1003 // at least four groups: over the gate
 	cases := lossGradCases(t, rows)
-	spans := map[string]int{}
 	for name, c := range cases {
-		span := c.lossGradSpan()
+		// The accumulator is ΣL and every group's entry weights.
+		acc := 1
+		for _, g := range c.Groups() {
+			if d := g.dictionary(); d != nil {
+				acc += d.numEntries()
+			} else {
+				acc++
+			}
+		}
+		span := pool.Grain(rows, len(c.Groups()), acc)
 		if span%8 != 0 || rows%span == 0 || rows/span < 2 {
 			t.Fatalf("%s: span %d for %d rows: want a multiple of 8, several ranges and a short last one", name, span, rows)
-		}
-		spans[name] = span
-	}
-	// The grid must not follow the parallel cutoff; GOMAXPROCS=1 still
-	// walks it serially.
-	forceParallel(t)
-	for name, c := range cases {
-		if c.lossGradSpan() != spans[name] {
-			t.Fatalf("%s: the span moved with the parallel cutoff: %d, then %d", name, spans[name], c.lossGradSpan())
 		}
 		w, y, grad0 := lossGradInputs(c)
 		wantMargins := c.MatVec(w)

@@ -34,20 +34,30 @@ func eachProcs(f func()) {
 	withGOMAXPROCS(n, f)
 }
 
-// forceParallel lowers the work cutoff so even test-sized matrices take the
-// pool paths, restoring it on cleanup.
-func forceParallel(t *testing.T) {
-	old := compressParallelMinWork
-	compressParallelMinWork = 1
-	t.Cleanup(func() { compressParallelMinWork = old })
+// multiRange fails the test unless MatVecInto's row grid (pool.Grain's)
+// splits c into more than one range.
+func multiRange(t *testing.T, c *Matrix) {
+	t.Helper()
+	k := c.matVecCall(make([]float64, c.Rows()), make([]float64, c.Cols()))
+	span := k.span
+	k.put()
+	if span >= c.Rows() {
+		t.Fatalf("%d rows × %d groups is one %d-row range", c.Rows(), len(c.Groups()), span)
+	}
 }
 
+// TestParallelOpsMatchDense: on small matrices and on matrices over the
+// pool's gate, the kernels agree with the dense ones at GOMAXPROCS 1 and N.
 func TestParallelOpsMatchDense(t *testing.T) {
-	forceParallel(t)
 	r := rand.New(rand.NewSource(60))
+	// Four columns in at least two groups: 2¹⁷ work from 65 536 rows.
+	overGate := false
 	prop := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		rows := 50 + rr.Intn(400)
+		if overGate {
+			rows += 1 << 16
+		}
 		m := mixedMatrix(rr, rows)
 		v := vecOf(rr, m.Cols())
 		x := vecOf(rr, rows)
@@ -58,6 +68,9 @@ func TestParallelOpsMatchDense(t *testing.T) {
 
 		for _, opts := range []Options{{}, {CoCode: true}} {
 			c := Compress(m, opts)
+			if overGate {
+				multiRange(t, c)
+			}
 			if !c.Decompress().Equal(m, 0) {
 				t.Logf("decompress round trip failed at rows=%d opts=%+v", rows, opts)
 				return false
@@ -85,19 +98,21 @@ func TestParallelOpsMatchDense(t *testing.T) {
 		}
 		return true
 	}
-	eachProcs(func() {
-		if err := quick.Check(prop, &quick.Config{MaxCount: 10, Rand: r}); err != nil {
-			t.Error(err)
-		}
-	})
+	for _, overGate = range []bool{false, true} {
+		eachProcs(func() {
+			if err := quick.Check(prop, &quick.Config{MaxCount: 10, Rand: r}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }
 
 // TestParallelPlannerDeterministic: the pooled planner must produce the same
-// partition and encodings regardless of worker count.
+// partition and encodings regardless of worker count, on a matrix whose
+// rows × columns clear the pool's gate.
 func TestParallelPlannerDeterministic(t *testing.T) {
-	forceParallel(t)
 	r := rand.New(rand.NewSource(61))
-	m := mixedMatrix(r, 600)
+	m := mixedMatrix(r, 1<<15+100) // four columns: over the gate
 	var serialInfo []string
 	withGOMAXPROCS(1, func() {
 		serialInfo = Compress(m, Options{CoCode: true}).GroupInfo()
@@ -121,7 +136,7 @@ func TestParallelPlannerDeterministic(t *testing.T) {
 
 // blockMatrix has the benchmark's out-of-core block shape: 4096 rows of 32
 // Zipf-categorical columns (one-byte DDC) and 8 Gaussian ones (UC), 40
-// column groups over the parallel cutoff.
+// column groups over the pool's gate.
 func blockMatrix(r *rand.Rand, rows int) *la.Dense {
 	cards := []int{
 		8, 16, 4, 32, 64, 5, 9, 12, 3, 7, 24, 48, 6, 10, 2, 20,
@@ -166,7 +181,7 @@ func TestCompressedIntoZeroAllocSteadyState(t *testing.T) {
 		for _, p := range tc.procs {
 			withGOMAXPROCS(p, func() {
 				if tc.name == "block" && p > 1 && !c.parallel() {
-					t.Fatalf("%s: %d rows × %d groups is under the parallel cutoff %d", tc.name, c.Rows(), len(c.Groups()), compressParallelMinWork)
+					t.Fatalf("%s: %d rows × %d groups is under the pool's gate", tc.name, c.Rows(), len(c.Groups()))
 				}
 				c.MatVecInto(mvDst, v) // warm the scratch pool
 				c.VecMatInto(vmDst, x)
@@ -191,9 +206,9 @@ func TestCompressedIntoZeroAllocSteadyState(t *testing.T) {
 // allocations of one of 512 rows with the same groups and dictionaries, and
 // as many bytes. (An OLE or RLE group still allocates one list header per
 // dictionary entry, so the last column cycles through the same 300 values
-// at both sizes: two-byte codes under ForceDDC.)
+// at both sizes: two-byte codes under forceDDC.)
 func TestDecodePageAllocsIndependentOfRows(t *testing.T) {
-	for _, opts := range []Options{{}, {Force: ForceDDC}, {Force: ForceOLE}, {Force: ForceRLE}, {Force: ForceUC}} {
+	for _, opts := range []Options{{}, {force: forceDDC}, {force: forceOLE}, {force: forceRLE}, {force: forceUC}} {
 		var allocs, bytes []float64
 		var info []string
 		for _, rows := range []int{512, 4096} {
@@ -250,7 +265,7 @@ func matVecSpans(c *Matrix, v []float64, span int) []float64 {
 // bits, and so does VecMatInto with its groups fanned out.
 func TestRowRangesMatchSerialBits(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
-	rows := compressParallelMinWork/4 + 1001 // four columns: over the cutoff
+	rows := 1<<17/4 + 1001 // four columns: over the pool's gate
 	m := mixedMatrix(r, rows)
 	for i := 0; i < rows; i++ {
 		// 1000 levels: two-byte DDC codes, and short enough OLE and RLE
@@ -260,7 +275,7 @@ func TestRowRangesMatchSerialBits(t *testing.T) {
 	v := vecOf(r, m.Cols())
 	x := vecOf(r, rows)
 	kinds := map[string]bool{}
-	for _, opts := range []Options{{Force: ForceDDC}, {Force: ForceOLE}, {Force: ForceRLE}, {Force: ForceUC}} {
+	for _, opts := range []Options{{force: forceDDC}, {force: forceOLE}, {force: forceRLE}, {force: forceUC}} {
 		c := Compress(m, opts)
 		cutRun := false
 		for _, g := range c.Groups() {
@@ -273,7 +288,7 @@ func TestRowRangesMatchSerialBits(t *testing.T) {
 				}
 			}
 		}
-		if opts.Force == ForceRLE && !cutRun {
+		if opts.force == forceRLE && !cutRun {
 			t.Fatal("no RLE run crosses a 7-row range boundary; test is vacuous")
 		}
 		var wantMV, wantVM []float64
@@ -288,9 +303,10 @@ func TestRowRangesMatchSerialBits(t *testing.T) {
 				}
 			}
 		}
+		multiRange(t, c)
 		withGOMAXPROCS(4, func() {
 			if !c.parallel() {
-				t.Fatalf("%v: under the parallel cutoff", c.GroupInfo())
+				t.Fatalf("%v: under the pool's gate", c.GroupInfo())
 			}
 			check("MatVecInto", c.MatVec(v), wantMV)
 			check("VecMatInto", c.VecMat(x), wantVM)
@@ -306,26 +322,22 @@ func TestRowRangesMatchSerialBits(t *testing.T) {
 	}
 }
 
-// TestCompressedGDBitReproducible: with compressParallelMinWork forced to 1,
-// gradient descent over a small compressed matrix of 16 column groups runs
-// MatVecInto as one-row ranges and VecMatAccum as one pool chunk per group,
-// and returns the same W and History bits on every repeat at GOMAXPROCS 1, 2
-// and 4.
+// TestCompressedGDBitReproducible: gradient descent over a compressed matrix
+// of 16 column groups just over the pool's gate runs MatVecInto as several
+// row ranges and VecMatAccum as one pool chunk per group, and returns the
+// same W and History bits on every repeat at GOMAXPROCS 1, 2 and 4.
 func TestCompressedGDBitReproducible(t *testing.T) {
-	forceParallel(t)
 	r := rand.New(rand.NewSource(63))
 	cards := make([]int, 16)
 	for j := range cards {
 		cards[j] = 2 + j
 	}
-	m := workload.TelemetryMatrix(r, 500, cards, 1)
+	m := workload.TelemetryMatrix(r, 1<<17/16+8, cards, 1)
 	c := Compress(m, Options{})
-	k := c.matVecCall(make([]float64, c.Rows()), make([]float64, c.Cols()))
-	g, span := len(c.Groups()), k.span
-	k.put()
-	if g < 2 || span != 1 {
-		t.Fatalf("%d column groups and %d-row MatVec ranges, want several groups and one-row ranges", g, span)
+	if len(c.Groups()) != 16 {
+		t.Fatalf("%d column groups, want 16", len(c.Groups()))
 	}
+	multiRange(t, c)
 	y := make([]float64, m.Rows())
 	for i := range y {
 		y[i] = float64(2*r.Intn(2) - 1)

@@ -15,7 +15,7 @@ import (
 func TestPageCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(90))
 	m := mixedMatrix(r, 777) // odd row count exercises partial pack words
-	for _, opts := range []Options{{}, {CoCode: true}, {Force: ForceDDC}, {Force: ForceOLE}, {Force: ForceRLE}, {Force: ForceUC}} {
+	for _, opts := range []Options{{}, {CoCode: true}, {force: forceDDC}, {force: forceOLE}, {force: forceRLE}, {force: forceUC}} {
 		c := Compress(m, opts)
 		page := make([]float64, EncodedLen(c))
 		if err := EncodeInto(page, c); err != nil {
@@ -264,8 +264,8 @@ func FuzzDecodePage(f *testing.F) {
 		m    *la.Dense
 		opts Options
 	}{
-		{m, Options{}}, {m, Options{CoCode: true}}, {m, Options{Force: ForceDDC}}, {wide, Options{Force: ForceDDC}},
-		{m, Options{Force: ForceOLE}}, {m, Options{Force: ForceRLE}}, {m, Options{Force: ForceUC}},
+		{m, Options{}}, {m, Options{CoCode: true}}, {m, Options{force: forceDDC}}, {wide, Options{force: forceDDC}},
+		{m, Options{force: forceOLE}}, {m, Options{force: forceRLE}}, {m, Options{force: forceUC}},
 	} {
 		c := Compress(seed.m, seed.opts)
 		for _, g := range c.Groups() {

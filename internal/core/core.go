@@ -81,9 +81,9 @@ func (t Task) lossFn() opt.Loss {
 
 // Options tunes the planner.
 type Options struct {
-	// MemBudgetBytes caps the working-set estimate; plans whose working set
+	// memBudgetBytes caps the working-set estimate; plans whose working set
 	// exceeds it pay a spill penalty. 0 = unlimited.
-	MemBudgetBytes int64
+	memBudgetBytes int64
 	// ForcePlan pins the plan choice (for ablations); empty = cost-based.
 	ForcePlan string
 }
@@ -193,10 +193,10 @@ func (p *planner) execute(ref opt.BulkData) (*Result, error) {
 
 // spillAdjust inflates cost when the working set exceeds the budget.
 func spillAdjust(flops float64, workingSet int64, o Options) float64 {
-	if o.MemBudgetBytes <= 0 || workingSet <= o.MemBudgetBytes {
+	if o.memBudgetBytes <= 0 || workingSet <= o.memBudgetBytes {
 		return flops
 	}
-	excess := float64(workingSet-o.MemBudgetBytes) / float64(workingSet)
+	excess := float64(workingSet-o.memBudgetBytes) / float64(workingSet)
 	return flops * (1 + excess*spillPenalty)
 }
 
@@ -245,10 +245,10 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 	// budget. Sequential block I/O per iteration is modeled as cheaper than
 	// the random-access thrash the dense plan would suffer, so this is the
 	// fallback when the data neither fits nor compresses.
-	if o.MemBudgetBytes > 0 && denseBytes > o.MemBudgetBytes {
-		excess := float64(denseBytes-o.MemBudgetBytes) / float64(denseBytes)
+	if o.memBudgetBytes > 0 && denseBytes > o.memBudgetBytes {
+		excess := float64(denseBytes-o.memBudgetBytes) / float64(denseBytes)
 		ioCost := iters * matvecPair * excess * spillPenalty * 0.5
-		p.add("paged+iterative", iters*matvecPair+ioCost, o.MemBudgetBytes, func() ([]float64, error) {
+		p.add("paged+iterative", iters*matvecPair+ioCost, o.memBudgetBytes, func() ([]float64, error) {
 			return p.paged(x)
 		})
 	}
@@ -269,7 +269,7 @@ func (p *planner) paged(x *la.Dense) ([]float64, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	bp, err := newSpillPool(p.o.MemBudgetBytes, dir)
+	bp, err := newSpillPool(p.o.memBudgetBytes, dir)
 	if err != nil {
 		return nil, err
 	}

@@ -206,7 +206,7 @@ func TestTrainJoinedCompressedUnderMemoryPressure(t *testing.T) {
 		}
 	}
 	res, err := TrainJoined(x, y, Task{Loss: LogisticLoss, MaxIter: 40},
-		Options{MemBudgetBytes: int64(8 * n)}) // budget = 1/4 of dense
+		Options{memBudgetBytes: int64(8 * n)}) // budget = 1/4 of dense
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestSpillAdjustShiftsChoice(t *testing.T) {
 	// Budget above the compressed footprint (~8KB) but far below dense
 	// (64KB): the compressed representation fits, paging is unnecessary.
 	tight, err := TrainJoined(x, y, Task{Loss: LogisticLoss, MaxIter: 20},
-		Options{MemBudgetBytes: 16 * 1024})
+		Options{memBudgetBytes: 16 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestPagedPlanChosenForIncompressibleUnderBudget(t *testing.T) {
 			y[i] = -1
 		}
 	}
-	res, err := TrainJoined(x, y, task, Options{MemBudgetBytes: 32 * 1024})
+	res, err := TrainJoined(x, y, task, Options{memBudgetBytes: 32 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestPagedPlanSurfacesSpillReadFailure(t *testing.T) {
 	x, y, _ := workload.Regression(r, 320, 8, 0.1)
 	train := func() error {
 		_, err := TrainJoined(x, y, Task{Loss: SquaredLoss, MaxIter: 2},
-			Options{MemBudgetBytes: 8 * 1024, ForcePlan: "paged+iterative"})
+			Options{memBudgetBytes: 8 * 1024, ForcePlan: "paged+iterative"})
 		return err
 	}
 	if err := train(); err != nil {

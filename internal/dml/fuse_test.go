@@ -153,11 +153,11 @@ func TestFusedUnfusedEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// The same equivalence on a matrix large enough to cross the la kernels'
-// parallel threshold, so the pool-parallel fused drivers (not just the
-// serial fast path) are exercised through the evaluator.
+// The same equivalence on a matrix large enough to cross the pool's gate, so
+// the pool-parallel fused drivers (not just the serial fast path) are
+// exercised through the evaluator.
 func TestFusedEquivalenceParallelRegime(t *testing.T) {
-	const rows, cols = 700, 400 // 280k cells ≥ la parallelThreshold (1<<18)
+	const rows, cols = 700, 400 // 280k cells ≥ the pool's gate (2¹⁷ scalar ops)
 	r := rand.New(rand.NewSource(7))
 	shapes := fuseTestShapes(rows, cols)
 	env := fuseTestEnv(r, rows, cols)

@@ -109,7 +109,7 @@ func rowTestEnv(r *rand.Rand, rows, cols int) Env {
 
 // TestRowTemplateBitIdentity: on both Row forms the fused plan leaves the
 // same environment (same keys, bit-equal values) and returns the same bits
-// as OptimizeUnfused, below and above the kernels' parallel threshold, at
+// as OptimizeUnfused, below and above the pool's gate, at
 // GOMAXPROCS 1, 2 and 4 — and without the margins and g intermediates.
 func TestRowTemplateBitIdentity(t *testing.T) {
 	for _, tc := range []struct {

@@ -21,14 +21,17 @@ import (
 // its Gram's Float64bits, little-endian in row-major order. The file was
 // written from gramGoldenLines at the commit before the Gram's cross blocks
 // became concurrent push chains, so it pins today's bits to that
-// implementation's, not merely to a tolerance of the materialized Gram.
+// implementation's, not merely to a tolerance of the materialized Gram. The
+// snowflake line was re-pinned once when every relation's syrk moved onto
+// pool.Grain's grid on both sides of the pool's gate: its diagonal blocks
+// moved by at most 1.2e-13 relative, its cross blocks not at all.
 const gramGoldenPath = "testdata/gram_golden.txt"
 
 // goldenSnowflake is a reduced copy of the benchmark's train_join schema:
 // two depth-2 branches (fact→customer→region, fact→product→category) plus a
 // key-only link (fact→store→city). It is large enough that the fact
 // relation's syrk runs as a multi-chunk pool.Reduce grid and the cross phase
-// clears its concurrency cutoff.
+// clears the pool's gate.
 func goldenSnowflake() (*workload.Snowflake, error) {
 	return workload.GenerateSnowflake(rand.New(rand.NewSource(31)), workload.SnowflakeConfig{
 		FactRows:  30000,

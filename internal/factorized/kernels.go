@@ -7,20 +7,6 @@ import (
 	"dmml/internal/pool"
 )
 
-// pushCutoff is the per-edge element count below which the gather/scatter
-// passes stay serial: at ~2 flops per element, dispatch costs more than it
-// saves (la's parallelThreshold at the same scale).
-const pushCutoff = 1 << 16
-
-// gramParCutoff is the scalar-work threshold for parallelizing a relation's
-// weighted syrk.
-const gramParCutoff = 1 << 18
-
-// gramCrossParCutoff is the predicted cross-phase cost (flop-equivalents,
-// cost.go) below which GramInto runs its cross tasks serially: under it the
-// whole phase takes less than a pool dispatch saves.
-const gramCrossParCutoff = 1 << 17
-
 // MatVecInto computes the joined X·w into dst (length Rows) and returns dst,
 // implementing opt.BulkData. Aggregates flow bottom-up: each relation's
 // partial products X_v·w_v are computed at that relation's granularity, each
@@ -143,9 +129,9 @@ func (t *JoinTree) Gram() *la.Dense {
 //	                and a first hop form one chain that pushes the hop once.
 //
 // The cross tasks (crossTask) are independent and run concurrently, most
-// expensive first, unless GOMAXPROCS is 1 or their predicted cost is under
-// gramCrossParCutoff. Each block has one writer and a fixed arithmetic
-// order, so out is bit-identical at every core count. A relation joined
+// expensive first, unless their predicted cost (flop-equivalents, cost.go)
+// is under the pool's gate (pool.Parallel). Each block has one writer and a
+// fixed arithmetic order, so out is bit-identical at every core count. A relation joined
 // through intermediate tables is never gathered at fact granularity, and the
 // steady state allocates nothing.
 func (t *JoinTree) GramInto(out *la.Dense) *la.Dense {
@@ -174,7 +160,7 @@ func (t *JoinTree) GramInto(out *la.Dense) *la.Dense {
 	}
 
 	// Cross blocks, upper block triangle only.
-	if t.crossCost < gramCrossParCutoff || pool.SerialNow() {
+	if !pool.Parallel(int(t.crossCost)) {
 		for i := range t.tasks {
 			t.crossTaskInto(&t.tasks[i], cnts, out)
 		}
@@ -348,46 +334,39 @@ func (t *JoinTree) composedKey(path []int) (key []int, owned bool) {
 // needs no partials.
 func gatherAdd(dst, src []float64, fk []int) {
 	n := len(fk)
-	if n < pushCutoff || pool.SerialNow() {
+	if !pool.Parallel(2 * n) {
 		gatherAddAccum(dst, src, fk, 0, n)
 		return
 	}
-	pool.Do(n, pool.Grain(n, 2), func(lo, hi int) {
+	pool.Do(n, pool.Grain(n, 2, 0), func(lo, hi int) {
 		gatherAddAccum(dst, src, fk, lo, hi)
 	})
 }
 
 // scatterAdd adds src[i] into dst[fk[i]] — the VecMat group-sum. Chunks
-// collide on dst rows, so large inputs sum fixed chunks through pool.Reduce,
-// each later chunk into a dst-sized scratch partial. A chunk spans at least
-// 4·len(dst) rows, which keeps zeroing and merging its partial a small share
-// of its work, and leaves an input under that size serial. The serial regime
-// allocates nothing.
+// collide on dst rows, so the rows are summed in the fixed chunks of
+// pool.Grain through pool.Reduce, each later chunk into a dst-sized scratch
+// partial; the grid's fixed-cost floor keeps zeroing and merging it a small
+// share of a chunk's work. The serial regime allocates nothing.
 func scatterAdd(dst, src []float64, fk []int) {
 	n := len(fk)
-	chunk := max(pool.Grain(n, 2), 4*len(dst))
-	if n < pushCutoff || n <= chunk {
-		scatterAddAccum(dst, src, fk, 0, n)
-		return
+	if pool.Parallel(2 * n) {
+		pool.Reduce(dst, n, 2, func(acc []float64, lo, hi int) { scatterAddAccum(acc, src, fk, lo, hi) })
+	} else {
+		pool.ReduceSerial(dst, n, 2, func(acc []float64, lo, hi int) { scatterAddAccum(acc, src, fk, lo, hi) })
 	}
-	pool.Reduce(dst, n, chunk, func(acc []float64, lo, hi int) {
-		scatterAddAccum(acc, src, fk, lo, hi)
-	})
 }
 
 // gramWeighted accumulates the upper triangle of XᵀDX (D = diag(wts), nil =
-// identity) into the row-major cols×cols buffer acc, summing fixed row chunks
-// through pool.Reduce when the syrk is heavy enough.
+// identity) into the row-major cols×cols buffer acc, summing the fixed row
+// chunks of pool.Grain through pool.Reduce.
 func gramWeighted(x *la.Dense, wts []float64, acc []float64) {
 	n, d := x.Dims()
-	chunk := pool.Grain(n, d*d)
-	if n*d*d < gramParCutoff || n <= chunk {
-		gramWeightedAccum(x, wts, acc, 0, n)
-		return
+	if pool.Parallel(n * d * d) {
+		pool.Reduce(acc, n, d*d, func(part []float64, lo, hi int) { gramWeightedAccum(x, wts, part, lo, hi) })
+	} else {
+		pool.ReduceSerial(acc, n, d*d, func(part []float64, lo, hi int) { gramWeightedAccum(x, wts, part, lo, hi) })
 	}
-	pool.Reduce(acc, n, chunk, func(part []float64, lo, hi int) {
-		gramWeightedAccum(x, wts, part, lo, hi)
-	})
 }
 
 // zeroF64 clears a buffer.

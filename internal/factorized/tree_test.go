@@ -9,6 +9,7 @@ import (
 
 	"dmml/internal/la"
 	"dmml/internal/opt"
+	"dmml/internal/pool"
 	"dmml/internal/workload"
 )
 
@@ -279,13 +280,14 @@ func TestJoinTreeChains(t *testing.T) {
 			transposed++
 		}
 	}
-	if resumes[2] == 0 || transposed == 0 || tr.crossCost < gramCrossParCutoff {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	if resumes[2] == 0 || transposed == 0 || !pool.Parallel(int(tr.crossCost)) {
 		t.Fatalf("want a continuing member, a transposed block and a concurrent cross phase, got resumes %v, %d transposed, cost %.0f",
 			resumes, transposed, tr.crossCost)
 	}
 	want := tr.Materialize()
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
+	runtime.GOMAXPROCS(1)
 	g1 := tr.Gram()
 	if !g1.Equal(la.Gram(want), 1e-9) {
 		t.Fatal("chained Gram != materialized Gram")
@@ -343,15 +345,16 @@ func TestJoinTreeDegenerate(t *testing.T) {
 // The steady-state kernels must not allocate: MatVecInto/VecMatInto (the GD
 // step) and GramInto (the direct solver) all run on pooled scratch. At 5000
 // fact rows every edge pass and syrk stays on its serial path while the Gram's
-// cross phase clears gramCrossParCutoff, so GOMAXPROCS 1 runs the cross tasks
+// cross phase clears the pool's gate, so GOMAXPROCS 1 runs the cross tasks
 // serially and GOMAXPROCS 2 dispatches them through the pool.
 func TestJoinTreeZeroAllocSteadyState(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	s := testSnowflake(t, 240, 5000)
 	tr := treeFromSnowflake(t, s)
-	if tr.crossCost < gramCrossParCutoff {
-		t.Fatalf("cross phase predicts %.0f flops, under the %d cutoff: GOMAXPROCS 2 would not dispatch it", tr.crossCost, gramCrossParCutoff)
+	runtime.GOMAXPROCS(2)
+	if !pool.Parallel(int(tr.crossCost)) {
+		t.Fatalf("cross phase predicts %.0f flops, under the pool's gate: GOMAXPROCS 2 would not dispatch it", tr.crossCost)
 	}
 	r := rand.New(rand.NewSource(241))
 	w := randVec(r, tr.Cols())
@@ -401,14 +404,15 @@ func TestJoinTreeReductionsBitReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := treeFromSnowflake(t, s)
-	if tr.crossCost < gramCrossParCutoff || len(tr.tasks) < 2 {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	if !pool.Parallel(int(tr.crossCost)) || len(tr.tasks) < 2 {
 		t.Fatalf("%d cross tasks predicting %.0f flops: the concurrent path would not run", len(tr.tasks), tr.crossCost)
 	}
 	run := func() (gram, xty []float64) {
 		return tr.Gram().RawData(), tr.XtY(s.Y)
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
+	runtime.GOMAXPROCS(1)
 	wantGram, wantXtY := run()
 	for _, p := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(p)

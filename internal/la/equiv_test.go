@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"dmml/internal/pool"
 )
 
 // refMatMul is the obviously-correct triple loop.
@@ -143,18 +145,22 @@ func TestMatMulSparseStaysExact(t *testing.T) {
 }
 
 // TestMatVecVecMatGramEquivalence: pooled kernels against serial references
-// under both GOMAXPROCS regimes, with the parallel threshold lowered so even
-// small inputs take the pool path.
+// under both GOMAXPROCS regimes, on small shapes and on shapes just over the
+// pool's gate (2¹⁷ scalar ops) whose grids have several chunks, so
+// GOMAXPROCS N takes the pool path.
 func TestMatVecVecMatGramEquivalence(t *testing.T) {
-	oldThresh := parallelThreshold
-	parallelThreshold = 1
-	defer func() { parallelThreshold = oldThresh }()
-
 	r := rand.New(rand.NewSource(14))
+	small := func(rr *rand.Rand) (rows, cols int) { return 1 + rr.Intn(200), 1 + rr.Intn(80) }
+	overGate := func(rr *rand.Rand) (rows, cols int) {
+		cols = 1 + rr.Intn(80)
+		rows = (1<<17+cols-1)/cols + rr.Intn(200)
+		multiChunk(t, rows, cols)
+		return rows, cols
+	}
+	shape := small
 	prop := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		rows := 1 + rr.Intn(200)
-		cols := 1 + rr.Intn(80)
+		rows, cols := shape(rr)
 		m := randMat(rr, rows, cols, 0.3)
 		x := make([]float64, rows)
 		v := make([]float64, cols)
@@ -203,11 +209,23 @@ func TestMatVecVecMatGramEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	eachProcs(func() {
-		if err := quick.Check(prop, &quick.Config{MaxCount: 20, Rand: r}); err != nil {
-			t.Error(err)
-		}
-	})
+	for _, shape = range []func(*rand.Rand) (int, int){small, overGate} {
+		eachProcs(func() {
+			if err := quick.Check(prop, &quick.Config{MaxCount: 20, Rand: r}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// multiChunk fails the test unless pool.Grain splits a rows×cols input's
+// row grid into more than one chunk. The grid, unlike the pool's gate, is
+// what the bits depend on.
+func multiChunk(t *testing.T, rows, cols int) {
+	t.Helper()
+	if g := pool.Grain(rows, cols, cols); g >= rows {
+		t.Fatalf("%dx%d is one %d-row chunk", rows, cols, g)
+	}
 }
 
 // TestGramTiledWide forces the tiled path (cols > gramTile) at both proc
@@ -254,13 +272,12 @@ func TestCSRIntoEquivalence(t *testing.T) {
 	})
 }
 
-// TestTransposeParallel: the pool-parallel blocked transpose is exact.
+// TestTransposeParallel: the pool-parallel blocked transpose is exact, on a
+// matrix over the pool's gate.
 func TestTransposeParallel(t *testing.T) {
-	oldThresh := parallelThreshold
-	parallelThreshold = 1
-	defer func() { parallelThreshold = oldThresh }()
 	r := rand.New(rand.NewSource(17))
-	m := randMat(r, 257, 129, 0)
+	m := randMat(r, 1025, 129, 0)
+	multiChunk(t, m.rows, m.cols)
 	eachProcs(func() {
 		tr := m.T()
 		for i := 0; i < m.rows; i++ {
@@ -281,7 +298,7 @@ func TestTransposeParallel(t *testing.T) {
 func TestIntoVariantsZeroAllocSteadyState(t *testing.T) {
 	withGOMAXPROCS(1, func() {
 		r := rand.New(rand.NewSource(18))
-		// 300k elements, above parallelThreshold: VecMat (19 row chunks) and
+		// 300k elements, above the pool's gate: VecMat (18 row chunks) and
 		// Gram (32) are multi-chunk reductions.
 		m := randMat(r, 5000, 60, 0.1)
 		x := make([]float64, 5000)
@@ -311,8 +328,8 @@ func TestIntoVariantsZeroAllocSteadyState(t *testing.T) {
 // TestReductionsBitReproducible: VecMat, Gram, the GEMM k-split and
 // FusedColSums sum fixed row (or k) chunks in index order through
 // pool.Reduce, so each returns the same bits on every repeat at GOMAXPROCS 1,
-// 2 and 4 — on an input where every grid has many chunks, and with
-// parallelThreshold forced low so a small input takes the pool path too.
+// 2 and 4 — on an input where every grid has many chunks, and on one just
+// over the pool's gate (2¹⁷ scalar ops), whose grids have a few.
 func TestReductionsBitReproducible(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	sq, err := CompileFused([]FusedOp{{Code: FuseLoad, Arg: 0}, {Code: FuseSq}}, 1)
@@ -350,9 +367,7 @@ func TestReductionsBitReproducible(t *testing.T) {
 			})
 		}
 	}
-	check("5600x48", randMat(r, 5600, 48, 0.1)) // 268 800 elements: above parallelThreshold
-	oldThresh := parallelThreshold
-	parallelThreshold = 1
-	defer func() { parallelThreshold = oldThresh }()
-	check("2000x20, threshold 1", randMat(r, 2000, 20, 0.1)) // 3 VecMat chunks, 5 FusedColSums
+	check("5600x48", randMat(r, 5600, 48, 0.1)) // 268 800 elements: above the gate
+	multiChunk(t, 6600, 20)
+	check("6600x20", randMat(r, 6600, 20, 0.1)) // 132 000 elements: 9 VecMat chunks
 }

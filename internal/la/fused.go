@@ -82,10 +82,6 @@ const (
 	// fuseMaxInputs bounds the input list: the kernel cache packs one
 	// two-bit input kind per input under a sentinel bit into a uint64 key.
 	fuseMaxInputs = 31
-	// fusedSumWork is the scalar work in one FusedSum chunk (rounded to
-	// whole tiles): enough to amortize a chunk claim, small enough that a
-	// parallel-threshold sum still splits over several workers.
-	fusedSumWork = 1 << 16
 )
 
 // FuseProgram is a validated fused micro-op program ready for execution.
@@ -234,12 +230,11 @@ func FusedCellInto(out *Dense, p *FuseProgram, ins []FusedInput) *Dense {
 	mFusedCellCalls.Inc()
 	total := rows * cols
 	mFlops.Add(int64(p.arith) * int64(total))
-	work := total * (p.arith + 1)
-	if work < parallelThreshold || pool.SerialNow() {
+	if !pool.Parallel(total * (p.arith + 1)) {
 		fusedCellRange(p, k, ins, sv, out.data, cols, 0, total)
 	} else {
 		nt := (total + fusedTileW - 1) / fusedTileW
-		pool.Do(nt, pool.Grain(nt, fusedTileW*(p.arith+1)), func(t0, t1 int) {
+		pool.Do(nt, pool.Grain(nt, fusedTileW*(p.arith+1), 0), func(t0, t1 int) {
 			hi := t1 * fusedTileW
 			if hi > total {
 				hi = total
@@ -280,10 +275,10 @@ func (c *fuseCtx) cellTiles(k *fusedKernel, ins []FusedInput, sv, dstAll []float
 }
 
 // FusedSum reduces the program's virtual rows×cols result to its scalar sum
-// without materializing it. The element range splits into fixed tile-aligned
-// chunks whose size depends on the program alone, summed in chunk order
-// through pool.Reduce — and the serial regime walks the same chunks in the
-// same order — so the result is bit-identical across runs and GOMAXPROCS.
+// without materializing it. The tiles are summed in the fixed chunks of
+// pool.Grain through pool.Reduce — and the serial regime walks the same
+// chunks in the same order — so the result is bit-identical across runs and
+// GOMAXPROCS.
 func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	fusedCheckInputs(p, ins, rows, cols)
 	total := rows * cols
@@ -295,15 +290,15 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(total))
-	chunk := fusedTileW * max(1, fusedSumWork/(fusedTileW*(p.arith+1)))
+	nt, tileWork := (total+fusedTileW-1)/fusedTileW, fusedTileW*(p.arith+1)
 	sum := pool.GetF64Zeroed(1)
-	if total*(p.arith+1) < parallelThreshold || pool.SerialNow() {
-		pool.ReduceSerial(sum, total, chunk, func(acc []float64, lo, hi int) {
-			acc[0] += fusedSumRange(p, k, ins, sv, cols, lo, hi)
+	if pool.Parallel(nt * tileWork) {
+		pool.Reduce(sum, nt, tileWork, func(acc []float64, t0, t1 int) {
+			acc[0] += fusedSumRange(p, k, ins, sv, cols, t0*fusedTileW, min(t1*fusedTileW, total))
 		})
 	} else {
-		pool.Reduce(sum, total, chunk, func(acc []float64, lo, hi int) {
-			acc[0] += fusedSumRange(p, k, ins, sv, cols, lo, hi)
+		pool.ReduceSerial(sum, nt, tileWork, func(acc []float64, t0, t1 int) {
+			acc[0] += fusedSumRange(p, k, ins, sv, cols, t0*fusedTileW, min(t1*fusedTileW, total))
 		})
 	}
 	s := sum[0]
@@ -355,11 +350,10 @@ func fusedRowVec(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(rows) * int64(cols))
-	work := rows * cols * (p.arith + 1)
-	if work < parallelThreshold || rows < 2 || pool.SerialNow() {
+	if !pool.Parallel(rows * cols * (p.arith + 1)) {
 		fusedRowVecRange(p, k, ins, sv, cols, v, dst, 0, rows)
 	} else {
-		pool.Do(rows, pool.Grain(rows, cols*(p.arith+1)), func(r0, r1 int) {
+		pool.Do(rows, pool.Grain(rows, cols*(p.arith+1), 0), func(r0, r1 int) {
 			fusedRowVecRange(p, k, ins, sv, cols, v, dst, r0, r1)
 		})
 	}
@@ -410,8 +404,9 @@ func fusedRowVecRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []flo
 }
 
 // FusedColSumsInto reduces each virtual column of the program's result to
-// its sum. dst must have length cols. Large inputs sum fixed row chunks
-// through pool.Reduce, so the result is bit-identical at every core count.
+// its sum. dst must have length cols. Rows are summed in the fixed chunks of
+// pool.Grain through pool.Reduce, so the result is bit-identical at every
+// core count.
 func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int) []float64 {
 	fusedCheckInputs(p, ins, rows, cols)
 	if len(dst) != cols {
@@ -425,11 +420,12 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 	for j := range dst {
 		dst[j] = 0
 	}
-	chunk := pool.Grain(rows, cols*(p.arith+1))
-	if rows*cols*(p.arith+1) < parallelThreshold || rows <= chunk {
-		fusedColSumsRange(p, k, ins, sv, cols, dst, 0, rows)
+	if rowWork := cols * (p.arith + 1); pool.Parallel(rows * rowWork) {
+		pool.Reduce(dst, rows, rowWork, func(acc []float64, r0, r1 int) {
+			fusedColSumsRange(p, k, ins, sv, cols, acc, r0, r1)
+		})
 	} else {
-		pool.Reduce(dst, rows, chunk, func(acc []float64, r0, r1 int) {
+		pool.ReduceSerial(dst, rows, rowWork, func(acc []float64, r0, r1 int) {
 			fusedColSumsRange(p, k, ins, sv, cols, acc, r0, r1)
 		})
 	}

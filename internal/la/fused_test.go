@@ -151,12 +151,8 @@ func closeSlices(a, b []float64, tol float64) bool {
 }
 
 // checkFusedProp runs prop over count random seeds drawn from seed, at
-// GOMAXPROCS=1 and N, with parallelThreshold set to thresh.
-func checkFusedProp(t *testing.T, seed int64, count, thresh int, prop func(rr *rand.Rand) bool) {
-	oldThresh := parallelThreshold
-	parallelThreshold = thresh
-	defer func() { parallelThreshold = oldThresh }()
-
+// GOMAXPROCS=1 and N.
+func checkFusedProp(t *testing.T, seed int64, count int, prop func(rr *rand.Rand) bool) {
 	r := rand.New(rand.NewSource(seed))
 	f := func(s int64) bool { return prop(rand.New(rand.NewSource(s))) }
 	eachProcs(func() {
@@ -166,37 +162,53 @@ func checkFusedProp(t *testing.T, seed int64, count, thresh int, prop func(rr *r
 	})
 }
 
+// smallShape draws a shape far under the pool's gate.
+func smallShape(rr *rand.Rand) (rows, cols int) { return 1 + rr.Intn(40), 1 + rr.Intn(40) }
+
+// gateShape draws a shape of at least 2¹⁷ cells, over the pool's gate
+// whatever the program, with some rows wider than a tile, on a multi-chunk
+// grid.
+func gateShape(t *testing.T) func(rr *rand.Rand) (rows, cols int) {
+	return func(rr *rand.Rand) (rows, cols int) {
+		rows = 64 + rr.Intn(200)
+		cols = (1<<17+rows-1)/rows + rr.Intn(40)
+		multiChunk(t, rows, cols)
+		return rows, cols
+	}
+}
+
 // fusedCellMatchesRef: one random program and input mix — scalar-rooted
 // programs included — must come out of FusedCell bit for bit as the
 // materializing reference computes it.
-func fusedCellMatchesRef(t *testing.T, rr *rand.Rand) bool {
-	rows := 1 + rr.Intn(40)
-	cols := 1 + rr.Intn(40)
+func fusedCellMatchesRef(t *testing.T, rr *rand.Rand, shape func(*rand.Rand) (int, int)) bool {
+	rows, cols := shape(rr)
 	p, ins := genFusedCase(rr, rows, cols)
 	want := refFused(p, ins, rows, cols)
 	if got := FusedCell(p, ins, rows, cols); !bitsEqual(got.data, want) {
-		t.Logf("cell differs from reference at %dx%d, %d ops (threshold %d)", rows, cols, len(p.ops), parallelThreshold)
+		t.Logf("cell differs from reference at %dx%d, %d ops", rows, cols, len(p.ops))
 		return false
 	}
 	return true
 }
 
 // TestFusedCellEquivalence: the compiled closure/flat cell kernels against
-// the materializing reference on the forced-parallel pool path.
+// the materializing reference, on the small shapes of the serial path and on
+// the pool path, over the gate.
 func TestFusedCellEquivalence(t *testing.T) {
-	checkFusedProp(t, 21, 40, 1, func(rr *rand.Rand) bool { return fusedCellMatchesRef(t, rr) })
+	checkFusedProp(t, 21, 40, func(rr *rand.Rand) bool { return fusedCellMatchesRef(t, rr, smallShape) })
+	checkFusedProp(t, 21, 40, func(rr *rand.Rand) bool { return fusedCellMatchesRef(t, rr, gateShape(t)) })
 }
 
 // TestCompiledCellMatchesReference: the same property on the serial path,
-// at the default parallel threshold none of these shapes reaches.
+// at shapes far under the gate.
 func TestCompiledCellMatchesReference(t *testing.T) {
-	checkFusedProp(t, 31, 40, parallelThreshold, func(rr *rand.Rand) bool { return fusedCellMatchesRef(t, rr) })
+	checkFusedProp(t, 31, 40, func(rr *rand.Rand) bool { return fusedCellMatchesRef(t, rr, smallShape) })
 }
 
 // TestFusedSumReproducible: FusedSum's fixed tile-aligned chunks make its
 // result bit-identical across repeats and GOMAXPROCS 1, 2 and 4 — for a
 // closure-tree program and a squared scaling over partly-zero data, each large
-// enough to split into several chunks and to cross the parallel threshold.
+// enough to split into several chunks and to cross the pool's gate.
 func TestFusedSumReproducible(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
 	rows, cols := 700, 400
@@ -247,9 +259,8 @@ func TestFusedSumReproducible(t *testing.T) {
 // fusedAggMatchesRef: every RowAgg reduction (sum, rowSums, colSums,
 // matrix-vector) of one random program against reductions of the
 // materialized reference.
-func fusedAggMatchesRef(t *testing.T, rr *rand.Rand) bool {
-	rows := 1 + rr.Intn(40)
-	cols := 1 + rr.Intn(40)
+func fusedAggMatchesRef(t *testing.T, rr *rand.Rand, shape func(*rand.Rand) (int, int)) bool {
+	rows, cols := shape(rr)
 	p, ins := genFusedCase(rr, rows, cols)
 	ref := refFused(p, ins, rows, cols)
 	tol := tolFor(rows*cols) * float64(p.arith+1)
@@ -297,16 +308,17 @@ func fusedAggMatchesRef(t *testing.T, rr *rand.Rand) bool {
 	return true
 }
 
-// TestFusedAggEquivalence: the aggregate property on the forced-parallel
-// pool path.
+// TestFusedAggEquivalence: the aggregate property on the small shapes of
+// the serial path and on the pool path, over the gate.
 func TestFusedAggEquivalence(t *testing.T) {
-	checkFusedProp(t, 22, 40, 1, func(rr *rand.Rand) bool { return fusedAggMatchesRef(t, rr) })
+	checkFusedProp(t, 22, 40, func(rr *rand.Rand) bool { return fusedAggMatchesRef(t, rr, smallShape) })
+	checkFusedProp(t, 22, 40, func(rr *rand.Rand) bool { return fusedAggMatchesRef(t, rr, gateShape(t)) })
 }
 
 // TestCompiledAggMatchesReference: the aggregate property on the serial
 // path.
 func TestCompiledAggMatchesReference(t *testing.T) {
-	checkFusedProp(t, 32, 30, parallelThreshold, func(rr *rand.Rand) bool { return fusedAggMatchesRef(t, rr) })
+	checkFusedProp(t, 32, 30, func(rr *rand.Rand) bool { return fusedAggMatchesRef(t, rr, smallShape) })
 }
 
 // TestFusedWideRows drives the cols > fusedTileW column-chunking path.
@@ -491,14 +503,16 @@ func TestXtYIntoEquivalence(t *testing.T) {
 }
 
 // TestFusedParallelRace hammers the pool path from the race detector's
-// perspective: forced-parallel fused kernels over shared inputs. Run with
-// -race via `make race` (internal/la is in RACE_PKGS).
+// perspective: fused kernels over shared inputs over the pool's gate. Run
+// with -race via `make race` (internal/la is in RACE_PKGS).
 func TestFusedParallelRace(t *testing.T) {
-	oldThresh := parallelThreshold
-	parallelThreshold = 1
-	defer func() { parallelThreshold = oldThresh }()
 	r := rand.New(rand.NewSource(27))
-	rows, cols := 200, 30
+	rows, cols := 200, 700
+	withGOMAXPROCS(2, func() {
+		if !pool.Parallel(rows * cols) {
+			t.Fatalf("%dx%d is under the pool's gate: the race test would not reach the pool", rows, cols)
+		}
+	})
 	x := randMat(r, rows, cols, 0.3)
 	c := randMat(r, rows, cols, 0.8)
 	p, err := CompileFused([]FusedOp{

@@ -4,8 +4,8 @@ package la
 // workload — the E15 6-op sigmoid chain sigmoid(x*2+1)*x - x/3 over
 // 200000×20 — evaluated by the compiled kernel (flat template), a
 // hand-written loop with the tile-vectorized sigmoid, and a hand-written
-// loop with scalar math.Exp, all single-core (the pool's parallel threshold
-// is not enough at this size, so GOMAXPROCS pins the comparison instead).
+// loop with scalar math.Exp, all single-core (the pool's gate is not enough
+// at this size, so GOMAXPROCS pins the comparison instead).
 // Run with -cpu=1:
 //
 //	go test -run '^$' -bench BenchmarkFusedDispatch -cpu=1 ./internal/la

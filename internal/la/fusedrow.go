@@ -36,8 +36,8 @@ type RowCell struct {
 // FusedRowInto computes dst = Xᵀ·g(f(X·u)) and returns dst. dst must have
 // length X.Cols() and u length X.Cols(). A nil f.Prog makes f the identity,
 // and v must then be nil; otherwise v (length X.Rows()) receives f(X·u).
-// Large inputs sum fixed row chunks through pool.Reduce, so the result is
-// bit-identical at every core count; the serial regime allocates nothing.
+// Rows are summed in the fixed chunks of pool.Grain through pool.Reduce, so
+// the result is bit-identical at every core count; a call allocates nothing.
 func FusedRowInto(dst, v []float64, x *Dense, u []float64, f, g RowCell) []float64 {
 	n, d := x.rows, x.cols
 	if len(u) != d || len(dst) != d {
@@ -66,17 +66,9 @@ func FusedRowInto(dst, v []float64, x *Dense, u []float64, f, g RowCell) []float
 	for j := range dst {
 		dst[j] = 0
 	}
-	// VecMatInto's grid and regimes, so the accumulation pairs the same rows
-	// and merges the same partials.
-	chunk := pool.Grain(n, d)
-	switch {
-	case n*d < parallelThreshold || n <= chunk:
-		rc.run(dst, 0, n)
-	case pool.SerialNow():
-		pool.ReduceSerial(dst, n, chunk, rc.run)
-	default:
-		pool.Reduce(dst, n, chunk, rc.run)
-	}
+	// VecMatInto's grid, so the accumulation pairs the same rows and merges
+	// the same partials.
+	pool.Reduce(dst, n, d, rc.run)
 	sw.Stop()
 	g.Prog.release(rc.g.sv)
 	if f.Prog != nil {

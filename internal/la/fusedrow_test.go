@@ -58,59 +58,55 @@ func sameBits(a, b []float64) int {
 
 // TestFusedRowBitIdentical: both Row forms equal the unfused sequence —
 // MatVecInto, the cell programs over whole columns, VecMatInto — bit for
-// bit, in the serial regime and (threshold forced to 1) the parallel one,
-// at GOMAXPROCS 1, 2 and 4, on shapes that straddle the tile, the pairing
-// and Dot's unrolling.
+// bit, at GOMAXPROCS 1, 2 and 4, on shapes that straddle the tile, the
+// pairing and Dot's unrolling, and on two over the pool's gate (2¹⁷ scalar
+// ops) and its multi-chunk grid, which take the pool path.
 func TestFusedRowBitIdentical(t *testing.T) {
 	f, g, g1 := rowPrograms(t)
 	r := rand.New(rand.NewSource(30))
-	for _, sh := range [][2]int{{1, 1}, {6, 2}, {7, 3}, {12, 6}, {513, 5}, {1001, 33}, {4099, 64}} {
+	multiChunk(t, 2081, 63)
+	multiChunk(t, 4099, 64)
+	for _, sh := range [][2]int{{1, 1}, {6, 2}, {7, 3}, {12, 6}, {513, 5}, {1001, 33}, {2081, 63}, {4099, 64}} {
 		rows, cols := sh[0], sh[1]
 		fx := newRowFixture(r, rows, cols)
 		scale := ScalarInput(1.5)
-
-		for _, threshold := range []int{parallelThreshold, 1} {
-			old := parallelThreshold
-			parallelThreshold = threshold
-			// The unfused plan, in the same regime.
-			margins := NewDense(rows, 1)
-			MatVecInto(margins.data, fx.x, fx.u)
-			for i := 0; i < rows; i++ {
-				if d := Dot(fx.x.RowView(i), fx.u); math.Float64bits(d) != math.Float64bits(margins.data[i]) {
-					t.Fatalf("%dx%d: MatVecInto row %d = %x, Dot %x", rows, cols, i, math.Float64bits(margins.data[i]), math.Float64bits(d))
+		// The unfused plan.
+		margins := NewDense(rows, 1)
+		MatVecInto(margins.data, fx.x, fx.u)
+		for i := 0; i < rows; i++ {
+			if d := Dot(fx.x.RowView(i), fx.u); math.Float64bits(d) != math.Float64bits(margins.data[i]) {
+				t.Fatalf("%dx%d: MatVecInto row %d = %x, Dot %x", rows, cols, i, math.Float64bits(margins.data[i]), math.Float64bits(d))
+			}
+		}
+		vWant := FusedCell(f, []FusedInput{DenseInput(margins), scale}, rows, 1)
+		gWant := FusedCell(g, []FusedInput{DenseInput(fx.y), DenseInput(vWant), DenseInput(fx.mask)}, rows, 1)
+		pairWant := VecMat(gWant.data, fx.x)
+		g1Want := FusedCell(g1, []FusedInput{DenseInput(margins), DenseInput(fx.y)}, rows, 1)
+		singleWant := VecMat(g1Want.data, fx.x)
+		for _, procs := range []int{1, 2, 4} {
+			withGOMAXPROCS(procs, func() {
+				v := make([]float64, rows)
+				got := FusedRowInto(make([]float64, cols), v, fx.x, fx.u,
+					RowCell{Prog: f, Ins: []FusedInput{{}, scale}, Slot: 0},
+					RowCell{Prog: g, Ins: []FusedInput{DenseInput(fx.y), {}, DenseInput(fx.mask)}, Slot: 1})
+				if i := sameBits(v, vWant.data); i >= 0 {
+					t.Errorf("%dx%d procs %d: v[%d] = %v, unfused %v", rows, cols, procs, i, v[i], vWant.data[i])
 				}
-			}
-			vWant := FusedCell(f, []FusedInput{DenseInput(margins), scale}, rows, 1)
-			gWant := FusedCell(g, []FusedInput{DenseInput(fx.y), DenseInput(vWant), DenseInput(fx.mask)}, rows, 1)
-			pairWant := VecMat(gWant.data, fx.x)
-			g1Want := FusedCell(g1, []FusedInput{DenseInput(margins), DenseInput(fx.y)}, rows, 1)
-			singleWant := VecMat(g1Want.data, fx.x)
-			for _, procs := range []int{1, 2, 4} {
-				withGOMAXPROCS(procs, func() {
-					v := make([]float64, rows)
-					got := FusedRowInto(make([]float64, cols), v, fx.x, fx.u,
-						RowCell{Prog: f, Ins: []FusedInput{{}, scale}, Slot: 0},
-						RowCell{Prog: g, Ins: []FusedInput{DenseInput(fx.y), {}, DenseInput(fx.mask)}, Slot: 1})
-					if i := sameBits(v, vWant.data); i >= 0 {
-						t.Errorf("%dx%d threshold %d procs %d: v[%d] = %v, unfused %v", rows, cols, threshold, procs, i, v[i], vWant.data[i])
-					}
-					if i := sameBits(got, pairWant); i >= 0 {
-						t.Errorf("%dx%d threshold %d procs %d: pair product[%d] = %v, unfused %v", rows, cols, threshold, procs, i, got[i], pairWant[i])
-					}
-					got = FusedRowInto(make([]float64, cols), nil, fx.x, fx.u, RowCell{},
-						RowCell{Prog: g1, Ins: []FusedInput{{}, DenseInput(fx.y)}})
-					if i := sameBits(got, singleWant); i >= 0 {
-						t.Errorf("%dx%d threshold %d procs %d: single product[%d] = %v, unfused %v", rows, cols, threshold, procs, i, got[i], singleWant[i])
-					}
-				})
-			}
-			parallelThreshold = old
+				if i := sameBits(got, pairWant); i >= 0 {
+					t.Errorf("%dx%d procs %d: pair product[%d] = %v, unfused %v", rows, cols, procs, i, got[i], pairWant[i])
+				}
+				got = FusedRowInto(make([]float64, cols), nil, fx.x, fx.u, RowCell{},
+					RowCell{Prog: g1, Ins: []FusedInput{{}, DenseInput(fx.y)}})
+				if i := sameBits(got, singleWant); i >= 0 {
+					t.Errorf("%dx%d procs %d: single product[%d] = %v, unfused %v", rows, cols, procs, i, got[i], singleWant[i])
+				}
+			})
 		}
 	}
 }
 
-// TestFusedRowZeroAlloc: in the serial regime — one range, and
-// pool.ReduceSerial's chunk walk above the threshold — a Row call allocates
+// TestFusedRowZeroAlloc: in the serial regime — one range, and the
+// multi-chunk grid walked on the calling goroutine — a Row call allocates
 // nothing once warm, like the other fused kernels.
 func TestFusedRowZeroAlloc(t *testing.T) {
 	f, g, g1 := rowPrograms(t)

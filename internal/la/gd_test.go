@@ -7,24 +7,27 @@ import (
 	"testing"
 
 	"dmml/internal/factorized"
-	"dmml/internal/la"
 	"dmml/internal/opt"
+	"dmml/internal/pool"
 	"dmml/internal/workload"
 )
 
-// TestGradientDescentBitReproducibleForcedParallel: with parallelThreshold
-// forced to 1, gradient descent over small dense and join-tree sources
-// runs its VecMat reductions on multi-chunk grids through the pool, and still
-// returns the same W and History bits on every repeat at GOMAXPROCS 1, 2
-// and 4.
+// TestGradientDescentBitReproducibleForcedParallel: gradient descent over
+// dense and join-tree sources just over the pool's gate runs its MatVec and
+// VecMat kernels on multi-chunk grids through the pool, and still returns the
+// same W and History bits on every repeat at GOMAXPROCS 1, 2 and 4.
 func TestGradientDescentBitReproducibleForcedParallel(t *testing.T) {
-	defer la.SetParallelThreshold(la.SetParallelThreshold(1))
 	r := rand.New(rand.NewSource(20))
-	// 2000×20: three VecMat chunks of 820 rows.
-	x, y, _ := workload.Classification(r, 2000, 20, 0.05)
+	// 6600×20, 132 000 scalar ops: over the gate, nine VecMat chunks of 824
+	// rows.
+	const rows, cols = 6600, 20
+	if g := pool.Grain(rows, cols, cols); g >= rows {
+		t.Fatalf("%dx%d is one %d-row chunk", rows, cols, g)
+	}
+	x, y, _ := workload.Classification(r, rows, cols, 0.05)
 	s, err := workload.GenerateSnowflake(r, workload.SnowflakeConfig{
-		FactRows:  2000,
-		FactFeats: 20,
+		FactRows:  rows,
+		FactFeats: cols,
 		Nodes:     []workload.SnowNode{{Rows: 100, Feats: 3, Parent: -1}},
 		Task:      workload.RegressionTask,
 		Signal:    1,

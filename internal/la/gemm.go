@@ -50,7 +50,7 @@ func roundUp(n, to int) int { return (n + to - 1) / to * to }
 // partial outputs merged in chunk order — the only parallelizable dimension
 // when m and n are both small.
 const (
-	kSplitMaxOut = 1 << 12 // parallelize over k only when m*n fits L1 comfortably
+	kSplitMaxOut = 1 << 12 // split over k only when m*n fits L1 comfortably
 	kSplitMinK   = 256
 )
 
@@ -75,16 +75,10 @@ func gemmKAccum(a, b *Dense, acc []float64, k0, k1 int) {
 	}
 }
 
-// gemmKSplit computes out += a × b by splitting the k dimension across the
-// worker pool. out must be zeroed (or hold a partial sum).
+// gemmKSplit computes out += a × b as a reduction over fixed chunks of the k
+// dimension. out must be zeroed (or hold a partial sum).
 func gemmKSplit(a, b, out *Dense) {
-	k, n := a.cols, b.cols
-	chunk := pool.Grain(k, a.rows*n)
-	if a.rows*k*n < parallelThreshold || k <= chunk {
-		gemmKAccum(a, b, out.data, 0, k)
-		return
-	}
-	pool.Reduce(out.data, k, chunk, func(acc []float64, lo, hi int) {
+	pool.Reduce(out.data, a.cols, a.rows*b.cols, func(acc []float64, lo, hi int) {
 		gemmKAccum(a, b, acc, lo, hi)
 	})
 }

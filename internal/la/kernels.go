@@ -6,22 +6,17 @@ import (
 	"dmml/internal/pool"
 )
 
-// parallelThreshold is the minimum amount of scalar work (flops) below which
-// kernels stay single-threaded; dispatch overhead costs more than it saves
-// on small inputs. A var so tests can force the parallel path.
-var parallelThreshold = 1 << 18
-
 // parallelRows runs fn over row ranges of [0,rows) on the shared worker
 // pool with dynamic chunk scheduling: workers claim bounded chunks off an
 // atomic index, so skewed per-row cost (zero-heavy GEMM rows, uneven sparse
 // rows) rebalances instead of serializing on the slowest static chunk. work
-// is the total scalar-op estimate used for the serial cutoff and grain.
+// is the total scalar-op estimate the pool's gate and grid are taken from.
 func parallelRows(rows int, work int, fn func(r0, r1 int)) {
-	if work < parallelThreshold || rows < 2 {
+	if !pool.Parallel(work) {
 		fn(0, rows)
 		return
 	}
-	pool.Do(rows, pool.Grain(rows, work/rows), fn)
+	pool.Do(rows, pool.Grain(rows, work/rows, 0), fn)
 }
 
 // MatMul returns a × b. It panics if the inner dimensions disagree.
@@ -39,9 +34,9 @@ func MatMul(a, b *Dense) *Dense {
 	mMatMulCalls.Inc()
 	mFlops.Add(2 * int64(work))
 	switch {
-	case a.rows*b.cols <= kSplitMaxOut && a.cols >= kSplitMinK && work >= parallelThreshold:
+	case a.rows*b.cols <= kSplitMaxOut && a.cols >= kSplitMinK:
 		// Skinny product (Xᵀ·X-shaped): k-outer order reads each operand
-		// once and keeps the whole output in cache; parallel over k.
+		// once and keeps the whole output in cache; a reduction over k.
 		mMatMulKSplit.Inc()
 		gemmKSplit(a, b, out)
 	case gemmUseBlocked(a, b.cols):
@@ -97,7 +92,7 @@ func MatVecInto(dst []float64, m *Dense, x []float64) []float64 {
 	mFlops.Add(2 * int64(m.rows) * int64(m.cols))
 	// Direct serial path (not via parallelRows): keeps the closure off the
 	// heap so iterative solvers see zero steady-state allocations.
-	if m.rows*m.cols < parallelThreshold || m.rows < 2 || pool.SerialNow() {
+	if !pool.Parallel(m.rows * m.cols) {
 		matVecRows(dst, m, x, 0, m.rows)
 		return dst
 	}
@@ -167,9 +162,9 @@ func VecMat(x []float64, m *Dense) []float64 {
 }
 
 // VecMatInto computes xᵀ × m into dst (overwriting it) and returns dst. dst
-// must have length m.Cols(). Large inputs sum fixed row chunks through
-// pool.Reduce, so the result is bit-identical at every core count; the
-// serial regime allocates nothing.
+// must have length m.Cols(). Rows are summed in the fixed chunks of
+// pool.Grain through pool.Reduce, so the result is bit-identical at every
+// core count; the serial regime allocates nothing.
 func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 	if m.rows != len(x) {
 		panic(fmt.Sprintf("la: VecMat len %d × %dx%d", len(x), m.rows, m.cols))
@@ -182,14 +177,10 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 	for j := range dst {
 		dst[j] = 0
 	}
-	chunk := pool.Grain(m.rows, m.cols)
-	switch {
-	case m.rows*m.cols < parallelThreshold || m.rows <= chunk:
-		vecMatAccum(dst, x, m, 0, m.rows)
-	case pool.SerialNow():
-		pool.ReduceSerial(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
-	default:
-		pool.Reduce(dst, m.rows, chunk, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
+	if pool.Parallel(m.rows * m.cols) {
+		pool.Reduce(dst, m.rows, m.cols, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
+	} else {
+		pool.ReduceSerial(dst, m.rows, m.cols, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
 	}
 	return dst
 }
@@ -234,9 +225,9 @@ func Gram(x *Dense) *Dense {
 }
 
 // GramInto computes XᵀX into out (overwriting it) and returns out. out must
-// be cols×cols. Large inputs sum fixed row chunks through pool.Reduce, so
-// the result is bit-identical at every core count; the serial regime
-// allocates nothing.
+// be cols×cols. Rows are summed in the fixed chunks of pool.Grain through
+// pool.Reduce, so the result is bit-identical at every core count; the
+// serial regime allocates nothing.
 func GramInto(out *Dense, x *Dense) *Dense {
 	d := x.cols
 	if out.rows != d || out.cols != d {
@@ -247,14 +238,10 @@ func GramInto(out *Dense, x *Dense) *Dense {
 	mGramCalls.Inc()
 	mFlops.Add(int64(x.rows) * int64(d) * int64(d))
 	out.Zero()
-	chunk := pool.Grain(x.rows, d*d)
-	switch {
-	case x.rows*d*d < parallelThreshold || x.rows <= chunk:
-		gramAccum(x, out.data, 0, x.rows)
-	case pool.SerialNow():
-		pool.ReduceSerial(out.data, x.rows, chunk, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
-	default:
-		pool.Reduce(out.data, x.rows, chunk, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
+	if pool.Parallel(x.rows * d * d) {
+		pool.Reduce(out.data, x.rows, d*d, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
+	} else {
+		pool.ReduceSerial(out.data, x.rows, d*d, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
 	}
 	// Mirror the upper triangle into the lower triangle.
 	for i := 0; i < d; i++ {

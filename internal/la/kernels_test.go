@@ -74,7 +74,7 @@ func TestMatVecVecMat(t *testing.T) {
 // VecMat must agree with the sequential path when forced parallel (large input).
 func TestVecMatParallelConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	m := randDense(r, 4000, 100) // above parallelThreshold
+	m := randDense(r, 4000, 100) // above the pool's gate
 	y := make([]float64, 4000)
 	for i := range y {
 		y[i] = r.NormFloat64()

@@ -27,7 +27,7 @@ const streamGoldenPath = "testdata/stream_golden.txt"
 
 // goldenStream builds a matrix of the benchmark's out-of-core block shape —
 // 4096-row blocks of 32 Zipf-categorical columns and 8 Gaussian ones, each
-// block over the compressed kernels' parallel cutoff — and its labels, and
+// block over the pool's gate — and its labels, and
 // pages it into a pool smaller than its paged form, with the prefetcher on.
 func goldenStream(t *testing.T) (*Matrix, []float64) {
 	t.Helper()

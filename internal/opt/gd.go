@@ -78,7 +78,7 @@ func lossAndGradientInto(data Data, y, w []float64, loss Loss, l2 float64, margi
 		return lossAndGradientStream(src, y, w, loss, l2, margins, derivs, grad)
 	case BulkData:
 		src.MatVecInto(margins, w)
-		total := loss.Batch(derivs, margins, y)
+		total := loss.Batch(derivs, margins, y, data.Cols())
 		src.VecMatInto(grad, derivs)
 		invN := 1 / float64(n)
 		for j := range grad {

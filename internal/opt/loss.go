@@ -25,40 +25,44 @@ type Loss interface {
 	// Deriv returns ∂L/∂m.
 	Deriv(m, y float64) float64
 	// Batch writes Deriv(margins[i], y[i]) into derivs[i] and returns
-	// Σ Value(margins[i], y[i]); all three slices have one length. The sum is
-	// taken over fixed lossChunk-row chunks, each added in row order and the
-	// chunk sums added in chunk order, so for given inputs sum and derivs are
-	// bit-identical across runs and across GOMAXPROCS. Batches of at most
-	// lossChunk rows run on the calling goroutine and allocate nothing.
-	Batch(derivs, margins, y []float64) float64
+	// Σ Value(margins[i], y[i]); all three slices have one length. cols is
+	// the width of the data the margins came from: the pass is a step over
+	// rows of cols scalar operations, so it sums over la.VecMatInto's row
+	// chunks on that data and shares its gate. Each chunk is added in row
+	// order and the chunk sums in chunk order, so for given inputs sum and
+	// derivs are bit-identical across runs and across GOMAXPROCS. Batches
+	// under the pool's gate run on the calling goroutine and allocate
+	// nothing.
+	Batch(derivs, margins, y []float64, cols int) float64
 	// tile returns the loss's serial kernel: Batch over one chunk, on the
 	// calling goroutine. A one-pass block step (blockStep) runs it over
 	// each of its row ranges.
 	tile() func(derivs, margins, y []float64) float64
 }
 
-// lossChunk is the fixed chunk of the batched loss pass, in rows: about la's
-// parallelThreshold (2¹⁸ scalar ops) of logistic work, below which a pool
-// dispatch costs more than it saves.
-const lossChunk = 8192
-
 // batchLoss is the one loss pass under every bulk solver: tile is a loss's
-// serial kernel, run over the whole batch when it fits one chunk and over the
-// pool's workers chunk by chunk otherwise.
-func batchLoss(derivs, margins, y []float64, tile func(derivs, margins, y []float64) float64) float64 {
+// serial kernel, run chunk by chunk over pool.Grain's grid for rows of cols
+// scalar operations, on the pool's workers over the gate and on the calling
+// goroutine under it.
+func batchLoss(derivs, margins, y []float64, cols int, tile func(derivs, margins, y []float64) float64) float64 {
 	n := len(margins)
 	if len(derivs) != n || len(y) != n {
 		panic(fmt.Sprintf("opt: loss batch of %d margins, %d labels, %d derivs", n, len(y), len(derivs)))
 	}
-	// The direct call keeps the closure below off the heap for small batches.
-	if n <= lossChunk {
-		return tile(derivs, margins, y)
+	sum := pool.GetF64Zeroed(1)
+	// The serial branch keeps its closure off the heap.
+	if pool.Parallel(n * cols) {
+		pool.Reduce(sum, n, cols, func(acc []float64, lo, hi int) {
+			acc[0] += tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
+		})
+	} else {
+		pool.ReduceSerial(sum, n, cols, func(acc []float64, lo, hi int) {
+			acc[0] += tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
+		})
 	}
-	var sum [1]float64
-	pool.Reduce(sum[:], n, lossChunk, func(acc []float64, lo, hi int) {
-		acc[0] += tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
-	})
-	return sum[0]
+	s := sum[0]
+	pool.PutF64(sum)
+	return s
 }
 
 // Squared is the squared-error loss ½(m−y)², for regression.
@@ -75,8 +79,8 @@ func (Squared) Value(m, y float64) float64 { d := m - y; return 0.5 * d * d }
 func (Squared) Deriv(m, y float64) float64 { return m - y }
 
 // Batch implements Loss.
-func (Squared) Batch(derivs, margins, y []float64) float64 {
-	return batchLoss(derivs, margins, y, squaredTile)
+func (Squared) Batch(derivs, margins, y []float64, cols int) float64 {
+	return batchLoss(derivs, margins, y, cols, squaredTile)
 }
 
 func (Squared) tile() func(derivs, margins, y []float64) float64 { return squaredTile }
@@ -109,8 +113,8 @@ func (Logistic) Value(m, y float64) float64 { return la.LogisticValue(m, y) }
 func (Logistic) Deriv(m, y float64) float64 { return la.LogisticDeriv(m, y) }
 
 // Batch implements Loss.
-func (Logistic) Batch(derivs, margins, y []float64) float64 {
-	return batchLoss(derivs, margins, y, la.LogisticLossInto)
+func (Logistic) Batch(derivs, margins, y []float64, cols int) float64 {
+	return batchLoss(derivs, margins, y, cols, la.LogisticLossInto)
 }
 
 func (Logistic) tile() func(derivs, margins, y []float64) float64 { return la.LogisticLossInto }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dmml/internal/la"
+	"dmml/internal/pool"
 )
 
 var allLosses = []Loss{Squared{}, Logistic{}}
@@ -54,21 +55,24 @@ func sameFloat(a, b float64) bool {
 // TestBatchMatchesPerRow: for every loss the batch method is the per-row
 // Value/Deriv pair — each deriv to the bit (the contract allows 2 ulp; the
 // kernels share their lane arithmetic with the scalars, so none is needed),
-// the sum to 1e-12 relative (chunking reassociates it above lossChunk rows) —
-// at lengths around the 8-lane grouping and the chunk size, at every core
-// count, over the edge margins. (la's TestLogisticLossIntoMatchesScalar
+// the sum to 1e-12 relative (chunking reassociates it above one chunk) — at
+// lengths around the 8-lane grouping, the chunk size and the pool's gate, at
+// every core count, over the edge margins. (la's TestLogisticLossIntoMatchesScalar
 // repeats the logistic half with the exp probe forced to scalar mode.)
 func TestBatchMatchesPerRow(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rand.New(rand.NewSource(150))
+	const cols = 16
+	chunk := pool.Grain(1<<14, cols, cols)
+	gate := 1 << 17 / cols // rows at the pool's gate
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, loss := range allLosses {
-			for _, n := range []int{0, 1, 7, 8, 9, 4097, lossChunk, lossChunk + 1, 3*lossChunk + 5} {
+			for _, n := range []int{0, 1, 7, 8, 9, chunk, chunk + 1, 3*chunk + 5, 4097, gate - 1, gate} {
 				for _, nonFinite := range []bool{false, true} {
 					margins, y := lossCases(r, n, nonFinite)
 					derivs := make([]float64, n)
-					got := loss.Batch(derivs, margins, y)
+					got := loss.Batch(derivs, margins, y, cols)
 					want := 0.0
 					for i, m := range margins {
 						want += loss.Value(m, y[i])
@@ -93,12 +97,12 @@ func TestBatchLengthMismatchPanics(t *testing.T) {
 					t.Errorf("%T.Batch accepted 3 margins with 2 labels", loss)
 				}
 			}()
-			loss.Batch(make([]float64, 3), make([]float64, 3), make([]float64, 2))
+			loss.Batch(make([]float64, 3), make([]float64, 3), make([]float64, 2), 1)
 		}()
 	}
 }
 
-// TestBatchReproducible: above the chunk size the pass runs on the pool, and
+// TestBatchReproducible: over the pool's gate the pass runs on the pool, and
 // still returns the same bits at GOMAXPROCS 1, 2 and 4 and on every repeat —
 // fixed chunks, chunk sums added in index order. GradientDescent's first
 // history entry is that sum (at w = 0), so it is bit-equal across core counts
@@ -106,7 +110,11 @@ func TestBatchLengthMismatchPanics(t *testing.T) {
 func TestBatchReproducible(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rand.New(rand.NewSource(151))
-	n := 5*lossChunk + 123
+	const cols = 16
+	n := 5*8192 + 123 // over the pool's gate
+	if g := pool.Grain(n, cols, cols); g >= n {
+		t.Fatalf("%d rows are one %d-row chunk", n, g)
+	}
 	margins, y := lossCases(r, n, false)
 	for _, loss := range allLosses {
 		var wantSum float64
@@ -115,7 +123,7 @@ func TestBatchReproducible(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 20; rep++ {
 				derivs := make([]float64, n)
-				sum := loss.Batch(derivs, margins, y)
+				sum := loss.Batch(derivs, margins, y, cols)
 				if wantDerivs == nil {
 					wantSum, wantDerivs = sum, derivs
 					continue
@@ -132,7 +140,7 @@ func TestBatchReproducible(t *testing.T) {
 		}
 	}
 
-	x, yy := randProblem(r, 3*lossChunk, 6)
+	x, yy := randProblem(r, 3*8192, 6)
 	var first float64
 	for i, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -148,12 +156,36 @@ func TestBatchReproducible(t *testing.T) {
 	}
 }
 
+// TestLossGridIsVecMatGrid: the loss pass over the margins of rows × cols
+// data sums over the row chunks la.VecMatInto takes on that data —
+// pool.Grain(rows, cols, cols) — so a one-pass step can run both on one grid.
+func TestLossGridIsVecMatGrid(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, sh := range []struct{ n, cols int }{{100, 3}, {4096, 40}, {9000, 1}, {41083, 16}, {200000, 78}, {3000, 5000}} {
+		var got []int
+		tile := func(derivs, margins, y []float64) float64 {
+			got = append(got, len(margins))
+			return 0
+		}
+		buf := make([]float64, sh.n)
+		batchLoss(buf, buf, buf, sh.cols, tile)
+		g := pool.Grain(sh.n, sh.cols, sh.cols)
+		var want []int
+		for lo := 0; lo < sh.n; lo += g {
+			want = append(want, min(g, sh.n-lo))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%d×%d: loss chunks %v, VecMatInto's %v", sh.n, sh.cols, got, want)
+		}
+	}
+}
+
 // TestMeanLossReproducible: MeanLoss sums through the same chunk-ordered
 // reduction, so it too is bit-equal across core counts.
 func TestMeanLossReproducible(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rand.New(rand.NewSource(152))
-	x, y := randProblem(r, 2*lossChunk+17, 40)
+	x, y := randProblem(r, 2*8192+17, 40)
 	w := make([]float64, 40)
 	for j := range w {
 		w[j] = r.NormFloat64()
@@ -181,7 +213,8 @@ func TestMeanLossReproducible(t *testing.T) {
 }
 
 func benchLossPass(b *testing.B, loss Loss) {
-	for _, n := range []int{200000, 4096} {
+	for _, sh := range []struct{ n, cols int }{{200000, 78}, {4096, 40}} {
+		n := sh.n
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			r := rand.New(rand.NewSource(155))
 			margins, y := make([]float64, n), make([]float64, n)
@@ -193,7 +226,7 @@ func benchLossPass(b *testing.B, loss Loss) {
 			b.SetBytes(int64(24 * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lossSink = loss.Batch(derivs, margins, y)
+				lossSink = loss.Batch(derivs, margins, y, sh.cols)
 			}
 		})
 	}
@@ -201,7 +234,7 @@ func benchLossPass(b *testing.B, loss Loss) {
 
 var lossSink float64
 
-// The loss pass of the bulk solvers at train_join's row count and at one
-// out-of-core block (`make bench` runs them for benchstat).
+// The loss pass of the bulk solvers at train_join's row count and join width
+// and at one out-of-core block (`make bench` runs them for benchstat).
 func BenchmarkLossPassLogistic(b *testing.B) { benchLossPass(b, Logistic{}) }
 func BenchmarkLossPassSquared(b *testing.B)  { benchLossPass(b, Squared{}) }

@@ -106,10 +106,10 @@ func TestGradientDescentProcsEquivalent(t *testing.T) {
 }
 
 // TestGradientDescentBitReproducible extends the property to every BulkData
-// source, at sizes where each reduction on the path spans several chunks:
-// the loss pass (> lossChunk rows), dense VecMat (≥ 2¹⁸ flops), compressed
-// MatVec and VecMat (over the parallel cutoff: row ranges and concurrent
-// column groups) and the join tree's fact VecMat and scatterAdd.
+// source, at sizes where each reduction on the path spans several chunks and
+// clears the pool's gate: the loss pass, dense VecMat, compressed MatVec and
+// VecMat (row ranges and concurrent column groups) and the join tree's fact
+// VecMat and scatterAdd.
 func TestGradientDescentBitReproducible(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	cfg := GDConfig{Step: 0.5, MaxIter: 4, Backtracking: true}

@@ -84,7 +84,6 @@ func (s *SGDAggregate) Merge(other UDA) error {
 type SGDConfig struct {
 	Step   float64 // initial step size (> 0)
 	Decay  float64 // per-epoch decay: step_e = Step/(1+Decay·e)
-	L2     float64 // L2 regularization
 	Epochs int     // passes over the data (> 0)
 	Seed   int64   // shuffle seed
 }
@@ -109,14 +108,12 @@ type SGDResult struct {
 }
 
 // MeanLoss computes the unregularized mean loss of w over the data. Rows are
-// summed in fixed chunks on the worker pool — about la's parallelThreshold of
-// work each, as lossChunk is for the bare loss — and the chunk sums added in
-// chunk order, so the result does not depend on GOMAXPROCS.
+// summed through pool.Reduce in the fixed chunks of la.VecMatInto's grid on
+// the data, so the result does not depend on GOMAXPROCS.
 func MeanLoss(data *la.Dense, y []float64, w []float64, loss Loss) float64 {
 	n := data.Rows()
-	chunk := max(1, lossChunk*32/max(data.Cols(), 32))
 	var total [1]float64
-	pool.Reduce(total[:], n, chunk, func(acc []float64, lo, hi int) {
+	pool.Reduce(total[:], n, data.Cols(), func(acc []float64, lo, hi int) {
 		t := 0.0
 		for i := lo; i < hi; i++ {
 			t += loss.Value(la.Dot(w, data.RowView(i)), y[i])
@@ -137,7 +134,7 @@ func SGD(data *la.Dense, y []float64, loss Loss, cfg SGDConfig) (*SGDResult, err
 	if len(y) != n {
 		return nil, fmt.Errorf("opt: %d labels for %d rows", len(y), n)
 	}
-	agg := &SGDAggregate{Loss: loss, L2: cfg.L2}
+	agg := &SGDAggregate{Loss: loss}
 	agg.Initialize(data.Cols())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(n)
@@ -240,7 +237,7 @@ func modelAverageSGD(data *la.Dense, y []float64, loss Loss, cfg SGDConfig, work
 	// partitions are scheduled on the shared worker pool.
 	aggs := make([]*SGDAggregate, len(parts))
 	for pi := range aggs {
-		aggs[pi] = &SGDAggregate{Loss: loss, L2: cfg.L2}
+		aggs[pi] = &SGDAggregate{Loss: loss}
 		aggs[pi].Initialize(d)
 	}
 	states := newPartitionStates(parts, cfg.Seed)
@@ -310,7 +307,7 @@ func sharedAtomicSGD(data *la.Dense, y []float64, loss Loss, cfg SGDConfig, work
 					m := la.Dot(buf, x)
 					g := loss.Deriv(m, y[i])
 					for j, xj := range x {
-						delta := -step * (g*xj + cfg.L2*buf[j])
+						delta := -step * (g * xj)
 						if delta != 0 {
 							addTo(j, delta)
 						}

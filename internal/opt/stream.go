@@ -64,7 +64,7 @@ func blockStep(b RowBlock, loss Loss, grad, w, y, margins, derivs []float64) flo
 		return fb.LossGradAccum(grad, mb, db, w, yb, loss.tile())
 	}
 	b.MatVecInto(mb, w)
-	total := loss.Batch(db, mb, yb)
+	total := loss.Batch(db, mb, yb, b.Cols())
 	b.VecMatAccum(grad, db)
 	return total
 }

@@ -29,11 +29,11 @@ type FaultConfig struct {
 	// FailProb is the per-RPC probability that the call fails before the
 	// shard applies anything (a lost request).
 	FailProb float64
-	// AckLossProb is the per-RPC probability that the shard applies the
+	// ackLossProb is the per-RPC probability that the shard applies the
 	// operation but the acknowledgement is lost, so the client sees a
 	// failure and retries. Replaying a sequence-tagged push after ack loss
 	// must not double-apply — the shard-side dedup table guarantees that.
-	AckLossProb float64
+	ackLossProb float64
 	// Jitter adds uniform extra latency in [0, Jitter) to every RPC.
 	Jitter time.Duration
 	// KillAtTick maps a worker id to the local tick at which the worker
@@ -79,7 +79,7 @@ func (f *faultInjector) rpcFault() (fail, ackLoss bool, jitter time.Duration) {
 	switch {
 	case f.cfg.FailProb > 0 && r < f.cfg.FailProb:
 		fail = true
-	case f.cfg.AckLossProb > 0 && r < f.cfg.FailProb+f.cfg.AckLossProb:
+	case f.cfg.ackLossProb > 0 && r < f.cfg.FailProb+f.cfg.ackLossProb:
 		ackLoss = true
 	}
 	return fail, ackLoss, jitter

@@ -85,7 +85,7 @@ func TestIdempotentReplayUnderAckLoss(t *testing.T) {
 			return ps.Push(delta, 1)
 		},
 	} {
-		ps, _ := NewServer(4, 2, Network{Faults: &FaultConfig{AckLossProb: 0.7, Seed: 11}})
+		ps, _ := NewServer(4, 2, Network{Faults: &FaultConfig{ackLossProb: 0.7, Seed: 11}})
 		ps.retry = RetryPolicy{MaxRetries: 64, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
 		if err := push(ps, []float64{1, 2, 3, 4}); err != nil {
 			t.Fatalf("%s: %v", name, err)

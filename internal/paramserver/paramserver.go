@@ -368,7 +368,6 @@ type TrainConfig struct {
 	BatchSize int
 	Step      float64
 	Decay     float64 // per-epoch step decay
-	L2        float64
 	Mode      Mode
 	Staleness int // used when Mode == SSP
 	Seed      int64
@@ -571,7 +570,7 @@ func trainWorker(ps *Server, data *la.Dense, y []float64, loss opt.Loss, cfg Tra
 		e := t / ticksPerEpoch
 		b := (t % ticksPerEpoch) * cfg.BatchSize
 		bEnd := min(b+cfg.BatchSize, span)
-		opt.BatchGradientInto(data, y, w, loss, cfg.L2, order[b:bEnd], lo, grad)
+		opt.BatchGradientInto(data, y, w, loss, order[b:bEnd], lo, grad)
 		step := cfg.Step / (1 + cfg.Decay*float64(e))
 		seq++
 		if err := ps.pushFrom(id, seq, grad, -step/float64(bEnd-b)); err != nil {

@@ -174,28 +174,32 @@ func Do(n, grain int, fn func(lo, hi int)) {
 }
 
 // Reduce is the parallel reduction: body adds the contribution of items
-// [lo,hi) into acc, and Reduce sums the contributions into dst over the fixed
-// grid [0,chunk), [chunk,2·chunk), … of [0,n). Chunk 0 accumulates straight
-// into dst, which must already hold the value to add to (usually zeros).
-// Every later chunk accumulates into a zeroed scratch partial the length of
-// dst, which is added into dst as soon as every lower-indexed chunk has been
-// and then released. The grid and the merge order depend on n and chunk
-// alone — never on GOMAXPROCS, Workers or which worker ran which chunk — so
-// for a deterministic body dst is bit-identical across runs and core counts;
-// at GOMAXPROCS=1 the chunks run in index order through one recycled
-// partial. With a one-element dst it is the reproducible scalar sum.
+// [lo,hi) into acc, and Reduce sums the contributions into dst over the grid
+// of Grain(n, itemWork, len(dst)) items per chunk — zeroing and merging a
+// partial is a chunk's fixed cost. Chunk 0 accumulates straight into dst,
+// which must already hold the value to add to (usually zeros). Every later
+// chunk accumulates into a zeroed scratch partial the length of dst, which is
+// added into dst as soon as every lower-indexed chunk has been and then
+// released. The grid and the merge order depend on the shape alone — never
+// on GOMAXPROCS, Workers, the gate or which worker ran which chunk — so for a
+// deterministic body dst is bit-identical across runs and core counts. A call
+// under the gate (Parallel), or of one chunk, walks the same grid on the
+// calling goroutine, as ReduceSerial does. With a one-element dst it is the
+// reproducible scalar sum.
 //
 // Reduce itself allocates nothing in steady state. body reaches the workers,
-// so a closure passed here is heap-allocated even when the grid is a single
-// chunk; kernels pinned to zero allocations call their range body directly
-// when n ≤ chunk.
-func Reduce(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
-	if n <= 0 {
+// so a closure passed here is heap-allocated even when the call runs
+// serially; kernels pinned to zero allocations call ReduceSerial unless
+// Parallel holds, or pass a method value bound once.
+func Reduce(dst []float64, n, itemWork int, body func(acc []float64, lo, hi int)) {
+	chunk := Grain(n, itemWork, len(dst))
+	if n <= chunk || !Parallel(n*itemWork) {
+		ReduceSerial(dst, n, itemWork, body)
 		return
 	}
 	r := reductions.Get()
-	r.dst, r.n, r.chunk, r.body, r.merged = dst, n, max(chunk, 1), body, 0
-	chunks := (n + r.chunk - 1) / r.chunk
+	r.dst, r.n, r.chunk, r.body, r.merged = dst, n, chunk, body, 0
+	chunks := (n + chunk - 1) / chunk
 	if cap(r.parts) < chunks {
 		r.parts = make([][]float64, chunks)
 	}
@@ -208,11 +212,14 @@ func Reduce(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
 
 // ReduceSerial walks Reduce's grid on the calling goroutine: chunk 0 into
 // dst, then each later chunk into one zeroed scratch partial that is added
-// into dst in chunk order — the bits Reduce gives at any GOMAXPROCS. body
-// stays on the caller's stack, where a closure handed to Reduce reaches the
-// workers and is heap-allocated, so kernels pinned to zero allocations at
-// GOMAXPROCS=1 call this there.
-func ReduceSerial(dst []float64, n, chunk int, body func(acc []float64, lo, hi int)) {
+// into dst in chunk order — the bits Reduce gives at any GOMAXPROCS, on
+// either side of the gate. body stays on the caller's stack, where a closure
+// handed to Reduce reaches the workers and is heap-allocated.
+func ReduceSerial(dst []float64, n, itemWork int, body func(acc []float64, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	chunk := Grain(n, itemWork, len(dst))
 	body(dst, 0, min(chunk, n))
 	if n <= chunk {
 		return
@@ -314,42 +321,43 @@ func (f *Freelist[T]) Put(x *T) {
 	f.mu.Unlock()
 }
 
-// SerialNow reports whether Do would currently run jobs serially
-// (GOMAXPROCS is 1). Kernels use it to call their range body directly, which
-// keeps the closure a Do or Reduce call needs off the heap.
-func SerialNow() bool {
-	return runtime.GOMAXPROCS(0) <= 1
+// parallelWork is the gate, in scalar operations: a call under it runs on
+// the calling goroutine. On a 2-vCPU host a pool helper starts 70–110 µs
+// after a Do call wakes it, so a call gains only once its serial time is well
+// past that: a 4096-row, 40-group compressed block (≈ 2^17.3, about 0.2 ms
+// per kernel serially) gains 13–30% per kernel, while 2^16 still loses.
+const parallelWork = 1 << 17
+
+// minChunkWork is the least scalar work of one grid chunk: enough to
+// amortize the atomic claim and the cache traffic of starting a chunk.
+const minChunkWork = 1 << 14
+
+// Parallel reports whether a call of work scalar operations fans out over
+// the pool: work is at least the gate and GOMAXPROCS is above 1. It decides
+// speed alone — a reduction walks Grain's grid on either side — so kernels
+// branch on it to build the closure Reduce or Do needs only where it runs on
+// the workers.
+func Parallel(work int) bool {
+	return work >= parallelWork && runtime.GOMAXPROCS(0) > 1
 }
 
-// Grain picks a chunk size for a parallel-for of n items where each item
-// costs roughly itemWork scalar operations. It targets a fixed number of
-// chunks, enough for dynamic load balancing to rebalance skewed items, while
-// keeping each chunk heavy enough to amortize the atomic claim and cache
-// traffic. The result depends on n and itemWork alone, so a Reduce over it
-// has the same grid — and the same bits — at every core count.
+// Grain is the chunk size of the grid over n items of itemWork scalar
+// operations each, where entering a chunk costs chunkWork more (a Reduce
+// partial to zero and merge, an entry list to binary-search). It targets 32
+// chunks — 8 per worker on a 4-core host, room for dynamic scheduling to
+// rebalance skew — but a chunk does at least minChunkWork and at least 8×
+// chunkWork, and spans a multiple of eight items, so a kernel's eight-lane
+// groups fall on the same items whatever the split. The result depends on
+// the shape alone — not on GOMAXPROCS, Workers or the gate — so a reduction
+// over it has the same grid, and the same bits, at every core count and on
+// both sides of the gate.
 //
 //dmml:noalloc
-func Grain(n, itemWork int) int {
+func Grain(n, itemWork, chunkWork int) int {
 	if n <= 0 {
 		return 1
 	}
-	if itemWork < 1 {
-		itemWork = 1
-	}
-	// 32 chunks is 8 per worker on a 4-core host: room for the scheduler
-	// to rebalance skew.
-	const target = 32
-	g := (n + target - 1) / target
-	// Keep at least minChunkWork scalar ops per chunk.
-	const minChunkWork = 1 << 14
-	if g*itemWork < minChunkWork {
-		g = (minChunkWork + itemWork - 1) / itemWork
-	}
-	if g > n {
-		g = n
-	}
-	if g < 1 {
-		g = 1
-	}
-	return g
+	itemWork = max(itemWork, 1)
+	g := max((n+31)/32, (minChunkWork+itemWork-1)/itemWork, (8*chunkWork+itemWork-1)/itemWork)
+	return min((g+7)&^7, n)
 }

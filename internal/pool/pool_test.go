@@ -139,29 +139,83 @@ func TestDoReuseIsClean(t *testing.T) {
 }
 
 func TestGrain(t *testing.T) {
-	if g := Grain(0, 100); g != 1 {
-		t.Errorf("Grain(0,100)=%d, want 1", g)
+	if g := Grain(0, 100, 0); g != 1 {
+		t.Errorf("Grain(0,100,0)=%d, want 1", g)
 	}
-	for _, tc := range []struct{ n, itemWork int }{
-		{10, 1}, {1000, 1}, {1000, 1 << 20}, {1 << 20, 8}, {3, 1 << 30},
+	for _, tc := range []struct{ n, itemWork, chunkWork int }{
+		{10, 1, 0}, {1000, 1, 0}, {1000, 1 << 20, 0}, {1 << 20, 8, 0}, {3, 1 << 30, 0}, {5000, 2, 1 << 20},
 	} {
-		g := Grain(tc.n, tc.itemWork)
+		g := Grain(tc.n, tc.itemWork, tc.chunkWork)
 		if g < 1 || g > tc.n {
-			t.Errorf("Grain(%d,%d)=%d out of [1,%d]", tc.n, tc.itemWork, g, tc.n)
+			t.Errorf("Grain(%d,%d,%d)=%d out of [1,%d]", tc.n, tc.itemWork, tc.chunkWork, g, tc.n)
+		}
+		// Every chunk but a whole-range one spans a multiple of eight
+		// items, so eight-lane kernels see the same lanes in every chunk.
+		if g != tc.n && g%8 != 0 {
+			t.Errorf("Grain(%d,%d,%d)=%d is not a multiple of 8", tc.n, tc.itemWork, tc.chunkWork, g)
 		}
 	}
-	// Heavy items split into the fixed target of 32 chunks, whatever the
-	// pool's size, so dynamic scheduling has room to rebalance.
-	if g := Grain(100, 1<<20); g != 4 {
-		t.Errorf("Grain(100, 1<<20)=%d, want 4 (32 chunks)", g)
+	// Heavy items split into about the fixed target of 32 chunks, whatever
+	// the pool's size, so dynamic scheduling has room to rebalance; 100/32
+	// rounds up to one chunk of eight.
+	if g := Grain(100, 1<<20, 0); g != 8 {
+		t.Errorf("Grain(100, 1<<20, 0)=%d, want 8 (32 chunks, rounded up to 8 items)", g)
+	}
+	if g := Grain(1000, 1<<20, 0); g != 32 {
+		t.Errorf("Grain(1000, 1<<20, 0)=%d, want 32 (ceil(1000/32) rounded up to 8 items)", g)
 	}
 	// Light items keep at least 2¹⁴ scalar ops per chunk.
-	if g := Grain(1<<20, 1); g != 1<<15 {
-		t.Errorf("Grain(1<<20, 1)=%d, want %d (32 chunks)", g, 1<<15)
+	if g := Grain(1<<20, 1, 0); g != 1<<15 {
+		t.Errorf("Grain(1<<20, 1, 0)=%d, want %d (32 chunks)", g, 1<<15)
 	}
-	if g := Grain(1<<16, 1); g != 1<<14 {
-		t.Errorf("Grain(1<<16, 1)=%d, want %d (the minimum chunk work)", g, 1<<14)
+	if g := Grain(1<<16, 1, 0); g != 1<<14 {
+		t.Errorf("Grain(1<<16, 1, 0)=%d, want %d (the minimum chunk work)", g, 1<<14)
 	}
+	if g := Grain(10000, 3, 0); g != 5464 {
+		t.Errorf("Grain(10000, 3, 0)=%d, want 5464 (2¹⁴/3 rounded up to 8 items)", g)
+	}
+	// The fixed-cost floor: a chunk does at least 8× what entering it
+	// costs. 2-op items behind a 10 000-entry partial take 40 000-item
+	// chunks, above both the 32-chunk target and the minimum chunk work.
+	if g := Grain(1<<20, 2, 10000); g != 40000 {
+		t.Errorf("Grain(1<<20, 2, 10000)=%d, want 40000 (8 × the chunk's fixed cost)", g)
+	}
+	if g := Grain(1<<20, 2, 0); g != 1<<15 {
+		t.Errorf("Grain(1<<20, 2, 0)=%d, want %d: no fixed cost, no floor", g, 1<<15)
+	}
+	// The grid is the shape's alone: the gate, the core count and the
+	// pool's size do not move it.
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs, func() {
+			for _, tc := range []struct{ n, itemWork int }{
+				{max(parallelWork-1, 1), 1}, {parallelWork, 1}, {max(parallelWork/40-1, 1), 40}, {parallelWork/40 + 1, 40},
+			} {
+				want := max((tc.n+31)/32, (minChunkWork+tc.itemWork-1)/tc.itemWork)
+				want = min((want+7)&^7, tc.n)
+				if g := Grain(tc.n, tc.itemWork, 0); g != want {
+					t.Errorf("procs=%d: Grain(%d,%d,0)=%d, want %d on either side of the gate", procs, tc.n, tc.itemWork, g, want)
+				}
+			}
+		})
+	}
+}
+
+// TestParallelIsTheGate: Parallel holds from parallelWork scalar ops up, and
+// never at GOMAXPROCS 1.
+func TestParallelIsTheGate(t *testing.T) {
+	withProcs(t, 2, func() {
+		if Parallel(parallelWork - 1) {
+			t.Errorf("Parallel(%d) under the gate", parallelWork-1)
+		}
+		if !Parallel(parallelWork) {
+			t.Errorf("Parallel(%d) at the gate is false", parallelWork)
+		}
+	})
+	withProcs(t, 1, func() {
+		if Parallel(1 << 40) {
+			t.Error("Parallel at GOMAXPROCS 1")
+		}
+	})
 }
 
 func TestScratchBasics(t *testing.T) {
@@ -278,14 +332,26 @@ func TestIntScratchReuse(t *testing.T) {
 	PutInt(b)
 }
 
-// TestSumChunks: Reduce runs body on exactly the fixed chunks of [0,n),
+// TestSumChunks: Reduce runs body on exactly the chunks of Grain's grid,
 // sums chunk 0 in place and every later chunk through a zeroed partial added
 // in chunk-index order — with values chosen so that other associations round
 // differently — and returns the same bits on every repeat at GOMAXPROCS 1, 2
-// and 4, as does ReduceSerial. With a one-element dst the serial reference
-// below is the chunk-order sum of chunk sums.
+// and 4, as does ReduceSerial. The sizes include the two either side of the
+// gate, each several chunks long, so Reduce runs the grid on the calling
+// goroutine just below it and on the workers just above, with the same bits.
+// With a one-element dst the serial reference below is the chunk-order sum
+// of chunk sums.
 func TestSumChunks(t *testing.T) {
-	const chunk = 100
+	// 163-op items: a 104-item chunk (2¹⁴/163 rounded up to eight items),
+	// and the gate falls between 804 and 805 items, eight chunks each. (The
+	// clamp keeps the test cheap should the gate move.)
+	const itemWork = 163
+	chunk := Grain(1000, itemWork, 3)
+	if chunk != 104 {
+		t.Fatalf("grid of %d items, want 104", chunk)
+	}
+	below := min(max((parallelWork-1)/itemWork, 1), 16*chunk)
+	above := below + 1
 	// Ones, then many 2⁻⁵³s: added to a one one at a time each is rounded
 	// away; summed among themselves first they survive. So where a partial
 	// starts and when it joins dst both show in the result.
@@ -314,14 +380,18 @@ func TestSumChunks(t *testing.T) {
 		}
 		return dst
 	}
-	Reduce(nil, 0, chunk, func([]float64, int, int) { t.Fatal("body called for an empty range") })
+	Reduce(nil, 0, itemWork, func([]float64, int, int) { t.Fatal("body called for an empty range") })
+	ReduceSerial(nil, 0, itemWork, func([]float64, int, int) { t.Fatal("body called for an empty range") })
 	for _, width := range []int{1, 3} {
-		for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 7*chunk + 13} {
+		for _, n := range []int{1, chunk - 1, chunk, chunk + 1, below, above, 11*chunk + 13} {
+			if Grain(n, itemWork, width) != min(chunk, n) {
+				t.Fatalf("n=%d width=%d: grid of %d items, want %d", n, width, Grain(n, itemWork, width), chunk)
+			}
 			want := serial(n, width)
 			for _, procs := range []int{1, 2, 4} {
 				withProcs(t, procs, func() {
 					dst := make([]float64, width)
-					ReduceSerial(dst, n, chunk, body(width))
+					ReduceSerial(dst, n, itemWork, body(width))
 					for j := range dst {
 						if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("width=%d n=%d procs=%d: ReduceSerial dst[%d] = %x, Reduce's grid gives %x",
@@ -332,7 +402,7 @@ func TestSumChunks(t *testing.T) {
 						var mu sync.Mutex
 						seen := map[[2]int]int{}
 						dst := make([]float64, width)
-						Reduce(dst, n, chunk, func(acc []float64, lo, hi int) {
+						Reduce(dst, n, itemWork, func(acc []float64, lo, hi int) {
 							mu.Lock()
 							seen[[2]int{lo, hi}]++
 							mu.Unlock()
@@ -364,11 +434,16 @@ func TestSumChunks(t *testing.T) {
 // allocates nothing per call in steady state. Allocations are counted by hand
 // because testing.AllocsPerRun pins GOMAXPROCS to 1. Reduce's own state is
 // recycled too; a partial that is not released would cost a fresh buffer per
-// chunk, 39 per call here.
+// chunk, 31 per call here.
 func TestReduceInto(t *testing.T) {
-	const chunk = 100
+	// 1024-op items: 4000 of them are far above the gate and cut into 32
+	// chunks of 128.
+	const itemWork = 1 << 10
 	withProcs(t, 4, func() {
-		const n, width = 40 * chunk, 300
+		const n, width = 4000, 300
+		if g := Grain(n, itemWork, width); g != 128 {
+			t.Fatalf("grid of %d items, want 128", g)
+		}
 		want := make([]float64, width)
 		for i := 0; i < n; i++ {
 			want[i%width] += float64(i) // integer-valued: exact in any order
@@ -378,7 +453,7 @@ func TestReduceInto(t *testing.T) {
 			for j := range dst {
 				dst[j] = 0
 			}
-			Reduce(dst, n, chunk, func(acc []float64, lo, hi int) {
+			Reduce(dst, n, itemWork, func(acc []float64, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					acc[i%width] += float64(i)
 				}

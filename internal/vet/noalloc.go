@@ -58,7 +58,7 @@ var noallocAllowedFuncs = map[string]bool{
 	poolPkgPath + ".GetInt":       true,
 	poolPkgPath + ".PutInt":       true,
 	poolPkgPath + ".Workers":      true,
-	poolPkgPath + ".SerialNow":    true,
+	poolPkgPath + ".Parallel":     true,
 }
 
 // allocViolation is one allocating construct found during an audit.

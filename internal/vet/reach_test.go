@@ -76,6 +76,111 @@ func TestEveryEngineFunctionIsReached(t *testing.T) {
 	}
 }
 
+// keepUnwritten lists the exported fields of exported *Options and *Config
+// structs under internal/ that no non-test code writes but that stay, each
+// with the reason it stays. An entry that becomes written, or no longer
+// exists, fails the test.
+var keepUnwritten = map[string]string{}
+
+// TestEveryOptionFieldIsWritten keeps settings honest about their callers.
+// An exported field of an exported internal/ struct type whose name ends in
+// Options or Config is a setting. Unless some non-test file of the module
+// (cmd/, examples/, bench/ or internal/ itself) writes it — as a key of a
+// composite literal, by position in an unkeyed one, as the target of an
+// assignment or increment, or by taking its address — it has one value in
+// use: make it unexported and let the package's own tests set it, delete
+// it, or keep-list it with a reason.
+func TestEveryOptionFieldIsWritten(t *testing.T) {
+	m := loadModule(t)
+	settings := make(map[*types.Var]string)
+	for path, p := range m.Pkgs {
+		if !strings.HasPrefix(path, m.Path+"/internal/") {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					settings[f] = p.Types.Name() + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	written := make(map[*types.Var]bool)
+	for _, p := range m.Pkgs {
+		target := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					written[s.Obj().(*types.Var)] = true
+				}
+			}
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, _ := p.Info.TypeOf(n).Underlying().(*types.Struct)
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := p.Info.Uses[key].(*types.Var); ok && v.IsField() {
+									written[v] = true
+								}
+							}
+						} else if st != nil && i < st.NumFields() {
+							written[st.Field(i)] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						target(l)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unwritten []string
+	for f, name := range settings {
+		if !written[f] {
+			pos := m.Fset.Position(f.Pos())
+			unwritten = append(unwritten, fmt.Sprintf("%s:%d: %s", strings.TrimPrefix(pos.Filename, m.Root+"/"), pos.Line, name))
+		}
+	}
+	sort.Strings(unwritten)
+	kept := make(map[string]bool)
+	for _, u := range unwritten {
+		name := u[strings.LastIndex(u, " ")+1:]
+		if _, ok := keepUnwritten[name]; ok {
+			kept[name] = true
+			continue
+		}
+		t.Errorf("%s is written by no non-test code: unexport it for the package's tests, delete it, or keep-list it with a reason", u)
+	}
+	for name, reason := range keepUnwritten {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("keep-list entry %s gives no reason", name)
+		}
+		if !kept[name] {
+			t.Errorf("keep-list entry %s is written now, or gone: drop it from the list", name)
+		}
+	}
+}
+
 // decl is one package-level declaration of the module: the syntax whose
 // references become edges once the declared object is reached.
 type decl struct {
