@@ -38,10 +38,13 @@
 #                       experiments (E4, E5, E6, E10, E15, E17, E18, and the
 #                       E14 fault-injection scenario), opt's batched loss
 #                       pass (BenchmarkLossPass*), the buffer pool's spill
-#                       read (BenchmarkSpillRead) and the out-of-core block
-#                       step, three passes vs one (BenchmarkBlockStep) — the
-#                       last two because dmmlperf's traced train_ooc run
-#                       keeps the three-pass step — a local tool with no pins
+#                       read (BenchmarkSpillRead), the out-of-core block
+#                       step, three passes vs one, over single-column and
+#                       co-coded groups (BenchmarkBlockStep) — the last two
+#                       because dmmlperf's traced train_ooc run keeps the
+#                       three-pass step — and the compression planner's cost
+#                       per out-of-core block, without and with co-coding
+#                       (BenchmarkCompressBlock) — a local tool with no pins
 #                       and no gate: run before and after a kernel change and
 #                       feed both logs to benchstat (the regression gate is
 #                       the benchmark in bench/, declared by BENCHMARK.json)
@@ -134,7 +137,7 @@ bench:
 		-benchmem -count=$(BENCH_COUNT) ./internal/opt
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillRead$$' \
 		-benchmem -count=$(BENCH_COUNT) ./internal/storage
-	$(GO) test -run '^$$' -bench 'BenchmarkBlockStep$$' \
+	$(GO) test -run '^$$' -bench 'Benchmark(BlockStep|CompressBlock)$$' \
 		-benchmem -count=$(BENCH_COUNT) ./internal/compress
 
 # Short native-fuzzing smoke over the fusion equivalence property (random

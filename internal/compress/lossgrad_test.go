@@ -106,7 +106,7 @@ func TestLossGradAccumMatchesThreePass(t *testing.T) {
 				acc++
 			}
 		}
-		span := pool.Grain(rows, len(c.Groups()), acc)
+		span := pool.Grain(rows, len(c.Groups())+lossTileWork, acc)
 		if span%8 != 0 || rows%span == 0 || rows/span < 2 {
 			t.Fatalf("%s: span %d for %d rows: want a multiple of 8, several ranges and a short last one", name, span, rows)
 		}
@@ -154,32 +154,57 @@ func TestLossGradAccumMatchesThreePass(t *testing.T) {
 // BenchmarkBlockStep times one gradient step over a block of the out-of-core
 // workload's shape, 4096 rows of 32 Zipf-categorical and 8 Gaussian
 // columns: the three passes (MatVecInto, the logistic tile, VecMatAccum)
-// against the one-pass LossGradAccum.
+// against the one-pass LossGradAccum, over single-column groups and over the
+// co-coded groups ooc's builder makes.
 func BenchmarkBlockStep(b *testing.B) {
 	r := rand.New(rand.NewSource(73))
-	c := Compress(blockMatrix(r, 4096), Options{})
-	w := vecOf(r, c.Cols())
+	x := blockMatrix(r, 4096)
+	w := vecOf(r, x.Cols())
 	for j := range w {
 		w[j] *= 0.1
 	}
-	y := make([]float64, c.Rows())
+	y := make([]float64, x.Rows())
 	for i := range y {
 		y[i] = float64(2*r.Intn(2) - 1)
 	}
-	margins, derivs := make([]float64, c.Rows()), make([]float64, c.Rows())
-	grad := make([]float64, c.Cols())
-	b.Run("three-pass", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.MatVecInto(margins, w)
-			la.LogisticLossInto(derivs, margins, y)
-			c.VecMatAccum(grad, derivs)
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.LossGradAccum(grad, margins, derivs, w, y, la.LogisticLossInto)
-		}
-	})
+	margins, derivs := make([]float64, x.Rows()), make([]float64, x.Rows())
+	grad := make([]float64, x.Cols())
+	for _, plan := range []struct {
+		name string
+		opts Options
+	}{{"", Options{}}, {"cocoded/", Options{CoCode: true}}} {
+		c := Compress(x, plan.opts)
+		b.Run(plan.name+"three-pass", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.MatVecInto(margins, w)
+				la.LogisticLossInto(derivs, margins, y)
+				c.VecMatAccum(grad, derivs)
+			}
+		})
+		b.Run(plan.name+"fused", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.LossGradAccum(grad, margins, derivs, w, y, la.LogisticLossInto)
+			}
+		})
+	}
+}
+
+// BenchmarkCompressBlock times the planner and encoders on one block of the
+// out-of-core workload's shape (4096 × 40), without and with the pairwise
+// co-coding ooc's builder runs: the set-up cost of every out-of-core block.
+func BenchmarkCompressBlock(b *testing.B) {
+	x := blockMatrix(rand.New(rand.NewSource(73)), 4096)
+	for _, plan := range []struct {
+		name string
+		opts Options
+	}{{"uncoded", Options{}}, {"cocoded", Options{CoCode: true}}} {
+		b.Run(plan.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Compress(x, plan.opts)
+			}
+		})
+	}
 }

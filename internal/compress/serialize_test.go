@@ -250,7 +250,8 @@ func TestDecodePageRejectsUnsafePages(t *testing.T) {
 // LossGradAccum's margins and derivatives must be those of MatVecInto and
 // the logistic tile. The seeds
 // are EncodeInto pages covering every group kind, each checked first to
-// decode back to the matrix that was encoded.
+// decode back to the matrix that was encoded, and a co-coded block of the
+// out-of-core workload's columns as ooc's builder pages it.
 func FuzzDecodePage(f *testing.F) {
 	r := rand.New(rand.NewSource(95))
 	// Small pages keep the fuzzer's minimization of new inputs short.
@@ -259,6 +260,8 @@ func FuzzDecodePage(f *testing.F) {
 	for i := 0; i < 257; i++ {
 		wide.Set(i, 0, float64(i))
 	}
+	// 96 rows keep the block under the size the kernels run at.
+	block := blockMatrix(r, 96)
 	kinds := map[int]bool{}
 	for _, seed := range []struct {
 		m    *la.Dense
@@ -266,8 +269,12 @@ func FuzzDecodePage(f *testing.F) {
 	}{
 		{m, Options{}}, {m, Options{CoCode: true}}, {m, Options{force: forceDDC}}, {wide, Options{force: forceDDC}},
 		{m, Options{force: forceOLE}}, {m, Options{force: forceRLE}}, {m, Options{force: forceUC}},
+		{block, Options{CoCode: true}},
 	} {
 		c := Compress(seed.m, seed.opts)
+		if seed.m == block && len(c.Groups()) == block.Cols() {
+			f.Fatal("the out-of-core block seed is not co-coded")
+		}
 		for _, g := range c.Groups() {
 			switch g := g.(type) {
 			case *DDCGroup:

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"dmml/internal/compress"
 	"dmml/internal/la"
 	"dmml/internal/ooc"
 	"dmml/internal/opt"
@@ -83,17 +82,17 @@ func e17Run(quick bool) ([]e17Result, error) {
 	}
 
 	cfg := opt.StreamConfig{Step: 0.05, Decay: 0.9, L2: 1e-3, Epochs: 5}
-	// Co-code correlated low-cardinality columns so each compressed block
-	// carries fewer groups: fewer code arrays to unpack per pin, fewer
-	// per-row lookups in the operate-over-compressed kernels.
-	cla := compress.Options{CoCode: true}
+	// The compressed variants co-code correlated low-cardinality columns, as
+	// ooc's builder always does, so each block carries fewer groups: fewer
+	// code arrays to unpack per pin, fewer per-row lookups in the
+	// operate-over-compressed kernels.
 	variants := []struct {
 		name string
 		opts ooc.Options
 	}{
 		{"raw-thrash", ooc.Options{BlockRows: blockRows, NoCompress: true}},
-		{"cla", ooc.Options{BlockRows: blockRows, CompressOpts: cla}},
-		{"cla+prefetch", ooc.Options{BlockRows: blockRows, Prefetch: true, CompressOpts: cla}},
+		{"cla", ooc.Options{BlockRows: blockRows}},
+		{"cla+prefetch", ooc.Options{BlockRows: blockRows, Prefetch: true}},
 	}
 
 	dir, err := tmpDir()
@@ -140,8 +139,8 @@ func e17Run(quick bool) ([]e17Result, error) {
 
 // E17OutOfCoreTraining reproduces the out-of-core training shape the paper's
 // compressed-linear-algebra and buffer-management sections motivate: when the
-// dataset is 4x the memory budget, naive dense paging re-reads every page
-// every epoch, while CLA-compressed blocks fit the working set in budget (so
+// dataset is 4x the memory budget, naive dense paging re-reads every page the
+// budget cannot hold (three quarters of them) every epoch, while CLA-compressed blocks fit the working set in budget (so
 // steady-state epochs do no spill I/O at all) and operate-over-compressed
 // kernels cut the per-block compute on top. The prefetch variant additionally
 // overlaps pinning block N+1 with computing on block N — a wall-clock win
@@ -168,6 +167,6 @@ func E17OutOfCoreTraining(quick bool) (Table, error) {
 			fmt.Sprint(r.evictions), fmt.Sprint(r.spillReads),
 		})
 	}
-	t.Notes = "same optimizer and data; raw pages thrash (every epoch re-reads every block from spill), compressed blocks fit in budget after the first pass and multiply the matvec speed, prefetch hides pin+decode latency behind compute on multi-core hosts"
+	t.Notes = "same optimizer and data; raw pages thrash (every epoch re-reads from spill the three quarters of its blocks the budget cannot hold), compressed blocks fit in budget after the first pass and multiply the matvec speed, prefetch hides pin+decode latency behind compute on multi-core hosts"
 	return t, nil
 }

@@ -22,7 +22,10 @@ import (
 // of row ranges that depends on the block alone, merged in range order.
 // The file was written from streamGoldenLines when that one-pass step
 // replaced the three passes (whose loss and gradient summed in another
-// order), and pins its bits at every core count, not merely a tolerance.
+// order), and again when the builder began co-coding column pairs (a pair's
+// margin terms are summed in its joint dictionary) and the step's grid began
+// counting the loss tile's work; it pins the bits at every core count, not
+// merely a tolerance.
 const streamGoldenPath = "testdata/stream_golden.txt"
 
 // goldenStream builds a matrix of the benchmark's out-of-core block shape —
@@ -121,6 +124,23 @@ func TestStreamingSGDGoldenBits(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("GOMAXPROCS=%d: got %q, golden %q", p, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestBuilderCoCodesBlocks: the builder co-codes column pairs, so every block
+// of the benchmark's block shape carries fewer groups than columns.
+func TestBuilderCoCodesBlocks(t *testing.T) {
+	m, _ := goldenStream(t)
+	for i := range m.blocks {
+		b, err := m.pinBlock(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := b.(*compressedBlock).cm.Groups()
+		m.unpinBlock(i)
+		if len(groups) >= m.Cols() {
+			t.Fatalf("block %d: %d groups for %d columns; the builder did not co-code", i, len(groups), m.Cols())
 		}
 	}
 }

@@ -6,7 +6,7 @@
 //
 // The paper's out-of-core and CLA sections motivate the design: training on
 // data larger than RAM at near in-memory speed requires (a) bounded resident
-// memory with LRU spill, (b) compression so each disk/pool byte carries more
+// memory with spill, (b) compression so each disk/pool byte carries more
 // rows, and (c) operating directly on the compressed form so pinning a block
 // does not cost a decompression. ooc.Matrix has one face, the fallible block
 // stream of opt.BlockData: every bulk solver in internal/opt accepts it, and
@@ -36,8 +36,6 @@ type Options struct {
 	// Prefetch enables the async double-buffered block prefetcher for
 	// ForEachBlock streams. Default off.
 	Prefetch bool
-	// CompressOpts forwards planner options to internal/compress.
-	CompressOpts compress.Options
 }
 
 // poolBlocks is how many default-sized dense blocks fill the pool's budget:
@@ -140,10 +138,11 @@ func NewBuilder(bp *storage.BufferPool, cols int, opts Options) *Builder {
 	}
 }
 
-// AppendBlock adds d's rows as the next block. The block is compressed when
-// compression pays (per Options), written into a pool page, and unpinned, so
-// the pool may evict or spill it immediately. An error ends the build: the
-// builder's pages leave the pool, and a later call is an error.
+// AppendBlock adds d's rows as the next block. The block is compressed, with
+// CLA's pairwise column co-coding, when compression pays (and Options allow
+// it), written into a pool page, and unpinned, so the pool may evict or spill
+// it immediately. An error ends the build: the builder's pages leave the
+// pool, and a later call is an error.
 func (b *Builder) AppendBlock(d *la.Dense) error {
 	if b.done {
 		return fmt.Errorf("ooc: AppendBlock after Finish")
@@ -168,7 +167,7 @@ func (b *Builder) appendBlock(d *la.Dense) error {
 	meta := blockMeta{startRow: b.m.rows, rows: d.Rows()}
 	var cm *compress.Matrix
 	if !b.opts.NoCompress {
-		c := compress.Compress(d, b.opts.CompressOpts)
+		c := compress.Compress(d, compress.Options{CoCode: true})
 		words := compress.EncodedLen(c)
 		if float64(d.Rows()*d.Cols())/float64(words) >= minRatio {
 			cm = c

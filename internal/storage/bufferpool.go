@@ -30,9 +30,21 @@ type PoolStats struct {
 }
 
 // BufferPool caches fixed-role float64 pages in memory up to a byte budget,
-// evicting least-recently-used unpinned pages to disk. It is safe for
-// concurrent use. Pages of different sizes share the one budget (compressed
-// pages are smaller than dense ones); a pool of k uniform pages is the budget
+// evicting the most recently pinned unpinned page to disk. It is safe for
+// concurrent use.
+//
+// The eviction order assumes that every client pins its pages in a cyclic
+// scan — page 0, 1, …, n−1, then 0 again — which is how the only clients,
+// ooc's builder (AppendBlock) and its block stream (ForEachBlock), use it.
+// Under that loop-sequential reference pattern the page pinned most recently
+// is the one needed furthest in the future, so evicting it is optimal (the
+// "loop-sequential" locality set of Chou and DeWitt's DBMIN, VLDB 1985): a
+// pool holding k of a scan's n pages rereads n − k + O(1) of them per pass,
+// where least-recently-used eviction rereads all n. A client with another
+// access pattern needs its own policy.
+//
+// Pages of different sizes share the one budget (compressed pages are
+// smaller than dense ones); a pool of k uniform pages is the budget
 // k·pageBytes. A page's memory is counted at its capacity: a miss that
 // evicts reuses the first evicted buffer large enough for the new page, so
 // a steady stream of spill reads allocates nothing page-sized.
@@ -57,7 +69,7 @@ type page struct {
 	data     []float64 // len is the page's size; cap is what it is charged
 	dirty    bool
 	pinned   int
-	lastUsed uint64
+	lastUsed uint64 // tick of the latest Pin
 }
 
 // NewBufferPoolBytes creates a pool holding at most budget bytes of page data
@@ -214,17 +226,20 @@ func (bp *BufferPool) FlushAll() error {
 	return nil
 }
 
-// DropOwner discards all pages (memory and disk) belonging to owner. Spill
-// files that cannot be removed are still forgotten by the pool, but the
-// failures are collected and returned so callers see leaked disk space.
+// DropOwner discards all pages (memory and disk) belonging to owner. While
+// any of them is pinned it refuses and discards none. Spill files that
+// cannot be removed are still forgotten by the pool, but the failures are
+// collected and returned so callers see leaked disk space.
 func (bp *BufferPool) DropOwner(owner int) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for id, p := range bp.resident {
+		if id.Owner == owner && p.pinned > 0 {
+			return fmt.Errorf("storage: DropOwner %d: page %v still pinned", owner, id)
+		}
+	}
+	for id, p := range bp.resident {
 		if id.Owner == owner {
-			if p.pinned > 0 {
-				return fmt.Errorf("storage: DropOwner %d: page %v still pinned", owner, id)
-			}
 			delete(bp.resident, id)
 			bp.resBytes -= 8 * int64(cap(p.data))
 		}
@@ -252,11 +267,12 @@ func (bp *BufferPool) ResidentBytes() int64 {
 	return bp.resBytes
 }
 
-// makeRoomLocked evicts LRU unpinned pages until a page of `need` floats fits
-// under the byte budget, and returns the buffer of the first evicted page
-// whose capacity holds `need` floats and still fits (nil if none did), for
-// the new page to reuse. A page larger than the whole budget is admitted
-// once the pool is empty, per the NewBufferPoolBytes contract.
+// makeRoomLocked evicts unpinned pages, the most recently pinned first, until
+// a page of `need` floats fits under the byte budget, and returns the buffer
+// of the first evicted page whose capacity holds `need` floats and still fits
+// (nil if none did), for the new page to reuse. A page larger than the whole
+// budget is admitted once the pool is empty, per the NewBufferPoolBytes
+// contract.
 func (bp *BufferPool) makeRoomLocked(need int) ([]float64, error) {
 	var reuse []float64
 	for len(bp.resident) > 0 && bp.resBytes+8*int64(max(need, cap(reuse))) > bp.byteCap {
@@ -265,7 +281,7 @@ func (bp *BufferPool) makeRoomLocked(need int) ([]float64, error) {
 			if p.pinned > 0 {
 				continue
 			}
-			if victim == nil || p.lastUsed < victim.lastUsed {
+			if victim == nil || p.lastUsed > victim.lastUsed {
 				victim = p
 			}
 		}

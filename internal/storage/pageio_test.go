@@ -25,6 +25,20 @@ func pinFill(t *testing.T, bp *BufferPool, id PageID, size int, fill func(k int)
 	return &data[0]
 }
 
+// touch pins and unpins the resident page id, so that it is the most
+// recently pinned page: the next miss evicts it.
+func touch(t *testing.T, bp *BufferPool, id PageID, size int) {
+	t.Helper()
+	hits := bp.Stats().Hits
+	if _, err := bp.Pin(id, size); err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(id, false)
+	if bp.Stats().Hits != hits+1 {
+		t.Fatalf("touch of page %v missed; the setup is wrong", id)
+	}
+}
+
 // awkwardBits are float64 patterns a conversion could lose: NaN payloads,
 // −0, ±Inf and subnormals.
 var awkwardBits = []uint64{
@@ -53,14 +67,19 @@ func TestSpillReloadIntoRecycledPageBitIdentical(t *testing.T) {
 	pinFill(t, bp, PageID{1, 1}, size, func(k int) float64 { return float64(k + 1) })
 	// Page 2 spills the payload page, page 3 spills page 1, and reloading
 	// page 1 spills page 2; each takes the buffer of the page it evicted.
-	// The payload then comes back into page 3's buffer.
+	// The payload then comes back into page 3's buffer. Each touch first
+	// makes the page to evict the most recently pinned one.
+	touch(t, bp, PageID{1, 0}, size)
 	pinFill(t, bp, PageID{1, 2}, size, func(k int) float64 { return -float64(k) })
+	touch(t, bp, PageID{1, 1}, size)
 	slot := pinFill(t, bp, PageID{1, 3}, size, func(k int) float64 { return 7 })
+	touch(t, bp, PageID{1, 2}, size)
 	data, err := bp.Pin(PageID{1, 1}, size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bp.Unpin(PageID{1, 1}, false)
+	touch(t, bp, PageID{1, 3}, size)
 	back, err := bp.Pin(PageID{1, 0}, size)
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +108,9 @@ func TestFirstTouchOnRecycledPageIsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := pinFill(t, bp, PageID{1, 0}, size, func(int) float64 { return math.NaN() })
 	pinFill(t, bp, PageID{1, 1}, size, func(k int) float64 { return float64(k) })
-	// A smaller page fits the least recently used page's buffer.
+	first := pinFill(t, bp, PageID{1, 0}, size, func(int) float64 { return math.NaN() })
+	// A smaller page fits the most recently pinned page's buffer.
 	data, err := bp.Pin(PageID{2, 0}, size-5)
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +159,11 @@ func TestSpillFileSizeMismatchIsError(t *testing.T) {
 	}
 }
 
-// spillCycle pins three clean spilled pages of size floats in turn through a
-// pool that holds two, so every pin is a spill read into the buffer the pin
-// evicted.
+// spillCycle writes three pages of size floats through a pool that holds
+// two, then pins clean spilled pages so that every pin is a spill read into
+// the buffer the pin evicted. The set-up leaves pages 0 and 2 resident and
+// page 1 on disk; a pin of the page on disk evicts the most recently pinned
+// page, so the pins alternate between pages 1 and 2 while page 0 stays.
 type spillCycle struct {
 	bp   *BufferPool
 	size int
@@ -167,12 +188,12 @@ func newSpillCycle(tb testing.TB, size int) *spillCycle {
 	if err := bp.FlushAll(); err != nil {
 		tb.Fatal(err)
 	}
-	return &spillCycle{bp: bp, size: size}
+	return &spillCycle{bp: bp, size: size, next: 1}
 }
 
 func (s *spillCycle) pin(tb testing.TB) {
 	id := PageID{1, s.next}
-	s.next = (s.next + 1) % 3
+	s.next = 3 - s.next
 	data, err := s.bp.Pin(id, s.size)
 	if err != nil {
 		tb.Fatal(err)

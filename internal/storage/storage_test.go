@@ -216,8 +216,10 @@ func TestBufferPoolEvictionAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill three pages through a 2-page pool; page 0 must spill and reload.
-	for i := 0; i < 3; i++ {
+	// Fill three pages through a 2-page pool; page 0, pinned second, is the
+	// most recently pinned page when page 2 arrives, so it must spill and
+	// reload.
+	for _, i := range []int{1, 0, 2} {
 		id := PageID{1, i}
 		data, err := bp.Pin(id, 3)
 		if err != nil {
@@ -374,6 +376,102 @@ func TestDropOwnerWhilePinned(t *testing.T) {
 		t.Fatalf("dropped page content resurfaced: %v", d[0])
 	}
 	bp.Unpin(id, false)
+}
+
+// TestDropOwnerWithOnePinnedPageDropsNothing: an owner with dirty unpinned
+// pages and one pinned page is refused whole — no page is discarded, so
+// every page, including those never written to disk, reads back.
+func TestDropOwnerWithOnePinnedPageDropsNothing(t *testing.T) {
+	const pages, size = 9, 4
+	// Map order decides where the pinned page falls among the owner's
+	// pages; repeat so that a drop which stops at it is caught.
+	for rep := 0; rep < 20; rep++ {
+		bp, err := NewBufferPoolBytes(pages*size*8, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := bp.RegisterOwner()
+		for i := 0; i < pages; i++ {
+			d, err := bp.Pin(PageID{owner, i}, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d[0] = float64(i + 1)
+			if i != pages/2 {
+				bp.Unpin(PageID{owner, i}, true)
+			}
+		}
+		if err := bp.DropOwner(owner); err == nil || !strings.Contains(err.Error(), "still pinned") {
+			t.Fatalf("err = %v, want still-pinned error", err)
+		}
+		bp.Unpin(PageID{owner, pages / 2}, true)
+		for i := 0; i < pages; i++ {
+			d, err := bp.Pin(PageID{owner, i}, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d[0] != float64(i+1) {
+				t.Fatalf("rep %d: page %d reads %v after a refused DropOwner, want %v", rep, i, d[0], float64(i+1))
+			}
+			bp.Unpin(PageID{owner, i}, false)
+		}
+		if got, want := bp.ResidentBytes(), int64(pages*size*8); got != want {
+			t.Fatalf("rep %d: resident bytes %d after a refused DropOwner, want %d", rep, got, want)
+		}
+	}
+}
+
+// TestCyclicScanRereadsOnlyWhatDoesNotFit: n pages scanned in order, pass
+// after pass, through a pool that holds k of them reread n − k + O(1) pages
+// per pass after the first, with or without the next page pinned before the
+// current one is released (the block prefetcher's pattern). Evicting the
+// least recently used page would reread all n.
+func TestCyclicScanRereadsOnlyWhatDoesNotFit(t *testing.T) {
+	const n, k, size = 20, 8, 16
+	for _, ahead := range []bool{false, true} {
+		bp, err := NewBufferPoolBytes(k*size*8, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			d, err := bp.Pin(PageID{1, i}, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d[0] = float64(i)
+			bp.Unpin(PageID{1, i}, true)
+		}
+		if err := bp.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		pin := func(i int) {
+			d, err := bp.Pin(PageID{1, i}, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d[0] != float64(i) {
+				t.Fatalf("page %d reads %v", i, d[0])
+			}
+		}
+		for pass := 0; pass < 12; pass++ {
+			before := bp.Stats().SpillReads
+			if ahead {
+				pin(0)
+			}
+			for i := 0; i < n; i++ {
+				if !ahead {
+					pin(i)
+				} else if i+1 < n {
+					pin(i + 1)
+				}
+				bp.Unpin(PageID{1, i}, false)
+			}
+			reads := bp.Stats().SpillReads - before
+			if pass > 0 && (reads < n-k || reads > n-k+2) {
+				t.Fatalf("pinning ahead %v, pass %d: %d spill reads, want %d to %d", ahead, pass, reads, n-k, n-k+2)
+			}
+		}
+	}
 }
 
 func TestColTypeString(t *testing.T) {
