@@ -152,10 +152,11 @@ func (c *Matrix) VecMatInto(dst, x []float64) []float64 {
 
 // VecMatAccum adds xᵀ·X into dst without zeroing it first — the block-wise
 // form used by the out-of-core datapath, where each block accumulates its
-// contribution into one shared gradient vector. Column groups cover disjoint
-// columns, so large matrices run their groups through pool.Do with every
-// worker writing its own entries of dst: no partials, and the same bits as
-// the serial loop. Steady state allocates nothing.
+// contribution into one shared gradient vector. Each group runs its
+// vecMatRange over all rows and scatters the weights (vecMatGroup). Column
+// groups cover disjoint columns, so large matrices run their groups through
+// pool.Do with every worker writing its own entries of dst: no partials, and
+// the same bits as the serial loop. Steady state allocates nothing.
 func (c *Matrix) VecMatAccum(dst, x []float64) {
 	if len(x) != c.rows {
 		panic(fmt.Sprintf("compress: VecMatAccum len %d × %dx%d", len(x), c.rows, c.cols))
@@ -165,7 +166,7 @@ func (c *Matrix) VecMatAccum(dst, x []float64) {
 	}
 	if !c.parallel() {
 		for _, g := range c.groups {
-			g.VecMatAccum(dst, x)
+			c.vecMatGroup(g, dst, x)
 		}
 		return
 	}
@@ -211,22 +212,13 @@ func (c *Matrix) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(
 	n := 1 // acc[0] is ΣL
 	for gi, g := range c.groups {
 		k.offs[gi] = n
-		if d := g.dictionary(); d != nil {
-			n += d.numEntries()
-		} else {
-			n++
-		}
+		n += numWeights(g)
 	}
 	k.offs[len(c.groups)] = n
 	acc := pool.GetF64Zeroed(n)
 	pool.Reduce(acc, c.rows, len(c.groups)+lossTileWork, k.lossGrad)
 	for gi, g := range c.groups {
-		wts := acc[k.offs[gi]:k.offs[gi+1]]
-		if d := g.dictionary(); d != nil {
-			d.scatterWeighted(grad, wts)
-		} else {
-			grad[g.(*UCGroup).col] += wts[0]
-		}
+		scatterWeights(g, grad, acc[k.offs[gi]:k.offs[gi+1]])
 	}
 	loss := acc[0]
 	pool.PutF64(acc)
@@ -290,8 +282,17 @@ func (k *call) lossGradRows(acc []float64, lo, hi int) {
 // vecMatGroups accumulates groups [lo,hi).
 func (k *call) vecMatGroups(lo, hi int) {
 	for _, g := range k.c.groups[lo:hi] {
-		g.VecMatAccum(k.dst, k.in)
+		k.c.vecMatGroup(g, k.dst, k.in)
 	}
+}
+
+// vecMatGroup adds group g's share of xᵀ·X into dst: its vecMatRange weights
+// over all rows, scattered through its dictionary.
+func (c *Matrix) vecMatGroup(g Group, dst, x []float64) {
+	wts := pool.GetF64Zeroed(numWeights(g))
+	g.vecMatRange(wts, x, 0, c.rows)
+	scatterWeights(g, dst, wts)
+	pool.PutF64(wts)
 }
 
 // put drops the call's references and recycles it.
@@ -322,11 +323,15 @@ func (c *Matrix) GramAccum(out *la.Dense) {
 	pool.PutF64(col)
 }
 
-// ColSumsAccum adds per-column sums into out.
+// ColSumsAccum adds per-column sums into out: VecMatAccum over a vector of
+// ones.
 func (c *Matrix) ColSumsAccum(out []float64) {
-	for _, g := range c.groups {
-		g.ColSumsAccum(out)
+	ones := pool.GetF64(c.rows)
+	for i := range ones {
+		ones[i] = 1
 	}
+	c.VecMatAccum(out, ones)
+	pool.PutF64(ones)
 }
 
 // Scale multiplies all elements by s. For dictionary encodings this touches
@@ -608,6 +613,20 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 	return c
 }
 
+// Uncompressed returns d as one UC group per column, with no planning: the
+// CLA form of data that does not compress, which pages through the same
+// codec and runs the same kernels as any compressed matrix.
+func Uncompressed(d *la.Dense) *Matrix {
+	rows, cols := d.Dims()
+	c := &Matrix{rows: rows, cols: cols, groups: make([]Group, cols)}
+	ucs := make([]UCGroup, cols)
+	for j := range c.groups {
+		ucs[j] = UCGroup{cols: [1]int{j}, data: d.Col(j)}
+		c.groups[j] = &ucs[j]
+	}
+	return c
+}
+
 func chooseEncoding(st colStats, opts Options) encoding {
 	if opts.force != auto {
 		if opts.force == forceDDC {
@@ -698,7 +717,7 @@ func buildGroup(col int, data []float64, cc *colCode, enc encoding) Group {
 	case forceRLE:
 		return buildRLE(col, cc)
 	default:
-		return &UCGroup{col: col, data: la.CloneVec(data)}
+		return &UCGroup{cols: [1]int{col}, data: data}
 	}
 }
 

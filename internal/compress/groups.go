@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"dmml/internal/la"
-	"dmml/internal/pool"
 )
 
 // Group is one compressed column group: a set of columns co-coded together.
@@ -29,10 +28,6 @@ type Group interface {
 	Cols() []int
 	// Encoding names the physical encoding, for diagnostics.
 	Encoding() string
-	// VecMatAccum adds, for every column j in Cols, Σ_i x[i]·X[i,j] into out[j].
-	VecMatAccum(out, x []float64)
-	// ColSumsAccum adds per-column sums into out (indexed by original column).
-	ColSumsAccum(out []float64)
 	// DecompressInto writes the group's columns into m.
 	DecompressInto(m *la.Dense)
 	// SizeBytes estimates the in-memory footprint of the compressed form.
@@ -50,10 +45,31 @@ type Group interface {
 	matVecRange(out, pre, v []float64, lo, hi int)
 	// vecMatRange adds, for every dictionary entry t, Σ x[i] over the rows
 	// i in [lo,hi) holding t into wts[t] — for UC, Σ x[i]·X[i,col] into
-	// wts[0]. Scattering the summed weights through the dictionary
-	// (dict.scatterWeighted) gives VecMatAccum's contribution. Like
-	// matVecRange it reads no row outside [lo,hi).
+	// wts[0]; wts has numWeights(g) elements. scatterWeights turns the
+	// summed weights into the group's share of xᵀ·X. Like matVecRange it
+	// reads no row outside [lo,hi). It is the group's one vector–matrix
+	// kernel: VecMatAccum runs it over all rows, LossGradAccum per range.
 	vecMatRange(wts, x []float64, lo, hi int)
+}
+
+// numWeights is the length of g's vecMatRange weights: one per dictionary
+// entry, one for UC.
+func numWeights(g Group) int {
+	if d := g.dictionary(); d != nil {
+		return d.numEntries()
+	}
+	return 1
+}
+
+// scatterWeights adds g's share of xᵀ·X into out from its vecMatRange
+// weights summed over all rows: through the dictionary, or for UC the one
+// weight at its column.
+func scatterWeights(g Group, out, wts []float64) {
+	if d := g.dictionary(); d != nil {
+		d.scatterWeighted(out, wts)
+		return
+	}
+	out[g.(*UCGroup).cols[0]] += wts[0]
 }
 
 // dict is a tuple dictionary: entry t covers len(cols) values.
@@ -152,16 +168,6 @@ func (g *DDCGroup) matVecRange(out, pre, _ []float64, lo, hi int) {
 	}
 }
 
-// VecMatAccum implements Group.
-//
-//dmml:noalloc
-func (g *DDCGroup) VecMatAccum(out, x []float64) {
-	acc := pool.GetF64Zeroed(g.d.numEntries())
-	g.vecMatRange(acc, x, 0, g.rows)
-	g.d.scatterWeighted(out, acc)
-	pool.PutF64(acc)
-}
-
 //dmml:noalloc
 func (g *DDCGroup) vecMatRange(wts, x []float64, lo, hi int) {
 	if g.codes8 != nil {
@@ -178,23 +184,6 @@ func (g *DDCGroup) vecMatRange(wts, x []float64, lo, hi int) {
 		wts[c] += x[i]
 	}
 }
-
-func (g *DDCGroup) entryCounts() []float64 {
-	counts := make([]float64, g.d.numEntries())
-	if g.codes8 != nil {
-		for _, c := range g.codes8 {
-			counts[c]++
-		}
-	} else {
-		for _, c := range g.codes {
-			counts[c]++
-		}
-	}
-	return counts
-}
-
-// ColSumsAccum implements Group.
-func (g *DDCGroup) ColSumsAccum(out []float64) { g.d.scatterWeighted(out, g.entryCounts()) }
 
 // DecompressInto implements Group.
 func (g *DDCGroup) DecompressInto(m *la.Dense) {
@@ -288,38 +277,6 @@ func (g *OLEGroup) vecMatRange(wts, x []float64, lo, hi int) {
 			s += x[i]
 		}
 		wts[t] += s
-	}
-}
-
-// VecMatAccum implements Group.
-//
-//dmml:noalloc
-func (g *OLEGroup) VecMatAccum(out, x []float64) {
-	w := len(g.d.cols)
-	for t, offs := range g.offsets {
-		var s float64
-		for _, i := range offs {
-			s += x[i]
-		}
-		if s == 0 {
-			continue
-		}
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += s * e[j]
-		}
-	}
-}
-
-// ColSumsAccum implements Group.
-func (g *OLEGroup) ColSumsAccum(out []float64) {
-	w := len(g.d.cols)
-	for t, offs := range g.offsets {
-		n := float64(len(offs))
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += n * e[j]
-		}
 	}
 }
 
@@ -425,53 +382,6 @@ func (g *RLEGroup) vecMatRange(wts, x []float64, lo, hi int) {
 	}
 }
 
-// VecMatAccum implements Group.
-//
-//dmml:noalloc
-func (g *RLEGroup) VecMatAccum(out, x []float64) {
-	w := len(g.d.cols)
-	for t, rs := range g.runs {
-		var s float64
-		for k := 0; k < len(rs); k += 2 {
-			start, length := int(rs[k]), int(rs[k+1])
-			for i := start; i < start+length; i++ {
-				s += x[i]
-			}
-		}
-		if s == 0 {
-			continue
-		}
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += s * e[j]
-		}
-	}
-}
-
-func (g *RLEGroup) entryCounts() []float64 {
-	counts := make([]float64, g.d.numEntries())
-	for t, rs := range g.runs {
-		var n int32
-		for k := 1; k < len(rs); k += 2 {
-			n += rs[k]
-		}
-		counts[t] = float64(n)
-	}
-	return counts
-}
-
-// ColSumsAccum implements Group.
-func (g *RLEGroup) ColSumsAccum(out []float64) {
-	w := len(g.d.cols)
-	counts := g.entryCounts()
-	for t, n := range counts {
-		e := g.d.entry(t)
-		for j := 0; j < w; j++ {
-			out[g.d.cols[j]] += n * e[j]
-		}
-	}
-}
-
 // DecompressInto implements Group.
 func (g *RLEGroup) DecompressInto(m *la.Dense) {
 	w := len(g.d.cols)
@@ -506,12 +416,12 @@ func (g *RLEGroup) Scale(s float64) { g.d.scale(s) }
 // UCGroup is an uncompressed single column, the fallback when no dictionary
 // encoding pays off (e.g. continuous unique values).
 type UCGroup struct {
-	col  int
+	cols [1]int // the column, as an array so Cols need not allocate
 	data []float64
 }
 
 // Cols implements Group.
-func (g *UCGroup) Cols() []int { return []int{g.col} }
+func (g *UCGroup) Cols() []int { return g.cols[:] }
 
 // Encoding implements Group.
 func (g *UCGroup) Encoding() string { return "UC" }
@@ -520,7 +430,7 @@ func (g *UCGroup) dictionary() *dict { return nil }
 
 //dmml:noalloc
 func (g *UCGroup) matVecRange(out, _, v []float64, lo, hi int) {
-	vj := v[g.col]
+	vj := v[g.cols[0]]
 	if vj == 0 {
 		return
 	}
@@ -532,18 +442,10 @@ func (g *UCGroup) vecMatRange(wts, x []float64, lo, hi int) {
 	wts[0] += la.Dot(x[lo:hi], g.data[lo:hi])
 }
 
-// VecMatAccum implements Group.
-func (g *UCGroup) VecMatAccum(out, x []float64) {
-	out[g.col] += la.Dot(x, g.data)
-}
-
-// ColSumsAccum implements Group.
-func (g *UCGroup) ColSumsAccum(out []float64) { out[g.col] += la.SumVec(g.data) }
-
 // DecompressInto implements Group.
 func (g *UCGroup) DecompressInto(m *la.Dense) {
 	for i, v := range g.data {
-		m.Set(i, g.col, v)
+		m.Set(i, g.cols[0], v)
 	}
 }
 

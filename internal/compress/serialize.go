@@ -115,7 +115,7 @@ func EncodeInto(dst []float64, m *Matrix) error {
 			}
 		case *UCGroup:
 			w.putInt(pkUC)
-			w.putInt(g.col)
+			w.putInt(g.cols[0])
 			w.putInt(len(g.data))
 			w.putFloats(g.data)
 		default:
@@ -165,6 +165,7 @@ func DecodePage(data []float64) (*Matrix, error) {
 		return nil, err
 	}
 	m.groups = make([]Group, 0, ng)
+	r.groups = ng
 	for gi := 0; gi < ng; gi++ {
 		g, err := r.group(gi, m.rows)
 		if err != nil {
@@ -203,7 +204,13 @@ func (r *pageReader) group(gi, rows int) (Group, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UCGroup{col: col, data: vals}, nil
+		if r.ucs == nil {
+			// One allocation for every UC group the page has left, so a
+			// page of many UC columns decodes in a few allocations.
+			r.ucs = make([]UCGroup, 0, r.groups-gi)
+		}
+		r.ucs = append(r.ucs, UCGroup{cols: [1]int{col}, data: vals})
+		return &r.ucs[len(r.ucs)-1], nil
 	}
 	if kind > pkRLE {
 		return nil, fmt.Errorf("compress: DecodePage: group %d has unknown kind %d", gi, kind)
@@ -412,8 +419,10 @@ func putPacked[T uint8 | uint16 | int32](w *pageWriter, vals []T) {
 // --- reader ---------------------------------------------------------------
 
 type pageReader struct {
-	buf []float64
-	off int
+	buf    []float64
+	off    int
+	groups int       // the page's group count
+	ucs    []UCGroup // backing for the decoded UC groups, never regrown
 }
 
 func (r *pageReader) int() (int, error) {

@@ -193,7 +193,7 @@ func TestDecodePageRejectsUnsafePages(t *testing.T) {
 	}
 	two := dict{cols: []int{0}, vals: []float64{1, 2}}
 	many := dict{cols: []int{0}, vals: make([]float64, 300)}
-	uc := func(col, n int) Group { return &UCGroup{col: col, data: make([]float64, n)} }
+	uc := func(col, n int) Group { return &UCGroup{cols: [1]int{col}, data: make([]float64, n)} }
 	one := func(g Group) *Matrix { return &Matrix{rows: rows, cols: 1, groups: []Group{g}} }
 	valid := map[string]*Matrix{
 		"DDC1":    one(&DDCGroup{d: two, codes8: codes(0, -1), rows: rows}),
@@ -250,8 +250,9 @@ func TestDecodePageRejectsUnsafePages(t *testing.T) {
 // LossGradAccum's margins and derivatives must be those of MatVecInto and
 // the logistic tile. The seeds
 // are EncodeInto pages covering every group kind, each checked first to
-// decode back to the matrix that was encoded, and a co-coded block of the
-// out-of-core workload's columns as ooc's builder pages it.
+// decode back to the matrix that was encoded, and a block of the
+// out-of-core workload's columns as ooc's builder pages it, co-coded and in
+// the uncompressed layout.
 func FuzzDecodePage(f *testing.F) {
 	r := rand.New(rand.NewSource(95))
 	// Small pages keep the fuzzer's minimization of new inputs short.
@@ -266,14 +267,21 @@ func FuzzDecodePage(f *testing.F) {
 	for _, seed := range []struct {
 		m    *la.Dense
 		opts Options
+		c    *Matrix // the page's matrix if not Compress(m, opts)
 	}{
-		{m, Options{}}, {m, Options{CoCode: true}}, {m, Options{force: forceDDC}}, {wide, Options{force: forceDDC}},
-		{m, Options{force: forceOLE}}, {m, Options{force: forceRLE}}, {m, Options{force: forceUC}},
-		{block, Options{CoCode: true}},
+		{m: m}, {m: m, opts: Options{CoCode: true}}, {m: m, opts: Options{force: forceDDC}}, {m: wide, opts: Options{force: forceDDC}},
+		{m: m, opts: Options{force: forceOLE}}, {m: m, opts: Options{force: forceRLE}}, {m: m, opts: Options{force: forceUC}},
+		{m: block, opts: Options{CoCode: true}},
+		// The uncompressed layout ooc's builder pages a block in when it
+		// does not compress.
+		{m: block, c: Uncompressed(block)},
 	} {
-		c := Compress(seed.m, seed.opts)
-		if seed.m == block && len(c.Groups()) == block.Cols() {
-			f.Fatal("the out-of-core block seed is not co-coded")
+		c := seed.c
+		if c == nil {
+			c = Compress(seed.m, seed.opts)
+			if seed.m == block && len(c.Groups()) == block.Cols() {
+				f.Fatal("the out-of-core block seed is not co-coded")
+			}
 		}
 		for _, g := range c.Groups() {
 			switch g := g.(type) {

@@ -210,13 +210,13 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 		return nil, fmt.Errorf("core: %d labels for %d rows", len(y), n)
 	}
 
-	// Probe compressibility on a sample.
+	// Probe compressibility on a sample, planned as the compressed plan runs.
+	compressOpts := compress.Options{CoCode: true}
 	sample := x
 	if n > compressSampleRows {
 		sample = x.Slice(0, compressSampleRows, 0, d)
 	}
-	probe := compress.Compress(sample, compress.Options{})
-	ratio := probe.CompressionRatio()
+	ratio := compress.Compress(sample, compressOpts).CompressionRatio()
 
 	denseBytes := int64(8 * n * d)
 	comprBytes := int64(float64(denseBytes) / math.Max(ratio, 1e-9))
@@ -239,7 +239,7 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 	// actual value proposition.
 	compressSetup := 4 * float64(n) * float64(d)
 	p.add("compressed+iterative", iters*matvecPair*1.05+compressSetup, comprBytes, func() ([]float64, error) {
-		return p.iterative(compress.Compress(x, compress.Options{CoCode: true}))
+		return p.iterative(compress.Compress(x, compressOpts))
 	})
 	// Paged iterative: stream blocks through a buffer pool sized to the
 	// budget. Sequential block I/O per iteration is modeled as cheaper than

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dmml/internal/compress"
 	"dmml/internal/factorized"
 	"dmml/internal/la"
 	"dmml/internal/storage"
@@ -223,6 +225,46 @@ func TestTrainJoinedCompressedUnderMemoryPressure(t *testing.T) {
 		if math.Abs(res.W[j]-dense.W[j]) > 1e-6 {
 			t.Fatalf("compressed vs dense weights differ at %d: %v vs %v", j, res.W[j], dense.W[j])
 		}
+	}
+}
+
+// TestCompressedPlanPricedAsItRuns: the compressed plan runs a co-coded
+// matrix, so its working set is priced from a co-coded probe: the dense
+// bytes ÷ the co-coded sample's ratio, not an uncoded one's.
+func TestCompressedPlanPricedAsItRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(187))
+	n, d := 3000, 4
+	x := la.NewDense(n, d)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		// Columns 0 and 1, and 2 and 3, move together: two co-coded pairs.
+		a, b := r.Intn(6), r.Intn(5)
+		x.Set(i, 0, float64(a))
+		x.Set(i, 1, float64(a%3*2))
+		x.Set(i, 2, float64(b))
+		x.Set(i, 3, float64(b*b-1))
+		y[i] = float64(2*(a%2) - 1)
+	}
+	sample := x.Slice(0, compressSampleRows, 0, d)
+	cocoded := compress.Compress(sample, compress.Options{CoCode: true})
+	if len(cocoded.Groups()) == d {
+		t.Fatalf("sample groups %v: not co-coded; test is vacuous", cocoded.GroupInfo())
+	}
+	if uncoded := compress.Compress(sample, compress.Options{}); uncoded.CompressionRatio() == cocoded.CompressionRatio() {
+		t.Fatal("co-coding leaves the sample's ratio unchanged; test is vacuous")
+	}
+	res, err := TrainJoined(x, y, Task{Loss: LogisticLoss, MaxIter: 2}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(float64(8*n*d) / cocoded.CompressionRatio())
+	i := slices.IndexFunc(res.Explain, func(p PlanCost) bool { return p.Name == "compressed+iterative" })
+	if i < 0 {
+		t.Fatalf("no compressed plan\n%s", ExplainString(res.Explain))
+	}
+	if got := res.Explain[i].WorkingSetBytes; got != want {
+		t.Fatalf("compressed plan working set %d bytes, want %d (dense %d ÷ co-coded ratio %.3f)",
+			got, want, 8*n*d, cocoded.CompressionRatio())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"dmml/internal/compress"
 	"dmml/internal/dml"
 	"dmml/internal/featureng"
 	"dmml/internal/la"
@@ -276,7 +277,9 @@ func E11BufferPool(quick bool) (Table, error) {
 		v[i] = r.NormFloat64()
 	}
 	passes := 5
-	pageBytes := int64(8 * pageRows * cols)
+	// The pool holds capacity pages of the size the builder writes: a
+	// NoCompress block pages as compress.Uncompressed, its data plus headers.
+	pageBytes := 8 * int64(compress.EncodedLen(compress.Uncompressed(x.Slice(0, pageRows, 0, cols))))
 	dir, err := tmpDir()
 	if err != nil {
 		return t, err

@@ -10,14 +10,7 @@ import (
 func (m *Matrix) ToDense() (*la.Dense, error) {
 	out := la.NewDense(m.rows, m.cols)
 	err := m.ForEachBlock(func(rb opt.RowBlock) error {
-		var rows *la.Dense
-		switch b := rb.(type) {
-		case *rawBlock:
-			rows = b.dn
-		case *compressedBlock:
-			rows = b.cm.Decompress()
-		}
-		copy(out.RawData()[rb.StartRow()*m.cols:], rows.RawData())
+		copy(out.RawData()[rb.StartRow()*m.cols:], rb.(*block).Decompress().RawData())
 		return nil
 	})
 	if err != nil {

@@ -137,7 +137,7 @@ func TestBuilderCoCodesBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups := b.(*compressedBlock).cm.Groups()
+		groups := b.Groups()
 		m.unpinBlock(i)
 		if len(groups) >= m.Cols() {
 			t.Fatalf("block %d: %d groups for %d columns; the builder did not co-code", i, len(groups), m.Cols())

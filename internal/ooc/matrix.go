@@ -1,8 +1,10 @@
 // Package ooc implements the out-of-core training datapath: a row-block
-// partitioned matrix whose blocks live in a storage.BufferPool as pages —
-// CLA-compressed (via internal/compress's page codec) when the encoding pays,
-// raw row-major otherwise — with an async double-buffered prefetcher that
-// pins block N+1 while the optimizer computes on block N.
+// partitioned matrix whose blocks live in a storage.BufferPool as CLA pages
+// of internal/compress's page codec — compressed when the encoding pays,
+// one uncompressed (UC) column group per column otherwise — with an async
+// double-buffered prefetcher that pins block N+1 while the optimizer
+// computes on block N. Every block decodes to a compress.Matrix, so every
+// block runs the compressed kernels and the one-pass block step.
 //
 // The paper's out-of-core and CLA sections motivate the design: training on
 // data larger than RAM at near in-memory speed requires (a) bounded resident
@@ -30,8 +32,9 @@ type Options struct {
 	// short. Zero sizes blocks from the pool's budget: a dense block is
 	// 1/poolBlocks of it, and at least one row.
 	BlockRows int
-	// NoCompress disables CLA compression: every block is stored as a raw
-	// row-major page. Mostly for experiments comparing the two layouts.
+	// NoCompress disables CLA compression: every block is stored
+	// uncompressed, one UC column group per column. Mostly for experiments
+	// comparing the two layouts.
 	NoCompress bool
 	// Prefetch enables the async double-buffered block prefetcher for
 	// ForEachBlock streams. Default off.
@@ -44,8 +47,8 @@ type Options struct {
 const poolBlocks = 8
 
 // minRatio is the compression ratio (dense bytes / page bytes) a block must
-// achieve for the compressed form to be kept; below it the raw layout wins
-// because decoding cost buys no byte savings.
+// achieve for the compressed form to be kept; below it the uncompressed
+// layout wins because the dictionary lookups buy no byte savings.
 const minRatio = 1.2
 
 // withBlockRows resolves a zero BlockRows for a cols-wide matrix in bp.
@@ -140,7 +143,8 @@ func NewBuilder(bp *storage.BufferPool, cols int, opts Options) *Builder {
 
 // AppendBlock adds d's rows as the next block. The block is compressed, with
 // CLA's pairwise column co-coding, when compression pays (and Options allow
-// it), written into a pool page, and unpinned, so the pool may evict or spill
+// it), and kept as UC column groups otherwise; either way it is written into
+// a pool page by the CLA codec and unpinned, so the pool may evict or spill
 // it immediately. An error ends the build: the builder's pages leave the
 // pool, and a later call is an error.
 func (b *Builder) AppendBlock(d *la.Dense) error {
@@ -168,28 +172,22 @@ func (b *Builder) appendBlock(d *la.Dense) error {
 	var cm *compress.Matrix
 	if !b.opts.NoCompress {
 		c := compress.Compress(d, compress.Options{CoCode: true})
-		words := compress.EncodedLen(c)
-		if float64(d.Rows()*d.Cols())/float64(words) >= minRatio {
-			cm = c
-			meta.compressed = true
-			meta.words = words
+		if float64(d.Rows()*d.Cols())/float64(compress.EncodedLen(c)) >= minRatio {
+			cm, meta.compressed = c, true
 		}
 	}
 	if cm == nil {
-		meta.words = d.Rows() * d.Cols()
+		cm = compress.Uncompressed(d)
 	}
+	meta.words = compress.EncodedLen(cm)
 	id := storage.PageID{Owner: b.owner, Index: len(b.m.blocks)}
 	page, err := b.bp.Pin(id, meta.words)
 	if err != nil {
 		return fmt.Errorf("ooc: AppendBlock: %w", err)
 	}
-	if cm != nil {
-		if err := compress.EncodeInto(page, cm); err != nil {
-			b.bp.Unpin(id, false)
-			return fmt.Errorf("ooc: AppendBlock: %w", err)
-		}
-	} else {
-		copy(page, d.RawData())
+	if err := compress.EncodeInto(page, cm); err != nil {
+		b.bp.Unpin(id, false)
+		return fmt.Errorf("ooc: AppendBlock: %w", err)
 	}
 	b.bp.Unpin(id, true)
 	b.m.blocks = append(b.m.blocks, meta)

@@ -65,8 +65,10 @@ func TestOpsMatchDense(t *testing.T) {
 	src := testMatrix(r, 900, 5)
 	for _, raw := range []bool{false, true} {
 		// Budget far below the matrix size so ops must stream through spill,
-		// in both the compressed and the raw page layout.
-		bp := newPool(t, 8*1024)
+		// in both the compressed and the uncompressed page layout, yet over
+		// the two 100×5 uncompressed pages (4152 bytes each) the prefetcher
+		// pins at once.
+		bp := newPool(t, 9*1024)
 		m, err := FromDense(bp, src, Options{BlockRows: 100, NoCompress: raw})
 		if err != nil {
 			t.Fatal(err)
@@ -328,6 +330,71 @@ func TestSolverEquivalence(t *testing.T) {
 				t.Fatalf("prefetch=%v w[%d] = %v, want %v", prefetch, j, got.W[j], want.W[j])
 			}
 		}
+	}
+}
+
+// TestUncompressedBlockStepMatchesThreePass: a NoCompress block is a matrix
+// of UC groups, so it carries the one-pass block step. Its margins and
+// derivatives are the three passes' bit for bit (MatVecInto, the logistic
+// tile, VecMatAccum), its loss and gradient theirs to 1e-12 relative.
+func TestUncompressedBlockStepMatchesThreePass(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	src := testMatrix(r, 1000, 6)
+	y := make([]float64, src.Rows())
+	for i := range y {
+		y[i] = float64(2*r.Intn(2) - 1)
+	}
+	w, grad0 := make([]float64, src.Cols()), make([]float64, src.Cols())
+	for j := range w {
+		w[j], grad0[j] = r.NormFloat64(), r.NormFloat64()
+	}
+	m, err := FromDense(newPool(t, 1<<20), src, Options{BlockRows: 333, NoCompress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	err = m.ForEachBlock(func(rb opt.RowBlock) error {
+		blocks++
+		fb, ok := rb.(interface {
+			LossGradAccum(grad, margins, derivs, w, y []float64, tile func(derivs, margins, y []float64) float64) float64
+		})
+		if !ok {
+			t.Fatalf("block at row %d has no one-pass step", rb.StartRow())
+		}
+		yb := y[rb.StartRow() : rb.StartRow()+rb.Rows()]
+		wantMargins := rb.MatVecInto(make([]float64, rb.Rows()), w)
+		wantDerivs := make([]float64, rb.Rows())
+		wantLoss := la.LogisticLossInto(wantDerivs, wantMargins, yb)
+		wantGrad := append([]float64(nil), grad0...)
+		rb.VecMatAccum(wantGrad, wantDerivs)
+
+		grad := append([]float64(nil), grad0...)
+		margins, derivs := make([]float64, rb.Rows()), make([]float64, rb.Rows())
+		loss := fb.LossGradAccum(grad, margins, derivs, w, yb, la.LogisticLossInto)
+		for i := range margins {
+			if math.Float64bits(margins[i]) != math.Float64bits(wantMargins[i]) || math.Float64bits(derivs[i]) != math.Float64bits(wantDerivs[i]) {
+				t.Fatalf("row %d: margin %v, deriv %v; three-pass %v, %v", rb.StartRow()+i, margins[i], derivs[i], wantMargins[i], wantDerivs[i])
+			}
+		}
+		if d := math.Abs(loss - wantLoss); d > 1e-12*math.Abs(wantLoss) {
+			t.Errorf("block at row %d: loss %v, three-pass %v", rb.StartRow(), loss, wantLoss)
+		}
+		scale := 0.0
+		for _, g := range wantGrad {
+			scale = max(scale, math.Abs(g))
+		}
+		for j := range wantGrad {
+			if d := math.Abs(grad[j] - wantGrad[j]); d > 1e-12*scale {
+				t.Errorf("block at row %d: grad[%d] = %v, three-pass %v", rb.StartRow(), j, grad[j], wantGrad[j])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks != 4 || m.CompressedBlocks() != 0 {
+		t.Fatalf("%d blocks, %d compressed; want 4 uncompressed", blocks, m.CompressedBlocks())
 	}
 }
 

@@ -10,111 +10,22 @@ import (
 	"dmml/internal/storage"
 )
 
-// pinnedBlock is one pinned row block as a stream delivers it: a
-// compressedBlock or a rawBlock. It is valid only while its page stays
-// pinned (i.e. inside the ForEachBlock callback that delivered it).
-type pinnedBlock interface {
-	opt.RowBlock
-	index() int
-	// gramAccum adds Xbᵀ·Xb into out (cols×cols, row-major) — the block
-	// contribution to the full Gram matrix.
-	gramAccum(out *la.Dense)
-	// colSumsAccum adds the block's column sums into out.
-	colSumsAccum(out []float64)
-}
-
-// blockHead is what every pinned block knows besides its data.
-type blockHead struct {
-	m    *Matrix
-	meta *blockMeta
-	idx  int
+// block is one pinned row block as a stream delivers it: its page decoded
+// into a compress.Matrix that aliases the page, whose kernels — the one-pass
+// block step LossGradAccum among them — run over the column groups without
+// decompressing. A block of uncompressed data is the same type with one UC
+// group per column. It is valid only while its page stays pinned (i.e.
+// inside the ForEachBlock callback that delivered it).
+type block struct {
+	*compress.Matrix
+	startRow, idx int
 }
 
 // StartRow implements opt.RowBlock.
-func (b *blockHead) StartRow() int { return b.meta.startRow }
-
-// Rows implements opt.RowBlock.
-func (b *blockHead) Rows() int { return b.meta.rows }
-
-// Cols implements opt.RowBlock.
-func (b *blockHead) Cols() int { return b.m.cols }
-
-func (b *blockHead) index() int { return b.idx }
-
-// compressedBlock is a CLA page decoded into a view of the pinned page. Its
-// kernels operate over the compressed form, and it carries the one-pass
-// block step, LossGradAccum.
-type compressedBlock struct {
-	blockHead
-	cm *compress.Matrix
-}
-
-// MatVecInto implements opt.RowBlock.
-func (b *compressedBlock) MatVecInto(dst, v []float64) []float64 { return b.cm.MatVecInto(dst, v) }
-
-// VecMatAccum implements opt.RowBlock. It dispatches through the Group
-// interface, so the noalloc proof lives on the concrete group methods in
-// internal/compress rather than on this wrapper.
-func (b *compressedBlock) VecMatAccum(out, x []float64) { b.cm.VecMatAccum(out, x) }
-
-// LossGradAccum is the one-pass block step opt's streamed solvers probe
-// for: margins, loss tile and gradient over the block in one reduction.
-func (b *compressedBlock) LossGradAccum(grad, margins, derivs, w, y []float64, tile func(derivs, margins, y []float64) float64) float64 {
-	return b.cm.LossGradAccum(grad, margins, derivs, w, y, tile)
-}
-
-func (b *compressedBlock) gramAccum(out *la.Dense) { b.cm.GramAccum(out) }
-
-func (b *compressedBlock) colSumsAccum(out []float64) { b.cm.ColSumsAccum(out) }
-
-// rawBlock is a raw row-major page viewed as a dense block, zero-copy. It
-// runs the plain row-major kernels and has no one-pass step: opt makes its
-// three passes over it.
-type rawBlock struct {
-	blockHead
-	dn *la.Dense
-}
-
-// MatVecInto implements opt.RowBlock.
-func (b *rawBlock) MatVecInto(dst, v []float64) []float64 { return la.MatVecInto(dst, b.dn, v) }
-
-// VecMatAccum implements opt.RowBlock.
-func (b *rawBlock) VecMatAccum(out, x []float64) {
-	cols := b.m.cols
-	raw := b.dn.RawData()
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := raw[i*cols : (i+1)*cols]
-		la.Axpy(xi, row, out)
-	}
-}
-
-func (b *rawBlock) gramAccum(out *la.Dense) {
-	cols := b.m.cols
-	raw := b.dn.RawData()
-	od := out.RawData()
-	for i := 0; i < b.meta.rows; i++ {
-		row := raw[i*cols : (i+1)*cols]
-		for j, vj := range row {
-			if vj == 0 {
-				continue
-			}
-			la.Axpy(vj, row, od[j*cols:(j+1)*cols])
-		}
-	}
-}
-
-func (b *rawBlock) colSumsAccum(out []float64) {
-	raw := b.dn.RawData()
-	for r0 := 0; r0 < len(raw); r0 += b.m.cols {
-		la.Axpy(1, raw[r0:r0+b.m.cols], out)
-	}
-}
+func (b *block) StartRow() int { return b.startRow }
 
 // pinBlock pins block idx's page and decodes it into a usable view.
-func (m *Matrix) pinBlock(idx int) (pinnedBlock, error) {
+func (m *Matrix) pinBlock(idx int) (*block, error) {
 	meta := &m.blocks[idx]
 	id := storage.PageID{Owner: m.owner, Index: idx}
 	page, err := m.bp.Pin(id, meta.words)
@@ -122,26 +33,17 @@ func (m *Matrix) pinBlock(idx int) (pinnedBlock, error) {
 		return nil, fmt.Errorf("ooc: pin block %d: %w", idx, err)
 	}
 	mBlockPins.Inc()
-	head := blockHead{m: m, meta: meta, idx: idx}
-	if meta.compressed {
-		sw := mDecodeTimer.Start()
-		cm, err := compress.DecodePage(page)
-		sw.Stop()
-		if err == nil && (cm.Rows() != meta.rows || cm.Cols() != m.cols) {
-			err = fmt.Errorf("page holds a %dx%d matrix, block is %dx%d", cm.Rows(), cm.Cols(), meta.rows, m.cols)
-		}
-		if err != nil {
-			m.bp.Unpin(id, false)
-			return nil, fmt.Errorf("ooc: decode block %d: %w", idx, err)
-		}
-		return &compressedBlock{head, cm}, nil
+	sw := mDecodeTimer.Start()
+	cm, err := compress.DecodePage(page)
+	sw.Stop()
+	if err == nil && (cm.Rows() != meta.rows || cm.Cols() != m.cols) {
+		err = fmt.Errorf("page holds a %dx%d matrix, block is %dx%d", cm.Rows(), cm.Cols(), meta.rows, m.cols)
 	}
-	dn, err := la.NewDenseData(meta.rows, m.cols, page)
 	if err != nil {
 		m.bp.Unpin(id, false)
-		return nil, fmt.Errorf("ooc: view block %d: %w", idx, err)
+		return nil, fmt.Errorf("ooc: decode block %d: %w", idx, err)
 	}
-	return &rawBlock{head, dn}, nil
+	return &block{cm, meta.startRow, idx}, nil
 }
 
 func (m *Matrix) unpinBlock(idx int) {
@@ -170,7 +72,7 @@ func (m *Matrix) ForEachBlock(f func(opt.RowBlock) error) error {
 		return nil
 	}
 	type fetched struct {
-		b   pinnedBlock
+		b   *block
 		err error
 	}
 	ch := make(chan fetched) // unbuffered: producer stays ≤1 block ahead
@@ -221,7 +123,7 @@ func (m *Matrix) ForEachBlock(f func(opt.RowBlock) error) error {
 			return fe.err
 		}
 		err := f(fe.b)
-		m.unpinBlock(fe.b.index())
+		m.unpinBlock(fe.b.idx)
 		if err != nil {
 			return err
 		}
@@ -260,7 +162,7 @@ func (m *Matrix) VecMat(dst, x []float64) error {
 func (m *Matrix) Gram() (*la.Dense, error) {
 	out := la.NewDense(m.cols, m.cols)
 	err := m.ForEachBlock(func(b opt.RowBlock) error {
-		b.(pinnedBlock).gramAccum(out)
+		b.(*block).GramAccum(out)
 		return nil
 	})
 	if err != nil {
@@ -273,7 +175,7 @@ func (m *Matrix) Gram() (*la.Dense, error) {
 func (m *Matrix) ColSums() ([]float64, error) {
 	out := make([]float64, m.cols)
 	err := m.ForEachBlock(func(b opt.RowBlock) error {
-		b.(pinnedBlock).colSumsAccum(out)
+		b.(*block).ColSumsAccum(out)
 		return nil
 	})
 	if err != nil {

@@ -42,8 +42,8 @@ type BlockData interface {
 
 // lossGradBlock is the optional one-pass capability of a RowBlock: margins,
 // the loss tile and the gradient accumulation over the block's rows in one
-// pass (see (*compress.Matrix).LossGradAccum, which a compressed
-// out-of-core block forwards to). tile is a loss's serial kernel; the
+// pass (see (*compress.Matrix).LossGradAccum, which every out-of-core block
+// carries). tile is a loss's serial kernel; the
 // method writes margins and derivs, adds Xbᵀ·derivs into grad and returns
 // the block's loss sum.
 type lossGradBlock interface {
@@ -53,10 +53,12 @@ type lossGradBlock interface {
 // blockStep is one block's share of a gradient evaluation, the one block
 // step under both streamed solvers: it writes the block's rows of margins
 // and derivs, adds the block's gradient contribution into grad and returns
-// the block's loss sum. A block with the one-pass capability runs it;
-// every other block makes the three passes MatVecInto, Loss.Batch and
-// VecMatAccum, which are also the reference the one-pass step is tested
-// against. The probe is a type assertion and allocates nothing.
+// the block's loss sum. A block with the one-pass capability — every ooc
+// block, compressed or not — runs it; every other block (one from outside
+// the engine, such as a test's or a benchmark's decorator) makes the three
+// passes MatVecInto, Loss.Batch and VecMatAccum, which are also the
+// reference the one-pass step is tested against. The probe is a type
+// assertion and allocates nothing.
 func blockStep(b RowBlock, loss Loss, grad, w, y, margins, derivs []float64) float64 {
 	r0, nb := b.StartRow(), b.Rows()
 	mb, db, yb := margins[r0:r0+nb], derivs[r0:r0+nb], y[r0:r0+nb]
