@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -81,5 +84,36 @@ func TestStatsGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("-stats operator counts changed (rerun with -update-golden if intended)\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestStatsShowsBuilderInstruments: reading a CSV out of core under -stats
+// shows how long the reader waited on the builder's block in flight (a timer
+// row) and how many columns the compression planner settled as UC from a
+// row sample (a counter row). The file exceeds the budget, so it streams in
+// ten blocks of up to 819 rows, each long enough to sample; its uniform
+// columns have a few repeats among 10⁶ values, so most samples are all
+// distinct. Each block but the first waits on the one before it, and Finish
+// on the last.
+func TestStatsShowsBuilderInstruments(t *testing.T) {
+	defer func() {
+		metrics.Disable()
+		metrics.Reset()
+	}()
+	dir := t.TempDir()
+	x := filepath.Join(dir, "x.csv")
+	writeUniformCSV(t, x, rand.New(rand.NewSource(34)), 8000, 5)
+	t.Setenv("TMPDIR", t.TempDir())
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-stats", "-ooc-budget", "256KB", "-e", fmt.Sprintf("X = read(%q)\nsum(X)", x)}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^\d+\s+ooc\.append\.wait\s+10\s`),
+		regexp.MustCompile(`(?m)^compress\.columns\.sampled_uc\s+[1-9]\d*$`),
+	} {
+		if !want.MatchString(errOut.String()) {
+			t.Errorf("-stats output has no line matching %s:\n%s", want, errOut.String())
+		}
 	}
 }

@@ -397,12 +397,13 @@ type colCode struct {
 	codes []int32
 }
 
-// analyzeColumn computes exact column statistics and the provisional coding
-// in a single pass.
-func analyzeColumn(col []float64) (colStats, colCode) {
+// analyzeInto computes exact column statistics and the provisional coding in
+// a single pass: cc.codes (len(col) long) receives the codes and cc.vals is
+// refilled from empty, with idx, reset first, as the table.
+func analyzeInto(col []float64, idx *valueIndex, cc *colCode) colStats {
 	st := colStats{rows: len(col)}
-	var idx valueIndex
-	cc := colCode{codes: make([]int32, len(col))}
+	idx.reset()
+	cc.vals = cc.vals[:0]
 	prev := int32(-1)
 	inRun := false
 	for i, v := range col {
@@ -428,10 +429,27 @@ func analyzeColumn(col []float64) (colStats, colCode) {
 		}
 	}
 	st.isConst = st.card == 1
-	return st, cc
+	return st
 }
 
-// valueIndex is analyzeColumn's table from a value to its code: open
+// sampleDistinct reports whether the values of column j of the row-major
+// data (cols wide) on the sample's rows are all distinct, hashing them
+// through idx, reset first, with vals as scratch. It stops at the first
+// repeat.
+func sampleDistinct(data []float64, cols, j int, sample []int, idx *valueIndex, vals *[]float64) bool {
+	idx.reset()
+	*vals = (*vals)[:0]
+	for _, i := range sample {
+		n := len(*vals)
+		idx.code(vals, data[i*cols+j])
+		if len(*vals) == n {
+			return false
+		}
+	}
+	return true
+}
+
+// valueIndex is analyzeInto's table from a value to its code: open
 // addressing with linear probing over slots that hold code+1 (0 is empty),
 // from a multiplicative hash of the value's bits with −0 folded to +0. Keys
 // compare with ==, as a map[float64] does, so the codes are a map's on every
@@ -476,11 +494,21 @@ func (x *valueIndex) home(v float64) int {
 	return int((b ^ b>>31) * 0x9E3779B97F4A7C15 >> x.shift)
 }
 
-// grow doubles the table (to 64 slots at first) and re-inserts every code of
-// vals but the NaNs.
+// reset empties the table, keeping its slots' capacity for the next column.
+func (x *valueIndex) reset() {
+	x.slots, x.n = x.slots[:0], 0
+}
+
+// grow doubles the table (to 64 slots at first), in the capacity of earlier
+// columns while it suffices, and re-inserts every code of vals but the NaNs.
 func (x *valueIndex) grow(vals []float64) {
 	size := max(2*len(x.slots), 64)
-	x.slots = make([]int32, size)
+	if cap(x.slots) >= size {
+		x.slots = x.slots[:size]
+		clear(x.slots)
+	} else {
+		x.slots = make([]int32, size)
+	}
 	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for t, v := range vals {
@@ -513,11 +541,115 @@ func (st colStats) rleSize() int { return st.nzCard*8 + st.nzRuns*8 }
 
 func (st colStats) ucSize() int { return st.rows * 8 }
 
-// Compress builds a compressed Matrix from a dense one using exact column
-// statistics and a minimum-size encoding choice per column (optionally with
-// pairwise co-coding). Column analysis and group construction both run on the
-// worker pool — columns are independent, and each group touches only its own
-// columns.
+// sampleMinRows is the least rows for which Compress recognizes an
+// all-distinct column from a row sample; a shorter block is analysed in full.
+const sampleMinRows = 256
+
+// sampleSize is the rows Compress samples from a block of rows:
+// s = ⌈8·√rows⌉ (512 at 4096 rows). A column that is not UC under the exact
+// plan has fewer than 0.75·rows distinct values, so at least rows/4 of its
+// rows repeat an earlier one; a uniform sample of s rows then holds about
+// s²/(4·rows) = 16 pairs of equal values, and misses them all with
+// probability about e^−16. A column it misjudges is stored as UC: lossless,
+// only larger.
+func sampleSize(rows int) int {
+	return int(math.Ceil(8 * math.Sqrt(float64(rows))))
+}
+
+// sampleSeed seeds the row sample, so the plan of a block never depends on
+// the run.
+const sampleSeed = 0x5DEECE66D
+
+// plan is one Compress call's working state, recycled through plans so that
+// planning a block allocates nothing per column or per pair: the statistics,
+// choices and provisional codings of every column, one slab behind all code
+// arrays, the co-coding search's seen table, and the row sample. It keeps
+// the capacity of the largest block it has planned.
+type plan struct {
+	stats   []colStats
+	codes   []colCode // codes[j].codes slices codeBuf; codes[j].vals is j's own
+	chosen  []encoding
+	used    []bool
+	jobs    []buildJob
+	codeBuf []int32
+	seen    []bool
+	sample  []int
+	picked  []uint64 // sampleRows' bitmap of the rows drawn
+}
+
+// buildJob is one group to build: columns a and b co-coded, or column a
+// alone when b < 0.
+type buildJob struct{ a, b int }
+
+var plans = pool.Freelist[plan]{New: func() *plan { return &plan{} }}
+
+// tables recycles the value tables of analyzeInto and sampleDistinct, one
+// per worker running a column.
+var tables = pool.Freelist[valueIndex]{New: func() *valueIndex { return &valueIndex{} }}
+
+// resize returns s with length n, keeping its contents and capacity where
+// they suffice.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// reset sizes the plan for rows × cols and points every column's codes at
+// its share of the slab.
+func (p *plan) reset(rows, cols int) {
+	p.stats = resize(p.stats, cols)
+	p.codes = resize(p.codes, cols)
+	p.chosen = resize(p.chosen, cols)
+	p.used = resize(p.used, cols)
+	clear(p.used)
+	p.jobs = p.jobs[:0]
+	p.codeBuf = resize(p.codeBuf, rows*cols)
+	for j := range p.codes {
+		p.codes[j].codes = p.codeBuf[j*rows : (j+1)*rows : (j+1)*rows]
+	}
+}
+
+// sampleRows draws s distinct rows of [0, rows) uniformly at random into
+// p.sample, in increasing order: Floyd's algorithm over a splitmix64 stream
+// from sampleSeed, so the same rows every time.
+func (p *plan) sampleRows(rows, s int) {
+	p.picked = resize(p.picked, (rows+63)/64)
+	clear(p.picked)
+	state := uint64(sampleSeed)
+	for k := rows - s; k < rows; k++ {
+		state += 0x9E3779B97F4A7C15
+		z := state
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		z ^= z >> 31
+		t := int(z % uint64(k+1))
+		if p.picked[t/64]&(1<<(t%64)) != 0 {
+			t = k
+		}
+		p.picked[t/64] |= 1 << (t % 64)
+	}
+	p.sample = p.sample[:0]
+	for w, b := range p.picked {
+		for ; b != 0; b &= b - 1 {
+			p.sample = append(p.sample, 64*w+bits.TrailingZeros64(b))
+		}
+	}
+}
+
+// Compress builds a compressed Matrix from a dense one with a minimum-size
+// encoding choice per column (optionally with pairwise co-coding), planned
+// the way CLA plans. Under the cost-based choice, a block of at least
+// sampleMinRows rows first hashes a fixed pseudo-random sample of
+// sampleSize(rows) rows of each column: a column whose sampled values are
+// all distinct is UC without further analysis. Every other column gets
+// exact statistics and codes from one hash of all its rows, which the
+// encoding choice, the co-coding search and the encoders share. Column
+// analysis and group construction both run on the worker pool — columns are
+// independent, and each group touches only its own columns — and the
+// working state is recycled, so the garbage a call leaves is the matrix it
+// returns.
 func Compress(m *la.Dense, opts Options) *Matrix {
 	sw := mEncodeTimer.Start()
 	defer sw.Stop()
@@ -527,14 +659,32 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 		return c
 	}
 
-	columns := make([][]float64, cols)
-	stats := make([]colStats, cols)
-	codes := make([]colCode, cols)
+	p := plans.Get()
+	defer plans.Put(p)
+	p.reset(rows, cols)
+	sampled := opts.force == auto && rows >= sampleMinRows
+	if sampled {
+		p.sampleRows(rows, sampleSize(rows))
+	}
+	data := m.RawData()
 	analyze := func(lo, hi int) {
+		idx := tables.Get()
+		col := pool.GetF64(rows)
 		for j := lo; j < hi; j++ {
-			columns[j] = m.Col(j)
-			stats[j], codes[j] = analyzeColumn(columns[j])
+			cc := &p.codes[j]
+			if sampled && sampleDistinct(data, cols, j, p.sample, idx, &cc.vals) {
+				p.chosen[j] = forceUC
+				mSampledUC.Inc()
+				continue
+			}
+			for i := range col {
+				col[i] = data[i*cols+j]
+			}
+			p.stats[j] = analyzeInto(col, idx, cc)
+			p.chosen[j] = chooseEncoding(p.stats[j], opts)
 		}
+		pool.PutF64(col)
+		tables.Put(idx)
 	}
 	if !pool.Parallel(rows * cols) {
 		analyze(0, cols)
@@ -542,33 +692,25 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 		pool.Do(cols, 1, analyze)
 	}
 
-	chosen := make([]encoding, cols)
-	for j := 0; j < cols; j++ {
-		chosen[j] = chooseEncoding(stats[j], opts)
-	}
-
 	// Plan the group partition serially (greedy co-coding is order-dependent)
 	// and build the groups in parallel.
-	type buildJob struct{ a, b int } // b < 0 for single-column groups
-	var jobs []buildJob
-	used := make([]bool, cols)
 	if opts.CoCode {
 		// Greedy pairwise co-coding of DDC columns: merge a pair when the
 		// combined DDC size beats the sum of the separate sizes. Joint
 		// cardinality is counted over the precomputed codes.
 		for a := 0; a < cols; a++ {
-			if used[a] || chosen[a] != forceDDC {
+			if p.used[a] || p.chosen[a] != forceDDC {
 				continue
 			}
 			bestB, bestGain := -1, 0
-			sizeA, _ := stats[a].ddcSize()
+			sizeA, _ := p.stats[a].ddcSize()
 			for b := a + 1; b < cols; b++ {
-				if used[b] || chosen[b] != forceDDC {
+				if p.used[b] || p.chosen[b] != forceDDC {
 					continue
 				}
-				sizeB, _ := stats[b].ddcSize()
+				sizeB, _ := p.stats[b].ddcSize()
 				limit := winningJointCard(rows, sizeA+sizeB-bestGain)
-				jointCard := jointCardinality(&codes[a], &codes[b], limit)
+				jointCard := jointCardinality(&p.codes[a], &p.codes[b], limit, &p.seen)
 				if jointCard > limit {
 					continue
 				}
@@ -577,32 +719,32 @@ func Compress(m *la.Dense, opts Options) *Matrix {
 				}
 			}
 			if bestB >= 0 {
-				jobs = append(jobs, buildJob{a, bestB})
-				used[a], used[bestB] = true, true
+				p.jobs = append(p.jobs, buildJob{a, bestB})
+				p.used[a], p.used[bestB] = true, true
 			}
 		}
 	}
 	for j := 0; j < cols; j++ {
-		if !used[j] {
-			jobs = append(jobs, buildJob{j, -1})
+		if !p.used[j] {
+			p.jobs = append(p.jobs, buildJob{j, -1})
 		}
 	}
 
-	c.groups = make([]Group, len(jobs))
+	c.groups = make([]Group, len(p.jobs))
 	build := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			jb := jobs[i]
+			jb := p.jobs[i]
 			if jb.b >= 0 {
-				c.groups[i] = buildDDCPair(jb.a, jb.b, &codes[jb.a], &codes[jb.b])
+				c.groups[i] = buildDDCPair(jb.a, jb.b, &p.codes[jb.a], &p.codes[jb.b])
 			} else {
-				c.groups[i] = buildGroup(jb.a, columns[jb.a], &codes[jb.a], chosen[jb.a])
+				c.groups[i] = buildGroup(m, jb.a, &p.codes[jb.a], p.chosen[jb.a])
 			}
 		}
 	}
-	if !pool.Parallel(rows * len(jobs)) {
-		build(0, len(jobs))
+	if !pool.Parallel(rows * len(p.jobs)) {
+		build(0, len(p.jobs))
 	} else {
-		pool.Do(len(jobs), 1, build)
+		pool.Do(len(p.jobs), 1, build)
 	}
 	if metrics.Enabled() {
 		mRatio.Set(c.CompressionRatio())
@@ -681,16 +823,19 @@ const jointDirectLimit = 1 << 20
 
 // jointCardinality counts the distinct code pairs of two columns, but stops
 // as soon as the count passes limit: a result above limit means only that
-// the joint cardinality is above it.
-func jointCardinality(ca, cb *colCode, limit int) int {
+// the joint cardinality is above it. A pair table within jointDirectLimit
+// reuses *seen, grown as needed, so one table serves a whole search.
+func jointCardinality(ca, cb *colCode, limit int, seen *[]bool) int {
 	cardB := int32(len(cb.vals))
 	if prod := len(ca.vals) * len(cb.vals); prod <= jointDirectLimit {
-		seen := make([]bool, prod)
+		*seen = resize(*seen, prod)
+		table := *seen
+		clear(table)
 		n := 0
 		for i, a := range ca.codes {
 			p := a*cardB + cb.codes[i]
-			if !seen[p] {
-				seen[p] = true
+			if !table[p] {
+				table[p] = true
 				if n++; n > limit {
 					break
 				}
@@ -698,17 +843,19 @@ func jointCardinality(ca, cb *colCode, limit int) int {
 		}
 		return n
 	}
-	seen := make(map[int64]struct{}, 1024)
+	pairs := make(map[int64]struct{}, 1024)
 	for i, a := range ca.codes {
-		seen[int64(a)*int64(cardB)+int64(cb.codes[i])] = struct{}{}
-		if len(seen) > limit {
+		pairs[int64(a)*int64(cardB)+int64(cb.codes[i])] = struct{}{}
+		if len(pairs) > limit {
 			break
 		}
 	}
-	return len(seen)
+	return len(pairs)
 }
 
-func buildGroup(col int, data []float64, cc *colCode, enc encoding) Group {
+// buildGroup builds column col of m as one group of encoding enc from its
+// provisional coding cc; a UC group takes its own copy of the column.
+func buildGroup(m *la.Dense, col int, cc *colCode, enc encoding) Group {
 	switch enc {
 	case forceDDC:
 		return buildDDC(col, cc)
@@ -717,7 +864,7 @@ func buildGroup(col int, data []float64, cc *colCode, enc encoding) Group {
 	case forceRLE:
 		return buildRLE(col, cc)
 	default:
-		return &UCGroup{cols: [1]int{col}, data: data}
+		return &UCGroup{cols: [1]int{col}, data: m.Col(col)}
 	}
 }
 
@@ -748,30 +895,32 @@ func buildDDC(col int, cc *colCode) *DDCGroup {
 
 // buildDDCPair co-codes two columns into one DDC group. The joint dictionary
 // is discovered by remapping the packed pair code (codeA·cardB + codeB)
-// through a dense table — no per-row hashing.
+// through a dense table — no per-row hashing. The joint codes overwrite
+// ca.codes, which no other group reads.
 func buildDDCPair(colA, colB int, ca, cb *colCode) *DDCGroup {
 	rows := len(ca.codes)
 	cardB := int32(len(cb.vals))
-	codes := make([]int32, rows)
+	codes := ca.codes
 	var vals []float64
 	next := int32(0)
 	if prod := len(ca.vals) * len(cb.vals); prod <= jointDirectLimit {
-		remap := make([]int32, prod)
+		remap := pool.GetInt(prod)
 		for i := range remap {
 			remap[i] = -1
 		}
 		for i, a := range ca.codes {
 			b := cb.codes[i]
 			p := a*cardB + b
-			t := remap[p]
+			t := int32(remap[p])
 			if t < 0 {
 				t = next
-				remap[p] = t
+				remap[p] = int(t)
 				next++
 				vals = append(vals, ca.vals[a], cb.vals[b])
 			}
 			codes[i] = t
 		}
+		pool.PutInt(remap)
 	} else {
 		remap := make(map[int64]int32, 1024)
 		for i, a := range ca.codes {

@@ -19,3 +19,12 @@ func (c *Matrix) ColSums() []float64 {
 
 // Sum returns the sum of all elements.
 func (c *Matrix) Sum() float64 { return la.SumVec(c.ColSums()) }
+
+// analyzeColumn is analyzeInto on a fresh table and code array: the exact
+// analysis of one column, as the planner runs it on every column a row
+// sample does not settle.
+func analyzeColumn(col []float64) (colStats, colCode) {
+	var idx valueIndex
+	cc := colCode{codes: make([]int32, len(col))}
+	return analyzeInto(col, &idx, &cc), cc
+}

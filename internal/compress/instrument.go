@@ -8,7 +8,8 @@ import (
 
 // Observability instruments (no-ops until metrics.Enable). The encode-side
 // gauges answer the CLA planner questions — what ratio did we get, which
-// encodings did the cost model pick — while the op timers expose how
+// encodings did the cost model pick, how many columns a row sample settled
+// as UC without exact analysis — while the op timers expose how
 // compressed kernels compare with their dense counterparts ("la.MatMul"
 // etc.) in the same -stats table.
 var (
@@ -18,6 +19,7 @@ var (
 	mGroupsOLE   = metrics.NewCounter("compress.groups.ole")
 	mGroupsRLE   = metrics.NewCounter("compress.groups.rle")
 	mGroupsUC    = metrics.NewCounter("compress.groups.uc")
+	mSampledUC   = metrics.NewCounter("compress.columns.sampled_uc")
 
 	mMatVecTimer = metrics.NewTimer("compress.MatVec")
 	mVecMatTimer = metrics.NewTimer("compress.VecMat")

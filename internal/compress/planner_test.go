@@ -184,9 +184,11 @@ func TestPairSearchMatchesExhaustiveCount(t *testing.T) {
 
 // TestJointCardinalityLimit: under any limit the count is exact when the
 // joint cardinality is within it and above the limit when it is not, on
-// both the dense pair table and the map.
+// both the dense pair table and the map. One seen table serves every count,
+// as it serves a whole co-coding search.
 func TestJointCardinalityLimit(t *testing.T) {
 	r := rand.New(rand.NewSource(39))
+	var table []bool
 	for trial := 0; trial < 40; trial++ {
 		rows := 1 + r.Intn(2000)
 		cardA, cardB := 1+r.Intn(40), 1+r.Intn(40)
@@ -204,11 +206,11 @@ func TestJointCardinalityLimit(t *testing.T) {
 			seen[[2]int32{ca.codes[i], cb.codes[i]}] = true
 		}
 		exact := len(seen)
-		if got := jointCardinality(&ca, &cb, math.MaxInt); got != exact {
+		if got := jointCardinality(&ca, &cb, math.MaxInt, &table); got != exact {
 			t.Fatalf("trial %d: %d distinct pairs without a limit, want %d", trial, got, exact)
 		}
 		for _, limit := range []int{-1, 0, exact / 2, exact - 1, exact, exact + 3} {
-			got := jointCardinality(&ca, &cb, limit)
+			got := jointCardinality(&ca, &cb, limit, &table)
 			if (exact <= limit && got != exact) || (exact > limit && got <= limit) {
 				t.Fatalf("trial %d: limit %d gives %d; joint cardinality is %d", trial, limit, got, exact)
 			}

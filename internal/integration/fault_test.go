@@ -58,11 +58,11 @@ func goroutineBaseline() int {
 
 // TestSpillReadFaultSweep fails each spill read in turn, k = 1..N, under
 // every fallible pass over an out-of-core matrix: streaming SGD with and
-// without prefetch, the MatVec/VecMat products over raw blocks (E11's pass),
-// and each DML operator that streams. Each run returns an error that is the
-// injected one, and leaves nothing behind: Drop succeeds (no page stays
-// pinned), the spill directory empties, and the goroutine count returns to
-// where it was.
+// without prefetch, the MatVec/VecMat products over uncompressed (UC)
+// blocks (E11's pass), and each DML operator that streams. Each run returns
+// an error that is the injected one, and leaves nothing behind: Drop
+// succeeds (no page stays pinned), the spill directory empties, and the
+// goroutine count returns to where it was.
 func TestSpillReadFaultSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const rows, cols = 480, 4
@@ -122,7 +122,7 @@ func TestSpillReadFaultSweep(t *testing.T) {
 		{"dml t(X) %*% X", false, true, script("t(X) %*% X")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			// Eight 60-row blocks through a pool that holds about three raw
+			// Eight 60-row blocks through a pool that holds about three UC
 			// ones, so every pass rereads spilled blocks.
 			build := func() (*ooc.Matrix, *storage.BufferPool, string) {
 				dir := t.TempDir()
@@ -215,7 +215,7 @@ func TestSpillWriteFaultSweep(t *testing.T) {
 		evicts bool // whether a clean build evicts, or only Finish writes
 		build  func(*storage.BufferPool) error
 	}{
-		// Eight 60-row raw blocks of 1920 bytes through a pool of three.
+		// Eight 60-row UC blocks of 1920 data bytes through a pool of three.
 		{"FromDense evicting raw", 6 * 1024, true, fromDense(ooc.Options{BlockRows: 60, NoCompress: true})},
 		{"FromDense evicting compressed", 2 * 1024, true, fromDense(ooc.Options{BlockRows: 60})},
 		{"FromDense flush", 1 << 20, false, fromDense(ooc.Options{BlockRows: 60})},

@@ -10,26 +10,29 @@ import (
 )
 
 // ReadCSV streams numeric CSV from r into a block-paged matrix: rows
-// accumulate into one dense block buffer at a time, each full block is
-// compressed and paged out through the builder, and the buffer is reused —
-// peak memory is one block plus whatever the pool keeps resident, no matter
-// how large the file is. On an error — a malformed row included — no page
-// stays in the pool.
+// accumulate into a dense block buffer, each full block goes to the builder,
+// and the next block accumulates into a second buffer while the builder
+// compresses and pages out the first — the two alternate, so peak memory is
+// two blocks plus whatever the pool keeps resident, no matter how large the
+// file is. On an error — a malformed row included — no page stays in the
+// pool.
 func ReadCSV(bp *storage.BufferPool, r io.Reader, opts Options) (*Matrix, error) {
 	var (
 		b    *Builder
 		cols int
-		buf  []float64 // the block being accumulated, row-major
+		bufs [2][]float64 // the block being accumulated is bufs[0], row-major
 	)
 	flush := func() error {
-		if len(buf) == 0 {
+		if len(bufs[0]) == 0 {
 			return nil
 		}
-		d, err := la.NewDenseData(len(buf)/cols, cols, buf)
+		d, err := la.NewDenseData(len(bufs[0])/cols, cols, bufs[0])
 		if err != nil {
 			return err
 		}
-		buf = buf[:0]
+		// The builder reads bufs[0] until the next AppendBlock or Finish
+		// returns; by then the other buffer is full and handed over.
+		bufs[0], bufs[1] = bufs[1][:0], bufs[0]
 		return b.AppendBlock(d)
 	}
 	err := storage.ScanMatrixCSV(r, func(vals []float64) error {
@@ -37,8 +40,8 @@ func ReadCSV(bp *storage.BufferPool, r io.Reader, opts Options) (*Matrix, error)
 			cols = len(vals)
 			b = NewBuilder(bp, cols, opts)
 		}
-		buf = append(buf, vals...)
-		if len(buf) == b.opts.BlockRows*cols {
+		bufs[0] = append(bufs[0], vals...)
+		if len(bufs[0]) == b.opts.BlockRows*cols {
 			return flush()
 		}
 		return nil

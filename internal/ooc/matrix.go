@@ -4,7 +4,10 @@
 // one uncompressed (UC) column group per column otherwise — with an async
 // double-buffered prefetcher that pins block N+1 while the optimizer
 // computes on block N. Every block decodes to a compress.Matrix, so every
-// block runs the compressed kernels and the one-pass block step.
+// block runs the compressed kernels and the one-pass block step. The
+// builder that writes the pages runs one block behind its source: it
+// compresses and pages out block k on a goroutine of its own while the
+// caller produces block k+1, with at most one block in flight.
 //
 // The paper's out-of-core and CLA sections motivate the design: training on
 // data larger than RAM at near in-memory speed requires (a) bounded resident
@@ -117,7 +120,12 @@ func (m *Matrix) DenseBytes() int64 { return 8 * int64(m.rows) * int64(m.cols) }
 func (m *Matrix) Drop() error { return m.bp.DropOwner(m.owner) }
 
 // Builder assembles a Matrix block-by-block so sources (CSV readers, result
-// writers) never materialize more than one block of dense data at a time.
+// writers) never materialize more than two blocks of dense data at a time.
+// It runs one block behind its caller: AppendBlock hands block k to a
+// goroutine of its own, which compresses, encodes and pages it out while the
+// caller produces block k+1. At most one block is in flight; each
+// AppendBlock and Finish first waits for it, and its error, if any, comes
+// back from that call.
 type Builder struct {
 	bp      *storage.BufferPool
 	owner   int
@@ -126,6 +134,15 @@ type Builder struct {
 	m       *Matrix
 	largest int // words in the largest block's page
 	done    bool
+
+	inFlight bool         // a block is being paged out
+	result   chan written // the block in flight's outcome
+}
+
+// written is the outcome of paging out one block.
+type written struct {
+	meta blockMeta
+	err  error
 }
 
 // NewBuilder starts building a cols-wide matrix in bp.
@@ -133,11 +150,12 @@ func NewBuilder(bp *storage.BufferPool, cols int, opts Options) *Builder {
 	opts = opts.withBlockRows(bp, cols)
 	owner := bp.RegisterOwner()
 	return &Builder{
-		bp:    bp,
-		owner: owner,
-		cols:  cols,
-		opts:  opts,
-		m:     &Matrix{bp: bp, owner: owner, cols: cols},
+		bp:     bp,
+		owner:  owner,
+		cols:   cols,
+		opts:   opts,
+		m:      &Matrix{bp: bp, owner: owner, cols: cols},
+		result: make(chan written, 1),
 	}
 }
 
@@ -145,30 +163,61 @@ func NewBuilder(bp *storage.BufferPool, cols int, opts Options) *Builder {
 // CLA's pairwise column co-coding, when compression pays (and Options allow
 // it), and kept as UC column groups otherwise; either way it is written into
 // a pool page by the CLA codec and unpinned, so the pool may evict or spill
-// it immediately. An error ends the build: the builder's pages leave the
-// pool, and a later call is an error.
+// it immediately. That work runs on the builder's own goroutine after
+// AppendBlock returns: the builder may read d until the next AppendBlock or
+// Finish returns, so the caller must not change d before then. A failure to
+// page d out is returned by that next call. An error ends the build: the
+// builder's pages leave the pool, and a later call is an error.
 func (b *Builder) AppendBlock(d *la.Dense) error {
 	if b.done {
 		return fmt.Errorf("ooc: AppendBlock after Finish")
 	}
-	if err := b.appendBlock(d); err != nil {
+	if err := b.wait(); err != nil {
 		return b.abort(err)
 	}
+	if d.Cols() != b.cols {
+		return b.abort(fmt.Errorf("ooc: AppendBlock with %d cols, want %d", d.Cols(), b.cols))
+	}
+	meta := blockMeta{startRow: b.m.rows, rows: d.Rows()}
+	id := storage.PageID{Owner: b.owner, Index: len(b.m.blocks)}
+	b.m.rows += meta.rows
+	b.inFlight = true
+	go func() {
+		err := b.writeBlock(d, id, &meta)
+		b.result <- written{meta, err}
+	}()
 	return nil
 }
 
-// abort ends a failed build: it drops every page the builder wrote and
-// returns err, joined with a failure to drop.
-func (b *Builder) abort(err error) error {
-	b.done = true
-	return errors.Join(err, b.bp.DropOwner(b.owner))
+// wait blocks until the block in flight, if any, is paged out, and records
+// it; it returns the block's failure.
+func (b *Builder) wait() error {
+	if !b.inFlight {
+		return nil
+	}
+	sw := mAppendWait.Start()
+	w := <-b.result
+	sw.Stop()
+	b.inFlight = false
+	if w.err != nil {
+		return w.err
+	}
+	b.m.blocks = append(b.m.blocks, w.meta)
+	b.largest = max(b.largest, w.meta.words)
+	return nil
 }
 
-func (b *Builder) appendBlock(d *la.Dense) error {
-	if d.Cols() != b.cols {
-		return fmt.Errorf("ooc: AppendBlock with %d cols, want %d", d.Cols(), b.cols)
-	}
-	meta := blockMeta{startRow: b.m.rows, rows: d.Rows()}
+// abort ends a failed build: it waits for the block in flight, drops every
+// page the builder wrote and returns err, joined with the block's failure
+// and a failure to drop.
+func (b *Builder) abort(err error) error {
+	b.done = true
+	return errors.Join(err, b.wait(), b.bp.DropOwner(b.owner))
+}
+
+// writeBlock compresses d (or keeps it as UC groups), encodes it into page
+// id and unpins the page, filling in meta's page size and layout.
+func (b *Builder) writeBlock(d *la.Dense, id storage.PageID, meta *blockMeta) error {
 	var cm *compress.Matrix
 	if !b.opts.NoCompress {
 		c := compress.Compress(d, compress.Options{CoCode: true})
@@ -180,7 +229,6 @@ func (b *Builder) appendBlock(d *la.Dense) error {
 		cm = compress.Uncompressed(d)
 	}
 	meta.words = compress.EncodedLen(cm)
-	id := storage.PageID{Owner: b.owner, Index: len(b.m.blocks)}
 	page, err := b.bp.Pin(id, meta.words)
 	if err != nil {
 		return fmt.Errorf("ooc: AppendBlock: %w", err)
@@ -190,19 +238,19 @@ func (b *Builder) appendBlock(d *la.Dense) error {
 		return fmt.Errorf("ooc: AppendBlock: %w", err)
 	}
 	b.bp.Unpin(id, true)
-	b.m.blocks = append(b.m.blocks, meta)
-	b.m.rows += meta.rows
-	b.largest = max(b.largest, meta.words)
 	mBlocksBuilt.Inc()
 	return nil
 }
 
-// Finish flushes all dirty pages to disk (so the matrix survives pool
-// eviction of any block) and returns the completed Matrix. On an error the
-// builder's pages leave the pool.
+// Finish waits for the block in flight, flushes all dirty pages to disk (so
+// the matrix survives pool eviction of any block) and returns the completed
+// Matrix. On an error the builder's pages leave the pool.
 func (b *Builder) Finish() (*Matrix, error) {
 	if b.done {
 		return nil, fmt.Errorf("ooc: Finish called twice")
+	}
+	if err := b.wait(); err != nil {
+		return nil, b.abort(err)
 	}
 	if b.m.rows == 0 {
 		return nil, b.abort(fmt.Errorf("ooc: Finish with no rows appended"))
@@ -217,9 +265,10 @@ func (b *Builder) Finish() (*Matrix, error) {
 	return b.m, nil
 }
 
-// FromDense partitions m into blocks and pages them into bp. The source is
-// read one block at a time, so peak extra memory is one block's dense copy.
-// On an error nothing stays in the pool.
+// FromDense partitions m into blocks and pages them into bp. Each block is a
+// view of m's rows, so the builder reads m in place and the only dense
+// copies are those its encoders make. m must not change until FromDense
+// returns. On an error nothing stays in the pool.
 func FromDense(bp *storage.BufferPool, m *la.Dense, opts Options) (*Matrix, error) {
 	b := NewBuilder(bp, m.Cols(), opts)
 	rows, cols := m.Dims()

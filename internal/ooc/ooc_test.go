@@ -270,7 +270,7 @@ func TestReadCSVErrors(t *testing.T) {
 // pages leave the pool: nothing resident, no spill file.
 func TestReadCSVMalformedRowDropsPages(t *testing.T) {
 	dir := t.TempDir()
-	bp, err := storage.NewBufferPoolBytes(2000, dir) // one 64x3 raw page
+	bp, err := storage.NewBufferPoolBytes(2000, dir) // one 64x3 UC page
 	if err != nil {
 		t.Fatal(err)
 	}

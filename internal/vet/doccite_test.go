@@ -12,6 +12,16 @@ import (
 	"testing"
 )
 
+// makeRe matches a make command in a backticked span, and makeLineRe one
+// that starts a line of a fenced code block; the group is the target.
+var (
+	makeRe     = regexp.MustCompile("`make ([a-z][a-z0-9-]*)[^`]*`")
+	makeLineRe = regexp.MustCompile(`^\s*make ([a-z][a-z0-9-]*)`)
+	// targetRe matches a rule's target at the start of a Makefile line
+	// (not a := or ?= assignment).
+	targetRe = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*)\s*:(?:[^=]|$)`)
+)
+
 // citeRe matches a whole backticked span that cites an identifier:
 // `pkg.Name`, `(*pkg.T)` or `(*pkg.T).M`.
 var citeRe = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)|\\(\\*([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)\\)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?)`")
@@ -23,7 +33,9 @@ var citeRe = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)
 // declaration of that package (Name at package scope; T a type; M a field
 // or method of *T), to a metric name a metrics.New* call in non-test code
 // registers, or to a per-layer metric name of BENCHMARK.json. Fenced code
-// blocks are not scanned.
+// blocks are not scanned for those. Every `make <target>` — in a backticked
+// span, or starting a line of a fenced block — must name a rule of the
+// Makefile.
 func TestDocsCiteLiveNames(t *testing.T) {
 	m := loadModule(t)
 	pkgs := make(map[string]*types.Package) // internal/ packages by name
@@ -58,7 +70,16 @@ func TestDocsCiteLiveNames(t *testing.T) {
 		metricNames[l.Name] = true
 	}
 
-	cited := 0
+	makefile, err := os.ReadFile(filepath.Join(m.Root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make(map[string]bool)
+	for _, c := range targetRe.FindAllStringSubmatch(string(makefile), -1) {
+		targets[c[1]] = true
+	}
+
+	cited, citedTargets := 0, 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(filepath.Join(m.Root, doc))
 		if err != nil {
@@ -69,6 +90,16 @@ func TestDocsCiteLiveNames(t *testing.T) {
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				fenced = !fenced
 				continue
+			}
+			re := makeRe
+			if fenced {
+				re = makeLineRe
+			}
+			for _, c := range re.FindAllStringSubmatch(line, -1) {
+				citedTargets++
+				if !targets[c[1]] {
+					t.Errorf("%s:%d: make %s names no rule of the Makefile", doc, i+1, c[1])
+				}
 			}
 			if fenced {
 				continue
@@ -91,6 +122,9 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Fatal("no citation of an internal/ package found; the test is vacuous")
+	}
+	if citedTargets == 0 {
+		t.Fatal("no make command found in the documents; the target check is vacuous")
 	}
 }
 
