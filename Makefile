@@ -2,13 +2,13 @@
 #
 #   make test           tier-1 gate: build everything, run every test
 #                       (internal/vet's reachability test among them: every
-#                       internal/ function reached from cmd/, examples/ or
-#                       bench/, or keep-listed with a reason)
+#                       internal/ function reached from cmd/ or bench/, or
+#                       keep-listed with a reason)
 #   make vet            go vet, plus gofmt -l over the root module
 #   make check          static analysis + race detector over the concurrent
 #                       packages (pool, la, compress, paramserver, storage,
 #                       ooc, opt, core, metrics, dml, experiments, factorized,
-#                       modeldb, sketch, serve) and the spill fault sweeps
+#                       modeldb, serve) and the spill fault sweeps
 #                       (integration)
 #   make vet-engine     dmmlvet: the engine-specific analyzer suite (scratch
 #                       pairing, span pairing, instrument registration,
@@ -67,17 +67,17 @@ BENCH_COUNT ?= 6
 
 # Packages with real concurrency — the ones worth the race detector's 10x
 # slowdown. metrics is lock-striped and must stay race-clean; ooc runs the
-# async block prefetcher against the buffer pool, and core's paged plan
-# drives that prefetcher from inside gradient descent; dml drives the
-# parallel fused templates, experiments and factorized fan work out through
-# the pool, modeldb and sketch are exercised concurrently by the serving and
-# streaming paths; integration's spill read and write fault sweeps fail the
-# pool under the prefetcher and the builders.
+# async block prefetcher against the buffer pool; dml drives the parallel
+# fused templates, and experiments, factorized and core (whose plans run
+# the factorized and dense kernels under gradient descent) fan work out
+# through the pool; modeldb is read concurrently by the serving path while
+# trainers log into it; integration's spill read and write fault sweeps
+# fail the pool under the prefetcher and the builders.
 RACE_PKGS := ./internal/pool/... ./internal/la/... ./internal/compress/... \
 	./internal/paramserver/... ./internal/storage/... ./internal/ooc/... \
 	./internal/opt/... ./internal/core/... \
 	./internal/metrics/... ./internal/dml/... ./internal/experiments/... \
-	./internal/factorized/... ./internal/modeldb/... ./internal/sketch/... \
+	./internal/factorized/... ./internal/modeldb/... \
 	./internal/serve/... ./internal/integration/...
 
 .PHONY: test test-cpu check ci vet vet-engine race bench cover fuzz-nightly \

@@ -7,7 +7,8 @@
 //  1. through the relational engine: hash-join everything, export a matrix,
 //     train on it (the classic pipeline);
 //  2. factorized (Orion/F): train directly on the normalized schema;
-//  3. through the cost-based planner, which should pick factorized here
+//  3. through the cost-based planner, which prints its plan table (every
+//     plan it costed, cheapest first) and should pick factorized here
 //     because the tuple ratios are high.
 //
 // We also ask Hamlet's rule whether either join could be skipped entirely.
@@ -21,15 +22,13 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"dmml/internal/core"
 	"dmml/internal/factorized"
 	"dmml/internal/hamlet"
-	"dmml/internal/la"
 	"dmml/internal/opt"
-	"dmml/internal/relational"
-	"dmml/internal/storage"
 	"dmml/internal/workload"
 )
 
@@ -56,33 +55,6 @@ func newStar(n int) (*workload.Star, error) {
 	})
 }
 
-// joinedMatrix is the classic pipeline's first half: hash-join the fact
-// table with every dimension and export the feature columns as a matrix.
-func joinedMatrix(star *workload.Star) (*la.Dense, error) {
-	fact, dims, err := star.Tables()
-	if err != nil {
-		return nil, err
-	}
-	joined := fact
-	for k, dim := range dims {
-		joined, err = relational.HashJoin(joined, dim, fmt.Sprintf("fk%d", k), "id",
-			relational.JoinOptions{DropRightKey: true})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var cols []string
-	for j := 0; j < star.Config.FactFeats; j++ {
-		cols = append(cols, fmt.Sprintf("f%d", j))
-	}
-	for k, d := range star.Config.DimFeats {
-		for j := 0; j < d; j++ {
-			cols = append(cols, fmt.Sprintf("d%d_%d", k, j))
-		}
-	}
-	return storage.ToMatrix(joined, cols)
-}
-
 // run trains over n orders three ways and writes the report to w.
 func run(w io.Writer, n int) error {
 	star, err := newStar(n)
@@ -92,7 +64,7 @@ func run(w io.Writer, n int) error {
 
 	// --- Path 1: relational join → matrix → train -------------------------
 	start := time.Now()
-	xJoined, err := joinedMatrix(star)
+	xJoined, err := star.JoinedMatrix()
 	if err != nil {
 		return err
 	}
@@ -116,13 +88,14 @@ func run(w io.Writer, n int) error {
 
 	// --- Path 3: let the planner decide ------------------------------------
 	res, err := core.TrainNormalized(design, star.Y, core.Task{
-		Loss: core.SquaredLoss, L2: 0.01, MaxIter: 15,
+		Loss: opt.Squared{}, L2: 0.01, MaxIter: 15,
 	}, core.Options{})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nplanner chose: %s (loss %.4f)\n", res.Plan, res.FinalLoss)
-	fmt.Fprint(w, core.ExplainString(res.Explain))
+	fmt.Fprintln(w, "plan table (cheapest first, * = chosen):")
+	fmt.Fprint(w, explainString(res.Explain))
 
 	// --- Hamlet: could we skip a join altogether? ---------------------------
 	fmt.Fprintln(w, "\nHamlet join-avoidance rule:")
@@ -141,4 +114,18 @@ func run(w io.Writer, n int) error {
 			name, dec.TupleRatio, dec.FeatureRatio, verdict, dec.Reason)
 	}
 	return nil
+}
+
+// explainString renders the planner's plan table, one plan a line, with the
+// chosen plan starred.
+func explainString(plans []core.PlanCost) string {
+	var b strings.Builder
+	for _, p := range plans {
+		mark := " "
+		if p.Chosen {
+			mark = "*"
+		}
+		fmt.Fprintf(&b, "%s %-24s est=%.3g flops ws=%d bytes\n", mark, p.Name, p.EstFlops, p.WorkingSetBytes)
+	}
+	return b.String()
 }

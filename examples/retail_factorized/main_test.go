@@ -20,15 +20,16 @@ func TestRun(t *testing.T) {
 	if err := run(&out, n); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "planner chose: ") {
-		t.Fatalf("no planner decision in:\n%s", out.String())
+	_, table, ok := strings.Cut(out.String(), "plan table (cheapest first, * = chosen):\n")
+	if !ok || !strings.HasPrefix(table, "* factorized+") {
+		t.Fatalf("no plan table with a chosen factorized first row in:\n%s", out.String())
 	}
 
 	star, err := newStar(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := joinedMatrix(star)
+	x, err := star.JoinedMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}

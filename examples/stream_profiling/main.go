@@ -6,7 +6,8 @@
 // streaming quantiles calibrate binning — all in a single pass with bounded
 // memory. This example profiles a synthetic click log, compares the sketch
 // estimates against exact answers, and shows the profile agreeing with the
-// CLA planner's actual encoding choices.
+// CLA planner's actual encoding choices. The sketches are this example's
+// own code, in sketch.go.
 //
 //	go run ./examples/stream_profiling
 package main
@@ -21,7 +22,6 @@ import (
 
 	"dmml/internal/compress"
 	"dmml/internal/la"
-	"dmml/internal/sketch"
 	"dmml/internal/workload"
 )
 
@@ -49,8 +49,8 @@ func clickLog(n int) (pages, campaigns, latency []float64) {
 }
 
 // campaignSketch counts clicks per campaign in a Count-Min sketch.
-func campaignSketch(campaigns []float64) (*sketch.CountMin, error) {
-	cm, err := sketch.NewCountMin(cmEpsilon, cmDelta)
+func campaignSketch(campaigns []float64) (*CountMin, error) {
+	cm, err := NewCountMin(cmEpsilon, cmDelta)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func run(w io.Writer, n int) error {
 	fmt.Fprintln(w, "one-pass column profiles (sketch vs exact):")
 	for _, name := range names {
 		col := cols[name]
-		p, err := sketch.Profile(col)
+		p, err := Profile(col)
 		if err != nil {
 			return err
 		}

@@ -6,14 +6,12 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"dmml/internal/sketch"
 )
 
 // TestRun runs the example at a small scale and checks the sketches against
 // exact answers, within bounds that follow from their parameters:
 //
-//   - distinct counts: sketch.Profile's Flajolet–Martin sketch has 64
+//   - distinct counts: Profile's Flajolet–Martin sketch has 64
 //     registers, standard error 0.78/√64 ≈ 0.1; allow four of them;
 //   - medians: P² has no error parameter; the estimate must lie between the
 //     exact 0.4 and 0.6 quantiles (P² interpolates between observed values,
@@ -31,7 +29,7 @@ func TestRun(t *testing.T) {
 
 	pages, campaigns, latency := clickLog(n)
 	for name, col := range map[string][]float64{"page_id": pages, "campaign": campaigns, "latency_ms": latency} {
-		p, err := sketch.Profile(col)
+		p, err := Profile(col)
 		if err != nil {
 			t.Fatal(err)
 		}

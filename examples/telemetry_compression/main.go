@@ -77,13 +77,6 @@ func run(w io.Writer, n int) error {
 	fmt.Fprintf(w, "\nmatrix–vector: compressed %v vs dense %v (max |Δ| = %.2g)\n",
 		tComp.Round(time.Microsecond), tDense.Round(time.Microsecond), maxDiff)
 
-	// Scalar ops touch only dictionaries.
-	start = time.Now()
-	cm.Scale(0.5)
-	fmt.Fprintf(w, "scale entire compressed matrix by 0.5: %v (dictionary-only)\n",
-		time.Since(start).Round(time.Microsecond))
-	cm.Scale(2) // undo
-
 	// Cluster devices on a sample of the telemetry (decompression is exact).
 	sample := cm.Decompress().Slice(0, min(n, 20000), 0, full.Cols())
 	km := &ml.KMeans{K: 6, Seed: 3, Pruned: true}

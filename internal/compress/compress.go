@@ -334,14 +334,6 @@ func (c *Matrix) ColSumsAccum(out []float64) {
 	pool.PutF64(ones)
 }
 
-// Scale multiplies all elements by s. For dictionary encodings this touches
-// only the (small) dictionaries — the CLA argument for cheap scalar ops.
-func (c *Matrix) Scale(s float64) {
-	for _, g := range c.groups {
-		g.Scale(s)
-	}
-}
-
 // Decompress materializes the dense equivalent. Groups write disjoint
 // columns, so they decompress in parallel without coordination.
 func (c *Matrix) Decompress() *la.Dense {
@@ -409,7 +401,7 @@ func analyzeInto(col []float64, idx *valueIndex, cc *colCode) colStats {
 	for i, v := range col {
 		t := idx.code(&cc.vals, v)
 		cc.codes[i] = t
-		if v != 0 {
+		if !isZero(v) {
 			st.nzRows++
 			if !inRun || t != prev {
 				st.nzRuns++
@@ -423,7 +415,7 @@ func analyzeInto(col []float64, idx *valueIndex, cc *colCode) colStats {
 	st.card = len(cc.vals)
 	st.nzCard = st.card
 	for _, v := range cc.vals {
-		if v == 0 {
+		if isZero(v) {
 			st.nzCard--
 			break
 		}
@@ -431,6 +423,11 @@ func analyzeInto(col []float64, idx *valueIndex, cc *colCode) colStats {
 	st.isConst = st.card == 1
 	return st
 }
+
+// isZero reports whether v is +0, the implicit value of the rows an OLE or
+// RLE group does not list. −0 has other bits, so it is an explicit entry and
+// decompresses to −0.
+func isZero(v float64) bool { return math.Float64bits(v) == 0 }
 
 // sampleDistinct reports whether the values of column j of the row-major
 // data (cols wide) on the sample's rows are all distinct, hashing them
@@ -451,10 +448,9 @@ func sampleDistinct(data []float64, cols, j int, sample []int, idx *valueIndex, 
 
 // valueIndex is analyzeInto's table from a value to its code: open
 // addressing with linear probing over slots that hold code+1 (0 is empty),
-// from a multiplicative hash of the value's bits with −0 folded to +0. Keys
-// compare with ==, as a map[float64] does, so the codes are a map's on every
-// input: +0 and −0 share the code of whichever came first, and a NaN equals
-// nothing, so every NaN gets a code of its own (and never enters the table).
+// from a multiplicative hash of the value's bits. Keys are the bits
+// themselves, so the coding is lossless: +0 and −0 get codes of their own,
+// and every NaN of one payload shares one code.
 type valueIndex struct {
 	slots []int32 // a power of two long, at most half full
 	shift uint    // 64 − log2(len(slots))
@@ -463,15 +459,12 @@ type valueIndex struct {
 
 // code returns v's code, appending v to vals as a new code if it has none.
 func (x *valueIndex) code(vals *[]float64, v float64) int32 {
-	if v != v {
-		*vals = append(*vals, v)
-		return int32(len(*vals) - 1)
-	}
 	if 2*(x.n+1) > len(x.slots) {
 		x.grow(*vals)
 	}
+	b := math.Float64bits(v)
 	mask := len(x.slots) - 1
-	for h := x.home(v); ; h = (h + 1) & mask {
+	for h := x.home(b); ; h = (h + 1) & mask {
 		s := x.slots[h]
 		if s == 0 {
 			*vals = append(*vals, v)
@@ -479,18 +472,14 @@ func (x *valueIndex) code(vals *[]float64, v float64) int32 {
 			x.n++
 			return int32(len(*vals) - 1)
 		}
-		if (*vals)[s-1] == v {
+		if math.Float64bits((*vals)[s-1]) == b {
 			return s - 1
 		}
 	}
 }
 
-// home is v's first slot.
-func (x *valueIndex) home(v float64) int {
-	b := math.Float64bits(v)
-	if v == 0 {
-		b = 0
-	}
+// home is the first slot of a value with bits b.
+func (x *valueIndex) home(b uint64) int {
 	return int((b ^ b>>31) * 0x9E3779B97F4A7C15 >> x.shift)
 }
 
@@ -500,7 +489,7 @@ func (x *valueIndex) reset() {
 }
 
 // grow doubles the table (to 64 slots at first), in the capacity of earlier
-// columns while it suffices, and re-inserts every code of vals but the NaNs.
+// columns while it suffices, and re-inserts every code of vals.
 func (x *valueIndex) grow(vals []float64) {
 	size := max(2*len(x.slots), 64)
 	if cap(x.slots) >= size {
@@ -512,10 +501,7 @@ func (x *valueIndex) grow(vals []float64) {
 	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for t, v := range vals {
-		if v != v {
-			continue
-		}
-		h := x.home(v)
+		h := x.home(math.Float64bits(v))
 		for x.slots[h] != 0 {
 			h = (h + 1) & mask
 		}
@@ -944,13 +930,14 @@ func buildDDCPair(colA, colB int, ca, cb *colCode) *DDCGroup {
 	return g
 }
 
-// nzRemap maps each code to its entry index in a zero-free dictionary (-1 for
-// the zero value) and returns the dictionary values.
+// nzRemap maps each code to its entry index in a dictionary free of +0 (-1
+// for +0, the rows the group leaves implicit) and returns the dictionary
+// values.
 func nzRemap(cc *colCode) ([]int32, []float64) {
 	remap := make([]int32, len(cc.vals))
 	vals := make([]float64, 0, len(cc.vals))
 	for t, v := range cc.vals {
-		if v == 0 {
+		if isZero(v) {
 			remap[t] = -1
 			continue
 		}

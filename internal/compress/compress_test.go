@@ -94,17 +94,6 @@ func TestAggregatesMatchDense(t *testing.T) {
 	}
 }
 
-func TestScaleIsDictionaryOnly(t *testing.T) {
-	r := rand.New(rand.NewSource(34))
-	m := mixedMatrix(r, 400)
-	c := Compress(m, Options{})
-	c.Scale(2.5)
-	want := m.Clone().Scale(2.5)
-	if !c.Decompress().Equal(want, 1e-12) {
-		t.Fatal("Scale mismatch")
-	}
-}
-
 func TestPlannerPicksExpectedEncodings(t *testing.T) {
 	rows := 4000
 	m := la.NewDense(rows, 3)

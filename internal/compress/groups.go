@@ -32,9 +32,6 @@ type Group interface {
 	DecompressInto(m *la.Dense)
 	// SizeBytes estimates the in-memory footprint of the compressed form.
 	SizeBytes() int
-	// Scale multiplies all values by s (a dictionary-only operation for the
-	// dictionary encodings — the CLA selling point for scalar ops).
-	Scale(s float64)
 	// dictionary returns the group's tuple dictionary, nil for UC.
 	dictionary() *dict
 	// matVecRange adds, for every row i in [lo,hi), Σ_j X[i,j]·v[j] (j over
@@ -115,13 +112,6 @@ func (d *dict) scatterWeighted(out, weightPerEntry []float64) {
 		for j := 0; j < w; j++ {
 			out[d.cols[j]] += wt * e[j]
 		}
-	}
-}
-
-//dmml:noalloc
-func (d *dict) scale(s float64) {
-	for i := range d.vals {
-		d.vals[i] *= s
 	}
 }
 
@@ -215,9 +205,6 @@ func (g *DDCGroup) SizeBytes() int {
 	return n + 2*len(g.codes)
 }
 
-// Scale implements Group.
-func (g *DDCGroup) Scale(s float64) { g.d.scale(s) }
-
 // --- OLE ------------------------------------------------------------------
 
 // OLEGroup stores, for each dictionary entry, the sorted offsets of rows
@@ -302,9 +289,6 @@ func (g *OLEGroup) SizeBytes() int {
 	}
 	return n
 }
-
-// Scale implements Group.
-func (g *OLEGroup) Scale(s float64) { g.d.scale(s) }
 
 // --- RLE ------------------------------------------------------------------
 
@@ -408,9 +392,6 @@ func (g *RLEGroup) SizeBytes() int {
 	return n
 }
 
-// Scale implements Group.
-func (g *RLEGroup) Scale(s float64) { g.d.scale(s) }
-
 // --- UC -------------------------------------------------------------------
 
 // UCGroup is an uncompressed single column, the fallback when no dictionary
@@ -451,9 +432,6 @@ func (g *UCGroup) DecompressInto(m *la.Dense) {
 
 // SizeBytes implements Group.
 func (g *UCGroup) SizeBytes() int { return 8 * len(g.data) }
-
-// Scale implements Group.
-func (g *UCGroup) Scale(s float64) { la.ScaleVec(s, g.data) }
 
 var (
 	_ Group = (*DDCGroup)(nil)

@@ -9,23 +9,24 @@ import (
 	"dmml/internal/la"
 )
 
-// mapAnalyzeColumn is analyzeColumn as it was written over a map[float64]:
-// the reference the open-addressed table must reproduce.
+// mapAnalyzeColumn is analyzeColumn written over a map keyed by each value's
+// bits, with +0 alone as the zero: the reference the open-addressed table
+// must reproduce.
 func mapAnalyzeColumn(col []float64) (colStats, colCode) {
 	st := colStats{rows: len(col)}
-	idx := make(map[float64]int32, 16)
+	idx := make(map[uint64]int32, 16)
 	cc := colCode{codes: make([]int32, len(col))}
 	prev := int32(-1)
 	inRun := false
 	for i, v := range col {
-		t, ok := idx[v]
+		t, ok := idx[math.Float64bits(v)]
 		if !ok {
 			t = int32(len(cc.vals))
-			idx[v] = t
+			idx[math.Float64bits(v)] = t
 			cc.vals = append(cc.vals, v)
 		}
 		cc.codes[i] = t
-		if v != 0 {
+		if math.Float64bits(v) != 0 {
 			st.nzRows++
 			if !inRun || t != prev {
 				st.nzRuns++
@@ -39,7 +40,7 @@ func mapAnalyzeColumn(col []float64) (colStats, colCode) {
 	st.card = len(cc.vals)
 	st.nzCard = st.card
 	for _, v := range cc.vals {
-		if v == 0 {
+		if math.Float64bits(v) == 0 {
 			st.nzCard--
 			break
 		}

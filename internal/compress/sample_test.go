@@ -46,20 +46,26 @@ func plannerCases(r *rand.Rand, rows int) []plannerCase {
 	runs := make([]float64, rows) // sorted, every value three rows long
 	zeros := make([]float64, rows)
 	nans := make([]float64, rows)
+	oneNaN := make([]float64, rows)
 	signedZeros := make([]float64, rows)
+	alternatingZeros := make([]float64, rows)
 	for i := range runs {
 		runs[i] = float64(i / 3)
 		if r.Intn(10) == 0 {
 			zeros[i] = r.NormFloat64() // distinct non-zeros in 90% zeros: OLE
 		}
-		nans[i] = math.Float64frombits(0x7FF8000000000000 | uint64(r.Intn(1<<20)))
+		nans[i] = math.Float64frombits(0x7FF8000000000000 | uint64(i)) // a payload per row
+		oneNaN[i] = math.NaN()
 		signedZeros[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
+		alternatingZeros[i] = math.Copysign(0, float64(i%2)-0.5)
 	}
 	return append(cases,
 		plannerCase{"sorted runs of 3", runs},
 		plannerCase{"90% zeros", zeros},
-		plannerCase{"NaNs", nans},
+		plannerCase{"distinct NaNs", nans},
+		plannerCase{"all one NaN", oneNaN},
 		plannerCase{"mixed ±0", signedZeros},
+		plannerCase{"alternating ±0", alternatingZeros},
 	)
 }
 
@@ -68,10 +74,9 @@ func plannerCases(r *rand.Rand, rows int) []plannerCase {
 // encoding the exact statistics choose — at cardinalities on both sides of
 // each size boundary, on a sorted column of short runs (which a fixed-stride
 // sample sees as all distinct), on a sparse column, and on NaNs and signed
-// zeros — and the matrix decompresses to the input bit for bit. The one
-// exception is the sign of a zero: the planner keys values with ==, as a
-// map[float64] does, and OLE and RLE leave zeros implicit, so a −0 may come
-// back as +0.
+// zeros — and the matrix decompresses to the input bit for bit: the planner
+// keys values by their bits, so −0 is an entry of its own, not the +0 that
+// OLE and RLE leave implicit, and a column of one NaN has one entry.
 func TestSampledPlanMatchesExactPlanner(t *testing.T) {
 	metrics.Enable()
 	defer func() {
@@ -103,7 +108,7 @@ func TestSampledPlanMatchesExactPlanner(t *testing.T) {
 		for i := 0; i < rows; i++ {
 			for j, c := range cases {
 				got, want := back.At(i, j), c.col[i]
-				if math.Float64bits(got) != math.Float64bits(want) && !(got == 0 && want == 0) {
+				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("rows %d, %s: row %d decompresses to %v, want %v", rows, c.name, i, got, want)
 				}
 			}

@@ -1,58 +1,31 @@
 // Package core is dmml's synthesis of the paper's survey: a cost-based
-// planner for declarative ML training over data. Given a training task over
-// either a joined (dense) matrix or a normalized acyclic join tree, it
-// enumerates the physical plans the surveyed systems embody —
+// planner for declarative ML training over a normalized acyclic join tree.
+// It enumerates the physical plans the surveyed systems embody —
 //
 //   - access path: materialize the join vs. factorized learning (Orion/F),
-//   - representation: dense vs. compressed linear algebra (CLA) vs.
-//     out-of-core block paging,
 //   - solver: direct normal equations vs. iterative gradient descent,
 //
-// costs each with a flops/bytes model, picks the cheapest that fits the
-// memory budget, and executes it. Every representation is handed to the
-// solvers through the opt.Data contract its engine already implements: the
-// in-memory opt.BulkData, or the out-of-core opt.BlockData stream. Explain
-// output exposes the whole plan table so the choice is auditable.
+// costs each with a flops/bytes model, and executes the cheapest. Every plan
+// hands the solvers an opt.Data source its engine already implements: the
+// join tree itself, or the dense matrix it materializes. The result's plan
+// table exposes every considered plan so the choice is auditable.
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"os"
 	"slices"
 	"sort"
 
-	"dmml/internal/compress"
 	"dmml/internal/factorized"
 	"dmml/internal/la"
-	"dmml/internal/ooc"
 	"dmml/internal/opt"
-	"dmml/internal/storage"
 )
-
-// LossKind selects the training objective.
-type LossKind int
-
-// Loss kinds.
-const (
-	// SquaredLoss trains linear (ridge) regression.
-	SquaredLoss LossKind = iota
-	// LogisticLoss trains a binary ±1 classifier.
-	LogisticLoss
-)
-
-// String implements fmt.Stringer.
-func (l LossKind) String() string {
-	if l == SquaredLoss {
-		return "squared"
-	}
-	return "logistic"
-}
 
 // Task is a declarative training request.
 type Task struct {
-	Loss LossKind
+	// Loss is the training objective; nil means opt.Squared{} (ridge
+	// regression). Direct plans are offered for opt.Squared only.
+	Loss opt.Loss
 	// L2 is the ridge penalty; required > 0 for the direct solver when the
 	// design may be rank-deficient.
 	L2 float64
@@ -63,6 +36,9 @@ type Task struct {
 }
 
 func (t Task) withDefaults() Task {
+	if t.Loss == nil {
+		t.Loss = opt.Squared{}
+	}
 	if t.MaxIter == 0 {
 		t.MaxIter = 100
 	}
@@ -72,36 +48,16 @@ func (t Task) withDefaults() Task {
 	return t
 }
 
-func (t Task) lossFn() opt.Loss {
-	if t.Loss == SquaredLoss {
-		return opt.Squared{}
-	}
-	return opt.Logistic{}
-}
-
 // Options tunes the planner.
 type Options struct {
-	// memBudgetBytes caps the working-set estimate; plans whose working set
-	// exceeds it pay a spill penalty. 0 = unlimited.
-	memBudgetBytes int64
 	// ForcePlan pins the plan choice (for ablations); empty = cost-based.
 	ForcePlan string
 }
 
-const (
-	// spillPenalty multiplies the cost of the bytes beyond the budget,
-	// emulating disk-vs-memory bandwidth.
-	spillPenalty = 8
-	// compressSampleRows bounds the sample used to probe the compression
-	// ratio.
-	compressSampleRows = 2048
-)
-
 // PlanCost is one enumerated plan with its cost estimate.
 type PlanCost struct {
 	Name string
-	// EstFlops is the modeled compute cost (flop-equivalents, including
-	// spill penalties).
+	// EstFlops is the modeled compute cost (flop-equivalents).
 	EstFlops float64
 	// WorkingSetBytes is the modeled resident working set.
 	WorkingSetBytes int64
@@ -126,7 +82,7 @@ type plan struct {
 
 // planner enumerates and executes plans for one training request. Every
 // plan's execution bottoms out in one of its two solvers over an
-// opt.Data source or its Gram matrix, so representations differ only in
+// opt.Data source or its Gram matrix, so access paths differ only in
 // which source they hand over.
 type planner struct {
 	y     []float64
@@ -138,15 +94,15 @@ type planner struct {
 // add enumerates a plan with its modeled compute cost and working set.
 func (p *planner) add(name string, flops float64, workingSet int64, run func() ([]float64, error)) {
 	p.plans = append(p.plans, plan{
-		PlanCost: PlanCost{Name: name, EstFlops: spillAdjust(flops, workingSet, p.o), WorkingSetBytes: workingSet},
+		PlanCost: PlanCost{Name: name, EstFlops: flops, WorkingSetBytes: workingSet},
 		run:      run,
 	})
 }
 
 // iterative is the solver of every "+iterative" plan: batch gradient descent
-// over whatever representation the plan built.
+// over whatever source the plan built.
 func (p *planner) iterative(data opt.Data) ([]float64, error) {
-	res, err := opt.GradientDescent(data, p.y, p.task.lossFn(),
+	res, err := opt.GradientDescent(data, p.y, p.task.Loss,
 		opt.GDConfig{Step: p.task.Step, L2: p.task.L2, MaxIter: p.task.MaxIter, Tol: 1e-9, Backtracking: true})
 	if err != nil {
 		return nil, err
@@ -164,7 +120,7 @@ func (p *planner) direct(g *la.Dense, c []float64) ([]float64, error) {
 }
 
 // execute sorts the table cheapest first, runs the cheapest (or forced) plan
-// and reports its loss over ref, the request's own representation.
+// and reports its loss over ref, the request's own join tree.
 func (p *planner) execute(ref opt.BulkData) (*Result, error) {
 	sort.Slice(p.plans, func(i, j int) bool { return p.plans[i].EstFlops < p.plans[j].EstFlops })
 	pick := 0
@@ -184,104 +140,11 @@ func (p *planner) execute(ref opt.BulkData) (*Result, error) {
 	for i := range p.plans {
 		explain[i] = p.plans[i].PlanCost
 	}
-	loss, _, err := opt.LossAndGradient(ref, p.y, w, p.task.lossFn(), 0)
+	loss, _, err := opt.LossAndGradient(ref, p.y, w, p.task.Loss, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: plan %s: final loss: %w", chosen.Name, err)
 	}
 	return &Result{W: w, Plan: chosen.Name, FinalLoss: loss, Explain: explain}, nil
-}
-
-// spillAdjust inflates cost when the working set exceeds the budget.
-func spillAdjust(flops float64, workingSet int64, o Options) float64 {
-	if o.memBudgetBytes <= 0 || workingSet <= o.memBudgetBytes {
-		return flops
-	}
-	excess := float64(workingSet-o.memBudgetBytes) / float64(workingSet)
-	return flops * (1 + excess*spillPenalty)
-}
-
-// TrainJoined plans and trains over an already-joined dense design matrix,
-// choosing representation (dense vs. CLA-compressed vs. out-of-core paged)
-// and solver (direct vs. iterative).
-func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error) {
-	task = task.withDefaults()
-	n, d := x.Dims()
-	if len(y) != n {
-		return nil, fmt.Errorf("core: %d labels for %d rows", len(y), n)
-	}
-
-	// Probe compressibility on a sample, planned as the compressed plan runs.
-	compressOpts := compress.Options{CoCode: true}
-	sample := x
-	if n > compressSampleRows {
-		sample = x.Slice(0, compressSampleRows, 0, d)
-	}
-	ratio := compress.Compress(sample, compressOpts).CompressionRatio()
-
-	denseBytes := int64(8 * n * d)
-	comprBytes := int64(float64(denseBytes) / math.Max(ratio, 1e-9))
-	iters := float64(task.MaxIter)
-	matvecPair := 4 * float64(n) * float64(d) // X·w plus xᵀ·X per iteration
-
-	p := &planner{y: y, task: task, o: o}
-	if task.Loss == SquaredLoss {
-		p.add("dense+direct", float64(n)*float64(d)*float64(d)+float64(d*d*d)/3, denseBytes, func() ([]float64, error) {
-			return p.direct(la.Gram(x), la.XtY(x, y))
-		})
-	}
-	p.add("dense+iterative", iters*matvecPair, denseBytes, func() ([]float64, error) {
-		return p.iterative(opt.DenseData{M: x})
-	})
-	// Compressed iterative: per-op compute is comparable to dense (dictionary
-	// lookups replace multiplies, at a small indirection premium), plus a
-	// one-time compression pass; the win
-	// is the smaller working set, which avoids the spill penalty — CLA's
-	// actual value proposition.
-	compressSetup := 4 * float64(n) * float64(d)
-	p.add("compressed+iterative", iters*matvecPair*1.05+compressSetup, comprBytes, func() ([]float64, error) {
-		return p.iterative(compress.Compress(x, compressOpts))
-	})
-	// Paged iterative: stream blocks through a buffer pool sized to the
-	// budget. Sequential block I/O per iteration is modeled as cheaper than
-	// the random-access thrash the dense plan would suffer, so this is the
-	// fallback when the data neither fits nor compresses.
-	if o.memBudgetBytes > 0 && denseBytes > o.memBudgetBytes {
-		excess := float64(denseBytes-o.memBudgetBytes) / float64(denseBytes)
-		ioCost := iters * matvecPair * excess * spillPenalty * 0.5
-		p.add("paged+iterative", iters*matvecPair+ioCost, o.memBudgetBytes, func() ([]float64, error) {
-			return p.paged(x)
-		})
-	}
-	return p.execute(opt.DenseData{M: x})
-}
-
-// newSpillPool builds the paged plan's buffer pool; a variable so tests can
-// inject spill I/O failures.
-var newSpillPool = storage.NewBufferPoolBytes
-
-// paged runs the out-of-core plan: x streams as row blocks (CLA-compressed
-// where that pays, raw otherwise, sized by ooc from the pool's budget)
-// through a buffer pool bounded by the memory budget, spilling to a temp
-// directory that lives for the call.
-func (p *planner) paged(x *la.Dense) ([]float64, error) {
-	dir, err := os.MkdirTemp("", "dmml-core-paged-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	bp, err := newSpillPool(p.o.memBudgetBytes, dir)
-	if err != nil {
-		return nil, err
-	}
-	m, err := ooc.FromDense(bp, x, ooc.Options{Prefetch: true})
-	if err != nil {
-		return nil, err
-	}
-	w, err := p.iterative(m)
-	if err = errors.Join(err, m.Drop()); err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
 // TrainNormalized plans and trains over a normalized acyclic join tree (a
@@ -310,7 +173,7 @@ func TrainNormalized(tree *factorized.JoinTree, y []float64, task Task, o Option
 	p.add("materialized+iterative", materializeCost+iters*matIter, matBytes, func() ([]float64, error) {
 		return p.iterative(opt.DenseData{M: tree.Materialize()})
 	})
-	if task.Loss == SquaredLoss {
+	if _, squared := task.Loss.(opt.Squared); squared {
 		// F-style factorized normal equations vs. materialized ones.
 		p.add("factorized+direct", tree.FlopsPerGram()+float64(d*d*d)/3, factBytes, func() ([]float64, error) {
 			return p.direct(tree.Gram(), tree.XtY(y))
@@ -321,17 +184,4 @@ func TrainNormalized(tree *factorized.JoinTree, y []float64, task Task, o Option
 		})
 	}
 	return p.execute(tree)
-}
-
-// ExplainString renders a plan table.
-func ExplainString(plans []PlanCost) string {
-	out := ""
-	for _, p := range plans {
-		mark := " "
-		if p.Chosen {
-			mark = "*"
-		}
-		out += fmt.Sprintf("%s %-24s est=%.3g flops ws=%d bytes\n", mark, p.Name, p.EstFlops, p.WorkingSetBytes)
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"dmml/internal/core"
 	"dmml/internal/factorized"
+	"dmml/internal/opt"
 	"dmml/internal/workload"
 )
 
@@ -27,7 +28,7 @@ func ExampleTrainNormalized() {
 		log.Fatal(err)
 	}
 	res, err := core.TrainNormalized(design, star.Y,
-		core.Task{Loss: core.SquaredLoss, L2: 0.01}, core.Options{})
+		core.Task{Loss: opt.Squared{}, L2: 0.01}, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

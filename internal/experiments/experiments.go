@@ -112,12 +112,16 @@ func scale(quick bool, full int) int {
 // E1FactorizedVsMaterialized reproduces the Orion/F shape: per-iteration GLM
 // training over a star schema, factorized vs. materialized, swept over the
 // tuple ratio. Factorized wins grow with TR; near TR≈1 the approaches tie.
+// The materialized baseline's matrix is checked, untimed, against the
+// relational engine's hash join of the same star (join_exact): the baseline
+// trains over exactly the join.
 func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 	t := Table{
 		ID:     "E1",
 		Title:  "factorized vs materialized GLM training over a join (Orion/F)",
-		Header: []string{"tuple_ratio", "fact_rows", "dim_rows", "t_factorized", "t_materialized", "speedup", "predicted"},
-		Notes:  "speedup >1 means factorized wins; crossover expected near TR≈1",
+		Header: []string{"tuple_ratio", "fact_rows", "dim_rows", "t_factorized", "t_materialized", "speedup", "predicted", "join_exact"},
+		Notes: "speedup >1 means factorized wins; crossover expected near TR≈1; " +
+			"join_exact: the hash-joined matrix equals the materialized one bit for bit",
 	}
 	factRows := scale(quick, 100000)
 	iters := 8
@@ -154,9 +158,14 @@ func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 		}
 		tMat := time.Since(start)
 
+		joined, err := s.JoinedMatrix()
+		if err != nil {
+			return t, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(tr), fmt.Sprint(factRows), fmt.Sprint(dimRows),
 			d(tFact), d(tMat), f(float64(tMat) / float64(tFact)), f(design.Speedup()),
+			fmt.Sprint(sameBits(joined, m)),
 		})
 	}
 	return t, nil
@@ -209,12 +218,13 @@ func E2HamletRule(quick bool) (Table, error) {
 
 // E3CompressionRatio reproduces CLA's compression-ratio table: ratios grow
 // with skew and shrink with cardinality; continuous data falls back to UC.
+// Every column decompresses to its input bit for bit (lossless).
 func E3CompressionRatio(quick bool) (Table, error) {
 	t := Table{
 		ID:     "E3",
 		Title:  "CLA compression ratio by column regime",
-		Header: []string{"column", "cardinality", "skew", "encoding", "ratio"},
-		Notes:  "dense bytes / compressed bytes; UC fallback ⇒ ratio ≈ 1",
+		Header: []string{"column", "cardinality", "skew", "encoding", "ratio", "lossless"},
+		Notes:  "dense bytes / compressed bytes; UC fallback ⇒ ratio ≈ 1; lossless: decompression returns the input bit for bit",
 	}
 	n := scale(quick, 200000)
 	r := rand.New(rand.NewSource(3000))
@@ -227,6 +237,7 @@ func E3CompressionRatio(quick bool) (Table, error) {
 		t.Rows = append(t.Rows, []string{
 			name, fmt.Sprint(card), f(skew),
 			cm.Groups()[0].Encoding(), f(cm.CompressionRatio()),
+			fmt.Sprint(sameBits(cm.Decompress(), m)),
 		})
 	}
 	for _, card := range []int{4, 100, 10000} {
@@ -380,8 +391,9 @@ func E10SparseVsDense(quick bool) (Table, error) {
 }
 
 // E13PlannerChoice validates the core planner end-to-end: on both sides of
-// the factorized/materialized and dense/compressed crossovers, the plan it
-// picks must be the faster one when both are forced and measured.
+// the factorized/materialized crossover, the plan it picks must be the
+// faster one when it and its same-solver alternative are forced and
+// measured.
 func E13PlannerChoice(quick bool) (Table, error) {
 	t := Table{
 		ID:     "E13",
@@ -421,7 +433,7 @@ func E13PlannerChoice(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		task := core.Task{Loss: core.SquaredLoss, L2: 0.01, MaxIter: 10}
+		task := core.Task{Loss: opt.Squared{}, L2: 0.01, MaxIter: 10}
 		res, err := core.TrainNormalized(design, s.Y, task, core.Options{})
 		if err != nil {
 			return t, err

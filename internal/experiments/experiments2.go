@@ -1,16 +1,20 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"time"
 
 	"dmml/internal/compress"
 	"dmml/internal/dml"
 	"dmml/internal/featureng"
 	"dmml/internal/la"
+	"dmml/internal/modeldb"
 	"dmml/internal/modelsel"
 	"dmml/internal/ooc"
 	"dmml/internal/opt"
@@ -158,9 +162,61 @@ func E7ModelSearch(quick bool) (Table, error) {
 		"successive halving", fmt.Sprint(len(configs)), fmt.Sprint(shStats.TotalEpochs),
 		f(shRes[0].Score), d(time.Since(start)),
 	})
-	t.Notes = fmt.Sprintf("epoch savings: %.1fx fewer epochs for successive halving; batching amortizes the scan across all %d configs",
-		float64(gridStats.TotalEpochs)/float64(shStats.TotalEpochs), len(configs))
+	reg, err := e7Registry(x, y, shRes, maxEpochs)
+	if err != nil {
+		return t, err
+	}
+	t.Notes = fmt.Sprintf("epoch savings: %.1fx fewer epochs for successive halving; batching amortizes the scan across all %d configs; %s",
+		float64(gridStats.TotalEpochs)/float64(shStats.TotalEpochs), len(configs), reg)
 	return t, nil
+}
+
+// e7Registry logs the successive-halving results into a ModelDB store, worst
+// first, each run the parent of the next and all tagged with the dataset's
+// hash, and reports what the registry answers: the best run's val_acc, the
+// depth of its lineage, the runs that reached the full budget of maxEpochs,
+// and whether the store's JSON round trip returns the same best run.
+func e7Registry(x *la.Dense, y []float64, results []modelsel.Result, maxEpochs int) (string, error) {
+	const name = "e7-logistic"
+	store := modeldb.NewStore()
+	hash := modeldb.DatasetHash(x, y)
+	parent := -1
+	for i := len(results) - 1; i >= 0; i-- {
+		run, err := store.Log(modeldb.Spec{
+			Name:        name,
+			DatasetHash: hash,
+			Config:      results[i].Config,
+			Metrics:     map[string]float64{"val_acc": results[i].Score, "epochs": float64(results[i].Epochs)},
+			ParentID:    parent,
+		})
+		if err != nil {
+			return "", err
+		}
+		parent = run.ID
+	}
+	best, err := store.Best(name, "val_acc", true)
+	if err != nil {
+		return "", err
+	}
+	chain, err := store.Lineage(best.ID)
+	if err != nil {
+		return "", err
+	}
+	full := store.Query(func(r modeldb.Run) bool { return r.Metrics["epochs"] >= float64(maxEpochs) })
+	var saved bytes.Buffer
+	if err := store.Save(&saved); err != nil {
+		return "", err
+	}
+	loaded, err := modeldb.Load(&saved)
+	if err != nil {
+		return "", err
+	}
+	reBest, err := loaded.Best(name, "val_acc", true)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("registry: best val_acc %s, lineage depth %d, %d configs at the full budget, reload keeps best: %v",
+		f(best.Metrics["val_acc"]), len(chain), len(full), reflect.DeepEqual(reBest, best)), nil
 }
 
 // E8ColumbusReuse reproduces the Columbus shape: Gram-matrix reuse answers a
@@ -448,7 +504,7 @@ func EColumnCoCoding(quick bool) (Table, error) {
 	r := rand.New(rand.NewSource(16000))
 	// Six columns in three perfectly correlated pairs (e.g. country ↔
 	// currency in a log table), plus Zipf skew.
-	m := laNewDense(n, 6)
+	m := la.NewDense(n, 6)
 	for i := 0; i < n; i++ {
 		for p := 0; p < 3; p++ {
 			v := float64(r.Intn(6))
@@ -463,7 +519,7 @@ func EColumnCoCoding(quick bool) (Table, error) {
 	var baseline []float64
 	reps := 10
 	for _, coCode := range []bool{false, true} {
-		cm := compressCompress(m, coCode)
+		cm := compress.Compress(m, compress.Options{CoCode: coCode})
 		start := time.Now()
 		var out []float64
 		for k := 0; k < reps; k++ {
@@ -483,11 +539,11 @@ func EColumnCoCoding(quick bool) (Table, error) {
 			}
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(coCode), fmt.Sprint(len(cm.Groups())),
+			fmt.Sprint(coCode), strings.Join(cm.GroupInfo(), " "),
 			f(cm.CompressionRatio()), d(elapsed), f(delta),
 		})
 	}
-	t.Notes = "co-coding merges correlated pairs: fewer groups, higher ratio, same results"
+	t.Notes = "co-coding merges correlated pairs: fewer groups (encoding[columns] each), higher ratio, same results"
 	return t, nil
 }
 

@@ -83,6 +83,21 @@ func TestE1SpeedupGrowsWithTupleRatio(t *testing.T) {
 	}
 }
 
+// E1's materialized baseline trains over exactly the join: at every tuple
+// ratio the relational engine's hash-joined matrix equals Materialize's bit
+// for bit.
+func TestE1HashJoinMatchesMaterialize(t *testing.T) {
+	tbl, err := E1FactorizedVsMaterialized(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tbl.Rows {
+		if got := cell(tbl, i, "join_exact"); got != "true" {
+			t.Errorf("TR=%s: join_exact = %q, want true", cell(tbl, i, "tuple_ratio"), got)
+		}
+	}
+}
+
 // Shape check: Hamlet's safe-to-avoid scenario shows a near-zero accuracy
 // gap, the keep-the-join scenario a positive one.
 func TestE2GapShapes(t *testing.T) {
@@ -127,6 +142,11 @@ func TestE3RatioShapes(t *testing.T) {
 	if contRatio > 1.05 {
 		t.Fatalf("continuous ratio = %v, want ≈ 1", contRatio)
 	}
+	for i := range tbl.Rows {
+		if got := cell(tbl, i, "lossless"); got != "true" {
+			t.Errorf("%s column (card %s): lossless = %q, want true", cell(tbl, i, "column"), cell(tbl, i, "cardinality"), got)
+		}
+	}
 }
 
 // Shape check: successive halving uses far fewer epochs than grid while
@@ -149,6 +169,11 @@ func TestE7SearchShapes(t *testing.T) {
 	}
 	if shAcc < gridAcc-0.05 {
 		t.Fatalf("SH best acc %v far below grid %v", shAcc, gridAcc)
+	}
+	// The registry's best run is the halving row's, and survives a reload.
+	want := "registry: best val_acc " + cell(tbl, 2, "best_val_acc") + ","
+	if !strings.Contains(tbl.Notes, want) || !strings.HasSuffix(tbl.Notes, "reload keeps best: true") {
+		t.Fatalf("notes %q: want %q and a reload that keeps the best run", tbl.Notes, want)
 	}
 }
 
@@ -224,7 +249,8 @@ func TestAblationCoCodingShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell(tbl, 0, "groups") != "6" || cell(tbl, 1, "groups") != "3" {
+	if cell(tbl, 0, "groups") != "DDC1[0] DDC1[1] DDC1[2] DDC1[3] DDC1[4] DDC1[5]" ||
+		cell(tbl, 1, "groups") != "DDC1[0 1] DDC1[2 3] DDC1[4 5]" {
 		t.Fatalf("groups = %s vs %s", cell(tbl, 0, "groups"), cell(tbl, 1, "groups"))
 	}
 	if cellFloat(t, tbl, 1, "ratio") <= cellFloat(t, tbl, 0, "ratio") {

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"os"
 
-	"dmml/internal/compress"
 	"dmml/internal/la"
 )
 
@@ -13,9 +13,20 @@ func tmpDir() (string, error) {
 	return os.MkdirTemp("", "dmml-bench-*")
 }
 
-// Thin aliases keep experiments2.go free of extra imports.
-func laNewDense(rows, cols int) *la.Dense { return la.NewDense(rows, cols) }
-
-func compressCompress(m *la.Dense, coCode bool) *compress.Matrix {
-	return compress.Compress(m, compress.Options{CoCode: coCode})
+// sameBits reports whether a and b have the same shape and every cell the
+// same bit pattern: an exact check, under which −0 differs from +0 and a
+// NaN equals a NaN of the same payload.
+func sameBits(a, b *la.Dense) bool {
+	ar, ac := a.Dims()
+	br, bc := b.Dims()
+	if ar != br || ac != bc {
+		return false
+	}
+	bd := b.RawData()
+	for i, v := range a.RawData() {
+		if math.Float64bits(v) != math.Float64bits(bd[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -27,7 +27,8 @@ import (
 
 // TestCSVToModelPipeline drives: generate star → hash join → project to a
 // numeric matrix → write CSV → read it back through the matrix CSV reader
-// DML's read() uses → planner training → registry logging.
+// DML's read() uses → check it against the materialized star → planner
+// training over the star's join tree → registry logging.
 func TestCSVToModelPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(500))
 	star, err := workload.GenerateStar(r, workload.StarConfig{
@@ -80,8 +81,15 @@ func TestCSVToModelPipeline(t *testing.T) {
 	d := len(cols) - 1
 	x := back.Slice(0, back.Rows(), 0, d)
 	labels := back.Col(d)
+	if !x.Equal(star.Materialize(), 0) {
+		t.Fatal("the joined CSV's features differ from the materialized star")
+	}
 
-	res, err := core.TrainJoined(x, labels, core.Task{Loss: core.SquaredLoss, L2: 0.01}, core.Options{})
+	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.TrainNormalized(design, labels, core.Task{L2: 0.01}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +143,24 @@ func rSquared(pred, truth []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// TestDMLReplicatesPlannerModel verifies the declarative language computes
-// the same ridge solution as the planner's direct path on the same data.
+// TestDMLReplicatesPlannerModel verifies the declarative language, over the
+// materialized join, computes the same ridge solution as the planner's
+// factorized direct path over the normalized star.
 func TestDMLReplicatesPlannerModel(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
-	x, y, _ := workload.Regression(r, 800, 5, 0.05)
+	star, err := workload.GenerateStar(r, workload.StarConfig{
+		FactRows: 800, FactFeats: 3,
+		DimRows: []int{40}, DimFeats: []int{2},
+		Task: workload.RegressionTask, Noise: 0.05, DimSignal: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := star.Materialize(), star.Y
 	ym := la.NewDense(len(y), 1)
 	for i, v := range y {
 		ym.Set(i, 0, v)
@@ -159,8 +180,8 @@ w`)
 		t.Fatal(err)
 	}
 
-	res, err := core.TrainJoined(x, y, core.Task{Loss: core.SquaredLoss, L2: 0.5},
-		core.Options{ForcePlan: "dense+direct"})
+	res, err := core.TrainNormalized(design, y, core.Task{L2: 0.5},
+		core.Options{ForcePlan: "factorized+direct"})
 	if err != nil {
 		t.Fatal(err)
 	}

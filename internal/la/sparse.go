@@ -134,14 +134,6 @@ func (s *CSR) VecMatInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// Scale multiplies all stored values by a in place and returns s.
-func (s *CSR) Scale(a float64) *CSR {
-	for i := range s.vals {
-		s.vals[i] *= a
-	}
-	return s
-}
-
 // String summarizes the matrix.
 func (s *CSR) String() string {
 	return fmt.Sprintf("CSR{%dx%d, nnz=%d}", s.rows, s.cols, s.NNZ())

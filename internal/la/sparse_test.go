@@ -80,14 +80,6 @@ func TestCSRMatVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestCSRScale(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 0}, {0, 2}})
-	s := CSRFromDense(m).Scale(3).ToDense()
-	if s.At(0, 0) != 3 || s.At(1, 1) != 6 {
-		t.Fatal("Scale mismatch")
-	}
-}
-
 // Property: for random sparse matrices, all CSR ops agree with dense ops.
 func TestCSREquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {

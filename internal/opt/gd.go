@@ -46,9 +46,16 @@ var _ BulkData = DenseData{}
 
 // LossAndGradient computes the mean loss and its gradient at w, including an
 // L2 penalty of λ/2·‖w‖² (bias-inclusive; exclude the bias by passing λ=0
-// and regularizing externally if needed). It fails only where
+// and regularizing externally if needed). It fails on a label count other
+// than Rows or a weight count other than Cols, and where
 // lossAndGradientInto does.
 func LossAndGradient(data Data, y, w []float64, loss Loss, l2 float64) (float64, []float64, error) {
+	if len(y) != data.Rows() {
+		return 0, nil, fmt.Errorf("opt: %d labels for %d rows", len(y), data.Rows())
+	}
+	if len(w) != data.Cols() {
+		return 0, nil, fmt.Errorf("opt: %d weights for %d columns", len(w), data.Cols())
+	}
 	grad := make([]float64, data.Cols())
 	margins := pool.GetF64(data.Rows())
 	derivs := pool.GetF64(data.Rows())

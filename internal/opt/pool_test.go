@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dmml/internal/compress"
@@ -35,25 +36,64 @@ func randProblem(r *rand.Rand, n, d int) (*la.Dense, []float64) {
 }
 
 // TestLossAndGradientZeroAllocSteadyState: with a BulkData source and
-// warm scratch, the GD inner-loop evaluation must not allocate.
+// warm scratch, the GD inner-loop evaluation must not allocate — over a
+// dense matrix and over a co-coded CLA matrix, whose kernels draw their
+// scratch from pools.
 func TestLossAndGradientZeroAllocSteadyState(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	r := rand.New(rand.NewSource(70))
 	x, y := randProblem(r, 400, 30)
-	data := DenseData{M: x}
-	w := make([]float64, 30)
-	grad := make([]float64, 30)
-	margins := pool.GetF64(400)
-	derivs := pool.GetF64(400)
-	lossAndGradientInto(data, y, w, Logistic{}, 0.01, margins, derivs, grad) // warm up
-	if a := testing.AllocsPerRun(50, func() {
-		lossAndGradientInto(data, y, w, Logistic{}, 0.01, margins, derivs, grad)
-	}); a != 0 {
-		t.Errorf("lossAndGradientInto allocates %v per run, want 0", a)
+	tel := workload.TelemetryMatrix(r, 5000, []int{4, 6, 3, 8}, 1.2)
+	telY := make([]float64, tel.Rows())
+	for i := range telY {
+		telY[i] = float64(2*int(tel.At(i, 0))%4 - 1)
 	}
-	pool.PutF64(margins)
-	pool.PutF64(derivs)
+	for _, c := range []struct {
+		name string
+		data BulkData
+		y    []float64
+	}{
+		{"dense", DenseData{M: x}, y},
+		{"compressed", compress.Compress(tel, compress.Options{CoCode: true}), telY},
+	} {
+		n, d := c.data.Rows(), c.data.Cols()
+		w := make([]float64, d)
+		for j := range w {
+			w[j] = r.NormFloat64()
+		}
+		grad := make([]float64, d)
+		margins := pool.GetF64(n)
+		derivs := pool.GetF64(n)
+		step := func() {
+			if _, err := lossAndGradientInto(c.data, c.y, w, Logistic{}, 0.01, margins, derivs, grad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step() // warm up
+		if a := testing.AllocsPerRun(50, step); a != 0 {
+			t.Errorf("%s: lossAndGradientInto allocates %v per run, want 0", c.name, a)
+		}
+		pool.PutF64(margins)
+		pool.PutF64(derivs)
+	}
+}
+
+// LossAndGradient refuses a label count other than Rows and a weight count
+// other than Cols with an error, for in-memory and streamed sources alike.
+func TestLossAndGradientShapeMismatch(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	x, y := randProblem(r, 50, 4)
+	for _, data := range []Data{DenseData{M: x}, &fakeBlocks{m: x, blockRows: 8, failAt: -1}} {
+		if _, _, err := LossAndGradient(data, y[:49], make([]float64, 4), Logistic{}, 0); err == nil ||
+			!strings.Contains(err.Error(), "49 labels for 50 rows") {
+			t.Errorf("%T: labels mismatch err = %v", data, err)
+		}
+		if _, _, err := LossAndGradient(data, y, make([]float64, 3), Logistic{}, 0); err == nil ||
+			!strings.Contains(err.Error(), "3 weights for 4 columns") {
+			t.Errorf("%T: weights mismatch err = %v", data, err)
+		}
+	}
 }
 
 // gdBitStable runs gradient descent over data 20 times at each of GOMAXPROCS

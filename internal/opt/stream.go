@@ -78,9 +78,6 @@ func blockStep(b RowBlock, loss Loss, grad, w, y, margins, derivs []float64) flo
 // margins are.
 func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
-	if len(y) != n {
-		panic(fmt.Sprintf("opt: %d labels for %d rows", len(y), n))
-	}
 	for j := range grad {
 		grad[j] = 0
 	}

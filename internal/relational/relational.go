@@ -1,6 +1,7 @@
 // Package relational implements the hash equi-join over storage.Table that
-// examples/retail_factorized uses to materialize a join for the
-// "materialized learning" baseline factorized learning is compared against.
+// workload.(*Star).JoinedMatrix materializes a join with: the independent
+// reference E1 checks the "materialized learning" baseline's matrix
+// against.
 package relational
 
 import (

@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"dmml/internal/vet"
 )
 
 // makeRe matches a make command in a backticked span, and makeLineRe one
@@ -35,7 +37,9 @@ var citeRe = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)
 // registers, or to a per-layer metric name of BENCHMARK.json. Fenced code
 // blocks are not scanned for those. Every `make <target>` — in a backticked
 // span, or starting a line of a fenced block — must name a rule of the
-// Makefile.
+// Makefile. Every flag of a `<binary> -flag ...` command line — in a
+// backticked span, or on a line of a fenced block — must be one the
+// binary's package under cmd/ declares (see binaryFlags).
 func TestDocsCiteLiveNames(t *testing.T) {
 	m := loadModule(t)
 	pkgs := make(map[string]*types.Package) // internal/ packages by name
@@ -79,7 +83,9 @@ func TestDocsCiteLiveNames(t *testing.T) {
 		targets[c[1]] = true
 	}
 
-	cited, citedTargets := 0, 0
+	flags := binaryFlags(t, m)
+
+	cited, citedTargets, citedFlags := 0, 0, 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(filepath.Join(m.Root, doc))
 		if err != nil {
@@ -90,6 +96,21 @@ func TestDocsCiteLiveNames(t *testing.T) {
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				fenced = !fenced
 				continue
+			}
+			spans := []string{line}
+			if !fenced {
+				spans = spans[:0]
+				for _, c := range spanRe.FindAllStringSubmatch(line, -1) {
+					spans = append(spans, c[1])
+				}
+			}
+			for _, span := range spans {
+				for _, inv := range flagUses(span) {
+					citedFlags++
+					if !flags[inv[0]][inv[1]] {
+						t.Errorf("%s:%d: %s -%s names no flag that cmd/%s declares", doc, i+1, inv[0], inv[1], inv[0])
+					}
+				}
 			}
 			re := makeRe
 			if fenced {
@@ -126,6 +147,100 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	if citedTargets == 0 {
 		t.Fatal("no make command found in the documents; the target check is vacuous")
 	}
+	if citedFlags == 0 {
+		t.Fatal("no binary flag found in the documents; the flag check is vacuous")
+	}
+}
+
+// binaries are the commands under cmd/ whose flags the documents cite.
+var binaries = []string{"dmml", "dmmlbench", "dmmlserve", "loadtest", "dmmlvet"}
+
+var (
+	// spanRe matches a backticked span; the group is its content.
+	spanRe = regexp.MustCompile("`([^`]+)`")
+	// invokeRe matches a binary's name as a whole command word — at the
+	// start, or after a space or a path's slash — and the words that follow it up to
+	// the end of the command (a pipe, a list separator, a redirection or a
+	// comment).
+	invokeRe = regexp.MustCompile(`(?:^|[\s/])(` + strings.Join(binaries, "|") + `)\b((?:[ \t]+[^\s|;&#>]+)*)`)
+	// flagRe matches a word that is a flag: -name or --name, with or without
+	// =value; the group is the name.
+	flagRe = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(?:=.*)?$`)
+	// quotedRe matches a quoted shell word, whose dashes are no flags.
+	quotedRe = regexp.MustCompile(`'[^']*'|"[^"]*"`)
+)
+
+// flagUses returns the {binary, flag} pairs of every command line in text.
+func flagUses(text string) [][2]string {
+	var out [][2]string
+	for _, c := range invokeRe.FindAllStringSubmatch(quotedRe.ReplaceAllString(text, "''"), -1) {
+		for _, word := range strings.Fields(c[2]) {
+			if f := flagRe.FindStringSubmatch(word); f != nil {
+				out = append(out, [2]string{c[1], f[1]})
+			}
+		}
+	}
+	return out
+}
+
+// binaryFlags returns, per binary, the flags its package under cmd/
+// declares: the name argument of every flag-defining call of package flag,
+// on the default set (flag.Bool, flag.StringVar, ...) or on a *flag.FlagSet
+// (fs.Bool, fs.Var, ...), plus the -h and -help every flag set accepts.
+func binaryFlags(t *testing.T, m *vet.Module) map[string]map[string]bool {
+	t.Helper()
+	out := make(map[string]map[string]bool)
+	for _, bin := range binaries {
+		p := m.Pkgs[m.Path+"/cmd/"+bin]
+		if p == nil {
+			t.Fatalf("no package cmd/%s", bin)
+		}
+		names := map[string]bool{"h": true, "help": true}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !definesFlag(fn.Name()) {
+					return true
+				}
+				for _, a := range call.Args {
+					if tv := p.Info.Types[a]; tv.Value != nil && tv.Value.Kind() == constant.String {
+						names[constant.StringVal(tv.Value)] = true
+						break
+					}
+				}
+				return true
+			})
+		}
+		if len(names) == 2 {
+			t.Fatalf("cmd/%s declares no flag; the flag check is vacuous", bin)
+		}
+		out[bin] = names
+	}
+	return out
+}
+
+// definesFlag reports whether the package-flag function or *flag.FlagSet
+// method name defines a flag; its first string constant argument is the
+// flag's name.
+func definesFlag(name string) bool {
+	switch name {
+	case "Var", "Func", "BoolFunc", "TextVar":
+		return true
+	}
+	for _, kind := range []string{"Bool", "String", "Int", "Int64", "Uint", "Uint64", "Float64", "Duration"} {
+		if name == kind || name == kind+"Var" {
+			return true
+		}
+	}
+	return false
 }
 
 // resolves reports whether pkg declares name at package scope — as a type

@@ -28,9 +28,10 @@ var keepUnreached = map[string]string{
 }
 
 // TestEveryEngineFunctionIsReached keeps engine code honest about its
-// callers. Its roots are main and init of every package under cmd/ and
-// examples/, plus every declaration in every file under bench/ (the
-// benchmark's _test.go files included: they must keep compiling). Edges are
+// callers: the engine is what ships. Its roots are main and init of every
+// package under cmd/, plus every declaration in every file under bench/ (the
+// benchmark's _test.go files included: they must keep compiling). Examples
+// are not roots: code only an example runs belongs in that example. Edges are
 // static references; a call through an interface method reaches each module
 // method of that name whose receiver type is itself reached (then or later),
 // and a reached type keeps the methods by which it satisfies an interface of
@@ -44,7 +45,7 @@ func TestEveryEngineFunctionIsReached(t *testing.T) {
 	for path, p := range m.Pkgs {
 		rel := strings.TrimPrefix(path, m.Path+"/")
 		switch {
-		case strings.HasPrefix(rel, "cmd/"), strings.HasPrefix(rel, "examples/"):
+		case strings.HasPrefix(rel, "cmd/"):
 			r.rootPackage(p, false)
 		case strings.HasPrefix(rel, "bench/"):
 			withTests, err := vet.LoadWithTests(m, p.Dir, p.Path)
@@ -63,7 +64,7 @@ func TestEveryEngineFunctionIsReached(t *testing.T) {
 			kept[u.name] = true
 			continue
 		}
-		t.Errorf("%s: %s is reached from no binary, example or benchmark (%d lines): delete it, or keep-list it with a reason",
+		t.Errorf("%s: %s is reached from neither cmd/ nor bench/ (%d lines): give it a caller there, delete it, move it into the one example that uses it, or keep-list it with a reason",
 			u.pos, u.name, u.lines)
 	}
 	for name, reason := range keepUnreached {

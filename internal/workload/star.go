@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dmml/internal/la"
+	"dmml/internal/relational"
 	"dmml/internal/storage"
 )
 
@@ -154,9 +155,39 @@ func (s *Star) Materialize() *la.Dense {
 	return out
 }
 
+// JoinedMatrix is the classic pipeline's answer to Materialize: it renders
+// the star as tables, hash-joins the fact table with every dimension
+// through the relational engine and projects the feature columns, in
+// Materialize's order, into a matrix. It is the independent reference
+// Materialize is checked against.
+func (s *Star) JoinedMatrix() (*la.Dense, error) {
+	fact, dims, err := s.Tables()
+	if err != nil {
+		return nil, err
+	}
+	joined := fact
+	for k, dim := range dims {
+		joined, err = relational.HashJoin(joined, dim, fmt.Sprintf("fk%d", k), "id",
+			relational.JoinOptions{DropRightKey: true})
+		if err != nil {
+			return nil, err
+		}
+	}
+	var cols []string
+	for j := 0; j < s.Config.FactFeats; j++ {
+		cols = append(cols, fmt.Sprintf("f%d", j))
+	}
+	for k, d := range s.Config.DimFeats {
+		for j := 0; j < d; j++ {
+			cols = append(cols, fmt.Sprintf("d%d_%d", k, j))
+		}
+	}
+	return storage.ToMatrix(joined, cols)
+}
+
 // Tables renders the star as relational tables: a fact table with columns
 // (fk0..fkK-1, f0..f{dS-1}, label) and one dimension table per k with
-// columns (id, d0..d{dk-1}). Used to exercise the join engine end-to-end.
+// columns (id, d0..d{dk-1}).
 func (s *Star) Tables() (fact *storage.Table, dims []*storage.Table, err error) {
 	var factFields []storage.Field
 	for k := range s.DimX {
