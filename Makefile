@@ -4,7 +4,9 @@
 #                       (internal/vet's reachability test among them: every
 #                       internal/ function reached from cmd/ or bench/, or
 #                       keep-listed with a reason)
-#   make vet            go vet, plus gofmt -l over the root module
+#   make vet            go vet (on the host and as GOARCH=arm64, so the
+#                       Go fallback of every amd64 assembly kernel keeps
+#                       compiling), plus gofmt -l over the root module
 #   make check          static analysis + race detector over the concurrent
 #                       packages (pool, la, compress, paramserver, storage,
 #                       ooc, opt, core, metrics, dml, experiments, factorized,
@@ -29,8 +31,9 @@
 #                       property (fused vs unfused), the DML parser
 #                       (parse/print round trip), the serving wire
 #                       protocol (decode/round-trip), the factorized Gram,
-#                       the compressed page decoder and the numeric CSV
-#                       scanner
+#                       the compressed page decoder, the numeric CSV
+#                       scanner and the logistic loss tile (vector and Go
+#                       paths vs the scalar pair)
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails on any request
 #                       error or any score that differs from la.ScoreRow
@@ -111,10 +114,14 @@ ci: test test-cpu bench-module vet vet-engine race fuzz-smoke serve-smoke lint-e
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# go vet, then gofmt over the root module's Go files (bench/ is its own
-# module and is left alone): any file gofmt would rewrite fails the target.
+# go vet, then go vet as GOARCH=arm64 — off amd64 the assembly kernels'
+# Go fallbacks compile instead, and this keeps them compiling (on amd64,
+# vet's asmdecl check holds the .s files to their Go declarations) — then
+# gofmt over the root module's Go files (bench/ is its own module and is left
+# alone): any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(find . -path ./bench -prune -o -name '*.go' -print)); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting:" >&2; echo "$$unformatted" >&2; exit 1; \
@@ -143,7 +150,8 @@ bench:
 # Short native-fuzzing smoke over the fusion equivalence property (random
 # expression trees, fused evaluation must match unfused bit-for-bit on cell
 # templates and to relative 1e-8 on reassociated reductions), the DML
-# parser's print/parse round trip, and the decoders below.
+# parser's print/parse round trip, the decoders below, and the logistic loss
+# tile against the scalar pair.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime 15s ./internal/dml
@@ -151,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime 15s ./internal/factorized
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime 15s ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime 15s ./internal/storage
+	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime 15s ./internal/la
 
 # End-to-end serving smoke: loadtest starts dmmlserve in-process with the
 # demo models and drives a closed loop; fails on any request error or on any
@@ -187,7 +196,7 @@ cover:
 	check dml $(COVER_FLOOR_DML); \
 	check opt $(COVER_FLOOR_OPT)
 
-# Nightly extended fuzzing: the same six properties fuzz-smoke touches for
+# Nightly extended fuzzing: the same seven properties fuzz-smoke touches for
 # 15s each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
@@ -198,6 +207,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/factorized
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/storage
+	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
 
 lint-examples:
 	$(GO) run ./cmd/dmml lint -strict examples/dml_script/scripts/*.dml

@@ -338,23 +338,58 @@ func gatherAdd(dst, src []float64, fk []int) {
 		gatherAddAccum(dst, src, fk, 0, n)
 		return
 	}
-	pool.Do(n, pool.Grain(n, 2, 0), func(lo, hi int) {
-		gatherAddAccum(dst, src, fk, lo, hi)
-	})
+	e := edgeCalls.Get()
+	e.dst, e.src, e.fk = dst, src, fk
+	pool.Do(n, pool.Grain(n, 2, 0), e.gather)
+	e.put()
 }
 
 // scatterAdd adds src[i] into dst[fk[i]] — the VecMat group-sum. Chunks
 // collide on dst rows, so the rows are summed in the fixed chunks of
 // pool.Grain through pool.Reduce, each later chunk into a dst-sized scratch
 // partial; the grid's fixed-cost floor keeps zeroing and merging it a small
-// share of a chunk's work. The serial regime allocates nothing.
+// share of a chunk's work. A warm call allocates nothing.
 func scatterAdd(dst, src []float64, fk []int) {
 	n := len(fk)
 	if pool.Parallel(2 * n) {
-		pool.Reduce(dst, n, 2, func(acc []float64, lo, hi int) { scatterAddAccum(acc, src, fk, lo, hi) })
+		e := edgeCalls.Get()
+		e.src, e.fk = src, fk
+		pool.Reduce(dst, n, 2, e.scatter)
+		e.put()
 	} else {
 		pool.ReduceSerial(dst, n, 2, func(acc []float64, lo, hi int) { scatterAddAccum(acc, src, fk, lo, hi) })
 	}
+}
+
+// edgeCall is one gatherAdd or scatterAdd call's state on the pool,
+// recycled with its range methods bound once, so the dispatch allocates no
+// closure.
+type edgeCall struct {
+	dst, src []float64
+	fk       []int
+	gather   func(lo, hi int)
+	scatter  func(acc []float64, lo, hi int)
+}
+
+var edgeCalls = pool.Freelist[edgeCall]{New: func() *edgeCall {
+	e := &edgeCall{}
+	e.gather = e.gatherRange
+	e.scatter = e.scatterRange
+	return e
+}}
+
+// gatherRange is gatherAdd over parent rows [lo,hi).
+func (e *edgeCall) gatherRange(lo, hi int) { gatherAddAccum(e.dst, e.src, e.fk, lo, hi) }
+
+// scatterRange is scatterAdd's contribution of rows [lo,hi), into acc.
+func (e *edgeCall) scatterRange(acc []float64, lo, hi int) {
+	scatterAddAccum(acc, e.src, e.fk, lo, hi)
+}
+
+// put drops the call's references and recycles it.
+func (e *edgeCall) put() {
+	e.dst, e.src, e.fk = nil, nil, nil
+	edgeCalls.Put(e)
 }
 
 // gramWeighted accumulates the upper triangle of XᵀDX (D = diag(wts), nil =

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"dmml/internal/pool"
 )
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
+// ErrNotPositiveDefinite is returned by SolveSPD when the input matrix is
 // not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 
@@ -14,36 +16,35 @@ var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 // precision.
 var ErrSingular = errors.New("la: matrix is singular")
 
-// Cholesky computes the lower-triangular factor L with A = L·Lᵀ for a
-// symmetric positive-definite matrix A. A is not modified.
-func Cholesky(a *Dense) (*Dense, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("la: Cholesky of non-square %dx%d", a.rows, a.cols)
-	}
+// cholesky writes into l the lower-triangular factor L with A = L·Lᵀ of a
+// symmetric positive-definite n×n matrix A. l is n×n and all zero; only its
+// lower triangle is written. A is not modified.
+//
+//dmml:noalloc
+func cholesky(l, a *Dense) error {
 	n := a.rows
-	l := NewDense(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		lrowj := l.RowView(j)
+		d := a.data[j*n+j]
+		lrowj := l.data[j*n : (j+1)*n]
 		for k := 0; k < j; k++ {
 			d -= lrowj[k] * lrowj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(d)
 		lrowj[j] = ljj
 		inv := 1 / ljj
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			lrowi := l.RowView(i)
+			s := a.data[i*n+j]
+			lrowi := l.data[i*n : (i+1)*n]
 			for k := 0; k < j; k++ {
 				s -= lrowi[k] * lrowj[k]
 			}
 			lrowi[j] = s * inv
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveCholesky solves A·x = b given the Cholesky factor L of A, via forward
@@ -54,7 +55,8 @@ func SolveCholesky(l *Dense, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("la: SolveCholesky rhs length %d, want %d", len(b), n)
 	}
 	// Forward: L·y = b
-	y := make([]float64, n)
+	y := pool.GetF64(n)
+	defer pool.PutF64(y)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		row := l.RowView(i)
@@ -78,13 +80,28 @@ func SolveCholesky(l *Dense, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveSPD solves A·x = b for symmetric positive-definite A.
+// SolveSPD solves A·x = b for symmetric positive-definite A, through the
+// Cholesky factor L of A = L·Lᵀ (SolveCholesky). The factor lives in pooled
+// scratch for the call. It returns ErrNotPositiveDefinite when A is not
+// (numerically) positive definite. A is not modified.
 func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("la: SolveSPD of non-square %dx%d", a.rows, a.cols)
+	}
+	l := factorScratch(a.rows)
+	defer pool.PutF64(l.data)
+	if err := cholesky(&l, a); err != nil {
 		return nil, err
 	}
-	return SolveCholesky(l, b)
+	return SolveCholesky(&l, b)
+}
+
+// factorScratch returns an all-zero n×n matrix over pooled scratch: the
+// caller owns its data and releases it with pool.PutF64.
+//
+//dmml:owns-scratch
+func factorScratch(n int) Dense {
+	return Dense{rows: n, cols: n, data: pool.GetF64Zeroed(n * n)}
 }
 
 // QR holds a Householder QR decomposition of an m×n matrix with m ≥ n.

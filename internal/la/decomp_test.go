@@ -21,8 +21,8 @@ func TestCholeskyReconstruction(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for _, n := range []int{1, 2, 5, 17, 40} {
 		a := randSPD(r, n)
-		l, err := Cholesky(a)
-		if err != nil {
+		l := NewDense(n, n)
+		if err := cholesky(l, a); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !MatMul(l, l.T()).Equal(a, 1e-8) {
@@ -41,10 +41,13 @@ func TestCholeskyReconstruction(t *testing.T) {
 
 func TestCholeskyRejectsNonPD(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err != ErrNotPositiveDefinite {
+	if err := cholesky(NewDense(2, 2), a); err != ErrNotPositiveDefinite {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
-	if _, err := Cholesky(NewDense(2, 3)); err == nil {
+	if _, err := SolveSPD(a, []float64{1, 1}); err != ErrNotPositiveDefinite {
+		t.Fatalf("SolveSPD err = %v, want ErrNotPositiveDefinite", err)
+	}
+	if _, err := SolveSPD(NewDense(2, 3), []float64{1, 1}); err == nil {
 		t.Fatal("want error for non-square input")
 	}
 }

@@ -79,8 +79,8 @@ func MatVec(m *Dense, x []float64) []float64 {
 }
 
 // MatVecInto computes m × x into dst (overwriting it) and returns dst. dst
-// must have length m.Rows(). It allocates nothing in the serial regime, so
-// iterative solvers can reuse one buffer across thousands of calls.
+// must have length m.Rows(). A warm call allocates nothing, so iterative
+// solvers can reuse one buffer across thousands of calls.
 func MatVecInto(dst []float64, m *Dense, x []float64) []float64 {
 	if m.cols != len(x) {
 		panic(fmt.Sprintf("la: MatVec %dx%d × len %d", m.rows, m.cols, len(x)))
@@ -90,16 +90,46 @@ func MatVecInto(dst []float64, m *Dense, x []float64) []float64 {
 	}
 	mMatVecCalls.Inc()
 	mFlops.Add(2 * int64(m.rows) * int64(m.cols))
-	// Direct serial path (not via parallelRows): keeps the closure off the
-	// heap so iterative solvers see zero steady-state allocations.
 	if !pool.Parallel(m.rows * m.cols) {
 		matVecRows(dst, m, x, 0, m.rows)
 		return dst
 	}
-	parallelRows(m.rows, m.rows*m.cols, func(r0, r1 int) {
-		matVecRows(dst[r0:r1], m, x, r0, r1)
-	})
+	c := denseCalls.Get()
+	c.m, c.dst, c.x = m, dst, x
+	parallelRows(m.rows, m.rows*m.cols, c.matVec)
+	c.put()
 	return dst
+}
+
+// denseCall is one MatVecInto or VecMatInto call's state on the pool,
+// recycled with its range methods bound once, so the dispatch allocates no
+// closure.
+type denseCall struct {
+	m      *Dense
+	dst, x []float64
+	matVec func(r0, r1 int)
+	vecMat func(acc []float64, lo, hi int)
+}
+
+var denseCalls = pool.Freelist[denseCall]{New: func() *denseCall {
+	c := &denseCall{}
+	c.matVec = c.matVecRange
+	c.vecMat = c.vecMatRange
+	return c
+}}
+
+// matVecRange is MatVecInto over rows [r0,r1).
+func (c *denseCall) matVecRange(r0, r1 int) { matVecRows(c.dst[r0:r1], c.m, c.x, r0, r1) }
+
+// vecMatRange is VecMatInto's contribution of rows [lo,hi), into acc.
+func (c *denseCall) vecMatRange(acc []float64, lo, hi int) {
+	vecMatAccum(acc, c.x[lo:hi], c.m, lo, hi)
+}
+
+// put drops the call's references and recycles it.
+func (c *denseCall) put() {
+	c.m, c.dst, c.x = nil, nil, nil
+	denseCalls.Put(c)
 }
 
 // matVecRows sets dst[k] = m.RowView(r0+k)·x for the rows [r0,r1), four rows
@@ -164,7 +194,7 @@ func VecMat(x []float64, m *Dense) []float64 {
 // VecMatInto computes xᵀ × m into dst (overwriting it) and returns dst. dst
 // must have length m.Cols(). Rows are summed in the fixed chunks of
 // pool.Grain through pool.Reduce, so the result is bit-identical at every
-// core count; the serial regime allocates nothing.
+// core count; a warm call allocates nothing on either side of the gate.
 func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 	if m.rows != len(x) {
 		panic(fmt.Sprintf("la: VecMat len %d × %dx%d", len(x), m.rows, m.cols))
@@ -178,7 +208,10 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 		dst[j] = 0
 	}
 	if pool.Parallel(m.rows * m.cols) {
-		pool.Reduce(dst, m.rows, m.cols, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
+		c := denseCalls.Get()
+		c.m, c.x = m, x
+		pool.Reduce(dst, m.rows, m.cols, c.vecMat)
+		c.put()
 	} else {
 		pool.ReduceSerial(dst, m.rows, m.cols, func(acc []float64, lo, hi int) { vecMatAccum(acc, x[lo:hi], m, lo, hi) })
 	}
@@ -187,24 +220,31 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 
 // vecMatAccum adds xᵀ × m[r0:r1] into acc, where x[k] weighs row r0+k. Rows
 // are folded into the accumulator two at a time: for narrow matrices the
-// per-row Axpy loop is short enough that call and loop overhead dominate,
-// and the fused two-row sweep doubles the flops retired per iteration.
+// per-row loop is short enough that call and loop overhead dominate, and the
+// fused two-row sweep doubles the flops retired per iteration. Rows are
+// sliced out of m.data directly, as in matVecRows: RowView's range panic
+// keeps it from inlining.
 //
 //dmml:noalloc
 func vecMatAccum(acc, x []float64, m *Dense, r0, r1 int) {
+	n := len(acc)
 	x = x[:r1-r0]
 	i := r0
 	for ; i+1 < r1; i += 2 {
 		x0, x1 := x[i-r0], x[i+1-r0]
+		row0 := m.data[i*m.cols:][:n]
+		row1 := m.data[(i+1)*m.cols:][:n]
 		switch {
 		case x0 == 0 && x1 == 0:
 		case x1 == 0:
-			Axpy(x0, m.RowView(i), acc)
+			for b, v := range row0 {
+				acc[b] += x0 * v
+			}
 		case x0 == 0:
-			Axpy(x1, m.RowView(i+1), acc)
+			for b, v := range row1 {
+				acc[b] += x1 * v
+			}
 		default:
-			row0 := m.RowView(i)[:len(acc)]
-			row1 := m.RowView(i + 1)[:len(acc)]
 			for b := range acc {
 				acc[b] += x0*row0[b] + x1*row1[b]
 			}
@@ -212,7 +252,9 @@ func vecMatAccum(acc, x []float64, m *Dense, r0, r1 int) {
 	}
 	for ; i < r1; i++ {
 		if xi := x[i-r0]; xi != 0 {
-			Axpy(xi, m.RowView(i), acc)
+			for b, v := range m.data[i*m.cols:][:n] {
+				acc[b] += xi * v
+			}
 		}
 	}
 }

@@ -83,12 +83,17 @@ func SigmoidInto(dst, x []float64) []float64 {
 	return dst
 }
 
+// logisticTileOn selects the vector tile for LogisticLossInto: the CPU
+// runs it, the probe certified exp8FMA against math.Exp, and probeLogisticTile
+// found the tile bit-equal to the Go path. Tests turn it off to compare both.
+var logisticTileOn = probeLogisticTile()
+
 // LogisticLossInto writes LogisticDeriv(margins[i], y[i]) into derivs[i] and
-// returns Σ LogisticValue(margins[i], y[i]), added in index order. Groups of
-// eight whose |z| all lie inside the probe's gate run their exponentials
-// through the software-pipelined lanes; any other group, the tail, and every
-// group when the probe failed call math.Exp — same bits, slower. derivs may
-// alias margins.
+// returns Σ LogisticValue(margins[i], y[i]), added in index order. Where the
+// vector tile is on, groups of four whose |z| all lie in [2⁻²⁸, 20) run on
+// it; every other group and the tail run in Go (logisticGo), and the tile
+// resumes after them. Both compute the scalar pair's bits. derivs may alias
+// margins.
 //
 //dmml:noalloc
 func LogisticLossInto(derivs, margins, y []float64) float64 {
@@ -96,8 +101,32 @@ func LogisticLossInto(derivs, margins, y []float64) float64 {
 	if len(derivs) != n || len(y) != n {
 		panic(fmt.Sprintf("la: LogisticLossInto %d margins, %d labels, %d derivs", n, len(y), len(derivs)))
 	}
+	total, i := 0.0, 0
+	if logisticTileOn {
+		for {
+			var k int
+			k, total = logisticTile4(derivs[i:], margins[i:], y[i:], total)
+			if i += k; n-i < 4 {
+				break
+			}
+			// The group at i left the gate.
+			total = logisticGo(derivs[i:i+4], margins[i:i+4], y[i:i+4], total)
+			i += 4
+		}
+	}
+	return logisticGo(derivs[i:], margins[i:], y[i:], total)
+}
+
+// logisticGo is LogisticLossInto in Go, adding onto total. Groups of eight
+// whose |z| all lie inside the exp probe's gate run their exponentials
+// through the software-pipelined lanes; any other group, the tail, and every
+// group when the probe failed call math.Exp — same bits, slower.
+//
+//dmml:noalloc
+func logisticGo(derivs, margins, y []float64, total float64) float64 {
+	n := len(margins)
+	derivs, y = derivs[:n], y[:n]
 	mode := fuseExpMode
-	total := 0.0
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		y0, y1, y2, y3 := y[i], y[i+1], y[i+2], y[i+3]
@@ -149,3 +178,89 @@ func LogisticLossInto(derivs, margins, y []float64) float64 {
 	}
 	return total
 }
+
+// probeLogisticTile decides logisticTileOn: the CPU must run the tile,
+// exp8FMA must be the certified exponential (the tile is its sequence), and
+// the tile must match the Go path to the bit. It runs two sweeps. The first
+// feeds logisticGo and the tile the same rows, 256 at a time, and compares
+// every deriv and the running sum: a sweep of the gate in steps of 0.4%,
+// exp's k·ln2 reduction boundaries, the gate's two ends, and the 512
+// margins around the one where e crosses √2−1 (log1p's branch point), each
+// under one of the four sign combinations of margin and label in turn. In a
+// long sum one value's last bits are lost, so the second sweep runs each
+// row as a group of four copies from a zero total against the scalar pair:
+// 4096 positive margins whose e are evenly spaced in (0, 1), where the value
+// is log1p(e) itself. Any mismatch leaves the tile off.
+func probeLogisticTile() bool {
+	if fuseExpMode != 1 || !logisticTileSupported() {
+		return false
+	}
+	const chunk = 256
+	var margins, y, want, got [chunk]float64
+	n, signs, ok := 0, 0, true
+	flush := func() {
+		k := n &^ 3
+		sw := logisticGo(want[:k], margins[:k], y[:k], 0)
+		done, sg := logisticTile4(got[:k], margins[:k], y[:k], 0)
+		ok = ok && done == k && math.Float64bits(sg) == math.Float64bits(sw)
+		for i := 0; ok && i < k; i++ {
+			ok = math.Float64bits(got[i]) == math.Float64bits(want[i])
+		}
+		n = copy(margins[:], margins[k:n])
+		copy(y[:], y[k:k+n])
+	}
+	add := func(a float64) {
+		margins[n], y[n] = a, 1
+		if signs&1 != 0 {
+			margins[n] = -a
+		}
+		if signs&2 != 0 {
+			y[n] = -1
+		}
+		signs++
+		if n++; n == chunk {
+			flush()
+		}
+	}
+	for a := sigGateLo; a < logisticGateHi; a *= 1.004 {
+		add(a)
+	}
+	for k := 1; float64(k)*math.Ln2 < logisticGateHi; k++ {
+		c := float64(k) * math.Ln2
+		add(math.Nextafter(c, 0))
+		add(c)
+		add(math.Nextafter(c, 1024))
+	}
+	add(sigGateLo)
+	add(math.Nextafter(logisticGateHi, 0))
+	a := -math.Log(0x1.a827999fcef32p-2) // e = √2−1
+	for i := 0; i < 256; i++ {
+		a = math.Nextafter(a, 0)
+	}
+	for i := 0; i < 512; i++ {
+		add(a)
+		a = math.Nextafter(a, 1)
+	}
+	flush()
+
+	const evenE = 4096
+	ones := [4]float64{1, 1, 1, 1}
+	for i := 0; ok && i < evenE; i++ {
+		a := -math.Log((float64(i) + 0.5) / evenE)
+		if a < sigGateLo || a >= logisticGateHi {
+			continue
+		}
+		copies := [4]float64{a, a, a, a}
+		var d [4]float64
+		done, sum := logisticTile4(d[:], copies[:], ones[:], 0)
+		v, dv := LogisticValue(a, 1), LogisticDeriv(a, 1)
+		ok = done == 4 && math.Float64bits(sum) == math.Float64bits(v+v+v+v) &&
+			math.Float64bits(d[0]) == math.Float64bits(dv) && math.Float64bits(d[3]) == math.Float64bits(dv)
+	}
+	return ok
+}
+
+// logisticGateHi is the top of the vector tile's gate on |z|, whose bottom
+// is exp8FMA's, sigGateLo: from 20 up e = exp(−|z|) could fall under 2⁻²⁹,
+// where math.log1p leaves the general path the tile follows.
+const logisticGateHi = 20.0

@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package la
+
+// logisticTile4 is the vector tile's stand-in off amd64: it takes no rows,
+// so LogisticLossInto runs every group in Go.
+//
+//dmml:noalloc
+func logisticTile4(derivs, margins, y []float64, total float64) (done int, sum float64) {
+	return 0, total
+}
+
+// logisticTileSupported reports false: the vector tile is amd64 assembly.
+func logisticTileSupported() bool { return false }

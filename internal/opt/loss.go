@@ -43,19 +43,20 @@ type Loss interface {
 // batchLoss is the one loss pass under every bulk solver: tile is a loss's
 // serial kernel, run chunk by chunk over pool.Grain's grid for rows of cols
 // scalar operations, on the pool's workers over the gate and on the calling
-// goroutine under it.
+// goroutine under it. A warm call allocates nothing.
 func batchLoss(derivs, margins, y []float64, cols int, tile func(derivs, margins, y []float64) float64) float64 {
 	n := len(margins)
 	if len(derivs) != n || len(y) != n {
 		panic(fmt.Sprintf("opt: loss batch of %d margins, %d labels, %d derivs", n, len(y), len(derivs)))
 	}
 	sum := pool.GetF64Zeroed(1)
-	// The serial branch keeps its closure off the heap.
 	if pool.Parallel(n * cols) {
-		pool.Reduce(sum, n, cols, func(acc []float64, lo, hi int) {
-			acc[0] += tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
-		})
+		c := lossCalls.Get()
+		c.derivs, c.margins, c.y, c.tile = derivs, margins, y, tile
+		pool.Reduce(sum, n, cols, c.run)
+		c.put()
 	} else {
+		// The serial branch keeps its closure off the heap.
 		pool.ReduceSerial(sum, n, cols, func(acc []float64, lo, hi int) {
 			acc[0] += tile(derivs[lo:hi], margins[lo:hi], y[lo:hi])
 		})
@@ -63,6 +64,31 @@ func batchLoss(derivs, margins, y []float64, cols int, tile func(derivs, margins
 	s := sum[0]
 	pool.PutF64(sum)
 	return s
+}
+
+// lossCall is one batchLoss call's state on the pool, recycled with its run
+// method bound once, so the dispatch allocates no closure.
+type lossCall struct {
+	derivs, margins, y []float64
+	tile               func(derivs, margins, y []float64) float64
+	run                func(acc []float64, lo, hi int)
+}
+
+var lossCalls = pool.Freelist[lossCall]{New: func() *lossCall {
+	c := &lossCall{}
+	c.run = c.rows
+	return c
+}}
+
+// rows adds the tile's loss over rows [lo,hi) into acc[0].
+func (c *lossCall) rows(acc []float64, lo, hi int) {
+	acc[0] += c.tile(c.derivs[lo:hi], c.margins[lo:hi], c.y[lo:hi])
+}
+
+// put drops the call's references and recycles it.
+func (c *lossCall) put() {
+	c.derivs, c.margins, c.y, c.tile = nil, nil, nil, nil
+	lossCalls.Put(c)
 }
 
 // Squared is the squared-error loss ½(m−y)², for regression.

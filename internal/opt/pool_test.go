@@ -206,25 +206,10 @@ func TestParallelSGDStillLearns(t *testing.T) {
 	}
 }
 
-// TestJoinTreeGDStepZeroAllocSteadyState: the acceptance property of the
-// join-tree engine — a full GD inner-loop evaluation over a 3-level
-// snowflake JoinTree (MatVecInto through the tree, loss, VecMatInto back)
-// allocates nothing once the tree and pool scratch are warm.
-func TestJoinTreeGDStepZeroAllocSteadyState(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	r := rand.New(rand.NewSource(72))
-	s, err := workload.GenerateSnowflake(r, workload.SnowflakeConfig{
-		FactRows:  600,
-		FactFeats: 3,
-		Nodes: []workload.SnowNode{
-			{Rows: 40, Feats: 4, Parent: -1},
-			{Rows: 8, Feats: 3, Parent: 0},
-			{Rows: 25, Feats: 2, Parent: -1},
-		},
-		Task:   workload.RegressionTask,
-		Signal: 1,
-	})
+// snowflakeTree generates a snowflake and builds its JoinTree.
+func snowflakeTree(t *testing.T, r *rand.Rand, cfg workload.SnowflakeConfig) (*workload.Snowflake, *factorized.JoinTree) {
+	t.Helper()
+	s, err := workload.GenerateSnowflake(r, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +225,28 @@ func TestJoinTreeGDStepZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, tree
+}
+
+// TestJoinTreeGDStepZeroAllocSteadyState: the acceptance property of the
+// join-tree engine — a full GD inner-loop evaluation over a 3-level
+// snowflake JoinTree (MatVecInto through the tree, loss, VecMatInto back)
+// allocates nothing once the tree and pool scratch are warm.
+func TestJoinTreeGDStepZeroAllocSteadyState(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	r := rand.New(rand.NewSource(72))
+	s, tree := snowflakeTree(t, r, workload.SnowflakeConfig{
+		FactRows:  600,
+		FactFeats: 3,
+		Nodes: []workload.SnowNode{
+			{Rows: 40, Feats: 4, Parent: -1},
+			{Rows: 8, Feats: 3, Parent: 0},
+			{Rows: 25, Feats: 2, Parent: -1},
+		},
+		Task:   workload.RegressionTask,
+		Signal: 1,
+	})
 	n, d := tree.Rows(), tree.Cols()
 	w := make([]float64, d)
 	grad := make([]float64, d)
@@ -250,6 +257,72 @@ func TestJoinTreeGDStepZeroAllocSteadyState(t *testing.T) {
 		lossAndGradientInto(tree, s.Y, w, Squared{}, 0.01, margins, derivs, grad)
 	}); a != 0 {
 		t.Errorf("JoinTree GD step allocates %v per run, want 0", a)
+	}
+	pool.PutF64(margins)
+	pool.PutF64(derivs)
+}
+
+// allocsPerRunHere is testing.AllocsPerRun at the current GOMAXPROCS —
+// AllocsPerRun pins GOMAXPROCS to 1, where every pass stays under the pool's
+// gate. Like AllocsPerRun it returns the mallocs of every goroutine (here the
+// pool's helpers too) over runs calls of f after one warm-up call, divided
+// by runs in integers: a stray runtime allocation (a thread's stack, a
+// semaphore waiter) does not count, one per call does.
+func allocsPerRunHere(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
+// TestJoinTreeGDStepZeroAllocParallel: the same evaluation under the
+// logistic loss at GOMAXPROCS 2, over a fact table large enough that every
+// fact-granularity pass clears the pool's gate — the dense MatVecInto and
+// VecMatInto, the edge gathers and group-sums, and the loss batch — so each
+// dispatches through the pool, and still allocates nothing.
+func TestJoinTreeGDStepZeroAllocParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const factRows, factFeats = 70000, 2
+	r := rand.New(rand.NewSource(73))
+	s, tree := snowflakeTree(t, r, workload.SnowflakeConfig{
+		FactRows:  factRows,
+		FactFeats: factFeats,
+		Nodes: []workload.SnowNode{
+			{Rows: 300, Feats: 4, Parent: -1},
+			{Rows: 20, Feats: 3, Parent: 0},
+			{Rows: 200, Feats: 2, Parent: -1},
+		},
+		Task:   workload.ClassificationTask,
+		Signal: 1,
+	})
+	n, d := tree.Rows(), tree.Cols()
+	for _, c := range []struct {
+		pass string
+		work int
+	}{{"fact MatVecInto/VecMatInto", factRows * factFeats}, {"edge gather/group-sum", 2 * factRows}, {"loss batch", n * d}} {
+		if !pool.Parallel(c.work) {
+			t.Fatalf("%s: %d scalar ops stay under the pool's gate", c.pass, c.work)
+		}
+	}
+	w := make([]float64, d)
+	for j := range w {
+		w[j] = 0.3 * r.NormFloat64()
+	}
+	grad := make([]float64, d)
+	margins := pool.GetF64(n)
+	derivs := pool.GetF64(n)
+	step := func() { lossAndGradientInto(tree, s.Y, w, Logistic{}, 0.01, margins, derivs, grad) }
+	// Warm up: a reduction's partials in flight at once depend on the
+	// schedule, so the scratch pool takes a few calls to hold its peak.
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if a := allocsPerRunHere(50, step); a != 0 {
+		t.Errorf("JoinTree GD step at GOMAXPROCS 2 allocates %v per run, want 0", a)
 	}
 	pool.PutF64(margins)
 	pool.PutF64(derivs)

@@ -12,6 +12,7 @@ package vet
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -113,8 +114,10 @@ func discoverDirs(root string) ([]string, error) {
 	return out, nil
 }
 
-// parseDir parses the non-test Go files of one directory, with comments (the
-// analyzers read //dmml: directives).
+// parseDir parses the non-test Go files of one directory that the host's
+// build would compile (file-name suffixes and //go:build lines, as go/build
+// reads them, so an _amd64 file and its !amd64 twin never meet), with
+// comments (the analyzers read //dmml: directives).
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -125,6 +128,12 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return nil, err
+			}
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -24,7 +24,11 @@ package vet
 //
 // Calls are resolved transitively: a module-internal callee is either
 // annotated //dmml:noalloc itself (checked on its own) or is recursively
-// audited with the same rules. Calls into dmml/internal/pool's scratch API
+// audited with the same rules. A callee declared without a body is
+// implemented in assembly; it is a leaf the audit accepts only when its
+// declaration carries //dmml:noalloc and its package has a .s file — an
+// unannotated one stays a finding, as does one whose package has no
+// assembly to implement it. Calls into dmml/internal/pool's scratch API
 // and dmml/internal/metrics are allowed by fiat: both are engineered for
 // zero steady-state allocations and carry their own AllocsPerRun pins.
 // Allowed stdlib packages: math, math/bits, sync/atomic.
@@ -32,8 +36,10 @@ package vet
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/token"
 	"go/types"
+	"os"
 	"strings"
 )
 
@@ -113,7 +119,7 @@ func (a *noallocAuditor) buildDeclIndex() {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
 					continue
 				}
 				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
@@ -409,6 +415,15 @@ func (a *noallocAuditor) auditCallee(fn *types.Func, call *ast.CallExpr, report 
 		report(call.Pos(), "call to %s whose body is not available for audit", fn.Name())
 		return
 	}
+	if target.decl.Body == nil {
+		switch {
+		case !funcDirectives(target.decl)["noalloc"]:
+			report(call.Pos(), "call to %s whose body is not available for audit", fn.Name())
+		case !hasAsm(target.pkg.Dir):
+			report(call.Pos(), "call to body-less %s, whose package has no assembly file", fn.Name())
+		}
+		return // an annotated assembly leaf
+	}
 	if funcDirectives(target.decl)["noalloc"] {
 		return // annotated: audited at its own declaration
 	}
@@ -432,4 +447,16 @@ func (a *noallocAuditor) reportCalleeViolations(fn *types.Func, call *ast.CallEx
 	}
 	v := vs[0]
 	report(call.Pos(), "calls %s, which allocates: %s at %s", fn.Name(), v.what, a.pass.Fset.Position(v.pos))
+}
+
+// hasAsm reports whether dir holds an assembly (.s) file the host's build
+// assembles.
+func hasAsm(dir string) bool {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err == nil && ok && strings.HasSuffix(e.Name(), ".s") {
+			return true
+		}
+	}
+	return false
 }

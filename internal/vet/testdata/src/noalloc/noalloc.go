@@ -207,3 +207,25 @@ var _ = buildScaleKernel
 func capturesPerCallState(xs []float64) func(int) float64 {
 	return func(i int) float64 { return xs[i] } // want `closure captures variable "xs" \(heap-allocates the closure\) in //dmml:noalloc flow of capturesPerCallState`
 }
+
+// ---- assembly leaves: body-less declarations (this package has a .s file) ----
+
+// sumAsm is implemented in noalloc.s and annotated: a leaf.
+//
+//dmml:noalloc
+func sumAsm(xs []float64) float64
+
+// scaleAsm is implemented in noalloc.s but not annotated.
+func scaleAsm(xs []float64, a float64)
+
+// Guard: an annotated assembly leaf in a package with a .s file is accepted.
+//
+//dmml:noalloc
+func callsAsmLeaf(xs []float64) float64 {
+	return sumAsm(xs)
+}
+
+//dmml:noalloc
+func callsUnannotatedAsm(xs []float64) {
+	scaleAsm(xs, 2) // want `call to scaleAsm whose body is not available for audit in //dmml:noalloc flow of callsUnannotatedAsm`
+}

@@ -82,37 +82,48 @@ func parseExpectations(t *testing.T, dir string) []*expectation {
 func TestGoldenAnalyzers(t *testing.T) {
 	m := loadModule(t)
 	for _, a := range vet.Analyzers {
-		t.Run(a.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", a.Name)
-			// The package path is deliberately outside the module namespace:
-			// analyzers that scope per-package behavior (lockdiscipline's
-			// pairing proof) treat out-of-module testdata as in scope.
-			pkg, err := vet.LoadTestPackage(m, dir, a.Name)
-			if err != nil {
-				t.Fatalf("loading testdata: %v", err)
+		t.Run(a.Name, func(t *testing.T) { checkGolden(t, m, a, a.Name) })
+	}
+}
+
+// TestNoAllocAsmLeafNeedsAssembly: an annotated body-less declaration is a
+// leaf only where its package has assembly to implement it.
+func TestNoAllocAsmLeafNeedsAssembly(t *testing.T) {
+	checkGolden(t, loadModule(t), vet.AnalyzerNoAlloc, "noallocnoasm")
+}
+
+// checkGolden runs a over the testdata package testdata/src/<name> and
+// matches its findings against the package's want comments.
+func checkGolden(t *testing.T, m *vet.Module, a *vet.Analyzer, name string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", name)
+	// The package path is deliberately outside the module namespace:
+	// analyzers that scope per-package behavior (lockdiscipline's pairing
+	// proof) treat out-of-module testdata as in scope.
+	pkg, err := vet.LoadTestPackage(m, dir, name)
+	if err != nil {
+		t.Fatalf("loading testdata: %v", err)
+	}
+	expects := parseExpectations(t, dir)
+	findings := vet.Run(m, []*vet.Package{pkg}, []*vet.Analyzer{a})
+	for _, f := range findings {
+		base := filepath.Base(f.Pos.Filename)
+		matched := false
+		for _, e := range expects {
+			if !e.hit && e.file == base && e.line == f.Pos.Line && e.re.MatchString(f.Message) {
+				e.hit = true
+				matched = true
+				break
 			}
-			expects := parseExpectations(t, dir)
-			findings := vet.Run(m, []*vet.Package{pkg}, []*vet.Analyzer{a})
-			for _, f := range findings {
-				base := filepath.Base(f.Pos.Filename)
-				matched := false
-				for _, e := range expects {
-					if !e.hit && e.file == base && e.line == f.Pos.Line && e.re.MatchString(f.Message) {
-						e.hit = true
-						matched = true
-						break
-					}
-				}
-				if !matched {
-					t.Errorf("unexpected finding: %s", f)
-				}
-			}
-			for _, e := range expects {
-				if !e.hit {
-					t.Errorf("%s:%d: expected finding matching `%s`, got none", e.file, e.line, e.raw)
-				}
-			}
-		})
+		}
+		if !matched {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	for _, e := range expects {
+		if !e.hit {
+			t.Errorf("%s:%d: expected finding matching `%s`, got none", e.file, e.line, e.raw)
+		}
 	}
 }
 
