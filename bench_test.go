@@ -109,7 +109,7 @@ func BenchmarkKernelFactorizedMatVec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	design, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
+	design, err := factorized.NewStar(s.X[0], s.FKs[1:], s.X[1:])
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -43,7 +43,7 @@ var gd = opt.GDConfig{Step: 0.05, MaxIter: 15, Backtracking: true}
 
 // newStar generates n orders over n/100 customers (tuple ratio 100) and
 // n/400 products (tuple ratio 400).
-func newStar(n int) (*workload.Star, error) {
+func newStar(n int) (*workload.Snowflake, error) {
 	return workload.GenerateStar(rand.New(rand.NewSource(7)), workload.StarConfig{
 		FactRows:  n,
 		FactFeats: 6, // order-level features: quantity, discount, ...
@@ -75,7 +75,7 @@ func run(w io.Writer, n int) error {
 		time.Since(start).Round(time.Millisecond), xJoined.Rows())
 
 	// --- Path 2: factorized learning --------------------------------------
-	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.X[0], star.FKs[1:], star.X[1:])
 	if err != nil {
 		return err
 	}
@@ -101,8 +101,7 @@ func run(w io.Writer, n int) error {
 	fmt.Fprintln(w, "\nHamlet join-avoidance rule:")
 	for k, name := range []string{"customers", "products"} {
 		dec, err := hamlet.DefaultRule().Decide(
-			star.Config.FactRows, star.Config.DimRows[k],
-			star.Config.FactFeats, star.Config.DimFeats[k])
+			star.Rows[0], star.Rows[1+k], star.X[0].Cols(), star.X[1+k].Cols())
 		if err != nil {
 			return err
 		}

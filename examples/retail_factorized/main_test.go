@@ -37,7 +37,7 @@ func TestRun(t *testing.T) {
 		t.Fatal("HashJoin + ToMatrix rows differ from the materialized star join")
 	}
 
-	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.X[0], star.FKs[1:], star.X[1:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func starDesign(t *testing.T, seed int64, factRows, dimRows int) (*factorized.Jo
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
+	d, err := factorized.NewStar(s.X[0], s.FKs[1:], s.X[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestCostModelRankingByPredictedCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
+			d, err := factorized.NewStar(s.X[0], s.FKs[1:], s.X[1:])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ func ExampleTrainNormalized() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.X[0], star.FKs[1:], star.X[1:])
 	if err != nil {
 		log.Fatal(err)
 	}

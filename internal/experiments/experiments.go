@@ -139,7 +139,7 @@ func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		design, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
+		design, err := factorized.NewStar(s.X[0], s.FKs[1:], s.X[1:])
 		if err != nil {
 			return t, err
 		}
@@ -200,7 +200,7 @@ func E2HamletRule(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		res, err := hamlet.CompareEmpirical(s, 0, hamlet.DefaultRule(), 0.25, int64(i))
+		res, err := hamlet.CompareEmpirical(s, 1, hamlet.DefaultRule(), 0.25, int64(i))
 		if err != nil {
 			return t, err
 		}
@@ -429,7 +429,7 @@ func E13PlannerChoice(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		design, err := factorized.NewStar(s.FactX, s.FKs, s.DimX)
+		design, err := factorized.NewStar(s.X[0], s.FKs[1:], s.X[1:])
 		if err != nil {
 			return t, err
 		}

@@ -29,7 +29,7 @@ func testStar(t *testing.T, seed int64, factRows int, dimRows []int) *JoinTree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewStar(s.FactX, s.FKs, s.DimX)
+	d, err := NewStar(s.X[0], s.FKs[1:], s.X[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFactorizedEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := NewStar(s.FactX, s.FKs, s.DimX)
+		d, err := NewStar(s.X[0], s.FKs[1:], s.X[1:])
 		if err != nil {
 			return false
 		}

@@ -192,7 +192,7 @@ func TestJoinsOrderingInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := NewStar(s.FactX, s.FKs, s.DimX)
+	d1, err := NewStar(s.X[0], s.FKs[1:], s.X[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,10 @@ func TestJoinsOrderingInvariance(t *testing.T) {
 	fks2 := make([][]int, len(perm))
 	dims2 := make([]*la.Dense, len(perm))
 	for k, p := range perm {
-		fks2[k] = s.FKs[p]
-		dims2[k] = s.DimX[p]
+		fks2[k] = s.FKs[p+1]
+		dims2[k] = s.X[p+1]
 	}
-	d2, err := NewStar(s.FactX, fks2, dims2)
+	d2, err := NewStar(s.X[0], fks2, dims2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +342,27 @@ func TestJoinTreeDegenerate(t *testing.T) {
 	}
 }
 
+// allocsPerRunHere is testing.AllocsPerRun at the current GOMAXPROCS:
+// AllocsPerRun pins GOMAXPROCS to 1, where no pass reaches the pool. It
+// counts the mallocs of every goroutine (the pool's helpers too) over runs
+// calls of f after one warm-up call, divided by runs in integers.
+func allocsPerRunHere(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
 // The steady-state kernels must not allocate: MatVecInto/VecMatInto (the GD
 // step) and GramInto (the direct solver) all run on pooled scratch. At 5000
 // fact rows every edge pass and syrk stays on its serial path while the Gram's
 // cross phase clears the pool's gate, so GOMAXPROCS 1 runs the cross tasks
-// serially and GOMAXPROCS 2 dispatches them through the pool.
+// serially and GOMAXPROCS 2 dispatches them through the pool; each leg
+// measures at its own GOMAXPROCS.
 func TestJoinTreeZeroAllocSteadyState(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
@@ -367,13 +383,13 @@ func TestJoinTreeZeroAllocSteadyState(t *testing.T) {
 		tr.MatVecInto(mv, w)
 		tr.VecMatInto(vm, x)
 		tr.GramInto(g)
-		if a := testing.AllocsPerRun(50, func() { tr.MatVecInto(mv, w) }); a != 0 {
+		if a := allocsPerRunHere(50, func() { tr.MatVecInto(mv, w) }); a != 0 {
 			t.Errorf("GOMAXPROCS=%d: MatVecInto allocates %v per run, want 0", p, a)
 		}
-		if a := testing.AllocsPerRun(50, func() { tr.VecMatInto(vm, x) }); a != 0 {
+		if a := allocsPerRunHere(50, func() { tr.VecMatInto(vm, x) }); a != 0 {
 			t.Errorf("GOMAXPROCS=%d: VecMatInto allocates %v per run, want 0", p, a)
 		}
-		if a := testing.AllocsPerRun(20, func() { tr.GramInto(g) }); a != 0 {
+		if a := allocsPerRunHere(20, func() { tr.GramInto(g) }); a != 0 {
 			t.Errorf("GOMAXPROCS=%d: GramInto allocates %v per run, want 0", p, a)
 		}
 	}

@@ -94,39 +94,40 @@ type EmpiricalResult struct {
 func (e EmpiricalResult) Gap() float64 { return e.AccJoined - e.AccAvoided }
 
 // CompareEmpirical trains logistic regression by batch gradient descent twice
-// on the star's dimension dimIdx — once with the dimension's features joined
-// in, once with the join avoided (the dimension block replaced by a one-hot
-// FK encoding) — and reports held-out accuracies with the rule's decision.
-// The star must be a classification task.
-func CompareEmpirical(s *workload.Star, dimIdx int, rule Rule, testFrac float64, seed int64) (*EmpiricalResult, error) {
-	if dimIdx < 0 || dimIdx >= len(s.DimX) {
-		return nil, fmt.Errorf("hamlet: dimension %d out of range", dimIdx)
+// around node, a dimension that joins the fact table: once with the node's
+// features joined in, once with the join avoided (its feature block replaced
+// by a one-hot FK encoding). It reports held-out accuracies with the rule's
+// decision. The schema must be a classification task.
+func CompareEmpirical(s *workload.Snowflake, node int, rule Rule, testFrac float64, seed int64) (*EmpiricalResult, error) {
+	if node < 1 || node >= len(s.X) || s.Parents[node] != 0 || s.X[node] == nil {
+		return nil, fmt.Errorf("hamlet: node %d is not a dimension of the fact table", node)
 	}
 	if s.Config.Task != workload.ClassificationTask {
-		return nil, fmt.Errorf("hamlet: CompareEmpirical needs a classification star")
+		return nil, fmt.Errorf("hamlet: CompareEmpirical needs a classification schema")
 	}
 	if testFrac <= 0 || testFrac >= 1 {
 		return nil, fmt.Errorf("hamlet: test fraction %v out of (0,1)", testFrac)
 	}
-	dec, err := rule.Decide(s.Config.FactRows, s.Config.DimRows[dimIdx],
-		s.Config.FactFeats, s.Config.DimFeats[dimIdx])
+	dec, err := rule.Decide(s.Rows[0], s.Rows[node], s.X[0].Cols(), s.X[node].Cols())
 	if err != nil {
 		return nil, err
 	}
 
 	joined := s.Materialize()
 
-	// Avoided representation: all blocks except dimIdx, plus one-hot FK.
-	oneHot, err := OneHot(s.FKs[dimIdx], s.Config.DimRows[dimIdx])
+	// Avoided representation: all blocks except the node's, plus one-hot FK.
+	oneHot, err := OneHot(s.FKs[node], s.Rows[node])
 	if err != nil {
 		return nil, err
 	}
 	keepCols := make([]int, 0, joined.Cols())
-	lo := s.Config.FactFeats
-	for k := 0; k < dimIdx; k++ {
-		lo += s.Config.DimFeats[k]
+	lo := 0
+	for _, x := range s.X[:node] {
+		if x != nil {
+			lo += x.Cols()
+		}
 	}
-	hi := lo + s.Config.DimFeats[dimIdx]
+	hi := lo + s.X[node].Cols()
 	for j := 0; j < joined.Cols(); j++ {
 		if j < lo || j >= hi {
 			keepCols = append(keepCols, j)
@@ -139,7 +140,7 @@ func CompareEmpirical(s *workload.Star, dimIdx int, rule Rule, testFrac float64,
 
 	// Shared train/test split.
 	rng := rand.New(rand.NewSource(seed))
-	n := s.Config.FactRows
+	n := s.Rows[0]
 	perm := rng.Perm(n)
 	nTest := int(float64(n) * testFrac)
 	if nTest == 0 || nTest == n {

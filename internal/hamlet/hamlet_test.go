@@ -90,7 +90,7 @@ func TestEmpiricalSafeToAvoid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompareEmpirical(s, 0, DefaultRule(), 0.25, 1)
+	res, err := CompareEmpirical(s, 1, DefaultRule(), 0.25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEmpiricalJoinNeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompareEmpirical(s, 0, DefaultRule(), 0.25, 2)
+	res, err := CompareEmpirical(s, 1, DefaultRule(), 0.25, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,16 @@ func TestCompareEmpiricalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareEmpirical(s, 0, DefaultRule(), 0.2, 1); err == nil {
+	if _, err := CompareEmpirical(s, 1, DefaultRule(), 0.2, 1); err == nil {
 		t.Fatal("want classification-task error")
 	}
-	if _, err := CompareEmpirical(s, 5, DefaultRule(), 0.2, 1); err == nil {
-		t.Fatal("want dimension range error")
+	for _, node := range []int{0, 2} {
+		if _, err := CompareEmpirical(s, node, DefaultRule(), 0.2, 1); err == nil {
+			t.Fatalf("node %d: want not-a-dimension error", node)
+		}
 	}
 	s.Config.Task = workload.ClassificationTask
-	if _, err := CompareEmpirical(s, 0, DefaultRule(), 0, 1); err == nil {
+	if _, err := CompareEmpirical(s, 1, DefaultRule(), 0, 1); err == nil {
 		t.Fatal("want test fraction error")
 	}
 }

@@ -39,18 +39,17 @@ func TestCSVToModelPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fact, dims, err := star.Tables()
+	tables, err := star.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Join and project features plus the label.
-	joined, err := relational.HashJoin(fact, dims[0], "fk0", "id",
-		relational.JoinOptions{DropRightKey: true})
+	joined, err := relational.HashJoin(tables[0], tables[1], "fk1", "id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := []string{"f0", "f1", "f2", "d0_0", "d0_1", "d0_2", "d0_3", "label"}
+	cols := []string{"x0_0", "x0_1", "x0_2", "x1_0", "x1_1", "x1_2", "x1_3", "label"}
 	xy, err := storage.ToMatrix(joined, cols)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestCSVToModelPipeline(t *testing.T) {
 		t.Fatal("the joined CSV's features differ from the materialized star")
 	}
 
-	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.X[0], star.FKs[1:], star.X[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestCSVToModelPipeline(t *testing.T) {
 	run, err := store.Log(modeldb.Spec{
 		Name:        "star-regression",
 		DatasetHash: modeldb.DatasetHash(x, labels),
-		Transforms:  []string{"hashjoin(fk0=id)", "csv"},
+		Transforms:  []string{"hashjoin(fk1=id)", "csv"},
 		Config:      map[string]float64{"l2": 0.01},
 		Metrics:     map[string]float64{"train_loss": res.FinalLoss},
 		Weights:     res.W,
@@ -156,7 +155,7 @@ func TestDMLReplicatesPlannerModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.X[0], star.FKs[1:], star.X[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestFactorizedThroughSearchAndCV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	design, err := factorized.NewStar(star.FactX, star.FKs, star.DimX)
+	design, err := factorized.NewStar(star.X[0], star.FKs[1:], star.X[1:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package relational implements the hash equi-join over storage.Table that
-// workload.(*Star).JoinedMatrix materializes a join with: the independent
-// reference E1 checks the "materialized learning" baseline's matrix
-// against.
+// workload.(*Snowflake).JoinedMatrix materializes a join with: the
+// independent reference E1 checks the "materialized learning" baseline's
+// matrix against.
 package relational
 
 import (
@@ -10,23 +10,13 @@ import (
 	"dmml/internal/storage"
 )
 
-// JoinOptions tunes HashJoin output naming.
-type JoinOptions struct {
-	// RightSuffix disambiguates right-side column names that collide with
-	// left-side names. Default "_r".
-	RightSuffix string
-	// DropRightKey omits the right join key from the output (it duplicates
-	// the left key value on every row).
-	DropRightKey bool
-}
-
-// HashJoin computes the equi-join of left and right on leftKey = rightKey.
-// Keys must both be Int64 or both String. The right side is used as the hash
-// build side, so pass the smaller (dimension) table as right for PK–FK joins.
-func HashJoin(left, right *storage.Table, leftKey, rightKey string, opts JoinOptions) (*storage.Table, error) {
-	if opts.RightSuffix == "" {
-		opts.RightSuffix = "_r"
-	}
+// HashJoin computes the equi-join of left and right on leftKey = rightKey,
+// two Int64 columns. The output has every left column, then every right
+// column but the key (it repeats the left key on every row); a right column
+// whose name a left column already has is an error. The right side is the
+// hash build side, so pass the smaller (dimension) table as right for PK–FK
+// joins. Left rows come out in their order.
+func HashJoin(left, right *storage.Table, leftKey, rightKey string) (*storage.Table, error) {
 	li := left.Schema().FieldIndex(leftKey)
 	ri := right.Schema().FieldIndex(rightKey)
 	if li < 0 {
@@ -35,35 +25,17 @@ func HashJoin(left, right *storage.Table, leftKey, rightKey string, opts JoinOpt
 	if ri < 0 {
 		return nil, fmt.Errorf("relational: right has no column %q", rightKey)
 	}
-	lt := left.Schema().Fields[li].Type
-	rt := right.Schema().Fields[ri].Type
-	if lt != rt {
-		return nil, fmt.Errorf("relational: join key types differ: %s vs %s", lt, rt)
-	}
-	if lt == storage.Float64 {
-		return nil, fmt.Errorf("relational: float64 join keys are not supported")
+	if lt, rt := left.Schema().Fields[li].Type, right.Schema().Fields[ri].Type; lt != storage.Int64 || rt != storage.Int64 {
+		return nil, fmt.Errorf("relational: join keys must be int64, got %s and %s", lt, rt)
 	}
 
-	// Output schema: all left fields, then right fields (optionally minus the
-	// key), renaming collisions.
-	var fields []storage.Field
-	fields = append(fields, left.Schema().Fields...)
-	taken := make(map[string]bool, len(fields))
-	for _, f := range fields {
-		taken[f.Name] = true
-	}
-	rightOut := make([]int, 0, right.Schema().NumFields())
+	fields := append([]storage.Field(nil), left.Schema().Fields...)
+	rightOut := make([]int, 0, right.Schema().NumFields()-1)
 	for j, f := range right.Schema().Fields {
-		if opts.DropRightKey && j == ri {
-			continue
+		if j != ri {
+			fields = append(fields, f)
+			rightOut = append(rightOut, j)
 		}
-		name := f.Name
-		for taken[name] {
-			name += opts.RightSuffix
-		}
-		taken[name] = true
-		fields = append(fields, storage.Field{Name: name, Type: f.Type})
-		rightOut = append(rightOut, j)
 	}
 	schema, err := storage.NewSchema(fields...)
 	if err != nil {
@@ -72,16 +44,16 @@ func HashJoin(left, right *storage.Table, leftKey, rightKey string, opts JoinOpt
 	out := storage.NewTable(schema)
 
 	// Build side: right.
-	build := make(map[any][]int, right.NumRows())
+	build := make(map[int64][]int, right.NumRows())
 	for r := 0; r < right.NumRows(); r++ {
-		k := right.Value(r, ri)
+		k := right.Value(r, ri).(int64)
 		build[k] = append(build[k], r)
 	}
 	// Probe side: left.
 	nLeft := left.Schema().NumFields()
-	vals := make([]any, nLeft+len(rightOut))
+	vals := make([]any, len(fields))
 	for r := 0; r < left.NumRows(); r++ {
-		matches, ok := build[left.Value(r, li)]
+		matches, ok := build[left.Value(r, li).(int64)]
 		if !ok {
 			continue
 		}

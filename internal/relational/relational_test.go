@@ -42,13 +42,13 @@ func customersTable(t *testing.T) *storage.Table {
 	t.Helper()
 	s := mustSchema(t,
 		storage.Field{Name: "cid", Type: storage.Int64},
-		storage.Field{Name: "name", Type: storage.String},
 		storage.Field{Name: "tier", Type: storage.Int64},
+		storage.Field{Name: "credit", Type: storage.Float64},
 	)
 	tb := storage.NewTable(s)
 	rows := [][]any{
-		{int64(10), "alice", int64(1)},
-		{int64(20), "bob", int64(2)},
+		{int64(10), int64(1), 0.25},
+		{int64(20), int64(2), 0.75},
 		// customer 30 intentionally missing: inner join drops order 4
 	}
 	for _, r := range rows {
@@ -60,76 +60,59 @@ func customersTable(t *testing.T) *storage.Table {
 }
 
 func TestHashJoinPKFK(t *testing.T) {
-	orders := ordersTable(t)
-	custs := customersTable(t)
-	j, err := HashJoin(orders, custs, "cust", "cid", JoinOptions{DropRightKey: true})
+	j, err := HashJoin(ordersTable(t), customersTable(t), "cust", "cid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Orders 1,2,3,5 match; order 4 (cust 30) is dropped.
+	// Orders 1,2,3,5 match, in left order; order 4 (cust 30) is dropped.
 	if j.NumRows() != 4 {
 		t.Fatalf("rows = %d, want 4", j.NumRows())
 	}
-	name, oid := j.Schema().FieldIndex("name"), j.Schema().FieldIndex("oid")
-	byOid := map[int64]string{}
-	for i := 0; i < j.NumRows(); i++ {
-		byOid[j.Value(i, oid).(int64)] = j.Value(i, name).(string)
+	if j.Schema().FieldIndex("cid") >= 0 {
+		t.Fatal("the right key must be dropped")
 	}
-	if byOid[1] != "alice" || byOid[2] != "bob" || byOid[3] != "alice" || byOid[5] != "bob" {
-		t.Fatalf("joined names = %v", byOid)
+	oid, tier := j.Schema().FieldIndex("oid"), j.Schema().FieldIndex("tier")
+	wantOid, wantTier := []int64{1, 2, 3, 5}, []int64{1, 2, 1, 2}
+	for i := range wantOid {
+		if j.Value(i, oid).(int64) != wantOid[i] || j.Value(i, tier).(int64) != wantTier[i] {
+			t.Fatalf("row %d = order %v tier %v, want %d %d", i, j.Value(i, oid), j.Value(i, tier), wantOid[i], wantTier[i])
+		}
 	}
 }
 
 func TestHashJoinManyToMany(t *testing.T) {
-	s := mustSchema(t, storage.Field{Name: "k", Type: storage.Int64}, storage.Field{Name: "v", Type: storage.Int64})
-	a := storage.NewTable(s)
-	b := storage.NewTable(s)
+	a := storage.NewTable(mustSchema(t, storage.Field{Name: "k", Type: storage.Int64}, storage.Field{Name: "u", Type: storage.Int64}))
+	b := storage.NewTable(mustSchema(t, storage.Field{Name: "k", Type: storage.Int64}, storage.Field{Name: "v", Type: storage.Int64}))
 	_ = a.AppendRow(int64(1), int64(100))
 	_ = a.AppendRow(int64(1), int64(101))
 	_ = b.AppendRow(int64(1), int64(200))
 	_ = b.AppendRow(int64(1), int64(201))
-	j, err := HashJoin(a, b, "k", "k", JoinOptions{})
+	j, err := HashJoin(a, b, "k", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.NumRows() != 4 {
 		t.Fatalf("rows = %d, want 4 (cross product within key)", j.NumRows())
 	}
-	// Collision renaming: right "k" and "v" get suffixed.
-	if j.Schema().FieldIndex("k_r") < 0 || j.Schema().FieldIndex("v_r") < 0 {
-		t.Fatalf("schema = %+v", j.Schema().Fields)
-	}
-}
-
-func TestHashJoinStringKeys(t *testing.T) {
-	s := mustSchema(t, storage.Field{Name: "name", Type: storage.String}, storage.Field{Name: "x", Type: storage.Int64})
-	a := storage.NewTable(s)
-	_ = a.AppendRow("u", int64(1))
-	_ = a.AppendRow("v", int64(2))
-	b := storage.NewTable(s)
-	_ = b.AppendRow("v", int64(3))
-	j, err := HashJoin(a, b, "name", "name", JoinOptions{DropRightKey: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 1 {
-		t.Fatalf("rows = %d", j.NumRows())
+	// A right column named like a left one is the schema's duplicate error.
+	if _, err := HashJoin(a, a, "k", "u"); err == nil {
+		t.Fatal("want duplicate column error")
 	}
 }
 
 func TestHashJoinErrors(t *testing.T) {
 	orders := ordersTable(t)
 	custs := customersTable(t)
-	if _, err := HashJoin(orders, custs, "nope", "cid", JoinOptions{}); err == nil {
+	if _, err := HashJoin(orders, custs, "nope", "cid"); err == nil {
 		t.Fatal("want missing left key error")
 	}
-	if _, err := HashJoin(orders, custs, "cust", "nope", JoinOptions{}); err == nil {
+	if _, err := HashJoin(orders, custs, "cust", "nope"); err == nil {
 		t.Fatal("want missing right key error")
 	}
-	if _, err := HashJoin(orders, custs, "cust", "name", JoinOptions{}); err == nil {
+	if _, err := HashJoin(orders, custs, "cust", "credit"); err == nil {
 		t.Fatal("want key type mismatch error")
 	}
-	if _, err := HashJoin(orders, orders, "amount", "amount", JoinOptions{}); err == nil {
+	if _, err := HashJoin(orders, orders, "amount", "amount"); err == nil {
 		t.Fatal("want float key rejection")
 	}
 }

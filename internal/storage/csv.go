@@ -69,7 +69,7 @@ func ReadMatrixCSVFile(path string) (*la.Dense, error) {
 	return la.NewDenseData(len(data)/cols, cols, data)
 }
 
-// ToMatrix projects the named numeric columns into a dense matrix, one row
+// ToMatrix projects the named columns into a dense matrix, one row
 // per table row, columns in the given order.
 func ToMatrix(t *Table, cols []string) (*la.Dense, error) {
 	if t.NumRows() == 0 {
@@ -84,17 +84,14 @@ func ToMatrix(t *Table, cols []string) (*la.Dense, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("storage: no field %q", name)
 		}
-		switch t.schema.Fields[i].Type {
-		case Float64:
-			for r, v := range t.floats[i] {
-				m.Set(r, j, v)
-			}
-		case Int64:
+		if t.schema.Fields[i].Type == Int64 {
 			for r, v := range t.ints[i] {
 				m.Set(r, j, float64(v))
 			}
-		default:
-			return nil, fmt.Errorf("storage: field %q is not numeric", name)
+			continue
+		}
+		for r, v := range t.floats[i] {
+			m.Set(r, j, v)
 		}
 	}
 	return m, nil

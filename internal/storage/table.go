@@ -15,7 +15,6 @@ type ColType int
 const (
 	Float64 ColType = iota
 	Int64
-	String
 )
 
 // String implements fmt.Stringer.
@@ -25,8 +24,6 @@ func (t ColType) String() string {
 		return "float64"
 	case Int64:
 		return "int64"
-	case String:
-		return "string"
 	}
 	return fmt.Sprintf("ColType(%d)", int(t))
 }
@@ -80,7 +77,6 @@ type Table struct {
 	schema *Schema
 	floats [][]float64 // indexed by field position; nil for non-float fields
 	ints   [][]int64
-	strs   [][]string
 	nrows  int
 }
 
@@ -90,7 +86,6 @@ func NewTable(schema *Schema) *Table {
 		schema: schema,
 		floats: make([][]float64, len(schema.Fields)),
 		ints:   make([][]int64, len(schema.Fields)),
-		strs:   make([][]string, len(schema.Fields)),
 	}
 	return t
 }
@@ -102,7 +97,7 @@ func (t *Table) Schema() *Schema { return t.schema }
 func (t *Table) NumRows() int { return t.nrows }
 
 // AppendRow appends one row. vals must match the schema's arity and types:
-// float64 for Float64 fields, int64/int for Int64, string for String.
+// float64 for Float64 fields, int64/int for Int64.
 func (t *Table) AppendRow(vals ...any) error {
 	if len(vals) != len(t.schema.Fields) {
 		return fmt.Errorf("storage: AppendRow got %d values, want %d", len(vals), len(t.schema.Fields))
@@ -124,12 +119,6 @@ func (t *Table) AppendRow(vals ...any) error {
 			default:
 				return fmt.Errorf("storage: field %q wants int64, got %T", f.Name, vals[i])
 			}
-		case String:
-			v, ok := vals[i].(string)
-			if !ok {
-				return fmt.Errorf("storage: field %q wants string, got %T", f.Name, vals[i])
-			}
-			t.strs[i] = append(t.strs[i], v)
 		}
 	}
 	t.nrows++
@@ -138,12 +127,8 @@ func (t *Table) AppendRow(vals ...any) error {
 
 // Value returns the value at (row, field index) as an any.
 func (t *Table) Value(row, field int) any {
-	switch t.schema.Fields[field].Type {
-	case Float64:
-		return t.floats[field][row]
-	case Int64:
+	if t.schema.Fields[field].Type == Int64 {
 		return t.ints[field][row]
-	default:
-		return t.strs[field][row]
 	}
+	return t.floats[field][row]
 }

@@ -86,11 +86,11 @@ var keepUnwritten = map[string]string{}
 // TestEveryOptionFieldIsWritten keeps settings honest about their callers.
 // An exported field of an exported internal/ struct type whose name ends in
 // Options or Config is a setting. Unless some non-test file of the module
-// (cmd/, examples/, bench/ or internal/ itself) writes it — as a key of a
-// composite literal, by position in an unkeyed one, as the target of an
-// assignment or increment, or by taking its address — it has one value in
-// use: make it unexported and let the package's own tests set it, delete
-// it, or keep-list it with a reason.
+// (cmd/, examples/, bench/ or internal/ itself) outside the package that
+// declares it writes it — as a key of a composite literal, by position in an
+// unkeyed one, as the target of an assignment or increment, or by taking its
+// address — it has one value in use: make it unexported and let the
+// package's own tests set it, delete it, or keep-list it with a reason.
 func TestEveryOptionFieldIsWritten(t *testing.T) {
 	m := loadModule(t)
 	settings := make(map[*types.Var]string)
@@ -117,10 +117,17 @@ func TestEveryOptionFieldIsWritten(t *testing.T) {
 	}
 	written := make(map[*types.Var]bool)
 	for _, p := range m.Pkgs {
+		// A package filling in its own setting (a default, say) is not a
+		// caller choosing a value: only writes from other packages count.
+		write := func(v *types.Var) {
+			if v.Pkg() != p.Types {
+				written[v] = true
+			}
+		}
 		target := func(e ast.Expr) {
 			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 				if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-					written[s.Obj().(*types.Var)] = true
+					write(s.Obj().(*types.Var))
 				}
 			}
 		}
@@ -133,11 +140,11 @@ func TestEveryOptionFieldIsWritten(t *testing.T) {
 						if kv, ok := e.(*ast.KeyValueExpr); ok {
 							if key, ok := kv.Key.(*ast.Ident); ok {
 								if v, ok := p.Info.Uses[key].(*types.Var); ok && v.IsField() {
-									written[v] = true
+									write(v)
 								}
 							}
 						} else if st != nil && i < st.NumFields() {
-							written[st.Field(i)] = true
+							write(st.Field(i))
 						}
 					}
 				case *ast.AssignStmt:
