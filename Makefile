@@ -32,8 +32,9 @@
 #                       (parse/print round trip), the serving wire
 #                       protocol (decode/round-trip), the factorized Gram,
 #                       the compressed page decoder, the numeric CSV
-#                       scanner and the logistic loss tile (vector and Go
-#                       paths vs the scalar pair)
+#                       scanner, the logistic loss tile (vector and Go
+#                       paths vs the scalar pair) and the dense GEMV, GEVM
+#                       and Gram tiles (vector vs Go loops)
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails on any request
 #                       error or any score that differs from la.ScoreRow
@@ -150,8 +151,8 @@ bench:
 # Short native-fuzzing smoke over the fusion equivalence property (random
 # expression trees, fused evaluation must match unfused bit-for-bit on cell
 # templates and to relative 1e-8 on reassociated reductions), the DML
-# parser's print/parse round trip, the decoders below, and the logistic loss
-# tile against the scalar pair.
+# parser's print/parse round trip, the decoders below, the logistic loss
+# tile against the scalar pair, and the dense tiles against their Go loops.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime 15s ./internal/dml
@@ -160,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime 15s ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime 15s ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime 15s ./internal/la
+	$(GO) test -run '^$$' -fuzz 'FuzzDenseTiles$$' -fuzztime 15s ./internal/la
 
 # End-to-end serving smoke: loadtest starts dmmlserve in-process with the
 # demo models and drives a closed loop; fails on any request error or on any
@@ -196,7 +198,7 @@ cover:
 	check dml $(COVER_FLOOR_DML); \
 	check opt $(COVER_FLOOR_OPT)
 
-# Nightly extended fuzzing: the same seven properties fuzz-smoke touches for
+# Nightly extended fuzzing: the same eight properties fuzz-smoke touches for
 # 15s each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
@@ -208,6 +210,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePage$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
+	$(GO) test -run '^$$' -fuzz 'FuzzDenseTiles$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
 
 lint-examples:
 	$(GO) run ./cmd/dmml lint -strict examples/dml_script/scripts/*.dml

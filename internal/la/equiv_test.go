@@ -290,39 +290,57 @@ func TestTransposeParallel(t *testing.T) {
 	})
 }
 
-// TestIntoVariantsZeroAllocSteadyState is the satellite regression: VecMat
-// and Gram used to allocate fresh per-chunk partials on every call; the Into
-// variants must reach a zero-allocation steady state at GOMAXPROCS=1, where
-// they walk the same multi-chunk grid as the parallel regime through one
-// scratch partial.
-func TestIntoVariantsZeroAllocSteadyState(t *testing.T) {
-	withGOMAXPROCS(1, func() {
-		r := rand.New(rand.NewSource(18))
-		// 300k elements, above the pool's gate: VecMat (18 row chunks) and
-		// Gram (32) are multi-chunk reductions.
-		m := randMat(r, 5000, 60, 0.1)
-		x := make([]float64, 5000)
-		v := make([]float64, 60)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		for i := range v {
-			v[i] = r.NormFloat64()
-		}
-		mvDst := make([]float64, 5000)
-		vmDst := make([]float64, 60)
-		gramDst := NewDense(60, 60)
+// allocsPerRunHere is testing.AllocsPerRun at the current GOMAXPROCS:
+// AllocsPerRun measures at GOMAXPROCS 1, where no call reaches the pool. It
+// returns the integer mean of allocations per call after one warm-up call.
+func allocsPerRunHere(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
 
-		if a := testing.AllocsPerRun(50, func() { MatVecInto(mvDst, m, v) }); a != 0 {
-			t.Errorf("MatVecInto allocates %v per run, want 0", a)
-		}
-		if a := testing.AllocsPerRun(50, func() { VecMatInto(vmDst, x, m) }); a != 0 {
-			t.Errorf("VecMatInto allocates %v per run, want 0", a)
-		}
-		if a := testing.AllocsPerRun(50, func() { GramInto(gramDst, m) }); a != 0 {
-			t.Errorf("GramInto allocates %v per run, want 0", a)
-		}
-	})
+// TestIntoVariantsZeroAllocSteadyState: the Into variants allocate nothing
+// once warm — at GOMAXPROCS 1, where VecMat and Gram walk the parallel
+// regime's multi-chunk grid through one scratch partial, and at GOMAXPROCS
+// 2, where all three dispatch through the pool with a recycled call's bound
+// range methods, no closure.
+func TestIntoVariantsZeroAllocSteadyState(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	// 300k elements, above the pool's gate: VecMat (18 row chunks) and
+	// Gram (32) are multi-chunk reductions.
+	m := randMat(r, 5000, 60, 0.1)
+	x := make([]float64, 5000)
+	v := make([]float64, 60)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	for i := range v {
+		v[i] = r.NormFloat64()
+	}
+	mvDst := make([]float64, 5000)
+	vmDst := make([]float64, 60)
+	gramDst := NewDense(60, 60)
+	for _, procs := range []int{1, 2} {
+		withGOMAXPROCS(procs, func() {
+			for _, c := range []struct {
+				name string
+				f    func()
+			}{
+				{"MatVecInto", func() { MatVecInto(mvDst, m, v) }},
+				{"VecMatInto", func() { VecMatInto(vmDst, x, m) }},
+				{"GramInto", func() { GramInto(gramDst, m) }},
+			} {
+				if a := allocsPerRunHere(50, c.f); a != 0 {
+					t.Errorf("GOMAXPROCS %d: %s allocates %v per run, want 0", procs, c.name, a)
+				}
+			}
+		})
+	}
 }
 
 // TestReductionsBitReproducible: VecMat, Gram, the GEMM k-split and

@@ -101,20 +101,22 @@ func MatVecInto(dst []float64, m *Dense, x []float64) []float64 {
 	return dst
 }
 
-// denseCall is one MatVecInto or VecMatInto call's state on the pool,
-// recycled with its range methods bound once, so the dispatch allocates no
-// closure.
+// denseCall is one MatVecInto, VecMatInto or GramInto call's state on the
+// pool, recycled with its range methods bound once, so the dispatch
+// allocates no closure.
 type denseCall struct {
 	m      *Dense
 	dst, x []float64
 	matVec func(r0, r1 int)
 	vecMat func(acc []float64, lo, hi int)
+	gram   func(acc []float64, lo, hi int)
 }
 
 var denseCalls = pool.Freelist[denseCall]{New: func() *denseCall {
 	c := &denseCall{}
 	c.matVec = c.matVecRange
 	c.vecMat = c.vecMatRange
+	c.gram = c.gramRange
 	return c
 }}
 
@@ -126,22 +128,35 @@ func (c *denseCall) vecMatRange(acc []float64, lo, hi int) {
 	vecMatAccum(acc, c.x[lo:hi], c.m, lo, hi)
 }
 
+// gramRange is GramInto's contribution of rows [lo,hi), into acc.
+func (c *denseCall) gramRange(acc []float64, lo, hi int) { gramAccum(c.m, acc, lo, hi) }
+
 // put drops the call's references and recycles it.
 func (c *denseCall) put() {
 	c.m, c.dst, c.x = nil, nil, nil
 	denseCalls.Put(c)
 }
 
+// denseTileOn selects the dense tiles (dense_amd64.s) for matVecRows,
+// vecMatAccum and gramAccum: the CPU runs them. They compute the Go loops'
+// bits, so nothing else is checked; tests turn it off to compare both.
+var denseTileOn = vectorTilesSupported()
+
 // matVecRows sets dst[k] = m.RowView(r0+k)·x for the rows [r0,r1), four rows
 // per sweep so each load of x feeds four products. Every row keeps Dot's
 // association — four strided partial sums and a tail, added as
-// s + s0 + s1 + s2 + s3 — so each result is Dot's, bit for bit.
+// s + s0 + s1 + s2 + s3 — so each result is Dot's, bit for bit. Where the
+// dense tile is on, it runs the four-row sweeps, each row's partial sums the
+// lanes of one vector; the last r1−r0 mod 4 rows run in Go.
 //
 //dmml:noalloc
 func matVecRows(dst []float64, m *Dense, x []float64, r0, r1 int) {
 	n := m.cols
 	x = x[:n]
 	i := r0
+	if denseTileOn && r1-r0 >= 4 {
+		i += matVecTile4(dst[:r1-r0], m.data[r0*n:r1*n], x)
+	}
 	for ; i+4 <= r1; i += 4 {
 		a := m.data[i*n : (i+1)*n]
 		b := m.data[(i+1)*n : (i+2)*n]
@@ -223,7 +238,9 @@ func VecMatInto(dst []float64, x []float64, m *Dense) []float64 {
 // per-row loop is short enough that call and loop overhead dominate, and the
 // fused two-row sweep doubles the flops retired per iteration. Rows are
 // sliced out of m.data directly, as in matVecRows: RowView's range panic
-// keeps it from inlining.
+// keeps it from inlining. Where the dense tile is on, a pair whose weights
+// are both nonzero starts it, and it takes every following such pair; a
+// pair with a zero weight, and the odd last row, run in Go.
 //
 //dmml:noalloc
 func vecMatAccum(acc, x []float64, m *Dense, r0, r1 int) {
@@ -244,6 +261,8 @@ func vecMatAccum(acc, x []float64, m *Dense, r0, r1 int) {
 			for b, v := range row1 {
 				acc[b] += x1 * v
 			}
+		case denseTileOn:
+			i += vecMatTile2(acc, m.data[i*m.cols:r1*m.cols], x[i-r0:]) - 2
 		default:
 			for b := range acc {
 				acc[b] += x0*row0[b] + x1*row1[b]
@@ -268,8 +287,8 @@ func Gram(x *Dense) *Dense {
 
 // GramInto computes XᵀX into out (overwriting it) and returns out. out must
 // be cols×cols. Rows are summed in the fixed chunks of pool.Grain through
-// pool.Reduce, so the result is bit-identical at every core count; the
-// serial regime allocates nothing.
+// pool.Reduce, so the result is bit-identical at every core count; a warm
+// call allocates nothing on either side of the gate.
 func GramInto(out *Dense, x *Dense) *Dense {
 	d := x.cols
 	if out.rows != d || out.cols != d {
@@ -281,7 +300,10 @@ func GramInto(out *Dense, x *Dense) *Dense {
 	mFlops.Add(int64(x.rows) * int64(d) * int64(d))
 	out.Zero()
 	if pool.Parallel(x.rows * d * d) {
-		pool.Reduce(out.data, x.rows, d*d, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
+		c := denseCalls.Get()
+		c.m = x
+		pool.Reduce(out.data, x.rows, d*d, c.gram)
+		c.put()
 	} else {
 		pool.ReduceSerial(out.data, x.rows, d*d, func(acc []float64, lo, hi int) { gramAccum(x, acc, lo, hi) })
 	}
@@ -329,7 +351,8 @@ func gramPairAccum(arow []float64, a, d int, va0, va1 float64, row0, row1 []floa
 // gramAccum adds the upper triangle of X[r0:r1]ᵀ X[r0:r1] into the row-major
 // d×d buffer acc. Wide matrices are tiled over column blocks so the
 // accumulator tile stays in L1 instead of thrashing a d²-sized working set
-// per input row.
+// per input row. Rows are sliced out of x.data directly: RowView's range
+// panic keeps it from inlining.
 //
 //dmml:noalloc
 func gramAccum(x *Dense, acc []float64, r0, r1 int) {
@@ -339,11 +362,16 @@ func gramAccum(x *Dense, acc []float64, r0, r1 int) {
 		// iterations, so per-iteration overhead dominates. Folding four input
 		// rows into each accumulator sweep retires 8 flops per iteration of
 		// that short loop instead of 2; rows with zeros fall back to pairwise
-		// updates that keep the zero-skip (and its 0·Inf semantics).
+		// updates that keep the zero-skip (and its 0·Inf semantics). Where
+		// the dense tile is on, an accumulator row whose four coefficients
+		// are all nonzero starts it, and it takes every following such row;
+		// at d = 1 each call folds one product, and costs more than the Go
+		// loop (8192 rows: 27 µs against 20).
+		tile := denseTileOn && d > 1
 		i := r0
 		for ; i+3 < r1; i += 4 {
-			row0, row1 := x.RowView(i), x.RowView(i+1)
-			row2, row3 := x.RowView(i+2), x.RowView(i+3)
+			quad := x.data[i*d : (i+4)*d]
+			row0, row1, row2, row3 := quad[:d], quad[d:2*d], quad[2*d:3*d], quad[3*d:]
 			for a := 0; a < d; a++ {
 				va0, va1, va2, va3 := row0[a], row1[a], row2[a], row3[a]
 				if va0 == 0 && va1 == 0 && va2 == 0 && va3 == 0 {
@@ -351,6 +379,10 @@ func gramAccum(x *Dense, acc []float64, r0, r1 int) {
 				}
 				arow := acc[a*d : (a+1)*d]
 				if va0 != 0 && va1 != 0 && va2 != 0 && va3 != 0 {
+					if tile {
+						a = gramTile4(acc, quad, a) - 1
+						continue
+					}
 					for b := a; b < d; b++ {
 						arow[b] += va0*row0[b] + va1*row1[b] + va2*row2[b] + va3*row3[b]
 					}
@@ -361,13 +393,13 @@ func gramAccum(x *Dense, acc []float64, r0, r1 int) {
 			}
 		}
 		for ; i+1 < r1; i += 2 {
-			row0, row1 := x.RowView(i), x.RowView(i+1)
+			row0, row1 := x.data[i*d:(i+1)*d], x.data[(i+1)*d:(i+2)*d]
 			for a := 0; a < d; a++ {
 				gramPairAccum(acc[a*d:(a+1)*d], a, d, row0[a], row1[a], row0, row1)
 			}
 		}
 		for ; i < r1; i++ {
-			row := x.RowView(i)
+			row := x.data[i*d : (i+1)*d]
 			for a, va := range row {
 				if va == 0 {
 					continue
@@ -387,7 +419,7 @@ func gramAccum(x *Dense, acc []float64, r0, r1 int) {
 			for tb := ta; tb < d; tb += gramTile {
 				tbMax := min(tb+gramTile, d)
 				for i := i0; i < i1; i++ {
-					row := x.RowView(i)
+					row := x.data[i*d : (i+1)*d]
 					for a := ta; a < taMax; a++ {
 						va := row[a]
 						if va == 0 {

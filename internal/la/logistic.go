@@ -192,7 +192,7 @@ func logisticGo(derivs, margins, y []float64, total float64) float64 {
 // 4096 positive margins whose e are evenly spaced in (0, 1), where the value
 // is log1p(e) itself. Any mismatch leaves the tile off.
 func probeLogisticTile() bool {
-	if fuseExpMode != 1 || !logisticTileSupported() {
+	if fuseExpMode != 1 || !vectorTilesSupported() {
 		return false
 	}
 	const chunk = 256

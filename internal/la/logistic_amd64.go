@@ -17,10 +17,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0, the state components the OS saves.
 func xgetbv() (eax, edx uint32)
 
-// logisticTileSupported reports whether this CPU and OS run logisticTile4:
-// CPUID reports FMA, AVX and AVX2, and XGETBV reports that the OS saves the
-// XMM and YMM state.
-func logisticTileSupported() bool {
+// vectorTilesSupported reports whether this CPU and OS run the vector tiles
+// (logisticTile4 and the dense tiles): CPUID reports FMA, AVX and AVX2, and
+// XGETBV reports that the OS saves the XMM and YMM state.
+func vectorTilesSupported() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false

@@ -10,5 +10,5 @@ func logisticTile4(derivs, margins, y []float64, total float64) (done int, sum f
 	return 0, total
 }
 
-// logisticTileSupported reports false: the vector tile is amd64 assembly.
-func logisticTileSupported() bool { return false }
+// vectorTilesSupported reports false: the vector tiles are amd64 assembly.
+func vectorTilesSupported() bool { return false }

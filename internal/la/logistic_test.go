@@ -70,7 +70,7 @@ func checkLogisticMatchesScalar(t *testing.T, what string, margins, y []float64)
 // has it and exp8FMA, its exponential, is certified. Tests force the tile on
 // wherever it runs, whatever its own probe decided, so a tile the probe
 // rejected fails them by its bits.
-func tileRunnable() bool { return fuseExpMode == 1 && logisticTileSupported() }
+func tileRunnable() bool { return fuseExpMode == 1 && vectorTilesSupported() }
 
 // TestLogisticTileProbe: wherever the vector tile runs, the init probe finds
 // it bit-equal to the Go path and turns it on.
