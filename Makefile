@@ -33,8 +33,9 @@
 #                       protocol (decode/round-trip), the factorized Gram,
 #                       the compressed page decoder, the numeric CSV
 #                       scanner, the logistic loss tile (vector and Go
-#                       paths vs the scalar pair) and the dense GEMV, GEVM
-#                       and Gram tiles (vector vs Go loops)
+#                       paths vs the scalar pair), the dense GEMV, GEVM
+#                       and Gram tiles (vector vs Go loops) and the hash
+#                       join (vs a nested-loop join)
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails on any request
 #                       error or any score that differs from la.ScoreRow
@@ -152,7 +153,8 @@ bench:
 # expression trees, fused evaluation must match unfused bit-for-bit on cell
 # templates and to relative 1e-8 on reassociated reductions), the DML
 # parser's print/parse round trip, the decoders below, the logistic loss
-# tile against the scalar pair, and the dense tiles against their Go loops.
+# tile against the scalar pair, the dense tiles against their Go loops, and
+# the hash join against a nested-loop join.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime 15s ./internal/dml
@@ -162,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime 15s ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime 15s ./internal/la
 	$(GO) test -run '^$$' -fuzz 'FuzzDenseTiles$$' -fuzztime 15s ./internal/la
+	$(GO) test -run '^$$' -fuzz 'FuzzHashJoin$$' -fuzztime 15s ./internal/relational
 
 # End-to-end serving smoke: loadtest starts dmmlserve in-process with the
 # demo models and drives a closed loop; fails on any request error or on any
@@ -198,7 +201,7 @@ cover:
 	check dml $(COVER_FLOOR_DML); \
 	check opt $(COVER_FLOOR_OPT)
 
-# Nightly extended fuzzing: the same eight properties fuzz-smoke touches for
+# Nightly extended fuzzing: the same nine properties fuzz-smoke touches for
 # 15s each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
@@ -211,6 +214,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
 	$(GO) test -run '^$$' -fuzz 'FuzzDenseTiles$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
+	$(GO) test -run '^$$' -fuzz 'FuzzHashJoin$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/relational
 
 lint-examples:
 	$(GO) run ./cmd/dmml lint -strict examples/dml_script/scripts/*.dml

@@ -111,17 +111,18 @@ func scale(quick bool, full int) int {
 
 // E1FactorizedVsMaterialized reproduces the Orion/F shape: per-iteration GLM
 // training over a star schema, factorized vs. materialized, swept over the
-// tuple ratio. Factorized wins grow with TR; near TR≈1 the approaches tie.
-// The materialized baseline's matrix is checked, untimed, against the
-// relational engine's hash join of the same star (join_exact): the baseline
-// trains over exactly the join.
+// tuple ratio. Factorized wins grow with TR; near TR≈1 the learning alone
+// ties. The materialized baseline is timed end to end: the relational engine's
+// hash join of the star's tables, its projection into a matrix, then GD over
+// it. join_exact checks that matrix, untimed, against the factorized design's
+// own materialization bit for bit.
 func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 	t := Table{
 		ID:     "E1",
 		Title:  "factorized vs materialized GLM training over a join (Orion/F)",
 		Header: []string{"tuple_ratio", "fact_rows", "dim_rows", "t_factorized", "t_materialized", "speedup", "predicted", "join_exact"},
-		Notes: "speedup >1 means factorized wins; crossover expected near TR≈1; " +
-			"join_exact: the hash-joined matrix equals the materialized one bit for bit",
+		Notes: "speedup >1 means factorized wins; predicted (learning flops alone) ties near TR≈1; " +
+			"t_materialized: hash join + projection + GD; join_exact: the hash-joined matrix equals the materialized one bit for bit",
 	}
 	factRows := scale(quick, 100000)
 	iters := 8
@@ -152,20 +153,19 @@ func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 		tFact := time.Since(start)
 
 		start = time.Now()
-		m := design.Materialize()
-		if _, err := opt.GradientDescent(opt.DenseData{M: m}, s.Y, opt.Squared{}, cfg); err != nil {
-			return t, err
-		}
-		tMat := time.Since(start)
-
 		joined, err := s.JoinedMatrix()
 		if err != nil {
 			return t, err
 		}
+		if _, err := opt.GradientDescent(opt.DenseData{M: joined}, s.Y, opt.Squared{}, cfg); err != nil {
+			return t, err
+		}
+		tMat := time.Since(start)
+
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(tr), fmt.Sprint(factRows), fmt.Sprint(dimRows),
 			d(tFact), d(tMat), f(float64(tMat) / float64(tFact)), f(design.Speedup()),
-			fmt.Sprint(sameBits(joined, m)),
+			fmt.Sprint(sameBits(joined, design.Materialize())),
 		})
 	}
 	return t, nil

@@ -1,12 +1,14 @@
 // Package relational implements the hash equi-join over storage.Table that
 // workload.(*Snowflake).JoinedMatrix materializes a join with: the
 // independent reference E1 checks the "materialized learning" baseline's
-// matrix against.
+// matrix against. The join turns the two key columns into a pair of gather
+// indexes, then gathers every output column whole from its source.
 package relational
 
 import (
 	"fmt"
 
+	"dmml/internal/pool"
 	"dmml/internal/storage"
 )
 
@@ -15,59 +17,80 @@ import (
 // column but the key (it repeats the left key on every row); a right column
 // whose name a left column already has is an error. The right side is the
 // hash build side, so pass the smaller (dimension) table as right for PK–FK
-// joins. Left rows come out in their order.
+// joins. Left rows come out in their order, each one's matches in right-row
+// order.
 func HashJoin(left, right *storage.Table, leftKey, rightKey string) (*storage.Table, error) {
-	li := left.Schema().FieldIndex(leftKey)
-	ri := right.Schema().FieldIndex(rightKey)
+	li, ri := left.FieldIndex(leftKey), right.FieldIndex(rightKey)
 	if li < 0 {
 		return nil, fmt.Errorf("relational: left has no column %q", leftKey)
 	}
 	if ri < 0 {
 		return nil, fmt.Errorf("relational: right has no column %q", rightKey)
 	}
-	if lt, rt := left.Schema().Fields[li].Type, right.Schema().Fields[ri].Type; lt != storage.Int64 || rt != storage.Int64 {
+	if lt, rt := left.Fields()[li].Type, right.Fields()[ri].Type; lt != storage.Int64 || rt != storage.Int64 {
 		return nil, fmt.Errorf("relational: join keys must be int64, got %s and %s", lt, rt)
 	}
 
-	fields := append([]storage.Field(nil), left.Schema().Fields...)
-	rightOut := make([]int, 0, right.Schema().NumFields()-1)
-	for j, f := range right.Schema().Fields {
+	// Build side: right, as a chain per key over row numbers plus one
+	// (0 ends a chain), threaded back to front so a chain runs in row order.
+	rk := right.Columns()[ri].Ints
+	head := make(map[int64]int, len(rk))
+	next := make([]int, len(rk))
+	for r := len(rk) - 1; r >= 0; r-- {
+		next[r] = head[rk[r]]
+		head[rk[r]] = r + 1
+	}
+	// Probe side: left, into one (left row, right row) pair per output row.
+	// When every left row matches exactly once, lrows is the identity and
+	// the left columns pass through as they are.
+	lrows, rrows := make([]int, 0, left.NumRows()), make([]int, 0, left.NumRows())
+	identity := true
+	for l, k := range left.Columns()[li].Ints {
+		for m := head[k]; m > 0; m = next[m-1] {
+			identity = identity && len(lrows) == l
+			lrows = append(lrows, l)
+			rrows = append(rrows, m-1)
+		}
+	}
+	identity = identity && len(lrows) == left.NumRows()
+
+	fields := append([]storage.Field(nil), left.Fields()...)
+	cols := append([]storage.Column(nil), left.Columns()...)
+	for j, f := range right.Fields() {
 		if j != ri {
 			fields = append(fields, f)
-			rightOut = append(rightOut, j)
+			cols = append(cols, right.Columns()[j])
 		}
 	}
-	schema, err := storage.NewSchema(fields...)
-	if err != nil {
-		return nil, fmt.Errorf("relational: %w", err)
+	// Gather each output column whole, the columns spread over the pool.
+	gatherCols := func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			rows := rrows
+			if j < len(left.Fields()) {
+				if identity {
+					continue
+				}
+				rows = lrows
+			}
+			cols[j] = storage.Column{Ints: gather(cols[j].Ints, rows), Floats: gather(cols[j].Floats, rows)}
+		}
 	}
-	out := storage.NewTable(schema)
+	if pool.Parallel(len(lrows) * len(cols)) {
+		pool.Do(len(cols), 1, gatherCols)
+	} else {
+		gatherCols(0, len(cols))
+	}
+	return storage.NewTable(fields, cols...)
+}
 
-	// Build side: right.
-	build := make(map[int64][]int, right.NumRows())
-	for r := 0; r < right.NumRows(); r++ {
-		k := right.Value(r, ri).(int64)
-		build[k] = append(build[k], r)
+// gather returns src's values at rows, in rows' order; nil stays nil.
+func gather[T int64 | float64](src []T, rows []int) []T {
+	if src == nil {
+		return nil
 	}
-	// Probe side: left.
-	nLeft := left.Schema().NumFields()
-	vals := make([]any, len(fields))
-	for r := 0; r < left.NumRows(); r++ {
-		matches, ok := build[left.Value(r, li).(int64)]
-		if !ok {
-			continue
-		}
-		for i := 0; i < nLeft; i++ {
-			vals[i] = left.Value(r, i)
-		}
-		for _, m := range matches {
-			for k, j := range rightOut {
-				vals[nLeft+k] = right.Value(m, j)
-			}
-			if err := out.AppendRow(vals...); err != nil {
-				return nil, err
-			}
-		}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = src[r]
 	}
-	return out, nil
+	return out
 }

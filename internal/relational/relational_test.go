@@ -1,62 +1,44 @@
 package relational
 
 import (
+	"slices"
 	"testing"
 
 	"dmml/internal/storage"
 )
 
-func mustSchema(t *testing.T, fields ...storage.Field) *storage.Schema {
+func mustTable(t testing.TB, fields []storage.Field, cols ...storage.Column) *storage.Table {
 	t.Helper()
-	s, err := storage.NewSchema(fields...)
+	tb, err := storage.NewTable(fields, cols...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return tb
 }
 
 func ordersTable(t *testing.T) *storage.Table {
-	t.Helper()
-	s := mustSchema(t,
-		storage.Field{Name: "oid", Type: storage.Int64},
-		storage.Field{Name: "cust", Type: storage.Int64},
-		storage.Field{Name: "amount", Type: storage.Float64},
+	return mustTable(t, []storage.Field{
+		{Name: "oid", Type: storage.Int64},
+		{Name: "cust", Type: storage.Int64},
+		{Name: "amount", Type: storage.Float64},
+	},
+		storage.Column{Ints: []int64{1, 2, 3, 4, 5}},
+		storage.Column{Ints: []int64{10, 20, 10, 30, 20}},
+		storage.Column{Floats: []float64{5, 7.5, 2.5, 9, 1}},
 	)
-	tb := storage.NewTable(s)
-	rows := [][]any{
-		{int64(1), int64(10), 5.0},
-		{int64(2), int64(20), 7.5},
-		{int64(3), int64(10), 2.5},
-		{int64(4), int64(30), 9.0},
-		{int64(5), int64(20), 1.0},
-	}
-	for _, r := range rows {
-		if err := tb.AppendRow(r...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tb
 }
 
+// Customer 30 is missing: the inner join drops order 4.
 func customersTable(t *testing.T) *storage.Table {
-	t.Helper()
-	s := mustSchema(t,
-		storage.Field{Name: "cid", Type: storage.Int64},
-		storage.Field{Name: "tier", Type: storage.Int64},
-		storage.Field{Name: "credit", Type: storage.Float64},
+	return mustTable(t, []storage.Field{
+		{Name: "cid", Type: storage.Int64},
+		{Name: "tier", Type: storage.Int64},
+		{Name: "credit", Type: storage.Float64},
+	},
+		storage.Column{Ints: []int64{10, 20}},
+		storage.Column{Ints: []int64{1, 2}},
+		storage.Column{Floats: []float64{0.25, 0.75}},
 	)
-	tb := storage.NewTable(s)
-	rows := [][]any{
-		{int64(10), int64(1), 0.25},
-		{int64(20), int64(2), 0.75},
-		// customer 30 intentionally missing: inner join drops order 4
-	}
-	for _, r := range rows {
-		if err := tb.AppendRow(r...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tb
 }
 
 func TestHashJoinPKFK(t *testing.T) {
@@ -68,31 +50,35 @@ func TestHashJoinPKFK(t *testing.T) {
 	if j.NumRows() != 4 {
 		t.Fatalf("rows = %d, want 4", j.NumRows())
 	}
-	if j.Schema().FieldIndex("cid") >= 0 {
+	if j.FieldIndex("cid") >= 0 {
 		t.Fatal("the right key must be dropped")
 	}
-	oid, tier := j.Schema().FieldIndex("oid"), j.Schema().FieldIndex("tier")
-	wantOid, wantTier := []int64{1, 2, 3, 5}, []int64{1, 2, 1, 2}
-	for i := range wantOid {
-		if j.Value(i, oid).(int64) != wantOid[i] || j.Value(i, tier).(int64) != wantTier[i] {
-			t.Fatalf("row %d = order %v tier %v, want %d %d", i, j.Value(i, oid), j.Value(i, tier), wantOid[i], wantTier[i])
-		}
+	oid := j.Columns()[j.FieldIndex("oid")].Ints
+	tier := j.Columns()[j.FieldIndex("tier")].Ints
+	credit := j.Columns()[j.FieldIndex("credit")].Floats
+	if !slices.Equal(oid, []int64{1, 2, 3, 5}) || !slices.Equal(tier, []int64{1, 2, 1, 2}) ||
+		!slices.Equal(credit, []float64{0.25, 0.75, 0.25, 0.75}) {
+		t.Fatalf("orders %v, tiers %v, credits %v", oid, tier, credit)
 	}
 }
 
 func TestHashJoinManyToMany(t *testing.T) {
-	a := storage.NewTable(mustSchema(t, storage.Field{Name: "k", Type: storage.Int64}, storage.Field{Name: "u", Type: storage.Int64}))
-	b := storage.NewTable(mustSchema(t, storage.Field{Name: "k", Type: storage.Int64}, storage.Field{Name: "v", Type: storage.Int64}))
-	_ = a.AppendRow(int64(1), int64(100))
-	_ = a.AppendRow(int64(1), int64(101))
-	_ = b.AppendRow(int64(1), int64(200))
-	_ = b.AppendRow(int64(1), int64(201))
+	kv := func(v string) []storage.Field {
+		return []storage.Field{{Name: "k", Type: storage.Int64}, {Name: v, Type: storage.Int64}}
+	}
+	a := mustTable(t, kv("u"), storage.Column{Ints: []int64{1, 2, 1}}, storage.Column{Ints: []int64{100, 150, 101}})
+	b := mustTable(t, kv("v"), storage.Column{Ints: []int64{1, 3, 1}}, storage.Column{Ints: []int64{200, 250, 201}})
 	j, err := HashJoin(a, b, "k", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.NumRows() != 4 {
 		t.Fatalf("rows = %d, want 4 (cross product within key)", j.NumRows())
+	}
+	// Left rows in order; each left row's matches in right-row order.
+	if u, v := j.Columns()[1].Ints, j.Columns()[2].Ints; !slices.Equal(u, []int64{100, 100, 101, 101}) ||
+		!slices.Equal(v, []int64{200, 201, 200, 201}) {
+		t.Fatalf("u %v, v %v: want 100 100 101 101 against 200 201 200 201", u, v)
 	}
 	// A right column named like a left one is the schema's duplicate error.
 	if _, err := HashJoin(a, a, "k", "u"); err == nil {
@@ -115,4 +101,101 @@ func TestHashJoinErrors(t *testing.T) {
 	if _, err := HashJoin(orders, orders, "amount", "amount"); err == nil {
 		t.Fatal("want float key rejection")
 	}
+}
+
+// nestedLoopJoin is HashJoin's reference: every (left, right) row pair in
+// that order, kept when the keys are equal, with right's key column dropped.
+func nestedLoopJoin(left, right *storage.Table, li, ri int) ([]storage.Field, []storage.Column) {
+	fields := slices.Clone(left.Fields())
+	fields = append(fields, slices.Delete(slices.Clone(right.Fields()), ri, ri+1)...)
+	cols := make([]storage.Column, len(fields))
+	lk, rk := left.Columns()[li].Ints, right.Columns()[ri].Ints
+	for l := range lk {
+		for r := range rk {
+			if lk[l] != rk[r] {
+				continue
+			}
+			out := 0
+			for _, side := range []struct {
+				t    *storage.Table
+				row  int
+				skip int
+			}{{left, l, -1}, {right, r, ri}} {
+				for j := range side.t.Fields() {
+					if j == side.skip {
+						continue
+					}
+					c := side.t.Columns()[j]
+					if c.Ints != nil {
+						cols[out].Ints = append(cols[out].Ints, c.Ints[side.row])
+					} else {
+						cols[out].Floats = append(cols[out].Floats, c.Floats[side.row])
+					}
+					out++
+				}
+			}
+		}
+	}
+	return fields, cols
+}
+
+// FuzzHashJoin joins two small tables whose int64 keys come from a domain of
+// four, so both sides repeat keys, either side may hold keys the other
+// lacks, and either side may be empty, and checks the output's schema, rows
+// and row order against nestedLoopJoin. The right key sits between two
+// payload columns, so dropping it shifts the columns after it.
+func FuzzHashJoin(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5})
+	f.Add([]byte{0, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 3, 1, 5, 1, 6, 2, 7, 3, 8, 1, 9, 1, 10, 0, 11, 1, 12})
+	f.Add([]byte{5, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		nl, nr := int(next()%9), int(next()%9)
+		var lk, lu, rv, rk []int64
+		var lx, rw []float64
+		for range nl {
+			lk = append(lk, int64(next()%4))
+			lu = append(lu, int64(next()))
+			lx = append(lx, float64(next())/4)
+		}
+		for range nr {
+			rv = append(rv, int64(next()))
+			rk = append(rk, int64(next()%4)+1)
+			rw = append(rw, float64(next())/8)
+		}
+		left := mustTable(t, []storage.Field{
+			{Name: "k", Type: storage.Int64}, {Name: "u", Type: storage.Int64}, {Name: "x", Type: storage.Float64},
+		}, storage.Column{Ints: lk}, storage.Column{Ints: lu}, storage.Column{Floats: lx})
+		right := mustTable(t, []storage.Field{
+			{Name: "v", Type: storage.Int64}, {Name: "rk", Type: storage.Int64}, {Name: "w", Type: storage.Float64},
+		}, storage.Column{Ints: rv}, storage.Column{Ints: rk}, storage.Column{Floats: rw})
+
+		j, err := HashJoin(left, right, "k", "rk")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields, cols := nestedLoopJoin(left, right, 0, 1)
+		if !slices.Equal(j.Fields(), fields) {
+			t.Fatalf("schema %v, reference %v", j.Fields(), fields)
+		}
+		rows := len(cols[0].Ints)
+		if j.NumRows() != rows {
+			t.Fatalf("%d rows, reference %d", j.NumRows(), rows)
+		}
+		for i, want := range cols {
+			got := j.Columns()[i]
+			if !slices.Equal(got.Ints, want.Ints) || !slices.Equal(got.Floats, want.Floats) {
+				t.Fatalf("column %s = %+v, reference %+v", fields[i].Name, got, want)
+			}
+		}
+	})
 }

@@ -46,12 +46,10 @@ func WriteCheckpoint(path string, clock uint64, w []float64) error {
 		return cleanup(err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: checkpoint: %w", err)
+		return cleanup(err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: checkpoint: %w", err)
+		return cleanup(err)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"dmml/internal/la"
+	"dmml/internal/pool"
 )
 
 // ScanMatrixCSV is the one parser for headerless all-numeric CSV: it calls
@@ -72,27 +73,38 @@ func ReadMatrixCSVFile(path string) (*la.Dense, error) {
 // ToMatrix projects the named columns into a dense matrix, one row
 // per table row, columns in the given order.
 func ToMatrix(t *Table, cols []string) (*la.Dense, error) {
-	if t.NumRows() == 0 {
-		return nil, fmt.Errorf("storage: ToMatrix on empty table")
+	if t.NumRows() == 0 || len(cols) == 0 {
+		return nil, fmt.Errorf("storage: ToMatrix needs rows and columns, got %d and %d", t.NumRows(), len(cols))
 	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("storage: ToMatrix with no columns")
-	}
-	m := la.NewDense(t.NumRows(), len(cols))
+	src := make([][]float64, len(cols))
 	for j, name := range cols {
-		i := t.schema.FieldIndex(name)
+		i := t.FieldIndex(name)
 		if i < 0 {
 			return nil, fmt.Errorf("storage: no field %q", name)
 		}
-		if t.schema.Fields[i].Type == Int64 {
-			for r, v := range t.ints[i] {
-				m.Set(r, j, float64(v))
+		src[j] = t.cols[i].Floats // an Int64 column is widened once, here
+		for _, v := range t.cols[i].Ints {
+			src[j] = append(src[j], float64(v))
+		}
+	}
+	// Row blocks small enough that the output rows a block writes stay in
+	// cache while every column is copied into them, spread over the pool.
+	const block = 512
+	m := la.NewDense(t.NumRows(), len(src))
+	data := m.RawData()
+	copyBlocks := func(lo, hi int) {
+		for r0 := lo * block; r0 < min(hi*block, t.NumRows()); r0 += block {
+			for j, c := range src {
+				for k, v := range c[r0:min(r0+block, len(c))] {
+					data[(r0+k)*len(src)+j] = v
+				}
 			}
-			continue
 		}
-		for r, v := range t.floats[i] {
-			m.Set(r, j, v)
-		}
+	}
+	if nb := (t.NumRows() + block - 1) / block; pool.Parallel(len(data)) {
+		pool.Do(nb, 1, copyBlocks)
+	} else {
+		copyBlocks(0, nb)
 	}
 	return m, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,70 +15,77 @@ import (
 	"dmml/internal/la"
 )
 
-func testSchema(t *testing.T) *Schema {
+var testFields = []Field{{"id", Int64}, {"visits", Int64}, {"score", Float64}}
+
+func testTable(t *testing.T) *Table {
 	t.Helper()
-	s, err := NewSchema(
-		Field{"id", Int64},
-		Field{"visits", Int64},
-		Field{"score", Float64},
+	tb, err := NewTable(testFields,
+		Column{Ints: []int64{7, 8}},
+		Column{Ints: []int64{1, 2}},
+		Column{Floats: []float64{0.5, 1.5}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return tb
 }
 
 func TestSchemaValidation(t *testing.T) {
-	if _, err := NewSchema(); err == nil {
-		t.Fatal("want error for empty schema")
+	if _, err := NewTable(nil); err == nil {
+		t.Fatal("want error for no fields")
 	}
-	if _, err := NewSchema(Field{"a", Int64}, Field{"a", Float64}); err == nil {
+	if _, err := NewTable([]Field{{"a", Int64}, {"a", Float64}}, Column{}, Column{}); err == nil {
 		t.Fatal("want error for duplicate names")
 	}
-	if _, err := NewSchema(Field{"", Int64}); err == nil {
+	if _, err := NewTable([]Field{{"", Int64}}, Column{}); err == nil {
 		t.Fatal("want error for empty name")
 	}
-	s := testSchema(t)
-	if s.FieldIndex("score") != 2 || s.FieldIndex("missing") != -1 {
+	tb := testTable(t)
+	if tb.FieldIndex("score") != 2 || tb.FieldIndex("missing") != -1 {
 		t.Fatal("FieldIndex wrong")
 	}
 }
 
-func TestTableAppendAndAccess(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	if err := tb.AppendRow(int64(1), int64(3), 0.9); err != nil {
-		t.Fatal(err)
+// NewTable refuses a missing column, a column of the wrong type and columns
+// of unequal length with an error.
+func TestNewTableValidation(t *testing.T) {
+	ids, floats := Column{Ints: []int64{1, 2}}, Column{Floats: []float64{0.5, 1.5}}
+	for _, c := range []struct {
+		name string
+		cols []Column
+	}{
+		{"missing column", []Column{ids, ids}},
+		{"extra column", []Column{ids, ids, floats, floats}},
+		{"floats for int64", []Column{floats, ids, floats}},
+		{"ints for float64", []Column{ids, ids, ids}},
+		{"both slices set", []Column{{Ints: []int64{1, 2}, Floats: []float64{1, 2}}, ids, floats}},
+		{"empty ints for float64", []Column{ids, ids, {Ints: []int64{}}}},
+		{"short column", []Column{ids, {Ints: []int64{1}}, floats}},
+		{"long column", []Column{ids, ids, {Floats: []float64{1, 2, 3}}}},
+	} {
+		if _, err := NewTable(testFields, c.cols...); err == nil {
+			t.Errorf("%s: want error", c.name)
+		}
 	}
-	if err := tb.AppendRow(2, 4, 0.5); err != nil { // plain int accepted
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
-	// Type errors.
-	if err := tb.AppendRow("x", int64(1), 0.0); err == nil {
-		t.Fatal("want int64 type error")
-	}
-	if err := tb.AppendRow(int64(1), int64(1), 1); err == nil {
-		t.Fatal("want float64 type error")
-	}
-	if err := tb.AppendRow(int64(1), int64(1)); err == nil {
-		t.Fatal("want arity error")
+	empty, err := NewTable(testFields, Column{}, Column{}, Column{})
+	if err != nil || empty.NumRows() != 0 {
+		t.Fatalf("empty table: rows %d, err %v", empty.NumRows(), err)
 	}
 }
 
-// The table's one cell accessor returns each column's own Go type.
-func TestTableValueAndNumericColumns(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.AppendRow(int64(1), 6, 2.5)
-	if v := tb.Value(0, 0).(int64); v != 1 {
-		t.Fatalf("Value int = %v", v)
+// A table hands its fields and columns back whole, each column in its own
+// Go type.
+func TestTableTypedColumns(t *testing.T) {
+	tb := testTable(t)
+	if tb.NumRows() != 2 || !slices.Equal(tb.Fields(), testFields) {
+		t.Fatalf("rows = %d, fields %v", tb.NumRows(), tb.Fields())
 	}
-	if v := tb.Value(0, 1).(int64); v != 6 {
-		t.Fatalf("Value int from plain int = %v", v)
+	id, score := tb.Columns()[0], tb.Columns()[2]
+	if !slices.Equal(id.Ints, []int64{7, 8}) || id.Floats != nil {
+		t.Fatalf("id column = %+v", id)
 	}
-	if v := tb.Value(0, 2).(float64); v != 2.5 {
-		t.Fatalf("Value float = %v", v)
+	if !slices.Equal(score.Floats, []float64{0.5, 1.5}) || score.Ints != nil {
+		t.Fatalf("score column = %+v", score)
 	}
 }
 
@@ -171,9 +179,7 @@ func TestPersistenceRoundTripProperty(t *testing.T) {
 }
 
 func TestToMatrix(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.AppendRow(int64(7), int64(1), 0.5)
-	_ = tb.AppendRow(int64(8), int64(2), 1.5)
+	tb := testTable(t)
 	m, err := ToMatrix(tb, []string{"score", "id"})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +191,8 @@ func TestToMatrix(t *testing.T) {
 	if _, err := ToMatrix(tb, []string{"name"}); err == nil {
 		t.Fatal("want missing field error")
 	}
-	if _, err := ToMatrix(NewTable(testSchema(t)), []string{"id"}); err == nil {
+	empty, _ := NewTable(testFields, Column{}, Column{}, Column{})
+	if _, err := ToMatrix(empty, []string{"id"}); err == nil {
 		t.Fatal("want empty table error")
 	}
 }

@@ -30,16 +30,17 @@ var citeRe = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)
 
 // TestDocsCiteLiveNames: the repository's documents name engine code, and a
 // deleted or renamed identifier must not live on in them. Every backticked
-// `pkg.Name`, `(*pkg.T)` and `(*pkg.T).M` in README.md, DESIGN.md and
-// EXPERIMENTS.md whose pkg is a package under internal/ must resolve to a
-// declaration of that package (Name at package scope; T a type; M a field
-// or method of *T), to a metric name a metrics.New* call in non-test code
-// registers, or to a per-layer metric name of BENCHMARK.json. Fenced code
-// blocks are not scanned for those. Every `make <target>` — in a backticked
-// span, or starting a line of a fenced block — must name a rule of the
-// Makefile. Every flag of a `<binary> -flag ...` command line — in a
-// backticked span, or on a line of a fenced block — must be one the
-// binary's package under cmd/ declares (see binaryFlags).
+// `pkg.Name`, `(*pkg.T)` and `(*pkg.T).M` in README.md, DESIGN.md,
+// EXPERIMENTS.md and the verify skill (.claude/skills/verify/SKILL.md) whose
+// pkg is a package under internal/ must resolve to a declaration of that
+// package (Name at package scope; T a type; M a field or method of *T), to a
+// metric name a metrics.New* call in non-test code registers, or to a
+// per-layer metric name of BENCHMARK.json. Fenced code blocks are not
+// scanned for those. Every `make <target>` — in a backticked span, or
+// starting a line of a fenced block — must name a rule of the Makefile.
+// Every flag of a `<binary> -flag ...` command line — in a backticked span,
+// or on a line of a fenced block — must be one the binary's package under
+// cmd/ declares (see binaryFlags).
 func TestDocsCiteLiveNames(t *testing.T) {
 	m := loadModule(t)
 	pkgs := make(map[string]*types.Package) // internal/ packages by name
@@ -86,7 +87,7 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	flags := binaryFlags(t, m)
 
 	cited, citedTargets, citedFlags := 0, 0, 0
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		data, err := os.ReadFile(filepath.Join(m.Root, doc))
 		if err != nil {
 			t.Fatal(err)

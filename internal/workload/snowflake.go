@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dmml/internal/la"
 	"dmml/internal/relational"
@@ -262,50 +263,41 @@ func (s *Snowflake) Materialize() *la.Dense {
 // order. Node v's table has columns (id, fk<c> for each child c, x<v>_0 …
 // x<v>_<d-1>), where id is the row number and fk<c> the child row it joins;
 // the fact table ends with a label column. A key-only link has only its id
-// and fk columns.
+// and fk columns. Every column is built whole, as a copy of the Snowflake's.
 func (s *Snowflake) Tables() ([]*storage.Table, error) {
 	tables := make([]*storage.Table, len(s.X))
 	for v, x := range s.X {
+		id := make([]int64, s.Rows[v])
+		for i := range id {
+			id[i] = int64(i)
+		}
 		fields := []storage.Field{{Name: "id", Type: storage.Int64}}
-		var children []int
+		cols := []storage.Column{{Ints: id}}
 		for c := v + 1; c < len(s.X); c++ {
 			if s.Parents[c] == v {
-				children = append(children, c)
+				fk := make([]int64, len(s.FKs[c]))
+				for i, r := range s.FKs[c] {
+					fk[i] = int64(r)
+				}
 				fields = append(fields, storage.Field{Name: fmt.Sprintf("fk%d", c), Type: storage.Int64})
+				cols = append(cols, storage.Column{Ints: fk})
 			}
 		}
-		cols := 0
 		if x != nil {
-			cols = x.Cols()
-		}
-		for j := 0; j < cols; j++ {
-			fields = append(fields, storage.Field{Name: fmt.Sprintf("x%d_%d", v, j), Type: storage.Float64})
+			xt := x.T()
+			for j := 0; j < x.Cols(); j++ {
+				fields = append(fields, storage.Field{Name: fmt.Sprintf("x%d_%d", v, j), Type: storage.Float64})
+				cols = append(cols, storage.Column{Floats: xt.RowView(j)})
+			}
 		}
 		if v == 0 {
 			fields = append(fields, storage.Field{Name: "label", Type: storage.Float64})
+			cols = append(cols, storage.Column{Floats: slices.Clone(s.Y)})
 		}
-		schema, err := storage.NewSchema(fields...)
-		if err != nil {
+		var err error
+		if tables[v], err = storage.NewTable(fields, cols...); err != nil {
 			return nil, err
 		}
-		t := storage.NewTable(schema)
-		vals := make([]any, len(fields))
-		for i := 0; i < s.Rows[v]; i++ {
-			vals[0] = int64(i)
-			for k, c := range children {
-				vals[1+k] = int64(s.FKs[c][i])
-			}
-			for j := 0; j < cols; j++ {
-				vals[1+len(children)+j] = x.At(i, j)
-			}
-			if v == 0 {
-				vals[len(vals)-1] = s.Y[i]
-			}
-			if err := t.AppendRow(vals...); err != nil {
-				return nil, err
-			}
-		}
-		tables[v] = t
 	}
 	return tables, nil
 }
