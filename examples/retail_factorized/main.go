@@ -64,7 +64,11 @@ func run(w io.Writer, n int) error {
 
 	// --- Path 1: relational join → matrix → train -------------------------
 	start := time.Now()
-	xJoined, err := star.JoinedMatrix()
+	tables, err := star.Tables()
+	if err != nil {
+		return err
+	}
+	xJoined, err := star.JoinedMatrix(tables)
 	if err != nil {
 		return err
 	}

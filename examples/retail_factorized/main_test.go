@@ -29,7 +29,11 @@ func TestRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := star.JoinedMatrix()
+	tables, err := star.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := star.JoinedMatrix(tables)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ package relational
 import (
 	"fmt"
 
-	"dmml/internal/pool"
 	"dmml/internal/storage"
 )
 
@@ -41,44 +40,25 @@ func HashJoin(left, right *storage.Table, leftKey, rightKey string) (*storage.Ta
 		head[rk[r]] = r + 1
 	}
 	// Probe side: left, into one (left row, right row) pair per output row.
-	// When every left row matches exactly once, lrows is the identity and
-	// the left columns pass through as they are.
 	lrows, rrows := make([]int, 0, left.NumRows()), make([]int, 0, left.NumRows())
-	identity := true
 	for l, k := range left.Columns()[li].Ints {
 		for m := head[k]; m > 0; m = next[m-1] {
-			identity = identity && len(lrows) == l
 			lrows = append(lrows, l)
 			rrows = append(rrows, m-1)
 		}
 	}
-	identity = identity && len(lrows) == left.NumRows()
 
+	// Gather each output column whole.
 	fields := append([]storage.Field(nil), left.Fields()...)
-	cols := append([]storage.Column(nil), left.Columns()...)
+	var cols []storage.Column
+	for _, c := range left.Columns() {
+		cols = append(cols, storage.Column{Ints: gather(c.Ints, lrows), Floats: gather(c.Floats, lrows)})
+	}
 	for j, f := range right.Fields() {
-		if j != ri {
+		if c := right.Columns()[j]; j != ri {
 			fields = append(fields, f)
-			cols = append(cols, right.Columns()[j])
+			cols = append(cols, storage.Column{Ints: gather(c.Ints, rrows), Floats: gather(c.Floats, rrows)})
 		}
-	}
-	// Gather each output column whole, the columns spread over the pool.
-	gatherCols := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			rows := rrows
-			if j < len(left.Fields()) {
-				if identity {
-					continue
-				}
-				rows = lrows
-			}
-			cols[j] = storage.Column{Ints: gather(cols[j].Ints, rows), Floats: gather(cols[j].Floats, rows)}
-		}
-	}
-	if pool.Parallel(len(lrows) * len(cols)) {
-		pool.Do(len(cols), 1, gatherCols)
-	} else {
-		gatherCols(0, len(cols))
 	}
 	return storage.NewTable(fields, cols...)
 }

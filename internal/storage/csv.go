@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"dmml/internal/la"
-	"dmml/internal/pool"
 )
 
 // ScanMatrixCSV is the one parser for headerless all-numeric CSV: it calls
@@ -87,24 +86,12 @@ func ToMatrix(t *Table, cols []string) (*la.Dense, error) {
 			src[j] = append(src[j], float64(v))
 		}
 	}
-	// Row blocks small enough that the output rows a block writes stay in
-	// cache while every column is copied into them, spread over the pool.
-	const block = 512
 	m := la.NewDense(t.NumRows(), len(src))
 	data := m.RawData()
-	copyBlocks := func(lo, hi int) {
-		for r0 := lo * block; r0 < min(hi*block, t.NumRows()); r0 += block {
-			for j, c := range src {
-				for k, v := range c[r0:min(r0+block, len(c))] {
-					data[(r0+k)*len(src)+j] = v
-				}
-			}
+	for r := range t.NumRows() {
+		for j, c := range src {
+			data[r*len(src)+j] = c[r]
 		}
-	}
-	if nb := (t.NumRows() + block - 1) / block; pool.Parallel(len(data)) {
-		pool.Do(nb, 1, copyBlocks)
-	} else {
-		copyBlocks(0, nb)
 	}
 	return m, nil
 }

@@ -302,16 +302,16 @@ func (s *Snowflake) Tables() ([]*storage.Table, error) {
 	return tables, nil
 }
 
-// JoinedMatrix is the classic pipeline's answer to Materialize: it renders
-// the schema as Tables, hash-joins them through the relational engine in
-// node order (parents first, each on fk<v> = id) and projects the feature
-// columns, in Materialize's order, into a matrix. It is the independent
-// reference Materialize is checked against.
-func (s *Snowflake) JoinedMatrix() (*la.Dense, error) {
-	tables, err := s.Tables()
-	if err != nil {
-		return nil, err
+// JoinedMatrix is the classic pipeline's answer to Materialize: it
+// hash-joins tables, the schema as Tables renders it, through the relational
+// engine in node order (parents first, each on fk<v> = id) and projects the
+// feature columns, in Materialize's order, into a matrix. It is the
+// independent reference Materialize is checked against.
+func (s *Snowflake) JoinedMatrix(tables []*storage.Table) (*la.Dense, error) {
+	if len(tables) != len(s.X) {
+		return nil, fmt.Errorf("workload: JoinedMatrix needs %d tables, got %d", len(s.X), len(tables))
 	}
+	var err error
 	joined := tables[0]
 	var cols []string
 	for v, x := range s.X {

@@ -183,7 +183,11 @@ func TestGenerateStarValidation(t *testing.T) {
 // equals Materialize bit for bit, and that the fact table carries Y.
 func checkJoinedMatrix(t *testing.T, s *Snowflake) {
 	t.Helper()
-	got, err := s.JoinedMatrix()
+	tables, err := s.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.JoinedMatrix(tables)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +201,6 @@ func checkJoinedMatrix(t *testing.T, s *Snowflake) {
 				t.Fatalf("joined[%d,%d] = %v, materialized %v", i, j, g, w)
 			}
 		}
-	}
-	tables, err := s.Tables()
-	if err != nil {
-		t.Fatal(err)
 	}
 	labels, err := storage.ToMatrix(tables[0], []string{"label"})
 	if err != nil {
