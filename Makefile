@@ -34,8 +34,9 @@
 #                       the compressed page decoder, the numeric CSV
 #                       scanner, the logistic loss tile (vector and Go
 #                       paths vs the scalar pair), the dense GEMV, GEVM
-#                       and Gram tiles (vector vs Go loops) and the hash
-#                       join (vs a nested-loop join)
+#                       and Gram tiles (vector vs Go loops), the sigmoid
+#                       tile (vector and Go paths vs the scalar Sigmoid)
+#                       and the hash join (vs a nested-loop join)
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails on any request
 #                       error or any score that differs from la.ScoreRow
@@ -153,8 +154,9 @@ bench:
 # expression trees, fused evaluation must match unfused bit-for-bit on cell
 # templates and to relative 1e-8 on reassociated reductions), the DML
 # parser's print/parse round trip, the decoders below, the logistic loss
-# tile against the scalar pair, the dense tiles against their Go loops, and
-# the hash join against a nested-loop join.
+# tile against the scalar pair, the dense tiles against their Go loops, the
+# sigmoid tile against the scalar Sigmoid, and the hash join against a
+# nested-loop join.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime 15s ./internal/dml
@@ -164,6 +166,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime 15s ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime 15s ./internal/la
 	$(GO) test -run '^$$' -fuzz 'FuzzDenseTiles$$' -fuzztime 15s ./internal/la
+	$(GO) test -run '^$$' -fuzz 'FuzzSigmoidTile$$' -fuzztime 15s ./internal/la
 	$(GO) test -run '^$$' -fuzz 'FuzzHashJoin$$' -fuzztime 15s ./internal/relational
 
 # End-to-end serving smoke: loadtest starts dmmlserve in-process with the
@@ -201,7 +204,7 @@ cover:
 	check dml $(COVER_FLOOR_DML); \
 	check opt $(COVER_FLOOR_OPT)
 
-# Nightly extended fuzzing: the same nine properties fuzz-smoke touches for
+# Nightly extended fuzzing: the same ten properties fuzz-smoke touches for
 # 15s each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
@@ -214,6 +217,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzScanMatrixCSV$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz 'FuzzLogisticLossInto$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
 	$(GO) test -run '^$$' -fuzz 'FuzzDenseTiles$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
+	$(GO) test -run '^$$' -fuzz 'FuzzSigmoidTile$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/la
 	$(GO) test -run '^$$' -fuzz 'FuzzHashJoin$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/relational
 
 lint-examples:

@@ -122,7 +122,7 @@ func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 		Title:  "factorized vs materialized GLM training over a join (Orion/F)",
 		Header: []string{"tuple_ratio", "fact_rows", "dim_rows", "t_factorized", "t_materialized", "speedup", "learn_speedup", "predicted", "join_exact"},
 		Notes: "speedup >1 means factorized wins; learn_speedup: GD alone; predicted: the learning flops model, a tie near TR≈1; " +
-			"t_materialized: hash joins + projection + GD, from tables built untimed; join_exact: the hash-joined matrix equals the materialized one bit for bit",
+			"t_materialized: hash joins + projection + GD, from tables built untimed; each arm runs once untimed before TR=1 is timed; join_exact: the hash-joined matrix equals the materialized one bit for bit",
 	}
 	factRows := scale(quick, 100000)
 	iters := 8
@@ -145,27 +145,41 @@ func E1FactorizedVsMaterialized(quick bool) (Table, error) {
 			return t, err
 		}
 		cfg := opt.GDConfig{Step: 0.05, MaxIter: iters, Backtracking: false}
-
-		start := time.Now()
-		if _, err := opt.GradientDescent(design, s.Y, opt.Squared{}, cfg); err != nil {
-			return t, err
-		}
-		tFact := time.Since(start)
-
 		tables, err := s.Tables()
 		if err != nil {
 			return t, err
 		}
-		start = time.Now()
-		joined, err := s.JoinedMatrix(tables)
+
+		// arms times GD over the factorized design, then the hash joins
+		// and GD over the matrix they give.
+		arms := func() (tFact, tMat, tLearn time.Duration, joined *la.Dense, err error) {
+			start := time.Now()
+			if _, err = opt.GradientDescent(design, s.Y, opt.Squared{}, cfg); err != nil {
+				return
+			}
+			tFact = time.Since(start)
+			start = time.Now()
+			if joined, err = s.JoinedMatrix(tables); err != nil {
+				return
+			}
+			learn := time.Now()
+			if _, err = opt.GradientDescent(opt.DenseData{M: joined}, s.Y, opt.Squared{}, cfg); err != nil {
+				return
+			}
+			tMat, tLearn = time.Since(start), time.Since(learn)
+			return
+		}
+		if tr == 1 {
+			// One untimed run of each arm first, so the first timed cell
+			// is not the first GD the process runs.
+			if _, _, _, _, err := arms(); err != nil {
+				return t, err
+			}
+		}
+		tFact, tMat, tLearn, joined, err := arms()
 		if err != nil {
 			return t, err
 		}
-		learn := time.Now()
-		if _, err := opt.GradientDescent(opt.DenseData{M: joined}, s.Y, opt.Squared{}, cfg); err != nil {
-			return t, err
-		}
-		tMat, tLearn := time.Since(start), time.Since(learn)
 
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(tr), fmt.Sprint(factRows), fmt.Sprint(dimRows),

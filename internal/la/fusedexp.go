@@ -7,14 +7,17 @@ import "math"
 //
 // The scalar Sigmoid costs one math.Exp call per element — on amd64 an
 // assembly routine (SLEEF / Shibata reduction) that the Go compiler cannot
-// inline or pipeline across loop iterations. The tile kernels replace that
-// loop with an 8-lane
-// software-pipelined port of the *same* algorithm, so eight exponentials are
-// in flight at once through the long FMA/divide dependency chains. Eight is
-// deliberate: the polynomial is a serial chain of ~4-cycle FMAs on hardware
-// that retires two FMAs per cycle, so fewer than eight independent chains
-// leave the FMA ports idle, and more than eight overflows the reorder
-// window (one 8-lane group is already ~240 uops).
+// inline or pipeline across loop iterations. Two tile paths replace that
+// loop with the *same* algorithm. Where the CPU runs AVX2 and FMA,
+// sigmoidTile4 (logistic_amd64.s) takes groups of four on the vector unit,
+// exp8FMA's sequence lane for lane, sharing one copy of it with the logistic
+// tile. Elsewhere sigmoidGo runs an 8-lane software-pipelined Go port, so
+// eight exponentials are in flight at once through the long FMA/divide
+// dependency chains. Eight is deliberate: the polynomial is a serial chain
+// of ~4-cycle FMAs on hardware that retires two FMAs per cycle, so fewer
+// than eight independent chains leave the FMA ports idle, and more than
+// eight overflows the reorder window (one 8-lane group is already ~240
+// uops).
 //
 // Bit-exactness is load-bearing, not best-effort: fused≡unfused is a tested
 // invariant, so the vector lanes must reproduce math.Exp exactly.
@@ -24,7 +27,9 @@ import "math"
 // path. A package-init probe bit-compares both against math.Exp across the
 // sigmoid gate range and selects whichever matches; on platforms where
 // neither does (e.g. a different arch-specific Exp), sigmoidTile falls back
-// to the scalar loop — slower, never wrong.
+// to the scalar loop — slower, never wrong. The AVX2 tile runs only where
+// the probe chose exp8FMA, and needs no probe of its own: it does exp8FMA's
+// and sigLane's IEEE operations in their order.
 //
 // The fast lanes are gated to |m| ∈ [2^-28, 700): arguments whose exp is
 // normal, finite, and away from the overflow/denormal tails — exactly the
@@ -449,14 +454,44 @@ func sigLane(m, e float64) float64 {
 	return num / (1 + e)
 }
 
+// sigmoidTileOn selects the vector tile for sigmoidTile: the CPU runs it and
+// the probe certified exp8FMA, whose sequence the tile runs lane for lane.
+// Tests turn it off to compare both paths.
+var sigmoidTileOn = fuseExpMode == 1 && vectorTilesSupported()
+
 // sigmoidTile applies the numerically stable sigmoid over a tile,
-// bit-identical to Sigmoid per element. In-gate groups of eight run through
-// the certified 8-lane exponential; anything else — probe failed, tiny or
-// huge magnitudes, NaN/Inf, the tail — takes the scalar Sigmoid. dst may
-// alias x.
+// bit-identical to Sigmoid per element. Where the vector tile is on, groups
+// of four whose |m| all lie in the gate run on it; a group that leaves the
+// gate takes the scalar Sigmoid and the tile resumes after it, and the tail
+// of fewer than four runs in Go (sigmoidGo). dst may alias x.
 //
 //dmml:noalloc
 func sigmoidTile(dst, x []float64) {
+	n := len(dst)
+	x = x[:n]
+	i := 0
+	if sigmoidTileOn {
+		for {
+			if i += sigmoidTile4(dst[i:], x[i:]); n-i < 4 {
+				break
+			}
+			// The group at i left the gate.
+			dst[i] = Sigmoid(x[i])
+			dst[i+1] = Sigmoid(x[i+1])
+			dst[i+2] = Sigmoid(x[i+2])
+			dst[i+3] = Sigmoid(x[i+3])
+			i += 4
+		}
+	}
+	sigmoidGo(dst[i:], x[i:])
+}
+
+// sigmoidGo is sigmoidTile in Go. In-gate groups of eight run through the
+// certified 8-lane exponential; anything else — probe failed, tiny or huge
+// magnitudes, NaN/Inf, the tail — takes the scalar Sigmoid.
+//
+//dmml:noalloc
+func sigmoidGo(dst, x []float64) {
 	mode := fuseExpMode
 	x = x[:len(dst)]
 	n8 := len(dst) &^ 7

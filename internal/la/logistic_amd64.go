@@ -11,6 +11,16 @@ package la
 //dmml:noalloc
 func logisticTile4(derivs, margins, y []float64, total float64) (done int, sum float64)
 
+// sigmoidTile4 runs groups of four values of sigmoidTile from the front of
+// x on the vector unit (logistic_amd64.s): while every |m| of a group lies
+// in the sigmoid gate [2⁻²⁸, 700), it writes sigLane(m, exp8FMA's e) into
+// dst. It returns the values it took — a multiple of four, stopping at the
+// first group outside the gate. dst is at least as long as x.
+//
+//go:noescape
+//dmml:noalloc
+func sigmoidTile4(dst, x []float64) (done int)
+
 // cpuid runs CPUID for leaf eaxArg, subleaf ecxArg.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -18,7 +28,7 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // vectorTilesSupported reports whether this CPU and OS run the vector tiles
-// (logisticTile4 and the dense tiles): CPUID reports FMA, AVX and AVX2, and
+// (logisticTile4, sigmoidTile4 and the dense tiles): CPUID reports FMA, AVX and AVX2, and
 // XGETBV reports that the OS saves the XMM and YMM state.
 func vectorTilesSupported() bool {
 	maxID, _, _, _ := cpuid(0, 0)

@@ -1,12 +1,12 @@
 #include "textflag.h"
 
-// The logistic tile on AVX2+FMA: four rows per group, every lane the scalar
-// pair's arithmetic (logistic.go) in the scalar pair's order. exp is
-// exp8FMA's sequence — each math.FMA there is one VFMADD/VFNMADD here, each
-// plain multiply or add one VMULPD/VADDPD — and log1p is math.log1p's
-// general path, its two branches turned into selects. Nothing is fused that
-// the Go source leaves unfused: the amd64 compiler fuses only explicit
-// math.FMA.
+// The logistic and sigmoid tiles on AVX2+FMA: four rows per group, every
+// lane the scalar functions' arithmetic (logistic.go, sigLane) in their
+// order. exp is exp8FMA's sequence, one copy in the EXP4 macro — each
+// math.FMA there is one VFMADD/VFNMADD here, each plain multiply or add one
+// VMULPD/VADDPD — and log1p is math.log1p's general path, its two branches
+// turned into selects. Nothing is fused that the Go source leaves unfused:
+// the amd64 compiler fuses only explicit math.FMA.
 
 // C4 declares a 32-byte constant: bits in each of the four lanes.
 #define C4(name, bits) DATA name<>+0(SB)/8, bits; DATA name<>+8(SB)/8, bits; DATA name<>+16(SB)/8, bits; DATA name<>+24(SB)/8, bits; GLOBL name<>(SB), RODATA|NOPTR, $32
@@ -15,6 +15,7 @@ C4(absMask, $0x7fffffffffffffff)
 C4(signBit, $0x8000000000000000)
 C4(gateLo, $0x3e30000000000000) // 2^-28
 C4(gateHi, $0x4034000000000000) // 20
+C4(sigGateHi, $0x4085e00000000000) // 700
 C4(one, $0x3ff0000000000000)
 C4(two, $0x4000000000000000)
 C4(half, $0x3fe0000000000000)
@@ -32,6 +33,41 @@ C4(expC4, $0x3f81111111111111)
 C4(expC5, $0x3fa5555555555555)
 C4(expC6, $0x3fc5555555555555)
 C4(bias, $0x3ff)
+
+// EXP4 sets Y3 to exp(Y3) on four lanes by exp8FMA's sequence, for lanes
+// inside the sigmoid gate: kd = log2e·x rounded by adding and subtracting
+// 1.5·2^52, whose low bits give 2^k as (k+0x3ff)<<52 (the 0x4338… bias
+// shifts out); u = FMA(−kd, ln2U, x), then FMA(−kd, ln2L, u), times 1/16;
+// h = the Horner chain FMA(h, u, c) from c1 down to 1; s = u·h, then
+// s = s·(s+2) three times and FMA(s, s+2, 1) once; e = s·2^k. It clobbers
+// Y4–Y7.
+#define EXP4 \
+	VMULPD       log2e<>(SB), Y3, Y4; \
+	VADDPD       expRound<>(SB), Y4, Y4; \
+	VPADDQ       bias<>(SB), Y4, Y5; \
+	VPSLLQ       $52, Y5, Y5; \
+	VSUBPD       expRound<>(SB), Y4, Y4; \
+	VFNMADD231PD ln2U<>(SB), Y4, Y3; \
+	VFNMADD231PD ln2L<>(SB), Y4, Y3; \
+	VMULPD       sixteenth<>(SB), Y3, Y3; \
+	VMOVUPD      expC1<>(SB), Y6; \
+	VFMADD213PD  expC2<>(SB), Y3, Y6; \
+	VFMADD213PD  expC3<>(SB), Y3, Y6; \
+	VFMADD213PD  expC4<>(SB), Y3, Y6; \
+	VFMADD213PD  expC5<>(SB), Y3, Y6; \
+	VFMADD213PD  expC6<>(SB), Y3, Y6; \
+	VFMADD213PD  half<>(SB), Y3, Y6; \
+	VFMADD213PD  one<>(SB), Y3, Y6; \
+	VMULPD       Y6, Y3, Y3; \
+	VADDPD       two<>(SB), Y3, Y7; \
+	VMULPD       Y7, Y3, Y3; \
+	VADDPD       two<>(SB), Y3, Y7; \
+	VMULPD       Y7, Y3, Y3; \
+	VADDPD       two<>(SB), Y3, Y7; \
+	VMULPD       Y7, Y3, Y3; \
+	VADDPD       two<>(SB), Y3, Y7; \
+	VFMADD213PD  one<>(SB), Y7, Y3; \
+	VMULPD       Y5, Y3, Y3
 
 // math.log1p's constants. sqrt2M1 is the float64 its Sqrt2M1 literal rounds
 // to, not the …34 its comment gives.
@@ -81,34 +117,9 @@ loop:
 	CMPQ      BX, $15
 	JNE       end
 
-	// e = exp(x), x = −a = z with its sign bit set (exp8FMA).
-	VORPD        signBit<>(SB), Y1, Y3
-	VMULPD       log2e<>(SB), Y3, Y4         // kd = log2e·x
-	VADDPD       expRound<>(SB), Y4, Y4      // kd += 1.5·2^52
-	VPADDQ       bias<>(SB), Y4, Y5          // (k+0x3ff)<<52: the 0x4338… bias shifts out
-	VPSLLQ       $52, Y5, Y5
-	VSUBPD       expRound<>(SB), Y4, Y4      // kd −= 1.5·2^52
-	VFNMADD231PD ln2U<>(SB), Y4, Y3          // u = FMA(−kd, ln2U, x)
-	VFNMADD231PD ln2L<>(SB), Y4, Y3          // u = FMA(−kd, ln2L, u)
-	VMULPD       sixteenth<>(SB), Y3, Y3     // u *= 0.0625
-	VMOVUPD      expC1<>(SB), Y6
-	VFMADD213PD  expC2<>(SB), Y3, Y6         // h = FMA(c1, u, c2)
-	VFMADD213PD  expC3<>(SB), Y3, Y6         // h = FMA(h, u, c3)
-	VFMADD213PD  expC4<>(SB), Y3, Y6
-	VFMADD213PD  expC5<>(SB), Y3, Y6
-	VFMADD213PD  expC6<>(SB), Y3, Y6
-	VFMADD213PD  half<>(SB), Y3, Y6
-	VFMADD213PD  one<>(SB), Y3, Y6
-	VMULPD       Y6, Y3, Y3                  // s = u·h
-	VADDPD       two<>(SB), Y3, Y7           // s = s·(s+2), three times
-	VMULPD       Y7, Y3, Y3
-	VADDPD       two<>(SB), Y3, Y7
-	VMULPD       Y7, Y3, Y3
-	VADDPD       two<>(SB), Y3, Y7
-	VMULPD       Y7, Y3, Y3
-	VADDPD       two<>(SB), Y3, Y7           // s = FMA(s, s+2, 1)
-	VFMADD213PD  one<>(SB), Y7, Y3
-	VMULPD       Y5, Y3, Y3                  // e = s·2^k
+	// e = exp(x), x = −a = z with its sign bit set.
+	VORPD signBit<>(SB), Y1, Y3
+	EXP4
 
 	// log1p(e) for e in [2^-29, 1): lanes with e < √2−1 take f = e, k = 0;
 	// the rest normalize u = 1+e against √2's mantissa, k = 0 or 1.
@@ -183,6 +194,49 @@ end:
 	VZEROUPPER
 	MOVQ  AX, done+80(FP)
 	MOVSD X0, sum+88(FP)
+	RET
+
+// func sigmoidTile4(dst, x []float64) (done int)
+//
+// Runs groups of four values from the front while every |m| of a group lies
+// in [2^-28, 700), writing sigLane's num/(1+e) with e = exp(−|m|) and num =
+// m<0 ? e : 1. Stops at the first group outside the gate or with fewer than
+// four values left; done is the values it took.
+TEXT ·sigmoidTile4(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	ANDQ $-4, CX
+	XORQ AX, AX
+
+sigLoop:
+	CMPQ AX, CX
+	JAE  sigEnd
+
+	VMOVUPD   (SI)(AX*8), Y1
+	VANDPD    absMask<>(SB), Y1, Y3
+	VCMPPD    $0x1d, gateLo<>(SB), Y3, Y4 // |m| >= 2^-28
+	VCMPPD    $0x11, sigGateHi<>(SB), Y3, Y5 // |m| < 700
+	VANDPD    Y4, Y5, Y4
+	VMOVMSKPD Y4, BX
+	CMPQ      BX, $15
+	JNE       sigEnd
+
+	// e = exp(−|m|); num/(1+e) with num = e where m's sign bit is set, else 1.
+	VORPD     signBit<>(SB), Y1, Y3
+	EXP4
+	VMOVUPD   one<>(SB), Y6
+	VBLENDVPD Y1, Y3, Y6, Y6
+	VADDPD    one<>(SB), Y3, Y4
+	VDIVPD    Y4, Y6, Y6
+	VMOVUPD   Y6, (DI)(AX*8)
+
+	ADDQ $4, AX
+	JMP  sigLoop
+
+sigEnd:
+	VZEROUPPER
+	MOVQ AX, done+48(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

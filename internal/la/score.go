@@ -7,8 +7,9 @@ import "fmt"
 // of the pooled GEMV kernel in a single call — this is where request
 // batching pays off, amortizing dispatch, pool scheduling and cache misses
 // across the whole admission batch — and the logistic link is a bias add
-// plus the tile-vectorized sigmoid (the 8-lane software-pipelined exp
-// kernel the fused templates use), both in place over the margin vector.
+// plus the tile-vectorized sigmoid the fused templates use (the AVX2 tile
+// in groups of four where it runs, so batches of 4–7 rows reach the vector
+// lanes too), both in place over the margin vector.
 
 // Link selects the inverse link applied to a model's linear margin.
 type Link uint8

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,6 +29,10 @@ var (
 // `pkg.Name`, `(*pkg.T)` or `(*pkg.T).M`.
 var citeRe = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)|\\(\\*([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)\\)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?)`")
 
+// methodRe matches a whole backticked span that cites a field or method
+// with no package: `(*T).M`.
+var methodRe = regexp.MustCompile("`\\(\\*([A-Za-z_][A-Za-z0-9_]*)\\)\\.([A-Za-z_][A-Za-z0-9_]*)`")
+
 // TestDocsCiteLiveNames: the repository's documents name engine code, and a
 // deleted or renamed identifier must not live on in them. Every backticked
 // `pkg.Name`, `(*pkg.T)` and `(*pkg.T).M` in README.md, DESIGN.md,
@@ -35,8 +40,10 @@ var citeRe = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)
 // pkg is a package under internal/ must resolve to a declaration of that
 // package (Name at package scope; T a type; M a field or method of *T), to a
 // metric name a metrics.New* call in non-test code registers, or to a
-// per-layer metric name of BENCHMARK.json. Fenced code blocks are not
-// scanned for those. Every `make <target>` — in a backticked span, or
+// per-layer metric name of BENCHMARK.json. Every backticked `(*T).M` with no
+// package must name a type T that some package under internal/ declares,
+// with M a field or method of *T. Fenced code blocks are not scanned for
+// those. Every `make <target>` — in a backticked span, or
 // starting a line of a fenced block — must name a rule of the Makefile.
 // Every flag of a `<binary> -flag ...` command line — in a backticked span,
 // or on a line of a fenced block — must be one the binary's package under
@@ -44,10 +51,14 @@ var citeRe = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)
 func TestDocsCiteLiveNames(t *testing.T) {
 	m := loadModule(t)
 	pkgs := make(map[string]*types.Package) // internal/ packages by name
+	var internal []*types.Package           // every package under internal/
 	metricNames := make(map[string]bool)
 	for path, p := range m.Pkgs {
-		if rel, ok := strings.CutPrefix(path, m.Path+"/internal/"); ok && !strings.Contains(rel, "/") {
-			pkgs[p.Types.Name()] = p.Types
+		if rel, ok := strings.CutPrefix(path, m.Path+"/internal/"); ok {
+			internal = append(internal, p.Types)
+			if !strings.Contains(rel, "/") {
+				pkgs[p.Types.Name()] = p.Types
+			}
 		}
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -138,6 +149,11 @@ func TestDocsCiteLiveNames(t *testing.T) {
 				cited++
 				if !resolves(pkg, name, method, c[3] != "") && !(c[1] != "" && metricNames[c[0][1:len(c[0])-1]]) {
 					t.Errorf("%s:%d: %s names no declaration of internal/%s and no registered metric", doc, i+1, c[0], pkgName)
+				}
+			}
+			for _, c := range methodRe.FindAllStringSubmatch(line, -1) {
+				if !slices.ContainsFunc(internal, func(pkg *types.Package) bool { return resolves(pkg, c[1], c[2], true) }) {
+					t.Errorf("%s:%d: %s names no field or method of a type under internal/", doc, i+1, c[0])
 				}
 			}
 		}
